@@ -27,6 +27,7 @@ from statistics import NormalDist
 from typing import Callable, Sequence
 
 from .detector import (
+    CaseMemo,
     DetectorConfig,
     TargetPackage,
     UbKind,
@@ -298,7 +299,11 @@ def render_report(report: BenchReport, fmt: str = "table") -> str:
 
 @dataclass
 class PipelineSettings:
-    """Everything repair_one needs besides the target itself."""
+    """Everything repair_one needs besides the target itself.
+
+    ``memo`` holds the detections and reference verdicts already paid for;
+    runs that share it (a bench case's two runs) reuse each other's work.
+    """
 
     detector: DetectorConfig
     solutions_k: int
@@ -307,6 +312,7 @@ class PipelineSettings:
     kb_enabled: bool
     clock: Callable[[], float]
     session_dir: Path | None = None
+    memo: CaseMemo = field(default_factory=CaseMemo)
 
 
 def _lead_kind(reports) -> UbKind:
@@ -337,89 +343,102 @@ def repair_one(
     and the original sources for diffing.
     """
     clock = settings.clock
+    memo = settings.memo
+    memo.begin_run()
     start = clock()
     tokens_before = provider.tokens_used
     ws = WorkingCopy(target, settings.session_dir)
-    originals = ws.files()
-    baseline = run_detection(
-        ws.target, timeout=settings.detector.timeout, config=settings.detector, clock=clock
-    )
-    kb = engine.kb if settings.kb_enabled else None
-    config = SessionConfig(
-        budget=settings.budget,
-        detector=settings.detector,
-        kb=kb,
-        kb_enabled=settings.kb_enabled,
-        ast_mode=settings.ast_mode,
-        session_dir=ws.session_dir,
-        clock=clock,
-    )
-    vector: FeatureVector | None = None
-    solutions: list[RepairSolution] = []
-    if baseline.clean:
-        outcome = SessionOutcome(
-            Verdict.PASS,
-            ws.files(),
-            ErrorTrace(counts=[0], thoughts=[], iteration_budget=settings.budget),
-        )
-    else:
-        features = extract_features(ws.target, list(baseline.reports), provider)
-        if settings.kb_enabled:
-            lead_file, _ = parse_region_ref(features[0].ref)
-            ast = extract_ast(ws.read(lead_file), settings.ast_mode, provider)
-            vector = vectorize(
-                prune(ast, baseline.reports),
-                ub_kinds=sorted({r.kind for r in baseline.reports}, key=lambda k: k.value),
-            )
-        solutions = generate_solutions(
-            features, k=settings.solutions_k, provider=provider, kb_enabled=settings.kb_enabled
-        )
-        if settings.kb_enabled and vector is not None and not vector.is_zero:
-            hit = engine.best_hit(vector)
-            if hit is not None:
-                seeded = _seeded_solution(hit[1], features[0].ref)
-                if seeded is not None:
-                    solutions.insert(0, seeded)
-                    config.skip_reason_steps = True
-            solutions = engine.rank_solutions(solutions, vector)
-        outcome = run_session(
+    try:
+        originals = ws.files()
+        baseline = run_detection(
             ws.target,
-            solutions,
-            settings.budget,
-            provider=provider,
-            config=config,
-            workspace=ws,
-            baseline=baseline,
+            timeout=settings.detector.timeout,
+            config=settings.detector,
+            clock=clock,
+            memo=memo,
         )
-    elapsed = clock() - start
-    tokens = provider.tokens_used - tokens_before
-    triplet = engine.evaluate(
-        outcome,
-        reference,
-        entry_file=target.entry_files[0],
-        overhead_seconds=elapsed,
-        overhead_tokens=tokens,
-    )
-    if outcome.verdict is Verdict.PASS and triplet.acceptability is True:
-        outcome.verdict = Verdict.SEMANTIC_PASS
-    outcome.triplet = triplet
-    if (
-        settings.kb_enabled
-        and vector is not None
-        and not vector.is_zero
-        and outcome.solution_id is not None
-    ):
-        used = next((s for s in solutions if s.id == outcome.solution_id), None)
-        if used is not None:
-            record = ExperienceRecord(
-                feature_vector=vector,
-                ub_kind=_lead_kind(baseline.reports),
-                solution_id=used.id,
-                triplet=triplet,
-                solution_signature=signature_of(used),
+        kb = engine.kb if settings.kb_enabled else None
+        config = SessionConfig(
+            budget=settings.budget,
+            detector=settings.detector,
+            kb=kb,
+            kb_enabled=settings.kb_enabled,
+            ast_mode=settings.ast_mode,
+            session_dir=ws.session_dir,
+            clock=clock,
+            memo=memo,
+        )
+        vector: FeatureVector | None = None
+        solutions: list[RepairSolution] = []
+        if baseline.clean:
+            outcome = SessionOutcome(
+                Verdict.PASS,
+                ws.files(),
+                ErrorTrace(counts=[0], thoughts=[], iteration_budget=settings.budget),
             )
-            engine.record_experience(record, solution=used if triplet.accuracy else None)
-    return outcome, triplet, originals
+        else:
+            features = extract_features(ws.target, list(baseline.reports), provider)
+            if settings.kb_enabled:
+                lead_file, _ = parse_region_ref(features[0].ref)
+                ast = extract_ast(ws.read(lead_file), settings.ast_mode, provider)
+                vector = vectorize(
+                    prune(ast, baseline.reports),
+                    ub_kinds=sorted({r.kind for r in baseline.reports}, key=lambda k: k.value),
+                )
+            solutions = generate_solutions(
+                features, k=settings.solutions_k, provider=provider, kb_enabled=settings.kb_enabled
+            )
+            if settings.kb_enabled and vector is not None and not vector.is_zero:
+                hit = engine.best_hit(vector)
+                if hit is not None:
+                    seeded = _seeded_solution(hit[1], features[0].ref)
+                    if seeded is not None:
+                        solutions.insert(0, seeded)
+                        config.skip_reason_steps = True
+                solutions = engine.rank_solutions(solutions, vector)
+            outcome = run_session(
+                ws.target,
+                solutions,
+                settings.budget,
+                provider=provider,
+                config=config,
+                workspace=ws,
+                baseline=baseline,
+            )
+        # detections reused from the case's other run cost this run their
+        # recorded time, as if it had made them itself
+        elapsed = clock() - start + memo.charged_seconds
+        tokens = provider.tokens_used - tokens_before
+        triplet = engine.evaluate(
+            outcome,
+            reference,
+            entry_file=target.entry_files[0],
+            overhead_seconds=elapsed,
+            overhead_tokens=tokens,
+            memo=memo,
+        )
+        if outcome.verdict is Verdict.PASS and triplet.acceptability is True:
+            outcome.verdict = Verdict.SEMANTIC_PASS
+        outcome.triplet = triplet
+        if (
+            settings.kb_enabled
+            and vector is not None
+            and not vector.is_zero
+            and outcome.solution_id is not None
+        ):
+            used = next((s for s in solutions if s.id == outcome.solution_id), None)
+            if used is not None:
+                record = ExperienceRecord(
+                    feature_vector=vector,
+                    ub_kind=_lead_kind(baseline.reports),
+                    solution_id=used.id,
+                    triplet=triplet,
+                    solution_signature=signature_of(used),
+                )
+                engine.record_experience(record, solution=used if triplet.accuracy else None)
+        return outcome, triplet, originals
+    finally:
+        ws.cleanup()
 
 
 def _diff_stats(before: dict[str, str], after: dict[str, str]) -> list[tuple[str, int, int]]:
@@ -503,7 +522,7 @@ def cmd_fix(args: argparse.Namespace) -> int:
             "schema_version": 1,
             "target": str(args.path),
             "verdict": outcome.verdict.value,
-            "baseline_errors": outcome.trace.counts[0],
+            "baseline_errors": outcome.baseline_errors,
             "final_errors": outcome.final_errors,
             "triplet": triplet.to_dict(),
             "trace": outcome.trace.to_dict(),
@@ -516,10 +535,8 @@ def cmd_fix(args: argparse.Namespace) -> int:
     else:
         print(outcome.verdict.value)
         print(f"target: {args.path}")
-        print(f"errors: {outcome.trace.counts[0]} -> {outcome.final_errors}")
-        print(
-            f"thoughts: {len(outcome.trace.thoughts)}, rollbacks: {outcome.stats.rollback_count}"
-        )
+        print(f"errors: {outcome.baseline_errors} -> {outcome.final_errors}")
+        print(f"thoughts: {outcome.thought_count}, rollbacks: {outcome.stats.rollback_count}")
         print(f"acceptability: {_fmt_accept(triplet.acceptability)}")
         print(
             f"time: {triplet.overhead_seconds:.3f}s, tokens: {triplet.overhead_tokens}"
@@ -575,6 +592,23 @@ def load_manifest(path: Path | str) -> list[ManifestCase]:
     return cases
 
 
+def _failed_row(case: ManifestCase, exc: Exception) -> CaseResult:
+    return CaseResult(
+        id=case.id,
+        kind=case.ub_kind,
+        verdict=Verdict.FAILED.value,
+        acceptability=False,
+        baseline_errors=0,
+        final_errors=0,
+        thoughts=0,
+        rollbacks=0,
+        tokens=0,
+        seconds_kb=None,
+        seconds_plain=None,
+        note=f"{type(exc).__name__}: {exc}",
+    )
+
+
 def _bench_case(
     case: ManifestCase,
     args: argparse.Namespace,
@@ -589,6 +623,7 @@ def _bench_case(
     """
     clock = _make_clock(args.fixed_clock)
     detector = _detector_config(args)
+    memo = CaseMemo()
     recorded: list = []
 
     def one_run(kb_enabled: bool) -> tuple[SessionOutcome, EvalTriplet, list, list]:
@@ -607,6 +642,7 @@ def _bench_case(
             ast_mode=AstMode(args.ast_mode),
             kb_enabled=kb_enabled,
             clock=clock,
+            memo=memo,
         )
         outcome, triplet, _ = repair_one(target, provider, engine, settings, reference)
         if isinstance(provider, TranscriptRecorder):
@@ -631,33 +667,15 @@ def _bench_case(
             seconds_plain = plain_triplet.overhead_seconds
     except UbmendError as exc:
         log.warning("case %s failed: %s", case.id, exc)
-        return (
-            CaseResult(
-                id=case.id,
-                kind=case.ub_kind,
-                verdict=Verdict.FAILED.value,
-                acceptability=False,
-                baseline_errors=0,
-                final_errors=0,
-                thoughts=0,
-                rollbacks=0,
-                tokens=0,
-                seconds_kb=None,
-                seconds_plain=None,
-                note=f"{type(exc).__name__}: {exc}",
-            ),
-            [],
-            [],
-            recorded,
-        )
+        return _failed_row(case, exc), [], [], recorded
     result = CaseResult(
         id=case.id,
         kind=case.ub_kind,
         verdict=outcome.verdict.value,
         acceptability=triplet.acceptability,
-        baseline_errors=outcome.trace.counts[0],
+        baseline_errors=outcome.baseline_errors,
         final_errors=outcome.final_errors,
-        thoughts=len(outcome.trace.thoughts),
+        thoughts=outcome.thought_count,
         rollbacks=outcome.stats.rollback_count,
         tokens=tokens,
         seconds_kb=seconds_kb,
@@ -689,7 +707,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         }
         for future in concurrent.futures.as_completed(futures):
             case = futures[future]
-            row, new_kb, new_exp, recorded = future.result()
+            try:
+                row, new_kb, new_exp, recorded = future.result()
+            except Exception as exc:  # one broken case must not end the bench
+                log.exception("case %s raised", case.id)
+                row, new_kb, new_exp, recorded = _failed_row(case, exc), [], [], []
             results.append(row)
             pending[case.id] = (new_kb, new_exp)
             transcripts[case.id] = recorded

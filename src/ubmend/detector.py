@@ -8,6 +8,8 @@ extended without code changes.
 """
 from __future__ import annotations
 
+import hashlib
+import json
 import logging
 import re
 import subprocess
@@ -20,6 +22,7 @@ from typing import Callable, Sequence
 
 from .errors import DetectionTimeout, NonUbCompileError, TargetRejected, ToolMissing
 from .lexutil import estimate_tokens
+from .process import run_group
 
 log = logging.getLogger(__name__)
 
@@ -31,6 +34,7 @@ _UB_HEADER = "error: Undefined Behavior:"
 _ABORT_HEADER = "error: abnormal termination:"
 _LOCATION_RE = re.compile(r"^\s*-->\s*(.+?):(\d+):(\d+)\s*$")
 _TOP_ERROR_RE = re.compile(r"^error(\[[A-Z0-9]+\])?:")
+_TRACKED_EXTRA = ("Cargo.toml", "Cargo.lock")
 _MISSING_TOOL_RE = re.compile(
     r"no such (sub)?command|command not found|is not installed|"
     r"component .* (is )?unavailable|toolchain .* is not installed",
@@ -103,6 +107,21 @@ class TargetPackage:
     def read(self, rel: str) -> str:
         return (self.root_path / rel).read_text(encoding="utf-8")
 
+    def tracked_files(self) -> list[str]:
+        """Sources a working copy carries: the entry files, the Cargo
+        manifest and lock file, and every other ``.rs`` file outside
+        ``target/`` directories."""
+        tracked = list(self.entry_files)
+        root = self.root_path
+        for name in _TRACKED_EXTRA:
+            if (root / name).is_file():
+                tracked.append(name)
+        for path in root.rglob("*.rs"):
+            rel = str(path.relative_to(root))
+            if "target" not in path.relative_to(root).parts and rel not in tracked:
+                tracked.append(rel)
+        return tracked
+
 
 @dataclass
 class UbReport:
@@ -134,6 +153,41 @@ class DetectionResult:
     @property
     def clean(self) -> bool:
         return self.error_count == 0
+
+
+class CaseMemo:
+    """Detections and reference verdicts of one case, keyed by content.
+
+    A bench case's knowledge run and no-knowledge run share one memo, one
+    after the other; each ``fix`` invocation has its own. Only completed
+    results are kept: timeouts, missing tools and compile errors run again
+    every time. ``begin_run`` opens a run's account. The first time a run
+    reuses a detection that another run paid for, it is charged that
+    detection's recorded wall time, so the timings of the two runs stay
+    comparable; reusing a detection the run made, or was already charged
+    for, is free.
+    """
+
+    def __init__(self) -> None:
+        self.verdicts: dict[str, bool] = {}
+        self.charged_seconds = 0.0
+        self._detections: dict[str, DetectionResult] = {}
+        self._paid: set[str] = set()
+
+    def begin_run(self) -> None:
+        self.charged_seconds = 0.0
+        self._paid = set()
+
+    def recall(self, key: str) -> DetectionResult | None:
+        result = self._detections.get(key)
+        if result is not None and key not in self._paid:
+            self._paid.add(key)
+            self.charged_seconds += result.wall_time
+        return result
+
+    def remember(self, key: str, result: DetectionResult) -> None:
+        self._detections[key] = result
+        self._paid.add(key)
 
 
 @dataclass
@@ -242,31 +296,50 @@ def _render_command(command: Sequence[str], target: TargetPackage) -> list[str]:
     ]
 
 
+def _content_key(argv: list[str], target: TargetPackage) -> str:
+    """sha256 over the argv and the (path, bytes) pairs of the tracked sources."""
+    digest = hashlib.sha256(json.dumps(argv).encode())
+    for rel in sorted(target.tracked_files()):
+        path = target.root_path / rel
+        if path.is_file():
+            data = path.read_bytes()
+            digest.update(json.dumps([rel, len(data)]).encode())
+            digest.update(data)
+    return digest.hexdigest()
+
+
 def run_detection(
     target: TargetPackage,
     timeout: float | None = None,
     config: DetectorConfig | None = None,
     clock: Callable[[], float] = time.monotonic,
+    memo: CaseMemo | None = None,
 ) -> DetectionResult:
     """Spawn the detection tool on ``target`` and parse its diagnostics.
 
     ``timeout`` falls back to ``config.timeout`` when not given. Raises
     ToolMissing when the tool cannot be spawned, DetectionTimeout when the
     run exceeds the timeout, and NonUbCompileError when the target fails
-    ordinary compilation (error output without any UB block).
+    ordinary compilation (error output without any UB block). With a
+    ``memo``, the tool runs at most once per argv and tracked-source bytes.
     """
     config = config or DetectorConfig()
     if timeout is None:
         timeout = config.timeout
     argv = _render_command(config.command, target)
+    key = ""
+    if memo is not None:
+        key = _content_key(argv, target)
+        cached = memo.recall(key)
+        if cached is not None:
+            return cached
     started = clock()
     try:
-        proc = subprocess.run(
+        proc = run_group(
             argv,
+            timeout,
             cwd=target.root_path,
-            capture_output=True,
             text=True,
-            timeout=timeout,
             env=config.env,
         )
     except FileNotFoundError as exc:
@@ -284,10 +357,13 @@ def run_detection(
         )
     if proc.returncode == 0 and reports:
         log.warning("tool exited 0 but emitted %d UB blocks; trusting blocks", len(reports))
-    return DetectionResult(
+    result = DetectionResult(
         reports=reports,
         error_count=len(reports),
         tool_exit_status=proc.returncode,
         wall_time=wall,
         raw_output=raw,
     )
+    if memo is not None:
+        memo.remember(key, result)
+    return result

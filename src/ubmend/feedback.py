@@ -11,6 +11,7 @@ the knowledge base.
 from __future__ import annotations
 
 import fcntl
+import hashlib
 import json
 import logging
 import subprocess
@@ -20,10 +21,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .detector import UbKind
+from .detector import CaseMemo, UbKind
 from .errors import StorageFailure
 from .fast import FIX_AGENTS, Provenance, RepairSolution
 from .kb import FeatureVector, KnowledgeBase, KnowledgeEntry, cosine, solution_template
+from .process import run_group
 
 if TYPE_CHECKING:  # pragma: no cover
     from .slow import SessionOutcome
@@ -96,12 +98,41 @@ class ReferenceBundle:
         tests_cmd = tests_file.read_text().strip() if tests_file.is_file() else None
         return cls(expected_stdout=stdout_file.read_bytes(), expected_exit=expected_exit, tests_cmd=tests_cmd)
 
-    def check(self, final_source: dict[str, str], entry_file: str, rustc: str = "rustc") -> bool:
+    def check(
+        self,
+        final_source: dict[str, str],
+        entry_file: str,
+        rustc: str = "rustc",
+        memo: CaseMemo | None = None,
+    ) -> bool:
         """Compile and run the repaired program, compare behaviour byte-exact.
 
         Raises ReferenceExecutionFailure when the check cannot produce a
-        verdict (compile failure, missing toolchain, run timeout).
+        verdict (compile failure, missing toolchain, run timeout); that is
+        never memoised. With a ``memo``, each bundle, entry file and source
+        is compiled and judged at most once.
         """
+        key = ""
+        if memo is not None:
+            payload = json.dumps(
+                [
+                    self.expected_stdout.hex(),
+                    self.expected_exit,
+                    self.tests_cmd,
+                    entry_file,
+                    rustc,
+                    sorted(final_source.items()),
+                ]
+            )
+            key = hashlib.sha256(payload.encode()).hexdigest()
+            if key in memo.verdicts:
+                return memo.verdicts[key]
+        verdict = self._compile_and_compare(final_source, entry_file, rustc)
+        if memo is not None:
+            memo.verdicts[key] = verdict
+        return verdict
+
+    def _compile_and_compare(self, final_source: dict[str, str], entry_file: str, rustc: str) -> bool:
         with tempfile.TemporaryDirectory(prefix="ubmend-ref-") as tmp:
             root = Path(tmp)
             for rel, text in final_source.items():
@@ -110,11 +141,10 @@ class ReferenceBundle:
                 dest.write_text(text, encoding="utf-8")
             binary = root / "candidate"
             try:
-                compiled = subprocess.run(
+                compiled = run_group(
                     [rustc, "--edition=2021", entry_file, "-o", str(binary)],
+                    REFERENCE_RUN_TIMEOUT,
                     cwd=root,
-                    capture_output=True,
-                    timeout=REFERENCE_RUN_TIMEOUT,
                 )
             except (FileNotFoundError, subprocess.TimeoutExpired) as exc:
                 raise ReferenceExecutionFailure(f"compiler unavailable: {exc}") from exc
@@ -123,21 +153,18 @@ class ReferenceBundle:
                     "repaired program does not compile: " + compiled.stderr.decode(errors="replace")[:400]
                 )
             try:
-                run = subprocess.run(
-                    [str(binary)], cwd=root, capture_output=True, timeout=REFERENCE_RUN_TIMEOUT
-                )
+                run = run_group([str(binary)], REFERENCE_RUN_TIMEOUT, cwd=root)
             except subprocess.TimeoutExpired as exc:
                 raise ReferenceExecutionFailure("repaired program timed out") from exc
             if run.returncode != self.expected_exit or run.stdout != self.expected_stdout:
                 return False
             if self.tests_cmd:
                 try:
-                    tests = subprocess.run(
+                    tests = run_group(
                         self.tests_cmd.replace("{prog}", str(binary)),
+                        REFERENCE_RUN_TIMEOUT,
                         shell=True,
                         cwd=root,
-                        capture_output=True,
-                        timeout=REFERENCE_RUN_TIMEOUT,
                     )
                 except subprocess.TimeoutExpired as exc:
                     raise ReferenceExecutionFailure("reference tests timed out") from exc
@@ -230,6 +257,7 @@ class FeedbackEngine:
         overhead_seconds: float,
         overhead_tokens: int,
         rustc: str = "rustc",
+        memo: CaseMemo | None = None,
     ) -> EvalTriplet:
         from .slow import Verdict
 
@@ -237,7 +265,9 @@ class FeedbackEngine:
         acceptability: bool | None = None
         if accuracy and reference is not None:
             try:
-                acceptability = reference.check(outcome.final_source, entry_file, rustc=rustc)
+                acceptability = reference.check(
+                    outcome.final_source, entry_file, rustc=rustc, memo=memo
+                )
             except ReferenceExecutionFailure as exc:
                 log.warning("acceptability unknown: %s", exc)
                 acceptability = None

@@ -20,7 +20,14 @@ from typing import Callable, Sequence
 
 from .agents import AGENT_FUNCTIONS, PatchRecord, apply_patch, revert_patch
 from .classifier import CodeFeature, classify_ops, locate_unsafe_regions
-from .detector import DetectionResult, DetectorConfig, TargetPackage, UbReport, run_detection
+from .detector import (
+    CaseMemo,
+    DetectionResult,
+    DetectorConfig,
+    TargetPackage,
+    UbReport,
+    run_detection,
+)
 from .errors import (
     AgentFailure,
     DetectionTimeout,
@@ -87,6 +94,9 @@ class ErrorTrace:
 
 @dataclass
 class SessionOutcome:
+    """``trace`` belongs to the last solution tried; ``baseline_errors`` and
+    ``thought_count`` cover the whole session."""
+
     verdict: Verdict
     final_source: dict[str, str]
     trace: ErrorTrace
@@ -94,6 +104,8 @@ class SessionOutcome:
     stats: RollbackStats = field(default_factory=RollbackStats)
     solution_id: str | None = None
     final_errors: int = 0
+    baseline_errors: int = 0
+    thought_count: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -117,6 +129,17 @@ class SessionConfig:
     ast_mode: AstMode = AstMode.LOCAL_PARSER
     session_dir: Path | None = None
     clock: Callable[[], float] = time.monotonic
+    memo: CaseMemo = field(default_factory=CaseMemo)
+
+
+def _detect(target: TargetPackage, config: SessionConfig) -> DetectionResult:
+    return run_detection(
+        target,
+        timeout=config.detector.timeout,
+        config=config.detector,
+        clock=config.clock,
+        memo=config.memo,
+    )
 
 
 def should_rollback(
@@ -217,12 +240,7 @@ def execute_step(
     except AgentFailure as exc:
         return Thought(index, step, None, prev_count, note=f"skipped: {exc}"), None
     try:
-        detection = run_detection(
-            workspace.target,
-            timeout=config.detector.timeout,
-            config=config.detector,
-            clock=config.clock,
-        )
+        detection = _detect(workspace.target, config)
     except NonUbCompileError:
         revert_patch(patch, workspace)
         return (
@@ -255,9 +273,7 @@ def run_session(
         raise ValueError("budget must be >= 1")
     ws = workspace or WorkingCopy(target, config.session_dir)
     if baseline is None:
-        baseline = run_detection(
-            ws.target, timeout=config.detector.timeout, config=config.detector, clock=config.clock
-        )
+        baseline = _detect(ws.target, config)
     store = SnapshotStore(ws.session_dir)
     store.record(0, ws.files(), baseline.error_count)
     reports_at: dict[int, list[UbReport]] = {0: list(baseline.reports)}
@@ -272,6 +288,7 @@ def run_session(
     passed = False
     budget_hit_last = False
     attempted_id: str | None = None
+    thought_count = 0
 
     for solution in solutions:
         attempted_id = solution.id
@@ -311,6 +328,7 @@ def run_session(
                 aborted = True
                 break
             reason_context = None
+            thought_count += 1
             trace.thoughts.append(thought)
             trace.counts.append(thought.resulting_errors)
             store.note_thought()
@@ -347,9 +365,8 @@ def run_session(
             store.restore(best, ws)
             ws_at = best
     try:
-        verify = run_detection(
-            ws.target, timeout=config.detector.timeout, config=config.detector, clock=config.clock
-        )
+        # the memo answers this when these exact bytes were detected before
+        verify = _detect(ws.target, config)
         final_clean = verify.clean
         final_errors = verify.error_count
     except (NonUbCompileError, DetectionTimeout) as exc:
@@ -371,4 +388,6 @@ def run_session(
         stats=store.stats,
         solution_id=attempted_id,
         final_errors=final_errors,
+        baseline_errors=baseline.error_count,
+        thought_count=thought_count,
     )

@@ -7,18 +7,21 @@ from pathlib import Path
 
 from .detector import TargetPackage
 
-_TRACKED_EXTRA = ("Cargo.toml", "Cargo.lock")
-
 
 class WorkingCopy:
-    """A private copy of a target's sources under a session directory."""
+    """A private copy of a target's sources under a session directory.
+
+    Without a ``session_dir`` the copy lives in a fresh temporary tree,
+    which ``cleanup`` removes; a given session directory is kept.
+    """
 
     def __init__(self, target: TargetPackage, session_dir: Path | str | None = None) -> None:
+        self._owns_dir = not session_dir
         base = Path(session_dir) if session_dir else Path(tempfile.mkdtemp(prefix="ubmend-"))
         self.root = base / "work"
         self.root.mkdir(parents=True, exist_ok=True)
         self.session_dir = base
-        for rel in _tracked_files(target):
+        for rel in target.tracked_files():
             dest = self.root / rel
             dest.parent.mkdir(parents=True, exist_ok=True)
             shutil.copyfile(target.root_path / rel, dest)
@@ -52,15 +55,7 @@ class WorkingCopy:
             if path.is_file() and str(path.relative_to(self.root)) not in files:
                 path.unlink()
 
-
-def _tracked_files(target: TargetPackage) -> list[str]:
-    tracked = list(target.entry_files)
-    root = target.root_path
-    for pattern in _TRACKED_EXTRA:
-        if (root / pattern).is_file():
-            tracked.append(pattern)
-    for path in root.rglob("*.rs"):
-        rel = str(path.relative_to(root))
-        if "target" not in path.relative_to(root).parts and rel not in tracked:
-            tracked.append(rel)
-    return tracked
+    def cleanup(self) -> None:
+        """Remove the temporary tree this copy created, if it created one."""
+        if self._owns_dir:
+            shutil.rmtree(self.session_dir, ignore_errors=True)

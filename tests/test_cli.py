@@ -2,14 +2,31 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import shlex
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
 
-from conftest import CORPUS_DIR, STUB_DETECTOR_ARG, copy_fixture
-from ubmend.cli import compute_ci, load_manifest, main
+from conftest import (
+    CORPUS_DIR,
+    STUB_DETECTOR_ARG,
+    copy_fixture,
+    counting_detector_command,
+    counting_rustc,
+    spawn_log,
+)
+from ubmend import cli
+from ubmend.cli import PipelineSettings, compute_ci, load_manifest, main, repair_one
+from ubmend.detector import DetectorConfig, TargetPackage
+from ubmend.fast import AgentKind, RepairSolution, RepairStep
+from ubmend.feedback import FeedbackEngine
+from ubmend.kb import AstMode
+from ubmend.provider import ProviderConfig, ProviderMode, ScriptedMockProvider
 
 needs_rustc = pytest.mark.skipif(shutil.which("rustc") is None, reason="rustc not installed")
 
@@ -294,3 +311,137 @@ def test_load_manifest_resolves_paths_relative_to_manifest(tmp_path):
     assert cases[0].path == sub / "case.rs"
     assert cases[0].ub_kind == "validity"
     assert cases[0].reference is None
+
+
+TWO_REGIONS = (
+    "fn main() {\n"
+    "    let mut value = 3i32;\n"
+    "    let alias = &mut value as *mut i32;\n"
+    "    unsafe {\n"
+    "        //~UB Undefined Behavior: trying to retag from <90> for Unique permission\n"
+    "        let _ = *alias;\n"
+    "    }\n"
+    "    unsafe {\n"
+    "        //~UB Undefined Behavior: trying to retag from <91> for Unique permission\n"
+    "        let _ = *alias;\n"
+    "    }\n"
+    "}\n"
+)
+
+
+def test_fix_reports_session_baseline_and_all_thoughts(tmp_path, capsys, monkeypatch):
+    # solution 1 repairs one of the two regions, solution 2 the other
+    def one_region_each(features, k, provider, kb_enabled):
+        return [
+            RepairSolution(
+                id=f"s0{i + 1}",
+                steps=[RepairStep(AgentKind.MODIFY_SEMANTICS, f"main.rs#{i}", "rewrite the region")],
+            )
+            for i in range(2)
+        ]
+
+    monkeypatch.setattr(cli, "generate_solutions", one_region_each)
+    path = tmp_path / "main.rs"
+    path.write_text(TWO_REGIONS, encoding="utf-8")
+    assert main(_fix(path, "--no-kb")) == 0
+    out = capsys.readouterr().out
+    assert "errors: 2 -> 0" in out
+    assert "thoughts: 2, rollbacks: 0" in out
+    assert main(_fix(path, "--no-kb", "--report", "json")) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["baseline_errors"] == 2
+    assert payload["trace"]["counts"] == [1, 0]
+
+
+def test_fix_and_bench_leave_no_temp_trees(tmp_path, monkeypatch, capsys):
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    case = copy_fixture(CORPUS_DIR / "stack_borrow", tmp_path / "fix")
+    assert main(_fix(case, "--no-kb")) == 0
+    manifest = _bench_dir(tmp_path, ["stack_borrow", "unaligned_pointer"], with_refs=True)
+    assert main(_bench(manifest)) == 0
+    capsys.readouterr()
+    assert [p.name for p in scratch.iterdir() if p.name.startswith("ubmend-")] == []
+
+
+def test_bench_turns_a_crashing_case_into_a_failed_row(tmp_path, capsys, monkeypatch):
+    manifest = _bench_dir(tmp_path, ["stack_borrow", "unaligned_pointer"])
+    assert main(_bench(manifest, "--report", "json")) == 0
+    healthy = {c["id"]: c for c in json.loads(capsys.readouterr().out)["cases"]}
+    real_case = cli._bench_case
+
+    def crash_first(case, *rest):
+        if case.id == "b01":
+            raise OSError("disk on fire")
+        return real_case(case, *rest)
+
+    monkeypatch.setattr(cli, "_bench_case", crash_first)
+    assert main(_bench(manifest, "--report", "json")) == 0
+    rows = {c["id"]: c for c in json.loads(capsys.readouterr().out)["cases"]}
+    assert rows["b01"]["verdict"] == "failed"
+    assert rows["b01"]["note"] == "OSError: disk on fire"
+    assert rows["b02"] == healthy["b02"]
+
+
+# exact answers for the slice, with and without a compiler for the reference check
+SLICE = ["stack_borrow", "panic", "data_race"]
+SLICE_ANSWERS = (
+    [("semantic_pass", True), ("pass", None), ("pass", False)]
+    if shutil.which("rustc")
+    else [("pass", None)] * 3
+)
+
+
+def test_bench_detects_each_working_copy_state_once_per_case(tmp_path, capsys, monkeypatch):
+    rustc = shutil.which("rustc")
+    if rustc:
+        shim, compiles = counting_rustc(tmp_path / "shims")
+        monkeypatch.setenv("PATH", f"{shim.parent}:{os.environ['PATH']}")
+    manifest = _bench_dir(tmp_path, SLICE, with_refs=True)
+    log = tmp_path / "spawns.jsonl"
+    args = [
+        "bench",
+        str(manifest),
+        "--detector-cmd",
+        shlex.join(counting_detector_command(log)),
+        "--fixed-clock",
+        "--report",
+        "json",
+    ]
+    assert main(args) == 0
+    payload = json.loads(capsys.readouterr().out)
+    got = [(c["verdict"], c["acceptability"]) for c in payload["cases"]]
+    assert got == SLICE_ANSWERS
+    spawns = spawn_log(log)
+    # per case: the baseline and the repaired state; the final re-verify and
+    # the no-knowledge run's detections all reuse them
+    assert len(spawns) == 2 * len(SLICE)
+    for kind in SLICE:
+        original = hashlib.sha256((CORPUS_DIR / kind / "main.rs").read_bytes()).hexdigest()
+        assert sum(s["files"] == {"main.rs": original} for s in spawns) == 1
+    if rustc:
+        # one reference compile per case with a bundle (panic has none)
+        assert compiles() == 2
+
+
+def test_fix_verdict_rests_on_a_clean_detection_of_the_final_bytes(tmp_path):
+    case = copy_fixture(CORPUS_DIR / "stack_borrow", tmp_path)
+    log = tmp_path / "spawns.jsonl"
+    settings = PipelineSettings(
+        detector=DetectorConfig(command=counting_detector_command(log), timeout=30.0),
+        solutions_k=10,
+        budget=5,
+        ast_mode=AstMode.LOCAL_PARSER,
+        kb_enabled=False,
+        clock=cli.LogicalClock(),
+    )
+    provider = ScriptedMockProvider(ProviderConfig(mode=ProviderMode.SCRIPTED_MOCK))
+    target = TargetPackage.from_path(case / "main.rs")
+    outcome, triplet, originals = repair_one(target, provider, FeedbackEngine(), settings)
+    assert outcome.verdict.value == "pass" and triplet.accuracy
+    final = hashlib.sha256(outcome.final_source["main.rs"].encode("utf-8")).hexdigest()
+    assert final != hashlib.sha256(originals["main.rs"].encode("utf-8")).hexdigest()
+    spawns = spawn_log(log)
+    assert {"args": ["main.rs"], "files": {"main.rs": final}, "status": 0} in spawns
+    assert all(s["args"] == ["main.rs"] for s in spawns)

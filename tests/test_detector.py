@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from conftest import stub_detector_config
+from conftest import counting_detector_command, process_gone, spawn_log, stub_detector_config
 from ubmend.detector import (
+    CaseMemo,
+    DetectionResult,
     DetectorConfig,
     TargetPackage,
     UbKind,
@@ -182,3 +185,93 @@ def test_custom_pattern_table(tmp_path):
     table = load_pattern_table(table_file)
     assert classify_kind("hit the custom marker here", table) == UbKind.ALLOC
     assert classify_kind(KIND_MESSAGES[UbKind.PANIC], table) == UbKind.UNKNOWN
+
+
+# --- the per-case detection memo
+
+
+def _counting(tmp_path, timeout: float = 30.0) -> tuple[DetectorConfig, Path]:
+    log = tmp_path / "spawns.jsonl"
+    return DetectorConfig(command=counting_detector_command(log), timeout=timeout), log
+
+
+def _memo_target(tmp_path, source: str) -> TargetPackage:
+    pkg = tmp_path / "pkg"
+    pkg.mkdir(exist_ok=True)
+    (pkg / "main.rs").write_text(source)
+    return TargetPackage.from_path(pkg / "main.rs")
+
+
+UB_SOURCE = "fn main() {\n    let x = 1; //~UB " + KIND_MESSAGES[UbKind.ALLOC] + "\n}\n"
+
+
+def test_memo_detects_the_same_bytes_once(tmp_path):
+    config, log = _counting(tmp_path)
+    target = _memo_target(tmp_path, UB_SOURCE)
+    memo = CaseMemo()
+    first = run_detection(target, config=config, memo=memo)
+    # build output under target/ is not part of the working-copy state
+    build = target.root_path / "target" / "debug"
+    build.mkdir(parents=True)
+    (build / "generated.rs").write_text("// build artefact\n")
+    second = run_detection(target, config=config, memo=memo)
+    assert len(spawn_log(log)) == 1
+    assert second is first
+    assert second.error_count == 1
+
+
+def test_memo_detects_again_after_any_tracked_change(tmp_path):
+    config, log = _counting(tmp_path)
+    target = _memo_target(tmp_path, UB_SOURCE)
+    memo = CaseMemo()
+    run_detection(target, config=config, memo=memo)
+    entry = target.root_path / "main.rs"
+    entry.write_text(UB_SOURCE.replace("x = 1", "x = 2"))  # one byte
+    run_detection(target, config=config, memo=memo)
+    (target.root_path / "util.rs").write_text("pub fn helper() {}\n")  # non-entry source
+    run_detection(target, config=config, memo=memo)
+    assert len(spawn_log(log)) == 3
+    entry.write_text(UB_SOURCE)
+    (target.root_path / "util.rs").unlink()
+    run_detection(target, config=config, memo=memo)
+    assert len(spawn_log(log)) == 3  # back to the first state
+
+
+def test_memo_reruns_timeouts_and_compile_errors(tmp_path):
+    config, log = _counting(tmp_path, timeout=0.5)
+    memo = CaseMemo()
+    sleepy = _memo_target(tmp_path, "//~SLEEP 3\nfn main() {}\n")
+    for _ in range(2):
+        with pytest.raises(DetectionTimeout):
+            run_detection(sleepy, config=config, memo=memo)
+    broken = _memo_target(tmp_path, "fn main() { //~COMPILE-ERROR cannot find value `x`\n}\n")
+    config.timeout = 30.0
+    for _ in range(2):
+        with pytest.raises(NonUbCompileError):
+            run_detection(broken, config=config, memo=memo)
+    # the timed-out spawns were killed before they could log
+    assert [entry["status"] for entry in spawn_log(log)] == [1, 1]
+
+
+def test_memo_charges_a_run_once_for_detections_it_reuses():
+    memo = CaseMemo()
+    paid = DetectionResult(reports=[], error_count=0, tool_exit_status=0, wall_time=2.5)
+    memo.remember("k", paid)
+    assert memo.recall("k") is paid
+    assert memo.charged_seconds == 0.0  # the run that made it pays nothing more
+    memo.begin_run()
+    assert memo.recall("k") is paid
+    assert memo.recall("k") is paid
+    assert memo.charged_seconds == 2.5
+    assert memo.recall("absent") is None
+
+
+def test_timeout_kills_the_whole_process_tree(tmp_path):
+    f = tmp_path / "main.rs"
+    f.write_text("fn main() {}\n")
+    forking = DetectorConfig(
+        command=("sh", "-c", "sleep 30 & echo $! > grandchild.pid; wait"), timeout=1.0
+    )
+    with pytest.raises(DetectionTimeout):
+        run_detection(TargetPackage.from_path(f), config=forking)
+    assert process_gone(int((tmp_path / "grandchild.pid").read_text()))

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import shutil
+import time
 
 import pytest
 
-from ubmend.detector import UbKind
+from conftest import counting_rustc, process_gone
+from ubmend import feedback
+from ubmend.detector import CaseMemo, UbKind
 from ubmend.errors import StorageFailure
 from ubmend.fast import AgentKind, Provenance, RepairSolution, RepairStep
 from ubmend.feedback import (
@@ -292,3 +295,36 @@ def test_check_missing_entry_file(tmp_path):
     bundle = _bundle(tmp_path)
     with pytest.raises(ReferenceExecutionFailure):
         bundle.check({"lib.rs": GOOD_PROGRAM}, "main.rs")
+
+
+@needs_rustc
+def test_check_memo_compiles_each_source_once(tmp_path):
+    shim, compiles = counting_rustc(tmp_path / "shims")
+    rustc = str(shim)
+    memo = CaseMemo()
+    bundle = _bundle(tmp_path)
+    for _ in range(2):
+        assert bundle.check({"main.rs": GOOD_PROGRAM}, "main.rs", rustc=rustc, memo=memo) is True
+    assert compiles() == 1
+    wrong = _bundle(tmp_path, stdout="total=99\n", name="other")
+    assert wrong.check({"main.rs": GOOD_PROGRAM}, "main.rs", rustc=rustc, memo=memo) is False
+    changed = {"main.rs": GOOD_PROGRAM.replace("31", "32")}
+    assert bundle.check(changed, "main.rs", rustc=rustc, memo=memo) is False
+    assert compiles() == 3
+    broken = {"main.rs": "fn main() { undefined_symbol(); }\n"}
+    for _ in range(2):
+        with pytest.raises(ReferenceExecutionFailure):
+            bundle.check(broken, "main.rs", rustc=rustc, memo=memo)
+    assert compiles() == 5
+
+
+@needs_rustc
+def test_check_timeout_kills_the_whole_process_tree(tmp_path, monkeypatch):
+    monkeypatch.setattr(feedback, "REFERENCE_RUN_TIMEOUT", 5.0)
+    pid_file = tmp_path / "grandchild.pid"
+    bundle = _bundle(tmp_path, tests_cmd=f"sleep 60 & echo $! > {pid_file}; wait")
+    started = time.monotonic()
+    with pytest.raises(ReferenceExecutionFailure, match="timed out"):
+        bundle.check({"main.rs": GOOD_PROGRAM}, "main.rs")
+    assert time.monotonic() - started < 30
+    assert process_gone(int(pid_file.read_text()))

@@ -422,3 +422,18 @@ def test_detection_timeout_mid_session_fails_closed(tmp_path):
     assert out.final_errors == 1
     # the aborted step never enters the trace
     assert out.trace.counts == [1]
+
+
+def test_outcome_reports_session_baseline_and_every_thought(tmp_path):
+    target = _target(tmp_path, _source(2))
+    provider = _provider([("variant 1", _fix_response(1, 1)), ("variant 2", _fix_response(0, 2))])
+    solutions = [
+        RepairSolution(id="s01", steps=_steps("variant 1")),
+        RepairSolution(id="s02", steps=_steps("variant 2")),
+    ]
+    out = run_session(target, solutions, provider=provider, config=_session_config(tmp_path))
+    assert out.verdict is Verdict.PASS
+    assert out.trace.counts == [1, 0]  # the last solution's own trace
+    assert out.baseline_errors == 2
+    assert out.thought_count == 2
+    assert out.final_errors == 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -88,20 +88,20 @@ class CodeFeature:
         }
 
 
-# Known unsafe std APIs with safe counterparts. The regexes double as the
-# safe_replace agent's catalogue gate and feed its prompt hints.
-SAFE_API_CATALOGUE: list[tuple[re.Pattern[str], str]] = [
-    (re.compile(r"\bget_unchecked(_mut)?\s*\("), "indexing or .get()/.get_mut()"),
-    (re.compile(r"\bfrom_utf8_unchecked\s*\("), "str::from_utf8 with error handling"),
-    (re.compile(r"\bunwrap_unchecked\s*\("), ".unwrap() or pattern matching"),
-    (re.compile(r"\bfrom_raw_parts(_mut)?\s*\("), "slice borrowing or Vec ownership"),
-    (re.compile(r"\btransmute\s*(::)?"), "From/TryFrom or to_bits/from_bits"),
-    (re.compile(r"\bset_len\s*\("), "truncate/resize/extend"),
-    (re.compile(r"\bcopy_nonoverlapping\s*\("), "copy_from_slice/clone_from_slice"),
-    (re.compile(r"\bas_ptr\s*\(\)|\bas_mut_ptr\s*\(\)"), "safe indexing on the container"),
-    (re.compile(r"\bread_volatile\s*\(|\bwrite_volatile\s*\("), "plain reads/writes"),
-    (re.compile(r"\bassume_init\s*\("), "full initialization before use"),
-    (re.compile(r"\bstatic\s+mut\b|[A-Z][A-Z0-9_]{2,}"), "Mutex/RwLock/atomics or OnceLock"),
+# Known unsafe std APIs, each with the safe counterpart it can give way to.
+# The regexes are the safe_replace agent's catalogue gate.
+SAFE_API_CATALOGUE: list[re.Pattern[str]] = [
+    re.compile(r"\bget_unchecked(_mut)?\s*\("),  # indexing or .get()/.get_mut()
+    re.compile(r"\bfrom_utf8_unchecked\s*\("),  # str::from_utf8 with error handling
+    re.compile(r"\bunwrap_unchecked\s*\("),  # .unwrap() or pattern matching
+    re.compile(r"\bfrom_raw_parts(_mut)?\s*\("),  # slice borrowing or Vec ownership
+    re.compile(r"\btransmute\s*(::)?"),  # From/TryFrom or to_bits/from_bits
+    re.compile(r"\bset_len\s*\("),  # truncate/resize/extend
+    re.compile(r"\bcopy_nonoverlapping\s*\("),  # copy_from_slice/clone_from_slice
+    re.compile(r"\bas_ptr\s*\(\)|\bas_mut_ptr\s*\(\)"),  # safe indexing on the container
+    re.compile(r"\bread_volatile\s*\(|\bwrite_volatile\s*\("),  # plain reads/writes
+    re.compile(r"\bassume_init\s*\("),  # full initialization before use
+    re.compile(r"\bstatic\s+mut\b|[A-Z][A-Z0-9_]{2,}"),  # Mutex/RwLock/atomics or OnceLock
 ]
 
 _UNSAFE_API_NAMES = re.compile(
@@ -238,11 +238,7 @@ def classify_ops(region: UnsafeRegion) -> frozenset[UnsafeOpKind]:
 
 def has_safe_api_match(snippet: str) -> bool:
     """True when the catalogue knows a safe counterpart for this region."""
-    return any(pattern.search(snippet) for pattern, _ in SAFE_API_CATALOGUE)
-
-
-def safe_api_hints(snippet: str) -> list[str]:
-    return [hint for pattern, hint in SAFE_API_CATALOGUE if pattern.search(snippet)]
+    return any(pattern.search(snippet) for pattern in SAFE_API_CATALOGUE)
 
 
 def load_policy_table(path: Path | None = None) -> dict[str, list[FixStrategy]]:

@@ -21,7 +21,7 @@ import sys
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from statistics import NormalDist
 from typing import Callable, Sequence
@@ -64,10 +64,11 @@ from .provider import (
     Provider,
     ProviderConfig,
     ProviderMode,
+    TranscriptEntry,
     TranscriptRecorder,
     create_provider,
+    write_transcript,
 )
-from .rollback import RollbackStats
 from .slow import ErrorTrace, SessionConfig, SessionOutcome, Verdict, run_session
 from .workspace import WorkingCopy
 
@@ -297,24 +298,6 @@ def render_report(report: BenchReport, fmt: str = "table") -> str:
     return "\n".join(lines)
 
 
-@dataclass
-class PipelineSettings:
-    """Everything repair_one needs besides the target itself.
-
-    ``memo`` holds the detections and reference verdicts already paid for;
-    runs that share it (a bench case's two runs) reuse each other's work.
-    """
-
-    detector: DetectorConfig
-    solutions_k: int
-    budget: int
-    ast_mode: AstMode
-    kb_enabled: bool
-    clock: Callable[[], float]
-    session_dir: Path | None = None
-    memo: CaseMemo = field(default_factory=CaseMemo)
-
-
 def _lead_kind(reports) -> UbKind:
     counts = Counter(r.kind for r in reports)
     return counts.most_common(1)[0][0] if counts else UbKind.UNKNOWN
@@ -334,13 +317,15 @@ def repair_one(
     target: TargetPackage,
     provider: Provider,
     engine: FeedbackEngine,
-    settings: PipelineSettings,
+    settings: SessionConfig,
     reference: ReferenceBundle | None = None,
 ) -> tuple[SessionOutcome, EvalTriplet, dict[str, str]]:
     """Full pipeline on one target: detect, plan, repair, evaluate, learn.
 
     Returns the session outcome (triplet attached), the evaluation triplet,
-    and the original sources for diffing.
+    and the original sources for diffing. Reason steps consult the
+    knowledge base only when knowledge is enabled and no past repair was
+    seeded.
     """
     clock = settings.clock
     memo = settings.memo
@@ -350,24 +335,8 @@ def repair_one(
     ws = WorkingCopy(target, settings.session_dir)
     try:
         originals = ws.files()
-        baseline = run_detection(
-            ws.target,
-            timeout=settings.detector.timeout,
-            config=settings.detector,
-            clock=clock,
-            memo=memo,
-        )
+        baseline = run_detection(ws.target, config=settings.detector, clock=clock, memo=memo)
         kb = engine.kb if settings.kb_enabled else None
-        config = SessionConfig(
-            budget=settings.budget,
-            detector=settings.detector,
-            kb=kb,
-            kb_enabled=settings.kb_enabled,
-            ast_mode=settings.ast_mode,
-            session_dir=ws.session_dir,
-            clock=clock,
-            memo=memo,
-        )
         vector: FeatureVector | None = None
         solutions: list[RepairSolution] = []
         if baseline.clean:
@@ -394,16 +363,16 @@ def repair_one(
                     seeded = _seeded_solution(hit[1], features[0].ref)
                     if seeded is not None:
                         solutions.insert(0, seeded)
-                        config.skip_reason_steps = True
+                        kb = None
                 solutions = engine.rank_solutions(solutions, vector)
             outcome = run_session(
                 ws.target,
                 solutions,
-                settings.budget,
                 provider=provider,
-                config=config,
+                config=settings,
                 workspace=ws,
                 baseline=baseline,
+                kb=kb,
             )
         # detections reused from the case's other run cost this run their
         # recorded time, as if it had made them itself
@@ -490,12 +459,12 @@ def cmd_fix(args: argparse.Namespace) -> int:
         target.validate()
         provider = _wrap_recording(create_provider(_provider_config(args)), args)
         kb = None if args.no_kb else KnowledgeBase(args.kb, clock=clock)
-        engine = FeedbackEngine(args.experience, kb=kb, clock=clock)
+        engine = FeedbackEngine(args.experience, kb=kb)
         reference = ReferenceBundle.from_dir(args.reference) if args.reference else None
     except (TargetRejected, ProviderFailure, StorageFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    settings = PipelineSettings(
+    settings = SessionConfig(
         detector=_detector_config(args),
         solutions_k=args.solutions,
         budget=args.max_iterations,
@@ -630,12 +599,12 @@ def _bench_case(
         provider = _wrap_recording(create_provider(_provider_config(args)), args)
         kb = KnowledgeBase(None, clock=clock)
         kb.entries = list(initial_kb)
-        engine = FeedbackEngine(None, kb=kb, clock=clock)
+        engine = FeedbackEngine(None, kb=kb)
         engine.records = list(initial_exp)
         target = TargetPackage.from_path(case.path)
         target.validate()
         reference = ReferenceBundle.from_dir(case.reference) if case.reference else None
-        settings = PipelineSettings(
+        settings = SessionConfig(
             detector=detector,
             solutions_k=args.solutions,
             budget=args.max_iterations,
@@ -646,7 +615,7 @@ def _bench_case(
         )
         outcome, triplet, _ = repair_one(target, provider, engine, settings, reference)
         if isinstance(provider, TranscriptRecorder):
-            recorded.extend(provider.entries[key] for key in provider._order)
+            recorded.extend(provider.entries.values())
         return (
             outcome,
             triplet,
@@ -688,12 +657,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     try:
         cases = load_manifest(args.manifest)
         _provider_config(args).validate()
+        kb = None if args.no_kb else KnowledgeBase(args.kb, clock=_make_clock(args.fixed_clock))
+        engine = FeedbackEngine(args.experience, kb=kb)
     except (StorageFailure, ProviderFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    clock = _make_clock(args.fixed_clock)
-    kb = None if args.no_kb else KnowledgeBase(args.kb, clock=clock)
-    engine = FeedbackEngine(args.experience, kb=kb, clock=clock)
     initial_kb = list(kb.entries) if kb else []
     initial_exp = list(engine.records)
     jobs = args.jobs or min(JOBS_CAP, os.cpu_count() or 1)
@@ -723,20 +691,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for record in new_exp:
             engine.record_experience(record, solution=None)
     if args.transcript and ProviderMode(args.provider) is not ProviderMode.REPLAY:
-        merged: dict[str, object] = {}
-        order: list[str] = []
+        merged: dict[str, TranscriptEntry] = {}
         for cid in sorted(transcripts):
             for entry in transcripts[cid]:
-                if entry.hash not in merged:
-                    merged[entry.hash] = entry
-                    order.append(entry.hash)
-        out = Path(args.transcript)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        tmp = out.with_suffix(out.suffix + ".tmp")
-        with tmp.open("w", encoding="utf-8") as fh:
-            for key in order:
-                fh.write(json.dumps(merged[key].to_dict(), sort_keys=True) + "\n")
-        tmp.replace(out)
+                merged.setdefault(entry.hash, entry)
+        write_transcript(args.transcript, merged.values())
     report = build_report(results)
     print(render_report(report, args.report))
     return 0

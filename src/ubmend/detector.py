@@ -310,22 +310,19 @@ def _content_key(argv: list[str], target: TargetPackage) -> str:
 
 def run_detection(
     target: TargetPackage,
-    timeout: float | None = None,
     config: DetectorConfig | None = None,
     clock: Callable[[], float] = time.monotonic,
     memo: CaseMemo | None = None,
 ) -> DetectionResult:
     """Spawn the detection tool on ``target`` and parse its diagnostics.
 
-    ``timeout`` falls back to ``config.timeout`` when not given. Raises
-    ToolMissing when the tool cannot be spawned, DetectionTimeout when the
-    run exceeds the timeout, and NonUbCompileError when the target fails
-    ordinary compilation (error output without any UB block). With a
-    ``memo``, the tool runs at most once per argv and tracked-source bytes.
+    Raises ToolMissing when the tool cannot be spawned, DetectionTimeout
+    when the run exceeds ``config.timeout``, and NonUbCompileError when the
+    target fails ordinary compilation (error output without any UB block).
+    With a ``memo``, the tool runs at most once per argv and tracked-source
+    bytes.
     """
     config = config or DetectorConfig()
-    if timeout is None:
-        timeout = config.timeout
     argv = _render_command(config.command, target)
     key = ""
     if memo is not None:
@@ -337,7 +334,7 @@ def run_detection(
     try:
         proc = run_group(
             argv,
-            timeout,
+            config.timeout,
             cwd=target.root_path,
             text=True,
             env=config.env,
@@ -345,7 +342,7 @@ def run_detection(
     except FileNotFoundError as exc:
         raise ToolMissing(f"detection tool not found: {argv[0]}") from exc
     except subprocess.TimeoutExpired as exc:
-        raise DetectionTimeout(f"detection exceeded {timeout}s: {argv}") from exc
+        raise DetectionTimeout(f"detection exceeded {config.timeout}s: {argv}") from exc
     wall = clock() - started
     raw = (proc.stdout or "") + (proc.stderr or "")
     if _MISSING_TOOL_RE.search(raw) and proc.returncode != 0:

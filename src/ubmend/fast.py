@@ -97,7 +97,6 @@ class RepairStep:
 class RepairSolution:
     id: str
     steps: list[RepairStep]
-    source_features: CodeFeature | None = None
     provenance: Provenance = Provenance.GENERATED
 
     def to_dict(self) -> dict:
@@ -349,13 +348,7 @@ def generate_solutions(
         if key in seen:
             continue
         seen.add(key)
-        solutions.append(
-            RepairSolution(
-                id=f"s{len(solutions) + 1:02d}",
-                steps=steps,
-                source_features=features[0],
-            )
-        )
+        solutions.append(RepairSolution(id=f"s{len(solutions) + 1:02d}", steps=steps))
         if len(solutions) == k:
             break
     return solutions

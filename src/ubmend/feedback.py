@@ -10,21 +10,27 @@ the knowledge base.
 """
 from __future__ import annotations
 
-import fcntl
 import hashlib
 import json
 import logging
 import subprocess
 import tempfile
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .detector import CaseMemo, UbKind
 from .errors import StorageFailure
 from .fast import FIX_AGENTS, Provenance, RepairSolution
-from .kb import FeatureVector, KnowledgeBase, KnowledgeEntry, cosine, solution_template
+from .kb import (
+    FeatureVector,
+    KnowledgeBase,
+    KnowledgeEntry,
+    _append_jsonl,
+    _read_jsonl,
+    cosine,
+    solution_template,
+)
 from .process import run_group
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -225,29 +231,10 @@ class FeedbackEngine:
     stable).
     """
 
-    def __init__(
-        self,
-        log_path: Path | str | None = None,
-        kb: KnowledgeBase | None = None,
-        weights: tuple[float, float, float] = (WEIGHT_ACCEPTED, WEIGHT_REPAIRED, WEIGHT_FAILED),
-        clock: Callable[[], float] = time.time,
-    ) -> None:
+    def __init__(self, log_path: Path | str | None = None, kb: KnowledgeBase | None = None) -> None:
         self.log_path = Path(log_path) if log_path else None
         self.kb = kb
-        self.weights = weights
-        self.clock = clock
-        self.records: list[ExperienceRecord] = []
-        if self.log_path and self.log_path.exists():
-            self._load()
-
-    def _load(self) -> None:
-        for ln, line in enumerate(self.log_path.read_text(encoding="utf-8").splitlines(), 1):
-            if not line.strip():
-                continue
-            try:
-                self.records.append(ExperienceRecord.from_dict(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise StorageFailure(f"{self.log_path}:{ln}: bad experience record: {exc}") from exc
+        self.records = _read_jsonl(self.log_path, ExperienceRecord.from_dict, "experience record")
 
     def evaluate(
         self,
@@ -286,14 +273,7 @@ class FeedbackEngine:
         """Append to the log; successful repairs also enter the knowledge base."""
         self.records.append(record)
         if self.log_path is not None:
-            self.log_path.parent.mkdir(parents=True, exist_ok=True)
-            line = json.dumps(record.to_dict(), sort_keys=True)
-            with open(self.log_path, "a", encoding="utf-8") as handle:
-                fcntl.flock(handle, fcntl.LOCK_EX)
-                try:
-                    handle.write(line + "\n")
-                finally:
-                    fcntl.flock(handle, fcntl.LOCK_UN)
+            _append_jsonl(self.log_path, record.to_dict())
         if (
             record.triplet.accuracy
             and self.kb is not None
@@ -309,13 +289,13 @@ class FeedbackEngine:
                 )
             )
 
-    def _weight(self, triplet: EvalTriplet) -> float:
-        accepted, repaired, failed = self.weights
+    @staticmethod
+    def _weight(triplet: EvalTriplet) -> float:
         if triplet.accuracy and triplet.acceptability:
-            return accepted
+            return WEIGHT_ACCEPTED
         if triplet.accuracy:
-            return repaired
-        return failed
+            return WEIGHT_REPAIRED
+        return WEIGHT_FAILED
 
     def rank_solutions(
         self,

@@ -2,7 +2,8 @@
 and similarity search over previously successful repairs.
 
 The store is a line-delimited JSON file guarded by an advisory lock, so
-concurrent benchmark runs on one host do not interleave writes. Vectors are
+concurrent benchmark runs on one host do not interleave writes; the
+experience log shares its reader and its locked append. Vectors are
 256-bucket feature hashes over node-kind bigrams plus UB-kind labels; two
 structurally identical pruned trees always hash identically, which is what
 makes search results reproducible.
@@ -18,12 +19,12 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, TypeVar
 
 import numpy as np
 
 from .detector import UbKind, UbReport
-from .errors import ProviderFailure
+from .errors import ProviderFailure, StorageFailure
 from .lexutil import (
     find_matching_brace,
     identifiers,
@@ -39,6 +40,8 @@ if TYPE_CHECKING:  # pragma: no cover
 log = logging.getLogger(__name__)
 
 VECTOR_DIMS = 256
+
+_T = TypeVar("_T")
 
 _ITEM_KEYWORDS = ("fn", "impl", "trait", "mod", "struct", "enum", "union", "match")
 _LOOP_KEYWORDS = ("loop", "while", "for")
@@ -359,6 +362,41 @@ class KnowledgeEntry:
         )
 
 
+def _read_jsonl(path: Path | None, parse: Callable[[dict], _T], what: str) -> list[_T]:
+    """Every non-blank line of a JSONL store, parsed; none when it is absent.
+
+    An unreadable file or a line that does not parse raises StorageFailure
+    naming the file and the line.
+    """
+    if path is None or not path.exists():
+        return []
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise StorageFailure(f"{path}: unreadable {what} file: {exc}") from exc
+    out: list[_T] = []
+    for ln, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            out.append(parse(json.loads(line)))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise StorageFailure(f"{path}:{ln}: bad {what}: {exc}") from exc
+    return out
+
+
+def _append_jsonl(path: Path, record: dict) -> None:
+    """Append one line under an exclusive lock, flushed before the unlock."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("a", encoding="utf-8") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        try:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.flush()
+        finally:
+            fcntl.flock(fh, fcntl.LOCK_UN)
+
+
 class KnowledgeBase:
     """Append-only JSONL store of successful repairs, searchable by cosine."""
 
@@ -367,11 +405,7 @@ class KnowledgeBase:
     ) -> None:
         self.path = Path(path) if path else None
         self.clock = clock
-        self.entries: list[KnowledgeEntry] = []
-        if self.path and self.path.is_file():
-            for line in self.path.read_text(encoding="utf-8").splitlines():
-                if line.strip():
-                    self.entries.append(KnowledgeEntry.from_dict(json.loads(line)))
+        self.entries = _read_jsonl(self.path, KnowledgeEntry.from_dict, "knowledge entry")
 
     def insert(self, entry: KnowledgeEntry) -> None:
         if not entry.triplet.accuracy:
@@ -380,14 +414,7 @@ class KnowledgeBase:
             entry.created = self.clock()
         self.entries.append(entry)
         if self.path:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as fh:
-                fcntl.flock(fh, fcntl.LOCK_EX)
-                try:
-                    fh.write(json.dumps(entry.to_dict(), sort_keys=True) + "\n")
-                    fh.flush()
-                finally:
-                    fcntl.flock(fh, fcntl.LOCK_UN)
+            _append_jsonl(self.path, entry.to_dict())
 
     def search(self, vector: FeatureVector, k: int = 3) -> list[tuple[float, KnowledgeEntry]]:
         """Top-k entries by cosine similarity, newer entries winning ties."""

@@ -12,7 +12,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable
@@ -54,7 +54,6 @@ class ProviderConfig:
     temperature: float = 0.5
     max_tokens: int = 16000
     transcript_path: Path | None = None
-    max_in_flight: int = 4
 
     def validate(self) -> None:
         if not 0.0 <= self.temperature <= 2.0:
@@ -300,7 +299,7 @@ class LiveHttpProvider(Provider):
     """OpenAI-compatible chat-completions backend.
 
     Base URL and key come from the environment; up to two retries on
-    transport errors or 5xx, bounded in-flight requests.
+    transport errors or 5xx.
     """
 
     RETRIES = 2
@@ -311,7 +310,6 @@ class LiveHttpProvider(Provider):
         self.api_key = os.environ.get(API_KEY_ENV, "")
         if not self.api_key:
             raise ProviderFailure(f"{API_KEY_ENV} is not set")
-        self._sem = threading.Semaphore(config.max_in_flight)
 
     def _complete(self, prompt: PromptRecord) -> str:
         import requests
@@ -329,13 +327,12 @@ class LiveHttpProvider(Provider):
         last: Exception | None = None
         for attempt in range(self.RETRIES + 1):
             try:
-                with self._sem:
-                    resp = requests.post(
-                        url,
-                        json=payload,
-                        headers={"Authorization": f"Bearer {self.api_key}"},
-                        timeout=120,
-                    )
+                resp = requests.post(
+                    url,
+                    json=payload,
+                    headers={"Authorization": f"Bearer {self.api_key}"},
+                    timeout=120,
+                )
                 if resp.status_code >= 500:
                     raise HttpFailure(f"server error {resp.status_code}")
                 if resp.status_code != 200:
@@ -376,8 +373,7 @@ class TranscriptRecorder(Provider):
     def __init__(self, inner: Provider) -> None:
         super().__init__(inner.config)
         self.inner = inner
-        self.entries: dict[str, TranscriptEntry] = {}
-        self._order: list[str] = []
+        self.entries: dict[str, TranscriptEntry] = {}  # in recording order
 
     def _complete(self, prompt: PromptRecord) -> str:
         response = self.inner.complete(prompt)
@@ -392,7 +388,6 @@ class TranscriptRecorder(Provider):
                     model=self.config.model_name,
                     temperature=self.config.temperature,
                 )
-                self._order.append(key)
             elif seen.response != response:
                 raise StorageFailure(
                     f"conflicting responses for prompt hash {key[:12]}…"
@@ -400,13 +395,18 @@ class TranscriptRecorder(Provider):
         return response
 
     def write(self, path: Path | str) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        with tmp.open("w", encoding="utf-8") as fh:
-            for key in self._order:
-                fh.write(json.dumps(self.entries[key].to_dict(), sort_keys=True) + "\n")
-        tmp.replace(path)
+        write_transcript(path, self.entries.values())
+
+
+def write_transcript(path: Path | str, entries: Iterable[TranscriptEntry]) -> None:
+    """Write entries as transcript JSONL, replacing ``path`` atomically."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    with tmp.open("w", encoding="utf-8") as fh:
+        for entry in entries:
+            fh.write(json.dumps(entry.to_dict(), sort_keys=True) + "\n")
+    tmp.replace(path)
 
 
 def create_provider(

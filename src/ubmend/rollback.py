@@ -8,7 +8,7 @@ baseline, i >= 1 is the state after fix thought i.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -29,20 +29,16 @@ class Snapshot:
 class RollbackStats:
     """Bookkeeping for rollback overhead.
 
-    ``thoughts_since_snapshot`` counts fix thoughts executed since the most
-    recent restore (or session start); ``discarded_thoughts`` accumulates
-    (current index - restored index) per rollback, the work a rollback
-    throws away.
+    ``discarded_thoughts`` accumulates (current index - restored index) per
+    rollback, the work a rollback throws away.
     """
 
     rollback_count: int = 0
-    thoughts_since_snapshot: int = 0
     discarded_thoughts: int = 0
 
     def to_dict(self) -> dict:
         return {
             "rollback_count": self.rollback_count,
-            "thoughts_since_snapshot": self.thoughts_since_snapshot,
             "discarded_thoughts": self.discarded_thoughts,
         }
 
@@ -79,9 +75,6 @@ class SnapshotStore:
                 dest.write_text(text, encoding="utf-8")
         return snap
 
-    def note_thought(self) -> None:
-        self.stats.thoughts_since_snapshot += 1
-
     def latest_index(self) -> int:
         if not self.snapshots:
             raise StorageFailure("no snapshots recorded")
@@ -104,5 +97,4 @@ class SnapshotStore:
         current = self.latest_index()
         self.stats.rollback_count += 1
         self.stats.discarded_thoughts += current - index
-        self.stats.thoughts_since_snapshot = 0
         return snap

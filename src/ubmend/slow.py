@@ -5,7 +5,7 @@ copy and re-runs detection, appending to the error trace; Reason steps
 consult the knowledge base and Rollback steps (explicit or triggered)
 restore the best snapshot so far. The trace trigger fires on a strictly
 increasing window (the hallucination pattern) or when the latest count
-blows past the global minimum by a configured factor. A rollback restores
+blows past the global minimum by a fixed factor. A rollback restores
 state but never aborts the solution; the trace keeps growing.
 """
 from __future__ import annotations
@@ -38,7 +38,15 @@ from .errors import (
     ReplayMiss,
     Unclassifiable,
 )
-from .fast import FIX_AGENTS, AgentKind, RepairSolution, RepairStep, parse_region_ref, _report_hits_region
+from .fast import (
+    DEFAULT_SOLUTION_COUNT,
+    FIX_AGENTS,
+    AgentKind,
+    RepairSolution,
+    RepairStep,
+    _report_hits_region,
+    parse_region_ref,
+)
 from .kb import AstMode, KnowledgeBase, extract_ast, prune, vectorize
 from .provider import Provider
 from .rollback import RollbackStats, SnapshotStore
@@ -119,27 +127,26 @@ class SessionOutcome:
 
 @dataclass
 class SessionConfig:
-    budget: int = DEFAULT_BUDGET
-    rollback_window: int = ROLLBACK_WINDOW
-    rollback_factor: float = ROLLBACK_FACTOR
+    """The settings of one repair run, from detection to the last thought.
+
+    ``solutions_k`` and ``kb_enabled`` steer planning and knowledge use in
+    ``cli.repair_one``; the session itself reads the rest. ``memo`` holds
+    the detections and reference verdicts already paid for; runs that share
+    it (a bench case's two runs) reuse each other's work.
+    """
+
     detector: DetectorConfig = field(default_factory=DetectorConfig)
-    kb: KnowledgeBase | None = None
-    kb_enabled: bool = True
-    skip_reason_steps: bool = False
+    solutions_k: int = DEFAULT_SOLUTION_COUNT
+    budget: int = DEFAULT_BUDGET
     ast_mode: AstMode = AstMode.LOCAL_PARSER
-    session_dir: Path | None = None
+    kb_enabled: bool = True
     clock: Callable[[], float] = time.monotonic
+    session_dir: Path | None = None
     memo: CaseMemo = field(default_factory=CaseMemo)
 
 
 def _detect(target: TargetPackage, config: SessionConfig) -> DetectionResult:
-    return run_detection(
-        target,
-        timeout=config.detector.timeout,
-        config=config.detector,
-        clock=config.clock,
-        memo=config.memo,
-    )
+    return run_detection(target, config=config.detector, clock=config.clock, memo=config.memo)
 
 
 def should_rollback(
@@ -164,8 +171,9 @@ def _knowledge_context(
     reports: Sequence[UbReport],
     provider: Provider,
     config: SessionConfig,
+    kb: KnowledgeBase | None,
 ) -> str | None:
-    if not config.kb_enabled or config.kb is None or config.skip_reason_steps:
+    if kb is None:
         return None
     file, _ = parse_region_ref(step.target_region) if "#" in step.target_region else (
         workspace.target.entry_files[0],
@@ -179,7 +187,7 @@ def _knowledge_context(
     vector = vectorize(prune(ast, reports), ub_kinds=(r.kind for r in reports))
     if vector.is_zero:
         return None
-    hits = config.kb.search(vector, k=3)
+    hits = kb.search(vector, k=3)
     if not hits:
         return None
     return "\n".join(
@@ -253,22 +261,23 @@ def execute_step(
 def run_session(
     target: TargetPackage,
     solutions: Sequence[RepairSolution],
-    budget: int | None = None,
     *,
     provider: Provider,
     config: SessionConfig | None = None,
     workspace: WorkingCopy | None = None,
     baseline: DetectionResult | None = None,
+    kb: KnowledgeBase | None = None,
 ) -> SessionOutcome:
     """Drive the repair loop to a verdict.
 
     Terminates on a clean detection (Pass), on exhausting the solution
     list (Failed), or on exhausting the per-solution budget (Budget
     Exhausted). The final working copy always matches the snapshot with the
-    fewest errors, re-verified by one last detection run.
+    fewest errors, re-verified by one last detection run. Reason steps
+    consult ``kb``; without one they add nothing.
     """
     config = config or SessionConfig()
-    budget = budget if budget is not None else config.budget
+    budget = config.budget
     if budget < 1:
         raise ValueError("budget must be >= 1")
     ws = workspace or WorkingCopy(target, config.session_dir)
@@ -298,7 +307,7 @@ def run_session(
         aborted = False
         for step in solution.steps:
             if step.agent is AgentKind.REASON:
-                reason_context = _knowledge_context(step, ws, current_reports, provider, config)
+                reason_context = _knowledge_context(step, ws, current_reports, provider, config, kb)
                 continue
             if step.agent is AgentKind.ROLLBACK:
                 target_idx = store.select_rollback_target()
@@ -331,7 +340,6 @@ def run_session(
             thought_count += 1
             trace.thoughts.append(thought)
             trace.counts.append(thought.resulting_errors)
-            store.note_thought()
             snap_index = store.latest_index() + 1
             store.record(snap_index, ws.files(), thought.resulting_errors)
             if detection is not None:
@@ -344,7 +352,7 @@ def run_session(
             if current_count == 0:
                 passed = True
                 break
-            if should_rollback(trace, config.rollback_window, config.rollback_factor):
+            if should_rollback(trace):
                 target_idx = store.select_rollback_target()
                 snap = store.restore(target_idx, ws)
                 current_count = snap.error_count

@@ -23,7 +23,6 @@ from ubmend.classifier import CodeFeature, classify_ops, locate_unsafe_regions
 from ubmend.cli import (
     CaseResult,
     LogicalClock,
-    PipelineSettings,
     build_report,
     compute_ci,
     load_manifest,
@@ -256,7 +255,6 @@ def test_acceptance_02_rollback_selection_and_discard_accounting():
         for value in counts[1:]:
             for store in (adaptive, always_baseline):
                 store.record(store.latest_index() + 1, files, value)
-                store.note_thought()
             trace.counts.append(value)
             assert adaptive.select_rollback_target() == _scan_argmin(trace.counts)
             if should_rollback(trace):
@@ -477,7 +475,7 @@ def test_acceptance_06_experience_reranks_recorded_solution_first(tmp_path, mock
     target = TargetPackage.from_path(case)
     target.validate()
     engine = FeedbackEngine(None, kb=KnowledgeBase(None, clock=LogicalClock()))
-    settings = PipelineSettings(
+    settings = SessionConfig(
         detector=stub_detector_config(),
         solutions_k=4,
         budget=5,

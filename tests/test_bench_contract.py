@@ -1,0 +1,76 @@
+"""The names and store formats the ``perfbench/`` harness relies on.
+
+``perfbench/launch.py`` and ``perfbench/tracer.py`` wrap package functions
+from outside and read their arguments by name or position; ``perfbench/gen.py``
+writes the knowledge base and experience log the fix-loop workload starts
+from. A rename here breaks the benchmark without failing any other test.
+"""
+from __future__ import annotations
+
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import CORPUS_DIR, TOOLS_DIR
+from ubmend import agents, cli
+from ubmend.detector import run_detection
+from ubmend.feedback import FeedbackEngine, ReferenceBundle
+from ubmend.lexutil import mask_comments_and_strings
+from ubmend.rollback import SnapshotStore
+from ubmend.slow import SessionConfig, execute_step, run_session
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _params(fn) -> list[str]:
+    return list(inspect.signature(fn).parameters)
+
+
+def test_repair_one_signature_and_settings():
+    assert _params(cli.repair_one) == ["target", "provider", "engine", "settings", "reference"]
+    assert "kb_enabled" in {f.name for f in SessionConfig.__dataclass_fields__.values()}
+    assert SessionConfig(kb_enabled=False).kb_enabled is False
+
+
+@pytest.mark.parametrize(
+    ("fn", "leading", "named"),
+    [
+        (run_session, ["target", "solutions"], []),
+        (execute_step, [], ["prev_count"]),
+        (run_detection, ["target"], ["config"]),
+        (ReferenceBundle.check, ["self", "final_source", "entry_file"], []),
+        (FeedbackEngine.rank_solutions, ["self", "candidates"], []),
+        (SnapshotStore.record, ["self", "index", "files"], []),
+        (mask_comments_and_strings, ["source"], []),
+    ],
+)
+def test_traced_parameters(fn, leading, named):
+    params = _params(fn)
+    assert params[: len(leading)] == leading
+    assert set(named) <= set(params)
+
+
+def test_agent_table_maps_to_the_three_agent_functions():
+    assert set(agents.AGENT_FUNCTIONS.values()) == {
+        agents.safe_replace,
+        agents.add_assertion,
+        agents.modify_semantics,
+    }
+
+
+def test_generated_store_loads_like_launch_setup(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look it up
+    spec.loader.exec_module(gen)
+    kb_path, exp_path = tmp_path / "kb.jsonl", tmp_path / "experience.jsonl"
+    summary = gen.build_store(
+        gen.load_templates(CORPUS_DIR), 1, TOOLS_DIR / "fake_miri.py", kb_path, exp_path
+    )
+    kb = cli.KnowledgeBase(kb_path)
+    engine = cli.FeedbackEngine(exp_path, kb=kb)
+    assert len(kb.entries) == summary["kb"]
+    assert len(engine.records) == summary["experience"]

@@ -21,12 +21,13 @@ from conftest import (
     spawn_log,
 )
 from ubmend import cli
-from ubmend.cli import PipelineSettings, compute_ci, load_manifest, main, repair_one
+from ubmend.cli import compute_ci, load_manifest, main, repair_one
 from ubmend.detector import DetectorConfig, TargetPackage
 from ubmend.fast import AgentKind, RepairSolution, RepairStep
 from ubmend.feedback import FeedbackEngine
 from ubmend.kb import AstMode
 from ubmend.provider import ProviderConfig, ProviderMode, ScriptedMockProvider
+from ubmend.slow import SessionConfig
 
 needs_rustc = pytest.mark.skipif(shutil.which("rustc") is None, reason="rustc not installed")
 
@@ -298,6 +299,29 @@ def test_bench_missing_manifest_file_is_usage_error(tmp_path, capsys):
     assert "no such manifest" in capsys.readouterr().err
 
 
+def _corrupt_store(tmp_path: Path) -> Path:
+    store = tmp_path / "bad.jsonl"
+    store.write_text("{not json\n", encoding="utf-8")
+    return store
+
+
+def test_fix_corrupt_kb_is_usage_error(tmp_path, capsys):
+    path = copy_fixture(CORPUS_DIR / "stack_borrow", tmp_path) / "main.rs"
+    store = _corrupt_store(tmp_path)
+    assert main(_fix(path, "--kb", str(store))) == 2
+    assert capsys.readouterr().err.startswith(f"error: {store}:1: bad knowledge entry")
+
+
+@pytest.mark.parametrize(
+    ("flag", "what"), [("--kb", "knowledge entry"), ("--experience", "experience record")]
+)
+def test_bench_corrupt_store_is_usage_error(tmp_path, capsys, flag, what):
+    manifest = _bench_dir(tmp_path, ["stack_borrow"])
+    store = _corrupt_store(tmp_path)
+    assert main(_bench(manifest, flag, str(store))) == 2
+    assert capsys.readouterr().err.startswith(f"error: {store}:1: bad {what}")
+
+
 def test_load_manifest_resolves_paths_relative_to_manifest(tmp_path):
     sub = tmp_path / "nested"
     sub.mkdir()
@@ -428,7 +452,7 @@ def test_bench_detects_each_working_copy_state_once_per_case(tmp_path, capsys, m
 def test_fix_verdict_rests_on_a_clean_detection_of_the_final_bytes(tmp_path):
     case = copy_fixture(CORPUS_DIR / "stack_borrow", tmp_path)
     log = tmp_path / "spawns.jsonl"
-    settings = PipelineSettings(
+    settings = SessionConfig(
         detector=DetectorConfig(command=counting_detector_command(log), timeout=30.0),
         solutions_k=10,
         budget=5,

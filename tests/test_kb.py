@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ubmend.detector import UbKind, UbReport
+from ubmend.errors import StorageFailure
 from ubmend.feedback import EvalTriplet
 from ubmend.kb import (
     VECTOR_DIMS,
@@ -299,3 +300,8 @@ def test_jsonl_persistence_round_trip(tmp_path):
     assert reloaded.entries[0].triplet.accuracy is True
     hits = reloaded.search(FeatureVector.from_list([1.0, 2.0]), k=1)
     assert hits[0][0] > 0.99
+
+
+def test_unreadable_store_is_a_storage_failure(tmp_path):
+    with pytest.raises(StorageFailure, match="unreadable knowledge entry file"):
+        KnowledgeBase(tmp_path)

@@ -82,14 +82,11 @@ def test_restore_writes_files_and_counts_discards():
     store.record(0, {"main.rs": "base"}, 3)
     store.record(1, {"main.rs": "one"}, 1)
     store.record(2, {"main.rs": "two"}, 5)
-    store.note_thought()
-    store.note_thought()
     snap = store.restore(1, ws)
     assert snap.files == {"main.rs": "one"}
     assert ws.restored == [{"main.rs": "one"}]
     assert store.stats.rollback_count == 1
     assert store.stats.discarded_thoughts == 2 - 1
-    assert store.stats.thoughts_since_snapshot == 0
 
     store.record(3, {"main.rs": "three"}, 4)
     store.restore(0, ws)
@@ -120,9 +117,5 @@ def test_on_disk_persistence(tmp_path):
 
 
 def test_stats_to_dict():
-    stats = RollbackStats(rollback_count=2, thoughts_since_snapshot=1, discarded_thoughts=4)
-    assert stats.to_dict() == {
-        "rollback_count": 2,
-        "thoughts_since_snapshot": 1,
-        "discarded_thoughts": 4,
-    }
+    stats = RollbackStats(rollback_count=2, discarded_thoughts=4)
+    assert stats.to_dict() == {"rollback_count": 2, "discarded_thoughts": 4}

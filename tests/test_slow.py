@@ -69,9 +69,10 @@ def _steps(*instructions: str, agent: AgentKind = AgentKind.MODIFY_SEMANTICS) ->
     return [RepairStep(agent=agent, target_region="main.rs#0", instruction=i) for i in instructions]
 
 
-def _session_config(tmp_path: Path) -> SessionConfig:
+def _session_config(tmp_path: Path, budget: int = 5) -> SessionConfig:
     return SessionConfig(
         detector=stub_detector_config(),
+        budget=budget,
         kb_enabled=False,
         session_dir=tmp_path / "session",
     )
@@ -127,9 +128,8 @@ def test_budget_must_be_positive(tmp_path):
         run_session(
             target,
             [],
-            budget=0,
             provider=_provider([]),
-            config=_session_config(tmp_path),
+            config=_session_config(tmp_path, budget=0),
         )
 
 
@@ -229,9 +229,8 @@ def test_budget_exhausted_when_steps_remain(tmp_path):
     out = run_session(
         target,
         [solution],
-        budget=2,
         provider=provider,
-        config=_session_config(tmp_path),
+        config=_session_config(tmp_path, budget=2),
     )
     assert out.verdict is Verdict.BUDGET_EXHAUSTED
     assert out.trace.counts == [1, 1, 1]
@@ -348,12 +347,7 @@ def test_reason_step_feeds_prior_fixes_into_next_prompt(tmp_path):
             created=1.0,
         )
     )
-    config = SessionConfig(
-        detector=det,
-        kb=kb,
-        kb_enabled=True,
-        session_dir=tmp_path / "session",
-    )
+    config = SessionConfig(detector=det, session_dir=tmp_path / "session")
     steps = [
         RepairStep(agent=AgentKind.REASON, target_region="main.rs#0", instruction="consult"),
         RepairStep(agent=AgentKind.MODIFY_SEMANTICS, target_region="main.rs#0", instruction="variant 1"),
@@ -363,6 +357,7 @@ def test_reason_step_feeds_prior_fixes_into_next_prompt(tmp_path):
         [RepairSolution(id="s01", steps=steps)],
         provider=provider,
         config=config,
+        kb=kb,
     )
     assert out.verdict is Verdict.PASS
     enriched = [p for p in provider.prompts if "prior fix (similarity" in p]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -17,7 +18,7 @@ from pathlib import Path
 
 from .detector import UbKind
 from .errors import LexFailure, Unclassifiable
-from .lexutil import find_matching_brace, keyword_occurrences, mask_comments_and_strings
+from .lexutil import brace_pairs, keyword_occurrences, mask_comments_and_strings
 
 log = logging.getLogger(__name__)
 
@@ -121,10 +122,13 @@ def locate_unsafe_regions(source: str, file: str | Path) -> list[UnsafeRegion]:
     Each region starts at the ``unsafe`` keyword and covers the item it
     introduces: a block, an fn/impl/trait with a braced body, or a bodyless
     declaration terminated by ``;``. Occurrences nested inside an earlier
-    region are folded into it.
+    region are folded into it. The file is masked, its braces paired and
+    its fn/impl items listed once per call, not once per region.
     """
     file = str(file)
     masked = mask_comments_and_strings(source)
+    pairs = brace_pairs(masked)
+    items = _braced_items(masked, pairs)
     regions: list[UnsafeRegion] = []
     for start in keyword_occurrences(masked, "unsafe"):
         if regions and start < regions[-1].end:
@@ -135,7 +139,9 @@ def locate_unsafe_regions(source: str, file: str | Path) -> list[UnsafeRegion]:
         if brace == -1 and semi == -1:
             raise LexFailure(f"{file}: unterminated unsafe item at offset {start}")
         if brace != -1 and (semi == -1 or brace < semi):
-            end = find_matching_brace(masked, brace) + 1
+            if brace not in pairs:
+                raise LexFailure(f"unbalanced braces from offset {brace}")
+            end = pairs[brace] + 1
         else:
             end = semi + 1
         snippet = source[start:end]
@@ -144,31 +150,32 @@ def locate_unsafe_regions(source: str, file: str | Path) -> list[UnsafeRegion]:
                 file=file,
                 byte_span=(start, end),
                 snippet=snippet,
-                enclosing_context=_enclosing_item(source, masked, start, end),
+                enclosing_context=_enclosing_item(source, items, start, end),
             )
         )
     return regions
 
 
-def _enclosing_item(source: str, masked: str, start: int, end: int) -> str:
-    """Smallest fn/impl item whose braces contain [start, end), else nearby lines."""
-    best: tuple[int, int] | None = None
-    for kw in ("fn", "impl"):
-        for kw_start in keyword_occurrences(masked, kw):
-            if kw_start >= start:
-                break
-            brace = masked.find("{", kw_start)
-            if brace == -1:
-                continue
-            try:
-                close = find_matching_brace(masked, brace)
-            except LexFailure:
-                continue
-            if kw_start <= start and end <= close + 1:
-                if best is None or kw_start > best[0]:
-                    best = (kw_start, close + 1)
-    if best and (best[0], best[1]) != (start, end):
-        return source[best[0]:best[1]]
+def _braced_items(masked: str, pairs: dict[int, int]) -> list[tuple[int, int]]:
+    """(keyword offset, end) of every fn/impl item with a closed body, in order.
+
+    The body is the first ``{`` at or after the keyword; an item whose body
+    is never closed is left out.
+    """
+    items = []
+    for kw_start in sorted(keyword_occurrences(masked, "fn") + keyword_occurrences(masked, "impl")):
+        brace = masked.find("{", kw_start)
+        if brace in pairs:
+            items.append((kw_start, pairs[brace] + 1))
+    return items
+
+
+def _enclosing_item(source: str, items: list[tuple[int, int]], start: int, end: int) -> str:
+    """Last fn/impl item starting before the region and containing it, else nearby lines."""
+    for k in range(bisect_left(items, (start,)) - 1, -1, -1):
+        kw_start, item_end = items[k]
+        if end <= item_end:
+            return source[kw_start:item_end]
     line_start = source.rfind("\n", 0, max(0, start - 1))
     line_start = 0 if line_start == -1 else line_start + 1
     ctx_end = source.find("\n", min(len(source), end))

@@ -35,6 +35,7 @@ from .detector import (
 )
 from .errors import (
     DetectionTimeout,
+    LexFailure,
     NonUbCompileError,
     ProviderFailure,
     ReplayMiss,
@@ -476,7 +477,9 @@ def cmd_fix(args: argparse.Namespace) -> int:
         outcome, triplet, originals = repair_one(
             target, provider, engine, settings, reference=reference
         )
-    except (ToolMissing, NonUbCompileError, ReplayMiss, StorageFailure, ProviderFailure) as exc:
+    except (
+        ToolMissing, NonUbCompileError, ReplayMiss, StorageFailure, ProviderFailure, LexFailure
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DetectionTimeout as exc:

@@ -24,13 +24,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, TypeVar
 import numpy as np
 
 from .detector import UbKind, UbReport
-from .errors import ProviderFailure, StorageFailure
-from .lexutil import (
-    find_matching_brace,
-    identifiers,
-    line_span,
-    mask_comments_and_strings,
-)
+from .errors import LexFailure, ProviderFailure, StorageFailure
+from .lexutil import brace_pairs, identifiers, line_span, mask_comments_and_strings
 from .prompts import fill, load_template
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -115,6 +110,7 @@ def _classify_phrase(phrase: str) -> tuple[str, bool]:
 
 def _local_parse(source: str) -> Ast:
     masked = mask_comments_and_strings(source)
+    pairs = brace_pairs(masked)
     nodes = [AstNode(id=0, kind="file", span=(0, len(source)))]
 
     def scan(lo: int, hi: int, parent: int) -> None:
@@ -123,7 +119,9 @@ def _local_parse(source: str) -> Ast:
             brace = masked.find("{", cursor, hi)
             if brace == -1:
                 return
-            close = find_matching_brace(masked, brace)
+            if brace not in pairs:
+                raise LexFailure(f"unbalanced braces from offset {brace}")
+            close = pairs[brace]
             start = _phrase_before(masked, cursor, brace)
             kind, is_unsafe = _classify_phrase(masked[start:brace])
             node = AstNode(

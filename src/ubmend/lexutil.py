@@ -7,8 +7,6 @@ from __future__ import annotations
 
 import re
 
-from .errors import LexFailure
-
 RUST_KEYWORDS = frozenset(
     """
     as async await break const continue crate dyn else enum extern false fn
@@ -19,6 +17,12 @@ RUST_KEYWORDS = frozenset(
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _CHAR_LIT_RE = re.compile(r"'(\\[^']*|[^'\\])'")
+# Where a comment, string or char literal can start. A raw-string prefix
+# must not continue an identifier.
+_TOKEN_START_RE = re.compile(r"""//|/\*|["']|(?<!\w)[bc]?r[#"]""")
+_BLOCK_DELIM_RE = re.compile(r"/\*|\*/")
+_STRING_STOP_RE = re.compile(r'[\\"]')
+_BRACE_RE = re.compile(r"[{}]")
 
 
 def mask_comments_and_strings(source: str) -> str:
@@ -26,94 +30,98 @@ def mask_comments_and_strings(source: str) -> str:
 
     Offsets and newlines are preserved, so spans computed on the masked text
     are valid in the original. Handles line comments, nested block comments,
-    raw strings (``r"..."``, ``r#"..."#``), byte strings, and char literals.
-    Lifetimes (``'a``) pass through untouched.
+    raw strings (``r"..."``, ``r#"..."#`` and their ``b``/``c`` prefixed
+    forms), byte strings, and char literals. Lifetimes (``'a``) pass through
+    untouched.
     """
-    out = list(source)
+    spans: list[tuple[int, int]] = []
     i, n = 0, len(source)
-
-    def blank(a: int, b: int) -> None:
-        for j in range(a, min(b, n)):
-            if out[j] != "\n":
-                out[j] = " "
-
-    def skip_raw_string(start: int) -> int:
-        # start points at 'r'; hashes may follow before the opening quote
-        j = start + 1
-        hashes = 0
-        while j < n and source[j] == "#":
-            hashes += 1
-            j += 1
-        if j >= n or source[j] != '"':
-            return start  # not a raw string after all
-        closer = '"' + "#" * hashes
-        end = source.find(closer, j + 1)
-        end = n if end == -1 else end + len(closer)
-        blank(start, end)
-        return end
-
-    while i < n:
-        c = source[i]
-        nxt = source[i + 1] if i + 1 < n else ""
-        if c == "/" and nxt == "/":
+    while True:
+        m = _TOKEN_START_RE.search(source, i)
+        if m is None:
+            break
+        i = m.start()
+        tok = m.group(0)
+        if tok == "//":
             j = source.find("\n", i)
             j = n if j == -1 else j
-            blank(i, j)
-            i = j
-        elif c == "/" and nxt == "*":
+            spans.append((i, j))
+        elif tok == "/*":
             depth, j = 1, i + 2
-            while j < n and depth:
-                if source.startswith("/*", j):
-                    depth, j = depth + 1, j + 2
-                elif source.startswith("*/", j):
-                    depth, j = depth - 1, j + 2
-                else:
-                    j += 1
-            blank(i, j)
-            i = j
-        elif c == "r" and nxt in ('"', "#") and (i == 0 or not source[i - 1].isalnum() and source[i - 1] != "_"):
-            j = skip_raw_string(i)
-            i = j if j > i else i + 1
-        elif c == "b" and nxt == '"':
-            i += 1  # fall through to the string branch on the quote
-        elif c == '"':
+            while depth:
+                d = _BLOCK_DELIM_RE.search(source, j)
+                if d is None:
+                    j = n
+                    break
+                depth += 1 if d.group(0) == "/*" else -1
+                j = d.end()
+            spans.append((i, j))
+        elif tok == '"':
             j = i + 1
             while j < n:
-                if source[j] == "\\":
-                    j += 2
-                elif source[j] == '"':
-                    j += 1
-                    break
+                d = _STRING_STOP_RE.search(source, j)
+                if d is None:
+                    j = n
+                elif d.group(0) == "\\":
+                    j = d.start() + 2
                 else:
-                    j += 1
-            blank(i + 1, j - 1)
-            i = j
-        elif c == "'":
-            m = _CHAR_LIT_RE.match(source, i)
-            if m:
-                blank(i + 1, m.end() - 1)
-                i = m.end()
+                    j = d.end()
+                    break
+            spans.append((i + 1, j - 1))
+        elif tok == "'":
+            c = _CHAR_LIT_RE.match(source, i)
+            if c:
+                spans.append((i + 1, c.end() - 1))
+            j = c.end() if c else i + 1
+        else:  # r, br or cr, then a hash or the opening quote
+            j = _raw_string_end(source, i + len(tok) - 1)
+            if j == -1:
+                j = i + 1
             else:
-                i += 1
-        else:
-            i += 1
+                spans.append((i, j))
+        i = j
+    out: list[str] = []
+    done = 0
+    for a, b in spans:
+        b = min(b, n)
+        if a >= b:
+            continue
+        out.append(source[done:a])
+        out.append("\n".join(" " * len(part) for part in source[a:b].split("\n")))
+        done = b
+    out.append(source[done:])
     return "".join(out)
 
 
-def find_matching_brace(masked: str, open_idx: int) -> int:
-    """Index of the ``}`` matching ``masked[open_idx] == '{'``."""
-    if masked[open_idx] != "{":
-        raise LexFailure(f"no opening brace at offset {open_idx}")
-    depth = 0
-    for j in range(open_idx, len(masked)):
-        ch = masked[j]
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                return j
-    raise LexFailure(f"unbalanced braces from offset {open_idx}")
+def _raw_string_end(source: str, hashes_at: int) -> int:
+    """End offset of the raw string whose ``#``s or quote start at ``hashes_at``.
+
+    Returns -1 when no quote follows the hashes (``r#ident``, say).
+    """
+    j = hashes_at
+    while j < len(source) and source[j] == "#":
+        j += 1
+    if j >= len(source) or source[j] != '"':
+        return -1
+    closer = '"' + "#" * (j - hashes_at)
+    end = source.find(closer, j + 1)
+    return len(source) if end == -1 else end + len(closer)
+
+
+def brace_pairs(masked: str) -> dict[int, int]:
+    """Map each ``{`` offset in ``masked`` to the offset of its matching ``}``.
+
+    One stack pass; a ``{`` that is never closed is absent, and a stray
+    ``}`` closes nothing.
+    """
+    pairs: dict[int, int] = {}
+    stack: list[int] = []
+    for m in _BRACE_RE.finditer(masked):
+        if m.group(0) == "{":
+            stack.append(m.start())
+        elif stack:
+            pairs[stack.pop()] = m.start()
+    return pairs
 
 
 def identifiers(text: str) -> set[str]:

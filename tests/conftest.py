@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import shlex
@@ -21,6 +22,7 @@ TOOLS_DIR = TESTS_DIR / "tools"
 FIXTURES_DIR = TESTS_DIR / "fixtures"
 CORPUS_DIR = FIXTURES_DIR / "corpus"
 SEQUENCES_DIR = FIXTURES_DIR / "sequences"
+PERFBENCH_DIR = TESTS_DIR.parent / "perfbench"
 
 STUB_DETECTOR = (sys.executable, str(TOOLS_DIR / "fake_miri.py"), "{file}")
 STUB_DETECTOR_ARG = shlex.join(STUB_DETECTOR)
@@ -40,6 +42,16 @@ def spawn_log(log: Path) -> list[dict]:
     if not log.exists():
         return []
     return [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+
+
+@pytest.fixture
+def perfbench_gen(monkeypatch):
+    """``perfbench/gen.py`` loaded as a module, as the benchmark harness loads it."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH_DIR / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look it up
+    spec.loader.exec_module(gen)
+    return gen
 
 
 @pytest.fixture

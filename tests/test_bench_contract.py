@@ -7,9 +7,8 @@ from. A rename here breaks the benchmark without failing any other test.
 """
 from __future__ import annotations
 
-import importlib.util
+import ast
 import inspect
-import sys
 from pathlib import Path
 
 import pytest
@@ -22,7 +21,7 @@ from ubmend.lexutil import mask_comments_and_strings
 from ubmend.rollback import SnapshotStore
 from ubmend.slow import SessionConfig, execute_step, run_session
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SOURCE_DIR = Path(__file__).resolve().parent.parent / "src" / "ubmend"
 
 
 def _params(fn) -> list[str]:
@@ -53,6 +52,22 @@ def test_traced_parameters(fn, leading, named):
     assert set(named) <= set(params)
 
 
+def test_run_detection_callers_pass_config_by_keyword():
+    # perfbench/tracer.py takes ``config`` by keyword, else from a positional
+    # index the signature no longer has
+    calls = []
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "run_detection":
+                    calls.append((path.name, node.lineno, node))
+    assert calls
+    for file, line, call in calls:
+        assert len(call.args) <= 1, f"{file}:{line}"
+        assert "config" in {kw.arg for kw in call.keywords}, f"{file}:{line}"
+
+
 def test_agent_table_maps_to_the_three_agent_functions():
     assert set(agents.AGENT_FUNCTIONS.values()) == {
         agents.safe_replace,
@@ -61,11 +76,8 @@ def test_agent_table_maps_to_the_three_agent_functions():
     }
 
 
-def test_generated_store_loads_like_launch_setup(tmp_path, monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look it up
-    spec.loader.exec_module(gen)
+def test_generated_store_loads_like_launch_setup(tmp_path, perfbench_gen):
+    gen = perfbench_gen
     kb_path, exp_path = tmp_path / "kb.jsonl", tmp_path / "experience.jsonl"
     summary = gen.build_store(
         gen.load_templates(CORPUS_DIR), 1, TOOLS_DIR / "fake_miri.py", kb_path, exp_path

@@ -90,6 +90,26 @@ def test_locate_multiple_in_file_order():
     assert regions[0].byte_span[1] <= regions[1].byte_span[0]
 
 
+def test_locate_after_prefixed_raw_string_with_backslash():
+    # br"\\" is a raw byte string: the backslash escapes nothing
+    src = 'fn main() {\n    let v = unsafe { *q + br"\\".len() as u8 };\n}\n'
+    regions = locate_unsafe_regions(src, "main.rs")
+    assert [r.snippet for r in regions] == ['unsafe { *q + br"\\".len() as u8 }']
+    assert regions[0].enclosing_context == src.rstrip("\n")
+
+
+def test_locate_region_after_raw_byte_path():
+    src = 'fn main() {\n    let p = br"C:\\";\n    let v = unsafe { *q };\n}\n'
+    regions = locate_unsafe_regions(src, "main.rs")
+    assert [r.snippet for r in regions] == ["unsafe { *q }"]
+
+
+def test_locate_unbalanced_block_raises():
+    src = "fn main() {\n    unsafe {\n        *p;\n"
+    with pytest.raises(LexFailure, match=f"unbalanced braces from offset {src.index('{', 12)}"):
+        locate_unsafe_regions(src, "main.rs")
+
+
 # --- classifying operations ---
 
 

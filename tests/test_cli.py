@@ -312,6 +312,20 @@ def test_fix_corrupt_kb_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {store}:1: bad knowledge entry")
 
 
+def test_fix_unlexable_source_is_usage_error(make_target, capsys):
+    path = make_target(
+        "fn main() {\n"
+        "    let p = &1i32 as *const i32;\n"
+        "    unsafe {\n"
+        "        //~UB Undefined Behavior: trying to retag from <90> for Unique permission\n"
+        "        let _ = *p;\n"
+        "}\n"
+    )
+    assert main(_fix(path)) == 2
+    err = capsys.readouterr().err
+    assert err == "error: unbalanced braces from offset 10\n"
+
+
 @pytest.mark.parametrize(
     ("flag", "what"), [("--kb", "knowledge entry"), ("--experience", "experience record")]
 )

@@ -6,10 +6,9 @@ import random
 
 import pytest
 
-from ubmend.errors import LexFailure
 from ubmend.lexutil import (
+    brace_pairs,
     estimate_tokens,
-    find_matching_brace,
     identifiers,
     keyword_occurrences,
     line_of_offset,
@@ -64,21 +63,42 @@ def test_mask_handles_escapes_and_lifetimes():
     assert "str" in masked
 
 
-def test_find_matching_brace():
+def test_brace_pairs():
     src = "fn f() { if x { y } else { z } }"
-    masked = mask_comments_and_strings(src)
+    pairs = brace_pairs(mask_comments_and_strings(src))
     open_idx = src.index("{")
-    assert find_matching_brace(masked, open_idx) == len(src) - 1
+    assert pairs[open_idx] == len(src) - 1
     inner = src.index("{", open_idx + 1)
-    assert src[find_matching_brace(masked, inner)] == "}"
+    assert src[pairs[inner]] == "}"
 
 
-def test_find_matching_brace_unbalanced():
+def test_brace_pairs_unbalanced():
     src = "fn f() { oops"
-    with pytest.raises(LexFailure):
-        find_matching_brace(mask_comments_and_strings(src), src.index("{"))
-    with pytest.raises(LexFailure):
-        find_matching_brace(src, 0)
+    assert src.index("{") not in brace_pairs(mask_comments_and_strings(src))
+    assert 0 not in brace_pairs(src)
+
+
+@pytest.mark.parametrize("prefix", ["br", "cr"])
+def test_mask_prefixed_raw_string_ends_at_its_quote(prefix):
+    # a backslash does not escape in a raw string, so the literal ends at
+    # the second quote and the block's closing brace stays code
+    src = f'let v = unsafe {{ *q + {prefix}"\\".len() as u8 }};\nfn next() {{}}\n'
+    masked = mask_comments_and_strings(src)
+    assert masked == src.replace(f'{prefix}"\\"', " " * 5)
+    assert brace_pairs(masked)[src.index("{")] == src.index("}")
+
+
+@pytest.mark.parametrize("literal", ['br"C:\\"', 'br#"C:\\"#', 'cr"C:\\"', 'cr#"C:\\"#'])
+def test_mask_prefixed_raw_string_before_code(literal):
+    src = f"let p = {literal};\nunsafe {{ *q }}\n"
+    masked = mask_comments_and_strings(src)
+    assert masked == src.replace(literal, " " * len(literal))
+
+
+def test_mask_raw_prefix_inside_identifier_is_not_raw():
+    # `xbr` and `cbr` are identifiers; only the string after them is masked
+    src = 'xbr"a\\"b"; cbr#x'
+    assert mask_comments_and_strings(src) == 'xbr"    "; cbr#x'
 
 
 def test_identifiers_exclude_keywords():

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .detector import UbKind
 from .errors import LexFailure, Unclassifiable
-from .lexutil import brace_pairs, keyword_occurrences, mask_comments_and_strings
+from .lexutil import brace_pairs, keyword_occurrences, line_of_offset, mask_comments_and_strings
 
 log = logging.getLogger(__name__)
 
@@ -137,10 +137,12 @@ def locate_unsafe_regions(source: str, file: str | Path) -> list[UnsafeRegion]:
         brace = masked.find("{", start)
         semi = masked.find(";", start)
         if brace == -1 and semi == -1:
-            raise LexFailure(f"{file}: unterminated unsafe item at offset {start}")
+            line = line_of_offset(source, start)
+            raise LexFailure(f"{file}:{line}: unterminated unsafe item at offset {start}")
         if brace != -1 and (semi == -1 or brace < semi):
             if brace not in pairs:
-                raise LexFailure(f"unbalanced braces from offset {brace}")
+                line = line_of_offset(source, brace)
+                raise LexFailure(f"{file}:{line}: unbalanced braces from offset {brace}")
             end = pairs[brace] + 1
         else:
             end = semi + 1

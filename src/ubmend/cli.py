@@ -350,7 +350,7 @@ def repair_one(
             features = extract_features(ws.target, list(baseline.reports), provider)
             if settings.kb_enabled:
                 lead_file, _ = parse_region_ref(features[0].ref)
-                ast = extract_ast(ws.read(lead_file), settings.ast_mode, provider)
+                ast = extract_ast(ws.read(lead_file), settings.ast_mode, provider, file=lead_file)
                 vector = vectorize(
                     prune(ast, baseline.reports),
                     ub_kinds=sorted({r.kind for r in baseline.reports}, key=lambda k: k.value),

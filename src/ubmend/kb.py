@@ -14,18 +14,18 @@ import fcntl
 import hashlib
 import json
 import logging
+import math
 import re
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, TypeVar
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
 from .detector import UbKind, UbReport
 from .errors import LexFailure, ProviderFailure, StorageFailure
-from .lexutil import brace_pairs, identifiers, line_span, mask_comments_and_strings
+from .lexutil import brace_pairs, identifiers, line_of_offset, line_span, mask_comments_and_strings
 from .prompts import fill, load_template
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -108,7 +108,7 @@ def _classify_phrase(phrase: str) -> tuple[str, bool]:
     return "block", is_unsafe
 
 
-def _local_parse(source: str) -> Ast:
+def _local_parse(source: str, file: str) -> Ast:
     masked = mask_comments_and_strings(source)
     pairs = brace_pairs(masked)
     nodes = [AstNode(id=0, kind="file", span=(0, len(source)))]
@@ -120,7 +120,8 @@ def _local_parse(source: str) -> Ast:
             if brace == -1:
                 return
             if brace not in pairs:
-                raise LexFailure(f"unbalanced braces from offset {brace}")
+                line = line_of_offset(source, brace)
+                raise LexFailure(f"{file}:{line}: unbalanced braces from offset {brace}")
             close = pairs[brace]
             start = _phrase_before(masked, cursor, brace)
             kind, is_unsafe = _classify_phrase(masked[start:brace])
@@ -197,11 +198,13 @@ def extract_ast(
     source: str,
     mode: AstMode = AstMode.LOCAL_PARSER,
     provider: "Provider | None" = None,
+    file: str = "<source>",
 ) -> Ast:
     """Build the simplified AST, via the provider or the local parser.
 
     Provider mode falls back to the local parser on malformed output; the
-    returned tree's ``mode_used`` says which path produced it.
+    returned tree's ``mode_used`` says which path produced it. ``file``
+    names the source in a LexFailure.
     """
     if mode is AstMode.PROVIDER and provider is not None:
         from .provider import PromptRecord
@@ -212,10 +215,10 @@ def extract_ast(
             return parse_tree_text(response, source)
         except AstParseFailure as exc:
             log.warning("provider tree rejected (%s); local fallback", exc)
-            ast = _local_parse(source)
+            ast = _local_parse(source, file)
             ast.mode_used = "local_fallback"
             return ast
-    return _local_parse(source)
+    return _local_parse(source, file)
 
 
 def prune(ast: Ast, miri_errors: Iterable[UbReport] = ()) -> PrunedAst:
@@ -255,35 +258,57 @@ def prune(ast: Ast, miri_errors: Iterable[UbReport] = ()) -> PrunedAst:
     return PrunedAst(nodes=kept, provenance=provenance)
 
 
-@dataclass
+@dataclass(init=False)
 class FeatureVector:
-    values: np.ndarray
+    """A ``dims``-bucket vector kept as its nonzero entries.
+
+    Hashed vectors fill a handful of their 256 buckets, so only those are
+    stored, with the Euclidean norm computed once here.
+    """
+
+    dims: int
+    nonzero: dict[int, float]
+    norm: float
+
+    def __init__(self, values: Sequence[float]) -> None:
+        self.dims = len(values)
+        self.nonzero = {i: float(values[i]) for i in compress(range(self.dims), values)}
+        self.norm = math.sqrt(sum(v * v for v in self.nonzero.values()))
 
     @property
-    def dims(self) -> int:
-        return int(self.values.shape[0])
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
+    def values(self) -> list[float]:
+        """The dense entries, zeros included."""
+        return self.to_list()
 
     @property
     def is_zero(self) -> bool:
         return self.norm == 0.0
 
     def to_list(self) -> list[float]:
-        return [float(v) for v in self.values]
+        dense = [0.0] * self.dims
+        for i, v in self.nonzero.items():
+            dense[i] = v
+        return dense
 
     @classmethod
-    def from_list(cls, values: list[float]) -> "FeatureVector":
-        return cls(np.asarray(values, dtype=np.float64))
+    def from_list(cls, values: Sequence[float]) -> "FeatureVector":
+        return cls(values)
 
 
 def cosine(a: FeatureVector, b: FeatureVector) -> float:
     na, nb = a.norm, b.norm
     if na == 0.0 or nb == 0.0:
         return 0.0
-    return float(np.dot(a.values, b.values) / (na * nb))
+    if a.dims != b.dims:
+        raise ValueError(f"cosine of vectors of {a.dims} and {b.dims} dims")
+    small, large = a.nonzero, b.nonzero
+    if len(small) > len(large):
+        small, large = large, small
+    dot = 0.0
+    for i, v in small.items():
+        if i in large:
+            dot += v * large[i]
+    return dot / (na * nb)
 
 
 def _bucket(feature: str, dims: int) -> int:
@@ -316,7 +341,7 @@ def vectorize(
 ) -> FeatureVector:
     """Term-frequency feature hashing; empty input gives the zero vector
     (flagged by callers as non-searchable)."""
-    values = np.zeros(dims, dtype=np.float64)
+    values = [0.0] * dims
     for feat in hashed_features(pruned, ub_kinds):
         values[_bucket(feat, dims)] += 1.0
     return FeatureVector(values)

@@ -57,17 +57,18 @@ def mask_comments_and_strings(source: str) -> str:
                 j = d.end()
             spans.append((i, j))
         elif tok == '"':
-            j = i + 1
+            j, end = i + 1, n  # an unterminated string runs to the end of the file
             while j < n:
                 d = _STRING_STOP_RE.search(source, j)
                 if d is None:
-                    j = n
-                elif d.group(0) == "\\":
+                    break
+                if d.group(0) == "\\":
                     j = d.start() + 2
                 else:
-                    j = d.end()
+                    end = d.start()
                     break
-            spans.append((i + 1, j - 1))
+            spans.append((i + 1, end))
+            j = end + 1
         elif tok == "'":
             c = _CHAR_LIT_RE.match(source, i)
             if c:

@@ -182,8 +182,9 @@ def _knowledge_context(
     try:
         source = workspace.read(file)
     except FileNotFoundError:
-        source = workspace.read(workspace.target.entry_files[0])
-    ast = extract_ast(source, config.ast_mode, provider)
+        file = workspace.target.entry_files[0]
+        source = workspace.read(file)
+    ast = extract_ast(source, config.ast_mode, provider, file=file)
     vector = vectorize(prune(ast, reports), ub_kinds=(r.kind for r in reports))
     if vector.is_zero:
         return None

@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import ast
 import inspect
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import CORPUS_DIR, TOOLS_DIR
 from ubmend import agents, cli
-from ubmend.detector import run_detection
-from ubmend.feedback import FeedbackEngine, ReferenceBundle
+from ubmend.detector import UbKind, run_detection
+from ubmend.feedback import EvalTriplet, ExperienceRecord, FeedbackEngine, ReferenceBundle
+from ubmend.kb import FeatureVector, KnowledgeEntry
 from ubmend.lexutil import mask_comments_and_strings
 from ubmend.rollback import SnapshotStore
 from ubmend.slow import SessionConfig, execute_step, run_session
@@ -86,3 +89,22 @@ def test_generated_store_loads_like_launch_setup(tmp_path, perfbench_gen):
     engine = cli.FeedbackEngine(exp_path, kb=kb)
     assert len(kb.entries) == summary["kb"]
     assert len(engine.records) == summary["experience"]
+
+
+@pytest.mark.parametrize("dims", [1, 7, 256])
+def test_feature_vector_surface_gen_uses(dims):
+    # perfbench/gen.py builds vectors from numpy arrays, reads ``values`` as a
+    # dense sequence and writes the stores through ``to_dict``
+    assert FeatureVector(np.zeros(dims)).is_zero
+    values = np.zeros(dims)
+    values[dims // 2] += 2
+    values[dims - 1] += 1
+    v = FeatureVector(values)
+    assert len(v.values) == v.dims == dims
+    assert list(np.flatnonzero(v.values)) == list(np.flatnonzero(values))
+    dense = json.dumps(values.tolist())
+    triplet = EvalTriplet(True, None, 1.5, 700)
+    entry = KnowledgeEntry(v, UbKind.STACK_BORROW, {"steps": []}, triplet)
+    record = ExperienceRecord(v, UbKind.STACK_BORROW, "s01", triplet, ())
+    assert json.dumps(entry.to_dict()["vector"]) == dense
+    assert json.dumps(record.to_dict()["feature_vector"]) == dense

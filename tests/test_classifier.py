@@ -79,8 +79,8 @@ def test_locate_ignores_masked_occurrences():
 
 
 def test_locate_unterminated_raises():
-    with pytest.raises(LexFailure):
-        locate_unsafe_regions("unsafe", "main.rs")
+    with pytest.raises(LexFailure, match="^main.rs:2: unterminated unsafe item at offset 3$"):
+        locate_unsafe_regions("//\nunsafe", "main.rs")
 
 
 def test_locate_multiple_in_file_order():
@@ -106,7 +106,8 @@ def test_locate_region_after_raw_byte_path():
 
 def test_locate_unbalanced_block_raises():
     src = "fn main() {\n    unsafe {\n        *p;\n"
-    with pytest.raises(LexFailure, match=f"unbalanced braces from offset {src.index('{', 12)}"):
+    brace = src.index("{", 12)
+    with pytest.raises(LexFailure, match=f"^main.rs:2: unbalanced braces from offset {brace}$"):
         locate_unsafe_regions(src, "main.rs")
 
 

@@ -323,7 +323,7 @@ def test_fix_unlexable_source_is_usage_error(make_target, capsys):
     )
     assert main(_fix(path)) == 2
     err = capsys.readouterr().err
-    assert err == "error: unbalanced braces from offset 10\n"
+    assert err == "error: main.rs:1: unbalanced braces from offset 10\n"
 
 
 @pytest.mark.parametrize(

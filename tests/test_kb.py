@@ -196,7 +196,7 @@ def test_vectorize_deterministic_and_sized():
     assert v1.dims == VECTOR_DIMS
     assert np.array_equal(v1.values, v2.values)
     assert not v1.is_zero
-    assert float(v1.values.sum()) == len(hashed_features(prune(ast), [UbKind.STACK_BORROW]))
+    assert sum(v1.values) == len(hashed_features(prune(ast), [UbKind.STACK_BORROW]))
 
 
 def test_vectorize_zero_for_empty():

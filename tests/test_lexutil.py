@@ -101,6 +101,20 @@ def test_mask_raw_prefix_inside_identifier_is_not_raw():
     assert mask_comments_and_strings(src) == 'xbr"    "; cbr#x'
 
 
+@pytest.mark.parametrize(
+    ("src", "masked"),
+    [
+        ('let s = "ab{', 'let s = "   '),
+        ('let s = "ab\\', 'let s = "   '),
+        ('let s = "a\\"}', 'let s = "    '),
+    ],
+)
+def test_mask_unterminated_string_runs_to_end_of_file(src, masked):
+    # the last character of an unterminated string is string, not code
+    assert mask_comments_and_strings(src) == masked
+    assert brace_pairs(masked) == {}
+
+
 def test_identifiers_exclude_keywords():
     assert identifiers("let total_x = foo(bar2);") == {"total_x", "foo", "bar2"}
     assert identifiers("") == set()

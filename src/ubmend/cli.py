@@ -434,6 +434,12 @@ def _make_clock(fixed: bool) -> Callable[[], float]:
 def _detector_config(args: argparse.Namespace) -> DetectorConfig:
     if args.detector_cmd:
         command = tuple(shlex.split(args.detector_cmd))
+        # the tool runs inside the working copy, so a relative path to it is
+        # taken from the invoking directory; a bare name is looked up on PATH,
+        # and a ``{root}`` path is filled in by the detector
+        tool = command[0] if command else ""
+        if os.sep in tool and "{" not in tool and not os.path.isabs(tool):
+            command = (os.path.abspath(tool),) + command[1:]
         return DetectorConfig(command=command, timeout=args.timeout)
     return DetectorConfig(timeout=args.timeout)
 
@@ -637,6 +643,8 @@ def _bench_case(
             tokens = triplet.overhead_tokens
             _, plain_triplet, _, _ = one_run(kb_enabled=False)
             seconds_plain = plain_triplet.overhead_seconds
+    except ToolMissing:
+        raise
     except UbmendError as exc:
         log.warning("case %s failed: %s", case.id, exc)
         return _failed_row(case, exc), [], [], recorded
@@ -671,6 +679,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     results: list[CaseResult] = []
     pending: dict[str, tuple[list, list]] = {}
     transcripts: dict[str, list] = {}
+    missing: dict[str, ToolMissing] = {}
     with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
         futures = {
             pool.submit(_bench_case, case, args, initial_kb, initial_exp): case
@@ -680,6 +689,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
             case = futures[future]
             try:
                 row, new_kb, new_exp, recorded = future.result()
+            except ToolMissing as exc:  # a setup error, not a repair outcome
+                log.warning("case %s failed: %s", case.id, exc)
+                missing[case.id] = exc
+                row, new_kb, new_exp, recorded = _failed_row(case, exc), [], [], []
             except Exception as exc:  # one broken case must not end the bench
                 log.exception("case %s raised", case.id)
                 row, new_kb, new_exp, recorded = _failed_row(case, exc), [], [], []
@@ -701,6 +714,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         write_transcript(args.transcript, merged.values())
     report = build_report(results)
     print(render_report(report, args.report))
+    if missing:
+        first = missing[min(missing)]
+        reason = str(first).splitlines()[0]
+        print(f"error: {len(missing)} of {len(cases)} cases had no detector: {reason}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import shlex
 import subprocess
 import tempfile
 from dataclasses import dataclass
@@ -167,7 +168,7 @@ class ReferenceBundle:
             if self.tests_cmd:
                 try:
                     tests = run_group(
-                        self.tests_cmd.replace("{prog}", str(binary)),
+                        self.tests_cmd.replace("{prog}", shlex.quote(str(binary))),
                         REFERENCE_RUN_TIMEOUT,
                         shell=True,
                         cwd=root,
@@ -201,7 +202,7 @@ class ExperienceRecord:
 
     def to_dict(self) -> dict:
         return {
-            "feature_vector": self.feature_vector.to_list(),
+            "feature_vector": self.feature_vector.to_dict(),
             "ub_kind": self.ub_kind.value,
             "solution_id": self.solution_id,
             "triplet": self.triplet.to_dict(),
@@ -211,7 +212,7 @@ class ExperienceRecord:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperienceRecord":
         return cls(
-            feature_vector=FeatureVector.from_list(data["feature_vector"]),
+            feature_vector=FeatureVector.from_dict(data["feature_vector"]),
             ub_kind=UbKind(data["ub_kind"]),
             solution_id=str(data["solution_id"]),
             triplet=EvalTriplet.from_dict(data["triplet"]),

@@ -6,7 +6,8 @@ concurrent benchmark runs on one host do not interleave writes; the
 experience log shares its reader and its locked append. Vectors are
 256-bucket feature hashes over node-kind bigrams plus UB-kind labels; two
 structurally identical pruned trees always hash identically, which is what
-makes search results reproducible.
+makes search results reproducible. A stored vector lists only its nonzero
+buckets; lines holding a dense list of all 256 entries still load.
 """
 from __future__ import annotations
 
@@ -294,6 +295,39 @@ class FeatureVector:
     def from_list(cls, values: Sequence[float]) -> "FeatureVector":
         return cls(values)
 
+    def to_dict(self) -> dict:
+        """The stored form: the nonzero ``[bucket, value]`` pairs, ascending."""
+        return {"dims": self.dims, "nz": [[i, v] for i, v in self.nonzero.items()]}
+
+    @classmethod
+    def from_dict(cls, data: dict | list) -> "FeatureVector":
+        """Read the stored form, or a legacy dense list of every entry.
+
+        Raises ValueError when ``dims`` is not an integer of at least 1, a
+        bucket is not an integer in ``[0, dims)`` or not above the one
+        before, or a value is zero.
+        """
+        if isinstance(data, list):
+            return cls(data)
+        dims = data["dims"]
+        if type(dims) is not int or dims < 1:
+            raise ValueError(f"vector of {dims!r} dims")
+        nonzero: dict[int, float] = {}
+        last = -1
+        for bucket, value in data["nz"]:
+            if type(bucket) is not int or not last < bucket < dims:
+                if type(bucket) is int and 0 <= bucket < dims:
+                    raise ValueError(f"bucket {bucket} repeated or out of order")
+                raise ValueError(f"bucket {bucket!r} is not an integer in [0, {dims})")
+            if not value:
+                raise ValueError(f"bucket {bucket} stores a zero")
+            nonzero[bucket] = float(value)
+            last = bucket
+        vector = cls.__new__(cls)
+        vector.dims, vector.nonzero = dims, nonzero
+        vector.norm = math.sqrt(sum(v * v for v in nonzero.values()))
+        return vector
+
 
 def cosine(a: FeatureVector, b: FeatureVector) -> float:
     na, nb = a.norm, b.norm
@@ -365,7 +399,7 @@ class KnowledgeEntry:
 
     def to_dict(self) -> dict:
         return {
-            "vector": self.vector.to_list(),
+            "vector": self.vector.to_dict(),
             "ub_kind": self.ub_kind.value,
             "solution": self.solution,
             "triplet": self.triplet.to_dict(),
@@ -377,7 +411,7 @@ class KnowledgeEntry:
         from .feedback import EvalTriplet
 
         return cls(
-            vector=FeatureVector.from_list(data["vector"]),
+            vector=FeatureVector.from_dict(data["vector"]),
             ub_kind=UbKind(data["ub_kind"]),
             solution=data["solution"],
             triplet=EvalTriplet.from_dict(data["triplet"]),

@@ -9,12 +9,14 @@ import shlex
 import shutil
 import sys
 import time
+from itertools import product
 from pathlib import Path
 from typing import Callable
 
 import pytest
 
 from ubmend.detector import DetectorConfig
+from ubmend.fast import AgentKind, RepairSolution, RepairStep
 from ubmend.provider import ProviderConfig, ProviderMode, ScriptedMockProvider
 
 TESTS_DIR = Path(__file__).parent
@@ -42,6 +44,18 @@ def spawn_log(log: Path) -> list[dict]:
     if not log.exists():
         return []
     return [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+
+
+def signature_candidates(signatures: dict[str, str]) -> list[RepairSolution]:
+    """One candidate per one- and two-step signature the generated store uses."""
+    plans = [[a] for a in sorted(signatures)] + [list(p) for p in product(sorted(signatures), repeat=2)]
+    return [
+        RepairSolution(
+            id=f"c{i:02d}",
+            steps=[RepairStep(AgentKind(a), "main.rs#0", signatures[a]) for a in plan],
+        )
+        for i, plan in enumerate(plans)
+    ]
 
 
 @pytest.fixture

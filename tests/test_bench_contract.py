@@ -94,7 +94,8 @@ def test_generated_store_loads_like_launch_setup(tmp_path, perfbench_gen):
 @pytest.mark.parametrize("dims", [1, 7, 256])
 def test_feature_vector_surface_gen_uses(dims):
     # perfbench/gen.py builds vectors from numpy arrays, reads ``values`` as a
-    # dense sequence and writes the stores through ``to_dict``
+    # dense sequence and writes the stores through ``to_dict``, which stores
+    # the nonzero buckets; stores it wrote earlier hold dense lists
     assert FeatureVector(np.zeros(dims)).is_zero
     values = np.zeros(dims)
     values[dims // 2] += 2
@@ -102,9 +103,13 @@ def test_feature_vector_surface_gen_uses(dims):
     v = FeatureVector(values)
     assert len(v.values) == v.dims == dims
     assert list(np.flatnonzero(v.values)) == list(np.flatnonzero(values))
-    dense = json.dumps(values.tolist())
     triplet = EvalTriplet(True, None, 1.5, 700)
     entry = KnowledgeEntry(v, UbKind.STACK_BORROW, {"steps": []}, triplet)
     record = ExperienceRecord(v, UbKind.STACK_BORROW, "s01", triplet, ())
-    assert json.dumps(entry.to_dict()["vector"]) == dense
-    assert json.dumps(record.to_dict()["feature_vector"]) == dense
+    entry_line = json.loads(json.dumps(entry.to_dict(), sort_keys=True))
+    record_line = json.loads(json.dumps(record.to_dict(), sort_keys=True))
+    sparse = {"dims": dims, "nz": [[int(i), float(values[i])] for i in np.flatnonzero(values)]}
+    assert entry_line["vector"] == record_line["feature_vector"] == sparse
+    assert KnowledgeEntry.from_dict(entry_line).vector == v
+    assert ExperienceRecord.from_dict(record_line).feature_vector == v
+    assert FeatureVector.from_dict(json.loads(json.dumps(values.tolist()))) == v

@@ -15,6 +15,7 @@ import pytest
 from conftest import (
     CORPUS_DIR,
     STUB_DETECTOR_ARG,
+    TOOLS_DIR,
     copy_fixture,
     counting_detector_command,
     counting_rustc,
@@ -194,6 +195,44 @@ def test_fix_missing_detector_tool_is_usage_error(tmp_path, capsys):
     args = ["fix", str(path), "--detector-cmd", "no-such-detector-binary {file}", "--fixed-clock"]
     assert main(args) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_relative_detector_path_is_taken_from_the_invoking_directory(tmp_path, capsys, monkeypatch):
+    manifest = _bench_dir(tmp_path, ["stack_borrow"])
+    monkeypatch.chdir(TOOLS_DIR.parent)
+    relative = ["--detector-cmd", "tools/fake_miri.py {file}", "--fixed-clock"]
+    assert main(["bench", str(manifest), "--report", "json", *relative]) == 0
+    assert [c["verdict"] for c in json.loads(capsys.readouterr().out)["cases"]] == ["pass"]
+    path = copy_fixture(CORPUS_DIR / "stack_borrow", tmp_path / "fix") / "main.rs"
+    assert main(["fix", str(path), *relative]) == 0
+
+
+@pytest.mark.parametrize(
+    ("given", "tool"),
+    [
+        ("tools/fake_miri.py {file}", str(TOOLS_DIR / "fake_miri.py")),
+        ("python3 tools/fake_miri.py {file}", "python3"),
+        ("{root}/miri {file}", "{root}/miri"),
+        ("/usr/bin/miri {file}", "/usr/bin/miri"),
+    ],
+)
+def test_detector_config_resolves_only_relative_tool_paths(monkeypatch, given, tool):
+    monkeypatch.chdir(TOOLS_DIR.parent)
+    args = cli.build_parser().parse_args(["fix", "main.rs", "--detector-cmd", given])
+    command = cli._detector_config(args).command
+    assert command[0] == tool
+    assert command[1:] == tuple(shlex.split(given))[1:]
+
+
+def test_bench_without_detector_reports_then_exits_two(tmp_path, capsys):
+    manifest = _bench_dir(tmp_path, ["stack_borrow", "unaligned_pointer"])
+    args = ["bench", str(manifest), "--report", "json", "--fixed-clock"]
+    assert main([*args, "--detector-cmd", "no-such-detector-binary {file}"]) == 2
+    captured = capsys.readouterr()
+    assert [c["verdict"] for c in json.loads(captured.out)["cases"]] == ["failed", "failed"]
+    assert captured.err.splitlines()[-1] == (
+        "error: 2 of 2 cases had no detector: detection tool not found: no-such-detector-binary"
+    )
 
 
 def test_fix_record_then_replay_reproduces_report(tmp_path, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import shutil
+import tempfile
 import time
 
 import pytest
@@ -288,6 +289,16 @@ def test_check_runs_optional_tests_cmd(tmp_path):
     (tmp_path / "ref" / "tests.cmd").write_text("false")
     failing = ReferenceBundle.from_dir(tmp_path / "ref")
     assert failing.check({"main.rs": GOOD_PROGRAM}, "main.rs") is False
+
+
+@needs_rustc
+def test_check_quotes_prog_in_tests_cmd(tmp_path, monkeypatch):
+    # the binary lives under the temp directory, whose path may hold a space
+    spaced = tmp_path / "with space"
+    spaced.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spaced))
+    bundle = ReferenceBundle(b"total=31\n", 0, "{prog} > /dev/null")
+    assert bundle.check({"main.rs": GOOD_PROGRAM}, "main.rs") is True
 
 
 @needs_rustc

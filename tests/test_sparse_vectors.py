@@ -11,15 +11,13 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-from itertools import product
 from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_DIR, TOOLS_DIR
-from ubmend.fast import AgentKind, RepairSolution, RepairStep
+from conftest import CORPUS_DIR, TOOLS_DIR, signature_candidates
 from ubmend.feedback import FeedbackEngine
 from ubmend.kb import FeatureVector, KnowledgeBase, cosine
 
@@ -80,18 +78,6 @@ def test_floats_agree_with_numpy_and_are_symmetric(pair):
     assert cosine(a, b) == cosine(b, a)
 
 
-def _candidates(signatures: dict[str, str]) -> list[RepairSolution]:
-    """One candidate per one- and two-step signature the generated store uses."""
-    plans = [[a] for a in sorted(signatures)] + [list(p) for p in product(sorted(signatures), repeat=2)]
-    return [
-        RepairSolution(
-            id=f"c{i:02d}",
-            steps=[RepairStep(AgentKind(a), "main.rs#0", signatures[a]) for a in plan],
-        )
-        for i, plan in enumerate(plans)
-    ]
-
-
 def test_generated_store_ranks_seeds_and_searches_as_numpy(tmp_path, perfbench_gen, monkeypatch):
     gen = perfbench_gen
     templates = gen.load_templates(CORPUS_DIR)
@@ -104,7 +90,7 @@ def test_generated_store_ranks_seeds_and_searches_as_numpy(tmp_path, perfbench_g
     queries += [r.feature_vector for r in engine.records[:20]]
 
     def outcomes(query: FeatureVector):
-        ranked = [c.id for c in engine.rank_solutions(_candidates(gen._SIGNATURES), query)]
+        ranked = [c.id for c in engine.rank_solutions(signature_candidates(gen._SIGNATURES), query)]
         hit = engine.best_hit(query)
         hit = None if hit is None else (hit[0], id(hit[1]))
         found = [(sim, id(entry)) for sim, entry in kb.search(query, k=3)]

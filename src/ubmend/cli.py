@@ -60,7 +60,7 @@ from .feedback import (
     ReferenceBundle,
     signature_of,
 )
-from .kb import AstMode, FeatureVector, KnowledgeBase, extract_ast, prune, vectorize
+from .kb import AstMode, FeatureVector, KnowledgeBase, feature_vector
 from .provider import (
     Provider,
     ProviderConfig,
@@ -70,7 +70,7 @@ from .provider import (
     create_provider,
     write_transcript,
 )
-from .slow import ErrorTrace, SessionConfig, SessionOutcome, Verdict, run_session
+from .slow import SessionConfig, SessionOutcome, Verdict, run_session
 from .workspace import WorkingCopy
 
 log = logging.getLogger(__name__)
@@ -333,27 +333,19 @@ def repair_one(
     memo.begin_run()
     start = clock()
     tokens_before = provider.tokens_used
-    ws = WorkingCopy(target, settings.session_dir)
+    ws = WorkingCopy(target)
     try:
         originals = ws.files()
         baseline = run_detection(ws.target, config=settings.detector, clock=clock, memo=memo)
         kb = engine.kb if settings.kb_enabled else None
         vector: FeatureVector | None = None
         solutions: list[RepairSolution] = []
-        if baseline.clean:
-            outcome = SessionOutcome(
-                Verdict.PASS,
-                ws.files(),
-                ErrorTrace(counts=[0], thoughts=[], iteration_budget=settings.budget),
-            )
-        else:
+        if not baseline.clean:
             features = extract_features(ws.target, list(baseline.reports), provider)
             if settings.kb_enabled:
                 lead_file, _ = parse_region_ref(features[0].ref)
-                ast = extract_ast(ws.read(lead_file), settings.ast_mode, provider, file=lead_file)
-                vector = vectorize(
-                    prune(ast, baseline.reports),
-                    ub_kinds=sorted({r.kind for r in baseline.reports}, key=lambda k: k.value),
+                vector = feature_vector(
+                    ws.read(lead_file), baseline.reports, settings.ast_mode, provider, lead_file
                 )
             solutions = generate_solutions(
                 features, k=settings.solutions_k, provider=provider, kb_enabled=settings.kb_enabled
@@ -366,15 +358,15 @@ def repair_one(
                         solutions.insert(0, seeded)
                         kb = None
                 solutions = engine.rank_solutions(solutions, vector)
-            outcome = run_session(
-                ws.target,
-                solutions,
-                provider=provider,
-                config=settings,
-                workspace=ws,
-                baseline=baseline,
-                kb=kb,
-            )
+        outcome = run_session(
+            ws.target,
+            solutions,
+            provider=provider,
+            config=settings,
+            workspace=ws,
+            baseline=baseline,
+            kb=kb,
+        )
         # detections reused from the case's other run cost this run their
         # recorded time, as if it had made them itself
         elapsed = clock() - start + memo.charged_seconds

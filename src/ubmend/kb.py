@@ -381,6 +381,20 @@ def vectorize(
     return FeatureVector(values)
 
 
+def feature_vector(
+    source: str,
+    reports: Sequence[UbReport],
+    mode: AstMode = AstMode.LOCAL_PARSER,
+    provider: "Provider | None" = None,
+    file: str = "<source>",
+) -> FeatureVector:
+    """The vector a program is stored and searched under: its pruned AST
+    plus each UB kind in ``reports`` counted once."""
+    ast = extract_ast(source, mode, provider, file=file)
+    kinds = sorted({r.kind for r in reports}, key=lambda k: k.value)
+    return vectorize(prune(ast, reports), ub_kinds=kinds)
+
+
 def solution_template(solution_dict: dict) -> dict:
     """Abstract a concrete solution: region references become placeholders."""
     steps = [

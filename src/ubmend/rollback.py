@@ -1,20 +1,20 @@
 """Snapshot store and adaptive rollback-target selection.
 
 Snapshots hold full file contents (targets are token-bounded, so cheap and
-simple beats deltas) and are additionally persisted under the session
-directory as ``snapshots/<index>/`` for post-mortems. Snapshot index i is
+simple beats deltas) together with the detector reports for those contents,
+and are kept in memory for the length of a session. Snapshot index i is
 position i in the session's error-count sequence: 0 is the pre-repair
 baseline, i >= 1 is the state after fix thought i.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import StorageFailure
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .detector import UbReport
     from .workspace import WorkingCopy
 
 
@@ -23,6 +23,7 @@ class Snapshot:
     index: int
     files: dict[str, str]
     error_count: int
+    reports: tuple["UbReport", ...] = ()
 
 
 @dataclass
@@ -55,24 +56,23 @@ def argmin_rollback_target(counts: Sequence[int]) -> int:
 
 
 class SnapshotStore:
-    def __init__(self, session_dir: Path | str | None = None) -> None:
+    def __init__(self) -> None:
         self.snapshots: dict[int, Snapshot] = {}
         self.stats = RollbackStats()
-        self._dir = Path(session_dir) / "snapshots" if session_dir else None
 
-    def record(self, index: int, files: dict[str, str], error_count: int) -> Snapshot:
+    def record(
+        self,
+        index: int,
+        files: dict[str, str],
+        error_count: int,
+        reports: Sequence["UbReport"] = (),
+    ) -> Snapshot:
         if index in self.snapshots:
             raise StorageFailure(f"snapshot index {index} already recorded")
         if error_count < 0:
             raise StorageFailure("error_count must be non-negative")
-        snap = Snapshot(index=index, files=dict(files), error_count=error_count)
+        snap = Snapshot(index=index, files=dict(files), error_count=error_count, reports=tuple(reports))
         self.snapshots[index] = snap
-        if self._dir is not None:
-            base = self._dir / str(index)
-            for rel, text in snap.files.items():
-                dest = base / rel
-                dest.parent.mkdir(parents=True, exist_ok=True)
-                dest.write_text(text, encoding="utf-8")
         return snap
 
     def latest_index(self) -> int:

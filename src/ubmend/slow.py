@@ -15,7 +15,6 @@ import logging
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import Callable, Sequence
 
 from .agents import AGENT_FUNCTIONS, PatchRecord, apply_patch, revert_patch
@@ -47,7 +46,7 @@ from .fast import (
     _report_hits_region,
     parse_region_ref,
 )
-from .kb import AstMode, KnowledgeBase, extract_ast, prune, vectorize
+from .kb import AstMode, KnowledgeBase, feature_vector
 from .provider import Provider
 from .rollback import RollbackStats, SnapshotStore
 from .workspace import WorkingCopy
@@ -141,7 +140,6 @@ class SessionConfig:
     ast_mode: AstMode = AstMode.LOCAL_PARSER
     kb_enabled: bool = True
     clock: Callable[[], float] = time.monotonic
-    session_dir: Path | None = None
     memo: CaseMemo = field(default_factory=CaseMemo)
 
 
@@ -184,8 +182,7 @@ def _knowledge_context(
     except FileNotFoundError:
         file = workspace.target.entry_files[0]
         source = workspace.read(file)
-    ast = extract_ast(source, config.ast_mode, provider, file=file)
-    vector = vectorize(prune(ast, reports), ub_kinds=(r.kind for r in reports))
+    vector = feature_vector(source, reports, config.ast_mode, provider, file)
     if vector.is_zero:
         return None
     hits = kb.search(vector, k=3)
@@ -275,128 +272,113 @@ def run_session(
     list (Failed), or on exhausting the per-solution budget (Budget
     Exhausted). The final working copy always matches the snapshot with the
     fewest errors, re-verified by one last detection run. Reason steps
-    consult ``kb``; without one they add nothing.
+    consult ``kb``; without one they add nothing. Without a ``workspace``
+    the session works in a copy of its own and removes it before returning.
     """
     config = config or SessionConfig()
     budget = config.budget
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    ws = workspace or WorkingCopy(target, config.session_dir)
-    if baseline is None:
-        baseline = _detect(ws.target, config)
-    store = SnapshotStore(ws.session_dir)
-    store.record(0, ws.files(), baseline.error_count)
-    reports_at: dict[int, list[UbReport]] = {0: list(baseline.reports)}
-    if baseline.error_count == 0:
-        trace = ErrorTrace(counts=[0], thoughts=[], iteration_budget=budget)
-        return SessionOutcome(Verdict.PASS, ws.files(), trace, stats=store.stats)
-
-    current_count = baseline.error_count
-    current_reports = list(baseline.reports)
-    ws_at: int | None = 0  # snapshot index the working copy currently matches
-    trace = ErrorTrace(counts=[current_count], thoughts=[], iteration_budget=budget)
-    passed = False
-    budget_hit_last = False
-    attempted_id: str | None = None
-    thought_count = 0
-
-    for solution in solutions:
-        attempted_id = solution.id
-        trace = ErrorTrace(counts=[current_count], thoughts=[], iteration_budget=budget)
-        reason_context: str | None = None
-        budget_hit_last = False
-        aborted = False
-        for step in solution.steps:
-            if step.agent is AgentKind.REASON:
-                reason_context = _knowledge_context(step, ws, current_reports, provider, config, kb)
-                continue
-            if step.agent is AgentKind.ROLLBACK:
-                target_idx = store.select_rollback_target()
-                snap = store.restore(target_idx, ws)
-                current_count = snap.error_count
-                current_reports = list(reports_at.get(target_idx, current_reports))
-                ws_at = target_idx
-                continue
-            if step.agent not in FIX_AGENTS:
-                continue
-            if len(trace.thoughts) >= budget:
-                budget_hit_last = True
-                break
-            try:
-                thought, detection = execute_step(
-                    step,
-                    ws,
-                    current_reports,
-                    provider,
-                    config,
-                    index=len(trace.thoughts),
-                    prev_count=current_count,
-                    context=reason_context,
-                )
-            except DetectionTimeout as exc:
-                log.warning("detection timed out mid-session: %s", exc)
-                aborted = True
-                break
-            reason_context = None
-            thought_count += 1
-            trace.thoughts.append(thought)
-            trace.counts.append(thought.resulting_errors)
-            snap_index = store.latest_index() + 1
-            store.record(snap_index, ws.files(), thought.resulting_errors)
-            if detection is not None:
-                reports_at[snap_index] = list(detection.reports)
-                current_reports = list(detection.reports)
-            else:
-                reports_at[snap_index] = list(current_reports)
-            current_count = thought.resulting_errors
-            ws_at = snap_index
-            if current_count == 0:
-                passed = True
-                break
-            if should_rollback(trace):
-                target_idx = store.select_rollback_target()
-                snap = store.restore(target_idx, ws)
-                current_count = snap.error_count
-                current_reports = list(reports_at.get(target_idx, current_reports))
-                ws_at = target_idx
-        if passed or aborted:
-            break
-        best = store.select_rollback_target()
-        if ws_at != best:
-            snap = store.restore(best, ws)
-            current_count = snap.error_count
-            current_reports = list(reports_at.get(best, current_reports))
-            ws_at = best
-
-    if not passed:
-        best = store.select_rollback_target()
-        if ws_at != best:
-            store.restore(best, ws)
-            ws_at = best
+    ws = workspace or WorkingCopy(target)
     try:
-        # the memo answers this when these exact bytes were detected before
-        verify = _detect(ws.target, config)
-        final_clean = verify.clean
-        final_errors = verify.error_count
-    except (NonUbCompileError, DetectionTimeout) as exc:
-        log.warning("final re-verification failed: %s", exc)
-        final_clean = False
-        final_errors = current_count
-    if passed and not final_clean:
-        log.warning("pass re-verification disagreed; downgrading verdict")
-    if final_clean:
-        verdict = Verdict.PASS
-    elif budget_hit_last:
-        verdict = Verdict.BUDGET_EXHAUSTED
-    else:
-        verdict = Verdict.FAILED
-    return SessionOutcome(
-        verdict,
-        ws.files(),
-        trace,
-        stats=store.stats,
-        solution_id=attempted_id,
-        final_errors=final_errors,
-        baseline_errors=baseline.error_count,
-        thought_count=thought_count,
-    )
+        if baseline is None:
+            baseline = _detect(ws.target, config)
+        store = SnapshotStore()
+        if baseline.error_count == 0:
+            trace = ErrorTrace(counts=[0], thoughts=[], iteration_budget=budget)
+            return SessionOutcome(Verdict.PASS, ws.files(), trace, stats=store.stats)
+
+        # the snapshot the working copy matches; its reports steer the next step
+        current = store.record(0, ws.files(), baseline.error_count, baseline.reports)
+        trace = ErrorTrace(counts=[current.error_count], thoughts=[], iteration_budget=budget)
+        passed = False
+        budget_hit_last = False
+        attempted_id: str | None = None
+        thought_count = 0
+
+        for solution in solutions:
+            attempted_id = solution.id
+            trace = ErrorTrace(counts=[current.error_count], thoughts=[], iteration_budget=budget)
+            reason_context: str | None = None
+            budget_hit_last = False
+            aborted = False
+            for step in solution.steps:
+                if step.agent is AgentKind.REASON:
+                    reason_context = _knowledge_context(step, ws, current.reports, provider, config, kb)
+                    continue
+                if step.agent is AgentKind.ROLLBACK:
+                    current = store.restore(store.select_rollback_target(), ws)
+                    continue
+                if step.agent not in FIX_AGENTS:
+                    continue
+                if len(trace.thoughts) >= budget:
+                    budget_hit_last = True
+                    break
+                try:
+                    thought, detection = execute_step(
+                        step,
+                        ws,
+                        current.reports,
+                        provider,
+                        config,
+                        index=len(trace.thoughts),
+                        prev_count=current.error_count,
+                        context=reason_context,
+                    )
+                except DetectionTimeout as exc:
+                    log.warning("detection timed out mid-session: %s", exc)
+                    aborted = True
+                    break
+                reason_context = None
+                thought_count += 1
+                trace.thoughts.append(thought)
+                trace.counts.append(thought.resulting_errors)
+                current = store.record(
+                    store.latest_index() + 1,
+                    ws.files(),
+                    thought.resulting_errors,
+                    detection.reports if detection is not None else current.reports,
+                )
+                if current.error_count == 0:
+                    passed = True
+                    break
+                if should_rollback(trace):
+                    current = store.restore(store.select_rollback_target(), ws)
+            if passed:
+                break
+            best = store.select_rollback_target()
+            if current.index != best:
+                current = store.restore(best, ws)
+            if aborted:
+                break
+
+        try:
+            # the memo answers this when these exact bytes were detected before
+            verify = _detect(ws.target, config)
+            final_clean = verify.clean
+            final_errors = verify.error_count
+        except (NonUbCompileError, DetectionTimeout) as exc:
+            log.warning("final re-verification failed: %s", exc)
+            final_clean = False
+            final_errors = current.error_count
+        if passed and not final_clean:
+            log.warning("pass re-verification disagreed; downgrading verdict")
+        if final_clean:
+            verdict = Verdict.PASS
+        elif budget_hit_last:
+            verdict = Verdict.BUDGET_EXHAUSTED
+        else:
+            verdict = Verdict.FAILED
+        return SessionOutcome(
+            verdict,
+            ws.files(),
+            trace,
+            stats=store.stats,
+            solution_id=attempted_id,
+            final_errors=final_errors,
+            baseline_errors=baseline.error_count,
+            thought_count=thought_count,
+        )
+    finally:
+        if workspace is None:
+            ws.cleanup()

@@ -9,18 +9,11 @@ from .detector import TargetPackage
 
 
 class WorkingCopy:
-    """A private copy of a target's sources under a session directory.
+    """A private copy of a target's sources in a fresh temporary tree,
+    which ``cleanup`` removes."""
 
-    Without a ``session_dir`` the copy lives in a fresh temporary tree,
-    which ``cleanup`` removes; a given session directory is kept.
-    """
-
-    def __init__(self, target: TargetPackage, session_dir: Path | str | None = None) -> None:
-        self._owns_dir = not session_dir
-        base = Path(session_dir) if session_dir else Path(tempfile.mkdtemp(prefix="ubmend-"))
-        self.root = base / "work"
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.session_dir = base
+    def __init__(self, target: TargetPackage) -> None:
+        self.root = Path(tempfile.mkdtemp(prefix="ubmend-"))
         for rel in target.tracked_files():
             dest = self.root / rel
             dest.parent.mkdir(parents=True, exist_ok=True)
@@ -56,6 +49,5 @@ class WorkingCopy:
                 path.unlink()
 
     def cleanup(self) -> None:
-        """Remove the temporary tree this copy created, if it created one."""
-        if self._owns_dir:
-            shutil.rmtree(self.session_dir, ignore_errors=True)
+        """Remove the temporary tree."""
+        shutil.rmtree(self.root, ignore_errors=True)

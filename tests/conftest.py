@@ -8,6 +8,7 @@ import os
 import shlex
 import shutil
 import sys
+import tempfile
 import time
 from itertools import product
 from pathlib import Path
@@ -17,7 +18,7 @@ import pytest
 
 from ubmend.detector import DetectorConfig
 from ubmend.fast import AgentKind, RepairSolution, RepairStep
-from ubmend.provider import ProviderConfig, ProviderMode, ScriptedMockProvider
+from ubmend.provider import ProviderConfig, ProviderMode, PromptRecord, ScriptedMockProvider
 
 TESTS_DIR = Path(__file__).parent
 TOOLS_DIR = TESTS_DIR / "tools"
@@ -46,6 +47,18 @@ def spawn_log(log: Path) -> list[dict]:
     return [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
 
 
+class SpyProvider(ScriptedMockProvider):
+    """The scripted mock, keeping the text of every prompt it answers."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.prompts: list[str] = []
+
+    def _complete(self, prompt: PromptRecord) -> str:
+        self.prompts.append(prompt.text())
+        return super()._complete(prompt)
+
+
 def signature_candidates(signatures: dict[str, str]) -> list[RepairSolution]:
     """One candidate per one- and two-step signature the generated store uses."""
     plans = [[a] for a in sorted(signatures)] + [list(p) for p in product(sorted(signatures), repeat=2)]
@@ -56,6 +69,22 @@ def signature_candidates(signatures: dict[str, str]) -> list[RepairSolution]:
         )
         for i, plan in enumerate(plans)
     ]
+
+
+@pytest.fixture(autouse=True)
+def private_tmpdir(tmp_path_factory, monkeypatch):
+    """A temp directory of the test's own, for it and the processes it starts.
+
+    ubmend keeps each working copy in a ``ubmend-*`` tree there; one left
+    behind when the test ends fails it.
+    """
+    tmp = tmp_path_factory.mktemp("tmpdir")
+    monkeypatch.setenv("TMPDIR", str(tmp))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    yield tmp
+    leaked = sorted(p.name for p in tmp.iterdir() if p.name.startswith("ubmend-"))
+    if leaked:
+        pytest.fail(f"temp trees left behind: {leaked}")
 
 
 @pytest.fixture

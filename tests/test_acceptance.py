@@ -306,13 +306,9 @@ def _sequence_solution() -> RepairSolution:
     return RepairSolution(id="s01", steps=steps)
 
 
-def _run_sequence(fixture: Path, provider, session_dir: Path):
+def _run_sequence(fixture: Path, provider):
     target = TargetPackage.from_path(fixture)
-    config = SessionConfig(
-        detector=stub_detector_config(),
-        kb_enabled=False,
-        session_dir=session_dir,
-    )
+    config = SessionConfig(detector=stub_detector_config(), kb_enabled=False)
     return run_session(target, [_sequence_solution()], provider=provider, config=config)
 
 
@@ -323,7 +319,7 @@ def test_acceptance_03_session_traces_convergent_and_divergent(tmp_path):
         ScriptedMockProvider(ProviderConfig(mode=ProviderMode.SCRIPTED_MOCK), rules=rules)
     )
     fixture = SEQUENCES_DIR / "convergent"
-    out = _run_sequence(fixture, recorder, tmp_path / "conv")
+    out = _run_sequence(fixture, recorder)
     assert out.verdict is Verdict.PASS
     assert out.trace.counts == [3, 1, 5, 2, 0]
     assert out.stats.rollback_count == 1
@@ -333,7 +329,7 @@ def test_acceptance_03_session_traces_convergent_and_divergent(tmp_path):
     replayer = create_provider(
         ProviderConfig(mode=ProviderMode.REPLAY, transcript_path=transcript)
     )
-    replayed = _run_sequence(fixture, replayer, tmp_path / "conv-replay")
+    replayed = _run_sequence(fixture, replayer)
     assert replayed.to_dict() == out.to_dict()
 
     # monotonically worsening trace: every step triggers a rollback and the
@@ -344,7 +340,7 @@ def test_acceptance_03_session_traces_convergent_and_divergent(tmp_path):
     )
     fixture = SEQUENCES_DIR / "divergent"
     baseline_text = (fixture / "main.rs").read_text(encoding="utf-8")
-    out = _run_sequence(fixture, recorder, tmp_path / "div")
+    out = _run_sequence(fixture, recorder)
     assert out.verdict is Verdict.FAILED
     assert out.trace.counts == [1, 3, 4, 6, 9]
     assert out.stats.rollback_count == 4
@@ -355,7 +351,7 @@ def test_acceptance_03_session_traces_convergent_and_divergent(tmp_path):
     replayer = create_provider(
         ProviderConfig(mode=ProviderMode.REPLAY, transcript_path=transcript)
     )
-    replayed = _run_sequence(fixture, replayer, tmp_path / "div-replay")
+    replayed = _run_sequence(fixture, replayer)
     assert replayed.to_dict() == out.to_dict()
 
 
@@ -482,7 +478,6 @@ def test_acceptance_06_experience_reranks_recorded_solution_first(tmp_path, mock
         ast_mode=AstMode.LOCAL_PARSER,
         kb_enabled=True,
         clock=LogicalClock(),
-        session_dir=tmp_path / "session",
     )
     outcome, triplet, _ = repair_one(target, mock_provider, engine, settings)
     assert outcome.verdict is Verdict.PASS
@@ -547,7 +542,7 @@ def _is_line_subsequence(before: list[str], after: list[str]) -> bool:
     return i == len(before)
 
 
-def test_acceptance_07_patches_round_trip_and_guards_insert_only(tmp_path, mock_provider):
+def test_acceptance_07_patches_round_trip_and_guards_insert_only(mock_provider):
     cases = load_manifest(CORPUS_DIR / "manifest.jsonl")
     total_patches = 0
     guard_patches = 0
@@ -561,39 +556,42 @@ def test_acceptance_07_patches_round_trip_and_guards_insert_only(tmp_path, mock_
             AgentKind.ADD_ASSERTION,
             AgentKind.MODIFY_SEMANTICS,
         ):
-            ws = WorkingCopy(target, tmp_path / case.id / agent_kind.value)
-            originals = ws.files()
-            source = ws.read(entry)
-            region = locate_unsafe_regions(source, entry)[0]
+            ws = WorkingCopy(target)
             try:
-                ops = classify_ops(region)
-            except Unclassifiable:
-                ops = frozenset()
-            feature = CodeFeature(
-                region=region,
-                op_kinds=ops,
-                ub_kinds=frozenset({UbKind(case.ub_kind)}),
-                context_summary="",
-                ref=f"{entry}#0",
-            )
-            try:
-                patch = AGENT_FUNCTIONS[agent_kind](
-                    region, feature, mock_provider, "Instruction: tighten the region"
+                originals = ws.files()
+                source = ws.read(entry)
+                region = locate_unsafe_regions(source, entry)[0]
+                try:
+                    ops = classify_ops(region)
+                except Unclassifiable:
+                    ops = frozenset()
+                feature = CodeFeature(
+                    region=region,
+                    op_kinds=ops,
+                    ub_kinds=frozenset({UbKind(case.ub_kind)}),
+                    context_summary="",
+                    ref=f"{entry}#0",
                 )
-            except (NoSafeEquivalent, NoGuardExpressible, AgentFailure, ProviderFailure):
-                abstained += 1
-                continue
-            total_patches += 1
-            apply_patch(patch, ws)
-            assert ws.read(patch.file) != originals[patch.file]
-            revert_patch(patch, ws)
-            assert ws.files() == originals
-            if agent_kind is AgentKind.ADD_ASSERTION:
-                guard_patches += 1
-                assert patch.before_text == region.snippet
-                assert _is_line_subsequence(
-                    patch.before_text.splitlines(), patch.after_text.splitlines()
-                )
+                try:
+                    patch = AGENT_FUNCTIONS[agent_kind](
+                        region, feature, mock_provider, "Instruction: tighten the region"
+                    )
+                except (NoSafeEquivalent, NoGuardExpressible, AgentFailure, ProviderFailure):
+                    abstained += 1
+                    continue
+                total_patches += 1
+                apply_patch(patch, ws)
+                assert ws.read(patch.file) != originals[patch.file]
+                revert_patch(patch, ws)
+                assert ws.files() == originals
+                if agent_kind is AgentKind.ADD_ASSERTION:
+                    guard_patches += 1
+                    assert patch.before_text == region.snippet
+                    assert _is_line_subsequence(
+                        patch.before_text.splitlines(), patch.after_text.splitlines()
+                    )
+            finally:
+                ws.cleanup()
     assert guard_patches == len(cases)
     assert total_patches >= 2 * len(cases)
     assert total_patches + abstained == 3 * len(cases)

@@ -35,10 +35,13 @@ SOURCE = (
 )
 
 
-def _workspace(tmp_path, source=SOURCE):
+@pytest.fixture
+def ws(tmp_path):
     f = tmp_path / "main.rs"
-    f.write_text(source)
-    return WorkingCopy(TargetPackage.from_path(f))
+    f.write_text(SOURCE)
+    copy = WorkingCopy(TargetPackage.from_path(f))
+    yield copy
+    copy.cleanup()
 
 
 def _region_feature(source=SOURCE, ub=UbKind.STACK_BORROW):
@@ -57,8 +60,7 @@ def _scripted(response: str) -> ScriptedMockProvider:
     return ScriptedMockProvider(ProviderConfig(), rules=[("", response)])
 
 
-def test_apply_then_revert_round_trip(tmp_path):
-    ws = _workspace(tmp_path)
+def test_apply_then_revert_round_trip(ws):
     region, _ = _region_feature()
     patch = PatchRecord(
         file="main.rs",
@@ -74,8 +76,7 @@ def test_apply_then_revert_round_trip(tmp_path):
     assert ws.files() == before
 
 
-def test_apply_rejects_drifted_region(tmp_path):
-    ws = _workspace(tmp_path)
+def test_apply_rejects_drifted_region(ws):
     region, _ = _region_feature()
     patch = PatchRecord(
         file="main.rs",
@@ -88,8 +89,7 @@ def test_apply_rejects_drifted_region(tmp_path):
         apply_patch(patch, ws)
 
 
-def test_revert_rejects_drifted_region(tmp_path):
-    ws = _workspace(tmp_path)
+def test_revert_rejects_drifted_region(ws):
     region, _ = _region_feature()
     patch = PatchRecord(
         file="main.rs",

@@ -1,4 +1,4 @@
-"""Snapshot store: target selection, restore bookkeeping, persistence."""
+"""Snapshot store: target selection, restore bookkeeping."""
 
 from __future__ import annotations
 
@@ -107,13 +107,6 @@ def test_snapshots_are_isolated_copies():
     store.record(0, files, 1)
     files["main.rs"] = "mutated"
     assert store.snapshots[0].files == {"main.rs": "v1"}
-
-
-def test_on_disk_persistence(tmp_path):
-    store = SnapshotStore(session_dir=tmp_path)
-    store.record(0, {"src/main.rs": "fn main() {}\n"}, 2)
-    written = tmp_path / "snapshots" / "0" / "src" / "main.rs"
-    assert written.read_text() == "fn main() {}\n"
 
 
 def test_stats_to_dict():

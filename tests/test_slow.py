@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import pytest
 
-from conftest import stub_detector_config
+from conftest import SpyProvider, stub_detector_config
+from ubmend.cli import repair_one
 from ubmend.detector import TargetPackage, run_detection
+from ubmend.errors import ReplayMiss
 from ubmend.fast import AgentKind, RepairSolution, RepairStep
-from ubmend.feedback import EvalTriplet
+from ubmend.feedback import EvalTriplet, FeedbackEngine
 from ubmend.kb import AstMode, KnowledgeBase, KnowledgeEntry, extract_ast, prune, vectorize
-from ubmend.provider import ProviderConfig, ProviderMode, PromptRecord, ScriptedMockProvider
+from ubmend.provider import ProviderConfig, ProviderMode, ScriptedMockProvider
 from ubmend.slow import (
     ErrorTrace,
     SessionConfig,
@@ -69,13 +73,8 @@ def _steps(*instructions: str, agent: AgentKind = AgentKind.MODIFY_SEMANTICS) ->
     return [RepairStep(agent=agent, target_region="main.rs#0", instruction=i) for i in instructions]
 
 
-def _session_config(tmp_path: Path, budget: int = 5) -> SessionConfig:
-    return SessionConfig(
-        detector=stub_detector_config(),
-        budget=budget,
-        kb_enabled=False,
-        session_dir=tmp_path / "session",
-    )
+def _session_config(budget: int = 5) -> SessionConfig:
+    return SessionConfig(detector=stub_detector_config(), budget=budget, kb_enabled=False)
 
 
 def _target(tmp_path: Path, source: str) -> TargetPackage:
@@ -83,16 +82,6 @@ def _target(tmp_path: Path, source: str) -> TargetPackage:
     path = tmp_path / "main.rs"
     path.write_text(source, encoding="utf-8")
     return TargetPackage.from_path(path)
-
-
-class SpyProvider(ScriptedMockProvider):
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.prompts: list[str] = []
-
-    def _complete(self, prompt: PromptRecord) -> str:
-        self.prompts.append(prompt.text())
-        return super()._complete(prompt)
 
 
 @pytest.mark.parametrize(
@@ -129,13 +118,13 @@ def test_budget_must_be_positive(tmp_path):
             target,
             [],
             provider=_provider([]),
-            config=_session_config(tmp_path, budget=0),
+            config=_session_config(budget=0),
         )
 
 
 def test_ub_free_target_passes_without_thoughts(tmp_path):
     target = _target(tmp_path, _source(0))
-    out = run_session(target, [], provider=_provider([]), config=_session_config(tmp_path))
+    out = run_session(target, [], provider=_provider([]), config=_session_config())
     assert out.verdict is Verdict.PASS
     assert out.trace.counts == [0]
     assert out.trace.thoughts == []
@@ -148,7 +137,7 @@ def test_single_fix_step_reaches_pass(tmp_path):
     target = _target(tmp_path, _source(1))
     provider = _provider([("variant 1", _fix_response(0, 1))])
     solution = RepairSolution(id="s01", steps=_steps("variant 1"))
-    out = run_session(target, [solution], provider=provider, config=_session_config(tmp_path))
+    out = run_session(target, [solution], provider=provider, config=_session_config())
     assert out.verdict is Verdict.PASS
     assert out.trace.counts == [1, 0]
     assert len(out.trace.thoughts) == 1
@@ -171,7 +160,7 @@ def test_abstaining_step_is_skipped_with_count_unchanged(tmp_path):
         target,
         [RepairSolution(id="s01", steps=steps)],
         provider=provider,
-        config=_session_config(tmp_path),
+        config=_session_config(),
     )
     assert out.verdict is Verdict.PASS
     assert out.trace.counts == [1, 1, 0]
@@ -192,7 +181,7 @@ def test_unresolvable_region_is_skipped(tmp_path):
         target,
         [RepairSolution(id="s01", steps=steps)],
         provider=provider,
-        config=_session_config(tmp_path),
+        config=_session_config(),
     )
     assert out.verdict is Verdict.PASS
     assert out.trace.thoughts[0].note == "region unresolvable"
@@ -205,7 +194,7 @@ def test_compile_breaking_patch_is_reverted(tmp_path):
     broken = "unsafe {\n        //~COMPILE-ERROR\n        let probe = 9i32;\n    }"
     provider = _provider([("variant 1", f"oops\n\n```rust\n{broken}\n```")])
     solution = RepairSolution(id="s01", steps=_steps("variant 1"))
-    out = run_session(target, [solution], provider=provider, config=_session_config(tmp_path))
+    out = run_session(target, [solution], provider=provider, config=_session_config())
     assert out.verdict is Verdict.FAILED
     thought = out.trace.thoughts[0]
     assert thought.note == "patch reverted: compile failure"
@@ -230,7 +219,7 @@ def test_budget_exhausted_when_steps_remain(tmp_path):
         target,
         [solution],
         provider=provider,
-        config=_session_config(tmp_path, budget=2),
+        config=_session_config(budget=2),
     )
     assert out.verdict is Verdict.BUDGET_EXHAUSTED
     assert out.trace.counts == [1, 1, 1]
@@ -244,7 +233,7 @@ def test_failed_run_restores_baseline_and_counts_discards(tmp_path):
     target = _target(tmp_path, source)
     provider = _provider([("variant 1", _fix_response(4, 1))])
     solution = RepairSolution(id="s01", steps=_steps("variant 1"))
-    out = run_session(target, [solution], provider=provider, config=_session_config(tmp_path))
+    out = run_session(target, [solution], provider=provider, config=_session_config())
     assert out.verdict is Verdict.FAILED
     assert out.trace.counts == [1, 4]
     assert out.final_source["main.rs"] == source
@@ -272,7 +261,7 @@ def test_explicit_rollback_step_restores_best_snapshot(tmp_path):
         target,
         [RepairSolution(id="s01", steps=steps)],
         provider=provider,
-        config=_session_config(tmp_path),
+        config=_session_config(),
     )
     assert out.verdict is Verdict.PASS
     # restores never append to the trace
@@ -290,7 +279,7 @@ def test_auto_rollback_fires_on_factor_blowup(tmp_path):
         ]
     )
     solution = RepairSolution(id="s01", steps=_steps("variant 1", "variant 2"))
-    out = run_session(target, [solution], provider=provider, config=_session_config(tmp_path))
+    out = run_session(target, [solution], provider=provider, config=_session_config())
     assert out.verdict is Verdict.PASS
     assert out.trace.counts == [1, 3, 0]
     assert out.stats.rollback_count == 1
@@ -316,7 +305,7 @@ def test_second_solution_starts_from_best_state(tmp_path):
         RepairSolution(id="s01", steps=_steps("variant 1")),
         RepairSolution(id="s02", steps=_steps("variant 2")),
     ]
-    out = run_session(target, solutions, provider=provider, config=_session_config(tmp_path))
+    out = run_session(target, solutions, provider=provider, config=_session_config())
     assert out.verdict is Verdict.PASS
     assert out.solution_id == "s02"
     assert seen == ["first", "second"]
@@ -347,7 +336,7 @@ def test_reason_step_feeds_prior_fixes_into_next_prompt(tmp_path):
             created=1.0,
         )
     )
-    config = SessionConfig(detector=det, session_dir=tmp_path / "session")
+    config = SessionConfig(detector=det)
     steps = [
         RepairStep(agent=AgentKind.REASON, target_region="main.rs#0", instruction="consult"),
         RepairStep(agent=AgentKind.MODIFY_SEMANTICS, target_region="main.rs#0", instruction="variant 1"),
@@ -380,7 +369,7 @@ def test_reason_step_is_inert_when_kb_disabled(tmp_path):
         target,
         [RepairSolution(id="s01", steps=steps)],
         provider=provider,
-        config=_session_config(tmp_path),
+        config=_session_config(),
     )
     assert out.verdict is Verdict.PASS
     assert not any("prior fix (similarity" in p for p in provider.prompts)
@@ -390,7 +379,7 @@ def test_outcome_serializes_to_stable_json(tmp_path):
     target = _target(tmp_path, _source(1))
     provider = _provider([("variant 1", _fix_response(0, 1))])
     solution = RepairSolution(id="s01", steps=_steps("variant 1"))
-    out = run_session(target, [solution], provider=provider, config=_session_config(tmp_path))
+    out = run_session(target, [solution], provider=provider, config=_session_config())
     payload = out.to_dict()
     assert payload["schema_version"] == 1
     assert payload["verdict"] == "pass"
@@ -406,11 +395,7 @@ def test_detection_timeout_mid_session_fails_closed(tmp_path):
     target = _target(tmp_path, _source(1))
     sleeper = "unsafe {\n        //~SLEEP 5\n        let probe = 4i32;\n    }"
     provider = _provider([("variant 1", f"stall\n\n```rust\n{sleeper}\n```")])
-    config = SessionConfig(
-        detector=stub_detector_config(timeout=0.5),
-        kb_enabled=False,
-        session_dir=tmp_path / "session",
-    )
+    config = SessionConfig(detector=stub_detector_config(timeout=0.5), kb_enabled=False)
     solution = RepairSolution(id="s01", steps=_steps("variant 1"))
     out = run_session(target, [solution], provider=provider, config=config)
     assert out.verdict is Verdict.FAILED
@@ -426,9 +411,56 @@ def test_outcome_reports_session_baseline_and_every_thought(tmp_path):
         RepairSolution(id="s01", steps=_steps("variant 1")),
         RepairSolution(id="s02", steps=_steps("variant 2")),
     ]
-    out = run_session(target, solutions, provider=provider, config=_session_config(tmp_path))
+    out = run_session(target, solutions, provider=provider, config=_session_config())
     assert out.verdict is Verdict.PASS
     assert out.trace.counts == [1, 0]  # the last solution's own trace
     assert out.baseline_errors == 2
     assert out.thought_count == 2
     assert out.final_errors == 0
+
+
+def _miss(_prompt: str) -> str:
+    raise ReplayMiss("no transcript entry")
+
+
+def test_session_without_workspace_removes_its_copy(tmp_path):
+    target = _target(tmp_path, _source(1))
+    run_session(target, [], provider=_provider([]), config=_session_config())
+    assert os.listdir(tempfile.gettempdir()) == []
+    solution = RepairSolution(id="s01", steps=_steps("variant 1"))
+    with pytest.raises(ReplayMiss):
+        run_session(target, [solution], provider=_provider([("variant 1", _miss)]), config=_session_config())
+    assert os.listdir(tempfile.gettempdir()) == []
+
+
+def test_reason_step_finds_the_stored_entry_for_the_same_program(tmp_path):
+    # two reports of one kind: the stored vector and the searched vector
+    # must count the kind the same number of times
+    source = _source(2)
+    engine = FeedbackEngine(None, kb=KnowledgeBase())
+    stored, _, _ = repair_one(
+        _target(tmp_path / "first", source),
+        _provider([]),
+        engine,
+        SessionConfig(detector=stub_detector_config()),
+    )
+    assert stored.verdict is Verdict.PASS
+    assert len(engine.kb.entries) == 1
+    provider = SpyProvider(
+        ProviderConfig(mode=ProviderMode.SCRIPTED_MOCK),
+        rules=[("variant 1", _fix_response(0, 1))],
+    )
+    steps = [
+        RepairStep(agent=AgentKind.REASON, target_region="main.rs#0", instruction="consult"),
+        RepairStep(agent=AgentKind.MODIFY_SEMANTICS, target_region="main.rs#0", instruction="variant 1"),
+    ]
+    run_session(
+        _target(tmp_path / "second", source),
+        [RepairSolution(id="s01", steps=steps)],
+        provider=provider,
+        config=SessionConfig(detector=stub_detector_config()),
+        kb=engine.kb,
+    )
+    enriched = [p for p in provider.prompts if "prior fix (similarity" in p]
+    assert len(enriched) == 1
+    assert "prior fix (similarity 1.00," in enriched[0]

@@ -62,6 +62,7 @@ from .feedback import (
 )
 from .kb import AstMode, FeatureVector, KnowledgeBase, feature_vector
 from .provider import (
+    MemoizedProvider,
     Provider,
     ProviderConfig,
     ProviderMode,
@@ -332,6 +333,10 @@ def repair_one(
     memo = settings.memo
     memo.begin_run()
     start = clock()
+    # answers the case already received come from the memo; a model call
+    # advances no tick of the logical clock, so there it takes no time
+    timer = (lambda: 0.0) if isinstance(clock, LogicalClock) else clock
+    provider = MemoizedProvider(provider, memo, timer)
     tokens_before = provider.tokens_used
     ws = WorkingCopy(target)
     try:
@@ -367,8 +372,8 @@ def repair_one(
             baseline=baseline,
             kb=kb,
         )
-        # detections reused from the case's other run cost this run their
-        # recorded time, as if it had made them itself
+        # detections and answers reused from the case's other run cost this
+        # run their recorded time, as if it had made them itself
         elapsed = clock() - start + memo.charged_seconds
         tokens = provider.tokens_used - tokens_before
         triplet = engine.evaluate(

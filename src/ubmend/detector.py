@@ -18,11 +18,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import DetectionTimeout, NonUbCompileError, TargetRejected, ToolMissing
 from .lexutil import estimate_tokens
 from .process import run_group
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .provider import Answer
 
 log = logging.getLogger(__name__)
 
@@ -156,37 +159,40 @@ class DetectionResult:
 
 
 class CaseMemo:
-    """Detections and reference verdicts of one case, keyed by content.
+    """Detections, model answers and reference verdicts of one case, keyed
+    by content.
 
     A bench case's knowledge run and no-knowledge run share one memo, one
-    after the other; each ``fix`` invocation has its own. Only completed
-    results are kept: timeouts, missing tools and compile errors run again
-    every time. ``begin_run`` opens a run's account. The first time a run
-    reuses a detection that another run paid for, it is charged that
-    detection's recorded wall time, so the timings of the two runs stay
-    comparable; reusing a detection the run made, or was already charged
-    for, is free.
+    after the other; each ``fix`` invocation has its own. Detections are
+    keyed by argv and tracked-source bytes, answers by transcript hash
+    (``provider.MemoizedProvider`` looks them up). Only completed results
+    are kept: timeouts, missing tools, compile errors and failed model calls
+    run again every time. ``begin_run`` opens a run's account. The first
+    time a run reuses a result that another run paid for, it is charged that
+    result's recorded ``wall_time``, so the timings of the two runs stay
+    comparable; reusing a result the run made, or was already charged for,
+    is free.
     """
 
     def __init__(self) -> None:
         self.verdicts: dict[str, bool] = {}
         self.charged_seconds = 0.0
-        self._detections: dict[str, DetectionResult] = {}
+        self._results: dict[str, "DetectionResult | Answer"] = {}
         self._paid: set[str] = set()
 
     def begin_run(self) -> None:
         self.charged_seconds = 0.0
         self._paid = set()
 
-    def recall(self, key: str) -> DetectionResult | None:
-        result = self._detections.get(key)
+    def recall(self, key: str) -> "DetectionResult | Answer | None":
+        result = self._results.get(key)
         if result is not None and key not in self._paid:
             self._paid.add(key)
             self.charged_seconds += result.wall_time
         return result
 
-    def remember(self, key: str, result: DetectionResult) -> None:
-        self._detections[key] = result
+    def remember(self, key: str, result: "DetectionResult | Answer") -> None:
+        self._results[key] = result
         self._paid.add(key)
 
 

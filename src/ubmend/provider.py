@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .errors import (
     HttpFailure,
@@ -25,6 +25,9 @@ from .errors import (
     TokenOverflow,
 )
 from .lexutil import estimate_tokens
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .detector import CaseMemo
 
 API_KEY_ENV = "RUSTBRAIN_API_KEY"
 API_BASE_ENV = "RUSTBRAIN_API_BASE"
@@ -125,6 +128,46 @@ class Provider:
 
     def hash_of(self, prompt: PromptRecord) -> str:
         return prompt.stable_hash(self.config.model_name, self.config.temperature)
+
+
+@dataclass(frozen=True)
+class Answer:
+    """A model answer as a case memo keeps it: the text and the time the
+    call took, in the run's clock units."""
+
+    text: str
+    wall_time: float
+
+
+class MemoizedProvider:
+    """A run's provider seen through its case memo.
+
+    A prompt whose transcript hash the case has asked before is answered
+    from the memo and never reaches ``inner``; any other prompt goes to
+    ``inner`` and its answer is kept. This is deliberately not a
+    ``Provider``: a fetched answer passes through ``Provider.complete``
+    once, in ``inner``, where calls and tokens are counted, and a reused
+    answer not at all. ``timer`` times each fetch in the run's clock units.
+    """
+
+    def __init__(self, inner: Provider, memo: "CaseMemo", timer: Callable[[], float]) -> None:
+        self.inner = inner
+        self.memo = memo
+        self.timer = timer
+
+    @property
+    def tokens_used(self) -> int:
+        return self.inner.tokens_used
+
+    def complete(self, prompt: PromptRecord) -> str:
+        key = self.inner.hash_of(prompt)
+        answer = self.memo.recall(key)
+        if answer is None:
+            started = self.timer()
+            text = self.inner.complete(prompt)
+            answer = Answer(text, self.timer() - started)
+            self.memo.remember(key, answer)
+        return answer.text
 
 
 def load_transcript(path: Path | str) -> dict[str, str]:
@@ -368,7 +411,11 @@ class TranscriptEntry:
 
 
 class TranscriptRecorder(Provider):
-    """Wraps another provider and records every exchange for later replay."""
+    """Wraps another provider and records every exchange for later replay.
+
+    Calls and tokens are counted here, once per exchange; the wrapped
+    provider's own counters stay untouched.
+    """
 
     def __init__(self, inner: Provider) -> None:
         super().__init__(inner.config)
@@ -376,7 +423,7 @@ class TranscriptRecorder(Provider):
         self.entries: dict[str, TranscriptEntry] = {}  # in recording order
 
     def _complete(self, prompt: PromptRecord) -> str:
-        response = self.inner.complete(prompt)
+        response = self.inner._complete(prompt)
         key = self.hash_of(prompt)
         with self._lock:
             seen = self.entries.get(key)

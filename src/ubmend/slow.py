@@ -130,8 +130,8 @@ class SessionConfig:
 
     ``solutions_k`` and ``kb_enabled`` steer planning and knowledge use in
     ``cli.repair_one``; the session itself reads the rest. ``memo`` holds
-    the detections and reference verdicts already paid for; runs that share
-    it (a bench case's two runs) reuse each other's work.
+    the detections, model answers and reference verdicts already paid for;
+    runs that share it (a bench case's two runs) reuse each other's work.
     """
 
     detector: DetectorConfig = field(default_factory=DetectorConfig)
@@ -327,6 +327,8 @@ def run_session(
                     )
                 except DetectionTimeout as exc:
                     log.warning("detection timed out mid-session: %s", exc)
+                    # the patch was never verified: back to the bytes of ``current``
+                    ws.restore(current.files)
                     aborted = True
                     break
                 reason_context = None

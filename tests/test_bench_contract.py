@@ -15,12 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CORPUS_DIR, TOOLS_DIR
+from conftest import CORPUS_DIR, STUB_DETECTOR_ARG, TOOLS_DIR
 from ubmend import agents, cli
 from ubmend.detector import UbKind, run_detection
 from ubmend.feedback import EvalTriplet, ExperienceRecord, FeedbackEngine, ReferenceBundle
 from ubmend.kb import FeatureVector, KnowledgeEntry
-from ubmend.lexutil import mask_comments_and_strings
+from ubmend.lexutil import estimate_tokens, mask_comments_and_strings
+from ubmend.provider import Provider, load_transcript
 from ubmend.rollback import SnapshotStore
 from ubmend.slow import SessionConfig, execute_step, run_session
 
@@ -113,3 +114,39 @@ def test_feature_vector_surface_gen_uses(dims):
     assert KnowledgeEntry.from_dict(entry_line).vector == v
     assert ExperienceRecord.from_dict(record_line).feature_vector == v
     assert FeatureVector.from_dict(json.loads(json.dumps(values.tolist()))) == v
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_provider_complete_sees_each_fetched_answer_once(tmp_path, monkeypatch, capsys, record):
+    # perfbench/launch.py counts tokens by wrapping Provider.complete, the
+    # same way as here: an answer the case memo reuses must not reach it,
+    # and one fetched from the model must reach it exactly once, also
+    # behind a transcript recorder
+    manifest = tmp_path / "manifest.jsonl"
+    case = CORPUS_DIR / "stack_borrow" / "main.rs"
+    manifest.write_text(json.dumps({"id": "c01", "path": str(case), "ub_kind": "stack_borrow"}) + "\n")
+    transcript = tmp_path / "t.jsonl"
+    seen: list[tuple[str, int, int]] = []
+    complete = Provider.complete
+
+    def counted_complete(self, prompt):
+        before = self.tokens_used
+        response = complete(self, prompt)
+        cost = estimate_tokens(prompt.text()) + estimate_tokens(response)
+        seen.append((self.hash_of(prompt), self.tokens_used - before, cost))
+        return response
+
+    monkeypatch.setattr(Provider, "complete", counted_complete)
+    args = ["bench", str(manifest), "--detector-cmd", STUB_DETECTOR_ARG, "--fixed-clock", "--report", "json"]
+    if record:
+        args += ["--transcript", str(transcript)]
+    assert cli.main(args) == 0
+    report = json.loads(capsys.readouterr().out)
+    hashes = [h for h, _, _ in seen]
+    # the knowledge run's summary, plan and fix, then the no-knowledge plan
+    assert len(hashes) == len(set(hashes)) == 4
+    assert all(added == cost for _, added, cost in seen)
+    # the bench row's tokens are the knowledge run's: all but the last call
+    assert report["cases"][0]["tokens"] == sum(cost for _, _, cost in seen[:3])
+    if record:
+        assert list(load_transcript(transcript)) == hashes

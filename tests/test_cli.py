@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import shlex
 import shutil
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -27,7 +29,7 @@ from ubmend.detector import DetectorConfig, TargetPackage
 from ubmend.fast import AgentKind, RepairSolution, RepairStep
 from ubmend.feedback import FeedbackEngine
 from ubmend.kb import AstMode
-from ubmend.provider import ProviderConfig, ProviderMode, ScriptedMockProvider
+from ubmend.provider import MARKER_PLAN, Provider, ProviderConfig, ProviderMode, ScriptedMockProvider
 from ubmend.slow import SessionConfig
 
 needs_rustc = pytest.mark.skipif(shutil.which("rustc") is None, reason="rustc not installed")
@@ -522,3 +524,91 @@ def test_fix_verdict_rests_on_a_clean_detection_of_the_final_bytes(tmp_path):
     spawns = spawn_log(log)
     assert {"args": ["main.rs"], "files": {"main.rs": final}, "status": 0} in spawns
     assert all(s["args"] == ["main.rs"] for s in spawns)
+
+
+def test_bench_asks_the_model_each_prompt_once_per_case(tmp_path, capsys, monkeypatch):
+    # every Provider.complete call, by the repair run it belongs to
+    manifest = _bench_dir(tmp_path, SLICE, with_refs=True)
+    run = threading.local()
+    calls: dict[tuple[str, bool], list[str]] = {}
+    real_repair_one, real_complete = cli.repair_one, Provider.complete
+
+    def labelled_repair_one(target, provider, engine, settings, reference=None):
+        run.key = (target.root_path.name, settings.kb_enabled)
+        calls.setdefault(run.key, [])
+        return real_repair_one(target, provider, engine, settings, reference)
+
+    def spied_complete(self, prompt):
+        calls[run.key].append(prompt.text())
+        return real_complete(self, prompt)
+
+    monkeypatch.setattr(cli, "repair_one", labelled_repair_one)
+    monkeypatch.setattr(Provider, "complete", spied_complete)
+    assert main(_bench(manifest, "--report", "json")) == 0
+    capsys.readouterr()
+    for kind in SLICE:
+        # the knowledge run: one feature summary, the plan and one fix
+        assert len(calls[(kind, True)]) == 3
+        # the no-knowledge run asks only for its own plan; its summary and
+        # fix prompts are the knowledge run's, answered from the case memo
+        (plan,) = calls[(kind, False)]
+        assert MARKER_PLAN in plan and "knowledge: off" in plan
+
+
+def _varying_mock(fix_answer):
+    """``create_provider`` for a scripted mock whose fix answers differ from
+    call to call: ``fix_answer(snippet, n, default)`` answers the n-th fix
+    prompt, given the region and the mock's own answer."""
+    answers = itertools.count(1)
+
+    class Varying(ScriptedMockProvider):
+        def _fix(self, text: str) -> str:
+            return fix_answer(self._snippet(text).rstrip("\n"), next(answers), super()._fix(text))
+
+    return Varying
+
+
+def test_bench_replay_matches_a_live_run_whose_answers_vary(tmp_path, capsys, monkeypatch):
+    # each fix answer carries its call number as a comment in the code, so a
+    # fix prompt asked twice would patch two different byte strings
+    def numbered(snippet, n, default):
+        head, tail = default.split("```rust\n", 1)
+        return f"{head}```rust\n// answer {n}\n{tail}"
+
+    manifest = _bench_dir(tmp_path, ["stack_borrow", "unaligned_pointer"])
+    transcript = tmp_path / "t.jsonl"
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "create_provider", _varying_mock(numbered))
+        assert main(_bench(manifest, "--report", "json", "--transcript", str(transcript))) == 0
+    live = capsys.readouterr().out
+    assert "// answer 1" in transcript.read_text(encoding="utf-8")
+    replay = ["--provider", "replay", "--transcript", str(transcript)]
+    assert main(_bench(manifest, "--report", "json", *replay)) == 0
+    assert capsys.readouterr().out == live
+
+
+def test_fix_records_a_prompt_it_asks_twice_once(tmp_path, capsys, monkeypatch):
+    # two solutions with the same step; every rewrite adds a differently
+    # tagged UB line, so the first solution ends back at the baseline and
+    # the second asks the first one's prompt again
+    def worse(snippet, n, default):
+        head, _, last = snippet.rpartition("\n")
+        return f"worse\n\n```rust\n{head}\n        //~UB Undefined Behavior: retag <{900 + n}>\n{last}\n```"
+
+    def same_step_twice(features, k, provider, kb_enabled):
+        step = RepairStep(AgentKind.MODIFY_SEMANTICS, "main.rs#0", "rewrite the region")
+        return [RepairSolution(id=f"s0{i}", steps=[step]) for i in (1, 2)]
+
+    monkeypatch.setattr(cli, "generate_solutions", same_step_twice)
+    case = copy_fixture(CORPUS_DIR / "stack_borrow", tmp_path)
+    transcript = tmp_path / "t.jsonl"
+    record = ["--no-kb", "--report", "json", "--transcript", str(transcript)]
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "create_provider", _varying_mock(worse))
+        assert main(_fix(case, *record)) == 1
+    live = json.loads(capsys.readouterr().out)
+    assert live["verdict"] == "failed" and live["final_errors"] == 1
+    assert live["trace"]["counts"] == [1, 2]  # the second solution's own trace
+    assert transcript.read_text(encoding="utf-8").count("retag <90") == 1
+    assert main(_fix(case, *record, "--provider", "replay")) == 1
+    assert json.loads(capsys.readouterr().out) == live

@@ -7,9 +7,11 @@ import socket
 
 import pytest
 
+from ubmend.detector import CaseMemo
 from ubmend.errors import ProviderFailure, ReplayMiss, StorageFailure
 from ubmend.fast import parse_plan
 from ubmend.provider import (
+    MemoizedProvider,
     PromptRecord,
     Provider,
     ProviderConfig,
@@ -101,6 +103,37 @@ def test_recorder_rejects_conflicting_responses():
     recorder.complete(PromptRecord.user("p"))
     with pytest.raises(StorageFailure):
         recorder.complete(PromptRecord.user("p"))
+
+
+def test_memoized_provider_asks_each_prompt_once_per_case():
+    class Flaky(Provider):
+        """Fails its first call, then answers with a call counter."""
+
+        def __init__(self):
+            super().__init__(ProviderConfig())
+            self.n = 0
+
+        def _complete(self, prompt):
+            self.n += 1
+            if self.n == 1:
+                raise ProviderFailure("transport error")
+            return f"answer {self.n}"
+
+    inner, memo, ticks = Flaky(), CaseMemo(), iter([0.0, 10.0, 12.5])
+    asked = MemoizedProvider(inner, memo, timer=lambda: next(ticks))
+    with pytest.raises(ProviderFailure):  # a failed call is not kept
+        asked.complete(PromptRecord.user("p"))
+    assert asked.complete(PromptRecord.user("p")) == "answer 2"
+    assert asked.complete(PromptRecord.user("p\n")) == "answer 2"  # same hash
+    assert (inner.calls, asked.tokens_used) == (1, inner.tokens_used)
+    assert memo.charged_seconds == 0.0  # the run's own answer is free
+    memo.begin_run()
+    again = MemoizedProvider(inner, memo, timer=lambda: 0.0)
+    assert again.complete(PromptRecord.user("p")) == "answer 2"
+    assert again.complete(PromptRecord.user("p")) == "answer 2"
+    assert inner.calls == 1
+    assert memo.charged_seconds == 2.5  # the fetch's recorded time, once per run
+    assert again.complete(PromptRecord.user("q")) == "answer 3"
 
 
 def test_load_transcript_rejects_bad_lines(tmp_path):

@@ -2,8 +2,10 @@
 
 ``reference_run_session`` is the loop as it stood when the session tracked
 its state in separate counters, report maps and snapshot indices. It stays
-here, unchanged in behaviour, as the reference that ``run_session`` must
-match on every plan: the same outcome, statistics, prompts and final bytes.
+here as the reference that ``run_session`` must match on every plan: the
+same outcome, statistics, prompts and final bytes. Its one change since is
+that a detection timeout puts the copy back to the last recorded state
+before the solution loop ends, as ``run_session`` does.
 No benchmark workload rolls back, so these plans are where rollbacks,
 aborts, abstentions and Reason steps meet.
 """
@@ -101,6 +103,7 @@ def reference_run_session(target, solutions, *, provider, config, kb=None) -> Se
                         context=reason_context,
                     )
                 except DetectionTimeout:
+                    ws.restore(store.snapshots[ws_at].files)
                     aborted = True
                     break
                 reason_context = None

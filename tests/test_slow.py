@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import SpyProvider, stub_detector_config
+from ubmend import detector
 from ubmend.cli import repair_one
 from ubmend.detector import TargetPackage, run_detection
 from ubmend.errors import ReplayMiss
@@ -391,7 +392,15 @@ def test_outcome_serializes_to_stable_json(tmp_path):
     )
 
 
-def test_detection_timeout_mid_session_fails_closed(tmp_path):
+def test_detection_timeout_mid_session_fails_closed(tmp_path, monkeypatch):
+    spawns = []
+    real_run_group = detector.run_group
+
+    def counted_run_group(argv, *args, **kwargs):
+        spawns.append(argv)
+        return real_run_group(argv, *args, **kwargs)
+
+    monkeypatch.setattr(detector, "run_group", counted_run_group)
     target = _target(tmp_path, _source(1))
     sleeper = "unsafe {\n        //~SLEEP 5\n        let probe = 4i32;\n    }"
     provider = _provider([("variant 1", f"stall\n\n```rust\n{sleeper}\n```")])
@@ -400,8 +409,12 @@ def test_detection_timeout_mid_session_fails_closed(tmp_path):
     out = run_session(target, [solution], provider=provider, config=config)
     assert out.verdict is Verdict.FAILED
     assert out.final_errors == 1
-    # the aborted step never enters the trace
+    # the aborted step never enters the trace, and its bytes leave the copy
     assert out.trace.counts == [1]
+    assert out.final_source == {"main.rs": _source(1)}  # no //~SLEEP left
+    # the baseline and the timed-out patch; the final re-verification of the
+    # baseline bytes comes from the memo instead of a second timeout
+    assert len(spawns) == 2
 
 
 def test_outcome_reports_session_baseline_and_every_thought(tmp_path):

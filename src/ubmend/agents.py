@@ -17,9 +17,11 @@ from .prompts import fill, load_template
 from .provider import PromptRecord, Provider
 
 _FENCE_RE = re.compile(r"```(?:rust)?\n(.*?)```", re.DOTALL)
-_GUARDISH_RE = re.compile(
-    r"^\s*$|^\s*(assert|debug_assert|if\b|return\b|let\b.*=.*(len|align_offset|is_null)|//|#)",
+_GUARD_RE = re.compile(
+    r"^\s*(assert|debug_assert|if\b|return\b|let\b.*=.*(len|align_offset|is_null))"
 )
+# blank, comment and attribute lines, allowed only beside a guard
+_GUARD_FILLER_RE = re.compile(r"^\s*($|//|#)")
 
 _TEMPLATE_FOR_AGENT = {
     AgentKind.SAFE_REPLACE: "safe_replace.txt",
@@ -167,8 +169,9 @@ def add_assertion(
     """Prepend guard checks; the original unsafe expression must survive.
 
     The answer is rejected (NoGuardExpressible) unless it is the original
-    region plus inserted guard-shaped lines. That structural check is what
-    keeps this agent honest.
+    region plus inserted lines, at least one of them a guard statement and
+    the rest guards, blanks, comments or attributes. That structural check
+    is what keeps this agent honest.
     """
     response = _ask(AgentKind.ADD_ASSERTION, region, feature, provider, context)
     if "NO GUARD EXPRESSIBLE" in response:
@@ -177,11 +180,11 @@ def add_assertion(
     inserted = insert_only_diff(region.snippet, after)
     if inserted is None:
         raise NoGuardExpressible(f"{region.file}: answer rewrites the unsafe expression")
-    if not inserted:
-        raise NoGuardExpressible(f"{region.file}: answer inserts no guard")
     for line in inserted:
-        if not _GUARDISH_RE.match(line):
+        if not (_GUARD_RE.match(line) or _GUARD_FILLER_RE.match(line)):
             raise NoGuardExpressible(f"{region.file}: inserted line is not a guard: {line!r}")
+    if not any(_GUARD_RE.match(line) for line in inserted):
+        raise NoGuardExpressible(f"{region.file}: answer inserts no guard")
     return PatchRecord(
         file=region.file,
         before_span=region.byte_span,

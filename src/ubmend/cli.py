@@ -468,6 +468,7 @@ def cmd_fix(args: argparse.Namespace) -> int:
     except (TargetRejected, ProviderFailure, StorageFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    memo = CaseMemo(engine.tool_results)
     settings = SessionConfig(
         detector=_detector_config(args),
         solutions_k=args.solutions,
@@ -475,6 +476,7 @@ def cmd_fix(args: argparse.Namespace) -> int:
         ast_mode=AstMode(args.ast_mode),
         kb_enabled=not args.no_kb,
         clock=clock,
+        memo=memo,
     )
     try:
         outcome, triplet, originals = repair_one(
@@ -489,6 +491,8 @@ def cmd_fix(args: argparse.Namespace) -> int:
         print(Verdict.FAILED.value)
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        engine.record_tool_results(memo.new_results)
     if isinstance(provider, TranscriptRecorder) and args.transcript:
         provider.write(args.transcript)
     changed = _diff_stats(originals, outcome.final_source)
@@ -505,6 +509,7 @@ def cmd_fix(args: argparse.Namespace) -> int:
             "changed_files": [
                 {"file": rel, "added": a, "removed": r} for rel, a, r in changed
             ],
+            "store_hits": memo.store_hits,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -589,16 +594,18 @@ def _bench_case(
     args: argparse.Namespace,
     initial_kb: list,
     initial_exp: list[ExperienceRecord],
-) -> tuple[CaseResult, list, list[ExperienceRecord], list]:
+    stored: dict[str, dict],
+) -> tuple[CaseResult, list, list[ExperienceRecord], dict[str, dict], list]:
     """One manifest case: a knowledge run plus a no-knowledge timing run.
 
-    Returns the row, the knowledge entries and experience records the case
-    produced (deferred; applied later in case-id order), and any transcript
-    entries recorded.
+    Returns the row, the knowledge entries, experience records and tool
+    results the case produced (deferred; applied later in case-id order),
+    and any transcript entries recorded. ``stored`` seeds the case memo with
+    the experience log's tool results.
     """
     clock = _make_clock(args.fixed_clock)
     detector = _detector_config(args)
-    memo = CaseMemo()
+    memo = CaseMemo(stored)
     recorded: list = []
 
     def one_run(kb_enabled: bool) -> tuple[SessionOutcome, EvalTriplet, list, list]:
@@ -644,7 +651,7 @@ def _bench_case(
         raise
     except UbmendError as exc:
         log.warning("case %s failed: %s", case.id, exc)
-        return _failed_row(case, exc), [], [], recorded
+        return _failed_row(case, exc), [], [], memo.new_results, recorded
     result = CaseResult(
         id=case.id,
         kind=case.ub_kind,
@@ -658,7 +665,7 @@ def _bench_case(
         seconds_kb=seconds_kb,
         seconds_plain=seconds_plain,
     )
-    return result, new_kb, new_exp, recorded
+    return result, new_kb, new_exp, memo.new_results, recorded
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -674,35 +681,36 @@ def cmd_bench(args: argparse.Namespace) -> int:
     initial_exp = list(engine.records)
     jobs = args.jobs or min(JOBS_CAP, os.cpu_count() or 1)
     results: list[CaseResult] = []
-    pending: dict[str, tuple[list, list]] = {}
+    pending: dict[str, tuple[list, list, dict]] = {}
     transcripts: dict[str, list] = {}
     missing: dict[str, ToolMissing] = {}
     with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
         futures = {
-            pool.submit(_bench_case, case, args, initial_kb, initial_exp): case
+            pool.submit(_bench_case, case, args, initial_kb, initial_exp, engine.tool_results): case
             for case in cases
         }
         for future in concurrent.futures.as_completed(futures):
             case = futures[future]
             try:
-                row, new_kb, new_exp, recorded = future.result()
+                row, new_kb, new_exp, new_results, recorded = future.result()
             except ToolMissing as exc:  # a setup error, not a repair outcome
                 log.warning("case %s failed: %s", case.id, exc)
                 missing[case.id] = exc
-                row, new_kb, new_exp, recorded = _failed_row(case, exc), [], [], []
+                row, new_kb, new_exp, new_results, recorded = _failed_row(case, exc), [], [], {}, []
             except Exception as exc:  # one broken case must not end the bench
                 log.exception("case %s raised", case.id)
-                row, new_kb, new_exp, recorded = _failed_row(case, exc), [], [], []
+                row, new_kb, new_exp, new_results, recorded = _failed_row(case, exc), [], [], {}, []
             results.append(row)
-            pending[case.id] = (new_kb, new_exp)
+            pending[case.id] = (new_kb, new_exp, new_results)
             transcripts[case.id] = recorded
     for cid in sorted(pending):
-        new_kb, new_exp = pending[cid]
+        new_kb, new_exp, new_results = pending[cid]
         if kb is not None:
             for entry in new_kb:
                 kb.insert(entry)
         for record in new_exp:
             engine.record_experience(record, solution=None)
+        engine.record_tool_results(new_results)
     if args.transcript and ProviderMode(args.provider) is not ProviderMode.REPLAY:
         merged: dict[str, TranscriptEntry] = {}
         for cid in sorted(transcripts):

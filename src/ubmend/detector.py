@@ -11,14 +11,16 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import re
+import shutil
 import subprocess
 import time
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .errors import DetectionTimeout, NonUbCompileError, TargetRejected, ToolMissing
 from .lexutil import estimate_tokens
@@ -38,6 +40,7 @@ _ABORT_HEADER = "error: abnormal termination:"
 _LOCATION_RE = re.compile(r"^\s*-->\s*(.+?):(\d+):(\d+)\s*$")
 _TOP_ERROR_RE = re.compile(r"^error(\[[A-Z0-9]+\])?:")
 _TRACKED_EXTRA = ("Cargo.toml", "Cargo.lock")
+_TOOL_ENV = ("MIRIFLAGS", "RUSTFLAGS", "RUSTUP_TOOLCHAIN")
 _MISSING_TOOL_RE = re.compile(
     r"no such (sub)?command|command not found|is not installed|"
     r"component .* (is )?unavailable|toolchain .* is not installed",
@@ -164,21 +167,33 @@ class CaseMemo:
 
     A bench case's knowledge run and no-knowledge run share one memo, one
     after the other; each ``fix`` invocation has its own. Detections are
-    keyed by argv and tracked-source bytes, answers by transcript hash
-    (``provider.MemoizedProvider`` looks them up). Only completed results
-    are kept: timeouts, missing tools, compile errors and failed model calls
-    run again every time. ``begin_run`` opens a run's account. The first
-    time a run reuses a result that another run paid for, it is charged that
-    result's recorded ``wall_time``, so the timings of the two runs stay
-    comparable; reusing a result the run made, or was already charged for,
-    is free.
+    keyed by argv, tool identity (``tool_identity``) and tracked-source
+    bytes, answers by transcript hash (``provider.MemoizedProvider`` looks
+    them up). Only completed results are kept: timeouts, missing tools,
+    compile errors and failed model calls run again every time.
+    ``begin_run`` opens a run's account. The first time a run reuses a
+    result that another run paid for, it is charged that result's recorded
+    ``wall_time``, so the timings of the two runs stay comparable; reusing a
+    result the run made, or was already charged for, is free.
+
+    ``stored`` holds the detections (``exit_status``, ``output``) and
+    verdicts (``verdict``) an earlier process completed, by key, as the
+    experience log keeps them. A result found there counts in
+    ``store_hits`` and is rebuilt as if it took no time, so it is charged
+    nothing. Every detection and verdict completed in this process is listed
+    in ``new_results``, for the caller to append to the log.
+    Model answers are never stored: a sampled model is not deterministic.
     """
 
-    def __init__(self) -> None:
-        self.verdicts: dict[str, bool] = {}
+    def __init__(self, stored: Mapping[str, dict] | None = None) -> None:
         self.charged_seconds = 0.0
+        self.stored: Mapping[str, dict] = stored if stored is not None else {}
+        self.store_hits = {"detections": 0, "reference_verdicts": 0}
+        self.new_results: dict[str, dict] = {}
         self._results: dict[str, "DetectionResult | Answer"] = {}
+        self._verdicts: dict[str, bool] = {}
         self._paid: set[str] = set()
+        self._tools: dict[str, str] = {}
 
     def begin_run(self) -> None:
         self.charged_seconds = 0.0
@@ -194,6 +209,34 @@ class CaseMemo:
     def remember(self, key: str, result: "DetectionResult | Answer") -> None:
         self._results[key] = result
         self._paid.add(key)
+
+    def tool(self, command: Sequence[str], env: Mapping[str, str] | None = None) -> str:
+        """``tool_identity`` of a command, computed once per memo."""
+        probe = json.dumps([list(command), sorted((env or {}).items())])
+        if probe not in self._tools:
+            self._tools[probe] = tool_identity(command, env)
+        return self._tools[probe]
+
+    def from_store(self, key: str, kind: str) -> dict | None:
+        """The stored result of ``kind`` (a ``store_hits`` key) under ``key``,
+        counted as a hit; None when the store lacks it."""
+        line = self.stored.get(key)
+        if line is None or ("verdict" in line) != (kind == "reference_verdicts"):
+            return None
+        self.store_hits[kind] += 1
+        return line
+
+    def verdict(self, key: str) -> bool | None:
+        if key not in self._verdicts:
+            line = self.from_store(key, "reference_verdicts")
+            if line is None:
+                return None
+            self._verdicts[key] = line["verdict"]
+        return self._verdicts[key]
+
+    def remember_verdict(self, key: str, verdict: bool) -> None:
+        self._verdicts[key] = verdict
+        self.new_results[key] = {"verdict": verdict}
 
 
 @dataclass
@@ -302,9 +345,39 @@ def _render_command(command: Sequence[str], target: TargetPackage) -> list[str]:
     ]
 
 
-def _content_key(argv: list[str], target: TargetPackage) -> str:
-    """sha256 over the argv and the (path, bytes) pairs of the tracked sources."""
-    digest = hashlib.sha256(json.dumps(argv).encode())
+def tool_identity(command: Sequence[str], env: Mapping[str, str] | None = None) -> str:
+    """sha256 naming the tool ``command`` runs, as far as files and the
+    environment show it.
+
+    It covers the realpath, size and ``st_mtime_ns`` of the program (after a
+    PATH lookup) and of every other absolute path in ``command``, the
+    environment ``env`` the tool is given, and ``MIRIFLAGS``, ``RUSTFLAGS``
+    and ``RUSTUP_TOOLCHAIN``. Tokens with ``{file}``/``{root}`` placeholders
+    are left out; the content key holds them rendered. A toolchain updated
+    behind an unchanged proxy (rustup's ``cargo``) is not seen.
+    """
+    files: list = []
+    for i, token in enumerate(map(str, command)):
+        if "{" in token:
+            continue
+        if i == 0:
+            token = shutil.which(token, path=(env or {}).get("PATH")) or token
+        elif not os.path.isabs(token):
+            continue
+        try:
+            real = os.path.realpath(token)
+            st = os.stat(real)
+            files.append([token, real, st.st_size, st.st_mtime_ns])
+        except OSError:
+            files.append([token, None])
+    payload = [files, sorted((env or {}).items()), [os.environ.get(name) for name in _TOOL_ENV]]
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+def _content_key(argv: list[str], tool: str, target: TargetPackage) -> str:
+    """sha256 over the argv, the tool identity and the (path, bytes) pairs of
+    the tracked sources."""
+    digest = hashlib.sha256(json.dumps([argv, tool]).encode())
     for rel in sorted(target.tracked_files()):
         path = target.root_path / rel
         if path.is_file():
@@ -325,17 +398,22 @@ def run_detection(
     Raises ToolMissing when the tool cannot be spawned, DetectionTimeout
     when the run exceeds ``config.timeout``, and NonUbCompileError when the
     target fails ordinary compilation (error output without any UB block).
-    With a ``memo``, the tool runs at most once per argv and tracked-source
-    bytes.
+    With a ``memo``, the tool runs at most once per argv, tool identity and
+    tracked-source bytes, and not at all when the memo's store holds them.
     """
     config = config or DetectorConfig()
     argv = _render_command(config.command, target)
     key = ""
     if memo is not None:
-        key = _content_key(argv, target)
+        key = _content_key(argv, memo.tool(config.command, config.env), target)
         cached = memo.recall(key)
         if cached is not None:
             return cached
+        stored = memo.from_store(key, "detections")
+        if stored is not None:
+            result = _read_output(argv, stored["exit_status"], stored["output"], 0.0, config)
+            memo.remember(key, result)
+            return result
     started = clock()
     try:
         proc = run_group(
@@ -351,22 +429,31 @@ def run_detection(
         raise DetectionTimeout(f"detection exceeded {config.timeout}s: {argv}") from exc
     wall = clock() - started
     raw = (proc.stdout or "") + (proc.stderr or "")
-    if _MISSING_TOOL_RE.search(raw) and proc.returncode != 0:
+    result = _read_output(argv, proc.returncode, raw, wall, config)
+    if memo is not None:
+        memo.remember(key, result)
+        memo.new_results[key] = {"exit_status": proc.returncode, "output": raw}
+    return result
+
+
+def _read_output(
+    argv: list[str], status: int, raw: str, wall: float, config: DetectorConfig
+) -> DetectionResult:
+    """A finished tool run's result, from its exit status and output; a run
+    read back from the store goes through here as a fresh one does."""
+    if _MISSING_TOOL_RE.search(raw) and status != 0:
         raise ToolMissing(f"detection tool unavailable: {argv}\n{raw.strip()[:500]}")
     reports = parse_diagnostics(raw, config.pattern_table)
-    if proc.returncode != 0 and not reports:
+    if status != 0 and not reports:
         raise NonUbCompileError(
-            f"target fails compilation (tool exit {proc.returncode})", raw_output=raw
+            f"target fails compilation (tool exit {status})", raw_output=raw
         )
-    if proc.returncode == 0 and reports:
+    if status == 0 and reports:
         log.warning("tool exited 0 but emitted %d UB blocks; trusting blocks", len(reports))
-    result = DetectionResult(
+    return DetectionResult(
         reports=reports,
         error_count=len(reports),
-        tool_exit_status=proc.returncode,
+        tool_exit_status=status,
         wall_time=wall,
         raw_output=raw,
     )
-    if memo is not None:
-        memo.remember(key, result)
-    return result

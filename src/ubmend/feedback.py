@@ -116,8 +116,9 @@ class ReferenceBundle:
 
         Raises ReferenceExecutionFailure when the check cannot produce a
         verdict (compile failure, missing toolchain, run timeout); that is
-        never memoised. With a ``memo``, each bundle, entry file and source
-        is compiled and judged at most once.
+        never memoised. With a ``memo``, each bundle, entry file, resolved
+        ``rustc`` and source is compiled and judged at most once, and not at
+        all when the memo's store holds the verdict.
         """
         key = ""
         if memo is not None:
@@ -128,15 +129,17 @@ class ReferenceBundle:
                     self.tests_cmd,
                     entry_file,
                     rustc,
+                    memo.tool([rustc]),
                     sorted(final_source.items()),
                 ]
             )
             key = hashlib.sha256(payload.encode()).hexdigest()
-            if key in memo.verdicts:
-                return memo.verdicts[key]
+            known = memo.verdict(key)
+            if known is not None:
+                return known
         verdict = self._compile_and_compare(final_source, entry_file, rustc)
         if memo is not None:
-            memo.verdicts[key] = verdict
+            memo.remember_verdict(key, verdict)
         return verdict
 
     def _compile_and_compare(self, final_source: dict[str, str], entry_file: str, rustc: str) -> bool:
@@ -222,6 +225,31 @@ class ExperienceRecord:
         )
 
 
+def _log_line(data: dict) -> "ExperienceRecord | tuple[str, dict]":
+    """One experience-log line: a record, or a ``tool_result`` as a
+    (key, fields) pair, its fields a detection's ``exit_status`` and
+    ``output`` or a reference ``verdict``."""
+    if "tool_result" not in data:
+        return ExperienceRecord.from_dict(data)
+    if not isinstance(data["tool_result"], dict):
+        raise ValueError("tool_result is not an object")
+    fields = dict(data["tool_result"])
+    key = fields.pop("key", None)
+    if not isinstance(key, str) or not key:
+        raise ValueError("tool_result has no string key")
+    detection = (
+        set(fields) == {"exit_status", "output"}
+        and type(fields["exit_status"]) is int
+        and isinstance(fields["output"], str)
+    )
+    verdict = set(fields) == {"verdict"} and isinstance(fields["verdict"], bool)
+    if not (detection or verdict):
+        raise ValueError(
+            "tool_result is neither a detection (exit_status, output) nor a verdict"
+        )
+    return key, fields
+
+
 class FeedbackEngine:
     """Evaluate outcomes, remember them, and bias future ranking.
 
@@ -230,12 +258,23 @@ class FeedbackEngine:
     the max similarity-times-weight over records sharing its signature;
     unseen candidates score 0 and keep their original order (the sort is
     stable).
+
+    The log holds two kinds of line: experience records (``records``) and
+    ``{"tool_result": ...}`` lines, the completed detections and reference
+    verdicts of earlier runs by key (``tool_results``), which seed a run's
+    ``CaseMemo``.
     """
 
     def __init__(self, log_path: Path | str | None = None, kb: KnowledgeBase | None = None) -> None:
         self.log_path = Path(log_path) if log_path else None
         self.kb = kb
-        self.records = _read_jsonl(self.log_path, ExperienceRecord.from_dict, "experience record")
+        self.records: list[ExperienceRecord] = []
+        self.tool_results: dict[str, dict] = {}
+        for line in _read_jsonl(self.log_path, _log_line, "experience record"):
+            if isinstance(line, ExperienceRecord):
+                self.records.append(line)
+            else:
+                self.tool_results[line[0]] = line[1]
 
     def evaluate(
         self,
@@ -289,6 +328,15 @@ class FeedbackEngine:
                     triplet=record.triplet,
                 )
             )
+
+    def record_tool_results(self, results: dict[str, dict]) -> None:
+        """Append the completed tool results the log does not hold yet."""
+        for key, fields in results.items():
+            if key in self.tool_results:
+                continue
+            self.tool_results[key] = fields
+            if self.log_path is not None:
+                _append_jsonl(self.log_path, {"tool_result": {"key": key, **fields}})
 
     @staticmethod
     def _weight(triplet: EvalTriplet) -> float:

@@ -193,6 +193,30 @@ def test_add_assertion_rejects_empty_insertion():
         add_assertion(region, feature, _scripted(f"x\n\n```rust\n{region.snippet}\n```"))
 
 
+@pytest.mark.parametrize(
+    "inserted",
+    [
+        "    //~UB Undefined Behavior: trying to retag from <90> for Unique permission",
+        "    // SAFETY: checked above\n",
+        "    #[allow(unused)]",
+    ],
+)
+def test_add_assertion_rejects_comment_only_insertions(inserted):
+    region, feature = _region_feature(MULTILINE)
+    commented = region.snippet.replace("unsafe {\n", f"unsafe {{\n{inserted}\n", 1)
+    with pytest.raises(NoGuardExpressible, match="inserts no guard"):
+        add_assertion(region, feature, _scripted(f"x\n\n```rust\n{commented}\n```"))
+
+
+def test_add_assertion_keeps_comments_beside_a_guard():
+    region, feature = _region_feature(MULTILINE)
+    guarded = region.snippet.replace(
+        "unsafe {\n", "unsafe {\n        // bounds first\n\n        assert!(!v.is_empty());\n", 1
+    )
+    patch = add_assertion(region, feature, _scripted(f"x\n\n```rust\n{guarded}\n```"))
+    assert patch.after_text == guarded
+
+
 def test_modify_semantics_free_form():
     region, feature = _region_feature()
     patch = modify_semantics(region, feature, _scripted("why\n\n```rust\nv[0]\n```"))

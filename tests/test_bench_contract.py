@@ -10,12 +10,14 @@ from __future__ import annotations
 import ast
 import inspect
 import json
+import os
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import CORPUS_DIR, STUB_DETECTOR_ARG, TOOLS_DIR
+from conftest import CORPUS_DIR, STUB_DETECTOR_ARG, TOOLS_DIR, signature_candidates
 from ubmend import agents, cli
 from ubmend.detector import UbKind, run_detection
 from ubmend.feedback import EvalTriplet, ExperienceRecord, FeedbackEngine, ReferenceBundle
@@ -90,6 +92,68 @@ def test_generated_store_loads_like_launch_setup(tmp_path, perfbench_gen):
     engine = cli.FeedbackEngine(exp_path, kb=kb)
     assert len(kb.entries) == summary["kb"]
     assert len(engine.records) == summary["experience"]
+
+
+def _tree_state(*roots: Path) -> dict[str, tuple[int, int]]:
+    return {
+        str(path): (path.stat().st_size, path.stat().st_mtime_ns)
+        for root in roots
+        for path in root.rglob("*")
+        if path.is_file()
+    }
+
+
+def test_store_with_tool_results_loads_ranks_and_resets_like_before(
+    tmp_path, perfbench_gen, private_tmpdir, monkeypatch, capsys
+):
+    # the fix-loop workload loads its store as ``launch.py --setup`` does and
+    # resets it between passes by copying back only the two store files
+    gen = perfbench_gen
+    templates = gen.load_templates(CORPUS_DIR)
+    kb_path, exp_path = tmp_path / "kb.jsonl", tmp_path / "experience.jsonl"
+    gen.build_store(templates, 1, TOOLS_DIR / "fake_miri.py", kb_path, exp_path)
+    work = tmp_path / "work"
+    work.mkdir()
+    kb_copy, exp_copy = work / "kb.jsonl", work / "experience.jsonl"
+    shutil.copyfile(kb_path, kb_copy)
+    shutil.copyfile(exp_path, exp_copy)
+    template = templates[0]
+    case = work / "case" / template.path.name
+    case.parent.mkdir()
+    shutil.copyfile(template.path, case)
+    args = ["fix", str(case), "--kb", str(kb_copy), "--experience", str(exp_copy),
+            "--detector-cmd", STUB_DETECTOR_ARG, "--report", "json"]
+    if template.reference is not None and shutil.which("rustc"):
+        args += ["--reference", str(template.reference)]
+    monkeypatch.chdir(work)
+    before = _tree_state(tmp_path, private_tmpdir)
+    assert cli.main(args) == 0
+    capsys.readouterr()
+    after = _tree_state(tmp_path, private_tmpdir)
+    assert {p for p in set(before) | set(after) if before.get(p) != after.get(p)} == {
+        str(kb_copy), str(exp_copy)
+    }
+
+    lines = exp_copy.read_text(encoding="utf-8").splitlines()
+    tool_lines = [line for line in lines if "tool_result" in json.loads(line)]
+    assert tool_lines
+    mixed_path = tmp_path / "mixed.jsonl"
+    mixed_path.write_text(exp_path.read_text(encoding="utf-8") + "\n".join(tool_lines) + "\n")
+    plain = cli.FeedbackEngine(exp_path, kb=cli.KnowledgeBase(kb_path))
+    mixed = cli.FeedbackEngine(mixed_path, kb=cli.KnowledgeBase(kb_path))
+    assert mixed.records == plain.records
+    assert len(mixed.tool_results) == len(tool_lines)
+    queries = [v for v, _ in gen.template_vectors(templates, TOOLS_DIR / "fake_miri.py").values()]
+    candidates = signature_candidates(gen._SIGNATURES)
+
+    def outcomes(engine, query):
+        ranked = [c.id for c in engine.rank_solutions(candidates, query)]
+        hit = engine.best_hit(query)
+        hit = None if hit is None else (hit[0], engine.records.index(hit[1]))
+        # perfbench/tracer.py's records_scanned: records times candidates
+        return ranked, hit, len(engine.records) * len(candidates)
+
+    assert [outcomes(mixed, q) for q in queries] == [outcomes(plain, q) for q in queries]
 
 
 @pytest.mark.parametrize("dims", [1, 7, 256])

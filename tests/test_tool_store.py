@@ -1,0 +1,236 @@
+"""Tool results kept in the experience log: a detection or reference verdict
+one ``fix`` or ``bench`` completed is not made again by a later run on the
+same store, unless the tool or its environment changed."""
+
+from __future__ import annotations
+
+import json
+import os
+import shlex
+import shutil
+from pathlib import Path
+
+import pytest
+
+from conftest import (
+    CORPUS_DIR,
+    TOOLS_DIR,
+    copy_fixture,
+    counting_detector_command,
+    counting_rustc,
+    spawn_log,
+)
+from ubmend import cli
+from ubmend.detector import CaseMemo, DetectorConfig, TargetPackage, UbKind, run_detection
+from ubmend.errors import StorageFailure
+from ubmend.feedback import FeedbackEngine, ReferenceBundle, ReferenceExecutionFailure
+
+needs_rustc = pytest.mark.skipif(shutil.which("rustc") is None, reason="rustc not installed")
+
+
+def _tool_lines(log: Path) -> list[dict]:
+    if not log.exists():
+        return []
+    lines = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+    return [line["tool_result"] for line in lines if "tool_result" in line]
+
+
+@pytest.fixture
+def fix_run(tmp_path, monkeypatch, capsys):
+    """``fix`` on the stack_borrow fixture with one store, a counting
+    detector and a counting ``rustc``; returns (rc, report, final source)."""
+    shim, compiles = counting_rustc(tmp_path / "shims")
+    monkeypatch.setenv("PATH", f"{shim.parent}{os.pathsep}{os.environ['PATH']}")
+    case = copy_fixture(CORPUS_DIR / "stack_borrow", tmp_path / "case")
+    ref = copy_fixture(CORPUS_DIR / "refs" / "stack_borrow", tmp_path / "refs")
+    spawns = tmp_path / "spawns.jsonl"
+    store = tmp_path / "experience.jsonl"
+    finals: list[dict] = []
+    repair_one = cli.repair_one
+
+    def capturing_repair_one(*args, **kwargs):
+        outcome, triplet, originals = repair_one(*args, **kwargs)
+        finals.append(dict(outcome.final_source))
+        return outcome, triplet, originals
+
+    monkeypatch.setattr(cli, "repair_one", capturing_repair_one)
+
+    def run(command: tuple[str, ...] = counting_detector_command(spawns)):
+        argv = [
+            "fix", str(case / "main.rs"), "--kb", str(tmp_path / "kb.jsonl"),
+            "--experience", str(store), "--reference", str(ref),
+            "--detector-cmd", shlex.join(command), "--fixed-clock", "--report", "json",
+        ]
+        rc = cli.main(argv)
+        return rc, json.loads(capsys.readouterr().out), finals[-1]
+
+    run.spawns = lambda: len(spawn_log(spawns))
+    run.compiles = compiles
+    run.store = store
+    run.spawn_log = spawns
+    return run
+
+
+@needs_rustc
+def test_second_fix_on_one_store_spawns_nothing(fix_run):
+    rc1, first, source1 = fix_run()
+    assert (fix_run.spawns(), fix_run.compiles()) == (2, 1)
+    assert first["store_hits"] == {"detections": 0, "reference_verdicts": 0}
+    lines = _tool_lines(fix_run.store)
+    assert sum("output" in line for line in lines) == 2
+    assert [line["verdict"] for line in lines if "verdict" in line] == [True]
+    rc2, second, source2 = fix_run()
+    assert (fix_run.spawns(), fix_run.compiles()) == (2, 1)
+    assert second["store_hits"] == {"detections": 2, "reference_verdicts": 1}
+    assert rc1 == rc2 == 0
+    assert first["verdict"] == second["verdict"] == "semantic_pass"
+    assert first["changed_files"] == second["changed_files"]
+    assert source1 == source2
+    # stored results take no time: two logical ticks per detection are saved
+    assert second["triplet"]["overhead_seconds"] < first["triplet"]["overhead_seconds"]
+    assert _tool_lines(fix_run.store) == lines  # nothing new to keep
+
+
+@needs_rustc
+def test_changed_miriflags_or_touched_detector_spawns_again(fix_run, tmp_path, monkeypatch):
+    tools = tmp_path / "tools"
+    tools.mkdir()
+    for name in ("counting_miri.py", "fake_miri.py"):
+        shutil.copy2(TOOLS_DIR / name, tools / name)
+    command = counting_detector_command(fix_run.spawn_log)
+    command = (command[0], str(tools / "counting_miri.py"), *command[2:])
+    fix_run(command)
+    assert fix_run.spawns() == 2
+    fix_run(command)
+    assert fix_run.spawns() == 2
+    monkeypatch.setenv("MIRIFLAGS", "-Zmiri-strict-provenance")
+    fix_run(command)
+    assert fix_run.spawns() == 4
+    script = tools / "counting_miri.py"
+    mtime = script.stat().st_mtime_ns
+    os.utime(script, ns=(mtime + 10**9, mtime + 10**9))
+    rc, report, _ = fix_run(command)
+    assert fix_run.spawns() == 6
+    assert report["store_hits"]["detections"] == 0
+
+
+@pytest.mark.parametrize(
+    ("source", "timeout", "rc"),
+    [
+        ("fn main() {\n    //~SLEEP 5\n}\n", "0.5", 1),
+        ("fn main() { //~COMPILE-ERROR cannot find value `x`\n}\n", "30", 2),
+    ],
+)
+def test_timeouts_and_compile_errors_leave_no_tool_result(tmp_path, capsys, source, timeout, rc):
+    target = tmp_path / "main.rs"
+    target.write_text(source, encoding="utf-8")
+    store = tmp_path / "experience.jsonl"
+    spawns = tmp_path / "spawns.jsonl"
+    argv = [
+        "fix", str(target), "--experience", str(store), "--timeout", timeout,
+        "--detector-cmd", shlex.join(counting_detector_command(spawns)), "--fixed-clock",
+    ]
+    for _ in range(2):
+        assert cli.main(argv) == rc
+    capsys.readouterr()
+    assert _tool_lines(store) == []
+    if rc == 2:
+        assert len(spawn_log(spawns)) == 2  # ran again: nothing was kept
+
+
+@needs_rustc
+def test_reference_failures_are_not_kept(tmp_path):
+    (tmp_path / "ref").mkdir()
+    (tmp_path / "ref" / "expected_stdout.txt").write_text("total=31\n")
+    bundle = ReferenceBundle.from_dir(tmp_path / "ref")
+    memo = CaseMemo()
+    with pytest.raises(ReferenceExecutionFailure):
+        bundle.check({"main.rs": "fn main() { undefined_symbol(); }\n"}, "main.rs", memo=memo)
+    assert memo.new_results == {}
+
+
+NEITHER = "tool_result is neither a detection (exit_status, output) nor a verdict"
+
+
+@pytest.mark.parametrize(
+    ("tool_result", "message"),
+    [
+        ({"exit_status": 0, "output": ""}, "tool_result has no string key"),
+        ({"key": "k", "verdict": 1}, NEITHER),
+        ({"key": "k", "exit_status": 0}, NEITHER),
+        ({"key": "k", "exit_status": "0", "output": ""}, NEITHER),
+        ({"key": "k", "verdict": True, "output": ""}, NEITHER),
+        ("k", "tool_result is not an object"),
+    ],
+)
+def test_malformed_tool_result_line_exits_two(tmp_path, capsys, tool_result, message):
+    store = tmp_path / "experience.jsonl"
+    good = {"tool_result": {"key": "a" * 64, "verdict": True}}
+    store.write_text(json.dumps(good) + "\n" + json.dumps({"tool_result": tool_result}) + "\n")
+    case = copy_fixture(CORPUS_DIR / "stack_borrow", tmp_path / "case")
+    with pytest.raises(StorageFailure) as exc:
+        FeedbackEngine(store)
+    assert str(exc.value) == f"{store}:2: bad experience record: {message}"
+    argv = ["fix", str(case / "main.rs"), "--experience", str(store), "--fixed-clock"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {store}:2: bad experience record: {message}\n"
+
+
+def test_a_stored_detection_is_read_like_a_fresh_one(tmp_path):
+    (tmp_path / "main.rs").write_text(
+        "fn main() {\n    let x = 1; //~UB memory access failed: alloc1 has been freed\n}\n"
+    )
+    target = TargetPackage.from_path(tmp_path / "main.rs")
+    spawns = tmp_path / "spawns.jsonl"
+    config = DetectorConfig(command=counting_detector_command(spawns), timeout=30.0)
+    fresh_memo = CaseMemo()
+    fresh = run_detection(target, config=config, memo=fresh_memo)
+    (key, line), = fresh_memo.new_results.items()
+    assert line == {"exit_status": fresh.tool_exit_status, "output": fresh.raw_output}
+    memo = CaseMemo({key: line})
+    memo.begin_run()
+    stored = run_detection(target, config=config, clock=lambda: pytest.fail("no clock"), memo=memo)
+    assert len(spawn_log(spawns)) == 1
+    assert stored.wall_time == 0.0
+    assert (stored.reports, stored.error_count, stored.raw_output) == (
+        fresh.reports, fresh.error_count, fresh.raw_output
+    )
+    assert stored.reports[0].kind is UbKind.DANGLING_POINTER
+    assert memo.store_hits == {"detections": 1, "reference_verdicts": 0}
+    assert memo.new_results == {}
+    # the case's other run reuses it for nothing, and the store is asked once
+    memo.begin_run()
+    assert run_detection(target, config=config, memo=memo) is stored
+    assert memo.charged_seconds == 0.0
+    assert memo.store_hits["detections"] == 1
+
+
+def test_bench_keeps_tool_results_once_in_case_id_order(tmp_path, capsys):
+    base = tmp_path / "bench"
+    lines = []
+    # two cases with the same bytes: one result line serves both
+    for cid, kind in (("b02", "alloc"), ("b01", "stack_borrow"), ("b03", "alloc")):
+        copy_fixture(CORPUS_DIR / kind, base / cid)
+        lines.append(json.dumps({"id": cid, "path": f"{cid}/{kind}/main.rs", "ub_kind": kind}))
+    manifest = base / "manifest.jsonl"
+    manifest.write_text("\n".join(lines) + "\n")
+    store = tmp_path / "experience.jsonl"
+    spawns = tmp_path / "spawns.jsonl"
+    argv = [
+        "bench", str(manifest), "--experience", str(store), "--jobs", "2",
+        "--detector-cmd", shlex.join(counting_detector_command(spawns)),
+        "--fixed-clock", "--report", "json",
+    ]
+    assert cli.main(argv) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert len(spawn_log(spawns)) == 6
+    kept = _tool_lines(store)
+    assert len(kept) == len({line["key"] for line in kept}) == 4
+    # b01's detections are appended before alloc's
+    assert "borrow stack" in kept[0]["output"] and "out-of-bounds" in kept[2]["output"]
+    assert cli.main(argv) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert len(spawn_log(spawns)) == 6
+    assert _tool_lines(store) == kept
+    verdicts = lambda report: [(c["id"], c["verdict"], c["final_errors"]) for c in report["cases"]]
+    assert verdicts(first) == verdicts(second)

@@ -32,6 +32,7 @@ from .fast import (
     RepairStep,
     extract_features,
     generate_solutions,
+    summarize_features,
 )
 from .feedback import (
     EvalTriplet,
@@ -117,6 +118,7 @@ __all__ = [
     "run_detection",
     "run_session",
     "should_rollback",
+    "summarize_features",
     "vectorize",
     "__version__",
 ]

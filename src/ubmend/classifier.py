@@ -16,7 +16,7 @@ from enum import Enum
 from importlib import resources
 from pathlib import Path
 
-from .detector import UbKind
+from .detector import UbKind, UbReport
 from .errors import LexFailure, Unclassifiable
 from .lexutil import brace_pairs, keyword_occurrences, line_of_offset, mask_comments_and_strings
 
@@ -70,13 +70,15 @@ class UnsafeRegion:
 
 @dataclass
 class CodeFeature:
-    """What fast thinking knows about one region: ops, UB kinds, summary."""
+    """What fast thinking knows about one region: ops, UB kinds, summary,
+    and the baseline reports that land in it (the summary prompt's errors)."""
 
     region: UnsafeRegion
     op_kinds: frozenset[UnsafeOpKind]
     ub_kinds: frozenset[UbKind]
     context_summary: str
     ref: str = ""
+    reports: tuple[UbReport, ...] = ()
 
     def to_dict(self) -> dict:
         return {

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import difflib
 import json
 import logging
@@ -24,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import NormalDist
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .detector import (
     CaseMemo,
@@ -52,6 +53,7 @@ from .fast import (
     extract_features,
     generate_solutions,
     parse_region_ref,
+    summarize_features,
 )
 from .feedback import (
     EvalTriplet,
@@ -315,6 +317,27 @@ def _seeded_solution(record: ExperienceRecord, ref: str) -> RepairSolution | Non
     return RepairSolution(id="s00", steps=steps, provenance=Provenance.KNOWLEDGE_SEEDED)
 
 
+class _SeededPlan:
+    """A seeded solution that ranking provably keeps first, then the rest of
+    the ranked plan, which ``plan`` makes (summaries, plan and ranking) only
+    when the session asks for a second solution.
+
+    Only the first pass can plan: a later pass yields the solutions made so
+    far, so reading them after the session asks the model nothing.
+    """
+
+    def __init__(self, seeded: RepairSolution, plan: Callable[[], list[RepairSolution]]) -> None:
+        self.solutions = [seeded]
+        self._plan: Callable[[], list[RepairSolution]] | None = plan
+
+    def __iter__(self) -> Iterator[RepairSolution]:
+        plan, self._plan = self._plan, None
+        yield self.solutions[0]
+        if plan is not None:
+            self.solutions = plan()
+        yield from self.solutions[1:]
+
+
 def repair_one(
     target: TargetPackage,
     provider: Provider,
@@ -325,9 +348,13 @@ def repair_one(
     """Full pipeline on one target: detect, plan, repair, evaluate, learn.
 
     Returns the session outcome (triplet attached), the evaluation triplet,
-    and the original sources for diffing. Reason steps consult the
-    knowledge base only when knowledge is enabled and no past repair was
-    seeded.
+    and the original sources for diffing. With knowledge enabled, a past
+    repair at least ``BYPASS_SIMILARITY`` alike is seeded first. When
+    ranking provably keeps it first, the session tries it before any
+    summary or plan is asked for: they are made only if it does not pass,
+    and the session then goes on in the same order as an eager plan.
+    Reason steps consult the knowledge base only when knowledge is enabled
+    and no past repair was seeded.
     """
     clock = settings.clock
     memo = settings.memo
@@ -344,25 +371,36 @@ def repair_one(
         baseline = run_detection(ws.target, config=settings.detector, clock=clock, memo=memo)
         kb = engine.kb if settings.kb_enabled else None
         vector: FeatureVector | None = None
-        solutions: list[RepairSolution] = []
+        solutions: Iterable[RepairSolution] = []
         if not baseline.clean:
-            features = extract_features(ws.target, list(baseline.reports), provider)
+            features = extract_features(ws.target, list(baseline.reports))
+            seeded: RepairSolution | None = None
             if settings.kb_enabled:
                 lead_file, _ = parse_region_ref(features[0].ref)
                 vector = feature_vector(
                     ws.read(lead_file), baseline.reports, settings.ast_mode, provider, lead_file
                 )
-            solutions = generate_solutions(
-                features, k=settings.solutions_k, provider=provider, kb_enabled=settings.kb_enabled
-            )
-            if settings.kb_enabled and vector is not None and not vector.is_zero:
-                hit = engine.best_hit(vector)
+                hit = None if vector.is_zero else engine.best_hit(vector)
                 if hit is not None:
                     seeded = _seeded_solution(hit[1], features[0].ref)
                     if seeded is not None:
-                        solutions.insert(0, seeded)
                         kb = None
-                solutions = engine.rank_solutions(solutions, vector)
+
+            def plan() -> list[RepairSolution]:
+                summarize_features(features, provider)
+                planned = generate_solutions(
+                    features, k=settings.solutions_k, provider=provider, kb_enabled=settings.kb_enabled
+                )
+                if seeded is not None:
+                    planned.insert(0, seeded)
+                if vector is not None and not vector.is_zero:
+                    planned = engine.rank_solutions(planned, vector)
+                return planned
+
+            if seeded is not None and engine.keeps_first(seeded, vector):
+                solutions = _SeededPlan(seeded, plan)
+            else:
+                solutions = plan()
         outcome = run_session(
             ws.target,
             solutions,
@@ -668,6 +706,60 @@ def _bench_case(
     return result, new_kb, new_exp, memo.new_results, recorded
 
 
+class _CaseLogs(logging.Handler):
+    """Holds back the package's log records per bench case and hands them
+    on as one block per case, in case-id order, each as soon as its case
+    and every earlier case are done, so stderr does not depend on which
+    worker finished first. Records logged outside a case pass straight on.
+    """
+
+    def __init__(self, ids: list[str]) -> None:
+        super().__init__()
+        self._waiting = sorted(ids)
+        self._blocks: dict[str, list[logging.LogRecord]] = {cid: [] for cid in ids}
+        self._done: set[str] = set()
+        self._local = threading.local()
+
+    @contextlib.contextmanager
+    def holding(self, *loggers: logging.Logger) -> Iterator[None]:
+        """Route the records of ``loggers`` and their children through this
+        handler, and no further up, while the block runs."""
+        saved = [(logger, logger.propagate) for logger in loggers]
+        for logger, _ in saved:
+            logger.addHandler(self)
+            logger.propagate = False
+        try:
+            yield
+        finally:
+            for logger, propagate in saved:
+                logger.removeHandler(self)
+                logger.propagate = propagate
+
+    @contextlib.contextmanager
+    def case(self, cid: str) -> Iterator[None]:
+        """Records this thread logs inside the block belong to case ``cid``."""
+        self._local.case = cid
+        try:
+            yield
+        finally:
+            self._local.case = None
+
+    def emit(self, record: logging.LogRecord) -> None:
+        cid = getattr(self._local, "case", None)
+        if cid is None:
+            logging.getLogger().handle(record)
+        else:
+            self._blocks[cid].append(record)
+
+    def done(self, cid: str) -> None:
+        """Mark ``cid`` done and hand on every block that is now due."""
+        with self.lock:
+            self._done.add(cid)
+            while self._waiting and self._waiting[0] in self._done:
+                for record in self._blocks.pop(self._waiting.pop(0)):
+                    logging.getLogger().handle(record)
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     try:
         cases = load_manifest(args.manifest)
@@ -684,25 +776,32 @@ def cmd_bench(args: argparse.Namespace) -> int:
     pending: dict[str, tuple[list, list, dict]] = {}
     transcripts: dict[str, list] = {}
     missing: dict[str, ToolMissing] = {}
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = {
-            pool.submit(_bench_case, case, args, initial_kb, initial_exp, engine.tool_results): case
-            for case in cases
-        }
-        for future in concurrent.futures.as_completed(futures):
-            case = futures[future]
-            try:
-                row, new_kb, new_exp, new_results, recorded = future.result()
-            except ToolMissing as exc:  # a setup error, not a repair outcome
-                log.warning("case %s failed: %s", case.id, exc)
-                missing[case.id] = exc
-                row, new_kb, new_exp, new_results, recorded = _failed_row(case, exc), [], [], {}, []
-            except Exception as exc:  # one broken case must not end the bench
-                log.exception("case %s raised", case.id)
-                row, new_kb, new_exp, new_results, recorded = _failed_row(case, exc), [], [], {}, []
-            results.append(row)
-            pending[case.id] = (new_kb, new_exp, new_results)
-            transcripts[case.id] = recorded
+    logs = _CaseLogs([case.id for case in cases])
+
+    def run_case(case: ManifestCase) -> tuple:
+        with logs.case(case.id):
+            return _bench_case(case, args, initial_kb, initial_exp, engine.tool_results)
+
+    # this module logs as ``__main__`` when run with ``python -m``
+    with logs.holding(logging.getLogger(__package__), log):
+        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+            futures = {pool.submit(run_case, case): case for case in cases}
+            for future in concurrent.futures.as_completed(futures):
+                case = futures[future]
+                with logs.case(case.id):
+                    try:
+                        row, new_kb, new_exp, new_results, recorded = future.result()
+                    except ToolMissing as exc:  # a setup error, not a repair outcome
+                        log.warning("case %s failed: %s", case.id, exc)
+                        missing[case.id] = exc
+                        row, new_kb, new_exp, new_results, recorded = _failed_row(case, exc), [], [], {}, []
+                    except Exception as exc:  # one broken case must not end the bench
+                        log.exception("case %s raised", case.id)
+                        row, new_kb, new_exp, new_results, recorded = _failed_row(case, exc), [], [], {}, []
+                logs.done(case.id)
+                results.append(row)
+                pending[case.id] = (new_kb, new_exp, new_results)
+                transcripts[case.id] = recorded
     for cid in sorted(pending):
         new_kb, new_exp, new_results = pending[cid]
         if kb is not None:

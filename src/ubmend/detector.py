@@ -41,6 +41,7 @@ _LOCATION_RE = re.compile(r"^\s*-->\s*(.+?):(\d+):(\d+)\s*$")
 _TOP_ERROR_RE = re.compile(r"^error(\[[A-Z0-9]+\])?:")
 _TRACKED_EXTRA = ("Cargo.toml", "Cargo.lock")
 _TOOL_ENV = ("MIRIFLAGS", "RUSTFLAGS", "RUSTUP_TOOLCHAIN")
+_ROOT_TOKEN = "{root}"
 _MISSING_TOOL_RE = re.compile(
     r"no such (sub)?command|command not found|is not installed|"
     r"component .* (is )?unavailable|toolchain .* is not installed",
@@ -161,14 +162,29 @@ class DetectionResult:
         return self.error_count == 0
 
 
+@dataclass(frozen=True)
+class ToolRun:
+    """A completed detector run as a case memo keeps it: the result as read
+    in the copy at ``root``."""
+
+    root: str
+    result: DetectionResult
+
+    @property
+    def wall_time(self) -> float:
+        return self.result.wall_time
+
+
 class CaseMemo:
     """Detections, model answers and reference verdicts of one case, keyed
     by content.
 
     A bench case's knowledge run and no-knowledge run share one memo, one
     after the other; each ``fix`` invocation has its own. Detections are
-    keyed by argv, tool identity (``tool_identity``) and tracked-source
-    bytes, answers by transcript hash (``provider.MemoizedProvider`` looks
+    keyed by argv (the target root written as ``{root}``), tool identity
+    (``tool_identity``) and tracked-source bytes, and kept as ``ToolRun``s,
+    which another copy of the same bytes reads with its own root put back;
+    answers are keyed by transcript hash (``provider.MemoizedProvider`` looks
     them up). Only completed results are kept: timeouts, missing tools,
     compile errors and failed model calls run again every time.
     ``begin_run`` opens a run's account. The first time a run reuses a
@@ -190,7 +206,7 @@ class CaseMemo:
         self.stored: Mapping[str, dict] = stored if stored is not None else {}
         self.store_hits = {"detections": 0, "reference_verdicts": 0}
         self.new_results: dict[str, dict] = {}
-        self._results: dict[str, "DetectionResult | Answer"] = {}
+        self._results: dict[str, "ToolRun | Answer"] = {}
         self._verdicts: dict[str, bool] = {}
         self._paid: set[str] = set()
         self._tools: dict[str, str] = {}
@@ -199,14 +215,14 @@ class CaseMemo:
         self.charged_seconds = 0.0
         self._paid = set()
 
-    def recall(self, key: str) -> "DetectionResult | Answer | None":
+    def recall(self, key: str) -> "ToolRun | Answer | None":
         result = self._results.get(key)
         if result is not None and key not in self._paid:
             self._paid.add(key)
             self.charged_seconds += result.wall_time
         return result
 
-    def remember(self, key: str, result: "DetectionResult | Answer") -> None:
+    def remember(self, key: str, result: "ToolRun | Answer") -> None:
         self._results[key] = result
         self._paid.add(key)
 
@@ -338,11 +354,9 @@ def parse_diagnostics(
     return reports
 
 
-def _render_command(command: Sequence[str], target: TargetPackage) -> list[str]:
+def _render_command(command: Sequence[str], target: TargetPackage, root: str) -> list[str]:
     entry = target.entry_files[0] if target.entry_files else ""
-    return [
-        tok.format(file=entry, root=str(target.root_path)) for tok in command
-    ]
+    return [tok.format(file=entry, root=root) for tok in command]
 
 
 def tool_identity(command: Sequence[str], env: Mapping[str, str] | None = None) -> str:
@@ -353,8 +367,9 @@ def tool_identity(command: Sequence[str], env: Mapping[str, str] | None = None) 
     PATH lookup) and of every other absolute path in ``command``, the
     environment ``env`` the tool is given, and ``MIRIFLAGS``, ``RUSTFLAGS``
     and ``RUSTUP_TOOLCHAIN``. Tokens with ``{file}``/``{root}`` placeholders
-    are left out; the content key holds them rendered. A toolchain updated
-    behind an unchanged proxy (rustup's ``cargo``) is not seen.
+    are left out; the content key holds them, ``{file}`` rendered. A
+    toolchain updated behind an unchanged proxy (rustup's ``cargo``) is not
+    seen.
     """
     files: list = []
     for i, token in enumerate(map(str, command)):
@@ -400,20 +415,30 @@ def run_detection(
     target fails ordinary compilation (error output without any UB block).
     With a ``memo``, the tool runs at most once per argv, tool identity and
     tracked-source bytes, and not at all when the memo's store holds them.
+    The memo keys the argv, and the store keeps the output, with the target
+    root written as ``{root}``: another copy of the same bytes reuses the
+    run, read with its own root put back.
     """
     config = config or DetectorConfig()
-    argv = _render_command(config.command, target)
+    root = str(target.root_path)
+    argv = _render_command(config.command, target, root)
     key = ""
     if memo is not None:
-        key = _content_key(argv, memo.tool(config.command, config.env), target)
-        cached = memo.recall(key)
-        if cached is not None:
-            return cached
-        stored = memo.from_store(key, "detections")
-        if stored is not None:
-            result = _read_output(argv, stored["exit_status"], stored["output"], 0.0, config)
-            memo.remember(key, result)
-            return result
+        keyed = _render_command(config.command, target, _ROOT_TOKEN)
+        key = _content_key(keyed, memo.tool(config.command, config.env), target)
+        known = memo.recall(key)
+        if known is None:
+            stored = memo.from_store(key, "detections")
+            if stored is not None:
+                output = stored["output"].replace(_ROOT_TOKEN, root)
+                known = ToolRun(root, _read_output(argv, stored["exit_status"], output, 0.0, config))
+                memo.remember(key, known)
+        if known is not None:
+            if known.root == root:
+                return known.result
+            made = known.result
+            output = made.raw_output.replace(known.root, root)
+            return _read_output(argv, made.tool_exit_status, output, made.wall_time, config)
     started = clock()
     try:
         proc = run_group(
@@ -431,8 +456,13 @@ def run_detection(
     raw = (proc.stdout or "") + (proc.stderr or "")
     result = _read_output(argv, proc.returncode, raw, wall, config)
     if memo is not None:
-        memo.remember(key, result)
-        memo.new_results[key] = {"exit_status": proc.returncode, "output": raw}
+        memo.remember(key, ToolRun(root, result))
+        # an output that already holds the text ``{root}`` could not be read back
+        if _ROOT_TOKEN not in raw:
+            memo.new_results[key] = {
+                "exit_status": proc.returncode,
+                "output": raw.replace(root, _ROOT_TOKEN),
+            }
     return result
 
 

@@ -1,7 +1,9 @@
 """Fast thinking: distill error features, then draft candidate repair plans.
 
-One provider call summarizes each affected region; a single further call
-asks for up to k alternative plans in a line-oriented grammar::
+``extract_features`` locates, classifies and maps the affected regions
+without a model call. ``summarize_features`` then asks the provider for one
+summary per region, and ``generate_solutions`` makes a single further call
+for up to k alternative plans in a line-oriented grammar::
 
     SOLUTION <i>:
     STEP <n>: <AGENT> <region-ref> :: <instruction>
@@ -164,10 +166,9 @@ def _report_hits_region(report: UbReport, rel: str, source: str, region: UnsafeR
     return first <= report.line <= last
 
 
-def extract_features(
-    target: TargetPackage, reports: list[UbReport], provider: Provider
-) -> list[CodeFeature]:
-    """One CodeFeature per unsafe region that overlaps a UB report.
+def extract_features(target: TargetPackage, reports: list[UbReport]) -> list[CodeFeature]:
+    """One CodeFeature per unsafe region that overlaps a UB report, with no
+    model call: summaries are left empty for ``summarize_features``.
 
     Reports that land in no region are logged as taxonomy escapes; if none
     overlap at all, a whole-file fallback feature keeps the pipeline moving.
@@ -187,9 +188,7 @@ def extract_features(
                 continue
             claimed.update(hit_idx)
             features.append(
-                _build_feature(
-                    region, region_ref(rel, ordinal), [reports[i] for i in hit_idx], provider
-                )
+                _build_feature(region, region_ref(rel, ordinal), [reports[i] for i in hit_idx])
             )
     for i, report in enumerate(reports):
         if i not in claimed:
@@ -208,9 +207,7 @@ def extract_features(
                 enclosing_context=source,
             )
             ordinal = 0
-        features.append(
-            _build_feature(region, region_ref(rel, ordinal), list(reports), provider)
-        )
+        features.append(_build_feature(region, region_ref(rel, ordinal), list(reports)))
     return features
 
 
@@ -222,28 +219,34 @@ def _fallback_file(target: TargetPackage, reports: list[UbReport]) -> str:
     return target.entry_files[0]
 
 
-def _build_feature(
-    region: UnsafeRegion, ref: str, hits: list[UbReport], provider: Provider
-) -> CodeFeature:
+def _build_feature(region: UnsafeRegion, ref: str, hits: list[UbReport]) -> CodeFeature:
     try:
         op_kinds = classify_ops(region)
     except Unclassifiable:
         log.warning("region %s unclassifiable; semantics-first fallback", ref)
         op_kinds = frozenset()
-    prompt = fill(
-        load_template("feature_extraction.txt"),
-        errors=format_errors(hits),
-        snippet=region.snippet,
-        context=region.enclosing_context,
-    )
-    summary = provider.complete(PromptRecord.user(prompt)).strip()
     return CodeFeature(
         region=region,
         op_kinds=op_kinds,
         ub_kinds=frozenset(r.kind for r in hits),
-        context_summary=summary,
+        context_summary="",
         ref=ref,
+        reports=tuple(hits),
     )
+
+
+def summarize_features(features: list[CodeFeature], provider: Provider) -> None:
+    """Fill in each feature's ``context_summary``: one provider call per
+    region, in feature order."""
+    template = load_template("feature_extraction.txt")
+    for feature in features:
+        prompt = fill(
+            template,
+            errors=format_errors(list(feature.reports)),
+            snippet=feature.region.snippet,
+            context=feature.region.enclosing_context,
+        )
+        feature.context_summary = provider.complete(PromptRecord.user(prompt)).strip()
 
 
 def _feature_lines(features: list[CodeFeature]) -> str:

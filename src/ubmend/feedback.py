@@ -346,6 +346,20 @@ class FeedbackEngine:
             return WEIGHT_REPAIRED
         return WEIGHT_FAILED
 
+    def signature_scores(self, feature_vector: FeatureVector) -> dict[tuple, float]:
+        """Every signature's experience score, in one pass over the records:
+        the highest similarity times weight among the records with a nonzero
+        vector that carry the signature (the first record wins a tie)."""
+        scores: dict[tuple, float] = {}
+        for record in self.records:
+            if record.feature_vector.is_zero:
+                continue
+            value = cosine(feature_vector, record.feature_vector) * self._weight(record.triplet)
+            best = scores.get(record.solution_signature)
+            if best is None or value > best:
+                scores[record.solution_signature] = value
+        return scores
+
     def rank_solutions(
         self,
         candidates: Sequence[RepairSolution],
@@ -354,23 +368,26 @@ class FeedbackEngine:
         """Stable re-rank by experience score, highest first."""
         if not self.records or feature_vector.is_zero:
             return list(candidates)
+        scores = self.signature_scores(feature_vector)
         scored: list[tuple[float, RepairSolution]] = []
         for candidate in candidates:
-            signature = signature_of(candidate)
-            best: float | None = None
-            for record in self.records:
-                if record.solution_signature != signature:
-                    continue
-                if record.feature_vector.is_zero:
-                    continue
-                value = cosine(feature_vector, record.feature_vector) * self._weight(record.triplet)
-                if best is None or value > best:
-                    best = value
+            best = scores.get(signature_of(candidate))
             if best is not None and best != 0.0:
                 candidate.provenance = Provenance.FEEDBACK_RANKED
             scored.append((best if best is not None else 0.0, candidate))
         scored.sort(key=lambda pair: -pair[0])
         return [candidate for _, candidate in scored]
+
+    def keeps_first(self, solution: RepairSolution, feature_vector: FeatureVector) -> bool:
+        """Whether ``rank_solutions`` keeps ``solution`` first when it leads
+        any list of candidates: its score is at least every signature's
+        score and the 0.0 of an unseen one, and a tie keeps it first
+        because the sort is stable."""
+        if not self.records or feature_vector.is_zero:
+            return True
+        scores = self.signature_scores(feature_vector)
+        own = scores.get(signature_of(solution), 0.0)
+        return own >= 0.0 and all(own >= score for score in scores.values())
 
     def best_hit(
         self, feature_vector: FeatureVector, threshold: float = BYPASS_SIMILARITY

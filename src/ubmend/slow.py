@@ -15,7 +15,7 @@ import logging
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .agents import AGENT_FUNCTIONS, PatchRecord, apply_patch, revert_patch
 from .classifier import CodeFeature, classify_ops, locate_unsafe_regions
@@ -258,7 +258,7 @@ def execute_step(
 
 def run_session(
     target: TargetPackage,
-    solutions: Sequence[RepairSolution],
+    solutions: Iterable[RepairSolution],
     *,
     provider: Provider,
     config: SessionConfig | None = None,
@@ -268,10 +268,13 @@ def run_session(
 ) -> SessionOutcome:
     """Drive the repair loop to a verdict.
 
-    Terminates on a clean detection (Pass), on exhausting the solution
-    list (Failed), or on exhausting the per-solution budget (Budget
-    Exhausted). The final working copy always matches the snapshot with the
-    fewest errors, re-verified by one last detection run. Reason steps
+    ``solutions`` may be any iterable, a lazy one too: the next solution is
+    drawn only after the previous one ended without a pass, and none is
+    drawn after a pass or an aborted solution. Terminates on a clean
+    detection (Pass), on exhausting the solutions (Failed), or on
+    exhausting the per-solution budget (Budget Exhausted). The final
+    working copy always matches the snapshot with the fewest errors,
+    re-verified by one last detection run. Reason steps
     consult ``kb``; without one they add nothing. Without a ``workspace``
     the session works in a copy of its own and removes it before returning.
     """

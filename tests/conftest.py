@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import shlex
 import shutil
+import subprocess
 import sys
 import tempfile
 import time
@@ -45,6 +48,28 @@ def spawn_log(log: Path) -> list[dict]:
     if not log.exists():
         return []
     return [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+
+
+_spec = importlib.util.spec_from_file_location("fake_miri", TOOLS_DIR / "fake_miri.py")
+FAKE_MIRI = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(FAKE_MIRI)
+
+
+def run_stub_in_process(argv, timeout, cwd, **_):
+    """``process.run_group`` for the stub detector without a process spawn;
+    a ``//~SLEEP`` directive times out at once instead of sleeping."""
+    rel = argv[-1]
+    if FAKE_MIRI.SLEEP in (Path(cwd) / rel).read_text(encoding="utf-8"):
+        raise subprocess.TimeoutExpired(argv, timeout)
+    err = io.StringIO()
+    previous = os.getcwd()
+    os.chdir(cwd)
+    try:
+        with contextlib.redirect_stderr(err):
+            code = FAKE_MIRI.main(["fake_miri.py", rel])
+    finally:
+        os.chdir(previous)
+    return subprocess.CompletedProcess(argv, code, "", err.getvalue())
 
 
 class SpyProvider(ScriptedMockProvider):

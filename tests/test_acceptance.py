@@ -29,7 +29,7 @@ from ubmend.cli import (
     main,
     repair_one,
 )
-from ubmend.detector import TargetPackage, UbKind, UbReport
+from ubmend.detector import CaseMemo, TargetPackage, UbKind, UbReport
 from ubmend.errors import (
     AgentFailure,
     NoGuardExpressible,
@@ -529,6 +529,15 @@ def test_acceptance_06_experience_reranks_recorded_solution_first(tmp_path, mock
     reranked = fresh.rank_solutions(plain, record.feature_vector)
     assert [s.id for s in reranked] == [s.id for s in plain]
     assert all(s.provenance is Provenance.GENERATED for s in reranked)
+
+    # a later repair of the target recalls it and tries it before planning:
+    # one fetched answer, the fix, where the first repair needed three
+    first_calls = mock_provider.calls
+    settings.memo = CaseMemo()
+    again, _, _ = repair_one(target, mock_provider, engine, settings)
+    assert again.verdict is Verdict.PASS
+    assert again.solution_id == "s00"
+    assert (first_calls, mock_provider.calls - first_calls) == (3, 1)
 
 
 # --- criterion 7: patches round-trip; guards only ever insert

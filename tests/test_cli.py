@@ -8,6 +8,8 @@ import json
 import os
 import shlex
 import shutil
+import subprocess
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -614,3 +616,24 @@ def test_fix_records_a_prompt_it_asks_twice_once(tmp_path, capsys, monkeypatch):
     assert transcript.read_text(encoding="utf-8").count("retag <90") == 1
     assert main(_fix(case, *record, "--provider", "replay")) == 1
     assert json.loads(capsys.readouterr().out) == live
+
+
+def test_bench_stderr_comes_in_case_id_order_whatever_finishes_first(tmp_path):
+    # c01 sleeps until its detection times out, so c02 finishes first
+    (tmp_path / "slow").mkdir()
+    (tmp_path / "slow" / "main.rs").write_text("fn main() {\n    //~SLEEP 5\n}\n")
+    fast = copy_fixture(CORPUS_DIR / "function_calls", tmp_path)
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(
+        json.dumps({"id": "c01", "path": "slow/main.rs", "ub_kind": "alloc"}) + "\n"
+        + json.dumps({"id": "c02", "path": f"{fast.name}/main.rs", "ub_kind": "function_calls"}) + "\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "ubmend.cli", *_bench(manifest, "--jobs", "2", "--timeout", "2")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0
+    lines = run.stderr.splitlines()
+    assert len(lines) == 3 and "case c01 failed: detection exceeded 2.0s" in lines[0]
+    assert all("unclassifiable" in line for line in lines[1:])

@@ -17,6 +17,7 @@ from ubmend.fast import (
     normalize_steps,
     parse_plan,
     strategy_order,
+    summarize_features,
 )
 from ubmend.provider import ProviderConfig, ScriptedMockProvider
 
@@ -124,42 +125,61 @@ def test_fallback_solutions_one_per_strategy():
 def test_extract_features_maps_reports_to_regions(tmp_path, mock_provider):
     target = _target(tmp_path)
     line = UNSAFE_MAIN[: UNSAFE_MAIN.index("as_mut_ptr")].count("\n") + 1
-    feats = extract_features(target, [_report(line)], mock_provider)
+    feats = extract_features(target, [_report(line)])
     assert len(feats) == 1
     assert feats[0].ref == "main.rs#0"
     assert feats[0].ub_kinds == {UbKind.STACK_BORROW}
+    assert feats[0].reports == (_report(line),)
+    assert feats[0].context_summary == ""
+    summarize_features(feats, mock_provider)
     assert feats[0].context_summary
     assert mock_provider.calls == 1
 
 
-def test_extract_features_empty_without_reports(tmp_path, mock_provider):
-    assert extract_features(_target(tmp_path), [], mock_provider) == []
+def test_summarize_features_asks_one_prompt_per_region_in_order(tmp_path):
+    source = (
+        "fn a() { unsafe { one() } }\n"
+        "fn b() { unsafe { two() } }\n"
+    )
+    feats = extract_features(_target(tmp_path, source), [_report(2), _report(1)])
+    provider = ScriptedMockProvider(ProviderConfig())
+    prompts: list[str] = []
+    provider.complete = lambda prompt: prompts.append(prompt.text()) or "summary"
+    summarize_features(feats, provider)
+    assert [f.context_summary for f in feats] == ["summary", "summary"]
+    assert ["one()" in p for p in prompts] == [True, False]
+    assert ["two()" in p for p in prompts] == [False, True]
+    assert "(line 1)" in prompts[0] and "(line 2)" in prompts[1]
 
 
-def test_extract_features_whole_file_fallback(tmp_path, mock_provider):
+def test_extract_features_empty_without_reports(tmp_path):
+    assert extract_features(_target(tmp_path), []) == []
+
+
+def test_extract_features_whole_file_fallback(tmp_path):
     source = "fn main() {\n    let x = 1;\n}\n"
     target = _target(tmp_path, source)
-    feats = extract_features(target, [_report(2)], mock_provider)
+    feats = extract_features(target, [_report(2)])
     assert len(feats) == 1
     assert feats[0].region.snippet == source
     assert feats[0].op_kinds == frozenset()
 
 
-def test_extract_features_unmatched_line_falls_back_to_first_region(tmp_path, mock_provider):
+def test_extract_features_unmatched_line_falls_back_to_first_region(tmp_path):
     # report at a line outside every unsafe span still yields a usable feature
     target = _target(tmp_path)
-    feats = extract_features(target, [_report(1)], mock_provider)
+    feats = extract_features(target, [_report(1)])
     assert len(feats) == 1
     assert feats[0].ref == "main.rs#0"
 
 
-def test_extract_features_two_regions(tmp_path, mock_provider):
+def test_extract_features_two_regions(tmp_path):
     source = (
         "fn a() { unsafe { one() } }\n"
         "fn b() { unsafe { two() } }\n"
     )
     target = _target(tmp_path, source)
-    feats = extract_features(target, [_report(1), _report(2)], mock_provider)
+    feats = extract_features(target, [_report(1), _report(2)])
     assert [f.ref for f in feats] == ["main.rs#0", "main.rs#1"]
 
 

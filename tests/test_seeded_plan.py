@@ -1,0 +1,362 @@
+"""Differential oracle for trying a recalled repair before planning.
+
+``reference_repair_one`` is ``cli.repair_one`` as it stood when every run
+asked for its region summaries and plan before the session started, and
+``reference_rank`` is ranking as it stood when each candidate scanned the
+whole experience log. They stay here as the references that the lazy plan
+and the one-pass scoring must match: the same verdicts, traces, final
+sources and store lines, with only the tokens spent allowed to differ.
+"""
+
+from __future__ import annotations
+
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import CORPUS_DIR, STUB_DETECTOR_ARG, run_stub_in_process, stub_detector_config
+from ubmend import cli, detector
+from ubmend.detector import CaseMemo, TargetPackage, UbKind, run_detection
+from ubmend.fast import (
+    AgentKind,
+    Provenance,
+    RepairSolution,
+    RepairStep,
+    extract_features,
+    generate_solutions,
+    parse_region_ref,
+    summarize_features,
+)
+from ubmend.feedback import (
+    EvalTriplet,
+    ExperienceRecord,
+    FeedbackEngine,
+    signature_of,
+)
+from ubmend.kb import FeatureVector, cosine, feature_vector
+from ubmend.provider import (
+    MARKER_FEATURES,
+    MARKER_FIX,
+    MARKER_PLAN,
+    MemoizedProvider,
+    Provider,
+    ProviderConfig,
+    ScriptedMockProvider,
+)
+from ubmend.slow import SessionConfig, Verdict, run_session
+from ubmend.workspace import WorkingCopy
+
+REWRITE = ("ModifySemantics", "rewrite the region to remove the undefined behavior")
+GUARD = ("AddAssertion", "insert guard assertions before each risky operation")
+# the mock answers this instruction's fix prompt with no code block: the seed abstains
+FAILING = ("ModifySemantics", "seeded rewrite that never comes back")
+NO_CODE = "no fenced block in this answer"
+
+
+def reference_rank(engine: FeedbackEngine, candidates, feature_vector):
+    if not engine.records or feature_vector.is_zero:
+        return list(candidates)
+    scored = []
+    for candidate in candidates:
+        signature = signature_of(candidate)
+        best = None
+        for record in engine.records:
+            if record.solution_signature != signature:
+                continue
+            if record.feature_vector.is_zero:
+                continue
+            value = cosine(feature_vector, record.feature_vector) * engine._weight(record.triplet)
+            if best is None or value > best:
+                best = value
+        if best is not None and best != 0.0:
+            candidate.provenance = Provenance.FEEDBACK_RANKED
+        scored.append((best if best is not None else 0.0, candidate))
+    scored.sort(key=lambda pair: -pair[0])
+    return [candidate for _, candidate in scored]
+
+
+def reference_repair_one(target, provider, engine, settings, reference=None):
+    clock = settings.clock
+    memo = settings.memo
+    memo.begin_run()
+    start = clock()
+    timer = (lambda: 0.0) if isinstance(clock, cli.LogicalClock) else clock
+    provider = MemoizedProvider(provider, memo, timer)
+    tokens_before = provider.tokens_used
+    ws = WorkingCopy(target)
+    try:
+        originals = ws.files()
+        baseline = run_detection(ws.target, config=settings.detector, clock=clock, memo=memo)
+        kb = engine.kb if settings.kb_enabled else None
+        vector = None
+        solutions = []
+        if not baseline.clean:
+            features = extract_features(ws.target, list(baseline.reports))
+            summarize_features(features, provider)
+            if settings.kb_enabled:
+                lead_file, _ = parse_region_ref(features[0].ref)
+                vector = feature_vector(
+                    ws.read(lead_file), baseline.reports, settings.ast_mode, provider, lead_file
+                )
+            solutions = generate_solutions(
+                features, k=settings.solutions_k, provider=provider, kb_enabled=settings.kb_enabled
+            )
+            if settings.kb_enabled and vector is not None and not vector.is_zero:
+                hit = engine.best_hit(vector)
+                if hit is not None:
+                    seeded = cli._seeded_solution(hit[1], features[0].ref)
+                    if seeded is not None:
+                        solutions.insert(0, seeded)
+                        kb = None
+                solutions = reference_rank(engine, solutions, vector)
+        outcome = run_session(
+            ws.target, solutions, provider=provider, config=settings, workspace=ws,
+            baseline=baseline, kb=kb,
+        )
+        elapsed = clock() - start + memo.charged_seconds
+        tokens = provider.tokens_used - tokens_before
+        triplet = engine.evaluate(
+            outcome, reference, entry_file=target.entry_files[0],
+            overhead_seconds=elapsed, overhead_tokens=tokens, memo=memo,
+        )
+        if outcome.verdict is Verdict.PASS and triplet.acceptability is True:
+            outcome.verdict = Verdict.SEMANTIC_PASS
+        outcome.triplet = triplet
+        if settings.kb_enabled and vector is not None and not vector.is_zero and outcome.solution_id is not None:
+            used = next((s for s in solutions if s.id == outcome.solution_id), None)
+            if used is not None:
+                record = ExperienceRecord(
+                    feature_vector=vector,
+                    ub_kind=cli._lead_kind(baseline.reports),
+                    solution_id=used.id,
+                    triplet=triplet,
+                    solution_signature=signature_of(used),
+                )
+                engine.record_experience(record, solution=used if triplet.accuracy else None)
+        return outcome, triplet, originals
+    finally:
+        ws.cleanup()
+
+
+# --- fixtures and stores ------------------------------------------------------
+
+FIXTURES = sorted(p.parent.name for p in CORPUS_DIR.glob("*/main.rs"))
+
+
+@pytest.fixture(autouse=True)
+def _in_process_detector(monkeypatch):
+    monkeypatch.setattr(detector, "run_group", run_stub_in_process)
+
+
+def _vector(path: Path) -> FeatureVector:
+    """The vector ``repair_one`` computes for a single-file target."""
+    target = TargetPackage.from_path(path)
+    reports = run_detection(target, config=stub_detector_config()).reports
+    return feature_vector(path.read_text(encoding="utf-8"), reports, file=path.name)
+
+
+def _line(vector, signature, accuracy=True, acceptability=True) -> str:
+    record = ExperienceRecord(
+        feature_vector=vector,
+        ub_kind=UbKind.UNKNOWN,
+        solution_id="s01",
+        triplet=EvalTriplet(accuracy, acceptability, 3.0, 500),
+        solution_signature=(signature,),
+    )
+    return json.dumps(record.to_dict(), sort_keys=True)
+
+
+def _store(kind: str, vector) -> list[str]:
+    if kind == "no_hit":
+        return []
+    if kind == "hit_passes":
+        return [_line(vector, REWRITE)]
+    if kind == "hit_fails":
+        return [_line(vector, FAILING)]
+    # the seed is a bare repair (weight 0.5); an accepted guard (weight 1.0) outranks it
+    return [_line(vector, REWRITE, acceptability=None), _line(vector, GUARD)]
+
+
+def _mock(config: ProviderConfig) -> ScriptedMockProvider:
+    return ScriptedMockProvider(config, rules=[(FAILING[1], NO_CODE)])
+
+
+def _strip(value):
+    if isinstance(value, dict):
+        return {k: _strip(v) for k, v in value.items() if k != "overhead_tokens"}
+    if isinstance(value, list):
+        return [_strip(v) for v in value]
+    return value
+
+
+def _fix(tmp: Path, fixture: str, lines: list[str], repair, monkeypatch, capsys):
+    """One ``fix`` run in ``tmp``, which it leaves empty for the next run."""
+    shutil.rmtree(tmp, ignore_errors=True)
+    tmp.mkdir()
+    case = shutil.copytree(CORPUS_DIR / fixture, tmp / fixture) / "main.rs"
+    kb, exp = tmp / "kb.jsonl", tmp / "experience.jsonl"
+    exp.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    monkeypatch.setattr(cli, "repair_one", repair)
+    monkeypatch.setattr(cli, "create_provider", _mock)
+    status = cli.main([
+        "fix", str(case), "--kb", str(kb), "--experience", str(exp),
+        "--detector-cmd", STUB_DETECTOR_ARG, "--fixed-clock", "--report", "json",
+    ])
+    out = capsys.readouterr()
+    report = json.loads(out.out)
+    store = [
+        _strip(json.loads(line))
+        for path in (exp, kb) if path.exists()
+        for line in path.read_text(encoding="utf-8").splitlines()
+    ]
+    return status, report, out.err, store
+
+
+@pytest.mark.parametrize("kind", ["no_hit", "hit_passes", "hit_fails", "hit_outranked"])
+def test_fix_matches_the_eager_reference_on_every_fixture(tmp_path, monkeypatch, capsys, kind):
+    spent = {}
+    for fixture in FIXTURES:
+        lines = _store(kind, _vector(CORPUS_DIR / fixture / "main.rs"))
+        runs = []
+        for name, repair in (("reference", reference_repair_one), ("lazy", cli.repair_one)):
+            status, report, err, store = _fix(
+                tmp_path / "run", fixture, lines, repair, monkeypatch, capsys
+            )
+            runs.append((status, _strip(report), err, store, report["triplet"]["overhead_tokens"]))
+        (ref_status, ref_report, ref_err, ref_store, ref_tokens), lazy = runs[0], runs[1]
+        assert lazy[:4] == (ref_status, ref_report, ref_err, ref_store), fixture
+        spent[fixture] = (ref_tokens, lazy[4])
+    if kind == "hit_passes":
+        # every fixture passes on the seed's first thought, asked for alone
+        assert all(lazy < ref for ref, lazy in spent.values()), spent
+    else:
+        assert all(lazy == ref for ref, lazy in spent.values()), spent
+
+
+# --- which prompts a seeded run asks ------------------------------------------
+
+
+@pytest.fixture
+def spy(monkeypatch) -> list[str]:
+    """The text of every prompt that reaches ``Provider.complete``."""
+    seen: list[str] = []
+    complete = Provider.complete
+
+    def spied(self, prompt):
+        seen.append(prompt.text())
+        return complete(self, prompt)
+
+    monkeypatch.setattr(Provider, "complete", spied)
+    return seen
+
+
+def _asked(repair, fixture: str, signature) -> Verdict:
+    path = CORPUS_DIR / fixture / "main.rs"
+    engine = FeedbackEngine()
+    engine.records = [ExperienceRecord.from_dict(json.loads(_line(_vector(path), signature)))]
+    settings = SessionConfig(detector=stub_detector_config(), memo=CaseMemo())
+    outcome, _, _ = repair(TargetPackage.from_path(path), _mock(ProviderConfig()), engine, settings)
+    return outcome.verdict
+
+
+def _kinds(prompts: list[str]) -> list[str]:
+    marks = {MARKER_FIX: "fix", MARKER_FEATURES: "summary", MARKER_PLAN: "plan"}
+    return [next(v for k, v in marks.items() if k in p) for p in prompts]
+
+
+def test_a_passing_seed_asks_only_its_fix_prompt(spy):
+    assert _asked(cli.repair_one, "stack_borrow", REWRITE) is Verdict.PASS
+    assert _kinds(spy) == ["fix"]
+    lazy = list(spy)
+    spy.clear()
+    _asked(reference_repair_one, "stack_borrow", REWRITE)
+    assert _kinds(spy) == ["summary", "plan", "fix"]
+    assert lazy == spy[2:]
+
+
+def test_a_failing_seed_asks_its_fix_prompt_then_plans_as_before(spy):
+    assert _asked(cli.repair_one, "stack_borrow", FAILING) is Verdict.PASS
+    assert _kinds(spy) == ["fix", "summary", "plan", "fix"]
+    assert FAILING[1] in spy[0]
+    lazy = list(spy)
+    spy.clear()
+    _asked(reference_repair_one, "stack_borrow", FAILING)
+    assert _kinds(spy) == ["summary", "plan", "fix", "fix"]
+    assert lazy == [spy[2], *spy[:2], spy[3]]
+
+
+def test_a_seed_that_could_be_outranked_is_planned_eagerly(spy):
+    path = CORPUS_DIR / "stack_borrow" / "main.rs"
+    vector = _vector(path)
+    engine = FeedbackEngine()
+    engine.records = [
+        ExperienceRecord.from_dict(json.loads(line))
+        for line in _store("hit_outranked", vector)
+    ]
+    seeded = cli._seeded_solution(engine.best_hit(vector)[1], "main.rs#0")
+    assert signature_of(seeded) == (REWRITE,)
+    assert not engine.keeps_first(seeded, vector)
+    settings = SessionConfig(detector=stub_detector_config(), memo=CaseMemo())
+    cli.repair_one(TargetPackage.from_path(path), _mock(ProviderConfig()), engine, settings)
+    assert _kinds(spy)[:2] == ["summary", "plan"]
+
+
+def test_the_rest_of_a_seeded_plan_is_made_once_and_only_when_drawn():
+    seed, other = RepairSolution("s00", []), RepairSolution("s01", [])
+    made = []
+    stopped = cli._SeededPlan(seed, lambda: made.append(1) or [seed, other])
+    assert next(iter(stopped)) is seed
+    # a pass after the session stopped drawing yields what was made, and plans nothing
+    assert list(stopped) == [seed] and made == []
+    drawn = cli._SeededPlan(seed, lambda: made.append(1) or [seed, other])
+    assert list(drawn) == [seed, other] and made == [1]
+    assert list(drawn) == [seed, other] and made == [1]
+
+
+# --- one-pass scoring against the per-candidate scan --------------------------
+
+_AGENTS = [AgentKind.SAFE_REPLACE, AgentKind.ADD_ASSERTION, AgentKind.MODIFY_SEMANTICS, AgentKind.REASON]
+_STEP = st.tuples(st.sampled_from(_AGENTS), st.sampled_from(["fix it", "Fix  it", "guard", "swap"]))
+_PLAN = st.lists(_STEP, min_size=0, max_size=2)
+_VECTOR = st.lists(st.integers(-2, 3), min_size=4, max_size=4)
+_TRIPLET = st.sampled_from([(True, True), (True, None), (True, False), (False, False)])
+
+
+def _solution(i: int, plan) -> RepairSolution:
+    return RepairSolution(
+        id=f"c{i:02d}", steps=[RepairStep(agent, "main.rs#0", text) for agent, text in plan]
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    query=_VECTOR,
+    records=st.lists(st.tuples(_VECTOR, _PLAN, _TRIPLET), max_size=12),
+    candidates=st.lists(_PLAN, max_size=8),
+)
+def test_one_pass_scoring_ranks_as_the_per_candidate_scan(query, records, candidates):
+    engine = FeedbackEngine()
+    engine.records = [
+        ExperienceRecord(
+            feature_vector=FeatureVector(values),
+            ub_kind=UbKind.ALLOC,
+            solution_id=f"r{i}",
+            triplet=EvalTriplet(accuracy, acceptability, 1.0, 1),
+            solution_signature=signature_of(_solution(i, plan)),
+        )
+        for i, (values, plan, (accuracy, acceptability)) in enumerate(records)
+    ]
+    vector = FeatureVector(query)
+    expected = reference_rank(engine, [_solution(i, p) for i, p in enumerate(candidates)], vector)
+    actual = engine.rank_solutions([_solution(i, p) for i, p in enumerate(candidates)], vector)
+    assert [(c.id, c.provenance) for c in actual] == [(c.id, c.provenance) for c in expected]
+    # keeps_first proves what ranking then does with a seed put first
+    for plan in [*candidates, *(plan for _, plan, _ in records)]:
+        seeded = _solution(99, plan)
+        if engine.keeps_first(seeded, vector):
+            others = [_solution(i, p) for i, p in enumerate(candidates)]
+            assert reference_rank(engine, [seeded, *others], vector)[0] is seeded

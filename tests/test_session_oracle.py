@@ -12,18 +12,11 @@ aborts, abstentions and Reason steps meet.
 
 from __future__ import annotations
 
-import contextlib
-import importlib.util
-import io
-import os
-import subprocess
-from pathlib import Path
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import TOOLS_DIR, SpyProvider, stub_detector_config
+from conftest import SpyProvider, run_stub_in_process, stub_detector_config
 from ubmend import detector
 from ubmend.detector import TargetPackage, UbReport, run_detection
 from ubmend.errors import DetectionTimeout, NonUbCompileError
@@ -169,34 +162,10 @@ def reference_run_session(target, solutions, *, provider, config, kb=None) -> Se
         ws.cleanup()
 
 
-# --- the stub detector, run in this process ------------------------------
-
-_spec = importlib.util.spec_from_file_location("fake_miri", TOOLS_DIR / "fake_miri.py")
-FAKE_MIRI = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(FAKE_MIRI)
-
-
-def _run_stub_in_process(argv, timeout, cwd, **_):
-    """``process.run_group`` for the stub detector without a process spawn;
-    a ``//~SLEEP`` directive times out at once instead of sleeping."""
-    rel = argv[-1]
-    if FAKE_MIRI.SLEEP in (Path(cwd) / rel).read_text(encoding="utf-8"):
-        raise subprocess.TimeoutExpired(argv, timeout)
-    err = io.StringIO()
-    previous = os.getcwd()
-    os.chdir(cwd)
-    try:
-        with contextlib.redirect_stderr(err):
-            code = FAKE_MIRI.main(["fake_miri.py", rel])
-    finally:
-        os.chdir(previous)
-    return subprocess.CompletedProcess(argv, code, "", err.getvalue())
-
-
 @pytest.fixture(scope="module", autouse=True)
 def _in_process_detector():
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(detector, "run_group", _run_stub_in_process)
+        mp.setattr(detector, "run_group", run_stub_in_process)
         yield
 
 

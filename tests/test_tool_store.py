@@ -8,6 +8,7 @@ import json
 import os
 import shlex
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -234,3 +235,66 @@ def test_bench_keeps_tool_results_once_in_case_id_order(tmp_path, capsys):
     assert _tool_lines(store) == kept
     verdicts = lambda report: [(c["id"], c["verdict"], c["final_errors"]) for c in report["cases"]]
     assert verdicts(first) == verdicts(second)
+
+
+def _root_command(*head: str) -> tuple[str, ...]:
+    """A detector command that names the working copy through ``{root}``."""
+    return (*head, "{root}/main.rs")
+
+
+def test_a_root_command_reuses_detections_across_fix_runs(tmp_path, capsys):
+    case = copy_fixture(CORPUS_DIR / "alloc", tmp_path / "case")
+    store = tmp_path / "experience.jsonl"
+    command = _root_command(sys.executable, str(TOOLS_DIR / "fake_miri.py"))
+    argv = [
+        "fix", str(case / "main.rs"), "--experience", str(store),
+        "--detector-cmd", shlex.join(command), "--fixed-clock", "--report", "json",
+    ]
+    assert cli.main(argv) == 0
+    first = json.loads(capsys.readouterr().out)
+    lines = _tool_lines(store)
+    assert first["store_hits"]["detections"] == 0 and len(lines) == 2
+    # kept root-relative: no line names the copy the first run worked in
+    assert all("{root}/main.rs:" in line["output"] for line in lines if line["exit_status"])
+    assert cli.main(argv) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert second["store_hits"]["detections"] == 2
+    assert _tool_lines(store) == lines
+    assert (first["verdict"], first["trace"]) == (second["verdict"], second["trace"])
+
+
+def test_a_reused_root_detection_reads_like_a_fresh_one_on_this_copy(tmp_path):
+    source = "fn main() {\n    let x = 1; //~UB memory access failed: alloc1 has been freed\n}\n"
+    copies = []
+    for name in ("a", "b", "c"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "main.rs").write_text(source)
+        copies.append(TargetPackage.from_path(tmp_path / name / "main.rs"))
+    spawns = tmp_path / "spawns.jsonl"
+    config = DetectorConfig(
+        command=_root_command(*counting_detector_command(spawns)[:-1]), timeout=30.0
+    )
+    memo = CaseMemo()
+    made = run_detection(copies[0], config=config, memo=memo)
+    reused = run_detection(copies[1], config=config, memo=memo)
+    stored = run_detection(copies[2], config=config, memo=CaseMemo(memo.new_results))
+    assert len(spawn_log(spawns)) == 1
+    for target, result in zip(copies, (made, reused, stored)):
+        fresh = run_detection(target, config=config)
+        assert result.reports == fresh.reports
+        assert result.raw_output == fresh.raw_output
+        assert result.reports[0].file == f"{target.root_path}/main.rs"
+
+
+def test_a_bench_case_reuses_root_detections_in_its_no_knowledge_run(tmp_path, capsys):
+    case = copy_fixture(CORPUS_DIR / "alloc", tmp_path / "c01")
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(json.dumps({"id": "c01", "path": str(case / "main.rs"), "ub_kind": "alloc"}) + "\n")
+    spawns = tmp_path / "spawns.jsonl"
+    command = _root_command(*counting_detector_command(spawns)[:-1])
+    argv = ["bench", str(manifest), "--detector-cmd", shlex.join(command), "--fixed-clock", "--report", "json"]
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["cases"][0]["verdict"] == "pass"
+    # the knowledge run's baseline and repaired state; the no-knowledge run reuses both
+    assert len(spawn_log(spawns)) == 2

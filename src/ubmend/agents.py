@@ -81,8 +81,6 @@ def build_prompt(
 ) -> str:
     errors = "\n".join(f"- {k.value}" for k in sorted(feature.ub_kinds, key=lambda k: k.value))
     ctx = region.enclosing_context
-    if feature.context_summary:
-        ctx += f"\n\nSummary: {feature.context_summary}"
     if context:
         ctx += f"\n\nKnowledge from previous repairs:\n{context}"
     return fill(

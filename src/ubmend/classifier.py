@@ -49,8 +49,10 @@ class UnsafeRegion:
     """One top-level unsafe span in a file.
 
     ``byte_span`` is a half-open (start, end) offset pair into the decoded
-    file text. Nested unsafe occurrences are folded into the outermost
-    region and counted in ``nested_unsafe``.
+    file text, and ``context_span`` is the pair of ``enclosing_context``
+    (None for a region not found by ``locate_unsafe_regions``). Nested
+    unsafe occurrences are folded into the outermost region and counted in
+    ``nested_unsafe``.
     """
 
     file: str
@@ -58,6 +60,7 @@ class UnsafeRegion:
     snippet: str
     enclosing_context: str
     nested_unsafe: int = 0
+    context_span: tuple[int, int] | None = None
 
     @property
     def start(self) -> int:
@@ -148,13 +151,14 @@ def locate_unsafe_regions(source: str, file: str | Path) -> list[UnsafeRegion]:
             end = pairs[brace] + 1
         else:
             end = semi + 1
-        snippet = source[start:end]
+        ctx_start, ctx_end = _enclosing_item(source, items, start, end)
         regions.append(
             UnsafeRegion(
                 file=file,
                 byte_span=(start, end),
-                snippet=snippet,
-                enclosing_context=_enclosing_item(source, items, start, end),
+                snippet=source[start:end],
+                enclosing_context=source[ctx_start:ctx_end],
+                context_span=(ctx_start, ctx_end),
             )
         )
     return regions
@@ -174,17 +178,20 @@ def _braced_items(masked: str, pairs: dict[int, int]) -> list[tuple[int, int]]:
     return items
 
 
-def _enclosing_item(source: str, items: list[tuple[int, int]], start: int, end: int) -> str:
-    """Last fn/impl item starting before the region and containing it, else nearby lines."""
+def _enclosing_item(
+    source: str, items: list[tuple[int, int]], start: int, end: int
+) -> tuple[int, int]:
+    """Span of the last fn/impl item starting before the region and
+    containing it, else of the nearby lines."""
     for k in range(bisect_left(items, (start,)) - 1, -1, -1):
         kw_start, item_end = items[k]
         if end <= item_end:
-            return source[kw_start:item_end]
+            return kw_start, item_end
     line_start = source.rfind("\n", 0, max(0, start - 1))
     line_start = 0 if line_start == -1 else line_start + 1
     ctx_end = source.find("\n", min(len(source), end))
     ctx_end = len(source) if ctx_end == -1 else ctx_end
-    return source[line_start:ctx_end]
+    return line_start, ctx_end
 
 
 def _is_unary_star(masked: str, idx: int) -> bool:

@@ -1,24 +1,32 @@
 """Slow thinking: iterate candidate solutions step by step with rollback.
 
 A session walks solutions in rank order. Each fix step patches the working
-copy and re-runs detection, appending to the error trace; Reason steps
-consult the knowledge base and Rollback steps (explicit or triggered)
-restore the best snapshot so far. The trace trigger fires on a strictly
-increasing window (the hallucination pattern) or when the latest count
-blows past the global minimum by a fixed factor. A rollback restores
-state but never aborts the solution; the trace keeps growing.
+copy (``propose_step``) and a detection verifies the patch
+(``detect_patches``), appending to the error trace; Reason steps consult
+the knowledge base and Rollback steps (explicit or triggered) restore the
+best snapshot so far. The trace trigger fires on a strictly increasing
+window (the hallucination pattern) or when the latest count blows past the
+global minimum by a fixed factor. A rollback restores state but never
+aborts the solution; the trace keeps growing.
+
+Consecutive fix steps on regions apart from each other form a batch
+(``_form_batch``): every step proposes its patch, then one detection
+checks them all. A clean batch is a pass. Any other outcome puts the copy
+back to the bytes before the batch and replays its steps one by one
+through ``execute_step``, reusing the batch's answers and, when the replay
+reaches the batch's bytes, its detection.
 """
 from __future__ import annotations
 
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
 from .agents import AGENT_FUNCTIONS, PatchRecord, apply_patch, revert_patch
-from .classifier import CodeFeature, classify_ops, locate_unsafe_regions
+from .classifier import CodeFeature, UnsafeRegion, classify_ops, locate_unsafe_regions
 from .detector import (
     CaseMemo,
     DetectionResult,
@@ -30,6 +38,7 @@ from .detector import (
 from .errors import (
     AgentFailure,
     DetectionTimeout,
+    LexFailure,
     NoGuardExpressible,
     NonUbCompileError,
     NoSafeEquivalent,
@@ -47,7 +56,7 @@ from .fast import (
     parse_region_ref,
 )
 from .kb import AstMode, KnowledgeBase, feature_vector
-from .provider import Provider
+from .provider import PromptRecord, Provider
 from .rollback import RollbackStats, SnapshotStore
 from .workspace import WorkingCopy
 
@@ -85,7 +94,12 @@ class Thought:
 
 @dataclass
 class ErrorTrace:
-    """counts[0] is the pre-repair baseline; counts[i] follows thought i-1."""
+    """counts[0] is the pre-repair baseline; counts[i] follows thought i-1.
+
+    Thoughts verified together in a clean batch all take the batch's count,
+    0, and each one that made a patch carries the note ``verified in batch
+    <first>-<last>`` (thought indices).
+    """
 
     counts: list[int]
     thoughts: list[Thought]
@@ -195,39 +209,32 @@ def _knowledge_context(
     )
 
 
-def execute_step(
+def propose_step(
     step: RepairStep,
-    workspace: WorkingCopy,
+    region: UnsafeRegion,
     reports: Sequence[UbReport],
+    workspace: WorkingCopy,
     provider: Provider,
-    config: SessionConfig,
     index: int,
     prev_count: int,
     context: str | None = None,
-) -> tuple[Thought, DetectionResult | None]:
-    """Run one fix step: agent, patch, re-detect.
+) -> Thought:
+    """The propose half of a fix step: ask the step's agent to patch
+    ``region`` and apply the patch to the working copy.
 
-    Failures never propagate (except a replay miss, which means the
-    transcript is incomplete): the step is skipped and the thought records
-    the unchanged count. A patch that breaks compilation is reverted.
+    The prompt lists the UB kinds of ``reports``. The thought holds the applied
+    patch, or no patch and a note when the agent abstained or the patch did
+    not apply; its count stays ``prev_count`` until a detection verifies it.
+    A replay miss propagates: it means the transcript is incomplete.
     """
-    try:
-        file, ordinal = parse_region_ref(step.target_region)
-        source = workspace.read(file)
-        regions = locate_unsafe_regions(source, file)
-        region = regions[ordinal]
-    except (ValueError, FileNotFoundError, IndexError) as exc:
-        log.info("step %d: region %s unresolvable (%s)", index, step.target_region, exc)
-        return Thought(index, step, None, prev_count, note="region unresolvable"), None
     try:
         op_kinds = classify_ops(region)
     except Unclassifiable:
         op_kinds = frozenset()
-    hits = [r for r in reports if _report_hits_region(r, file, source, region)]
     feature = CodeFeature(
         region=region,
         op_kinds=op_kinds,
-        ub_kinds=frozenset(r.kind for r in (hits or reports)),
+        ub_kinds=frozenset(r.kind for r in reports),
         context_summary="",
         ref=step.target_region,
     )
@@ -240,20 +247,194 @@ def execute_step(
         raise
     except (NoSafeEquivalent, NoGuardExpressible, AgentFailure, ProviderFailure) as exc:
         log.info("step %d: %s abstained (%s)", index, step.agent.value, exc)
-        return Thought(index, step, None, prev_count, note=f"skipped: {exc}"), None
+        return Thought(index, step, None, prev_count, note=f"skipped: {exc}")
     try:
         apply_patch(patch, workspace)
     except AgentFailure as exc:
-        return Thought(index, step, None, prev_count, note=f"skipped: {exc}"), None
+        return Thought(index, step, None, prev_count, note=f"skipped: {exc}")
+    return Thought(index, step, patch, prev_count)
+
+
+def detect_patches(
+    thoughts: Sequence[Thought], workspace: WorkingCopy, config: SessionConfig
+) -> DetectionResult | None:
+    """The detect half of fix steps: one detection checks the patches that
+    ``thoughts`` applied, and every thought takes its error count.
+
+    When the patched copy fails to compile, the patches are reverted, newest
+    first, and None comes back. A timeout propagates with the patches in
+    place.
+    """
     try:
         detection = _detect(workspace.target, config)
     except NonUbCompileError:
-        revert_patch(patch, workspace)
-        return (
-            Thought(index, step, patch, prev_count, note="patch reverted: compile failure"),
-            None,
+        for thought in reversed(thoughts):
+            if thought.patch is not None:
+                revert_patch(thought.patch, workspace)
+                thought.note = "patch reverted: compile failure"
+        return None
+    for thought in thoughts:
+        thought.resulting_errors = detection.error_count
+    return detection
+
+
+def execute_step(
+    step: RepairStep,
+    workspace: WorkingCopy,
+    reports: Sequence[UbReport],
+    provider: Provider,
+    config: SessionConfig,
+    index: int,
+    prev_count: int,
+    context: str | None = None,
+) -> tuple[Thought, DetectionResult | None]:
+    """Run one fix step: locate its region, propose a patch, re-detect.
+
+    Failures never propagate (except a replay miss, which means the
+    transcript is incomplete): the step is skipped and the thought records
+    the unchanged count. A patch that breaks compilation is reverted.
+    """
+    try:
+        file, ordinal = parse_region_ref(step.target_region)
+        source = workspace.read(file)
+        region = locate_unsafe_regions(source, file)[ordinal]
+    except (ValueError, FileNotFoundError, IndexError) as exc:
+        log.info("step %d: region %s unresolvable (%s)", index, step.target_region, exc)
+        return Thought(index, step, None, prev_count, note="region unresolvable"), None
+    hits = [r for r in reports if _report_hits_region(r, file, source, region)]
+    thought = propose_step(step, region, hits or reports, workspace, provider, index, prev_count, context)
+    if thought.patch is None:
+        return thought, None
+    return thought, detect_patches([thought], workspace, config)
+
+
+@dataclass
+class _Member:
+    """A step of a batch, with its region and the reports in that region,
+    both as they stand on the pre-batch bytes."""
+
+    step: RepairStep
+    region: UnsafeRegion
+    hits: list[UbReport]
+
+
+def _apart(a: UnsafeRegion, b: UnsafeRegion) -> bool:
+    """True when neither region overlaps the other's enclosing context, so
+    a patch of one changes no byte of the other's prompt."""
+
+    def disjoint(s: tuple[int, int], t: tuple[int, int]) -> bool:
+        return s[1] <= t[0] or t[1] <= s[0]
+
+    return a.file != b.file or (
+        disjoint(a.byte_span, b.context_span) and disjoint(b.byte_span, a.context_span)
+    )
+
+
+def _form_batch(
+    steps: Sequence[RepairStep], workspace: WorkingCopy, reports: Sequence[UbReport], room: int
+) -> list[_Member]:
+    """The batch that starts with ``steps[0]``, or [] when it would hold one step.
+
+    A batch is the longest run of consecutive fix steps, at most ``room``
+    long, whose regions resolve on the current bytes, lie apart (see
+    ``_apart``) and each hold a report. A report stays where it is through
+    the other members' patches, so the step-by-step path could not pass
+    before reaching the last step, and each prompt lists the UB kinds a
+    re-detection would give. So a batch forms only when a detection reports
+    UB in more than one region. Each file is lexed once, and not at all
+    unless the run names two regions.
+    """
+    run: list[RepairStep] = []
+    for step in steps:
+        if step.agent not in FIX_AGENTS or len(run) == room:
+            break
+        run.append(step)
+    if len({step.target_region for step in run}) < 2:
+        return []
+    located: dict[str, tuple[str, list[UnsafeRegion]]] = {}
+    members: list[_Member] = []
+    for step in run:
+        try:
+            file, ordinal = parse_region_ref(step.target_region)
+            if file not in located:
+                source = workspace.read(file)
+                located[file] = (source, locate_unsafe_regions(source, file))
+            source, regions = located[file]
+            region = regions[ordinal]
+        except (ValueError, FileNotFoundError, IndexError, LexFailure):
+            break
+        hits = [r for r in reports if _report_hits_region(r, file, source, region)]
+        if not hits or not all(_apart(region, m.region) for m in members):
+            break
+        members.append(_Member(step, region, hits))
+    return members if len(members) > 1 else []
+
+
+def _run_batch(
+    members: Sequence[_Member],
+    workspace: WorkingCopy,
+    provider: Provider,
+    config: SessionConfig,
+    index: int,
+    prev_count: int,
+    context: str | None,
+) -> list[Thought] | None:
+    """Propose every member's patch in turn, then detect once.
+
+    Each region is followed through the earlier members' patches by byte
+    offset, never re-located, so an edit that drops an ``unsafe`` keyword
+    renumbers nothing. The thoughts come back only when the detection is
+    clean. Otherwise (UB left, a compile failure, a timeout, or no patch at
+    all) the result is None and the copy may hold any of the patches.
+    """
+    thoughts: list[Thought] = []
+    moves: list[tuple[str, int, int]] = []  # (file, pre-batch end, length change) per patch
+    for k, member in enumerate(members):
+        region = member.region
+        shift = sum(d for f, end, d in moves if f == region.file and end <= region.start)
+        moved = replace(
+            region,
+            byte_span=(region.start + shift, region.end + shift),
+            context_span=(region.context_span[0] + shift, region.context_span[1] + shift),
         )
-    return Thought(index, step, patch, detection.error_count), detection
+        thought = propose_step(
+            member.step, moved, member.hits, workspace, provider, index + k, prev_count,
+            context if k == 0 else None,
+        )
+        if thought.patch is not None:
+            delta = len(thought.patch.after_text) - len(thought.patch.before_text)
+            moves.append((region.file, region.end, delta))
+        thoughts.append(thought)
+    if not moves:
+        return None
+    last = index + len(thoughts) - 1
+    try:
+        detection = detect_patches(thoughts, workspace, config)
+    except DetectionTimeout as exc:
+        log.info("batch %d-%d timed out (%s); replaying step by step", index, last, exc)
+        return None
+    if detection is None or not detection.clean:
+        log.info("batch %d-%d not clean; replaying step by step", index, last)
+        return None
+    for thought in thoughts:
+        if thought.patch is not None:
+            thought.note = f"verified in batch {index}-{last}"
+    return thoughts
+
+
+class _AskOnce:
+    """The provider as a batch and its replay see it: a prompt asked before
+    is answered from the batch's own record, whatever ``provider`` is."""
+
+    def __init__(self, provider: Provider) -> None:
+        self.provider = provider
+        self.answers: dict[str, str] = {}
+
+    def complete(self, prompt: PromptRecord) -> str:
+        key = prompt.text()
+        if key not in self.answers:
+            self.answers[key] = self.provider.complete(prompt)
+        return self.answers[key]
 
 
 def run_session(
@@ -305,7 +486,10 @@ def run_session(
             reason_context: str | None = None
             budget_hit_last = False
             aborted = False
-            for step in solution.steps:
+            steps = list(solution.steps)
+            replay_end = 0  # steps before it replay a failed batch, one by one
+            asker: Provider | _AskOnce = provider
+            for at, step in enumerate(steps):
                 if step.agent is AgentKind.REASON:
                     reason_context = _knowledge_context(step, ws, current.reports, provider, config, kb)
                     continue
@@ -317,12 +501,37 @@ def run_session(
                 if len(trace.thoughts) >= budget:
                     budget_hit_last = True
                     break
+                if at >= replay_end:
+                    asker = provider
+                    members = _form_batch(steps[at:], ws, current.reports, budget - len(trace.thoughts))
+                    if members:
+                        asker = _AskOnce(provider)
+                        verified = _run_batch(
+                            members,
+                            ws,
+                            asker,
+                            config,
+                            len(trace.thoughts),
+                            current.error_count,
+                            reason_context,
+                        )
+                        if verified is not None:
+                            thought_count += len(verified)
+                            trace.thoughts.extend(verified)
+                            trace.counts.extend(t.resulting_errors for t in verified)
+                            current = store.record(
+                                store.latest_index() + len(verified), ws.files(), 0
+                            )
+                            passed = True
+                            break
+                        ws.restore(current.files)
+                        replay_end = at + len(members)
                 try:
                     thought, detection = execute_step(
                         step,
                         ws,
                         current.reports,
-                        provider,
+                        asker,
                         config,
                         index=len(trace.thoughts),
                         prev_count=current.error_count,

@@ -1,0 +1,187 @@
+"""Batch verification: how many detector runs a repair spawns.
+
+A solution's consecutive fix steps on regions apart from each other are
+patched one after the other and checked by one detection. These tests
+count real spawns of the stub detector (``counting_miri.py``): a clean
+batch costs one run, a single-region repair costs what it always did, and
+a batch that fails costs at most one run more than going step by step.
+"""
+
+from __future__ import annotations
+
+import json
+import shlex
+
+from conftest import (
+    CORPUS_DIR,
+    SpyProvider,
+    copy_fixture,
+    counting_detector_command,
+    spawn_log,
+)
+from test_session_oracle import reference_run_session
+from ubmend import cli
+from ubmend.cli import main, repair_one
+from ubmend.detector import DetectorConfig, TargetPackage
+from ubmend.fast import AgentKind, RepairSolution, RepairStep
+from ubmend.feedback import FeedbackEngine
+from ubmend.provider import ProviderConfig, ProviderMode, ScriptedMockProvider
+from ubmend.slow import SessionConfig, Verdict, run_session
+
+# UB messages whose kinds lead with a strategy the scripted mock always applies
+MESSAGES = (
+    "trying to retag from <{n}> for Unique permission at alloc{n}[0x0]",
+    "memory access failed: alloc{n} has been freed, so this pointer is dangling",
+    "accessing memory based on pointer with alignment 1, but alignment 8 is required",
+)
+
+
+def regions_source(count: int) -> str:
+    """A target with ``count`` unsafe blocks, one UB marker each, every
+    block in a function of its own."""
+    fns = []
+    for i in range(count):
+        fns.append(
+            f"fn region_{i}(seed: i64) -> i64 {{\n"
+            f"    let cell = seed * 3 + {i};\n"
+            f"    let ptr = &cell as *const i64;\n"
+            f"    let v = unsafe {{\n"
+            f"        //~UB {MESSAGES[i % len(MESSAGES)].format(n=100 + i)}\n"
+            f"        *ptr + {i + 1}\n"
+            f"    }};\n"
+            f"    v\n"
+            f"}}\n"
+        )
+    calls = "".join(f'    println!("{{}}", region_{i}({i}));\n' for i in range(count))
+    return "\n".join(fns) + f"\nfn main() {{\n{calls}}}\n"
+
+
+def fix_args(path, log, *extra: str) -> list[str]:
+    return [
+        "fix",
+        str(path),
+        "--no-kb",
+        "--fixed-clock",
+        "--report",
+        "json",
+        "--detector-cmd",
+        shlex.join(counting_detector_command(log)),
+        *extra,
+    ]
+
+
+def test_a_clean_batch_spawns_the_baseline_and_one_detection(tmp_path, capsys):
+    target = tmp_path / "main.rs"
+    target.write_text(regions_source(6), encoding="utf-8")
+    log = tmp_path / "spawns.jsonl"
+    assert main(fix_args(target, log, "--max-iterations", "6")) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "pass"
+    assert payload["trace"]["counts"] == [6, 0, 0, 0, 0, 0, 0]
+    assert [t["note"] for t in payload["trace"]["thoughts"]] == ["verified in batch 0-5"] * 6
+    # the baseline and the batch; the final re-verification reuses the batch's run
+    assert len(spawn_log(log)) == 2
+
+
+def test_a_single_region_fixture_spawns_as_before(tmp_path, capsys):
+    case = copy_fixture(CORPUS_DIR / "alloc", tmp_path)
+    log = tmp_path / "spawns.jsonl"
+    assert main(fix_args(case, log)) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "pass"
+    assert [t["note"] for t in payload["trace"]["thoughts"]] == [""]
+    # the baseline and the repaired state, as when every step was verified alone
+    assert len(spawn_log(log)) == 2
+
+
+# each fn reads through ``get_unchecked``; the safe rewrite drops the block's
+# ``unsafe`` keyword, which renumbers the regions after it
+RENUMBERING_SOURCE = "".join(
+    f"fn pick_{i}(v: &[u8]) -> u8 {{\n"
+    f"    let x = unsafe {{\n"
+    f"        //~UB constructing invalid value at .<enum-tag>: encountered 0x0{i + 2}, but expected a valid enum tag\n"
+    f"        *v.get_unchecked({i})\n"
+    f"    }};\n"
+    f"    x\n"
+    f"}}\n\n"
+    for i in range(3)
+) + (
+    "fn main() {\n"
+    "    let v = vec![1u8, 2, 3];\n"
+    + "".join(f'    println!("{{}}", pick_{i}(&v));\n' for i in range(3))
+    + "}\n"
+)
+
+
+def test_a_batch_follows_its_regions_through_earlier_patches(tmp_path):
+    path = tmp_path / "main.rs"
+    path.write_text(RENUMBERING_SOURCE, encoding="utf-8")
+    log = tmp_path / "spawns.jsonl"
+    settings = SessionConfig(
+        detector=DetectorConfig(command=counting_detector_command(log), timeout=30.0),
+        kb_enabled=False,
+        clock=cli.LogicalClock(),
+    )
+    provider = ScriptedMockProvider(ProviderConfig(mode=ProviderMode.SCRIPTED_MOCK))
+    outcome, _, _ = repair_one(TargetPackage.from_path(path), provider, FeedbackEngine(), settings)
+    assert outcome.verdict is Verdict.PASS
+    assert outcome.solution_id == "s01"
+    assert outcome.thought_count == 3
+    thoughts = outcome.trace.thoughts
+    assert [t.step.agent for t in thoughts] == [AgentKind.SAFE_REPLACE] * 3
+    assert [t.step.target_region for t in thoughts] == ["main.rs#0", "main.rs#1", "main.rs#2"]
+    final = outcome.final_source["main.rs"]
+    assert "unsafe" not in final and "get_unchecked" not in final
+    for i in range(3):
+        assert f"v[{i}]" in final
+    assert len(spawn_log(log)) == 2
+
+
+# --- a batch that fails is replayed step by step --------------------------------
+
+
+def _fenced(line: str) -> str:
+    return f"rewrite\n\n```rust\nunsafe {{\n        {line}\n        *ptr + 1\n    }}\n```"
+
+
+def _spawns(session, path, plan, tmp_path, name) -> tuple[object, list[str], int]:
+    """Outcome, prompts asked and detector spawns of ``session`` on one plan:
+    a solution of ModifySemantics steps, the i-th answered with ``plan[i]``."""
+    log = tmp_path / f"{name}.jsonl"
+    steps, rules = [], []
+    for i, line in enumerate(plan):
+        instruction = f"<step {i}>"
+        steps.append(RepairStep(AgentKind.MODIFY_SEMANTICS, f"main.rs#{i}", instruction))
+        rules.append((instruction, _fenced(line)))
+    provider = SpyProvider(ProviderConfig(mode=ProviderMode.SCRIPTED_MOCK), rules=rules)
+    config = SessionConfig(
+        detector=DetectorConfig(command=counting_detector_command(log), timeout=30.0), budget=5
+    )
+    outcome = session(
+        TargetPackage.from_path(path), [RepairSolution("s01", steps)], provider=provider, config=config
+    )
+    return outcome, provider.prompts, len(spawn_log(log))
+
+
+def _compare(tmp_path, plan) -> tuple[int, int]:
+    path = tmp_path / "main.rs"
+    path.write_text(regions_source(len(plan)), encoding="utf-8")
+    expected, asked, stepwise = _spawns(reference_run_session, path, plan, tmp_path, "stepwise")
+    actual, batch_asked, batched = _spawns(run_session, path, plan, tmp_path, "batched")
+    assert actual.to_dict() == expected.to_dict()
+    # the replay reuses the batch's answers: each prompt reaches the model once
+    assert batch_asked == asked
+    return stepwise, batched
+
+
+def test_a_batch_with_ub_left_costs_no_extra_run(tmp_path):
+    plan = ["let _ = 0;", "//~UB trying to retag from <9> for Unique permission", "let _ = 2;"]
+    stepwise, batched = _compare(tmp_path, plan)
+    # the replay's last step reaches the batch's bytes, whose run is reused
+    assert (stepwise, batched) == (4, 4)
+
+
+def test_a_batch_that_fails_to_compile_costs_one_extra_run(tmp_path):
+    plan = ["let _ = 0;", "//~COMPILE-ERROR cannot find value `w`", "let _ = 2;"]
+    stepwise, batched = _compare(tmp_path, plan)
+    assert (stepwise, batched) == (4, 5)

@@ -8,9 +8,16 @@ that a detection timeout puts the copy back to the last recorded state
 before the solution loop ends, as ``run_session`` does.
 No benchmark workload rolls back, so these plans are where rollbacks,
 aborts, abstentions and Reason steps meet.
+
+The reference verifies every fix step with a detection of its own. On
+targets with several regions, ``run_session`` checks a batch of steps with
+one detection and replays a batch that is not clean step by step; the
+multi-region plans below hold it to the reference's outcome all the same.
 """
 
 from __future__ import annotations
+
+import copy
 
 import pytest
 from hypothesis import example, given, settings
@@ -214,24 +221,26 @@ _PLAN = st.lists(st.lists(_STEP, min_size=0, max_size=6), min_size=1, max_size=3
 
 
 def _solutions(plan) -> tuple[list[RepairSolution], list[tuple[str, str]]]:
+    """A plan step is ``(kind, arg)``, aimed at region 0, or ``(kind, arg, region)``."""
     solutions, rules = [], []
     k = 0
     for s, steps in enumerate(plan):
         built = []
-        for kind, arg in steps:
+        for kind, arg, *region in steps:
             k += 1
             instruction = f"<step {k:03d}>"
+            ref = f"main.rs#{region[0] if region else 0}"
             if kind == "reason":
-                built.append(RepairStep(AgentKind.REASON, "main.rs#0", "consult"))
+                built.append(RepairStep(AgentKind.REASON, ref, "consult"))
             elif kind == "rollback":
-                built.append(RepairStep(AgentKind.ROLLBACK, "main.rs#0", "restore"))
+                built.append(RepairStep(AgentKind.ROLLBACK, ref, "restore"))
             elif kind == "swap":
                 # no catalogue entry matches the probe region: the gate abstains
-                built.append(RepairStep(AgentKind.SAFE_REPLACE, "main.rs#0", instruction))
+                built.append(RepairStep(AgentKind.SAFE_REPLACE, ref, instruction))
             elif kind == "lost":
                 built.append(RepairStep(AgentKind.MODIFY_SEMANTICS, "main.rs#5", instruction))
             else:
-                built.append(RepairStep(AgentKind.MODIFY_SEMANTICS, "main.rs#0", instruction))
+                built.append(RepairStep(AgentKind.MODIFY_SEMANTICS, ref, instruction))
                 rules.append((instruction, _response(kind, arg, k)))
         solutions.append(RepairSolution(id=f"s{s + 1:02d}", steps=built))
     return solutions, rules
@@ -299,3 +308,161 @@ def test_run_session_matches_the_reference_loop(targets, kb, baseline, budget, p
     assert actual.baseline_errors == expected.baseline_errors
     assert actual.final_source == expected.final_source
     assert actual_provider.prompts == expected_provider.prompts
+
+
+# --- batches on targets with several regions ---------------------------------
+
+# one UB message per kind, so a prompt lists the kinds its own region holds
+_KIND_LINES = {
+    "retag": UB_LINE,
+    "freed": "//~UB memory access failed: alloc{tag} has been freed, so this pointer is dangling",
+    "bounds": "//~UB out-of-bounds memory access: alloc{tag} has size 4",
+    "align": "//~UB accessing memory based on pointer with alignment 1, but alignment 8 is required",
+}
+# the UB kinds in each region; every region sits in a function of its own
+MULTI_TARGETS = {
+    "apart": [["retag"], ["freed", "bounds"], [], ["align"]],
+    "three": [["bounds"], ["retag"], ["freed"]],
+}
+
+
+def _multi_source(regions: list[list[str]]) -> str:
+    fns = []
+    for i, kinds in enumerate(regions):
+        body = ["        let probe = 1i32;"]
+        body += ["        " + _KIND_LINES[kind].format(tag=60 + 10 * i + j) for j, kind in enumerate(kinds)]
+        body.append("        let _ = probe;")
+        inner = "\n".join(body)
+        fns.append(
+            f"fn region_{i}(seed: i32) -> i32 {{\n"
+            "    let mut value = seed;\n"
+            "    let alias = &mut value as *mut i32;\n"
+            "    unsafe {\n"
+            f"{inner}\n"
+            "    }\n"
+            "    let _ = alias;\n"
+            "    value\n"
+            "}\n"
+        )
+    calls = "".join(f"    let _ = region_{i}({i});\n" for i in range(len(regions)))
+    return "\n".join(fns) + f"\nfn main() {{\n{calls}}}\n"
+
+
+@pytest.fixture(scope="module")
+def multi_targets(tmp_path_factory) -> dict[str, TargetPackage]:
+    out = {}
+    for name, regions in MULTI_TARGETS.items():
+        path = tmp_path_factory.mktemp(f"multi-{name}") / "main.rs"
+        path.write_text(_multi_source(regions), encoding="utf-8")
+        out[name] = TargetPackage.from_path(path)
+    return out
+
+
+# clean fixes weigh most, so that whole batches come back clean
+_MULTI_FIX = st.sampled_from(
+    [("fix", 0)] * 8 + [("fix", 1), ("fix", 2), ("compile", 0), ("sleep", 0), ("nofence", 0), ("swap", 0)]
+)
+
+
+@st.composite
+def _multi_solution(draw) -> list[tuple]:
+    """Fix steps over distinct regions (region 3 does not exist in "three"),
+    now and then with a Reason or Rollback step or a lost ref between them."""
+    order = draw(st.permutations(range(4)))
+    steps: list[tuple] = []
+    for region in order[: draw(st.integers(0, 4))]:
+        if draw(st.integers(0, 7)) == 0:
+            steps.append((draw(st.sampled_from(["reason", "rollback", "lost"])), 0, region))
+        kind, arg = draw(_MULTI_FIX)
+        steps.append((kind, arg, region))
+    return steps
+
+
+def _distinct(prompts: list[str]) -> list[str]:
+    return list(dict.fromkeys(prompts))
+
+
+def _after_a_timeout(plan) -> list[str]:
+    """Instructions of the steps that follow a sleeping step in its solution:
+    a batch whose detection timed out asked their prompts, but the session
+    aborts at the sleeping step before it asks them one by one."""
+    solutions, rules = _solutions(plan)
+    sleeping = {instruction for instruction, response in rules if "//~SLEEP" in response}
+    found = []
+    for solution in solutions:
+        after = False
+        for step in solution.steps:
+            if after:
+                found.append(step.instruction)
+            after = after or step.instruction in sleeping
+    return found
+
+
+def _as_stepwise(actual: dict, expected: dict) -> dict:
+    """``actual`` with the thoughts of a clean batch given the counts and
+    notes step-by-step verification would have given them."""
+    out = copy.deepcopy(actual)
+    thoughts = out["trace"]["thoughts"]
+    notes = [t["note"] for t in thoughts if t["note"].startswith("verified in batch ")]
+    if notes:
+        first, last = map(int, notes[0].rsplit(" ", 1)[1].split("-"))
+        assert out["verdict"] == "pass" and last == len(thoughts) - 1
+        for i in range(first, last + 1):
+            assert thoughts[i]["resulting_errors"] == 0 and out["trace"]["counts"][i + 1] == 0
+            want = expected["trace"]["thoughts"][i]
+            thoughts[i]["resulting_errors"] = want["resulting_errors"]
+            thoughts[i]["note"] = want["note"]
+            out["trace"]["counts"][i + 1] = expected["trace"]["counts"][i + 1]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(MULTI_TARGETS)),
+    budget=st.integers(1, 5),
+    plan=st.lists(_multi_solution(), min_size=1, max_size=3),
+)
+# one clean batch over every region
+@example(name="apart", budget=5, plan=[[("fix", 0, 3), ("fix", 0, 1), ("fix", 0, 0), ("fix", 0, 2)]])
+# a batch with UB left, replayed; the budget splits the next solution's batch
+@example(name="three", budget=2, plan=[[("fix", 0, 0), ("fix", 1, 1), ("fix", 0, 2)], [("fix", 0, 2), ("fix", 0, 1)]])
+# a compile failure and an abstention inside one batch
+@example(name="apart", budget=5, plan=[[("fix", 0, 0), ("compile", 0, 1), ("nofence", 0, 3), ("fix", 0, 2)]])
+# a timeout in the middle of a batch ends the session
+@example(name="three", budget=5, plan=[[("fix", 0, 1), ("sleep", 0, 2), ("fix", 0, 0)], [("fix", 0, 0)]])
+# a Reason step ends one batch, its knowledge feeds the next batch's first prompt
+@example(name="apart", budget=4, plan=[[("fix", 0, 0), ("reason", 0, 1), ("fix", 0, 1), ("fix", 0, 3)]])
+# a rising count during the replay rolls back between replayed steps
+@example(name="three", budget=5, plan=[[("fix", 2, 0), ("fix", 2, 1), ("swap", 0, 2)], [("fix", 0, 0), ("fix", 0, 2), ("fix", 0, 1)]])
+def test_batches_match_the_reference_loop(multi_targets, kb, name, budget, plan):
+    target = multi_targets[name]
+    expected, expected_provider = _run(reference_run_session, target, plan, budget, kb)
+    actual, actual_provider = _run(run_session, target, plan, budget, kb)
+    assert _as_stepwise(actual.to_dict(), expected.to_dict()) == expected.to_dict()
+    assert actual.stats.to_dict() == expected.stats.to_dict()
+    assert actual.solution_id == expected.solution_id
+    assert actual.thought_count == expected.thought_count
+    assert actual.final_errors == expected.final_errors
+    assert actual.baseline_errors == expected.baseline_errors
+    assert actual.final_source == expected.final_source
+    want, got = _distinct(expected_provider.prompts), _distinct(actual_provider.prompts)
+    assert [p for p in got if p in want] == want
+    speculative = _after_a_timeout(plan)
+    assert all(any(i in p for i in speculative) for p in got if p not in want)
+
+
+def test_regions_that_share_a_function_are_verified_one_by_one(tmp_path, kb):
+    # the second block's prompt shows the first one's patched bytes
+    source = _source(1).replace(
+        "    let _ = alias;\n",
+        "    unsafe {\n        " + _KIND_LINES["freed"].format(tag=9) + "\n    }\n    let _ = alias;\n",
+    )
+    path = tmp_path / "main.rs"
+    path.write_text(source, encoding="utf-8")
+    target = TargetPackage.from_path(path)
+    plan = [[("fix", 0, 0), ("fix", 0, 1)]]
+    expected, expected_provider = _run(reference_run_session, target, plan, 5, kb)
+    actual, actual_provider = _run(run_session, target, plan, 5, kb)
+    assert actual.to_dict() == expected.to_dict()
+    assert actual_provider.prompts == expected_provider.prompts
+    assert expected.trace.counts == [2, 1, 0]

@@ -1,8 +1,10 @@
 """The three fix agents: safe replacement, assertion guard, semantic change.
 
-Each agent renders its prompt template, asks the provider, and extracts a
-patch from the first fenced code block (the full revised region). Patches
-record both sides of the edit so apply/revert round-trips are byte-exact.
+Each agent asks through ``_propose``: its prompt for the region and the
+region's UB kinds, its abstention marker, and the patch from the first
+fenced code block (the full revised region). An agent adds only its own
+gate and its own check. Patches record both sides of the edit so
+apply/revert round-trips are byte-exact.
 """
 from __future__ import annotations
 
@@ -10,9 +12,10 @@ import difflib
 import re
 from dataclasses import dataclass
 
-from .classifier import CodeFeature, FixStrategy, UnsafeRegion, has_safe_api_match
+from .classifier import UnsafeRegion, has_safe_api_match
+from .detector import UbKind
 from .errors import AgentFailure, NoGuardExpressible, NoSafeEquivalent, ProviderFailure
-from .fast import AgentKind
+from .fast import STRATEGY_FOR_AGENT, AgentKind
 from .prompts import fill, load_template
 from .provider import PromptRecord, Provider
 
@@ -28,10 +31,10 @@ _TEMPLATE_FOR_AGENT = {
     AgentKind.ADD_ASSERTION: "add_assertion.txt",
     AgentKind.MODIFY_SEMANTICS: "modify_semantics.txt",
 }
-_STRATEGY_NAME = {
-    AgentKind.SAFE_REPLACE: FixStrategy.SAFE_ALTERNATIVE.value,
-    AgentKind.ADD_ASSERTION: FixStrategy.ASSERTION_GUARD.value,
-    AgentKind.MODIFY_SEMANTICS: FixStrategy.SEMANTIC_MODIFICATION.value,
+# the answer text by which an agent's provider abstains, and what it raises
+_ABSTENTION = {
+    AgentKind.SAFE_REPLACE: ("NO SAFE EQUIVALENT", NoSafeEquivalent),
+    AgentKind.ADD_ASSERTION: ("NO GUARD EXPRESSIBLE", NoGuardExpressible),
 }
 
 
@@ -77,39 +80,47 @@ def revert_patch(patch: PatchRecord, workspace) -> None:
 
 
 def build_prompt(
-    agent: AgentKind, region: UnsafeRegion, feature: CodeFeature, context: str | None
+    agent: AgentKind, region: UnsafeRegion, ub_kinds: frozenset[UbKind], context: str | None
 ) -> str:
-    errors = "\n".join(f"- {k.value}" for k in sorted(feature.ub_kinds, key=lambda k: k.value))
+    errors = "\n".join(f"- {k.value}" for k in sorted(ub_kinds, key=lambda k: k.value))
     ctx = region.enclosing_context
     if context:
         ctx += f"\n\nKnowledge from previous repairs:\n{context}"
     return fill(
         load_template(_TEMPLATE_FOR_AGENT[agent]),
-        strategy=_STRATEGY_NAME[agent],
+        strategy=STRATEGY_FOR_AGENT[agent].value,
         errors=errors or "(unclassified)",
         snippet=region.snippet,
         context=ctx,
     )
 
 
-def _extract_block(response: str) -> tuple[str, str]:
-    """(revised region, rationale) from a provider answer."""
+def _propose(
+    agent: AgentKind,
+    region: UnsafeRegion,
+    ub_kinds: frozenset[UbKind],
+    provider: Provider,
+    context: str | None,
+) -> PatchRecord:
+    """Ask ``agent``'s prompt and patch ``region`` with the answer's first
+    fenced block, the line before it being the rationale."""
+    response = provider.complete(PromptRecord.user(build_prompt(agent, region, ub_kinds, context)))
+    if agent in _ABSTENTION:
+        marker, abstain = _ABSTENTION[agent]
+        if marker in response:
+            raise abstain(f"{region.file}: provider abstained")
     m = _FENCE_RE.search(response)
     if not m:
         raise ProviderFailure("response contains no fenced code block")
     rationale = response[: m.start()].strip().splitlines()
-    return m.group(1).rstrip("\n"), rationale[0] if rationale else ""
-
-
-def _ask(
-    agent: AgentKind,
-    region: UnsafeRegion,
-    feature: CodeFeature,
-    provider: Provider,
-    context: str | None,
-) -> str:
-    prompt = build_prompt(agent, region, feature, context)
-    return provider.complete(PromptRecord.user(prompt))
+    return PatchRecord(
+        file=region.file,
+        before_span=region.byte_span,
+        before_text=region.snippet,
+        after_text=m.group(1).rstrip("\n"),
+        agent=agent,
+        rationale=rationale[0] if rationale else "",
+    )
 
 
 def insert_only_diff(before: str, after: str) -> list[str] | None:
@@ -129,7 +140,7 @@ def insert_only_diff(before: str, after: str) -> list[str] | None:
 
 def safe_replace(
     region: UnsafeRegion,
-    feature: CodeFeature,
+    ub_kinds: frozenset[UbKind],
     provider: Provider,
     context: str | None = None,
 ) -> PatchRecord:
@@ -141,26 +152,16 @@ def safe_replace(
     """
     if not has_safe_api_match(region.snippet):
         raise NoSafeEquivalent(f"{region.file}: no catalogued equivalent")
-    response = _ask(AgentKind.SAFE_REPLACE, region, feature, provider, context)
-    if "NO SAFE EQUIVALENT" in response:
-        raise NoSafeEquivalent(f"{region.file}: provider abstained")
-    after, rationale = _extract_block(response)
+    patch = _propose(AgentKind.SAFE_REPLACE, region, ub_kinds, provider, context)
     before_unsafe = region.snippet.count("unsafe")
-    if after.count("unsafe") >= before_unsafe and before_unsafe:
+    if patch.after_text.count("unsafe") >= before_unsafe and before_unsafe:
         raise NoSafeEquivalent(f"{region.file}: answer does not reduce the unsafe region")
-    return PatchRecord(
-        file=region.file,
-        before_span=region.byte_span,
-        before_text=region.snippet,
-        after_text=after,
-        agent=AgentKind.SAFE_REPLACE,
-        rationale=rationale,
-    )
+    return patch
 
 
 def add_assertion(
     region: UnsafeRegion,
-    feature: CodeFeature,
+    ub_kinds: frozenset[UbKind],
     provider: Provider,
     context: str | None = None,
 ) -> PatchRecord:
@@ -171,11 +172,8 @@ def add_assertion(
     the rest guards, blanks, comments or attributes. That structural check
     is what keeps this agent honest.
     """
-    response = _ask(AgentKind.ADD_ASSERTION, region, feature, provider, context)
-    if "NO GUARD EXPRESSIBLE" in response:
-        raise NoGuardExpressible(f"{region.file}: provider abstained")
-    after, rationale = _extract_block(response)
-    inserted = insert_only_diff(region.snippet, after)
+    patch = _propose(AgentKind.ADD_ASSERTION, region, ub_kinds, provider, context)
+    inserted = insert_only_diff(region.snippet, patch.after_text)
     if inserted is None:
         raise NoGuardExpressible(f"{region.file}: answer rewrites the unsafe expression")
     for line in inserted:
@@ -183,33 +181,17 @@ def add_assertion(
             raise NoGuardExpressible(f"{region.file}: inserted line is not a guard: {line!r}")
     if not any(_GUARD_RE.match(line) for line in inserted):
         raise NoGuardExpressible(f"{region.file}: answer inserts no guard")
-    return PatchRecord(
-        file=region.file,
-        before_span=region.byte_span,
-        before_text=region.snippet,
-        after_text=after,
-        agent=AgentKind.ADD_ASSERTION,
-        rationale=rationale,
-    )
+    return patch
 
 
 def modify_semantics(
     region: UnsafeRegion,
-    feature: CodeFeature,
+    ub_kinds: frozenset[UbKind],
     provider: Provider,
     context: str | None = None,
 ) -> PatchRecord:
     """Free-form rewrite of the region; the least constrained agent."""
-    response = _ask(AgentKind.MODIFY_SEMANTICS, region, feature, provider, context)
-    after, rationale = _extract_block(response)
-    return PatchRecord(
-        file=region.file,
-        before_span=region.byte_span,
-        before_text=region.snippet,
-        after_text=after,
-        agent=AgentKind.MODIFY_SEMANTICS,
-        rationale=rationale,
-    )
+    return _propose(AgentKind.MODIFY_SEMANTICS, region, ub_kinds, provider, context)
 
 
 AGENT_FUNCTIONS = {

@@ -83,16 +83,6 @@ class CodeFeature:
     ref: str = ""
     reports: tuple[UbReport, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "ref": self.ref,
-            "file": self.region.file,
-            "span": list(self.region.byte_span),
-            "op_kinds": sorted(k.value for k in self.op_kinds),
-            "ub_kinds": sorted(k.value for k in self.ub_kinds),
-            "context_summary": self.context_summary,
-        }
-
 
 # Known unsafe std APIs, each with the safe counterpart it can give way to.
 # The regexes are the safe_replace agent's catalogue gate.

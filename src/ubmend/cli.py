@@ -317,27 +317,6 @@ def _seeded_solution(record: ExperienceRecord, ref: str) -> RepairSolution | Non
     return RepairSolution(id="s00", steps=steps, provenance=Provenance.KNOWLEDGE_SEEDED)
 
 
-class _SeededPlan:
-    """A seeded solution that ranking provably keeps first, then the rest of
-    the ranked plan, which ``plan`` makes (summaries, plan and ranking) only
-    when the session asks for a second solution.
-
-    Only the first pass can plan: a later pass yields the solutions made so
-    far, so reading them after the session asks the model nothing.
-    """
-
-    def __init__(self, seeded: RepairSolution, plan: Callable[[], list[RepairSolution]]) -> None:
-        self.solutions = [seeded]
-        self._plan: Callable[[], list[RepairSolution]] | None = plan
-
-    def __iter__(self) -> Iterator[RepairSolution]:
-        plan, self._plan = self._plan, None
-        yield self.solutions[0]
-        if plan is not None:
-            self.solutions = plan()
-        yield from self.solutions[1:]
-
-
 def repair_one(
     target: TargetPackage,
     provider: Provider,
@@ -349,12 +328,12 @@ def repair_one(
 
     Returns the session outcome (triplet attached), the evaluation triplet,
     and the original sources for diffing. With knowledge enabled, a past
-    repair at least ``BYPASS_SIMILARITY`` alike is seeded first. When
-    ranking provably keeps it first, the session tries it before any
-    summary or plan is asked for: they are made only if it does not pass,
-    and the session then goes on in the same order as an eager plan.
-    Reason steps consult the knowledge base only when knowledge is enabled
-    and no past repair was seeded.
+    repair at least ``BYPASS_SIMILARITY`` alike is seeded first. The region
+    summaries, the plan and its ranking are made when the session first
+    draws past a seed that ranking provably keeps first, or draws its first
+    solution when there is no such seed; the session tries the solutions in
+    ranked order either way. Reason steps consult the knowledge base only
+    when knowledge is enabled and no past repair was seeded.
     """
     clock = settings.clock
     memo = settings.memo
@@ -371,6 +350,7 @@ def repair_one(
         baseline = run_detection(ws.target, config=settings.detector, clock=clock, memo=memo)
         kb = engine.kb if settings.kb_enabled else None
         vector: FeatureVector | None = None
+        drawn: list[RepairSolution] = []
         solutions: Iterable[RepairSolution] = []
         if not baseline.clean:
             features = extract_features(ws.target, list(baseline.reports))
@@ -386,7 +366,13 @@ def repair_one(
                     if seeded is not None:
                         kb = None
 
-            def plan() -> list[RepairSolution]:
+            def draw() -> Iterator[RepairSolution]:
+                """The ranked plan, each solution noted in ``drawn`` as the
+                session draws it; a seed that ranking provably keeps first
+                is drawn before the plan is made."""
+                if seeded is not None and engine.keeps_first(seeded, vector):
+                    drawn.append(seeded)
+                    yield seeded
                 summarize_features(features, provider)
                 planned = generate_solutions(
                     features, k=settings.solutions_k, provider=provider, kb_enabled=settings.kb_enabled
@@ -395,12 +381,11 @@ def repair_one(
                     planned.insert(0, seeded)
                 if vector is not None and not vector.is_zero:
                     planned = engine.rank_solutions(planned, vector)
-                return planned
+                for solution in planned[len(drawn):]:
+                    drawn.append(solution)
+                    yield solution
 
-            if seeded is not None and engine.keeps_first(seeded, vector):
-                solutions = _SeededPlan(seeded, plan)
-            else:
-                solutions = plan()
+            solutions = draw()
         outcome = run_session(
             ws.target,
             solutions,
@@ -431,7 +416,7 @@ def repair_one(
             and not vector.is_zero
             and outcome.solution_id is not None
         ):
-            used = next((s for s in solutions if s.id == outcome.solution_id), None)
+            used = next((s for s in drawn if s.id == outcome.solution_id), None)
             if used is not None:
                 record = ExperienceRecord(
                     feature_vector=vector,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .classifier import (
@@ -75,24 +75,13 @@ class RepairStep:
     agent: AgentKind
     target_region: str
     instruction: str
-    params: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
             "agent": self.agent.value,
             "target_region": self.target_region,
             "instruction": self.instruction,
-            "params": self.params,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RepairStep":
-        return cls(
-            agent=AgentKind(data["agent"]),
-            target_region=data["target_region"],
-            instruction=data["instruction"],
-            params=dict(data.get("params", {})),
-        )
 
 
 @dataclass
@@ -107,14 +96,6 @@ class RepairSolution:
             "steps": [s.to_dict() for s in self.steps],
             "provenance": self.provenance.value,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RepairSolution":
-        return cls(
-            id=data["id"],
-            steps=[RepairStep.from_dict(s) for s in data["steps"]],
-            provenance=Provenance(data.get("provenance", "generated")),
-        )
 
 
 def region_ref(file: str, ordinal: int) -> str:

@@ -488,7 +488,12 @@ class KnowledgeBase:
             _append_jsonl(self.path, entry.to_dict())
 
     def search(self, vector: FeatureVector, k: int = 3) -> list[tuple[float, KnowledgeEntry]]:
-        """Top-k entries by cosine similarity, newer entries winning ties."""
+        """Top-k entries by cosine similarity, the later appended winning ties.
+
+        Ties go by position in the store, not by ``created``: each process
+        stamps entries from its own clock, so stamps from different runs do
+        not order them.
+        """
         if vector.is_zero:
             raise ValueError("zero vectors are not searchable")
         if not self.entries:
@@ -496,5 +501,5 @@ class KnowledgeBase:
         scored = [
             (cosine(vector, e.vector), i, e) for i, e in enumerate(self.entries)
         ]
-        scored.sort(key=lambda t: (-t[0], -t[2].created, -t[1]))
+        scored.sort(key=lambda t: (-t[0], -t[1]))
         return [(sim, entry) for sim, _, entry in scored[:k]]

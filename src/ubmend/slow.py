@@ -13,8 +13,10 @@ Consecutive fix steps on regions apart from each other form a batch
 (``_form_batch``): every step proposes its patch, then one detection
 checks them all. A clean batch is a pass. Any other outcome puts the copy
 back to the bytes before the batch and replays its steps one by one
-through ``execute_step``, reusing the batch's answers and, when the replay
-reaches the batch's bytes, its detection.
+through ``execute_step``. The session asks through the case memo
+(``SessionConfig.memo``), so the replay's prompts are answered with the
+batch's answers, and its detection is reused when the replay reaches the
+batch's bytes.
 """
 from __future__ import annotations
 
@@ -23,10 +25,10 @@ import logging
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Generator, Iterable, Sequence
 
 from .agents import AGENT_FUNCTIONS, PatchRecord, apply_patch, revert_patch
-from .classifier import CodeFeature, UnsafeRegion, classify_ops, locate_unsafe_regions
+from .classifier import UnsafeRegion, locate_unsafe_regions
 from .detector import (
     CaseMemo,
     DetectionResult,
@@ -44,7 +46,6 @@ from .errors import (
     NoSafeEquivalent,
     ProviderFailure,
     ReplayMiss,
-    Unclassifiable,
 )
 from .fast import (
     DEFAULT_SOLUTION_COUNT,
@@ -56,7 +57,7 @@ from .fast import (
     parse_region_ref,
 )
 from .kb import AstMode, KnowledgeBase, feature_vector
-from .provider import PromptRecord, Provider
+from .provider import MemoizedProvider, Provider
 from .rollback import RollbackStats, SnapshotStore
 from .workspace import WorkingCopy
 
@@ -227,22 +228,12 @@ def propose_step(
     not apply; its count stays ``prev_count`` until a detection verifies it.
     A replay miss propagates: it means the transcript is incomplete.
     """
-    try:
-        op_kinds = classify_ops(region)
-    except Unclassifiable:
-        op_kinds = frozenset()
-    feature = CodeFeature(
-        region=region,
-        op_kinds=op_kinds,
-        ub_kinds=frozenset(r.kind for r in reports),
-        context_summary="",
-        ref=step.target_region,
-    )
     agent_context = f"Instruction: {step.instruction}"
     if context:
         agent_context += f"\n{context}"
+    kinds = frozenset(r.kind for r in reports)
     try:
-        patch = AGENT_FUNCTIONS[step.agent](region, feature, provider, agent_context)
+        patch = AGENT_FUNCTIONS[step.agent](region, kinds, provider, agent_context)
     except ReplayMiss:
         raise
     except (NoSafeEquivalent, NoGuardExpressible, AgentFailure, ProviderFailure) as exc:
@@ -422,21 +413,6 @@ def _run_batch(
     return thoughts
 
 
-class _AskOnce:
-    """The provider as a batch and its replay see it: a prompt asked before
-    is answered from the batch's own record, whatever ``provider`` is."""
-
-    def __init__(self, provider: Provider) -> None:
-        self.provider = provider
-        self.answers: dict[str, str] = {}
-
-    def complete(self, prompt: PromptRecord) -> str:
-        key = prompt.text()
-        if key not in self.answers:
-            self.answers[key] = self.provider.complete(prompt)
-        return self.answers[key]
-
-
 def run_session(
     target: TargetPackage,
     solutions: Iterable[RepairSolution],
@@ -451,15 +427,20 @@ def run_session(
 
     ``solutions`` may be any iterable, a lazy one too: the next solution is
     drawn only after the previous one ended without a pass, and none is
-    drawn after a pass or an aborted solution. Terminates on a clean
-    detection (Pass), on exhausting the solutions (Failed), or on
+    drawn after a pass or an aborted solution. A generator is closed when
+    the session ends, so nothing draws from it afterwards. Terminates on a
+    clean detection (Pass), on exhausting the solutions (Failed), or on
     exhausting the per-solution budget (Budget Exhausted). The final
     working copy always matches the snapshot with the fewest errors,
-    re-verified by one last detection run. Reason steps
-    consult ``kb``; without one they add nothing. Without a ``workspace``
-    the session works in a copy of its own and removes it before returning.
+    re-verified by one last detection run. Reason steps consult ``kb``;
+    without one they add nothing. Without a ``workspace`` the session works
+    in a copy of its own and removes it before returning.
     """
     config = config or SessionConfig()
+    if not isinstance(provider, MemoizedProvider):
+        # a fetch takes no time on the memo's account: a logical clock
+        # ticks as it would without the memo
+        provider = MemoizedProvider(provider, config.memo, lambda: 0.0)
     budget = config.budget
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -488,7 +469,6 @@ def run_session(
             aborted = False
             steps = list(solution.steps)
             replay_end = 0  # steps before it replay a failed batch, one by one
-            asker: Provider | _AskOnce = provider
             for at, step in enumerate(steps):
                 if step.agent is AgentKind.REASON:
                     reason_context = _knowledge_context(step, ws, current.reports, provider, config, kb)
@@ -502,14 +482,12 @@ def run_session(
                     budget_hit_last = True
                     break
                 if at >= replay_end:
-                    asker = provider
                     members = _form_batch(steps[at:], ws, current.reports, budget - len(trace.thoughts))
                     if members:
-                        asker = _AskOnce(provider)
                         verified = _run_batch(
                             members,
                             ws,
-                            asker,
+                            provider,
                             config,
                             len(trace.thoughts),
                             current.error_count,
@@ -531,7 +509,7 @@ def run_session(
                         step,
                         ws,
                         current.reports,
-                        asker,
+                        provider,
                         config,
                         index=len(trace.thoughts),
                         prev_count=current.error_count,
@@ -596,3 +574,5 @@ def run_session(
     finally:
         if workspace is None:
             ws.cleanup()
+        if isinstance(solutions, Generator):
+            solutions.close()

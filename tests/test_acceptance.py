@@ -583,7 +583,7 @@ def test_acceptance_07_patches_round_trip_and_guards_insert_only(mock_provider):
                 )
                 try:
                     patch = AGENT_FUNCTIONS[agent_kind](
-                        region, feature, mock_provider, "Instruction: tighten the region"
+                        region, feature.ub_kinds, mock_provider, "Instruction: tighten the region"
                     )
                 except (NoSafeEquivalent, NoGuardExpressible, AgentFailure, ProviderFailure):
                     abstained += 1

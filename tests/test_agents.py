@@ -117,7 +117,7 @@ def test_insert_only_diff():
 
 def test_build_prompt_carries_snippet_errors_and_knowledge():
     region, feature = _region_feature()
-    prompt = build_prompt(AgentKind.SAFE_REPLACE, region, feature, "Instruction: do it")
+    prompt = build_prompt(AgentKind.SAFE_REPLACE, region, feature.ub_kinds, "Instruction: do it")
     assert region.snippet in prompt
     assert "stack_borrow" in prompt
     assert "Instruction: do it" in prompt
@@ -125,7 +125,7 @@ def test_build_prompt_carries_snippet_errors_and_knowledge():
 
 def test_safe_replace_happy_path(mock_provider):
     region, feature = _region_feature()
-    patch = safe_replace(region, feature, mock_provider)
+    patch = safe_replace(region, feature.ub_kinds, mock_provider)
     assert patch.agent == AgentKind.SAFE_REPLACE
     assert "get_unchecked" not in patch.after_text
     assert patch.before_text == region.snippet
@@ -135,7 +135,7 @@ def test_safe_replace_gate_abstains_without_catalogue_match(mock_provider):
     src = "fn main() { let y = unsafe { *p };\n}\n"
     region, feature = _region_feature(src)
     with pytest.raises(NoSafeEquivalent):
-        safe_replace(region, feature, mock_provider)
+        safe_replace(region, feature.ub_kinds, mock_provider)
     assert mock_provider.calls == 0
 
 
@@ -143,13 +143,13 @@ def test_safe_replace_rejects_non_reducing_answer():
     region, feature = _region_feature()
     echo = f"no change\n\n```rust\n{region.snippet}\n```"
     with pytest.raises(NoSafeEquivalent):
-        safe_replace(region, feature, _scripted(echo))
+        safe_replace(region, feature.ub_kinds, _scripted(echo))
 
 
 def test_safe_replace_provider_abstention():
     region, feature = _region_feature()
     with pytest.raises(NoSafeEquivalent):
-        safe_replace(region, feature, _scripted("NO SAFE EQUIVALENT"))
+        safe_replace(region, feature.ub_kinds, _scripted("NO SAFE EQUIVALENT"))
 
 
 MULTILINE = (
@@ -168,7 +168,7 @@ def test_add_assertion_happy_path():
     guarded = region.snippet.replace(
         "unsafe {\n", "unsafe {\n        debug_assert!(!v.is_empty());\n", 1
     )
-    patch = add_assertion(region, feature, _scripted(f"guard first\n\n```rust\n{guarded}\n```"))
+    patch = add_assertion(region, feature.ub_kinds, _scripted(f"guard first\n\n```rust\n{guarded}\n```"))
     inserted = insert_only_diff(patch.before_text, patch.after_text)
     assert inserted and all("debug_assert" in l or not l.strip() for l in inserted)
 
@@ -177,20 +177,20 @@ def test_add_assertion_rejects_rewrites():
     region, feature = _region_feature()
     rewritten = "rewrote instead\n\n```rust\nunsafe { *v.get_unchecked(1) }\n```"
     with pytest.raises(NoGuardExpressible):
-        add_assertion(region, feature, _scripted(rewritten))
+        add_assertion(region, feature.ub_kinds, _scripted(rewritten))
 
 
 def test_add_assertion_rejects_non_guard_insertions():
     region, feature = _region_feature()
     sneaky = region.snippet.replace("unsafe {", 'unsafe {\n    launch_missiles();', 1)
     with pytest.raises(NoGuardExpressible):
-        add_assertion(region, feature, _scripted(f"x\n\n```rust\n{sneaky}\n```"))
+        add_assertion(region, feature.ub_kinds, _scripted(f"x\n\n```rust\n{sneaky}\n```"))
 
 
 def test_add_assertion_rejects_empty_insertion():
     region, feature = _region_feature()
     with pytest.raises(NoGuardExpressible):
-        add_assertion(region, feature, _scripted(f"x\n\n```rust\n{region.snippet}\n```"))
+        add_assertion(region, feature.ub_kinds, _scripted(f"x\n\n```rust\n{region.snippet}\n```"))
 
 
 @pytest.mark.parametrize(
@@ -205,7 +205,7 @@ def test_add_assertion_rejects_comment_only_insertions(inserted):
     region, feature = _region_feature(MULTILINE)
     commented = region.snippet.replace("unsafe {\n", f"unsafe {{\n{inserted}\n", 1)
     with pytest.raises(NoGuardExpressible, match="inserts no guard"):
-        add_assertion(region, feature, _scripted(f"x\n\n```rust\n{commented}\n```"))
+        add_assertion(region, feature.ub_kinds, _scripted(f"x\n\n```rust\n{commented}\n```"))
 
 
 def test_add_assertion_keeps_comments_beside_a_guard():
@@ -213,13 +213,13 @@ def test_add_assertion_keeps_comments_beside_a_guard():
     guarded = region.snippet.replace(
         "unsafe {\n", "unsafe {\n        // bounds first\n\n        assert!(!v.is_empty());\n", 1
     )
-    patch = add_assertion(region, feature, _scripted(f"x\n\n```rust\n{guarded}\n```"))
+    patch = add_assertion(region, feature.ub_kinds, _scripted(f"x\n\n```rust\n{guarded}\n```"))
     assert patch.after_text == guarded
 
 
 def test_modify_semantics_free_form():
     region, feature = _region_feature()
-    patch = modify_semantics(region, feature, _scripted("why\n\n```rust\nv[0]\n```"))
+    patch = modify_semantics(region, feature.ub_kinds, _scripted("why\n\n```rust\nv[0]\n```"))
     assert patch.after_text == "v[0]"
     assert patch.rationale == "why"
 
@@ -227,4 +227,4 @@ def test_modify_semantics_free_form():
 def test_agents_raise_on_missing_fence():
     region, feature = _region_feature()
     with pytest.raises(ProviderFailure):
-        modify_semantics(region, feature, _scripted("no code block here"))
+        modify_semantics(region, feature.ub_kinds, _scripted("no code block here"))

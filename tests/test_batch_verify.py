@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import shlex
+import sys
 
 from conftest import (
     CORPUS_DIR,
@@ -20,7 +21,7 @@ from conftest import (
     spawn_log,
 )
 from test_session_oracle import reference_run_session
-from ubmend import cli
+from ubmend import classifier, cli
 from ubmend.cli import main, repair_one
 from ubmend.detector import DetectorConfig, TargetPackage
 from ubmend.fast import AgentKind, RepairSolution, RepairStep
@@ -92,6 +93,25 @@ def test_a_single_region_fixture_spawns_as_before(tmp_path, capsys):
     assert [t["note"] for t in payload["trace"]["thoughts"]] == [""]
     # the baseline and the repaired state, as when every step was verified alone
     assert len(spawn_log(log)) == 2
+
+
+def test_regions_are_classified_once_per_baseline_feature(tmp_path, capsys, monkeypatch):
+    # the agents read a region's UB kinds only, so a fix step classifies nothing
+    classified = []
+    original = classifier.classify_ops
+
+    def counted(region):
+        classified.append(region.byte_span)
+        return original(region)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("ubmend") and getattr(module, "classify_ops", None) is original:
+            monkeypatch.setattr(module, "classify_ops", counted)
+    target = tmp_path / "main.rs"
+    target.write_text(regions_source(6), encoding="utf-8")
+    assert main(fix_args(target, tmp_path / "spawns.jsonl", "--max-iterations", "6")) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+    assert len(classified) == len(set(classified)) == 6
 
 
 # each fn reads through ``get_unchecked``; the safe rewrite drops the block's

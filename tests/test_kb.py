@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from ubmend.cli import LogicalClock
 from ubmend.detector import UbKind, UbReport
 from ubmend.errors import StorageFailure
 from ubmend.feedback import EvalTriplet
@@ -271,6 +272,39 @@ def test_search_orders_by_similarity_then_recency():
     assert sims == [1.0, 1.0, 0.0]
     assert hits[0][1].created == 3.0
     assert hits[1][1].created == 1.0
+
+
+def test_search_ties_go_to_the_later_appended_entry(tmp_path):
+    # each process stamps ``created`` from its own clock: a generated store
+    # from the epoch, ``fix --fixed-clock`` from a logical clock that starts
+    # at 0, a plain ``fix`` from the monotonic clock (here a day of uptime)
+    path = tmp_path / "kb.jsonl"
+    for name, clock in (("old", lambda: 1.7e9), ("new", LogicalClock()), ("newer", lambda: 86_400.0)):
+        entry = _entry([1.0, 0.0])
+        entry.solution = {"name": name, "steps": []}
+        KnowledgeBase(path, clock=clock).insert(entry)
+    hits = KnowledgeBase(path).search(FeatureVector.from_list([1.0, 0.0]), k=3)
+    assert [entry.solution["name"] for _, entry in hits] == ["newer", "new", "old"]
+
+
+def test_a_line_whose_steps_hold_params_loads_and_searches_as_before(tmp_path):
+    # steps were written with an always-empty ``params`` field until it went
+    step = {"agent": "SafeReplace", "instruction": "use get", "target_region": "<region>"}
+    vectors = ([1.0, 0.0], [1.0, 1.0], [0.0, 1.0])
+    stores = {}
+    for name, extra in (("legacy", {"params": {}}), ("current", {})):
+        path = tmp_path / f"{name}.jsonl"
+        for i, values in enumerate(vectors):
+            entry = _entry(values, created=float(i + 1))
+            entry.solution = {"steps": [{**step, **extra}], "tag": i}
+            KnowledgeBase(path).insert(entry)
+        stores[name] = KnowledgeBase(path)
+    legacy, current = stores["legacy"], stores["current"]
+    assert [e.solution["steps"][0] for e in legacy.entries] == [{**step, "params": {}}] * 3
+    for values in vectors:
+        query = FeatureVector.from_list(values)
+        ranked = [[(sim, e.solution["tag"]) for sim, e in kb.search(query, k=3)] for kb in (legacy, current)]
+        assert ranked[0] == ranked[1]
 
 
 def test_search_k_cap_and_zero_vector():

@@ -278,6 +278,21 @@ def test_a_passing_seed_asks_only_its_fix_prompt(spy):
     assert lazy == spy[2:]
 
 
+def test_reading_the_solutions_after_a_seed_passed_plans_nothing(spy, monkeypatch):
+    # a caller that reads what the session was given once it returned, as
+    # the benchmark's span recorder does, must not make the plan
+    session = cli.run_session
+
+    def reading(target, solutions, **kwargs):
+        outcome = session(target, solutions, **kwargs)
+        list(solutions)
+        return outcome
+
+    monkeypatch.setattr(cli, "run_session", reading)
+    assert _asked(cli.repair_one, "stack_borrow", REWRITE) is Verdict.PASS
+    assert _kinds(spy) == ["fix"]
+
+
 def test_a_failing_seed_asks_its_fix_prompt_then_plans_as_before(spy):
     assert _asked(cli.repair_one, "stack_borrow", FAILING) is Verdict.PASS
     assert _kinds(spy) == ["fix", "summary", "plan", "fix"]
@@ -303,18 +318,6 @@ def test_a_seed_that_could_be_outranked_is_planned_eagerly(spy):
     settings = SessionConfig(detector=stub_detector_config(), memo=CaseMemo())
     cli.repair_one(TargetPackage.from_path(path), _mock(ProviderConfig()), engine, settings)
     assert _kinds(spy)[:2] == ["summary", "plan"]
-
-
-def test_the_rest_of_a_seeded_plan_is_made_once_and_only_when_drawn():
-    seed, other = RepairSolution("s00", []), RepairSolution("s01", [])
-    made = []
-    stopped = cli._SeededPlan(seed, lambda: made.append(1) or [seed, other])
-    assert next(iter(stopped)) is seed
-    # a pass after the session stopped drawing yields what was made, and plans nothing
-    assert list(stopped) == [seed] and made == []
-    drawn = cli._SeededPlan(seed, lambda: made.append(1) or [seed, other])
-    assert list(drawn) == [seed, other] and made == [1]
-    assert list(drawn) == [seed, other] and made == [1]
 
 
 # --- one-pass scoring against the per-candidate scan --------------------------

@@ -4,9 +4,10 @@
 ``bench`` runs the same logic per manifest case, in parallel, and reports
 pass/exec rates with Wilson confidence intervals plus a per-kind timing
 table (no-knowledge vs knowledge columns). With replay transcripts and
-``--fixed-clock`` the bench JSON report is byte-identical across runs:
-knowledge and experience writes are deferred until every case finished and
-applied in case-id order.
+``--fixed-clock`` the bench JSON report is byte-identical across runs: each
+case's log lines, store lines and transcript entries are handed on in
+case-id order, as soon as that case and every earlier case are done, so an
+interrupted bench keeps the lines of the cases it finished.
 """
 from __future__ import annotations
 
@@ -464,6 +465,20 @@ def _detector_config(args: argparse.Namespace) -> DetectorConfig:
     return DetectorConfig(timeout=args.timeout)
 
 
+def _session_config(
+    args: argparse.Namespace, clock: Callable[[], float], memo: CaseMemo, kb_enabled: bool
+) -> SessionConfig:
+    return SessionConfig(
+        detector=_detector_config(args),
+        solutions_k=args.solutions,
+        budget=args.max_iterations,
+        ast_mode=AstMode(args.ast_mode),
+        kb_enabled=kb_enabled,
+        clock=clock,
+        memo=memo,
+    )
+
+
 def _provider_config(args: argparse.Namespace) -> ProviderConfig:
     return ProviderConfig(
         mode=ProviderMode(args.provider),
@@ -492,15 +507,7 @@ def cmd_fix(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     memo = CaseMemo(engine.tool_results)
-    settings = SessionConfig(
-        detector=_detector_config(args),
-        solutions_k=args.solutions,
-        budget=args.max_iterations,
-        ast_mode=AstMode(args.ast_mode),
-        kb_enabled=not args.no_kb,
-        clock=clock,
-        memo=memo,
-    )
+    settings = _session_config(args, clock, memo, kb_enabled=not args.no_kb)
     try:
         outcome, triplet, originals = repair_one(
             target, provider, engine, settings, reference=reference
@@ -621,60 +628,36 @@ def _bench_case(
 ) -> tuple[CaseResult, list, list[ExperienceRecord], dict[str, dict], list]:
     """One manifest case: a knowledge run plus a no-knowledge timing run.
 
-    Returns the row, the knowledge entries, experience records and tool
-    results the case produced (deferred; applied later in case-id order),
-    and any transcript entries recorded. ``stored`` seeds the case memo with
-    the experience log's tool results.
+    The two runs share one provider, target, reference and copy of the
+    stores; the no-knowledge run records nothing into the copy. Returns the
+    row, the knowledge entries, experience records and tool results the case
+    produced, and the transcript entries its finished runs recorded.
+    ``stored`` seeds the case memo with the experience log's tool results.
     """
     clock = _make_clock(args.fixed_clock)
-    detector = _detector_config(args)
     memo = CaseMemo(stored)
+    kb = KnowledgeBase(None, clock=clock)
+    kb.entries = list(initial_kb)
+    engine = FeedbackEngine(None, kb=kb)
+    engine.records = list(initial_exp)
+    runs: list[tuple[SessionOutcome, EvalTriplet]] = []
     recorded: list = []
-
-    def one_run(kb_enabled: bool) -> tuple[SessionOutcome, EvalTriplet, list, list]:
+    try:
         provider = _wrap_recording(create_provider(_provider_config(args)), args)
-        kb = KnowledgeBase(None, clock=clock)
-        kb.entries = list(initial_kb)
-        engine = FeedbackEngine(None, kb=kb)
-        engine.records = list(initial_exp)
         target = TargetPackage.from_path(case.path)
         target.validate()
         reference = ReferenceBundle.from_dir(case.reference) if case.reference else None
-        settings = SessionConfig(
-            detector=detector,
-            solutions_k=args.solutions,
-            budget=args.max_iterations,
-            ast_mode=AstMode(args.ast_mode),
-            kb_enabled=kb_enabled,
-            clock=clock,
-            memo=memo,
-        )
-        outcome, triplet, _ = repair_one(target, provider, engine, settings, reference)
-        if isinstance(provider, TranscriptRecorder):
-            recorded.extend(provider.entries.values())
-        return (
-            outcome,
-            triplet,
-            kb.entries[len(initial_kb):],
-            engine.records[len(initial_exp):],
-        )
-
-    try:
-        if args.no_kb:
-            outcome, triplet, new_kb, new_exp = one_run(kb_enabled=False)
-            seconds_kb, seconds_plain = None, triplet.overhead_seconds
-            tokens = triplet.overhead_tokens
-        else:
-            outcome, triplet, new_kb, new_exp = one_run(kb_enabled=True)
-            seconds_kb = triplet.overhead_seconds
-            tokens = triplet.overhead_tokens
-            _, plain_triplet, _, _ = one_run(kb_enabled=False)
-            seconds_plain = plain_triplet.overhead_seconds
+        for kb_enabled in (False,) if args.no_kb else (True, False):
+            settings = _session_config(args, clock, memo, kb_enabled)
+            runs.append(repair_one(target, provider, engine, settings, reference)[:2])
+            if isinstance(provider, TranscriptRecorder):
+                recorded = list(provider.entries.values())
     except ToolMissing:
         raise
     except UbmendError as exc:
         log.warning("case %s failed: %s", case.id, exc)
         return _failed_row(case, exc), [], [], memo.new_results, recorded
+    (outcome, triplet), (_, plain) = runs[0], runs[-1]
     result = CaseResult(
         id=case.id,
         kind=case.ub_kind,
@@ -684,25 +667,21 @@ def _bench_case(
         final_errors=outcome.final_errors,
         thoughts=outcome.thought_count,
         rollbacks=outcome.stats.rollback_count,
-        tokens=tokens,
-        seconds_kb=seconds_kb,
-        seconds_plain=seconds_plain,
+        tokens=triplet.overhead_tokens,
+        seconds_kb=None if args.no_kb else triplet.overhead_seconds,
+        seconds_plain=plain.overhead_seconds,
     )
-    return result, new_kb, new_exp, memo.new_results, recorded
+    return result, kb.entries[len(initial_kb):], engine.records[len(initial_exp):], memo.new_results, recorded
 
 
 class _CaseLogs(logging.Handler):
-    """Holds back the package's log records per bench case and hands them
-    on as one block per case, in case-id order, each as soon as its case
-    and every earlier case are done, so stderr does not depend on which
+    """Holds back the package's log records per bench case, so that each
+    case's records can be handed on as one block, in case-id order, whatever
     worker finished first. Records logged outside a case pass straight on.
     """
 
-    def __init__(self, ids: list[str]) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self._waiting = sorted(ids)
-        self._blocks: dict[str, list[logging.LogRecord]] = {cid: [] for cid in ids}
-        self._done: set[str] = set()
         self._local = threading.local()
 
     @contextlib.contextmanager
@@ -721,91 +700,77 @@ class _CaseLogs(logging.Handler):
                 logger.propagate = propagate
 
     @contextlib.contextmanager
-    def case(self, cid: str) -> Iterator[None]:
-        """Records this thread logs inside the block belong to case ``cid``."""
-        self._local.case = cid
+    def case(self) -> Iterator[list[logging.LogRecord]]:
+        """Records this thread logs inside the block are held in the list
+        it yields."""
+        self._local.held = held = []
         try:
-            yield
+            yield held
         finally:
-            self._local.case = None
+            self._local.held = None
 
     def emit(self, record: logging.LogRecord) -> None:
-        cid = getattr(self._local, "case", None)
-        if cid is None:
+        held = getattr(self._local, "held", None)
+        if held is None:
             logging.getLogger().handle(record)
         else:
-            self._blocks[cid].append(record)
-
-    def done(self, cid: str) -> None:
-        """Mark ``cid`` done and hand on every block that is now due."""
-        with self.lock:
-            self._done.add(cid)
-            while self._waiting and self._waiting[0] in self._done:
-                for record in self._blocks.pop(self._waiting.pop(0)):
-                    logging.getLogger().handle(record)
+            held.append(record)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     try:
-        cases = load_manifest(args.manifest)
+        cases = sorted(load_manifest(args.manifest), key=lambda case: case.id)
         _provider_config(args).validate()
         kb = None if args.no_kb else KnowledgeBase(args.kb, clock=_make_clock(args.fixed_clock))
         engine = FeedbackEngine(args.experience, kb=kb)
     except (StorageFailure, ProviderFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # every case reads the stores as bench found them, while the lines of
+    # the cases before it land
     initial_kb = list(kb.entries) if kb else []
     initial_exp = list(engine.records)
+    stored = dict(engine.tool_results)
     jobs = args.jobs or min(JOBS_CAP, os.cpu_count() or 1)
     results: list[CaseResult] = []
-    pending: dict[str, tuple[list, list, dict]] = {}
-    transcripts: dict[str, list] = {}
-    missing: dict[str, ToolMissing] = {}
-    logs = _CaseLogs([case.id for case in cases])
+    transcript: dict[str, TranscriptEntry] = {}
+    missing: list[ToolMissing] = []
+    logs = _CaseLogs()
 
-    def run_case(case: ManifestCase) -> tuple:
-        with logs.case(case.id):
-            return _bench_case(case, args, initial_kb, initial_exp, engine.tool_results)
+    def run_case(case: ManifestCase) -> tuple[tuple, list[logging.LogRecord], ToolMissing | None]:
+        with logs.case() as held:
+            try:
+                return _bench_case(case, args, initial_kb, initial_exp, stored), held, None
+            except ToolMissing as exc:  # a setup error, not a repair outcome
+                log.warning("case %s failed: %s", case.id, exc)
+                return (_failed_row(case, exc), [], [], {}, []), held, exc
+            except Exception as exc:  # one broken case must not end the bench
+                log.exception("case %s raised", case.id)
+                return (_failed_row(case, exc), [], [], {}, []), held, None
 
     # this module logs as ``__main__`` when run with ``python -m``
     with logs.holding(logging.getLogger(__package__), log):
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(run_case, case): case for case in cases}
-            for future in concurrent.futures.as_completed(futures):
-                case = futures[future]
-                with logs.case(case.id):
-                    try:
-                        row, new_kb, new_exp, new_results, recorded = future.result()
-                    except ToolMissing as exc:  # a setup error, not a repair outcome
-                        log.warning("case %s failed: %s", case.id, exc)
-                        missing[case.id] = exc
-                        row, new_kb, new_exp, new_results, recorded = _failed_row(case, exc), [], [], {}, []
-                    except Exception as exc:  # one broken case must not end the bench
-                        log.exception("case %s raised", case.id)
-                        row, new_kb, new_exp, new_results, recorded = _failed_row(case, exc), [], [], {}, []
-                logs.done(case.id)
+            # ``map`` yields each case once it and every earlier case are done
+            for (row, new_kb, new_exp, new_results, recorded), held, no_tool in pool.map(run_case, cases):
+                for record in held:
+                    logging.getLogger().handle(record)
                 results.append(row)
-                pending[case.id] = (new_kb, new_exp, new_results)
-                transcripts[case.id] = recorded
-    for cid in sorted(pending):
-        new_kb, new_exp, new_results = pending[cid]
-        if kb is not None:
-            for entry in new_kb:
-                kb.insert(entry)
-        for record in new_exp:
-            engine.record_experience(record, solution=None)
-        engine.record_tool_results(new_results)
+                if no_tool is not None:
+                    missing.append(no_tool)
+                for entry in new_kb:
+                    kb.insert(entry)
+                for record in new_exp:
+                    engine.record_experience(record, solution=None)
+                engine.record_tool_results(new_results)
+                for entry in recorded:
+                    transcript.setdefault(entry.hash, entry)
     if args.transcript and ProviderMode(args.provider) is not ProviderMode.REPLAY:
-        merged: dict[str, TranscriptEntry] = {}
-        for cid in sorted(transcripts):
-            for entry in transcripts[cid]:
-                merged.setdefault(entry.hash, entry)
-        write_transcript(args.transcript, merged.values())
+        write_transcript(args.transcript, transcript.values())
     report = build_report(results)
     print(render_report(report, args.report))
     if missing:
-        first = missing[min(missing)]
-        reason = str(first).splitlines()[0]
+        reason = str(missing[0]).splitlines()[0]
         print(f"error: {len(missing)} of {len(cases)} cases had no detector: {reason}", file=sys.stderr)
         return 2
     return 0

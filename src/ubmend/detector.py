@@ -16,7 +16,7 @@ import re
 import shutil
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -72,29 +72,28 @@ class TargetPackage:
     """A Rust target under repair: a root directory plus its entry sources.
 
     ``entry_files`` are paths relative to ``root_path``. Validation rejects
-    targets whose estimated token count exceeds ``token_budget`` so oversized
-    inputs fail up front rather than mid-session.
+    targets whose estimated token count exceeds ``DEFAULT_TOKEN_BUDGET`` so
+    oversized inputs fail up front rather than mid-session.
     """
 
     root_path: Path
     entry_files: list[str]
-    token_budget: int = DEFAULT_TOKEN_BUDGET
 
     def __post_init__(self) -> None:
         self.root_path = Path(self.root_path)
 
     @classmethod
-    def from_path(cls, path: Path | str, token_budget: int = DEFAULT_TOKEN_BUDGET) -> "TargetPackage":
+    def from_path(cls, path: Path | str) -> "TargetPackage":
         path = Path(path)
         if path.is_file():
-            return cls(path.parent, [path.name], token_budget)
+            return cls(path.parent, [path.name])
         if path.is_dir():
             entries = sorted(
                 str(p.relative_to(path))
                 for p in path.rglob("*.rs")
                 if "target" not in p.relative_to(path).parts
             )
-            return cls(path, entries, token_budget)
+            return cls(path, entries)
         raise TargetRejected(f"no such file or directory: {path}")
 
     def validate(self) -> None:
@@ -106,9 +105,9 @@ class TargetPackage:
             if not full.is_file() or full.suffix != ".rs":
                 raise TargetRejected(f"entry file missing or not Rust: {full}")
             total += estimate_tokens(full.read_text(encoding="utf-8"))
-        if total > self.token_budget:
+        if total > DEFAULT_TOKEN_BUDGET:
             raise TargetRejected(
-                f"estimated {total} tokens exceeds budget {self.token_budget}"
+                f"estimated {total} tokens exceeds budget {DEFAULT_TOKEN_BUDGET}"
             )
 
     def read(self, rel: str) -> str:
@@ -226,11 +225,11 @@ class CaseMemo:
         self._results[key] = result
         self._paid.add(key)
 
-    def tool(self, command: Sequence[str], env: Mapping[str, str] | None = None) -> str:
+    def tool(self, command: Sequence[str]) -> str:
         """``tool_identity`` of a command, computed once per memo."""
-        probe = json.dumps([list(command), sorted((env or {}).items())])
+        probe = json.dumps(list(command))
         if probe not in self._tools:
-            self._tools[probe] = tool_identity(command, env)
+            self._tools[probe] = tool_identity(command)
         return self._tools[probe]
 
     def from_store(self, key: str, kind: str) -> dict | None:
@@ -266,10 +265,6 @@ class DetectorConfig:
 
     command: Sequence[str] = DEFAULT_COMMAND
     timeout: float = DEFAULT_TIMEOUT
-    env: dict[str, str] | None = None
-    pattern_table: list[tuple[UbKind, re.Pattern[str]]] | None = field(
-        default=None, repr=False
-    )
 
 
 def load_pattern_table(path: Path | None = None) -> list[tuple[UbKind, re.Pattern[str]]]:
@@ -359,24 +354,23 @@ def _render_command(command: Sequence[str], target: TargetPackage, root: str) ->
     return [tok.format(file=entry, root=root) for tok in command]
 
 
-def tool_identity(command: Sequence[str], env: Mapping[str, str] | None = None) -> str:
+def tool_identity(command: Sequence[str]) -> str:
     """sha256 naming the tool ``command`` runs, as far as files and the
     environment show it.
 
     It covers the realpath, size and ``st_mtime_ns`` of the program (after a
-    PATH lookup) and of every other absolute path in ``command``, the
-    environment ``env`` the tool is given, and ``MIRIFLAGS``, ``RUSTFLAGS``
-    and ``RUSTUP_TOOLCHAIN``. Tokens with ``{file}``/``{root}`` placeholders
-    are left out; the content key holds them, ``{file}`` rendered. A
-    toolchain updated behind an unchanged proxy (rustup's ``cargo``) is not
-    seen.
+    PATH lookup) and of every other absolute path in ``command``, and
+    ``MIRIFLAGS``, ``RUSTFLAGS`` and ``RUSTUP_TOOLCHAIN``. Tokens with
+    ``{file}``/``{root}`` placeholders are left out; the content key holds
+    them, ``{file}`` rendered. A toolchain updated behind an unchanged proxy
+    (rustup's ``cargo``) is not seen.
     """
     files: list = []
     for i, token in enumerate(map(str, command)):
         if "{" in token:
             continue
         if i == 0:
-            token = shutil.which(token, path=(env or {}).get("PATH")) or token
+            token = shutil.which(token) or token
         elif not os.path.isabs(token):
             continue
         try:
@@ -385,7 +379,9 @@ def tool_identity(command: Sequence[str], env: Mapping[str, str] | None = None) 
             files.append([token, real, st.st_size, st.st_mtime_ns])
         except OSError:
             files.append([token, None])
-    payload = [files, sorted((env or {}).items()), [os.environ.get(name) for name in _TOOL_ENV]]
+    # the empty list keeps the key format of existing stores, written when
+    # a tool could be given an environment of its own
+    payload = [files, [], [os.environ.get(name) for name in _TOOL_ENV]]
     return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
 
 
@@ -425,36 +421,30 @@ def run_detection(
     key = ""
     if memo is not None:
         keyed = _render_command(config.command, target, _ROOT_TOKEN)
-        key = _content_key(keyed, memo.tool(config.command, config.env), target)
+        key = _content_key(keyed, memo.tool(config.command), target)
         known = memo.recall(key)
         if known is None:
             stored = memo.from_store(key, "detections")
             if stored is not None:
                 output = stored["output"].replace(_ROOT_TOKEN, root)
-                known = ToolRun(root, _read_output(argv, stored["exit_status"], output, 0.0, config))
+                known = ToolRun(root, _read_output(argv, stored["exit_status"], output, 0.0))
                 memo.remember(key, known)
         if known is not None:
             if known.root == root:
                 return known.result
             made = known.result
             output = made.raw_output.replace(known.root, root)
-            return _read_output(argv, made.tool_exit_status, output, made.wall_time, config)
+            return _read_output(argv, made.tool_exit_status, output, made.wall_time)
     started = clock()
     try:
-        proc = run_group(
-            argv,
-            config.timeout,
-            cwd=target.root_path,
-            text=True,
-            env=config.env,
-        )
+        proc = run_group(argv, config.timeout, cwd=target.root_path, text=True)
     except FileNotFoundError as exc:
         raise ToolMissing(f"detection tool not found: {argv[0]}") from exc
     except subprocess.TimeoutExpired as exc:
         raise DetectionTimeout(f"detection exceeded {config.timeout}s: {argv}") from exc
     wall = clock() - started
     raw = (proc.stdout or "") + (proc.stderr or "")
-    result = _read_output(argv, proc.returncode, raw, wall, config)
+    result = _read_output(argv, proc.returncode, raw, wall)
     if memo is not None:
         memo.remember(key, ToolRun(root, result))
         # an output that already holds the text ``{root}`` could not be read back
@@ -466,14 +456,12 @@ def run_detection(
     return result
 
 
-def _read_output(
-    argv: list[str], status: int, raw: str, wall: float, config: DetectorConfig
-) -> DetectionResult:
+def _read_output(argv: list[str], status: int, raw: str, wall: float) -> DetectionResult:
     """A finished tool run's result, from its exit status and output; a run
     read back from the store goes through here as a fresh one does."""
     if _MISSING_TOOL_RE.search(raw) and status != 0:
         raise ToolMissing(f"detection tool unavailable: {argv}\n{raw.strip()[:500]}")
-    reports = parse_diagnostics(raw, config.pattern_table)
+    reports = parse_diagnostics(raw)
     if status != 0 and not reports:
         raise NonUbCompileError(
             f"target fails compilation (tool exit {status})", raw_output=raw

@@ -103,8 +103,12 @@ def region_ref(file: str, ordinal: int) -> str:
 
 
 def parse_region_ref(ref: str) -> tuple[str, int]:
+    """``FILE#N`` as ``(FILE, N)``; ValueError when N is no ordinal >= 0."""
     file, _, ordinal = ref.rpartition("#")
-    return file, int(ordinal)
+    index = int(ordinal)
+    if index < 0:
+        raise ValueError(f"negative region ordinal in {ref!r}")
+    return file, index
 
 
 def normalize_steps(steps: list[RepairStep]) -> tuple:

@@ -389,10 +389,9 @@ class FeedbackEngine:
         own = scores.get(signature_of(solution), 0.0)
         return own >= 0.0 and all(own >= score for score in scores.values())
 
-    def best_hit(
-        self, feature_vector: FeatureVector, threshold: float = BYPASS_SIMILARITY
-    ) -> tuple[float, ExperienceRecord] | None:
-        """Closest successful past repair at or above the threshold, if any."""
+    def best_hit(self, feature_vector: FeatureVector) -> tuple[float, ExperienceRecord] | None:
+        """Closest successful past repair at least ``BYPASS_SIMILARITY``
+        alike, if any."""
         if feature_vector.is_zero:
             return None
         best: tuple[float, ExperienceRecord] | None = None
@@ -400,6 +399,6 @@ class FeedbackEngine:
             if not record.triplet.accuracy or record.feature_vector.is_zero:
                 continue
             sim = cosine(feature_vector, record.feature_vector)
-            if sim >= threshold and (best is None or sim > best[0]):
+            if sim >= BYPASS_SIMILARITY and (best is None or sim > best[0]):
                 best = (sim, record)
         return best

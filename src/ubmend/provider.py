@@ -42,6 +42,7 @@ MARKER_FIX = "Return the full revised region in one fenced code block."
 _FENCE_RE = re.compile(r"```(?:rust)?\n(.*?)```", re.DOTALL)
 _UB_DIRECTIVE = "//~UB"
 GUARD_MARKER = "//~GUARD"
+_GUARD_LINE = f"debug_assert!(true); {GUARD_MARKER}"
 
 
 class ProviderMode(str, Enum):
@@ -212,15 +213,9 @@ class ScriptedMockProvider(Provider):
     summaries, and rendered syntax trees.
     """
 
-    def __init__(
-        self,
-        config: ProviderConfig,
-        rules: Iterable[ScriptRule] = (),
-        guard_line: str = f"debug_assert!(true); {GUARD_MARKER}",
-    ) -> None:
+    def __init__(self, config: ProviderConfig, rules: Iterable[ScriptRule] = ()) -> None:
         super().__init__(config)
         self.rules = list(rules)
-        self.guard_line = guard_line
 
     def _complete(self, prompt: PromptRecord) -> str:
         text = prompt.text()
@@ -317,14 +312,14 @@ class ScriptedMockProvider(Provider):
         for ln in lines:
             if _UB_DIRECTIVE in ln:
                 indent = ln[: len(ln) - len(ln.lstrip())]
-                out.append(f"{indent}{self.guard_line}")
+                out.append(f"{indent}{_GUARD_LINE}")
                 guarded = True
             out.append(ln)
         if not guarded and lines:
             for idx, ln in enumerate(out):
                 if "{" in ln:
                     indent = ln[: len(ln) - len(ln.lstrip())] + "    "
-                    out.insert(idx + 1, f"{indent}{self.guard_line}")
+                    out.insert(idx + 1, f"{indent}{_GUARD_LINE}")
                     break
         return "\n".join(out)
 

@@ -188,13 +188,11 @@ def _knowledge_context(
 ) -> str | None:
     if kb is None:
         return None
-    file, _ = parse_region_ref(step.target_region) if "#" in step.target_region else (
-        workspace.target.entry_files[0],
-        0,
-    )
     try:
+        file, _ = parse_region_ref(step.target_region)
         source = workspace.read(file)
-    except FileNotFoundError:
+    except (ValueError, OSError):
+        # a ref that names no file of the copy searches with the entry file
         file = workspace.target.entry_files[0]
         source = workspace.read(file)
     vector = feature_vector(source, reports, config.ast_mode, provider, file)
@@ -289,7 +287,7 @@ def execute_step(
         file, ordinal = parse_region_ref(step.target_region)
         source = workspace.read(file)
         region = locate_unsafe_regions(source, file)[ordinal]
-    except (ValueError, FileNotFoundError, IndexError) as exc:
+    except (ValueError, OSError, IndexError, LexFailure) as exc:
         log.info("step %d: region %s unresolvable (%s)", index, step.target_region, exc)
         return Thought(index, step, None, prev_count, note="region unresolvable"), None
     hits = [r for r in reports if _report_hits_region(r, file, source, region)]
@@ -352,7 +350,7 @@ def _form_batch(
                 located[file] = (source, locate_unsafe_regions(source, file))
             source, regions = located[file]
             region = regions[ordinal]
-        except (ValueError, FileNotFoundError, IndexError, LexFailure):
+        except (ValueError, OSError, IndexError, LexFailure):
             break
         hits = [r for r in reports if _report_hits_region(r, file, source, region)]
         if not hits or not all(_apart(region, m.region) for m in members):

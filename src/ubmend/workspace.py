@@ -18,17 +18,22 @@ class WorkingCopy:
             dest = self.root / rel
             dest.parent.mkdir(parents=True, exist_ok=True)
             shutil.copyfile(target.root_path / rel, dest)
-        self.target = TargetPackage(
-            root_path=self.root,
-            entry_files=list(target.entry_files),
-            token_budget=target.token_budget,
-        )
+        self.target = TargetPackage(self.root, list(target.entry_files))
+
+    def _path(self, rel: str) -> Path:
+        """``rel`` under the copy's root; FileNotFoundError when it resolves
+        anywhere else, so a path from a plan never reaches outside the copy."""
+        root = self.root.resolve()
+        path = (root / rel).resolve()
+        if path == root or not path.is_relative_to(root):
+            raise FileNotFoundError(f"{rel}: not in the working copy")
+        return path
 
     def read(self, rel: str) -> str:
-        return (self.root / rel).read_text(encoding="utf-8")
+        return self._path(rel).read_text(encoding="utf-8")
 
     def write(self, rel: str, text: str) -> None:
-        path = self.root / rel
+        path = self._path(rel)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
 

@@ -27,7 +27,8 @@ from conftest import (
 )
 from ubmend import cli
 from ubmend.cli import compute_ci, load_manifest, main, repair_one
-from ubmend.detector import DetectorConfig, TargetPackage
+from ubmend.detector import DEFAULT_TOKEN_BUDGET, DetectorConfig, TargetPackage
+from ubmend.errors import ProviderFailure
 from ubmend.fast import AgentKind, RepairSolution, RepairStep
 from ubmend.feedback import FeedbackEngine
 from ubmend.kb import AstMode
@@ -298,11 +299,44 @@ def test_bench_table_report_summarizes_rates(tmp_path, capsys):
 
 
 def test_bench_jobs_flag_does_not_change_output(tmp_path, capsys):
-    manifest = _bench_dir(tmp_path, ["stack_borrow", "unaligned_pointer"])
-    assert main(_bench(manifest, "--report", "json", "--jobs", "1")) == 0
-    serial = capsys.readouterr().out
-    assert main(_bench(manifest, "--report", "json", "--jobs", "2")) == 0
-    assert capsys.readouterr().out == serial
+    manifest = _bench_dir(tmp_path, ["stack_borrow", "unaligned_pointer", "alloc"])
+    runs = []
+    for jobs in ("1", "2"):
+        files = [tmp_path / f"{name}-{jobs}.jsonl" for name in ("kb", "experience", "transcript")]
+        stores = ["--kb", str(files[0]), "--experience", str(files[1]), "--transcript", str(files[2])]
+        assert main(_bench(manifest, "--report", "json", "--jobs", jobs, *stores)) == 0
+        runs.append([capsys.readouterr().out, *(path.read_bytes() for path in files)])
+    serial, parallel = runs
+    assert all(serial)
+    assert parallel == serial
+
+
+def test_an_over_budget_target_is_rejected_by_fix_and_fails_its_bench_row(tmp_path, capsys, caplog):
+    case = tmp_path / "big" / "main.rs"
+    case.parent.mkdir()
+    case.write_text(CLEAN_SOURCE + "// " + "x" * (4 * DEFAULT_TOKEN_BUDGET) + "\n", encoding="utf-8")
+    assert main(_fix(case)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: estimated ") and f"exceeds budget {DEFAULT_TOKEN_BUDGET}" in err
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(json.dumps({"id": "b01", "path": "big/main.rs", "ub_kind": "alloc"}) + "\n")
+    assert main(_bench(manifest, "--report", "json")) == 0
+    (row,) = json.loads(capsys.readouterr().out)["cases"]
+    assert row["verdict"] == "failed"
+    assert row["note"].startswith("TargetRejected: estimated ")
+    assert "case b01 failed: estimated " in caplog.text
+
+
+def test_bench_turns_a_provider_failure_into_a_failed_row(tmp_path, capsys, caplog, monkeypatch):
+    def unavailable(config):
+        raise ProviderFailure("backend unavailable")
+
+    monkeypatch.setattr(cli, "create_provider", unavailable)
+    manifest = _bench_dir(tmp_path, ["stack_borrow"])
+    assert main(_bench(manifest, "--report", "json")) == 0
+    (row,) = json.loads(capsys.readouterr().out)["cases"]
+    assert (row["verdict"], row["note"]) == ("failed", "ProviderFailure: backend unavailable")
+    assert [r.getMessage() for r in caplog.records] == ["case b01 failed: backend unavailable"]
 
 
 def test_bench_duplicate_case_id_is_usage_error(tmp_path, capsys):

@@ -25,7 +25,7 @@ from ubmend.feedback import (
     ReferenceExecutionFailure,
     signature_of,
 )
-from ubmend.kb import FeatureVector, KnowledgeBase
+from ubmend.kb import FeatureVector, KnowledgeBase, cosine
 
 HAS_RUSTC = shutil.which("rustc") is not None
 needs_rustc = pytest.mark.skipif(not HAS_RUSTC, reason="rustc not on PATH")
@@ -228,8 +228,9 @@ def test_best_hit_respects_bypass_similarity_constant():
     sol = _solution()
     engine.records.append(_record(_vec(1.0, 0.0), sol))
     just_below = _vec(1.0, 0.35)  # cosine ~0.944
-    assert engine.best_hit(just_below, threshold=BYPASS_SIMILARITY) is None
     just_above = _vec(1.0, 0.25)  # cosine ~0.970
+    assert cosine(just_below, _vec(1.0, 0.0)) < BYPASS_SIMILARITY < cosine(just_above, _vec(1.0, 0.0))
+    assert engine.best_hit(just_below) is None
     assert engine.best_hit(just_above) is not None
 
 

@@ -14,7 +14,7 @@ from ubmend import detector
 from ubmend.cli import repair_one
 from ubmend.detector import TargetPackage, run_detection
 from ubmend.errors import ReplayMiss
-from ubmend.fast import AgentKind, RepairSolution, RepairStep
+from ubmend.fast import AgentKind, RepairSolution, RepairStep, parse_region_ref
 from ubmend.feedback import EvalTriplet, FeedbackEngine
 from ubmend.kb import AstMode, KnowledgeBase, KnowledgeEntry, extract_ast, prune, vectorize
 from ubmend.provider import ProviderConfig, ProviderMode, ScriptedMockProvider
@@ -25,6 +25,7 @@ from ubmend.slow import (
     run_session,
     should_rollback,
 )
+from ubmend.workspace import WorkingCopy
 
 UB_LINE = "//~UB Undefined Behavior: trying to retag from <{tag}> for Unique permission"
 
@@ -189,6 +190,74 @@ def test_unresolvable_region_is_skipped(tmp_path):
     assert out.trace.counts == [1, 1, 0]
 
 
+def test_a_negative_region_ordinal_is_unresolvable(tmp_path):
+    target = _target(tmp_path, _source(1))
+    provider = _provider([("variant 3", _fix_response(0, 3))])
+    steps = [RepairStep(agent=AgentKind.MODIFY_SEMANTICS, target_region="main.rs#-1", instruction="variant 3")]
+    out = run_session(
+        target,
+        [RepairSolution(id="s01", steps=steps)],
+        provider=provider,
+        config=_session_config(),
+    )
+    assert out.verdict is Verdict.FAILED
+    assert out.trace.thoughts[0].note == "region unresolvable"
+    with pytest.raises(ValueError):
+        parse_region_ref("main.rs#-1")
+
+
+def test_a_region_ref_outside_the_working_copy_is_unresolvable(tmp_path):
+    target = _target(tmp_path / "pkg", _source(1))
+    outside = tmp_path / "elsewhere" / "lib.rs"
+    outside.parent.mkdir()
+    outside.write_text(_source(1), encoding="utf-8")
+    provider = _provider([("variant 3", _fix_response(0, 3))])
+    steps = [RepairStep(agent=AgentKind.MODIFY_SEMANTICS, target_region=f"{outside}#0", instruction="variant 3")]
+    out = run_session(
+        target,
+        [RepairSolution(id="s01", steps=steps)],
+        provider=provider,
+        config=_session_config(),
+    )
+    assert out.trace.thoughts[0].note == "region unresolvable"
+    assert outside.read_text(encoding="utf-8") == _source(1)
+
+
+def test_a_step_on_a_file_that_does_not_lex_is_unresolvable(tmp_path):
+    target = _target(tmp_path, _source(1))
+    (tmp_path / "util.rs").write_text("fn g() { unsafe {\n", encoding="utf-8")
+    provider = _provider([("variant 3", _fix_response(0, 3))])
+    steps = [
+        RepairStep(agent=AgentKind.MODIFY_SEMANTICS, target_region="util.rs#0", instruction="x"),
+        RepairStep(agent=AgentKind.MODIFY_SEMANTICS, target_region="main.rs#0", instruction="variant 3"),
+    ]
+    out = run_session(
+        target,
+        [RepairSolution(id="s01", steps=steps)],
+        provider=provider,
+        config=_session_config(),
+    )
+    assert out.verdict is Verdict.PASS
+    assert out.trace.thoughts[0].note == "region unresolvable"
+
+
+def test_working_copy_reads_and_writes_only_under_its_root(tmp_path):
+    outside = tmp_path / "outside.rs"
+    outside.write_text("fn f() {}\n", encoding="utf-8")
+    ws = WorkingCopy(_target(tmp_path / "pkg", _source(0)))
+    try:
+        for rel in (str(outside), os.path.relpath(outside, ws.root), "sub/../../outside.rs", ""):
+            with pytest.raises(FileNotFoundError):
+                ws.read(rel)
+            with pytest.raises(FileNotFoundError):
+                ws.write(rel, "fn g() {}\n")
+        ws.write("sub/../main.rs", "fn main() {}\n")
+        assert ws.read("main.rs") == "fn main() {}\n"
+    finally:
+        ws.cleanup()
+    assert outside.read_text(encoding="utf-8") == "fn f() {}\n"
+
+
 def test_compile_breaking_patch_is_reverted(tmp_path):
     source = _source(1)
     target = _target(tmp_path, source)
@@ -314,7 +383,9 @@ def test_second_solution_starts_from_best_state(tmp_path):
     assert out.trace.counts == [1, 0]
 
 
-def test_reason_step_feeds_prior_fixes_into_next_prompt(tmp_path):
+def _consult_then_fix(tmp_path: Path, reason_ref: str) -> tuple[SpyProvider, Verdict]:
+    """A session whose Reason step on ``reason_ref`` consults a store that
+    holds one prior fix of ``_source(1)``, then fixes region 0."""
     source = _source(1)
     target = _target(tmp_path, source)
     det = stub_detector_config()
@@ -339,7 +410,7 @@ def test_reason_step_feeds_prior_fixes_into_next_prompt(tmp_path):
     )
     config = SessionConfig(detector=det)
     steps = [
-        RepairStep(agent=AgentKind.REASON, target_region="main.rs#0", instruction="consult"),
+        RepairStep(agent=AgentKind.REASON, target_region=reason_ref, instruction="consult"),
         RepairStep(agent=AgentKind.MODIFY_SEMANTICS, target_region="main.rs#0", instruction="variant 1"),
     ]
     out = run_session(
@@ -349,11 +420,24 @@ def test_reason_step_feeds_prior_fixes_into_next_prompt(tmp_path):
         config=config,
         kb=kb,
     )
-    assert out.verdict is Verdict.PASS
+    return provider, out.verdict
+
+
+def test_reason_step_feeds_prior_fixes_into_next_prompt(tmp_path):
+    provider, verdict = _consult_then_fix(tmp_path, "main.rs#0")
+    assert verdict is Verdict.PASS
     enriched = [p for p in provider.prompts if "prior fix (similarity" in p]
     assert len(enriched) == 1
     assert "drop the retag" in enriched[0]
     assert "variant 1" in enriched[0]
+
+
+@pytest.mark.parametrize("reason_ref", ["main.rs#x", "main.rs", "/nowhere/lib.rs#0", "../main.rs#0"])
+def test_reason_step_on_a_ref_naming_no_region_searches_with_the_entry_file(tmp_path, reason_ref):
+    provider, verdict = _consult_then_fix(tmp_path, reason_ref)
+    assert verdict is Verdict.PASS
+    enriched = [p for p in provider.prompts if "prior fix (similarity 1.00," in p]
+    assert len(enriched) == 1 and "drop the retag" in enriched[0]
 
 
 def test_reason_step_is_inert_when_kb_disabled(tmp_path):

@@ -4,6 +4,7 @@ same store, unless the tool or its environment changed."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shlex
@@ -22,7 +23,7 @@ from conftest import (
     spawn_log,
 )
 from ubmend import cli
-from ubmend.detector import CaseMemo, DetectorConfig, TargetPackage, UbKind, run_detection
+from ubmend.detector import CaseMemo, DetectorConfig, TargetPackage, UbKind, run_detection, tool_identity
 from ubmend.errors import StorageFailure
 from ubmend.feedback import FeedbackEngine, ReferenceBundle, ReferenceExecutionFailure
 
@@ -235,6 +236,53 @@ def test_bench_keeps_tool_results_once_in_case_id_order(tmp_path, capsys):
     assert _tool_lines(store) == kept
     verdicts = lambda report: [(c["id"], c["verdict"], c["final_errors"]) for c in report["cases"]]
     assert verdicts(first) == verdicts(second)
+
+
+def test_byte_identical_bench_cases_each_read_the_store_as_bench_found_it(tmp_path, capsys):
+    # one worker: the second case starts after the first is done, while the
+    # first one's lines are appended, and still spawns as often as it does
+    base = tmp_path / "bench"
+    lines = []
+    for cid in ("b01", "b02"):
+        copy_fixture(CORPUS_DIR / "stack_borrow", base / cid)
+        lines.append(json.dumps({"id": cid, "path": f"{cid}/stack_borrow/main.rs", "ub_kind": "stack_borrow"}))
+    manifest = base / "manifest.jsonl"
+    manifest.write_text("\n".join(lines) + "\n")
+    store = tmp_path / "experience.jsonl"
+    spawns = tmp_path / "spawns.jsonl"
+    argv = [
+        "bench", str(manifest), "--experience", str(store), "--jobs", "1",
+        "--detector-cmd", shlex.join(counting_detector_command(spawns)),
+        "--fixed-clock", "--report", "json",
+    ]
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [c["verdict"] for c in report["cases"]] == ["pass", "pass"]
+    original = {"main.rs": hashlib.sha256((CORPUS_DIR / "stack_borrow" / "main.rs").read_bytes()).hexdigest()}
+    made = spawn_log(spawns)
+    # per case: the baseline and the repaired state
+    assert len(made) == 4
+    assert sum(s["files"] == original for s in made) == 2
+    assert len(_tool_lines(store)) == 2
+
+
+def test_tool_identity_keeps_the_key_format_stores_already_hold(monkeypatch):
+    # the formula the keys in existing stores were made with: the files, the
+    # tool's own environment (never set, so always empty) and three variables
+    monkeypatch.setenv("MIRIFLAGS", "-Zmiri-strict-provenance")
+    monkeypatch.delenv("RUSTFLAGS", raising=False)
+    command = (sys.executable, str(TOOLS_DIR / "fake_miri.py"), "/no/such/tool", "rel", "{file}")
+    files = [
+        [sys.executable, os.path.realpath(sys.executable)],
+        [command[1], os.path.realpath(command[1])],
+    ]
+    for entry in files:
+        st = os.stat(entry[1])
+        entry += [st.st_size, st.st_mtime_ns]
+    files.append(["/no/such/tool", None])
+    variables = [os.environ.get(name) for name in ("MIRIFLAGS", "RUSTFLAGS", "RUSTUP_TOOLCHAIN")]
+    payload = [files, [], variables]
+    assert tool_identity(command) == hashlib.sha256(json.dumps(payload).encode()).hexdigest()
 
 
 def _root_command(*head: str) -> tuple[str, ...]:

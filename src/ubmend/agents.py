@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import difflib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .classifier import UnsafeRegion, has_safe_api_match
 from .detector import UbKind
@@ -40,7 +40,9 @@ _ABSTENTION = {
 
 @dataclass
 class PatchRecord:
-    """One applied edit: region span plus before/after text."""
+    """One applied edit: region span plus before/after text, and the
+    ``prompt`` whose answer made it, so that a verified repair's answers
+    can be kept."""
 
     file: str
     before_span: tuple[int, int]
@@ -48,6 +50,7 @@ class PatchRecord:
     after_text: str
     agent: AgentKind
     rationale: str = ""
+    prompt: PromptRecord | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -104,7 +107,8 @@ def _propose(
 ) -> PatchRecord:
     """Ask ``agent``'s prompt and patch ``region`` with the answer's first
     fenced block, the line before it being the rationale."""
-    response = provider.complete(PromptRecord.user(build_prompt(agent, region, ub_kinds, context)))
+    prompt = PromptRecord.user(build_prompt(agent, region, ub_kinds, context))
+    response = provider.complete(prompt)
     if agent in _ABSTENTION:
         marker, abstain = _ABSTENTION[agent]
         if marker in response:
@@ -120,6 +124,7 @@ def _propose(
         after_text=m.group(1).rstrip("\n"),
         agent=agent,
         rationale=rationale[0] if rationale else "",
+        prompt=prompt,
     )
 
 

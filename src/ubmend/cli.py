@@ -334,7 +334,10 @@ def repair_one(
     draws past a seed that ranking provably keeps first, or draws its first
     solution when there is no such seed; the session tries the solutions in
     ranked order either way. Reason steps consult the knowledge base only
-    when knowledge is enabled and no past repair was seeded.
+    when knowledge is enabled and no past repair was seeded. When the run
+    repairs the target, the answers of the kept thoughts of the solution it
+    ended on are listed in the memo's ``new_results``, for the caller to
+    append to the experience log with the run's detections.
     """
     clock = settings.clock
     memo = settings.memo
@@ -411,6 +414,11 @@ def repair_one(
         if outcome.verdict is Verdict.PASS and triplet.acceptability is True:
             outcome.verdict = Verdict.SEMANTIC_PASS
         outcome.triplet = triplet
+        if triplet.accuracy:
+            # the answers that made the repair answer their prompts next time
+            for thought in outcome.trace.thoughts:
+                if thought.kept:
+                    provider.keep(thought.patch.prompt)
         if (
             settings.kb_enabled
             and vector is not None

@@ -191,19 +191,21 @@ class CaseMemo:
     ``wall_time``, so the timings of the two runs stay comparable; reusing a
     result the run made, or was already charged for, is free.
 
-    ``stored`` holds the detections (``exit_status``, ``output``) and
-    verdicts (``verdict``) an earlier process completed, by key, as the
-    experience log keeps them. A result found there counts in
-    ``store_hits`` and is rebuilt as if it took no time, so it is charged
-    nothing. Every detection and verdict completed in this process is listed
-    in ``new_results``, for the caller to append to the log.
-    Model answers are never stored: a sampled model is not deterministic.
+    ``stored`` holds, by key, what earlier processes kept in the experience
+    log: detections (``exit_status``, ``output``), reference verdicts
+    (``verdict``) and the model answers of verified repairs (``answer``). A
+    result found there counts in ``store_hits`` and is rebuilt as if it took
+    no time, so it is charged nothing. Every detection and verdict completed
+    in this process is listed in ``new_results``, for the caller to append
+    to the log, and so is every answer the caller keeps (``keep_answer``):
+    only those of thoughts in a repair that passed, so a sampled model still
+    explores wherever no verified repair exists.
     """
 
     def __init__(self, stored: Mapping[str, dict] | None = None) -> None:
         self.charged_seconds = 0.0
         self.stored: Mapping[str, dict] = stored if stored is not None else {}
-        self.store_hits = {"detections": 0, "reference_verdicts": 0}
+        self.store_hits = {"detections": 0, "reference_verdicts": 0, "answers": 0}
         self.new_results: dict[str, dict] = {}
         self._results: dict[str, "ToolRun | Answer"] = {}
         self._verdicts: dict[str, bool] = {}
@@ -225,6 +227,11 @@ class CaseMemo:
         self._results[key] = result
         self._paid.add(key)
 
+    def keep_answer(self, key: str, store_key: str) -> None:
+        """List the answer kept under transcript hash ``key`` in
+        ``new_results``, as the log line ``store_key``."""
+        self.new_results[store_key] = {"answer": self._results[key].text}
+
     def tool(self, command: Sequence[str]) -> str:
         """``tool_identity`` of a command, computed once per memo."""
         probe = json.dumps(list(command))
@@ -234,9 +241,10 @@ class CaseMemo:
 
     def from_store(self, key: str, kind: str) -> dict | None:
         """The stored result of ``kind`` (a ``store_hits`` key) under ``key``,
-        counted as a hit; None when the store lacks it."""
+        counted as a hit; None when the store lacks it or holds another kind
+        of line there."""
         line = self.stored.get(key)
-        if line is None or ("verdict" in line) != (kind == "reference_verdicts"):
+        if line is None or _line_kind(line) != kind:
             return None
         self.store_hits[kind] += 1
         return line
@@ -252,6 +260,13 @@ class CaseMemo:
     def remember_verdict(self, key: str, verdict: bool) -> None:
         self._verdicts[key] = verdict
         self.new_results[key] = {"verdict": verdict}
+
+
+def _line_kind(line: Mapping[str, object]) -> str:
+    """The ``store_hits`` key of a stored line, told by its fields."""
+    if "answer" in line:
+        return "answers"
+    return "reference_verdicts" if "verdict" in line else "detections"
 
 
 @dataclass

@@ -228,7 +228,7 @@ class ExperienceRecord:
 def _log_line(data: dict) -> "ExperienceRecord | tuple[str, dict]":
     """One experience-log line: a record, or a ``tool_result`` as a
     (key, fields) pair, its fields a detection's ``exit_status`` and
-    ``output`` or a reference ``verdict``."""
+    ``output``, a reference ``verdict``, or a verified model ``answer``."""
     if "tool_result" not in data:
         return ExperienceRecord.from_dict(data)
     if not isinstance(data["tool_result"], dict):
@@ -237,6 +237,10 @@ def _log_line(data: dict) -> "ExperienceRecord | tuple[str, dict]":
     key = fields.pop("key", None)
     if not isinstance(key, str) or not key:
         raise ValueError("tool_result has no string key")
+    if "answer" in fields:
+        if set(fields) != {"answer"} or not isinstance(fields["answer"], str):
+            raise ValueError("tool_result answer is not exactly a string key and a string answer")
+        return key, fields
     detection = (
         set(fields) == {"exit_status", "output"}
         and type(fields["exit_status"]) is int
@@ -259,10 +263,11 @@ class FeedbackEngine:
     unseen candidates score 0 and keep their original order (the sort is
     stable).
 
-    The log holds two kinds of line: experience records (``records``) and
-    ``{"tool_result": ...}`` lines, the completed detections and reference
-    verdicts of earlier runs by key (``tool_results``), which seed a run's
-    ``CaseMemo``.
+    The log holds experience records (``records``) and
+    ``{"tool_result": ...}`` lines, by key (``tool_results``): the completed
+    detections and reference verdicts of earlier runs, and the model answers
+    of the thoughts that made their repairs. The ``tool_result`` lines seed
+    a run's ``CaseMemo``.
     """
 
     def __init__(self, log_path: Path | str | None = None, kb: KnowledgeBase | None = None) -> None:
@@ -330,7 +335,7 @@ class FeedbackEngine:
             )
 
     def record_tool_results(self, results: dict[str, dict]) -> None:
-        """Append the completed tool results the log does not hold yet."""
+        """Append the ``tool_result`` lines the log does not hold yet."""
         for key, fields in results.items():
             if key in self.tool_results:
                 continue

@@ -130,6 +130,10 @@ class Provider:
     def hash_of(self, prompt: PromptRecord) -> str:
         return prompt.stable_hash(self.config.model_name, self.config.temperature)
 
+    def note(self, prompt: PromptRecord, response: str) -> None:
+        """Take note of an answer to ``prompt`` that this provider did not
+        give; a transcript recorder keeps it, no other provider needs it."""
+
 
 @dataclass(frozen=True)
 class Answer:
@@ -144,11 +148,13 @@ class MemoizedProvider:
     """A run's provider seen through its case memo.
 
     A prompt whose transcript hash the case has asked before is answered
-    from the memo and never reaches ``inner``; any other prompt goes to
-    ``inner`` and its answer is kept. This is deliberately not a
-    ``Provider``: a fetched answer passes through ``Provider.complete``
-    once, in ``inner``, where calls and tokens are counted, and a reused
-    answer not at all. ``timer`` times each fetch in the run's clock units.
+    from the memo, and one whose verified answer the memo's store holds
+    (``store_key``) from the store; neither reaches ``inner``. Any other
+    prompt goes to ``inner`` and its answer is kept. This is deliberately
+    not a ``Provider``: a fetched answer passes through ``Provider.complete``
+    once, in ``inner``, where calls and tokens are counted, and a reused or
+    stored answer not at all. ``timer`` times each fetch in the run's clock
+    units; a stored answer takes no time.
     """
 
     def __init__(self, inner: Provider, memo: "CaseMemo", timer: Callable[[], float]) -> None:
@@ -160,15 +166,34 @@ class MemoizedProvider:
     def tokens_used(self) -> int:
         return self.inner.tokens_used
 
+    def store_key(self, key: str) -> str:
+        """The experience-log key of the answer to the prompt with transcript
+        hash ``key``: the provider mode and the hash, so an answer a mock
+        gave never answers a live or replay run."""
+        return f"{self.inner.config.mode.value}:{key}"
+
     def complete(self, prompt: PromptRecord) -> str:
         key = self.inner.hash_of(prompt)
         answer = self.memo.recall(key)
         if answer is None:
-            started = self.timer()
-            text = self.inner.complete(prompt)
-            answer = Answer(text, self.timer() - started)
+            stored = self.memo.from_store(self.store_key(key), "answers")
+            if stored is not None:
+                answer = Answer(stored["answer"], 0.0)
+                # a transcript recorded on a warm store still replays on its own
+                self.inner.note(prompt, answer.text)
+            else:
+                started = self.timer()
+                text = self.inner.complete(prompt)
+                answer = Answer(text, self.timer() - started)
             self.memo.remember(key, answer)
         return answer.text
+
+    def keep(self, prompt: PromptRecord) -> None:
+        """List the answer the case got for ``prompt`` in the memo's
+        ``new_results``, under ``store_key``, for the caller to append to
+        the log."""
+        key = self.inner.hash_of(prompt)
+        self.memo.keep_answer(key, self.store_key(key))
 
 
 def load_transcript(path: Path | str) -> dict[str, str]:
@@ -406,7 +431,8 @@ class TranscriptEntry:
 
 
 class TranscriptRecorder(Provider):
-    """Wraps another provider and records every exchange for later replay.
+    """Wraps another provider and records every exchange for later replay,
+    and every answer it is told of (``note``) that came from elsewhere.
 
     Calls and tokens are counted here, once per exchange; the wrapped
     provider's own counters stay untouched.
@@ -419,6 +445,10 @@ class TranscriptRecorder(Provider):
 
     def _complete(self, prompt: PromptRecord) -> str:
         response = self.inner._complete(prompt)
+        self.note(prompt, response)
+        return response
+
+    def note(self, prompt: PromptRecord, response: str) -> None:
         key = self.hash_of(prompt)
         with self._lock:
             seen = self.entries.get(key)
@@ -434,7 +464,6 @@ class TranscriptRecorder(Provider):
                 raise StorageFailure(
                     f"conflicting responses for prompt hash {key[:12]}…"
                 )
-        return response
 
     def write(self, path: Path | str) -> None:
         write_transcript(path, self.entries.values())

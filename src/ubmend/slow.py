@@ -75,6 +75,9 @@ class Verdict(str, Enum):
     BUDGET_EXHAUSTED = "budget_exhausted"
 
 
+_REVERTED = "patch reverted: compile failure"
+
+
 @dataclass
 class Thought:
     index: int
@@ -82,6 +85,12 @@ class Thought:
     patch: PatchRecord | None
     resulting_errors: int
     note: str = ""
+
+    @property
+    def kept(self) -> bool:
+        """Whether the thought's patch was applied and a detection checked
+        it without reverting it for a compile failure."""
+        return self.patch is not None and self.note != _REVERTED
 
     def to_dict(self) -> dict:
         return {
@@ -260,7 +269,7 @@ def detect_patches(
         for thought in reversed(thoughts):
             if thought.patch is not None:
                 revert_patch(thought.patch, workspace)
-                thought.note = "patch reverted: compile failure"
+                thought.note = _REVERTED
         return None
     for thought in thoughts:
         thought.resulting_errors = detection.error_count

@@ -214,3 +214,70 @@ def test_provider_complete_sees_each_fetched_answer_once(tmp_path, monkeypatch, 
     assert report["cases"][0]["tokens"] == sum(cost for _, _, cost in seen[:3])
     if record:
         assert list(load_transcript(transcript)) == hashes
+
+
+def test_a_store_answered_prompt_never_reaches_provider_complete(tmp_path, monkeypatch, capsys):
+    # perfbench/launch.py counts tokens on Provider.complete: a prompt the
+    # experience log answers costs nothing there, and nothing in the report
+    case = CORPUS_DIR / "stack_borrow" / "main.rs"
+    store = tmp_path / "experience.jsonl"
+    seen: list[str] = []
+    complete = Provider.complete
+
+    def counted_complete(self, prompt):
+        seen.append(self.hash_of(prompt))
+        return complete(self, prompt)
+
+    monkeypatch.setattr(Provider, "complete", counted_complete)
+    args = ["fix", str(case), "--experience", str(store), "--detector-cmd", STUB_DETECTOR_ARG,
+            "--fixed-clock", "--report", "json"]
+    assert cli.main(args) == 0
+    first = json.loads(capsys.readouterr().out)
+    # the summary, the plan and the fix; the fix's answer is kept
+    assert len(seen) == 3
+    lines = [json.loads(line) for line in store.read_text(encoding="utf-8").splitlines()]
+    answers = [line["tool_result"]["key"] for line in lines if "answer" in line.get("tool_result", {})]
+    assert answers == [f"mock:{seen[-1]}"]
+    seen.clear()
+    assert cli.main(args) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert seen == []
+    assert (second["triplet"]["overhead_tokens"], second["store_hits"]["answers"]) == (0, 1)
+    assert second["trace"] == first["trace"]
+
+
+def test_generated_store_with_answer_lines_loads_and_ranks_like_before(
+    tmp_path, perfbench_gen, monkeypatch, capsys
+):
+    # ``launch.py --setup`` loads the fix-loop store; answer lines appended by
+    # the fixes of a run must change neither its records nor its ranking
+    gen = perfbench_gen
+    templates = gen.load_templates(CORPUS_DIR)
+    kb_path, exp_path = tmp_path / "kb.jsonl", tmp_path / "experience.jsonl"
+    gen.build_store(templates, 1, TOOLS_DIR / "fake_miri.py", kb_path, exp_path)
+    work_kb, work_exp = tmp_path / "work-kb.jsonl", tmp_path / "work-experience.jsonl"
+    shutil.copyfile(kb_path, work_kb)
+    shutil.copyfile(exp_path, work_exp)
+    for template in templates[:3]:
+        args = ["fix", str(template.path), "--kb", str(work_kb), "--experience", str(work_exp),
+                "--detector-cmd", STUB_DETECTOR_ARG, "--report", "json"]
+        assert cli.main(args) == 0
+        capsys.readouterr()
+    lines = work_exp.read_text(encoding="utf-8").splitlines()
+    answer_lines = [line for line in lines if "answer" in json.loads(line).get("tool_result", {})]
+    assert answer_lines
+    mixed_path = tmp_path / "mixed.jsonl"
+    mixed_path.write_text(exp_path.read_text(encoding="utf-8") + "\n".join(answer_lines) + "\n")
+    plain = cli.FeedbackEngine(exp_path, kb=cli.KnowledgeBase(kb_path))
+    mixed = cli.FeedbackEngine(mixed_path, kb=cli.KnowledgeBase(kb_path))
+    assert mixed.records == plain.records
+    assert len(mixed.tool_results) == len(plain.tool_results) + len(answer_lines)
+    queries = [v for v, _ in gen.template_vectors(templates, TOOLS_DIR / "fake_miri.py").values()]
+    candidates = signature_candidates(gen._SIGNATURES)
+
+    def outcomes(engine, query):
+        ranked = [c.id for c in engine.rank_solutions(candidates, query)]
+        hit = engine.best_hit(query)
+        return ranked, None if hit is None else (hit[0], engine.records.index(hit[1]))
+
+    assert [outcomes(mixed, q) for q in queries] == [outcomes(plain, q) for q in queries]

@@ -147,7 +147,7 @@ def test_fix_json_report_shape(tmp_path, capsys):
         "store_hits",
     }
     assert payload["schema_version"] == 1
-    assert payload["store_hits"] == {"detections": 0, "reference_verdicts": 0}
+    assert payload["store_hits"] == {"detections": 0, "reference_verdicts": 0, "answers": 0}
     assert payload["verdict"] == "pass"
     assert payload["baseline_errors"] == 1
     assert payload["final_errors"] == 0

@@ -126,6 +126,10 @@ def reference_repair_one(target, provider, engine, settings, reference=None):
         if outcome.verdict is Verdict.PASS and triplet.acceptability is True:
             outcome.verdict = Verdict.SEMANTIC_PASS
         outcome.triplet = triplet
+        if triplet.accuracy:
+            for thought in outcome.trace.thoughts:
+                if thought.kept:
+                    provider.keep(thought.patch.prompt)
         if settings.kb_enabled and vector is not None and not vector.is_zero and outcome.solution_id is not None:
             used = next((s for s in solutions if s.id == outcome.solution_id), None)
             if used is not None:

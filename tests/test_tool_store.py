@@ -31,10 +31,12 @@ needs_rustc = pytest.mark.skipif(shutil.which("rustc") is None, reason="rustc no
 
 
 def _tool_lines(log: Path) -> list[dict]:
+    """The detection and verdict lines of ``log``: its tool results."""
     if not log.exists():
         return []
     lines = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
-    return [line["tool_result"] for line in lines if "tool_result" in line]
+    results = [line["tool_result"] for line in lines if "tool_result" in line]
+    return [result for result in results if "answer" not in result]
 
 
 @pytest.fixture
@@ -77,13 +79,13 @@ def fix_run(tmp_path, monkeypatch, capsys):
 def test_second_fix_on_one_store_spawns_nothing(fix_run):
     rc1, first, source1 = fix_run()
     assert (fix_run.spawns(), fix_run.compiles()) == (2, 1)
-    assert first["store_hits"] == {"detections": 0, "reference_verdicts": 0}
+    assert first["store_hits"] == {"detections": 0, "reference_verdicts": 0, "answers": 0}
     lines = _tool_lines(fix_run.store)
     assert sum("output" in line for line in lines) == 2
     assert [line["verdict"] for line in lines if "verdict" in line] == [True]
     rc2, second, source2 = fix_run()
     assert (fix_run.spawns(), fix_run.compiles()) == (2, 1)
-    assert second["store_hits"] == {"detections": 2, "reference_verdicts": 1}
+    assert second["store_hits"] == {"detections": 2, "reference_verdicts": 1, "answers": 1}
     assert rc1 == rc2 == 0
     assert first["verdict"] == second["verdict"] == "semantic_pass"
     assert first["changed_files"] == second["changed_files"]
@@ -198,7 +200,7 @@ def test_a_stored_detection_is_read_like_a_fresh_one(tmp_path):
         fresh.reports, fresh.error_count, fresh.raw_output
     )
     assert stored.reports[0].kind is UbKind.DANGLING_POINTER
-    assert memo.store_hits == {"detections": 1, "reference_verdicts": 0}
+    assert memo.store_hits == {"detections": 1, "reference_verdicts": 0, "answers": 0}
     assert memo.new_results == {}
     # the case's other run reuses it for nothing, and the store is asked once
     memo.begin_run()

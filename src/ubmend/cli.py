@@ -70,8 +70,8 @@ from .provider import (
     ProviderConfig,
     ProviderMode,
     TranscriptEntry,
-    TranscriptRecorder,
     create_provider,
+    transcript_entries,
     write_transcript,
 )
 from .slow import SessionConfig, SessionOutcome, Verdict, run_session
@@ -462,14 +462,7 @@ def _make_clock(fixed: bool) -> Callable[[], float]:
 
 def _detector_config(args: argparse.Namespace) -> DetectorConfig:
     if args.detector_cmd:
-        command = tuple(shlex.split(args.detector_cmd))
-        # the tool runs inside the working copy, so a relative path to it is
-        # taken from the invoking directory; a bare name is looked up on PATH,
-        # and a ``{root}`` path is filled in by the detector
-        tool = command[0] if command else ""
-        if os.sep in tool and "{" not in tool and not os.path.isabs(tool):
-            command = (os.path.abspath(tool),) + command[1:]
-        return DetectorConfig(command=command, timeout=args.timeout)
+        return DetectorConfig(command=args.detector_cmd, timeout=args.timeout)
     return DetectorConfig(timeout=args.timeout)
 
 
@@ -496,10 +489,9 @@ def _provider_config(args: argparse.Namespace) -> ProviderConfig:
     )
 
 
-def _wrap_recording(provider: Provider, args: argparse.Namespace) -> Provider:
-    if args.transcript and ProviderMode(args.provider) is not ProviderMode.REPLAY:
-        return TranscriptRecorder(provider)
-    return provider
+def _records_transcript(args: argparse.Namespace) -> bool:
+    """Whether ``--transcript`` names a file to record, not one to replay."""
+    return bool(args.transcript) and ProviderMode(args.provider) is not ProviderMode.REPLAY
 
 
 def cmd_fix(args: argparse.Namespace) -> int:
@@ -507,8 +499,8 @@ def cmd_fix(args: argparse.Namespace) -> int:
     try:
         target = TargetPackage.from_path(args.path)
         target.validate()
-        provider = _wrap_recording(create_provider(_provider_config(args)), args)
-        kb = None if args.no_kb else KnowledgeBase(args.kb, clock=clock)
+        provider = create_provider(_provider_config(args))
+        kb = None if args.no_kb else KnowledgeBase(args.kb)
         engine = FeedbackEngine(args.experience, kb=kb)
         reference = ReferenceBundle.from_dir(args.reference) if args.reference else None
     except (TargetRejected, ProviderFailure, StorageFailure) as exc:
@@ -531,8 +523,8 @@ def cmd_fix(args: argparse.Namespace) -> int:
         return 1
     finally:
         engine.record_tool_results(memo.new_results)
-    if isinstance(provider, TranscriptRecorder) and args.transcript:
-        provider.write(args.transcript)
+    if _records_transcript(args):
+        write_transcript(args.transcript, transcript_entries(memo, provider.config))
     changed = _diff_stats(originals, outcome.final_source)
     if args.report == "json":
         payload = {
@@ -639,27 +631,28 @@ def _bench_case(
     The two runs share one provider, target, reference and copy of the
     stores; the no-knowledge run records nothing into the copy. Returns the
     row, the knowledge entries, experience records and tool results the case
-    produced, and the transcript entries its finished runs recorded.
+    produced, and, when ``--transcript`` is recorded, the memo's answers
+    after its last finished run as transcript entries.
     ``stored`` seeds the case memo with the experience log's tool results.
     """
     clock = _make_clock(args.fixed_clock)
     memo = CaseMemo(stored)
-    kb = KnowledgeBase(None, clock=clock)
+    kb = KnowledgeBase(None)
     kb.entries = list(initial_kb)
     engine = FeedbackEngine(None, kb=kb)
     engine.records = list(initial_exp)
     runs: list[tuple[SessionOutcome, EvalTriplet]] = []
     recorded: list = []
     try:
-        provider = _wrap_recording(create_provider(_provider_config(args)), args)
+        provider = create_provider(_provider_config(args))
         target = TargetPackage.from_path(case.path)
         target.validate()
         reference = ReferenceBundle.from_dir(case.reference) if case.reference else None
         for kb_enabled in (False,) if args.no_kb else (True, False):
             settings = _session_config(args, clock, memo, kb_enabled)
             runs.append(repair_one(target, provider, engine, settings, reference)[:2])
-            if isinstance(provider, TranscriptRecorder):
-                recorded = list(provider.entries.values())
+            if _records_transcript(args):
+                recorded = transcript_entries(memo, provider.config)
     except ToolMissing:
         raise
     except UbmendError as exc:
@@ -729,7 +722,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     try:
         cases = sorted(load_manifest(args.manifest), key=lambda case: case.id)
         _provider_config(args).validate()
-        kb = None if args.no_kb else KnowledgeBase(args.kb, clock=_make_clock(args.fixed_clock))
+        kb = None if args.no_kb else KnowledgeBase(args.kb)
         engine = FeedbackEngine(args.experience, kb=kb)
     except (StorageFailure, ProviderFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -773,7 +766,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 engine.record_tool_results(new_results)
                 for entry in recorded:
                     transcript.setdefault(entry.hash, entry)
-    if args.transcript and ProviderMode(args.provider) is not ProviderMode.REPLAY:
+    if _records_transcript(args):
         write_transcript(args.transcript, transcript.values())
     report = build_report(results)
     print(render_report(report, args.report))
@@ -782,6 +775,21 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"error: {len(missing)} of {len(cases)} cases had no detector: {reason}", file=sys.stderr)
         return 2
     return 0
+
+
+def _command_line(text: str) -> tuple[str, ...]:
+    """A command line split as a POSIX shell would; an unclosed quote is a
+    usage error. The tool runs inside the working copy, so a relative path
+    to it is taken from the invoking directory; a bare name is looked up on
+    PATH, and a ``{root}`` path is filled in by the detector."""
+    try:
+        command = tuple(shlex.split(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    tool = command[0] if command else ""
+    if os.sep in tool and "{" not in tool and not os.path.isabs(tool):
+        command = (os.path.abspath(tool),) + command[1:]
+    return command
 
 
 def _positive_int(text: str) -> int:
@@ -826,6 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shared.add_argument(
         "--detector-cmd",
+        type=_command_line,
         metavar="CMD",
         help="detection command line; {file} and {root} placeholders allowed",
     )

@@ -184,8 +184,10 @@ class CaseMemo:
     (``tool_identity``) and tracked-source bytes, and kept as ``ToolRun``s,
     which another copy of the same bytes reads with its own root put back;
     answers are keyed by transcript hash (``provider.MemoizedProvider`` looks
-    them up). Only completed results are kept: timeouts, missing tools,
-    compile errors and failed model calls run again every time.
+    them up) and listed, with their prompts, in the order they were first
+    kept (``answers``): that list is the case's transcript. Only completed
+    results are kept: timeouts, missing tools, compile errors and failed
+    model calls run again every time.
     ``begin_run`` opens a run's account. The first time a run reuses a
     result that another run paid for, it is charged that result's recorded
     ``wall_time``, so the timings of the two runs stay comparable; reusing a
@@ -226,6 +228,11 @@ class CaseMemo:
     def remember(self, key: str, result: "ToolRun | Answer") -> None:
         self._results[key] = result
         self._paid.add(key)
+
+    def answers(self) -> list[tuple[str, "Answer"]]:
+        """Every model answer kept, fetched or read from the store, with its
+        transcript hash, in the order first kept."""
+        return [(key, r) for key, r in self._results.items() if not isinstance(r, ToolRun)]
 
     def keep_answer(self, key: str, store_key: str) -> None:
         """List the answer kept under transcript hash ``key`` in

@@ -84,6 +84,16 @@ class ReferenceExecutionFailure(Exception):
     """The acceptability check itself failed; the verdict is unknown."""
 
 
+def _bundle_text(path: Path) -> str | None:
+    """A reference bundle's optional text file, stripped; None when absent."""
+    if not path.is_file():
+        return None
+    try:
+        return path.read_text(encoding="utf-8").strip()
+    except UnicodeDecodeError as exc:
+        raise StorageFailure(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 @dataclass
 class ReferenceBundle:
     """Ground truth for acceptability: the bytes the program must print,
@@ -100,9 +110,12 @@ class ReferenceBundle:
         if not stdout_file.is_file():
             raise StorageFailure(f"reference bundle missing expected_stdout.txt: {root}")
         exit_file = root / "expected_exit.txt"
-        expected_exit = int(exit_file.read_text().strip()) if exit_file.is_file() else 0
-        tests_file = root / "tests.cmd"
-        tests_cmd = tests_file.read_text().strip() if tests_file.is_file() else None
+        exit_text = _bundle_text(exit_file)
+        try:
+            expected_exit = 0 if exit_text is None else int(exit_text)
+        except ValueError:
+            raise StorageFailure(f"{exit_file}: not an integer exit status: {exit_text!r}") from None
+        tests_cmd = _bundle_text(root / "tests.cmd")
         return cls(expected_stdout=stdout_file.read_bytes(), expected_exit=expected_exit, tests_cmd=tests_cmd)
 
     def check(

@@ -7,7 +7,8 @@ experience log shares its reader and its locked append. Vectors are
 256-bucket feature hashes over node-kind bigrams plus UB-kind labels; two
 structurally identical pruned trees always hash identically, which is what
 makes search results reproducible. A stored vector lists only its nonzero
-buckets; lines holding a dense list of all 256 entries still load.
+buckets; lines holding a dense list of all 256 entries still load, and so
+do lines with the ``created`` stamp older stores carry, which is ignored.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ import json
 import logging
 import math
 import re
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress
@@ -409,7 +409,6 @@ class KnowledgeEntry:
     ub_kind: UbKind
     solution: dict
     triplet: "EvalTriplet"
-    created: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -417,7 +416,6 @@ class KnowledgeEntry:
             "ub_kind": self.ub_kind.value,
             "solution": self.solution,
             "triplet": self.triplet.to_dict(),
-            "created": self.created,
         }
 
     @classmethod
@@ -429,7 +427,6 @@ class KnowledgeEntry:
             ub_kind=UbKind(data["ub_kind"]),
             solution=data["solution"],
             triplet=EvalTriplet.from_dict(data["triplet"]),
-            created=float(data.get("created", 0.0)),
         )
 
 
@@ -471,29 +468,19 @@ def _append_jsonl(path: Path, record: dict) -> None:
 class KnowledgeBase:
     """Append-only JSONL store of successful repairs, searchable by cosine."""
 
-    def __init__(
-        self, path: Path | str | None = None, clock: Callable[[], float] = time.time
-    ) -> None:
+    def __init__(self, path: Path | str | None = None) -> None:
         self.path = Path(path) if path else None
-        self.clock = clock
         self.entries = _read_jsonl(self.path, KnowledgeEntry.from_dict, "knowledge entry")
 
     def insert(self, entry: KnowledgeEntry) -> None:
         if not entry.triplet.accuracy:
             raise ValueError("only detection-clean solutions may enter the store")
-        if entry.created == 0.0:
-            entry.created = self.clock()
         self.entries.append(entry)
         if self.path:
             _append_jsonl(self.path, entry.to_dict())
 
     def search(self, vector: FeatureVector, k: int = 3) -> list[tuple[float, KnowledgeEntry]]:
-        """Top-k entries by cosine similarity, the later appended winning ties.
-
-        Ties go by position in the store, not by ``created``: each process
-        stamps entries from its own clock, so stamps from different runs do
-        not order them.
-        """
+        """Top-k entries by cosine similarity, the later appended winning ties."""
         if vector.is_zero:
             raise ValueError("zero vectors are not searchable")
         if not self.entries:

@@ -1,8 +1,9 @@
 """Language-model backends: replay, scripted mock, and live HTTP.
 
-Every call goes through a PromptRecord whose stable hash keys transcript
-recording and replay. Replay mode performs no network traffic at all, which
-is what makes end-to-end runs reproducible byte for byte.
+Every call goes through a PromptRecord whose stable hash keys the case
+memo's answers, the transcript written from them (``transcript_entries``)
+and replay. Replay mode performs no network traffic at all, which is what
+makes end-to-end runs reproducible byte for byte.
 """
 from __future__ import annotations
 
@@ -130,16 +131,13 @@ class Provider:
     def hash_of(self, prompt: PromptRecord) -> str:
         return prompt.stable_hash(self.config.model_name, self.config.temperature)
 
-    def note(self, prompt: PromptRecord, response: str) -> None:
-        """Take note of an answer to ``prompt`` that this provider did not
-        give; a transcript recorder keeps it, no other provider needs it."""
-
 
 @dataclass(frozen=True)
 class Answer:
-    """A model answer as a case memo keeps it: the text and the time the
-    call took, in the run's clock units."""
+    """A model answer as a case memo keeps it: the prompt it answers, the
+    text and the time the call took, in the run's clock units."""
 
+    prompt: PromptRecord
     text: str
     wall_time: float
 
@@ -178,13 +176,11 @@ class MemoizedProvider:
         if answer is None:
             stored = self.memo.from_store(self.store_key(key), "answers")
             if stored is not None:
-                answer = Answer(stored["answer"], 0.0)
-                # a transcript recorded on a warm store still replays on its own
-                self.inner.note(prompt, answer.text)
+                answer = Answer(prompt, stored["answer"], 0.0)
             else:
                 started = self.timer()
                 text = self.inner.complete(prompt)
-                answer = Answer(text, self.timer() - started)
+                answer = Answer(prompt, text, self.timer() - started)
             self.memo.remember(key, answer)
         return answer.text
 
@@ -430,43 +426,14 @@ class TranscriptEntry:
         }
 
 
-class TranscriptRecorder(Provider):
-    """Wraps another provider and records every exchange for later replay,
-    and every answer it is told of (``note``) that came from elsewhere.
-
-    Calls and tokens are counted here, once per exchange; the wrapped
-    provider's own counters stay untouched.
-    """
-
-    def __init__(self, inner: Provider) -> None:
-        super().__init__(inner.config)
-        self.inner = inner
-        self.entries: dict[str, TranscriptEntry] = {}  # in recording order
-
-    def _complete(self, prompt: PromptRecord) -> str:
-        response = self.inner._complete(prompt)
-        self.note(prompt, response)
-        return response
-
-    def note(self, prompt: PromptRecord, response: str) -> None:
-        key = self.hash_of(prompt)
-        with self._lock:
-            seen = self.entries.get(key)
-            if seen is None:
-                self.entries[key] = TranscriptEntry(
-                    hash=key,
-                    prompt=prompt,
-                    response=response,
-                    model=self.config.model_name,
-                    temperature=self.config.temperature,
-                )
-            elif seen.response != response:
-                raise StorageFailure(
-                    f"conflicting responses for prompt hash {key[:12]}…"
-                )
-
-    def write(self, path: Path | str) -> None:
-        write_transcript(path, self.entries.values())
+def transcript_entries(memo: "CaseMemo", config: ProviderConfig) -> list[TranscriptEntry]:
+    """Every answer ``memo`` holds, fetched or read from the store, as a
+    transcript entry of ``config``'s model, in the order the memo kept them.
+    A transcript written from them replays the case on its own."""
+    return [
+        TranscriptEntry(key, answer.prompt, answer.text, config.model_name, config.temperature)
+        for key, answer in memo.answers()
+    ]
 
 
 def write_transcript(path: Path | str, entries: Iterable[TranscriptEntry]) -> None:

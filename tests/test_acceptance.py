@@ -45,8 +45,9 @@ from ubmend.provider import (
     ProviderConfig,
     ProviderMode,
     ScriptedMockProvider,
-    TranscriptRecorder,
     create_provider,
+    transcript_entries,
+    write_transcript,
 )
 from ubmend.rollback import SnapshotStore
 from ubmend.slow import ErrorTrace, SessionConfig, Verdict, run_session, should_rollback
@@ -306,52 +307,50 @@ def _sequence_solution() -> RepairSolution:
     return RepairSolution(id="s01", steps=steps)
 
 
-def _run_sequence(fixture: Path, provider):
+def _run_sequence(fixture: Path, provider, memo: CaseMemo):
     target = TargetPackage.from_path(fixture)
-    config = SessionConfig(detector=stub_detector_config(), kb_enabled=False)
+    config = SessionConfig(detector=stub_detector_config(), kb_enabled=False, memo=memo)
     return run_session(target, [_sequence_solution()], provider=provider, config=config)
 
 
 def test_acceptance_03_session_traces_convergent_and_divergent(tmp_path):
     # shrinking (with one detour) trace: 3 -> 1 -> 5 (rolled back) -> 2 -> 0
     rules = _sequence_rules({1: 1, 2: 5, 3: 2, 4: 0})
-    recorder = TranscriptRecorder(
-        ScriptedMockProvider(ProviderConfig(mode=ProviderMode.SCRIPTED_MOCK), rules=rules)
-    )
+    mock = ScriptedMockProvider(ProviderConfig(mode=ProviderMode.SCRIPTED_MOCK), rules=rules)
+    memo = CaseMemo()
     fixture = SEQUENCES_DIR / "convergent"
-    out = _run_sequence(fixture, recorder)
+    out = _run_sequence(fixture, mock, memo)
     assert out.verdict is Verdict.PASS
     assert out.trace.counts == [3, 1, 5, 2, 0]
     assert out.stats.rollback_count == 1
     assert out.stats.discarded_thoughts == 1
     transcript = tmp_path / "convergent.jsonl"
-    recorder.write(transcript)
+    write_transcript(transcript, transcript_entries(memo, mock.config))
     replayer = create_provider(
         ProviderConfig(mode=ProviderMode.REPLAY, transcript_path=transcript)
     )
-    replayed = _run_sequence(fixture, replayer)
+    replayed = _run_sequence(fixture, replayer, CaseMemo())
     assert replayed.to_dict() == out.to_dict()
 
     # monotonically worsening trace: every step triggers a rollback and the
     # final state is the untouched baseline
     rules = _sequence_rules({1: 3, 2: 4, 3: 6, 4: 9})
-    recorder = TranscriptRecorder(
-        ScriptedMockProvider(ProviderConfig(mode=ProviderMode.SCRIPTED_MOCK), rules=rules)
-    )
+    mock = ScriptedMockProvider(ProviderConfig(mode=ProviderMode.SCRIPTED_MOCK), rules=rules)
+    memo = CaseMemo()
     fixture = SEQUENCES_DIR / "divergent"
     baseline_text = (fixture / "main.rs").read_text(encoding="utf-8")
-    out = _run_sequence(fixture, recorder)
+    out = _run_sequence(fixture, mock, memo)
     assert out.verdict is Verdict.FAILED
     assert out.trace.counts == [1, 3, 4, 6, 9]
     assert out.stats.rollback_count == 4
     assert out.final_source == {"main.rs": baseline_text}
     assert out.final_errors == 1
     transcript = tmp_path / "divergent.jsonl"
-    recorder.write(transcript)
+    write_transcript(transcript, transcript_entries(memo, mock.config))
     replayer = create_provider(
         ProviderConfig(mode=ProviderMode.REPLAY, transcript_path=transcript)
     )
-    replayed = _run_sequence(fixture, replayer)
+    replayed = _run_sequence(fixture, replayer, CaseMemo())
     assert replayed.to_dict() == out.to_dict()
 
 
@@ -470,7 +469,7 @@ def test_acceptance_06_experience_reranks_recorded_solution_first(tmp_path, mock
     case = copy_fixture(CORPUS_DIR / "stack_borrow", tmp_path)
     target = TargetPackage.from_path(case)
     target.validate()
-    engine = FeedbackEngine(None, kb=KnowledgeBase(None, clock=LogicalClock()))
+    engine = FeedbackEngine(None, kb=KnowledgeBase(None))
     settings = SessionConfig(
         detector=stub_detector_config(),
         solutions_k=4,

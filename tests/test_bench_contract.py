@@ -185,7 +185,7 @@ def test_provider_complete_sees_each_fetched_answer_once(tmp_path, monkeypatch, 
     # perfbench/launch.py counts tokens by wrapping Provider.complete, the
     # same way as here: an answer the case memo reuses must not reach it,
     # and one fetched from the model must reach it exactly once, also
-    # behind a transcript recorder
+    # when the run records a transcript
     manifest = tmp_path / "manifest.jsonl"
     case = CORPUS_DIR / "stack_borrow" / "main.rs"
     manifest.write_text(json.dumps({"id": "c01", "path": str(case), "ub_kind": "stack_borrow"}) + "\n")

@@ -231,6 +231,38 @@ def test_detector_config_resolves_only_relative_tool_paths(monkeypatch, given, t
     assert command[1:] == tuple(shlex.split(given))[1:]
 
 
+@pytest.mark.parametrize("command", ["fix", "bench"])
+def test_an_unclosed_quote_in_the_detector_command_is_a_usage_error(tmp_path, capsys, command):
+    manifest = _bench_dir(tmp_path, ["stack_borrow"])
+    given = manifest if command == "bench" else manifest.parent / "stack_borrow" / "main.rs"
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(given), "--fixed-clock", "--detector-cmd", "python3 'oops"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--detector-cmd" in captured.err and "No closing quotation" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["fix", "bench"])
+def test_a_bad_reference_bundle_file_is_reported_not_raised(tmp_path, capsys, command):
+    manifest = _bench_dir(tmp_path, ["stack_borrow"], with_refs=True)
+    ref = manifest.parent / "refs" / "stack_borrow"
+    (ref / "expected_exit.txt").write_text("zero\n", encoding="utf-8")
+    if command == "fix":
+        case = manifest.parent / "stack_borrow" / "main.rs"
+        assert main(_fix(case, "--reference", str(ref))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(ref / "expected_exit.txt") in err
+        assert "Traceback" not in err
+    else:
+        assert main(_bench(manifest, "--report", "json")) == 0
+        captured = capsys.readouterr()
+        row = json.loads(captured.out)["cases"][0]
+        assert row["verdict"] == "failed"
+        assert row["note"].startswith("StorageFailure: ") and "expected_exit.txt" in row["note"]
+        assert "Traceback" not in captured.err
+
+
 def test_bench_without_detector_reports_then_exits_two(tmp_path, capsys):
     manifest = _bench_dir(tmp_path, ["stack_borrow", "unaligned_pointer"])
     args = ["bench", str(manifest), "--report", "json", "--fixed-clock"]

@@ -257,6 +257,23 @@ def test_from_dir_requires_expected_stdout(tmp_path):
         ReferenceBundle.from_dir(empty)
 
 
+@pytest.mark.parametrize(
+    ("name", "content"),
+    [
+        ("expected_exit.txt", b"zero\n"),
+        ("expected_exit.txt", b"\xff\xfe1\n"),
+        ("tests.cmd", b"echo \xff\n"),
+    ],
+)
+def test_from_dir_names_an_unreadable_file(tmp_path, name, content):
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    (ref / "expected_stdout.txt").write_text("total=31\n")
+    (ref / name).write_bytes(content)
+    with pytest.raises(StorageFailure, match=str(ref / name)):
+        ReferenceBundle.from_dir(ref)
+
+
 @needs_rustc
 def test_check_accepts_matching_program(tmp_path):
     bundle = _bundle(tmp_path)

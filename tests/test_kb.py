@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import numpy as np
 import pytest
 
-from ubmend.cli import LogicalClock
 from ubmend.detector import UbKind, UbReport
 from ubmend.errors import StorageFailure
 from ubmend.feedback import EvalTriplet
@@ -239,13 +239,12 @@ def test_solution_template_masks_regions():
 # --- knowledge store ---
 
 
-def _entry(vec, kind=UbKind.STACK_BORROW, created=0.0, accuracy=True):
+def _entry(vec, kind=UbKind.STACK_BORROW, name="", accuracy=True):
     return KnowledgeEntry(
         vector=FeatureVector.from_list(vec),
         ub_kind=kind,
-        solution={"steps": []},
+        solution={"name": name, "steps": []},
         triplet=EvalTriplet(accuracy=accuracy, acceptability=None, overhead_seconds=1.0, overhead_tokens=10),
-        created=created,
     )
 
 
@@ -255,36 +254,44 @@ def test_insert_requires_accuracy():
         kb.insert(_entry([1.0, 0.0], accuracy=False))
 
 
-def test_insert_stamps_creation_time():
-    t = [100.0]
-    kb = KnowledgeBase(clock=lambda: t[0])
-    kb.insert(_entry([1.0, 0.0]))
-    assert kb.entries[0].created == 100.0
-
-
 def test_search_orders_by_similarity_then_recency():
     kb = KnowledgeBase()
-    kb.insert(_entry([1.0, 0.0], created=1.0))
-    kb.insert(_entry([0.0, 1.0], created=2.0))
-    kb.insert(_entry([1.0, 0.0], created=3.0))  # same direction, newer
+    kb.insert(_entry([1.0, 0.0], name="first"))
+    kb.insert(_entry([0.0, 1.0], name="other"))
+    kb.insert(_entry([1.0, 0.0], name="newer"))  # same direction, newer
     hits = kb.search(FeatureVector.from_list([1.0, 0.0]), k=3)
     sims = [round(s, 6) for s, _ in hits]
     assert sims == [1.0, 1.0, 0.0]
-    assert hits[0][1].created == 3.0
-    assert hits[1][1].created == 1.0
+    assert [entry.solution["name"] for _, entry in hits] == ["newer", "first", "other"]
 
 
 def test_search_ties_go_to_the_later_appended_entry(tmp_path):
-    # each process stamps ``created`` from its own clock: a generated store
-    # from the epoch, ``fix --fixed-clock`` from a logical clock that starts
-    # at 0, a plain ``fix`` from the monotonic clock (here a day of uptime)
+    # each entry appended by a process of its own
     path = tmp_path / "kb.jsonl"
-    for name, clock in (("old", lambda: 1.7e9), ("new", LogicalClock()), ("newer", lambda: 86_400.0)):
-        entry = _entry([1.0, 0.0])
-        entry.solution = {"name": name, "steps": []}
-        KnowledgeBase(path, clock=clock).insert(entry)
+    for name in ("old", "new", "newer"):
+        KnowledgeBase(path).insert(_entry([1.0, 0.0], name=name))
     hits = KnowledgeBase(path).search(FeatureVector.from_list([1.0, 0.0]), k=3)
     assert [entry.solution["name"] for _, entry in hits] == ["newer", "new", "old"]
+
+
+def test_a_line_with_a_created_stamp_loads_and_searches_by_position(tmp_path):
+    # older stores stamp every line with ``created``, from clocks that do
+    # not compare: the epoch, a logical clock from 0, a day of uptime
+    path = tmp_path / "kb.jsonl"
+    stamps = (("old", 1.7e9), ("new", 1.0), ("newer", 86_400.0))
+    path.write_text(
+        "".join(
+            json.dumps({**_entry([1.0, 0.0], name=name).to_dict(), "created": created}) + "\n"
+            for name, created in stamps
+        ),
+        encoding="utf-8",
+    )
+    kb = KnowledgeBase(path)
+    hits = kb.search(FeatureVector.from_list([1.0, 0.0]), k=3)
+    assert [entry.solution["name"] for _, entry in hits] == ["newer", "new", "old"]
+    assert [entry.to_dict() for entry in kb.entries] == [
+        _entry([1.0, 0.0], name=name).to_dict() for name, _ in stamps
+    ]
 
 
 def test_a_line_whose_steps_hold_params_loads_and_searches_as_before(tmp_path):
@@ -295,7 +302,7 @@ def test_a_line_whose_steps_hold_params_loads_and_searches_as_before(tmp_path):
     for name, extra in (("legacy", {"params": {}}), ("current", {})):
         path = tmp_path / f"{name}.jsonl"
         for i, values in enumerate(vectors):
-            entry = _entry(values, created=float(i + 1))
+            entry = _entry(values)
             entry.solution = {"steps": [{**step, **extra}], "tag": i}
             KnowledgeBase(path).insert(entry)
         stores[name] = KnowledgeBase(path)
@@ -310,7 +317,7 @@ def test_a_line_whose_steps_hold_params_loads_and_searches_as_before(tmp_path):
 def test_search_k_cap_and_zero_vector():
     kb = KnowledgeBase()
     for i in range(5):
-        kb.insert(_entry([1.0, float(i)], created=float(i + 1)))
+        kb.insert(_entry([1.0, float(i)]))
     assert len(kb.search(FeatureVector.from_list([1.0, 1.0]), k=2)) == 2
     with pytest.raises(ValueError):
         kb.search(FeatureVector.from_list([0.0, 0.0]))
@@ -324,11 +331,11 @@ def test_search_empty_store():
 def test_jsonl_persistence_round_trip(tmp_path):
     path = tmp_path / "kb.jsonl"
     kb = KnowledgeBase(path)
-    kb.insert(_entry([1.0, 2.0], kind=UbKind.ALLOC, created=5.0))
-    kb.insert(_entry([0.5, 0.5], created=6.0))
+    kb.insert(_entry([1.0, 2.0], kind=UbKind.ALLOC, name="alloc"))
+    kb.insert(_entry([0.5, 0.5], name="stack_borrow"))
 
     reloaded = KnowledgeBase(path)
-    assert len(reloaded.entries) == 2
+    assert [entry.solution["name"] for entry in reloaded.entries] == ["alloc", "stack_borrow"]
     assert reloaded.entries[0].ub_kind == UbKind.ALLOC
     assert reloaded.entries[0].vector.to_list() == [1.0, 2.0]
     assert reloaded.entries[0].triplet.accuracy is True

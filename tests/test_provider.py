@@ -7,7 +7,7 @@ import socket
 
 import pytest
 
-from ubmend.detector import CaseMemo
+from ubmend.detector import CaseMemo, DetectionResult, ToolRun
 from ubmend.errors import ProviderFailure, ReplayMiss, StorageFailure
 from ubmend.fast import parse_plan
 from ubmend.provider import (
@@ -18,14 +18,26 @@ from ubmend.provider import (
     ProviderMode,
     ReplayProvider,
     ScriptedMockProvider,
-    TranscriptRecorder,
     create_provider,
     load_transcript,
+    transcript_entries,
+    write_transcript,
 )
 
 
 def _mock(**kw) -> ScriptedMockProvider:
     return ScriptedMockProvider(ProviderConfig(**kw))
+
+
+def _recording(inner: Provider) -> tuple[MemoizedProvider, CaseMemo]:
+    """``inner`` seen through a fresh case memo, whose answers are the
+    transcript."""
+    memo = CaseMemo()
+    return MemoizedProvider(inner, memo, timer=lambda: 0.0), memo
+
+
+def _write(memo: CaseMemo, inner: Provider, path) -> None:
+    write_transcript(path, transcript_entries(memo, inner.config))
 
 
 def test_stable_hash_normalizes_whitespace():
@@ -62,13 +74,13 @@ def test_config_validation():
 
 def test_record_write_replay_round_trip(tmp_path):
     inner = _mock()
-    recorder = TranscriptRecorder(inner)
+    recorder, memo = _recording(inner)
     prompts = [PromptRecord.user(f"prompt {i}") for i in range(3)]
     answers = [recorder.complete(p) for p in prompts]
     # repeats do not add entries
     recorder.complete(prompts[0])
     out = tmp_path / "t.jsonl"
-    recorder.write(out)
+    _write(memo, inner, out)
 
     table = load_transcript(out)
     assert len(table) == 3
@@ -81,28 +93,13 @@ def test_record_write_replay_round_trip(tmp_path):
 
 def test_replay_miss_is_specific(tmp_path):
     out = tmp_path / "t.jsonl"
-    rec = TranscriptRecorder(_mock())
+    inner = _mock()
+    rec, memo = _recording(inner)
     rec.complete(PromptRecord.user("known"))
-    rec.write(out)
+    _write(memo, inner, out)
     replay = ReplayProvider(ProviderConfig(mode=ProviderMode.REPLAY, transcript_path=out))
     with pytest.raises(ReplayMiss):
         replay.complete(PromptRecord.user("never recorded"))
-
-
-def test_recorder_rejects_conflicting_responses():
-    class Flaky(Provider):
-        def __init__(self):
-            super().__init__(ProviderConfig())
-            self.n = 0
-
-        def _complete(self, prompt):
-            self.n += 1
-            return f"answer {self.n}"
-
-    recorder = TranscriptRecorder(Flaky())
-    recorder.complete(PromptRecord.user("p"))
-    with pytest.raises(StorageFailure):
-        recorder.complete(PromptRecord.user("p"))
 
 
 def test_memoized_provider_asks_each_prompt_once_per_case():
@@ -136,6 +133,24 @@ def test_memoized_provider_asks_each_prompt_once_per_case():
     assert again.complete(PromptRecord.user("q")) == "answer 3"
 
 
+def test_transcript_holds_stored_answers_and_no_detections():
+    inner = _mock()
+    stored = PromptRecord.user("answered by the log")
+    memo = CaseMemo({f"mock:{inner.hash_of(stored)}": {"answer": "from the log"}})
+    asked = MemoizedProvider(inner, memo, timer=lambda: 0.0)
+    memo.remember("detection", ToolRun("/copy", DetectionResult([], 0, 0, 1.0)))
+    assert asked.complete(stored) == "from the log"
+    fetched = asked.complete(PromptRecord.user("fetched"))
+    assert inner.calls == 1
+    entries = transcript_entries(memo, inner.config)
+    assert [(e.hash, e.response) for e in entries] == [
+        (inner.hash_of(stored), "from the log"),
+        (inner.hash_of(PromptRecord.user("fetched")), fetched),
+    ]
+    assert entries[0].prompt is stored
+    assert (entries[0].model, entries[0].temperature) == ("gpt-4", 0.5)
+
+
 def test_load_transcript_rejects_bad_lines(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"hash": "h", "response": "r"}\nnot json\n')
@@ -144,15 +159,17 @@ def test_load_transcript_rejects_bad_lines(tmp_path):
 
 
 def test_transcript_write_is_sorted_and_stable(tmp_path):
-    rec = TranscriptRecorder(_mock())
+    inner = _mock()
+    rec, memo = _recording(inner)
     for body in ("zz", "aa", "mm"):
         rec.complete(PromptRecord.user(body))
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    rec.write(p1)
-    rec.write(p2)
+    _write(memo, inner, p1)
+    _write(memo, inner, p2)
     assert p1.read_bytes() == p2.read_bytes()
     hashes = [json.loads(l)["hash"] for l in p1.read_text().splitlines()]
-    assert len(hashes) == 3
+    # in the order the memo first kept the answers
+    assert hashes == [inner.hash_of(PromptRecord.user(body)) for body in ("zz", "aa", "mm")]
 
 
 def test_offline_providers_never_open_sockets(monkeypatch, tmp_path):
@@ -163,10 +180,11 @@ def test_offline_providers_never_open_sockets(monkeypatch, tmp_path):
     monkeypatch.setattr(socket, "create_connection", boom)
     provider = _mock()
     assert provider.complete(PromptRecord.user("offline"))
-    rec = TranscriptRecorder(_mock())
+    inner = _mock()
+    rec, memo = _recording(inner)
     rec.complete(PromptRecord.user("offline"))
     out = tmp_path / "t.jsonl"
-    rec.write(out)
+    _write(memo, inner, out)
     replay = ReplayProvider(ProviderConfig(mode=ProviderMode.REPLAY, transcript_path=out))
     assert replay.complete(PromptRecord.user("offline"))
 

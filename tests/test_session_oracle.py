@@ -269,7 +269,6 @@ def kb(targets) -> KnowledgeBase:
             ub_kind=reports[0].kind,
             solution={"steps": [{"agent": "ModifySemantics", "instruction": "drop the retag"}]},
             triplet=EvalTriplet(True, True, 1.0, 10),
-            created=1.0,
         )
     )
     return base

@@ -405,7 +405,6 @@ def _consult_then_fix(tmp_path: Path, reason_ref: str) -> tuple[SpyProvider, Ver
             ub_kind=baseline.reports[0].kind,
             solution={"steps": [{"agent": "ModifySemantics", "instruction": "drop the retag"}]},
             triplet=EvalTriplet(True, True, 1.0, 10),
-            created=1.0,
         )
     )
     config = SessionConfig(detector=det)

@@ -170,7 +170,7 @@ def test_corrupt_sparse_vector_raises(case):
 def _store_with_corrupt_second_line(tmp_path: Path, store: str, vector: dict) -> Path:
     record = _record([1.0, 0.0, 2.0, 0.0])
     if store == "kb":
-        good = KnowledgeEntry(record.feature_vector, record.ub_kind, {"steps": []}, record.triplet, 1.0)
+        good = KnowledgeEntry(record.feature_vector, record.ub_kind, {"steps": []}, record.triplet)
         line = good.to_dict()
     else:
         line = record.to_dict()

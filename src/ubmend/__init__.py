@@ -41,11 +41,9 @@ from .feedback import (
     ReferenceBundle,
 )
 from .kb import (
-    AstMode,
     FeatureVector,
     KnowledgeBase,
     KnowledgeEntry,
-    extract_ast,
     prune,
     vectorize,
 )
@@ -72,7 +70,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgentKind",
-    "AstMode",
     "CodeFeature",
     "DetectionResult",
     "DetectorConfig",
@@ -108,7 +105,6 @@ __all__ = [
     "classify_kind",
     "classify_ops",
     "create_provider",
-    "extract_ast",
     "extract_features",
     "generate_solutions",
     "locate_unsafe_regions",

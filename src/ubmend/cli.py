@@ -63,14 +63,16 @@ from .feedback import (
     ReferenceBundle,
     signature_of,
 )
-from .kb import AstMode, FeatureVector, KnowledgeBase, feature_vector
+from .kb import FeatureVector, KnowledgeBase, feature_vector
 from .provider import (
     MemoizedProvider,
     Provider,
     ProviderConfig,
     ProviderMode,
+    ReplayProvider,
     TranscriptEntry,
     create_provider,
+    load_transcript,
     transcript_entries,
     write_transcript,
 )
@@ -361,9 +363,7 @@ def repair_one(
             seeded: RepairSolution | None = None
             if settings.kb_enabled:
                 lead_file, _ = parse_region_ref(features[0].ref)
-                vector = feature_vector(
-                    ws.read(lead_file), baseline.reports, settings.ast_mode, provider, lead_file
-                )
+                vector = feature_vector(ws.read(lead_file), baseline.reports, lead_file)
                 hit = None if vector.is_zero else engine.best_hit(vector)
                 if hit is not None:
                     seeded = _seeded_solution(hit[1], features[0].ref)
@@ -473,7 +473,6 @@ def _session_config(
         detector=_detector_config(args),
         solutions_k=args.solutions,
         budget=args.max_iterations,
-        ast_mode=AstMode(args.ast_mode),
         kb_enabled=kb_enabled,
         clock=clock,
         memo=memo,
@@ -625,6 +624,7 @@ def _bench_case(
     initial_kb: list,
     initial_exp: list[ExperienceRecord],
     stored: dict[str, dict],
+    replies: dict[str, str] | None,
 ) -> tuple[CaseResult, list, list[ExperienceRecord], dict[str, dict], list]:
     """One manifest case: a knowledge run plus a no-knowledge timing run.
 
@@ -633,7 +633,9 @@ def _bench_case(
     row, the knowledge entries, experience records and tool results the case
     produced, and, when ``--transcript`` is recorded, the memo's answers
     after its last finished run as transcript entries.
-    ``stored`` seeds the case memo with the experience log's tool results.
+    ``stored`` seeds the case memo with the experience log's tool results;
+    ``replies``, the transcript a replay bench loaded, answers the case's
+    own replay provider.
     """
     clock = _make_clock(args.fixed_clock)
     memo = CaseMemo(stored)
@@ -644,7 +646,8 @@ def _bench_case(
     runs: list[tuple[SessionOutcome, EvalTriplet]] = []
     recorded: list = []
     try:
-        provider = create_provider(_provider_config(args))
+        config = _provider_config(args)
+        provider = create_provider(config) if replies is None else ReplayProvider(config, replies)
         target = TargetPackage.from_path(case.path)
         target.validate()
         reference = ReferenceBundle.from_dir(case.reference) if case.reference else None
@@ -721,7 +724,10 @@ class _CaseLogs(logging.Handler):
 def cmd_bench(args: argparse.Namespace) -> int:
     try:
         cases = sorted(load_manifest(args.manifest), key=lambda case: case.id)
-        _provider_config(args).validate()
+        config = _provider_config(args)
+        config.validate()
+        replay = config.mode is ProviderMode.REPLAY
+        replies = load_transcript(config.transcript_path) if replay else None
         kb = None if args.no_kb else KnowledgeBase(args.kb)
         engine = FeedbackEngine(args.experience, kb=kb)
     except (StorageFailure, ProviderFailure) as exc:
@@ -741,7 +747,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     def run_case(case: ManifestCase) -> tuple[tuple, list[logging.LogRecord], ToolMissing | None]:
         with logs.case() as held:
             try:
-                return _bench_case(case, args, initial_kb, initial_exp, stored), held, None
+                return _bench_case(case, args, initial_kb, initial_exp, stored, replies), held, None
             except ToolMissing as exc:  # a setup error, not a repair outcome
                 log.warning("case %s failed: %s", case.id, exc)
                 return (_failed_row(case, exc), [], [], {}, []), held, exc
@@ -839,12 +845,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="detection command line; {file} and {root} placeholders allowed",
     )
     shared.add_argument("--experience", metavar="PATH", help="experience log JSONL file")
-    shared.add_argument(
-        "--ast-mode",
-        choices=[m.value for m in AstMode],
-        default=AstMode.LOCAL_PARSER.value,
-        help="syntax-tree extraction backend",
-    )
     shared.add_argument(
         "--fixed-clock",
         action="store_true",

@@ -15,25 +15,19 @@ from __future__ import annotations
 import fcntl
 import hashlib
 import json
-import logging
 import math
 import re
 from dataclasses import dataclass, field
-from enum import Enum
 from itertools import compress
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
 from .detector import UbKind, UbReport
-from .errors import LexFailure, ProviderFailure, StorageFailure
+from .errors import LexFailure, StorageFailure
 from .lexutil import brace_pairs, identifiers, line_of_offset, line_span, mask_comments_and_strings
-from .prompts import fill, load_template
 
 if TYPE_CHECKING:  # pragma: no cover
     from .feedback import EvalTriplet
-    from .provider import Provider
-
-log = logging.getLogger(__name__)
 
 VECTOR_DIMS = 256
 
@@ -41,11 +35,6 @@ _T = TypeVar("_T")
 
 _ITEM_KEYWORDS = ("fn", "impl", "trait", "mod", "struct", "enum", "union", "match")
 _LOOP_KEYWORDS = ("loop", "while", "for")
-
-
-class AstMode(str, Enum):
-    PROVIDER = "provider"
-    LOCAL_PARSER = "local"
 
 
 @dataclass
@@ -63,17 +52,10 @@ class Ast:
 
     nodes: list[AstNode]
     source: str
-    mode_used: str = AstMode.LOCAL_PARSER.value
 
     @property
     def root(self) -> AstNode:
         return self.nodes[0]
-
-
-@dataclass
-class PrunedAst:
-    nodes: list[AstNode]
-    provenance: str
 
 
 def _phrase_before(masked: str, seg_start: int, brace: int) -> int:
@@ -109,7 +91,9 @@ def _classify_phrase(phrase: str) -> tuple[str, bool]:
     return "block", is_unsafe
 
 
-def _local_parse(source: str, file: str) -> Ast:
+def extract_ast(source: str, file: str = "<source>") -> Ast:
+    """Parse ``source`` into the simplified AST: one node per braced item,
+    block or loop. ``file`` names the source in a LexFailure."""
     masked = mask_comments_and_strings(source)
     pairs = brace_pairs(masked)
     nodes = [AstNode(id=0, kind="file", span=(0, len(source)))]
@@ -135,94 +119,10 @@ def _local_parse(source: str, file: str) -> Ast:
             cursor = close + 1
 
     scan(0, len(source), 0)
-    return Ast(nodes=nodes, source=source, mode_used=AstMode.LOCAL_PARSER.value)
+    return Ast(nodes=nodes, source=source)
 
 
-def render_tree(ast: Ast) -> str:
-    """Line-per-node rendering in the grammar the provider is asked for."""
-    lines: list[str] = []
-
-    def walk(nid: int, depth: int) -> None:
-        n = ast.nodes[nid]
-        suffix = " unsafe" if n.is_unsafe else ""
-        lines.append("  " * depth + f"{n.kind} {n.span[0]}..{n.span[1]}{suffix}")
-        for child in n.children:
-            walk(child, depth + 1)
-
-    walk(0, 0)
-    return "\n".join(lines)
-
-
-_TREE_LINE_RE = re.compile(r"^( *)([A-Za-z_][A-Za-z0-9_]*) (\d+)\.\.(\d+)( unsafe)?\s*$")
-
-
-class AstParseFailure(ProviderFailure):
-    """Provider answer did not parse as a tree."""
-
-
-def parse_tree_text(text: str, source: str) -> Ast:
-    nodes: list[AstNode] = []
-    stack: list[tuple[int, int]] = []  # (depth, node id)
-    for raw in text.splitlines():
-        if not raw.strip():
-            continue
-        m = _TREE_LINE_RE.match(raw)
-        if not m:
-            raise AstParseFailure(f"bad tree line: {raw!r}")
-        depth = len(m.group(1)) // 2
-        start, end = int(m.group(3)), int(m.group(4))
-        if not (0 <= start <= end <= len(source)):
-            raise AstParseFailure(f"span out of range: {raw!r}")
-        node = AstNode(
-            id=len(nodes),
-            kind=m.group(2),
-            span=(start, end),
-            is_unsafe=bool(m.group(5)),
-        )
-        if depth == 0:
-            if nodes:
-                raise AstParseFailure("multiple roots")
-        else:
-            while stack and stack[-1][0] >= depth:
-                stack.pop()
-            if not stack:
-                raise AstParseFailure(f"orphan node: {raw!r}")
-            nodes[stack[-1][1]].children.append(node.id)
-        nodes.append(node)
-        stack.append((depth, node.id))
-    if not nodes:
-        raise AstParseFailure("empty tree")
-    return Ast(nodes=nodes, source=source, mode_used=AstMode.PROVIDER.value)
-
-
-def extract_ast(
-    source: str,
-    mode: AstMode = AstMode.LOCAL_PARSER,
-    provider: "Provider | None" = None,
-    file: str = "<source>",
-) -> Ast:
-    """Build the simplified AST, via the provider or the local parser.
-
-    Provider mode falls back to the local parser on malformed output; the
-    returned tree's ``mode_used`` says which path produced it. ``file``
-    names the source in a LexFailure.
-    """
-    if mode is AstMode.PROVIDER and provider is not None:
-        from .provider import PromptRecord
-
-        prompt = fill(load_template("ast_extraction.txt"), snippet=source)
-        response = provider.complete(PromptRecord.user(prompt))
-        try:
-            return parse_tree_text(response, source)
-        except AstParseFailure as exc:
-            log.warning("provider tree rejected (%s); local fallback", exc)
-            ast = _local_parse(source, file)
-            ast.mode_used = "local_fallback"
-            return ast
-    return _local_parse(source, file)
-
-
-def prune(ast: Ast, miri_errors: Iterable[UbReport] = ()) -> PrunedAst:
+def prune(ast: Ast, miri_errors: Iterable[UbReport] = ()) -> list[AstNode]:
     """Unsafe-focused pruning.
 
     Pass 1 keeps every node whose masked span contains the ``unsafe``
@@ -255,8 +155,7 @@ def prune(ast: Ast, miri_errors: Iterable[UbReport] = ()) -> PrunedAst:
             )
 
         kept = [n for n in kept if n.is_unsafe or relevant(n)]
-    provenance = f"{ast.mode_used}:{hashlib.sha256(ast.source.encode('utf-8')).hexdigest()[:12]}"
-    return PrunedAst(nodes=kept, provenance=provenance)
+    return kept
 
 
 @dataclass(init=False)
@@ -350,12 +249,12 @@ def _bucket(feature: str, dims: int) -> int:
     return int.from_bytes(digest[:8], "big") % dims
 
 
-def hashed_features(pruned: PrunedAst, ub_kinds: Iterable[UbKind] = ()) -> list[str]:
+def hashed_features(pruned: list[AstNode], ub_kinds: Iterable[UbKind] = ()) -> list[str]:
     """The raw feature strings vectorize() hashes, exposed for tests."""
     feats: list[str] = []
-    for n in pruned.nodes:
+    for n in pruned:
         parent: AstNode | None = None
-        for m in pruned.nodes:
+        for m in pruned:
             if m.id == n.id:
                 continue
             if m.span[0] <= n.span[0] and n.span[1] <= m.span[1]:
@@ -371,7 +270,7 @@ def hashed_features(pruned: PrunedAst, ub_kinds: Iterable[UbKind] = ()) -> list[
 
 
 def vectorize(
-    pruned: PrunedAst, ub_kinds: Iterable[UbKind] = (), dims: int = VECTOR_DIMS
+    pruned: list[AstNode], ub_kinds: Iterable[UbKind] = (), dims: int = VECTOR_DIMS
 ) -> FeatureVector:
     """Term-frequency feature hashing; empty input gives the zero vector
     (flagged by callers as non-searchable)."""
@@ -382,15 +281,11 @@ def vectorize(
 
 
 def feature_vector(
-    source: str,
-    reports: Sequence[UbReport],
-    mode: AstMode = AstMode.LOCAL_PARSER,
-    provider: "Provider | None" = None,
-    file: str = "<source>",
+    source: str, reports: Sequence[UbReport], file: str = "<source>"
 ) -> FeatureVector:
     """The vector a program is stored and searched under: its pruned AST
     plus each UB kind in ``reports`` counted once."""
-    ast = extract_ast(source, mode, provider, file=file)
+    ast = extract_ast(source, file)
     kinds = sorted({r.kind for r in reports}, key=lambda k: k.value)
     return vectorize(prune(ast, reports), ub_kinds=kinds)
 
@@ -433,21 +328,22 @@ class KnowledgeEntry:
 def _read_jsonl(path: Path | None, parse: Callable[[dict], _T], what: str) -> list[_T]:
     """Every non-blank line of a JSONL store, parsed; none when it is absent.
 
-    An unreadable file or a line that does not parse raises StorageFailure
-    naming the file and the line.
+    An unreadable file raises StorageFailure naming the file, and a line
+    that is not UTF-8 or does not parse one naming the file and the line.
     """
     if path is None or not path.exists():
         return []
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
+        lines = path.read_bytes().splitlines()
+    except OSError as exc:
         raise StorageFailure(f"{path}: unreadable {what} file: {exc}") from exc
     out: list[_T] = []
     for ln, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
-            out.append(parse(json.loads(line)))
+            # UnicodeDecodeError is a ValueError
+            out.append(parse(json.loads(line.decode("utf-8"))))
         except (ValueError, KeyError, TypeError) as exc:
             raise StorageFailure(f"{path}:{ln}: bad {what}: {exc}") from exc
     return out

@@ -18,13 +18,8 @@ from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .errors import (
-    HttpFailure,
-    ProviderFailure,
-    ReplayMiss,
-    StorageFailure,
-    TokenOverflow,
-)
+from .errors import HttpFailure, ProviderFailure, ReplayMiss, TokenOverflow
+from .kb import _read_jsonl
 from .lexutil import estimate_tokens
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -35,7 +30,6 @@ API_BASE_ENV = "RUSTBRAIN_API_BASE"
 
 # Phrases the shipped prompt templates open with; the scripted mock keys its
 # behavior off them so it stays in sync with data/prompts/*.txt.
-MARKER_AST = "Produce a simplified syntax tree"
 MARKER_FEATURES = "Summarize the purpose of this unsafe region"
 MARKER_PLAN = "Propose repair plans"
 MARKER_FIX = "Return the full revised region in one fenced code block."
@@ -192,26 +186,32 @@ class MemoizedProvider:
         self.memo.keep_answer(key, self.store_key(key))
 
 
+def _transcript_line(entry: dict) -> tuple[str, str]:
+    if not isinstance(entry, dict) or not all(isinstance(entry.get(k), str) for k in ("hash", "response")):
+        raise TypeError("not an object with a string hash and response")
+    return entry["hash"], entry["response"]
+
+
 def load_transcript(path: Path | str) -> dict[str, str]:
-    """hash -> response mapping from a JSONL transcript."""
-    table: dict[str, str] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line)
-            table[entry["hash"]] = entry["response"]
-        except (json.JSONDecodeError, KeyError) as exc:
-            raise StorageFailure(f"bad transcript line in {path}: {exc}") from exc
-    return table
+    """hash -> response mapping from a JSONL transcript.
+
+    An unreadable file, or a line that is not an object with a string
+    ``hash`` and ``response``, raises StorageFailure naming the file and
+    the line.
+    """
+    return dict(_read_jsonl(Path(path), _transcript_line, "transcript entry"))
 
 
 class ReplayProvider(Provider):
-    """Answers only from a recorded transcript; never touches the network."""
+    """Answers only from a recorded transcript; never touches the network.
 
-    def __init__(self, config: ProviderConfig) -> None:
+    ``table`` is the transcript already loaded, for runs that share one;
+    without it the provider loads ``config.transcript_path``.
+    """
+
+    def __init__(self, config: ProviderConfig, table: dict[str, str] | None = None) -> None:
         super().__init__(config)
-        self._table = load_transcript(config.transcript_path)
+        self._table = load_transcript(config.transcript_path) if table is None else table
 
     def _complete(self, prompt: PromptRecord) -> str:
         key = self.hash_of(prompt)
@@ -230,8 +230,8 @@ class ScriptedMockProvider(Provider):
 
     Custom ``rules`` (substring -> response) win over the defaults, which
     cover the shipped templates: plans in the STEP grammar, fix responses
-    that echo the snippet with a scripted edit applied, one-line feature
-    summaries, and rendered syntax trees.
+    that echo the snippet with a scripted edit applied, and one-line feature
+    summaries.
     """
 
     def __init__(self, config: ProviderConfig, rules: Iterable[ScriptRule] = ()) -> None:
@@ -249,8 +249,6 @@ class ScriptedMockProvider(Provider):
             return self._fix(text)
         if MARKER_FEATURES in text:
             return self._summary(text)
-        if MARKER_AST in text:
-            return self._ast(text)
         return "OK"
 
     @staticmethod
@@ -343,15 +341,6 @@ class ScriptedMockProvider(Provider):
                     out.insert(idx + 1, f"{indent}{_GUARD_LINE}")
                     break
         return "\n".join(out)
-
-    def _ast(self, text: str) -> str:
-        from . import kb  # local import; kb never imports this at module load
-
-        # the prompt fence appends one newline beyond the real source
-        source = self._snippet(text)
-        if source.endswith("\n"):
-            source = source[:-1]
-        return kb.render_tree(kb.extract_ast(source, mode=kb.AstMode.LOCAL_PARSER))
 
 
 class LiveHttpProvider(Provider):

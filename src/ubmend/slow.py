@@ -56,7 +56,7 @@ from .fast import (
     _report_hits_region,
     parse_region_ref,
 )
-from .kb import AstMode, KnowledgeBase, feature_vector
+from .kb import KnowledgeBase, feature_vector
 from .provider import MemoizedProvider, Provider
 from .rollback import RollbackStats, SnapshotStore
 from .workspace import WorkingCopy
@@ -161,7 +161,6 @@ class SessionConfig:
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     solutions_k: int = DEFAULT_SOLUTION_COUNT
     budget: int = DEFAULT_BUDGET
-    ast_mode: AstMode = AstMode.LOCAL_PARSER
     kb_enabled: bool = True
     clock: Callable[[], float] = time.monotonic
     memo: CaseMemo = field(default_factory=CaseMemo)
@@ -191,8 +190,6 @@ def _knowledge_context(
     step: RepairStep,
     workspace: WorkingCopy,
     reports: Sequence[UbReport],
-    provider: Provider,
-    config: SessionConfig,
     kb: KnowledgeBase | None,
 ) -> str | None:
     if kb is None:
@@ -204,7 +201,7 @@ def _knowledge_context(
         # a ref that names no file of the copy searches with the entry file
         file = workspace.target.entry_files[0]
         source = workspace.read(file)
-    vector = feature_vector(source, reports, config.ast_mode, provider, file)
+    vector = feature_vector(source, reports, file)
     if vector.is_zero:
         return None
     hits = kb.search(vector, k=3)
@@ -478,7 +475,7 @@ def run_session(
             replay_end = 0  # steps before it replay a failed batch, one by one
             for at, step in enumerate(steps):
                 if step.agent is AgentKind.REASON:
-                    reason_context = _knowledge_context(step, ws, current.reports, provider, config, kb)
+                    reason_context = _knowledge_context(step, ws, current.reports, kb)
                     continue
                 if step.agent is AgentKind.ROLLBACK:
                     current = store.restore(store.select_rollback_target(), ws)

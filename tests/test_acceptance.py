@@ -39,7 +39,7 @@ from ubmend.errors import (
 )
 from ubmend.fast import AgentKind, Provenance, RepairSolution, RepairStep
 from ubmend.feedback import EvalTriplet, FeedbackEngine
-from ubmend.kb import AstMode, KnowledgeBase, extract_ast, prune
+from ubmend.kb import KnowledgeBase, extract_ast, prune
 from ubmend.provider import (
     API_KEY_ENV,
     ProviderConfig,
@@ -183,7 +183,7 @@ def _oracle_prune_ids(ast, reports) -> set[int]:
     return result
 
 
-def test_acceptance_01_pruning_matches_brute_force_enumeration(mock_provider):
+def test_acceptance_01_pruning_matches_brute_force_enumeration():
     rng = random.Random(20240817)
     started = time.monotonic()
     pass2_shrank = False
@@ -212,8 +212,8 @@ def test_acceptance_01_pruning_matches_brute_force_enumeration(mock_provider):
                     raw="synthetic, no location",
                 )
             )
-        ast = extract_ast(source, AstMode.LOCAL_PARSER, mock_provider)
-        got = {n.id for n in prune(ast, reports).nodes}
+        ast = extract_ast(source)
+        got = {n.id for n in prune(ast, reports)}
         want = _oracle_prune_ids(ast, reports)
         assert got == want, f"case {case}: pruning disagreed with the oracle"
         if n_unsafe == 0:
@@ -474,7 +474,6 @@ def test_acceptance_06_experience_reranks_recorded_solution_first(tmp_path, mock
         detector=stub_detector_config(),
         solutions_k=4,
         budget=5,
-        ast_mode=AstMode.LOCAL_PARSER,
         kb_enabled=True,
         clock=LogicalClock(),
     )

@@ -17,11 +17,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CORPUS_DIR, STUB_DETECTOR_ARG, TOOLS_DIR, signature_candidates
+from conftest import (
+    CORPUS_DIR,
+    STUB_DETECTOR_ARG,
+    TOOLS_DIR,
+    signature_candidates,
+    stub_detector_config,
+)
 from ubmend import agents, cli
-from ubmend.detector import UbKind, run_detection
+from ubmend.detector import TargetPackage, UbKind, run_detection
 from ubmend.feedback import EvalTriplet, ExperienceRecord, FeedbackEngine, ReferenceBundle
-from ubmend.kb import FeatureVector, KnowledgeEntry
+from ubmend.kb import FeatureVector, KnowledgeEntry, extract_ast, feature_vector, prune, vectorize
 from ubmend.lexutil import estimate_tokens, mask_comments_and_strings
 from ubmend.provider import Provider, load_transcript
 from ubmend.rollback import SnapshotStore
@@ -178,6 +184,19 @@ def test_feature_vector_surface_gen_uses(dims):
     assert KnowledgeEntry.from_dict(entry_line).vector == v
     assert ExperienceRecord.from_dict(record_line).feature_vector == v
     assert FeatureVector.from_dict(json.loads(json.dumps(values.tolist()))) == v
+
+
+def test_the_vector_chain_gen_calls_is_the_stored_vector():
+    # perfbench/gen.py vectorizes each fix-loop template through this chain
+    # of kb functions, and the store it writes must match what repair_one
+    # searches with
+    path = CORPUS_DIR / "stack_borrow" / "main.rs"
+    reports = run_detection(TargetPackage.from_path(path), config=stub_detector_config()).reports
+    kinds = sorted({r.kind for r in reports}, key=lambda k: k.value)
+    text = path.read_text(encoding="utf-8")
+    vector = vectorize(prune(extract_ast(text), reports), ub_kinds=kinds)
+    assert not vector.is_zero
+    assert vector == feature_vector(text, reports)
 
 
 @pytest.mark.parametrize("record", [False, True])

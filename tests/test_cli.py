@@ -31,8 +31,14 @@ from ubmend.detector import DEFAULT_TOKEN_BUDGET, DetectorConfig, TargetPackage
 from ubmend.errors import ProviderFailure
 from ubmend.fast import AgentKind, RepairSolution, RepairStep
 from ubmend.feedback import FeedbackEngine
-from ubmend.kb import AstMode
-from ubmend.provider import MARKER_PLAN, Provider, ProviderConfig, ProviderMode, ScriptedMockProvider
+from ubmend.provider import (
+    MARKER_PLAN,
+    Provider,
+    ProviderConfig,
+    ProviderMode,
+    ScriptedMockProvider,
+    load_transcript,
+)
 from ubmend.slow import SessionConfig
 
 needs_rustc = pytest.mark.skipif(shutil.which("rustc") is None, reason="rustc not installed")
@@ -296,6 +302,17 @@ def test_fix_record_then_replay_reproduces_report(tmp_path, capsys):
     )
     assert code == 0
     assert capsys.readouterr().out == recorded
+
+
+@pytest.mark.parametrize(
+    "line", [b"\xff\xfe not UTF-8\n", b'["x"]\n'], ids=["not-utf-8", "not-an-object"]
+)
+def test_fix_replay_of_a_bad_transcript_is_usage_error(tmp_path, capsys, line):
+    case = copy_fixture(CORPUS_DIR / "stack_borrow", tmp_path)
+    transcript = tmp_path / "t.jsonl"
+    transcript.write_bytes(b'{"hash": "h", "response": "r"}\n' + line)
+    assert main(_fix(case, "--provider", "replay", "--transcript", str(transcript))) == 2
+    assert capsys.readouterr().err.startswith(f"error: {transcript}:2: bad transcript entry: ")
 
 
 def test_nonpositive_count_flags_are_rejected(tmp_path):
@@ -581,7 +598,6 @@ def test_fix_verdict_rests_on_a_clean_detection_of_the_final_bytes(tmp_path):
         detector=DetectorConfig(command=counting_detector_command(log), timeout=30.0),
         solutions_k=10,
         budget=5,
-        ast_mode=AstMode.LOCAL_PARSER,
         kb_enabled=False,
         clock=cli.LogicalClock(),
     )
@@ -655,6 +671,26 @@ def test_bench_replay_matches_a_live_run_whose_answers_vary(tmp_path, capsys, mo
     replay = ["--provider", "replay", "--transcript", str(transcript)]
     assert main(_bench(manifest, "--report", "json", *replay)) == 0
     assert capsys.readouterr().out == live
+
+
+def test_a_replay_bench_loads_its_transcript_once(tmp_path, capsys, monkeypatch):
+    manifest = CORPUS_DIR / "manifest.jsonl"
+    transcript = tmp_path / "t.jsonl"
+    run = ["--jobs", "2", "--report", "json", "--transcript", str(transcript)]
+    assert main(_bench(manifest, *run)) == 0
+    recorded = capsys.readouterr().out
+    loads = []
+
+    def counted(path):
+        loads.append(path)
+        return load_transcript(path)
+
+    monkeypatch.setattr(cli, "load_transcript", counted)
+    monkeypatch.setattr("ubmend.provider.load_transcript", counted)
+    assert main(_bench(manifest, *run, "--provider", "replay")) == 0
+    assert loads == [transcript]
+    # each case's provider still counts its own calls and tokens
+    assert capsys.readouterr().out == recorded
 
 
 def test_fix_records_a_prompt_it_asks_twice_once(tmp_path, capsys, monkeypatch):

@@ -14,21 +14,16 @@ from ubmend.feedback import EvalTriplet
 from ubmend.kb import (
     VECTOR_DIMS,
     Ast,
-    AstMode,
-    AstParseFailure,
     FeatureVector,
     KnowledgeBase,
     KnowledgeEntry,
     cosine,
     extract_ast,
     hashed_features,
-    parse_tree_text,
     prune,
-    render_tree,
     solution_template,
     vectorize,
 )
-from ubmend.provider import ProviderConfig, ScriptedMockProvider
 
 PROGRAM = """\
 fn helper(v: &mut Vec<i32>) {
@@ -52,7 +47,7 @@ def _report(line: int, kind=UbKind.STACK_BORROW) -> UbReport:
     return UbReport(kind=kind, file="main.rs", line=line, message="m", raw="")
 
 
-# --- parsing and rendering ---
+# --- parsing ---
 
 
 def test_local_parse_structure():
@@ -77,46 +72,6 @@ def test_local_parse_nesting():
             assert node.span[0] <= child.span[0] <= child.span[1] <= node.span[1]
 
 
-def test_render_parse_round_trip():
-    ast = extract_ast(PROGRAM)
-    text = render_tree(ast)
-    back = parse_tree_text(text, PROGRAM)
-    assert [(n.kind, n.span, n.is_unsafe) for n in back.nodes] == [
-        (n.kind, n.span, n.is_unsafe) for n in ast.nodes
-    ]
-    assert [n.children for n in back.nodes] == [n.children for n in ast.nodes]
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [
-        "",
-        "not a tree line",
-        "file 0..10\nfile 0..10",  # second root
-        "  fn 0..5",  # orphan depth
-        "file 0..99999",  # span past the end
-    ],
-)
-def test_parse_tree_text_rejects_malformed(bad):
-    with pytest.raises(AstParseFailure):
-        parse_tree_text(bad, "short source")
-
-
-def test_provider_mode_equals_local_for_well_formed_answer():
-    provider = ScriptedMockProvider(ProviderConfig())
-    via_provider = extract_ast(PROGRAM, mode=AstMode.PROVIDER, provider=provider)
-    local = extract_ast(PROGRAM, mode=AstMode.LOCAL_PARSER)
-    assert via_provider.mode_used == AstMode.PROVIDER.value
-    assert render_tree(via_provider) == render_tree(local)
-
-
-def test_provider_mode_falls_back_on_garbage():
-    provider = ScriptedMockProvider(ProviderConfig(), rules=[("", "garbage answer")])
-    ast = extract_ast(PROGRAM, mode=AstMode.PROVIDER, provider=provider)
-    assert ast.mode_used == "local_fallback"
-    assert render_tree(ast) == render_tree(extract_ast(PROGRAM))
-
-
 # --- pruning ---
 
 
@@ -132,12 +87,12 @@ def _node_ids_by_prefix(ast: Ast, prefix: str) -> set[int]:
 def test_prune_keeps_only_unsafe_paths():
     ast = extract_ast(PROGRAM)
     pruned = prune(ast)
-    assert pruned.nodes
-    for node in pruned.nodes:
+    assert pruned
+    for node in pruned:
         lo, hi = node.span
         assert "unsafe" in PROGRAM[lo:hi]
     # helper fn contains no unsafe and must be gone
-    kept = {n.id for n in pruned.nodes}
+    kept = {n.id for n in pruned}
     assert not kept & _node_ids_by_prefix(ast, "fn helper")
 
 
@@ -152,7 +107,7 @@ def test_prune_with_errors_drops_unrelated_nodes():
     ast = extract_ast(src)
     err_line = src[: src.index("as_mut_ptr")].count("\n") + 1
     pruned = prune(ast, [_report(err_line)])
-    kept = {n.id for n in pruned.nodes}
+    kept = {n.id for n in pruned}
     assert kept & _node_ids_by_prefix(ast, "unsafe {")
     assert not kept & _node_ids_by_prefix(ast, "fn untouched")
 
@@ -161,23 +116,14 @@ def test_prune_error_line_overlap_keeps_enclosing_fn():
     ast = extract_ast(PROGRAM)
     err_line = PROGRAM[: PROGRAM.index("as_mut_ptr")].count("\n") + 1
     pruned = prune(ast, [_report(err_line)])
-    kept_kinds = {n.kind for n in pruned.nodes}
+    kept_kinds = {n.kind for n in pruned}
     assert "unsafe_block" in kept_kinds
     assert "fn" in kept_kinds
 
 
 def test_prune_empty_for_safe_source():
     ast = extract_ast("fn main() { let x = 1; }\n")
-    assert prune(ast).nodes == []
-
-
-def test_prune_provenance_tracks_mode_and_source():
-    ast = extract_ast(PROGRAM)
-    p1 = prune(ast)
-    assert p1.provenance.startswith("local:")
-    assert p1.provenance == prune(ast).provenance
-    other = extract_ast(PROGRAM + "\n")
-    assert prune(other).provenance != p1.provenance
+    assert prune(ast) == []
 
 
 # --- hashing and vectors ---

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import socket
 
 import pytest
@@ -156,6 +157,45 @@ def test_load_transcript_rejects_bad_lines(tmp_path):
     bad.write_text('{"hash": "h", "response": "r"}\nnot json\n')
     with pytest.raises(StorageFailure):
         load_transcript(bad)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        b"\xff\xfe not UTF-8",
+        b'["x"]',
+        b"3",
+        b'{"hash": "h2"}',
+        b'{"hash": "h2", "response": 7}',
+    ],
+    ids=["not-utf-8", "array", "number", "no-response", "response-not-a-string"],
+)
+def test_load_transcript_names_the_file_and_line_of_a_bad_entry(tmp_path, line):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b'{"hash": "h", "response": "r"}\n' + line + b"\n")
+    with pytest.raises(StorageFailure, match="^" + re.escape(f"{bad}:2: bad transcript entry: ")):
+        load_transcript(bad)
+
+
+def test_load_transcript_skips_blank_lines(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text('\n{"hash": "a", "response": "1"}\n  \n{"hash": "b", "response": "2"}\n')
+    assert load_transcript(path) == {"a": "1", "b": "2"}
+
+
+def test_replay_provider_answers_from_a_table_it_is_given(tmp_path):
+    # a replay bench loads the transcript once and hands every case's
+    # provider the table; the file is then not read again
+    inner = _mock()
+    known = PromptRecord.user("known")
+    path = tmp_path / "t.jsonl"
+    path.write_text("")
+    config = ProviderConfig(mode=ProviderMode.REPLAY, transcript_path=path)
+    replay = ReplayProvider(config, {inner.hash_of(known): "from the table"})
+    assert replay.complete(known) == "from the table"
+    assert replay.calls == 1
+    with pytest.raises(ReplayMiss):
+        replay.complete(PromptRecord.user("never recorded"))
 
 
 def test_transcript_write_is_sorted_and_stable(tmp_path):

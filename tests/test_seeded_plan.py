@@ -99,9 +99,7 @@ def reference_repair_one(target, provider, engine, settings, reference=None):
             summarize_features(features, provider)
             if settings.kb_enabled:
                 lead_file, _ = parse_region_ref(features[0].ref)
-                vector = feature_vector(
-                    ws.read(lead_file), baseline.reports, settings.ast_mode, provider, lead_file
-                )
+                vector = feature_vector(ws.read(lead_file), baseline.reports, lead_file)
             solutions = generate_solutions(
                 features, k=settings.solutions_k, provider=provider, kb_enabled=settings.kb_enabled
             )

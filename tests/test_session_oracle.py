@@ -77,7 +77,7 @@ def reference_run_session(target, solutions, *, provider, config, kb=None) -> Se
             aborted = False
             for step in solution.steps:
                 if step.agent is AgentKind.REASON:
-                    reason_context = _knowledge_context(step, ws, current_reports, provider, config, kb)
+                    reason_context = _knowledge_context(step, ws, current_reports, kb)
                     continue
                 if step.agent is AgentKind.ROLLBACK:
                     target_idx = store.select_rollback_target()

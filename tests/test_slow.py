@@ -16,7 +16,7 @@ from ubmend.detector import TargetPackage, run_detection
 from ubmend.errors import ReplayMiss
 from ubmend.fast import AgentKind, RepairSolution, RepairStep, parse_region_ref
 from ubmend.feedback import EvalTriplet, FeedbackEngine
-from ubmend.kb import AstMode, KnowledgeBase, KnowledgeEntry, extract_ast, prune, vectorize
+from ubmend.kb import KnowledgeBase, KnowledgeEntry, extract_ast, prune, vectorize
 from ubmend.provider import ProviderConfig, ProviderMode, ScriptedMockProvider
 from ubmend.slow import (
     ErrorTrace,
@@ -395,7 +395,7 @@ def _consult_then_fix(tmp_path: Path, reason_ref: str) -> tuple[SpyProvider, Ver
     )
     baseline = run_detection(_target(tmp_path / "probe", source), config=det)
     vector = vectorize(
-        prune(extract_ast(source, AstMode.LOCAL_PARSER, provider), baseline.reports),
+        prune(extract_ast(source), baseline.reports),
         ub_kinds=(r.kind for r in baseline.reports),
     )
     kb = KnowledgeBase()

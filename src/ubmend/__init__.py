@@ -32,7 +32,6 @@ from .fast import (
     RepairStep,
     extract_features,
     generate_solutions,
-    summarize_features,
 )
 from .feedback import (
     EvalTriplet,
@@ -114,7 +113,6 @@ __all__ = [
     "run_detection",
     "run_session",
     "should_rollback",
-    "summarize_features",
     "vectorize",
     "__version__",
 ]

@@ -83,15 +83,22 @@ def revert_patch(patch: PatchRecord, workspace) -> None:
 
 
 def build_prompt(
-    agent: AgentKind, region: UnsafeRegion, ub_kinds: frozenset[UbKind], context: str | None
+    agent: AgentKind,
+    region: UnsafeRegion,
+    ub_kinds: frozenset[UbKind],
+    instruction: str = "",
+    knowledge: str | None = None,
 ) -> str:
+    """The agent's prompt: the plan step's instruction on its own line, and
+    a knowledge section only when a Reason step found prior fixes."""
     errors = "\n".join(f"- {k.value}" for k in sorted(ub_kinds, key=lambda k: k.value))
     ctx = region.enclosing_context
-    if context:
-        ctx += f"\n\nKnowledge from previous repairs:\n{context}"
+    if knowledge:
+        ctx += f"\n\nKnowledge from previous repairs:\n{knowledge}"
     return fill(
         load_template(_TEMPLATE_FOR_AGENT[agent]),
         strategy=STRATEGY_FOR_AGENT[agent].value,
+        instruction=instruction or "(none)",
         errors=errors or "(unclassified)",
         snippet=region.snippet,
         context=ctx,
@@ -103,11 +110,12 @@ def _propose(
     region: UnsafeRegion,
     ub_kinds: frozenset[UbKind],
     provider: Provider,
-    context: str | None,
+    instruction: str,
+    knowledge: str | None,
 ) -> PatchRecord:
     """Ask ``agent``'s prompt and patch ``region`` with the answer's first
     fenced block, the line before it being the rationale."""
-    prompt = PromptRecord.user(build_prompt(agent, region, ub_kinds, context))
+    prompt = PromptRecord.user(build_prompt(agent, region, ub_kinds, instruction, knowledge))
     response = provider.complete(prompt)
     if agent in _ABSTENTION:
         marker, abstain = _ABSTENTION[agent]
@@ -147,7 +155,8 @@ def safe_replace(
     region: UnsafeRegion,
     ub_kinds: frozenset[UbKind],
     provider: Provider,
-    context: str | None = None,
+    instruction: str = "",
+    knowledge: str | None = None,
 ) -> PatchRecord:
     """Swap the unsafe operation for a catalogued safe equivalent.
 
@@ -157,7 +166,7 @@ def safe_replace(
     """
     if not has_safe_api_match(region.snippet):
         raise NoSafeEquivalent(f"{region.file}: no catalogued equivalent")
-    patch = _propose(AgentKind.SAFE_REPLACE, region, ub_kinds, provider, context)
+    patch = _propose(AgentKind.SAFE_REPLACE, region, ub_kinds, provider, instruction, knowledge)
     before_unsafe = region.snippet.count("unsafe")
     if patch.after_text.count("unsafe") >= before_unsafe and before_unsafe:
         raise NoSafeEquivalent(f"{region.file}: answer does not reduce the unsafe region")
@@ -168,7 +177,8 @@ def add_assertion(
     region: UnsafeRegion,
     ub_kinds: frozenset[UbKind],
     provider: Provider,
-    context: str | None = None,
+    instruction: str = "",
+    knowledge: str | None = None,
 ) -> PatchRecord:
     """Prepend guard checks; the original unsafe expression must survive.
 
@@ -177,7 +187,7 @@ def add_assertion(
     the rest guards, blanks, comments or attributes. That structural check
     is what keeps this agent honest.
     """
-    patch = _propose(AgentKind.ADD_ASSERTION, region, ub_kinds, provider, context)
+    patch = _propose(AgentKind.ADD_ASSERTION, region, ub_kinds, provider, instruction, knowledge)
     inserted = insert_only_diff(region.snippet, patch.after_text)
     if inserted is None:
         raise NoGuardExpressible(f"{region.file}: answer rewrites the unsafe expression")
@@ -193,10 +203,11 @@ def modify_semantics(
     region: UnsafeRegion,
     ub_kinds: frozenset[UbKind],
     provider: Provider,
-    context: str | None = None,
+    instruction: str = "",
+    knowledge: str | None = None,
 ) -> PatchRecord:
     """Free-form rewrite of the region; the least constrained agent."""
-    return _propose(AgentKind.MODIFY_SEMANTICS, region, ub_kinds, provider, context)
+    return _propose(AgentKind.MODIFY_SEMANTICS, region, ub_kinds, provider, instruction, knowledge)
 
 
 AGENT_FUNCTIONS = {

@@ -73,13 +73,12 @@ class UnsafeRegion:
 
 @dataclass
 class CodeFeature:
-    """What fast thinking knows about one region: ops, UB kinds, summary,
-    and the baseline reports that land in it (the summary prompt's errors)."""
+    """What fast thinking knows about one region: its ops and UB kinds, and
+    the baseline reports that land in it."""
 
     region: UnsafeRegion
     op_kinds: frozenset[UnsafeOpKind]
     ub_kinds: frozenset[UbKind]
-    context_summary: str
     ref: str = ""
     reports: tuple[UbReport, ...] = ()
 

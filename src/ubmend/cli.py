@@ -54,7 +54,6 @@ from .fast import (
     extract_features,
     generate_solutions,
     parse_region_ref,
-    summarize_features,
 )
 from .feedback import (
     EvalTriplet,
@@ -331,15 +330,16 @@ def repair_one(
 
     Returns the session outcome (triplet attached), the evaluation triplet,
     and the original sources for diffing. With knowledge enabled, a past
-    repair at least ``BYPASS_SIMILARITY`` alike is seeded first. The region
-    summaries, the plan and its ranking are made when the session first
-    draws past a seed that ranking provably keeps first, or draws its first
-    solution when there is no such seed; the session tries the solutions in
-    ranked order either way. Reason steps consult the knowledge base only
-    when knowledge is enabled and no past repair was seeded. When the run
-    repairs the target, the answers of the kept thoughts of the solution it
-    ended on are listed in the memo's ``new_results``, for the caller to
-    append to the experience log with the run's detections.
+    repair at least ``BYPASS_SIMILARITY`` alike is seeded first. The plan
+    (one model call, whose prompt carries each region's code) and its
+    ranking are made when the session first draws past a seed that ranking
+    provably keeps first, or draws its first solution when there is no such
+    seed; the session tries the solutions in ranked order either way.
+    Reason steps consult the knowledge base only when knowledge is enabled
+    and no past repair was seeded. When the run repairs the target, the
+    answers of the kept thoughts of the solution it ended on are listed in
+    the memo's ``new_results``, for the caller to append to the experience
+    log with the run's detections.
     """
     clock = settings.clock
     memo = settings.memo
@@ -377,7 +377,6 @@ def repair_one(
                 if seeded is not None and engine.keeps_first(seeded, vector):
                     drawn.append(seeded)
                     yield seeded
-                summarize_features(features, provider)
                 planned = generate_solutions(
                     features, k=settings.solutions_k, provider=provider, kb_enabled=settings.kb_enabled
                 )

@@ -1,9 +1,9 @@
 """Fast thinking: distill error features, then draft candidate repair plans.
 
 ``extract_features`` locates, classifies and maps the affected regions
-without a model call. ``summarize_features`` then asks the provider for one
-summary per region, and ``generate_solutions`` makes a single further call
-for up to k alternative plans in a line-oriented grammar::
+without a model call. ``generate_solutions`` then makes the one model call
+of fast thinking: its prompt lists every region's features and code, and
+asks for up to k alternative plans in a line-oriented grammar::
 
     SOLUTION <i>:
     STEP <n>: <AGENT> <region-ref> :: <instruction>
@@ -129,15 +129,6 @@ def strategy_order(feature: CodeFeature) -> list[FixStrategy]:
     return map_strategies(feature)
 
 
-def format_errors(reports: list[UbReport]) -> str:
-    if not reports:
-        return "(none)"
-    return "\n".join(
-        f"- {r.kind.value}: {r.message}" + (f" (line {r.line})" if r.line else "")
-        for r in reports
-    )
-
-
 def _report_hits_region(report: UbReport, rel: str, source: str, region: UnsafeRegion) -> bool:
     rf = report.file.replace("\\", "/")
     rel_norm = rel.replace("\\", "/")
@@ -153,7 +144,7 @@ def _report_hits_region(report: UbReport, rel: str, source: str, region: UnsafeR
 
 def extract_features(target: TargetPackage, reports: list[UbReport]) -> list[CodeFeature]:
     """One CodeFeature per unsafe region that overlaps a UB report, with no
-    model call: summaries are left empty for ``summarize_features``.
+    model call.
 
     Reports that land in no region are logged as taxonomy escapes; if none
     overlap at all, a whole-file fallback feature keeps the pipeline moving.
@@ -214,24 +205,9 @@ def _build_feature(region: UnsafeRegion, ref: str, hits: list[UbReport]) -> Code
         region=region,
         op_kinds=op_kinds,
         ub_kinds=frozenset(r.kind for r in hits),
-        context_summary="",
         ref=ref,
         reports=tuple(hits),
     )
-
-
-def summarize_features(features: list[CodeFeature], provider: Provider) -> None:
-    """Fill in each feature's ``context_summary``: one provider call per
-    region, in feature order."""
-    template = load_template("feature_extraction.txt")
-    for feature in features:
-        prompt = fill(
-            template,
-            errors=format_errors(list(feature.reports)),
-            snippet=feature.region.snippet,
-            context=feature.region.enclosing_context,
-        )
-        feature.context_summary = provider.complete(PromptRecord.user(prompt)).strip()
 
 
 def _feature_lines(features: list[CodeFeature]) -> str:
@@ -241,7 +217,7 @@ def _feature_lines(features: list[CodeFeature]) -> str:
         ub = ",".join(sorted(k.value for k in f.ub_kinds)) or "unknown"
         ops = ",".join(sorted(k.value for k in f.op_kinds)) or "unclassified"
         lines.append(f"FEATURE {f.ref} :: strategies={order} :: ub={ub} :: ops={ops}")
-        lines.append(f"  summary: {f.context_summary}")
+        lines.append(f"```rust\n{f.region.snippet}\n```")
     return "\n".join(lines)
 
 

@@ -17,6 +17,7 @@ import shlex
 import subprocess
 import tempfile
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -196,16 +197,28 @@ class ReferenceBundle:
 
 
 def signature_of(solution: RepairSolution) -> tuple[tuple[str, str], ...]:
-    """Shape of a solution with region refs abstracted away.
+    """Shape of a solution with region refs abstracted away: each fix
+    step's agent and instruction, the instruction as the plan gave it so
+    that a seeded step asks the verified repair's prompt.
 
     Two plans that apply the same agents with the same instructions count as
-    the same experience even when aimed at different files.
+    the same experience even when aimed at different files; ``folded``
+    makes the comparison blind to case and runs of whitespace.
     """
     return tuple(
-        (step.agent.value, " ".join(step.instruction.split()).lower())
+        (step.agent.value, step.instruction)
         for step in solution.steps
         if step.agent in FIX_AGENTS
     )
+
+
+@lru_cache(maxsize=1024)
+def folded(signature: tuple[tuple[str, str], ...]) -> tuple[tuple[str, str], ...]:
+    """The form in which signatures are compared: instructions lowercased
+    with whitespace runs collapsed, which is how logs written before
+    signatures kept their case stored them. Cached: a log repeats a few
+    signatures over thousands of records."""
+    return tuple((agent, " ".join(instruction.split()).lower()) for agent, instruction in signature)
 
 
 @dataclass
@@ -365,17 +378,19 @@ class FeedbackEngine:
         return WEIGHT_FAILED
 
     def signature_scores(self, feature_vector: FeatureVector) -> dict[tuple, float]:
-        """Every signature's experience score, in one pass over the records:
-        the highest similarity times weight among the records with a nonzero
-        vector that carry the signature (the first record wins a tie)."""
+        """Every folded signature's experience score, in one pass over the
+        records: the highest similarity times weight among the records with
+        a nonzero vector that carry the signature (the first record wins a
+        tie)."""
         scores: dict[tuple, float] = {}
         for record in self.records:
             if record.feature_vector.is_zero:
                 continue
             value = cosine(feature_vector, record.feature_vector) * self._weight(record.triplet)
-            best = scores.get(record.solution_signature)
+            key = folded(record.solution_signature)
+            best = scores.get(key)
             if best is None or value > best:
-                scores[record.solution_signature] = value
+                scores[key] = value
         return scores
 
     def rank_solutions(
@@ -389,7 +404,7 @@ class FeedbackEngine:
         scores = self.signature_scores(feature_vector)
         scored: list[tuple[float, RepairSolution]] = []
         for candidate in candidates:
-            best = scores.get(signature_of(candidate))
+            best = scores.get(folded(signature_of(candidate)))
             if best is not None and best != 0.0:
                 candidate.provenance = Provenance.FEEDBACK_RANKED
             scored.append((best if best is not None else 0.0, candidate))
@@ -404,7 +419,7 @@ class FeedbackEngine:
         if not self.records or feature_vector.is_zero:
             return True
         scores = self.signature_scores(feature_vector)
-        own = scores.get(signature_of(solution), 0.0)
+        own = scores.get(folded(signature_of(solution)), 0.0)
         return own >= 0.0 and all(own >= score for score in scores.values())
 
     def best_hit(self, feature_vector: FeatureVector) -> tuple[float, ExperienceRecord] | None:

@@ -1,8 +1,11 @@
 """Prompt template loading. Templates are editable package data files."""
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from importlib import resources
+
+_PLACEHOLDER_RE = re.compile(r"\{(\w+)\}")
 
 
 @lru_cache(maxsize=None)
@@ -11,8 +14,7 @@ def load_template(name: str) -> str:
 
 
 def fill(template: str, **values: str) -> str:
-    """str.format without brace interpretation inside the values."""
-    out = template
-    for key, value in values.items():
-        out = out.replace("{" + key + "}", value)
-    return out
+    """Each ``{key}`` of the template replaced by its value, in one pass:
+    a value is never searched for placeholders, so code such as
+    ``println!("{context}")`` reaches the prompt as it is."""
+    return _PLACEHOLDER_RE.sub(lambda m: values.get(m.group(1), m.group(0)), template)

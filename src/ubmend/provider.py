@@ -30,7 +30,6 @@ API_BASE_ENV = "RUSTBRAIN_API_BASE"
 
 # Phrases the shipped prompt templates open with; the scripted mock keys its
 # behavior off them so it stays in sync with data/prompts/*.txt.
-MARKER_FEATURES = "Summarize the purpose of this unsafe region"
 MARKER_PLAN = "Propose repair plans"
 MARKER_FIX = "Return the full revised region in one fenced code block."
 
@@ -229,9 +228,8 @@ class ScriptedMockProvider(Provider):
     """Deterministic offline double: template-driven answers from the prompt.
 
     Custom ``rules`` (substring -> response) win over the defaults, which
-    cover the shipped templates: plans in the STEP grammar, fix responses
-    that echo the snippet with a scripted edit applied, and one-line feature
-    summaries.
+    cover the shipped templates: plans in the STEP grammar, and fix
+    responses that echo the snippet with a scripted edit applied.
     """
 
     def __init__(self, config: ProviderConfig, rules: Iterable[ScriptRule] = ()) -> None:
@@ -247,8 +245,6 @@ class ScriptedMockProvider(Provider):
             return self._plan(text)
         if MARKER_FIX in text:
             return self._fix(text)
-        if MARKER_FEATURES in text:
-            return self._summary(text)
         return "OK"
 
     @staticmethod
@@ -257,14 +253,6 @@ class ScriptedMockProvider(Provider):
         if not m:
             raise ProviderFailure("mock expected a fenced snippet in the prompt")
         return m.group(1)
-
-    def _summary(self, text: str) -> str:
-        snippet = self._snippet(text)
-        first = next(
-            (ln.strip() for ln in snippet.splitlines() if ln.strip() and _UB_DIRECTIVE not in ln),
-            "unsafe code",
-        )
-        return f"Region intent: {first[:100]}"
 
     def _plan(self, text: str) -> str:
         features = re.findall(

@@ -227,17 +227,16 @@ def propose_step(
     """The propose half of a fix step: ask the step's agent to patch
     ``region`` and apply the patch to the working copy.
 
-    The prompt lists the UB kinds of ``reports``. The thought holds the applied
-    patch, or no patch and a note when the agent abstained or the patch did
-    not apply; its count stays ``prev_count`` until a detection verifies it.
+    The prompt lists the UB kinds of ``reports`` and the step's instruction,
+    and ``context``, a Reason step's knowledge, when there is any. The
+    thought holds the applied patch, or no patch and a note when the agent
+    abstained or the patch did not apply; its count stays ``prev_count``
+    until a detection verifies it.
     A replay miss propagates: it means the transcript is incomplete.
     """
-    agent_context = f"Instruction: {step.instruction}"
-    if context:
-        agent_context += f"\n{context}"
     kinds = frozenset(r.kind for r in reports)
     try:
-        patch = AGENT_FUNCTIONS[step.agent](region, kinds, provider, agent_context)
+        patch = AGENT_FUNCTIONS[step.agent](region, kinds, provider, step.instruction, context)
     except ReplayMiss:
         raise
     except (NoSafeEquivalent, NoGuardExpressible, AgentFailure, ProviderFailure) as exc:

@@ -529,13 +529,14 @@ def test_acceptance_06_experience_reranks_recorded_solution_first(tmp_path, mock
     assert all(s.provenance is Provenance.GENERATED for s in reranked)
 
     # a later repair of the target recalls it and tries it before planning:
-    # one fetched answer, the fix, where the first repair needed three
+    # one fetched answer, the fix, where the first repair needed two, the
+    # plan and the fix
     first_calls = mock_provider.calls
     settings.memo = CaseMemo()
     again, _, _ = repair_one(target, mock_provider, engine, settings)
     assert again.verdict is Verdict.PASS
     assert again.solution_id == "s00"
-    assert (first_calls, mock_provider.calls - first_calls) == (3, 1)
+    assert (first_calls, mock_provider.calls - first_calls) == (2, 1)
 
 
 # --- criterion 7: patches round-trip; guards only ever insert
@@ -576,12 +577,11 @@ def test_acceptance_07_patches_round_trip_and_guards_insert_only(mock_provider):
                     region=region,
                     op_kinds=ops,
                     ub_kinds=frozenset({UbKind(case.ub_kind)}),
-                    context_summary="",
                     ref=f"{entry}#0",
                 )
                 try:
                     patch = AGENT_FUNCTIONS[agent_kind](
-                        region, feature.ub_kinds, mock_provider, "Instruction: tighten the region"
+                        region, feature.ub_kinds, mock_provider, "tighten the region"
                     )
                 except (NoSafeEquivalent, NoGuardExpressible, AgentFailure, ProviderFailure):
                     abstained += 1

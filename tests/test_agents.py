@@ -50,7 +50,6 @@ def _region_feature(source=SOURCE, ub=UbKind.STACK_BORROW):
         region=region,
         op_kinds=frozenset(),
         ub_kinds=frozenset({ub}),
-        context_summary="",
         ref="main.rs#0",
     )
     return region, feature
@@ -117,10 +116,30 @@ def test_insert_only_diff():
 
 def test_build_prompt_carries_snippet_errors_and_knowledge():
     region, feature = _region_feature()
-    prompt = build_prompt(AgentKind.SAFE_REPLACE, region, feature.ub_kinds, "Instruction: do it")
+    prompt = build_prompt(AgentKind.SAFE_REPLACE, region, feature.ub_kinds, "do it", "- prior fix")
     assert region.snippet in prompt
     assert "stack_borrow" in prompt
-    assert "Instruction: do it" in prompt
+    assert "\nInstruction: do it\n" in prompt
+    assert "Knowledge from previous repairs:\n- prior fix" in prompt
+
+
+def test_build_prompt_keeps_placeholder_names_in_code_as_they_are():
+    # Rust format strings name variables in braces, as templates do
+    source = 'fn main() {\n    let context = 1;\n    unsafe { println!("{context} {errors}") };\n}\n'
+    region, feature = _region_feature(source)
+    prompt = build_prompt(AgentKind.MODIFY_SEMANTICS, region, feature.ub_kinds, "fix {snippet}")
+    assert prompt.count('println!("{context} {errors}")') == 2
+    assert "\nInstruction: fix {snippet}\n" in prompt
+
+
+def test_the_knowledge_heading_appears_only_with_reason_knowledge():
+    # a plan step's instruction is no knowledge from earlier repairs
+    region, feature = _region_feature()
+    for agent in (AgentKind.SAFE_REPLACE, AgentKind.ADD_ASSERTION, AgentKind.MODIFY_SEMANTICS):
+        for knowledge in (None, ""):
+            prompt = build_prompt(agent, region, feature.ub_kinds, "do it", knowledge)
+            assert "\nInstruction: do it\n" in prompt
+            assert "Knowledge from previous repairs" not in prompt
 
 
 def test_safe_replace_happy_path(mock_provider):

@@ -25,7 +25,6 @@ from ubmend.errors import StorageFailure
 from ubmend.feedback import EvalTriplet, ExperienceRecord, FeedbackEngine
 from ubmend.kb import feature_vector
 from ubmend.provider import (
-    MARKER_FEATURES,
     MARKER_FIX,
     MARKER_PLAN,
     MemoizedProvider,
@@ -67,7 +66,7 @@ def asked(monkeypatch) -> list[str]:
 
 
 def _kinds(prompts: list[str]) -> list[str]:
-    marks = {MARKER_FIX: "fix", MARKER_FEATURES: "summary", MARKER_PLAN: "plan"}
+    marks = {MARKER_FIX: "fix", MARKER_PLAN: "plan"}
     return [next(v for k, v in marks.items() if k in p) for p in prompts]
 
 
@@ -181,11 +180,11 @@ def test_kept_answers_answer_nothing_under_another_model_temperature_or_mode(
     assert len(_answers(store)) == 1
     asked.clear()
     rc, same = _fix(capsys, case, store, "--no-kb")
-    assert (rc, same["store_hits"]["answers"], _kinds(asked)) == (0, 1, ["summary", "plan"])
+    assert (rc, same["store_hits"]["answers"], _kinds(asked)) == (0, 1, ["plan"])
     asked.clear()
     rc, changed = _fix(capsys, case, store, "--no-kb", "--transcript", str(transcript), *change)
     assert (rc, changed["store_hits"]["answers"]) == (0, 0)
-    assert _kinds(asked) == ["summary", "plan", "fix"]
+    assert _kinds(asked) == ["plan", "fix"]
     assert changed["trace"] == same["trace"]
 
 
@@ -228,8 +227,8 @@ def test_a_second_fix_on_the_generated_store_asks_only_what_no_verified_repair_a
     # the seed passes on its first thought: the repeat asks nothing
     assert (kinds["c02", 1], kinds["c02", 2]) == (["fix"], [])
     # c12 is planned every time; only its fix answer is kept
-    assert kinds["c12", 1] == ["summary", "plan", "fix"]
-    assert kinds["c12", 2] == ["summary", "plan"]
+    assert kinds["c12", 1] == ["plan", "fix"]
+    assert kinds["c12", 2] == ["plan"]
 
 
 # --- transcripts ----------------------------------------------------------------

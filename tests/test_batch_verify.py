@@ -26,7 +26,7 @@ from ubmend.cli import main, repair_one
 from ubmend.detector import DetectorConfig, TargetPackage
 from ubmend.fast import AgentKind, RepairSolution, RepairStep
 from ubmend.feedback import FeedbackEngine
-from ubmend.provider import ProviderConfig, ProviderMode, ScriptedMockProvider
+from ubmend.provider import MARKER_FIX, MARKER_PLAN, ProviderConfig, ProviderMode, ScriptedMockProvider
 from ubmend.slow import SessionConfig, Verdict, run_session
 
 # UB messages whose kinds lead with a strategy the scripted mock always applies
@@ -155,6 +155,24 @@ def test_a_batch_follows_its_regions_through_earlier_patches(tmp_path):
     for i in range(3):
         assert f"v[{i}]" in final
     assert len(spawn_log(log)) == 2
+
+
+def test_a_three_region_target_makes_one_plan_call_before_its_first_fix(tmp_path):
+    path = tmp_path / "main.rs"
+    path.write_text(RENUMBERING_SOURCE, encoding="utf-8")
+    settings = SessionConfig(
+        detector=DetectorConfig(command=counting_detector_command(tmp_path / "spawns.jsonl"), timeout=30.0),
+        kb_enabled=False,
+        clock=cli.LogicalClock(),
+    )
+    provider = SpyProvider(ProviderConfig(mode=ProviderMode.SCRIPTED_MOCK))
+    outcome, _, _ = repair_one(TargetPackage.from_path(path), provider, FeedbackEngine(), settings)
+    assert outcome.verdict is Verdict.PASS
+    first_fix = next(i for i, p in enumerate(provider.prompts) if MARKER_FIX in p)
+    assert first_fix == 1 and MARKER_PLAN in provider.prompts[0]
+    regions = classifier.locate_unsafe_regions(RENUMBERING_SOURCE, "main.rs")
+    assert [provider.prompts[0].count(r.snippet) for r in regions] == [1, 1, 1]
+    assert provider.calls == 4
 
 
 # --- a batch that fails is replayed step by step --------------------------------

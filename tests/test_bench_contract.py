@@ -226,11 +226,11 @@ def test_provider_complete_sees_each_fetched_answer_once(tmp_path, monkeypatch, 
     assert cli.main(args) == 0
     report = json.loads(capsys.readouterr().out)
     hashes = [h for h, _, _ in seen]
-    # the knowledge run's summary, plan and fix, then the no-knowledge plan
-    assert len(hashes) == len(set(hashes)) == 4
+    # the knowledge run's plan and fix, then the no-knowledge plan
+    assert len(hashes) == len(set(hashes)) == 3
     assert all(added == cost for _, added, cost in seen)
     # the bench row's tokens are the knowledge run's: all but the last call
-    assert report["cases"][0]["tokens"] == sum(cost for _, _, cost in seen[:3])
+    assert report["cases"][0]["tokens"] == sum(cost for _, _, cost in seen[:2])
     if record:
         assert list(load_transcript(transcript)) == hashes
 
@@ -252,8 +252,8 @@ def test_a_store_answered_prompt_never_reaches_provider_complete(tmp_path, monke
             "--fixed-clock", "--report", "json"]
     assert cli.main(args) == 0
     first = json.loads(capsys.readouterr().out)
-    # the summary, the plan and the fix; the fix's answer is kept
-    assert len(seen) == 3
+    # the plan and the fix; the fix's answer is kept
+    assert len(seen) == 2
     lines = [json.loads(line) for line in store.read_text(encoding="utf-8").splitlines()]
     answers = [line["tool_result"]["key"] for line in lines if "answer" in line.get("tool_result", {})]
     assert answers == [f"mock:{seen[-1]}"]

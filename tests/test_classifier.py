@@ -36,8 +36,7 @@ def _feature(snippet: str, context: str = "", ub_kinds=frozenset()) -> CodeFeatu
     except Unclassifiable:
         ops = frozenset()
     return CodeFeature(
-        region=region, op_kinds=ops, ub_kinds=frozenset(ub_kinds),
-        context_summary="", ref="main.rs#0",
+        region=region, op_kinds=ops, ub_kinds=frozenset(ub_kinds), ref="main.rs#0",
     )
 
 

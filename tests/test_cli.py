@@ -633,10 +633,10 @@ def test_bench_asks_the_model_each_prompt_once_per_case(tmp_path, capsys, monkey
     assert main(_bench(manifest, "--report", "json")) == 0
     capsys.readouterr()
     for kind in SLICE:
-        # the knowledge run: one feature summary, the plan and one fix
-        assert len(calls[(kind, True)]) == 3
-        # the no-knowledge run asks only for its own plan; its summary and
-        # fix prompts are the knowledge run's, answered from the case memo
+        # the knowledge run: the plan and one fix
+        assert len(calls[(kind, True)]) == 2
+        # the no-knowledge run asks only for its own plan; its fix prompt
+        # is the knowledge run's, answered from the case memo
         (plan,) = calls[(kind, False)]
         assert MARKER_PLAN in plan and "knowledge: off" in plan
 

@@ -17,7 +17,6 @@ from ubmend.fast import (
     normalize_steps,
     parse_plan,
     strategy_order,
-    summarize_features,
 )
 from ubmend.provider import ProviderConfig, ScriptedMockProvider
 
@@ -44,8 +43,7 @@ def _feature(ub_kinds=frozenset({UbKind.STACK_BORROW}), ops=frozenset(), ref="ma
         file="main.rs", byte_span=(0, 10), snippet="unsafe { }", enclosing_context=""
     )
     return CodeFeature(
-        region=region, op_kinds=ops, ub_kinds=frozenset(ub_kinds),
-        context_summary="", ref=ref,
+        region=region, op_kinds=ops, ub_kinds=frozenset(ub_kinds), ref=ref,
     )
 
 
@@ -130,26 +128,7 @@ def test_extract_features_maps_reports_to_regions(tmp_path, mock_provider):
     assert feats[0].ref == "main.rs#0"
     assert feats[0].ub_kinds == {UbKind.STACK_BORROW}
     assert feats[0].reports == (_report(line),)
-    assert feats[0].context_summary == ""
-    summarize_features(feats, mock_provider)
-    assert feats[0].context_summary
-    assert mock_provider.calls == 1
-
-
-def test_summarize_features_asks_one_prompt_per_region_in_order(tmp_path):
-    source = (
-        "fn a() { unsafe { one() } }\n"
-        "fn b() { unsafe { two() } }\n"
-    )
-    feats = extract_features(_target(tmp_path, source), [_report(2), _report(1)])
-    provider = ScriptedMockProvider(ProviderConfig())
-    prompts: list[str] = []
-    provider.complete = lambda prompt: prompts.append(prompt.text()) or "summary"
-    summarize_features(feats, provider)
-    assert [f.context_summary for f in feats] == ["summary", "summary"]
-    assert ["one()" in p for p in prompts] == [True, False]
-    assert ["two()" in p for p in prompts] == [False, True]
-    assert "(line 1)" in prompts[0] and "(line 2)" in prompts[1]
+    assert mock_provider.calls == 0
 
 
 def test_extract_features_empty_without_reports(tmp_path):
@@ -193,6 +172,32 @@ def test_generate_solutions_happy_path(mock_provider):
     assert [s.id for s in sols] == [f"s{i + 1:02d}" for i in range(len(sols))]
     assert all(s.provenance == Provenance.GENERATED for s in sols)
     assert all(isinstance(s, RepairSolution) for s in sols)
+
+
+def test_plan_prompt_holds_each_region_snippet_once_in_feature_order(tmp_path):
+    # one plan call carries every region's code; a snippet that holds a
+    # placeholder name of the template reaches the prompt as it is
+    source = (
+        "fn a() { unsafe { one() } }\n"
+        "fn b() { unsafe { two() } }\n"
+        'fn c() { unsafe { println!("{errors}") } }\n'
+    )
+    feats = extract_features(_target(tmp_path, source), [_report(3), _report(2), _report(1)])
+    provider = ScriptedMockProvider(ProviderConfig())
+    prompts: list[str] = []
+    complete = provider.complete
+    provider.complete = lambda prompt: prompts.append(prompt.text()) or complete(prompt)
+    generate_solutions(feats, k=2, provider=provider)
+    (prompt,) = prompts
+    snippets = ["unsafe { one() }", "unsafe { two() }", 'unsafe { println!("{errors}") }']
+    assert [prompt.count(s) for s in snippets] == [1, 1, 1]
+    regions = prompt.split("and its code:\n", 1)[1].split("\n\nDetected", 1)[0].splitlines()
+    assert [line.split(" ::")[0] for line in regions[::4]] == [
+        "FEATURE main.rs#0", "FEATURE main.rs#1", "FEATURE main.rs#2",
+    ]
+    assert [regions[i + 1: i + 4] for i in range(0, len(regions), 4)] == [
+        ["```rust", s, "```"] for s in snippets
+    ]
 
 
 def test_generate_solutions_validates_inputs(mock_provider):

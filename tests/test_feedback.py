@@ -9,7 +9,7 @@ import time
 import pytest
 
 from conftest import counting_rustc, process_gone
-from ubmend import feedback
+from ubmend import cli, feedback
 from ubmend.detector import CaseMemo, UbKind
 from ubmend.errors import StorageFailure
 from ubmend.fast import AgentKind, Provenance, RepairSolution, RepairStep
@@ -23,6 +23,7 @@ from ubmend.feedback import (
     FeedbackEngine,
     ReferenceBundle,
     ReferenceExecutionFailure,
+    folded,
     signature_of,
 )
 from ubmend.kb import FeatureVector, KnowledgeBase, cosine
@@ -92,13 +93,46 @@ def test_signature_uses_fix_steps_only():
             RepairStep(AgentKind.ROLLBACK, "main.rs#0", "go back"),
         ],
     )
-    assert signature_of(sol) == (("ModifySemantics", "rewrite it"),)
+    assert signature_of(sol) == (("ModifySemantics", "Rewrite   It"),)
+    assert folded(signature_of(sol)) == (("ModifySemantics", "rewrite it"),)
 
 
 def test_signature_matches_across_regions():
     a = RepairSolution(id="a", steps=[RepairStep(AgentKind.SAFE_REPLACE, "main.rs#0", "swap")])
     b = RepairSolution(id="b", steps=[RepairStep(AgentKind.SAFE_REPLACE, "lib.rs#3", "swap")])
     assert signature_of(a) == signature_of(b)
+
+
+def test_a_record_keeps_the_instruction_it_seeds_with():
+    record = _record(_vec(1.0, 0.0), _solution("Swap in the safe API"))
+    again = ExperienceRecord.from_dict(record.to_dict())
+    seeded = cli._seeded_solution(again, "main.rs#2")
+    assert [(s.agent, s.target_region, s.instruction) for s in seeded.steps] == [
+        (AgentKind.MODIFY_SEMANTICS, "main.rs#2", "Swap in the safe API")
+    ]
+
+
+def test_a_lowercased_record_of_an_older_log_ranks_and_seeds_as_before():
+    # logs written before signatures kept their case hold the instruction
+    # lowercased with whitespace runs collapsed
+    planned = _solution("Swap  in the safe API", sid="p1")
+    other = _solution("rewrite it", sid="p2")
+    old = ExperienceRecord.from_dict(
+        {**_record(_vec(1.0, 0.0), planned).to_dict(),
+         "solution_signature": [["ModifySemantics", "swap in the safe api"]]}
+    )
+    engine = FeedbackEngine()
+    engine.records = [old]
+    ranked = engine.rank_solutions([other, planned], _vec(1.0, 0.0))
+    assert [s.id for s in ranked] == ["p1", "p2"]
+    assert planned.provenance is Provenance.FEEDBACK_RANKED
+    assert engine.signature_scores(_vec(1.0, 0.0)) == {
+        (("ModifySemantics", "swap in the safe api"),): WEIGHT_REPAIRED
+    }
+    assert engine.keeps_first(planned, _vec(1.0, 0.0))
+    assert not engine.keeps_first(other, _vec(1.0, 0.0))
+    seeded = cli._seeded_solution(engine.best_hit(_vec(1.0, 0.0))[1], "main.rs#0")
+    assert [s.instruction for s in seeded.steps] == ["swap in the safe api"]
 
 
 # --- experience log ---

@@ -255,9 +255,11 @@ STEP <n>: <AGENT> <region-ref> :: <instruction>
 knowledge: on
 solutions requested: 3
 
-Regions under repair, each with its preferred strategy order:
+Regions under repair, each with its preferred strategy order and its code:
 FEATURE main.rs#0 :: strategies=SemanticModification,SafeAlternative,AssertionGuard :: ub=stack_borrow :: ops=raw_pointer_deref
-  summary: Region intent: raw write
+```rust
+unsafe { *p = 1; }
+```
 
 Detected undefined behavior:
 - main.rs#0: stack_borrow

@@ -1,9 +1,9 @@
 """Differential oracle for trying a recalled repair before planning.
 
 ``reference_repair_one`` is ``cli.repair_one`` as it stood when every run
-asked for its region summaries and plan before the session started, and
-``reference_rank`` is ranking as it stood when each candidate scanned the
-whole experience log. They stay here as the references that the lazy plan
+asked for its plan before the session started, and ``reference_rank`` is
+ranking as it stood when each candidate scanned the whole experience log
+(signatures compared blind to case and whitespace runs). They stay here as the references that the lazy plan
 and the one-pass scoring must match: the same verdicts, traces, final
 sources and store lines, with only the tokens spent allowed to differ.
 """
@@ -29,7 +29,6 @@ from ubmend.fast import (
     extract_features,
     generate_solutions,
     parse_region_ref,
-    summarize_features,
 )
 from ubmend.feedback import (
     EvalTriplet,
@@ -39,7 +38,6 @@ from ubmend.feedback import (
 )
 from ubmend.kb import FeatureVector, cosine, feature_vector
 from ubmend.provider import (
-    MARKER_FEATURES,
     MARKER_FIX,
     MARKER_PLAN,
     MemoizedProvider,
@@ -57,15 +55,19 @@ FAILING = ("ModifySemantics", "seeded rewrite that never comes back")
 NO_CODE = "no fenced block in this answer"
 
 
+def _shape(signature) -> list:
+    return [(agent, " ".join(text.split()).lower()) for agent, text in signature]
+
+
 def reference_rank(engine: FeedbackEngine, candidates, feature_vector):
     if not engine.records or feature_vector.is_zero:
         return list(candidates)
     scored = []
     for candidate in candidates:
-        signature = signature_of(candidate)
+        signature = _shape(signature_of(candidate))
         best = None
         for record in engine.records:
-            if record.solution_signature != signature:
+            if _shape(record.solution_signature) != signature:
                 continue
             if record.feature_vector.is_zero:
                 continue
@@ -96,7 +98,6 @@ def reference_repair_one(target, provider, engine, settings, reference=None):
         solutions = []
         if not baseline.clean:
             features = extract_features(ws.target, list(baseline.reports))
-            summarize_features(features, provider)
             if settings.kb_enabled:
                 lead_file, _ = parse_region_ref(features[0].ref)
                 vector = feature_vector(ws.read(lead_file), baseline.reports, lead_file)
@@ -266,7 +267,7 @@ def _asked(repair, fixture: str, signature) -> Verdict:
 
 
 def _kinds(prompts: list[str]) -> list[str]:
-    marks = {MARKER_FIX: "fix", MARKER_FEATURES: "summary", MARKER_PLAN: "plan"}
+    marks = {MARKER_FIX: "fix", MARKER_PLAN: "plan"}
     return [next(v for k, v in marks.items() if k in p) for p in prompts]
 
 
@@ -276,8 +277,8 @@ def test_a_passing_seed_asks_only_its_fix_prompt(spy):
     lazy = list(spy)
     spy.clear()
     _asked(reference_repair_one, "stack_borrow", REWRITE)
-    assert _kinds(spy) == ["summary", "plan", "fix"]
-    assert lazy == spy[2:]
+    assert _kinds(spy) == ["plan", "fix"]
+    assert lazy == spy[1:]
 
 
 def test_reading_the_solutions_after_a_seed_passed_plans_nothing(spy, monkeypatch):
@@ -297,13 +298,13 @@ def test_reading_the_solutions_after_a_seed_passed_plans_nothing(spy, monkeypatc
 
 def test_a_failing_seed_asks_its_fix_prompt_then_plans_as_before(spy):
     assert _asked(cli.repair_one, "stack_borrow", FAILING) is Verdict.PASS
-    assert _kinds(spy) == ["fix", "summary", "plan", "fix"]
+    assert _kinds(spy) == ["fix", "plan", "fix"]
     assert FAILING[1] in spy[0]
     lazy = list(spy)
     spy.clear()
     _asked(reference_repair_one, "stack_borrow", FAILING)
-    assert _kinds(spy) == ["summary", "plan", "fix", "fix"]
-    assert lazy == [spy[2], *spy[:2], spy[3]]
+    assert _kinds(spy) == ["plan", "fix", "fix"]
+    assert lazy == [spy[1], spy[0], spy[2]]
 
 
 def test_a_seed_that_could_be_outranked_is_planned_eagerly(spy):
@@ -319,7 +320,7 @@ def test_a_seed_that_could_be_outranked_is_planned_eagerly(spy):
     assert not engine.keeps_first(seeded, vector)
     settings = SessionConfig(detector=stub_detector_config(), memo=CaseMemo())
     cli.repair_one(TargetPackage.from_path(path), _mock(ProviderConfig()), engine, settings)
-    assert _kinds(spy)[:2] == ["summary", "plan"]
+    assert _kinds(spy)[:1] == ["plan"]
 
 
 # --- one-pass scoring against the per-candidate scan --------------------------

@@ -459,6 +459,28 @@ def test_reason_step_is_inert_when_kb_disabled(tmp_path):
     assert not any("prior fix (similarity" in p for p in provider.prompts)
 
 
+def test_the_knowledge_heading_appears_only_when_a_reason_step_found_knowledge(tmp_path):
+    provider, _ = _consult_then_fix(tmp_path / "found", "main.rs#0")
+    (fix,) = provider.prompts
+    assert "\nInstruction: variant 1\n" in fix
+    assert "\n\nKnowledge from previous repairs:\n- prior fix (similarity 1.00," in fix
+    target = _target(tmp_path / "none", _source(1))
+    provider = SpyProvider(
+        ProviderConfig(mode=ProviderMode.SCRIPTED_MOCK),
+        rules=[("variant 1", _fix_response(0, 1))],
+    )
+    run_session(
+        target,
+        [RepairSolution(id="s01", steps=_steps("variant 1"))],
+        provider=provider,
+        config=_session_config(),
+        kb=KnowledgeBase(),
+    )
+    (fix,) = provider.prompts
+    assert "\nInstruction: variant 1\n" in fix
+    assert "Knowledge from previous repairs" not in fix
+
+
 def test_outcome_serializes_to_stable_json(tmp_path):
     target = _target(tmp_path, _source(1))
     provider = _provider([("variant 1", _fix_response(0, 1))])

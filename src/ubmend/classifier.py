@@ -16,7 +16,7 @@ from enum import Enum
 from importlib import resources
 from pathlib import Path
 
-from .detector import UbKind, UbReport
+from .detector import UbKind
 from .errors import LexFailure, Unclassifiable
 from .lexutil import brace_pairs, keyword_occurrences, line_of_offset, mask_comments_and_strings
 
@@ -73,14 +73,13 @@ class UnsafeRegion:
 
 @dataclass
 class CodeFeature:
-    """What fast thinking knows about one region: its ops and UB kinds, and
+    """What fast thinking knows about one region: its ops and the kinds of
     the baseline reports that land in it."""
 
     region: UnsafeRegion
     op_kinds: frozenset[UnsafeOpKind]
     ub_kinds: frozenset[UbKind]
     ref: str = ""
-    reports: tuple[UbReport, ...] = ()
 
 
 # Known unsafe std APIs, each with the safe counterpart it can give way to.

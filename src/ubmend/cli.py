@@ -47,6 +47,8 @@ from .errors import (
     UbmendError,
 )
 from .fast import (
+    DEFAULT_SOLUTION_COUNT,
+    PLAN_PAGE,
     AgentKind,
     Provenance,
     RepairSolution,
@@ -75,7 +77,7 @@ from .provider import (
     transcript_entries,
     write_transcript,
 )
-from .slow import SessionConfig, SessionOutcome, Verdict, run_session
+from .slow import DEFAULT_BUDGET, ErrorTrace, SessionConfig, SessionOutcome, Verdict, run_session
 from .workspace import WorkingCopy
 
 log = logging.getLogger(__name__)
@@ -331,10 +333,11 @@ def repair_one(
     Returns the session outcome (triplet attached), the evaluation triplet,
     and the original sources for diffing. With knowledge enabled, a past
     repair at least ``BYPASS_SIMILARITY`` alike is seeded first. The plan
-    (one model call, whose prompt carries each region's code) and its
-    ranking are made when the session first draws past a seed that ranking
-    provably keeps first, or draws its first solution when there is no such
-    seed; the session tries the solutions in ranked order either way.
+    comes in pages (one model call each, whose prompt carries each region's
+    code), each ranked on its own. A page is asked for when the session
+    first draws past the solutions drawn so far, a seed that ranking
+    provably keeps first included, and a follow-up page's prompt carries
+    the verdicts of the solutions tried.
     Reason steps consult the knowledge base only when knowledge is enabled
     and no past repair was seeded. When the run repairs the target, the
     answers of the kept thoughts of the solution it ended on are listed in
@@ -357,6 +360,7 @@ def repair_one(
         kb = engine.kb if settings.kb_enabled else None
         vector: FeatureVector | None = None
         drawn: list[RepairSolution] = []
+        ended: list[ErrorTrace] = []  # the trace of each drawn solution, once tried
         solutions: Iterable[RepairSolution] = []
         if not baseline.clean:
             features = extract_features(ws.target, list(baseline.reports))
@@ -371,22 +375,33 @@ def repair_one(
                         kb = None
 
             def draw() -> Iterator[RepairSolution]:
-                """The ranked plan, each solution noted in ``drawn`` as the
-                session draws it; a seed that ranking provably keeps first
-                is drawn before the plan is made."""
+                """The plan, a page at a time, each page ranked on its own
+                and each solution noted in ``drawn`` as the session draws
+                it. The seed joins the first page; one that ranking provably
+                keeps first is drawn before any page is asked for. A page is
+                asked for once the session has tried every solution drawn,
+                with their traces, and an empty page ends the drawing."""
+                page = [] if seeded is None else [seeded]
                 if seeded is not None and engine.keeps_first(seeded, vector):
                     drawn.append(seeded)
                     yield seeded
-                planned = generate_solutions(
-                    features, k=settings.solutions_k, provider=provider, kb_enabled=settings.kb_enabled
-                )
-                if seeded is not None:
-                    planned.insert(0, seeded)
-                if vector is not None and not vector.is_zero:
-                    planned = engine.rank_solutions(planned, vector)
-                for solution in planned[len(drawn):]:
-                    drawn.append(solution)
-                    yield solution
+                while True:
+                    page += generate_solutions(
+                        features,
+                        k=settings.solutions_k,
+                        provider=provider,
+                        kb_enabled=settings.kb_enabled,
+                        tried=list(zip(drawn, ended)),
+                    )
+                    if vector is not None and not vector.is_zero:
+                        page = engine.rank_solutions(page, vector)
+                    fresh = [solution for solution in page if solution not in drawn]
+                    if not fresh:
+                        return
+                    for solution in fresh:
+                        drawn.append(solution)
+                        yield solution
+                    page = []
 
             solutions = draw()
         outcome = run_session(
@@ -397,6 +412,7 @@ def repair_one(
             workspace=ws,
             baseline=baseline,
             kb=kb,
+            ended=ended,
         )
         # detections and answers reused from the case's other run cost this
         # run their recorded time, as if it had made them itself
@@ -817,12 +833,16 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--max-iterations",
         type=_positive_int,
-        default=5,
+        default=DEFAULT_BUDGET,
         metavar="P",
         help="fix-thought budget per solution",
     )
     shared.add_argument(
-        "--solutions", type=_positive_int, default=10, metavar="K", help="candidate solutions to request"
+        "--solutions",
+        type=_positive_int,
+        default=DEFAULT_SOLUTION_COUNT,
+        metavar="K",
+        help=f"at most K candidate solutions, asked for in pages of {PLAN_PAGE}",
     )
     shared.add_argument("--kb", metavar="PATH", help="knowledge-base JSONL file")
     shared.add_argument(

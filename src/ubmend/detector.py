@@ -449,14 +449,14 @@ def run_detection(
             stored = memo.from_store(key, "detections")
             if stored is not None:
                 output = stored["output"].replace(_ROOT_TOKEN, root)
-                known = ToolRun(root, _read_output(argv, stored["exit_status"], output, 0.0))
+                known = ToolRun(root, _read_output(argv, root, stored["exit_status"], output, 0.0))
                 memo.remember(key, known)
         if known is not None:
             if known.root == root:
                 return known.result
             made = known.result
             output = made.raw_output.replace(known.root, root)
-            return _read_output(argv, made.tool_exit_status, output, made.wall_time)
+            return _read_output(argv, root, made.tool_exit_status, output, made.wall_time)
     started = clock()
     try:
         proc = run_group(argv, config.timeout, cwd=target.root_path, text=True)
@@ -466,7 +466,7 @@ def run_detection(
         raise DetectionTimeout(f"detection exceeded {config.timeout}s: {argv}") from exc
     wall = clock() - started
     raw = (proc.stdout or "") + (proc.stderr or "")
-    result = _read_output(argv, proc.returncode, raw, wall)
+    result = _read_output(argv, root, proc.returncode, raw, wall)
     if memo is not None:
         memo.remember(key, ToolRun(root, result))
         # an output that already holds the text ``{root}`` could not be read back
@@ -478,15 +478,19 @@ def run_detection(
     return result
 
 
-def _read_output(argv: list[str], status: int, raw: str, wall: float) -> DetectionResult:
+def _read_output(argv: list[str], root: str, status: int, raw: str, wall: float) -> DetectionResult:
     """A finished tool run's result, from its exit status and output; a run
-    read back from the store goes through here as a fresh one does."""
+    read back from the store goes through here as a fresh one does. A
+    compile failure's message carries the head of the output, with the
+    working copy's ``root`` written as ``{root}`` so it reads the same in
+    every run."""
     if _MISSING_TOOL_RE.search(raw) and status != 0:
         raise ToolMissing(f"detection tool unavailable: {argv}\n{raw.strip()[:500]}")
     reports = parse_diagnostics(raw)
     if status != 0 and not reports:
+        shown = raw.replace(root, _ROOT_TOKEN).strip()[:500]
         raise NonUbCompileError(
-            f"target fails compilation (tool exit {status})", raw_output=raw
+            f"target fails compilation (tool exit {status})\n{shown}", raw_output=raw
         )
     if status == 0 and reports:
         log.warning("tool exited 0 but emitted %d UB blocks; trusting blocks", len(reports))

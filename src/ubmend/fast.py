@@ -1,12 +1,19 @@
 """Fast thinking: distill error features, then draft candidate repair plans.
 
 ``extract_features`` locates, classifies and maps the affected regions
-without a model call. ``generate_solutions`` then makes the one model call
-of fast thinking: its prompt lists every region's features and code, and
-asks for up to k alternative plans in a line-oriented grammar::
+without a model call. ``generate_solutions`` then asks the model for plans
+in pages of ``PLAN_PAGE``: each prompt lists every region's features and
+code, and asks for alternative plans in a line-oriented grammar::
 
     SOLUTION <i>:
     STEP <n>: <AGENT> <region-ref> :: <instruction>
+
+The first page is asked with nothing tried. A later page is asked only once
+the session has tried every solution before it, and its prompt lists each
+tried solution's steps with its verdict (the error count it ended at
+against the baseline, the reports left and each step's note), so the model
+proposes solutions not yet tried. Ids and deduplication continue across
+pages, and ``k`` caps the solutions of all pages together.
 
 Parsing is deliberately lenient (junk lines are dropped, duplicate plans
 folded); a fully unparseable answer is retried once and then replaced by
@@ -18,6 +25,7 @@ import logging
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING, Sequence
 
 from .classifier import (
     CodeFeature,
@@ -33,9 +41,14 @@ from .lexutil import line_of_offset
 from .prompts import fill, load_template
 from .provider import PromptRecord, Provider
 
+if TYPE_CHECKING:  # pragma: no cover
+    from .slow import ErrorTrace
+
 log = logging.getLogger(__name__)
 
 DEFAULT_SOLUTION_COUNT = 10
+# solutions asked for per plan prompt: one per fix strategy
+PLAN_PAGE = 3
 
 
 class AgentKind(str, Enum):
@@ -206,7 +219,6 @@ def _build_feature(region: UnsafeRegion, ref: str, hits: list[UbReport]) -> Code
         op_kinds=op_kinds,
         ub_kinds=frozenset(r.kind for r in hits),
         ref=ref,
-        reports=tuple(hits),
     )
 
 
@@ -268,32 +280,70 @@ def fallback_solutions(features: list[CodeFeature]) -> list[list[RepairStep]]:
     return plans
 
 
+def _tried_lines(tried: Sequence[tuple[RepairSolution, "ErrorTrace"]]) -> str:
+    """Each tried solution with its verdict: the error count it ended at
+    against the session's baseline (the count the first one started from),
+    each step's note and error count, and the reports left."""
+    if not tried:
+        return "none"
+    baseline = tried[0][1].counts[0]
+    lines = []
+    for solution, trace in tried:
+        lines.append(
+            f"TRIED {solution.id}: ended at {trace.counts[-1]} errors, baseline {baseline}"
+        )
+        thoughts = {id(t.step): t for t in trace.thoughts}
+        for n, step in enumerate(solution.steps, 1):
+            line = f"  STEP {n}: {step.agent.value} {step.target_region} :: {step.instruction}"
+            thought = thoughts.get(id(step))
+            if thought is not None:
+                line += f" => {thought.note or 'verified'}; errors {thought.resulting_errors}"
+            elif step.agent in FIX_AGENTS:
+                line += " => not reached"
+            lines.append(line)
+        for report in trace.reports:
+            name = report.file.replace("\\", "/").rsplit("/", 1)[-1]
+            lines.append(f"  left: {report.kind.value} at {name}:{report.line}: {report.message}")
+    return "\n".join(lines)
+
+
 def generate_solutions(
     features: list[CodeFeature],
     k: int = DEFAULT_SOLUTION_COUNT,
     provider: Provider | None = None,
     kb_enabled: bool = True,
+    tried: Sequence[tuple[RepairSolution, "ErrorTrace"]] = (),
 ) -> list[RepairSolution]:
-    """Candidate solutions in the provider's preference order, deduplicated.
+    """The next page of candidate solutions, in the provider's preference
+    order: at most ``PLAN_PAGE`` solutions that are neither repeats of each
+    other nor of a ``tried`` one.
 
-    Requires at least one feature and k >= 1; ids are unique within the
-    returned list. At most k solutions come back even if the provider
-    rambles.
+    ``tried`` pairs each solution the session has tried with the trace it
+    ended on. The page's ids continue after the highest tried id (a seeded
+    solution is ``s00``), and ``k`` caps the highest id: at the cap, or when
+    the answer holds nothing new, the page is empty. Requires at least one
+    feature and k >= 1.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not features:
         raise ValueError("generate_solutions needs at least one feature")
     assert provider is not None, "provider required"
+    done = max((int(solution.id[1:]) for solution, _ in tried), default=0)
+    count = min(PLAN_PAGE, k - done)
+    if count < 1:
+        return []
     prompt_text = fill(
         load_template("plan_generation.txt"),
-        count=str(k),
+        count=str(count),
+        first=str(done + 1),
         knowledge="on" if kb_enabled else "off",
         features=_feature_lines(features),
         errors="\n".join(
             f"- {f.ref}: {','.join(sorted(kk.value for kk in f.ub_kinds)) or 'unknown'}"
             for f in features
         ),
+        tried=_tried_lines(tried),
     )
     plans = parse_plan(provider.complete(PromptRecord.user(prompt_text)))
     if not plans:
@@ -305,14 +355,14 @@ def generate_solutions(
             plans = fallback_solutions(features)
             if not plans:
                 raise DegenerateOutput("no plans parseable and no fallback available")
-    seen: set[tuple] = set()
+    seen = {normalize_steps(solution.steps) for solution, _ in tried}
     solutions: list[RepairSolution] = []
     for steps in plans:
         key = normalize_steps(steps)
         if key in seen:
             continue
         seen.add(key)
-        solutions.append(RepairSolution(id=f"s{len(solutions) + 1:02d}", steps=steps))
-        if len(solutions) == k:
+        solutions.append(RepairSolution(id=f"s{done + len(solutions) + 1:02d}", steps=steps))
+        if len(solutions) == count:
             break
     return solutions

@@ -228,8 +228,10 @@ class ScriptedMockProvider(Provider):
     """Deterministic offline double: template-driven answers from the prompt.
 
     Custom ``rules`` (substring -> response) win over the defaults, which
-    cover the shipped templates: plans in the STEP grammar, and fix
-    responses that echo the snippet with a scripted edit applied.
+    cover the shipped templates: plans in the STEP grammar, rotating through
+    each region's strategies (a follow-up page goes on from the number its
+    prompt starts at), and fix responses that echo the snippet with a
+    scripted edit applied.
     """
 
     def __init__(self, config: ProviderConfig, rules: Iterable[ScriptRule] = ()) -> None:
@@ -258,8 +260,12 @@ class ScriptedMockProvider(Provider):
         features = re.findall(
             r"^FEATURE (\S+) :: strategies=(\S+) ::", text, flags=re.MULTILINE
         )
+        from .fast import DEFAULT_SOLUTION_COUNT  # fast imports this module
+
         m = re.search(r"solutions requested: (\d+)", text)
-        k = int(m.group(1)) if m else 10
+        k = int(m.group(1)) if m else DEFAULT_SOLUTION_COUNT
+        m = re.search(r"numbered from (\d+)", text)
+        first = int(m.group(1)) - 1 if m else 0
         kb_on = "knowledge: on" in text
         canned = {
             "SafeAlternative": ("SafeReplace", "replace the unsafe operation with the catalogued safe API"),
@@ -267,7 +273,7 @@ class ScriptedMockProvider(Provider):
             "SemanticModification": ("ModifySemantics", "rewrite the region to remove the undefined behavior"),
         }
         out: list[str] = []
-        for i in range(k):
+        for i in range(first, first + k):
             rot = i % 3
             with_reason = kb_on and (i // 3) % 2 == 1
             out.append(f"SOLUTION {i + 1}:")

@@ -108,12 +108,15 @@ class ErrorTrace:
 
     Thoughts verified together in a clean batch all take the batch's count,
     0, and each one that made a patch carries the note ``verified in batch
-    <first>-<last>`` (thought indices).
+    <first>-<last>`` (thought indices). ``reports`` are the reports left
+    when a solution ended without a pass, before the session went back to
+    its best snapshot; they are not part of the serialized trace.
     """
 
     counts: list[int]
     thoughts: list[Thought]
     iteration_budget: int
+    reports: tuple[UbReport, ...] = ()
 
     def to_dict(self) -> dict:
         return {
@@ -425,19 +428,23 @@ def run_session(
     workspace: WorkingCopy | None = None,
     baseline: DetectionResult | None = None,
     kb: KnowledgeBase | None = None,
+    ended: list[ErrorTrace] | None = None,
 ) -> SessionOutcome:
     """Drive the repair loop to a verdict.
 
     ``solutions`` may be any iterable, a lazy one too: the next solution is
     drawn only after the previous one ended without a pass, and none is
     drawn after a pass or an aborted solution. A generator is closed when
-    the session ends, so nothing draws from it afterwards. Terminates on a
-    clean detection (Pass), on exhausting the solutions (Failed), or on
-    exhausting the per-solution budget (Budget Exhausted). The final
-    working copy always matches the snapshot with the fewest errors,
-    re-verified by one last detection run. Reason steps consult ``kb``;
-    without one they add nothing. Without a ``workspace`` the session works
-    in a copy of its own and removes it before returning.
+    the session ends, so nothing draws from it afterwards. Each solution
+    that ends without a pass or an abort has its trace appended to
+    ``ended``, when given, before the next one is drawn: a lazy source can
+    plan its next solutions from the verdicts of the ones tried.
+    Terminates on a clean detection (Pass), on exhausting the solutions
+    (Failed), or on exhausting the per-solution budget (Budget Exhausted).
+    The final working copy always matches the snapshot with the fewest
+    errors, re-verified by one last detection run. Reason steps consult
+    ``kb``; without one they add nothing. Without a ``workspace`` the
+    session works in a copy of its own and removes it before returning.
     """
     config = config or SessionConfig()
     if not isinstance(provider, MemoizedProvider):
@@ -541,6 +548,9 @@ def run_session(
                     current = store.restore(store.select_rollback_target(), ws)
             if passed:
                 break
+            trace.reports = current.reports
+            if ended is not None and not aborted:
+                ended.append(trace)
             best = store.select_rollback_target()
             if current.index != best:
                 current = store.restore(best, ws)

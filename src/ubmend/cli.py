@@ -337,7 +337,9 @@ def repair_one(
     code), each ranked on its own. A page is asked for when the session
     first draws past the solutions drawn so far, a seed that ranking
     provably keeps first included, and a follow-up page's prompt carries
-    the verdicts of the solutions tried.
+    the verdicts of the solutions tried. A page's prompt is the same with
+    knowledge enabled or not: a bench case's two runs that reach a page with
+    the same solutions tried share its answer.
     Reason steps consult the knowledge base only when knowledge is enabled
     and no past repair was seeded. When the run repairs the target, the
     answers of the kept thoughts of the solution it ended on are listed in
@@ -390,7 +392,6 @@ def repair_one(
                         features,
                         k=settings.solutions_k,
                         provider=provider,
-                        kb_enabled=settings.kb_enabled,
                         tried=list(zip(drawn, ended)),
                     )
                     if vector is not None and not vector.is_zero:
@@ -802,7 +803,12 @@ def _command_line(text: str) -> tuple[str, ...]:
     """A command line split as a POSIX shell would; an unclosed quote is a
     usage error. The tool runs inside the working copy, so a relative path
     to it is taken from the invoking directory; a bare name is looked up on
-    PATH, and a ``{root}`` path is filled in by the detector."""
+    PATH, and a ``{root}`` path is filled in by the detector.
+
+    Only the program word is resolved. A script given to an interpreter
+    (``python3 tests/tools/fake_miri.py {file}``) is looked up inside the
+    working copy, so give it as an absolute path. Later words stay as they
+    are: ``src/main.rs`` must name the copy's file, not the original."""
     try:
         command = tuple(shlex.split(text))
     except ValueError as exc:

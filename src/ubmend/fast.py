@@ -311,7 +311,6 @@ def generate_solutions(
     features: list[CodeFeature],
     k: int = DEFAULT_SOLUTION_COUNT,
     provider: Provider | None = None,
-    kb_enabled: bool = True,
     tried: Sequence[tuple[RepairSolution, "ErrorTrace"]] = (),
 ) -> list[RepairSolution]:
     """The next page of candidate solutions, in the provider's preference
@@ -321,8 +320,10 @@ def generate_solutions(
     ``tried`` pairs each solution the session has tried with the trace it
     ended on. The page's ids continue after the highest tried id (a seeded
     solution is ``s00``), and ``k`` caps the highest id: at the cap, or when
-    the answer holds nothing new, the page is empty. Requires at least one
-    feature and k >= 1.
+    the answer holds nothing new, the page is empty. The prompt depends on
+    nothing else, not on whether knowledge is enabled: runs on one target
+    with one history ask the same page. Requires at least one feature and
+    k >= 1.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -337,12 +338,7 @@ def generate_solutions(
         load_template("plan_generation.txt"),
         count=str(count),
         first=str(done + 1),
-        knowledge="on" if kb_enabled else "off",
         features=_feature_lines(features),
-        errors="\n".join(
-            f"- {f.ref}: {','.join(sorted(kk.value for kk in f.ub_kinds)) or 'unknown'}"
-            for f in features
-        ),
         tried=_tried_lines(tried),
     )
     plans = parse_plan(provider.complete(PromptRecord.user(prompt_text)))

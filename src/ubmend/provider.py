@@ -257,6 +257,12 @@ class ScriptedMockProvider(Provider):
         return m.group(1)
 
     def _plan(self, text: str) -> str:
+        """The solutions numbered from the prompt's first, as many as it
+        requests, of one rotation: the i-th (from 0) takes each region's
+        ``i % 3``-th strategy, and every second group of three (solutions
+        4-6, 10-12, ...) opens with a Reason step. The prompt does not say
+        whether knowledge is on; a run without a knowledge base passes over
+        the Reason step."""
         features = re.findall(
             r"^FEATURE (\S+) :: strategies=(\S+) ::", text, flags=re.MULTILINE
         )
@@ -266,7 +272,6 @@ class ScriptedMockProvider(Provider):
         k = int(m.group(1)) if m else DEFAULT_SOLUTION_COUNT
         m = re.search(r"numbered from (\d+)", text)
         first = int(m.group(1)) - 1 if m else 0
-        kb_on = "knowledge: on" in text
         canned = {
             "SafeAlternative": ("SafeReplace", "replace the unsafe operation with the catalogued safe API"),
             "AssertionGuard": ("AddAssertion", "insert guard assertions before each risky operation"),
@@ -275,7 +280,7 @@ class ScriptedMockProvider(Provider):
         out: list[str] = []
         for i in range(first, first + k):
             rot = i % 3
-            with_reason = kb_on and (i // 3) % 2 == 1
+            with_reason = (i // 3) % 2 == 1
             out.append(f"SOLUTION {i + 1}:")
             step_no = 1
             for ref, strategies in features:

@@ -155,10 +155,12 @@ class SessionOutcome:
 class SessionConfig:
     """The settings of one repair run, from detection to the last thought.
 
-    ``solutions_k`` and ``kb_enabled`` steer planning and knowledge use in
-    ``cli.repair_one``; the session itself reads the rest. ``memo`` holds
-    the detections, model answers and reference verdicts already paid for;
-    runs that share it (a bench case's two runs) reuse each other's work.
+    ``cli.repair_one`` reads ``solutions_k``, the cap on planned solutions,
+    and ``kb_enabled``, which decides seeding, ranking and whether Reason
+    steps search the knowledge base, but not the plan prompt; the session
+    itself reads the rest. ``memo`` holds the detections, model answers and
+    reference verdicts already paid for; runs that share it (a bench case's
+    two runs) reuse each other's work.
     """
 
     detector: DetectorConfig = field(default_factory=DetectorConfig)

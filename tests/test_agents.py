@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
+
+from conftest import CORPUS_DIR
 
 from ubmend.agents import (
     PatchRecord,
@@ -128,8 +132,68 @@ def test_build_prompt_keeps_placeholder_names_in_code_as_they_are():
     source = 'fn main() {\n    let context = 1;\n    unsafe { println!("{context} {errors}") };\n}\n'
     region, feature = _region_feature(source)
     prompt = build_prompt(AgentKind.MODIFY_SEMANTICS, region, feature.ub_kinds, "fix {snippet}")
-    assert prompt.count('println!("{context} {errors}")') == 2
+    assert prompt.count('println!("{context} {errors}")') == 1
     assert "\nInstruction: fix {snippet}\n" in prompt
+
+
+FIX_AGENTS = (AgentKind.SAFE_REPLACE, AgentKind.ADD_ASSERTION, AgentKind.MODIFY_SEMANTICS)
+# an unsafe fn that is its own context, and two blocks that share main's
+THREE_REGIONS = (
+    "unsafe fn raw_read(p: *const i32) -> i32 {\n"
+    "    *p\n"
+    "}\n"
+    "\n"
+    "fn main() {\n"
+    "    let v = vec![1, 2, 3];\n"
+    "    let a = unsafe { *v.get_unchecked(0) };\n"
+    "    let b = unsafe { raw_read(&v[1]) };\n"
+    '    println!("{a} {b}");\n'
+    "}\n"
+)
+FIX_PROMPT_SOURCES = {
+    **{p.parent.name: p.read_text() for p in sorted(CORPUS_DIR.glob("*/main.rs"))},
+    "three_regions": THREE_REGIONS,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIX_PROMPT_SOURCES))
+def test_a_fix_prompt_shows_its_region_once(name):
+    regions = locate_unsafe_regions(FIX_PROMPT_SOURCES[name], "main.rs")
+    assert regions
+    for region in regions:
+        for agent in FIX_AGENTS:
+            prompt = build_prompt(agent, region, frozenset({UbKind.STACK_BORROW}), "fix it")
+            assert prompt.count(region.snippet) == 1, (name, region.byte_span, agent)
+
+
+def test_a_fix_prompt_marks_where_its_region_stood():
+    fn_region, first, second = locate_unsafe_regions(THREE_REGIONS, "main.rs")
+    assert fn_region.snippet.startswith("unsafe fn raw_read")
+    prompt = build_prompt(AgentKind.MODIFY_SEMANTICS, fn_region, frozenset(), "fix it")
+    assert "\nContext:\n(the region above is the whole enclosing item)\n" in prompt
+    prompt = build_prompt(AgentKind.MODIFY_SEMANTICS, first, frozenset(), "fix it")
+    context = prompt.split("\nContext:\n", 1)[1]
+    assert "    let a = /* the region above */;\n" in context
+    # the other region of main is code around this one, shown as it is
+    assert second.snippet in context
+    # a batch member's region, moved by an earlier patch, asks the same prompt
+    moved = replace(
+        first,
+        byte_span=(first.start + 7, first.end + 7),
+        context_span=(first.context_span[0] + 7, first.context_span[1] + 7),
+    )
+    assert build_prompt(AgentKind.MODIFY_SEMANTICS, moved, frozenset(), "fix it") == prompt
+
+
+def test_a_context_whose_span_does_not_hold_the_region_is_kept_whole():
+    region, _ = _region_feature()
+    for drifted in (
+        replace(region, byte_span=(region.start + 1, region.end + 1)),
+        replace(region, context_span=None),
+    ):
+        prompt = build_prompt(AgentKind.MODIFY_SEMANTICS, drifted, frozenset(), "fix it")
+        assert prompt.count(region.snippet) == 2
+        assert "the region above" not in prompt
 
 
 def test_the_knowledge_heading_appears_only_with_reason_knowledge():

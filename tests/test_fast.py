@@ -191,7 +191,7 @@ def test_plan_prompt_holds_each_region_snippet_once_in_feature_order(tmp_path):
     (prompt,) = prompts
     snippets = ["unsafe { one() }", "unsafe { two() }", 'unsafe { println!("{errors}") }']
     assert [prompt.count(s) for s in snippets] == [1, 1, 1]
-    regions = prompt.split("and its code:\n", 1)[1].split("\n\nDetected", 1)[0].splitlines()
+    regions = prompt.split("and code:\n", 1)[1].split("\n\nSolutions tried", 1)[0].splitlines()
     assert [line.split(" ::")[0] for line in regions[::4]] == [
         "FEATURE main.rs#0", "FEATURE main.rs#1", "FEATURE main.rs#2",
     ]

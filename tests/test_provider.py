@@ -252,17 +252,13 @@ grammar, one step per line, and nothing else:
 SOLUTION <i>:
 STEP <n>: <AGENT> <region-ref> :: <instruction>
 
-knowledge: on
 solutions requested: 3
 
-Regions under repair, each with its preferred strategy order and its code:
+Regions under repair, each with its strategy order, UB kinds and code:
 FEATURE main.rs#0 :: strategies=SemanticModification,SafeAlternative,AssertionGuard :: ub=stack_borrow :: ops=raw_pointer_deref
 ```rust
 unsafe { *p = 1; }
 ```
-
-Detected undefined behavior:
-- main.rs#0: stack_borrow
 """
 
 

@@ -82,11 +82,11 @@ def reference_rank(engine: FeedbackEngine, candidates, feature_vector):
     return [candidate for _, candidate in scored]
 
 
-def eager_solutions(features, k, provider, kb_enabled):
+def eager_solutions(features, k, provider):
     """All ``k`` plans asked for in one prompt, as before plans came in pages."""
     page, fast.PLAN_PAGE = fast.PLAN_PAGE, k
     try:
-        return generate_solutions(features, k=k, provider=provider, kb_enabled=kb_enabled)
+        return generate_solutions(features, k=k, provider=provider)
     finally:
         fast.PLAN_PAGE = page
 
@@ -111,9 +111,7 @@ def reference_repair_one(target, provider, engine, settings, reference=None):
             if settings.kb_enabled:
                 lead_file, _ = parse_region_ref(features[0].ref)
                 vector = feature_vector(ws.read(lead_file), baseline.reports, lead_file)
-            solutions = eager_solutions(
-                features, k=settings.solutions_k, provider=provider, kb_enabled=settings.kb_enabled
-            )
+            solutions = eager_solutions(features, k=settings.solutions_k, provider=provider)
             if settings.kb_enabled and vector is not None and not vector.is_zero:
                 hit = engine.best_hit(vector)
                 if hit is not None:
@@ -386,9 +384,55 @@ def test_a_follow_up_page_carries_the_verdicts_and_continues_the_rotation(spy, m
     # third page repeats the first, which ends the drawing
     target = TargetPackage.from_path(path)
     features = extract_features(target, run_detection(target, config=stub_detector_config()).reports)
-    eager = eager_solutions(features, 10, _abstaining(ProviderConfig()), True)
+    eager = eager_solutions(features, 10, _abstaining(ProviderConfig()))
     assert [(s.id, s.steps) for s in drawn] == [(s.id, s.steps) for s in eager]
     assert [s.steps[0].agent for s in drawn[3:]] == [AgentKind.REASON] * 3
+
+
+def test_a_plan_page_is_the_same_prompt_with_knowledge_on_and_off(spy):
+    # knowledge seeds, ranks and feeds Reason steps; the plan prompt is the
+    # target's and the tried solutions', so a bench case's no-knowledge run
+    # finds each page in the case memo
+    path = CORPUS_DIR / "stack_borrow" / "main.rs"
+    pages = []
+    for kb_enabled in (True, False):
+        spy.clear()
+        settings = SessionConfig(detector=stub_detector_config(), memo=CaseMemo(), kb_enabled=kb_enabled)
+        cli.repair_one(
+            TargetPackage.from_path(path), _abstaining(ProviderConfig()), FeedbackEngine(), settings
+        )
+        pages.append(_plans(spy))
+    assert len(pages[0]) == 3
+    assert pages[0] == pages[1]
+
+
+def test_a_no_knowledge_run_passes_over_the_reason_steps_of_its_plan(spy, monkeypatch):
+    # the mock's solutions 4-6 open with a Reason step whatever the run's
+    # knowledge setting; without a knowledge base it makes no thought, and
+    # the fix prompts after it are those of solutions 1-3, answered by the memo
+    drawn = _drawing(monkeypatch)
+    ended = []
+    session = cli.run_session
+
+    def keeping(target, solutions, **kwargs):
+        ended.append(kwargs["ended"])
+        return session(target, solutions, **kwargs)
+
+    monkeypatch.setattr(cli, "run_session", keeping)
+    path = CORPUS_DIR / "stack_borrow" / "main.rs"
+    settings = SessionConfig(detector=stub_detector_config(), memo=CaseMemo(), kb_enabled=False)
+    outcome, _, _ = cli.repair_one(
+        TargetPackage.from_path(path), _abstaining(ProviderConfig()), FeedbackEngine(), settings
+    )
+    assert outcome.verdict is Verdict.FAILED
+    assert [s.steps[0].agent for s in drawn[3:6]] == [AgentKind.REASON] * 3
+    (traces,) = ended
+    assert len(traces) == len(drawn) >= 6
+    for solution, trace in zip(drawn[3:6], traces[3:6]):
+        assert [t.step for t in trace.thoughts] == solution.steps[1:]
+    fixes = [p for p in spy if MARKER_FIX in p]
+    assert len(fixes) == len(set(fixes))
+    assert _kinds(spy) == ["plan", *["fix"] * len(fixes), "plan", "plan"]
 
 
 def test_solutions_cap_the_pages_asked(spy):

@@ -107,6 +107,8 @@ _UNSAFE_API_NAMES = re.compile(
 _SCREAMING_IDENT = re.compile(r"\b[A-Z][A-Z0-9_]{2,}\b")
 _FIELD_ACCESS = re.compile(r"\b([a-z_][a-z0-9_]*)\s*\.\s*[a-z_][a-z0-9_]*\b")
 _CALL = re.compile(r"\b([a-z_][a-z0-9_]*)\s*(::<[^>]*>)?\s*\(")
+_FN_NAME = re.compile(r"fn\s+(r#)?[A-Za-z_]")
+_IMPL_QUALIFIER = re.compile(r"\b(unsafe|default)\Z")
 
 
 def locate_unsafe_regions(source: str, file: str | Path) -> list[UnsafeRegion]:
@@ -155,28 +157,44 @@ def locate_unsafe_regions(source: str, file: str | Path) -> list[UnsafeRegion]:
 def _braced_items(masked: str, pairs: dict[int, int]) -> list[tuple[int, int]]:
     """(keyword offset, end) of every fn/impl item with a closed body, in order.
 
-    The body is the first ``{`` at or after the keyword; an item whose body
-    is never closed is left out.
+    ``fn`` opens an item only when a name follows it (``[fn() -> i32; 1]``
+    is a type), and ``impl`` only where an item can start (``x: impl
+    Display`` is a type). The body is the first ``{`` at or after the
+    keyword; an item whose body is never closed is left out.
     """
     items = []
     for kw_start in sorted(keyword_occurrences(masked, "fn") + keyword_occurrences(masked, "impl")):
+        if masked.startswith("fn", kw_start):
+            if not _FN_NAME.match(masked, kw_start):
+                continue
+        elif not _item_can_start(masked, kw_start):
+            continue
         brace = masked.find("{", kw_start)
         if brace in pairs:
             items.append((kw_start, pairs[brace] + 1))
     return items
 
 
+def _item_can_start(masked: str, at: int) -> bool:
+    """Whether an item can start at offset ``at``: the code before it ends
+    with nothing, ``;``, a brace, an attribute's ``]``, or ``unsafe`` or
+    ``default`` (the qualifiers an ``impl`` takes)."""
+    j = at
+    while j > 0 and masked[j - 1].isspace():
+        j -= 1
+    return j == 0 or masked[j - 1] in ";{}]" or bool(_IMPL_QUALIFIER.search(masked, max(0, j - 8), j))
+
+
 def _enclosing_item(
     source: str, items: list[tuple[int, int]], start: int, end: int
 ) -> tuple[int, int]:
     """Span of the last fn/impl item starting before the region and
-    containing it, else of the nearby lines."""
+    containing it, else of the region's own lines."""
     for k in range(bisect_left(items, (start,)) - 1, -1, -1):
         kw_start, item_end = items[k]
         if end <= item_end:
             return kw_start, item_end
-    line_start = source.rfind("\n", 0, max(0, start - 1))
-    line_start = 0 if line_start == -1 else line_start + 1
+    line_start = source.rfind("\n", 0, start) + 1
     ctx_end = source.find("\n", min(len(source), end))
     ctx_end = len(source) if ctx_end == -1 else ctx_end
     return line_start, ctx_end

@@ -20,14 +20,14 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 from .errors import DetectionTimeout, NonUbCompileError, TargetRejected, ToolMissing
 from .lexutil import estimate_tokens
 from .process import run_group
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .provider import Answer
+    from .provider import PromptRecord
 
 log = logging.getLogger(__name__)
 
@@ -88,12 +88,7 @@ class TargetPackage:
         if path.is_file():
             return cls(path.parent, [path.name])
         if path.is_dir():
-            entries = sorted(
-                str(p.relative_to(path))
-                for p in path.rglob("*.rs")
-                if "target" not in p.relative_to(path).parts
-            )
-            return cls(path, entries)
+            return cls(path, sorted(_rust_sources(path)))
         raise TargetRejected(f"no such file or directory: {path}")
 
     def validate(self) -> None:
@@ -118,15 +113,21 @@ class TargetPackage:
         manifest and lock file, and every other ``.rs`` file outside
         ``target/`` directories."""
         tracked = list(self.entry_files)
-        root = self.root_path
         for name in _TRACKED_EXTRA:
-            if (root / name).is_file():
+            if (self.root_path / name).is_file():
                 tracked.append(name)
-        for path in root.rglob("*.rs"):
-            rel = str(path.relative_to(root))
-            if "target" not in path.relative_to(root).parts and rel not in tracked:
-                tracked.append(rel)
-        return tracked
+        known = set(tracked)
+        return tracked + [rel for rel in _rust_sources(self.root_path) if rel not in known]
+
+
+def _rust_sources(root: Path) -> Iterator[str]:
+    """The ``.rs`` files under ``root``, relative to it; the walk never
+    enters a ``target/`` directory, where build output lives."""
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = [name for name in dirnames if name != "target"]
+        for name in filenames:
+            if name.endswith(".rs"):
+                yield os.path.relpath(os.path.join(dirpath, name), root)
 
 
 @dataclass
@@ -162,55 +163,48 @@ class DetectionResult:
 
 
 @dataclass(frozen=True)
-class ToolRun:
-    """A completed detector run as a case memo keeps it: the result as read
-    in the copy at ``root``."""
+class MemoEntry:
+    """A completed result as a case memo keeps it: the ``tool_result``
+    fields it is stored as (or would be), the time it took in the run's
+    clock units, and, for a model answer only, the prompt it answers."""
 
-    root: str
-    result: DetectionResult
-
-    @property
-    def wall_time(self) -> float:
-        return self.result.wall_time
+    fields: Mapping[str, object]
+    wall_time: float
+    prompt: "PromptRecord | None"
 
 
 class CaseMemo:
-    """Detections, model answers and reference verdicts of one case, keyed
-    by content.
+    """Detections, reference verdicts and model answers of one case, keyed
+    by content, each kept as one ``MemoEntry``.
 
     A bench case's knowledge run and no-knowledge run share one memo, one
     after the other; each ``fix`` invocation has its own. Detections are
-    keyed by argv (the target root written as ``{root}``), tool identity
-    (``tool_identity``) and tracked-source bytes, and kept as ``ToolRun``s,
-    which another copy of the same bytes reads with its own root put back;
-    answers are keyed by transcript hash (``provider.MemoizedProvider`` looks
-    them up) and listed, with their prompts, in the order they were first
-    kept (``answers``): that list is the case's transcript. Only completed
-    results are kept: timeouts, missing tools, compile errors and failed
-    model calls run again every time.
-    ``begin_run`` opens a run's account. The first time a run reuses a
-    result that another run paid for, it is charged that result's recorded
-    ``wall_time``, so the timings of the two runs stay comparable; reusing a
-    result the run made, or was already charged for, is free.
+    keyed by argv and output alike with the target root written as
+    ``{root}`` (plus tool identity and tracked-source bytes), so any copy of
+    the same bytes reads them with its own root put back. Answers are keyed
+    by transcript hash and listed, with their prompts, in the order first
+    kept (``answers``): the case's transcript. Only completed results are
+    kept: timeouts, missing tools, compile errors and failed model calls run
+    again every time.
 
-    ``stored`` holds, by key, what earlier processes kept in the experience
-    log: detections (``exit_status``, ``output``), reference verdicts
-    (``verdict``) and the model answers of verified repairs (``answer``). A
-    result found there counts in ``store_hits`` and is rebuilt as if it took
-    no time, so it is charged nothing. Every detection and verdict completed
-    in this process is listed in ``new_results``, for the caller to append
-    to the log, and so is every answer the caller keeps (``keep_answer``):
-    only those of thoughts in a repair that passed, so a sampled model still
-    explores wherever no verified repair exists.
+    ``recall`` is the one lookup: the memo, then ``stored``, the
+    ``tool_result`` lines of the experience log by key. ``begin_run`` opens
+    a run's account: the first time a run reuses a result another run paid
+    for, it is charged that result's ``wall_time``, so the timings of the
+    two runs stay comparable. A store hit counts in ``store_hits`` and costs
+    nothing. ``keep`` is the one way in: it lists each detection and verdict
+    in ``new_results``, for the caller to append to the log, at once; an
+    answer only through ``keep_answer``, which the caller calls for the
+    thoughts of a repair that passed, so a sampled model still explores
+    wherever no verified repair exists.
     """
 
     def __init__(self, stored: Mapping[str, dict] | None = None) -> None:
         self.charged_seconds = 0.0
         self.stored: Mapping[str, dict] = stored if stored is not None else {}
         self.store_hits = {"detections": 0, "reference_verdicts": 0, "answers": 0}
-        self.new_results: dict[str, dict] = {}
-        self._results: dict[str, "ToolRun | Answer"] = {}
-        self._verdicts: dict[str, bool] = {}
+        self.new_results: dict[str, Mapping[str, object]] = {}
+        self._entries: dict[str, MemoEntry] = {}
         self._paid: set[str] = set()
         self._tools: dict[str, str] = {}
 
@@ -218,26 +212,43 @@ class CaseMemo:
         self.charged_seconds = 0.0
         self._paid = set()
 
-    def recall(self, key: str) -> "ToolRun | Answer | None":
-        result = self._results.get(key)
-        if result is not None and key not in self._paid:
-            self._paid.add(key)
-            self.charged_seconds += result.wall_time
-        return result
-
-    def remember(self, key: str, result: "ToolRun | Answer") -> None:
-        self._results[key] = result
+    def recall(
+        self, key: str, kind: str, store_key: str, prompt: "PromptRecord | None"
+    ) -> MemoEntry | None:
+        """The entry kept under ``key``, else the stored line of ``kind`` (a
+        ``store_hits`` key) under ``store_key``, kept as an entry for
+        ``prompt`` that took no time; None when neither holds it."""
+        entry = self._entries.get(key)
+        if entry is not None:
+            if key not in self._paid:
+                self._paid.add(key)
+                self.charged_seconds += entry.wall_time
+            return entry
+        line = self.stored.get(store_key)
+        if line is None or _line_kind(line) != kind:
+            return None
+        self.store_hits[kind] += 1
+        entry = self._entries[key] = MemoEntry(line, 0.0, prompt)
         self._paid.add(key)
+        return entry
 
-    def answers(self) -> list[tuple[str, "Answer"]]:
+    def keep(self, key: str, entry: MemoEntry) -> None:
+        """Keep a result completed in this run; a detection or verdict is
+        listed in ``new_results`` at once."""
+        self._entries[key] = entry
+        self._paid.add(key)
+        if entry.prompt is None:
+            self.new_results[key] = entry.fields
+
+    def answers(self) -> list[tuple[str, MemoEntry]]:
         """Every model answer kept, fetched or read from the store, with its
         transcript hash, in the order first kept."""
-        return [(key, r) for key, r in self._results.items() if not isinstance(r, ToolRun)]
+        return [(key, e) for key, e in self._entries.items() if e.prompt is not None]
 
     def keep_answer(self, key: str, store_key: str) -> None:
         """List the answer kept under transcript hash ``key`` in
         ``new_results``, as the log line ``store_key``."""
-        self.new_results[store_key] = {"answer": self._results[key].text}
+        self.new_results[store_key] = self._entries[key].fields
 
     def tool(self, command: Sequence[str]) -> str:
         """``tool_identity`` of a command, computed once per memo."""
@@ -246,34 +257,25 @@ class CaseMemo:
             self._tools[probe] = tool_identity(command)
         return self._tools[probe]
 
-    def from_store(self, key: str, kind: str) -> dict | None:
-        """The stored result of ``kind`` (a ``store_hits`` key) under ``key``,
-        counted as a hit; None when the store lacks it or holds another kind
-        of line there."""
-        line = self.stored.get(key)
-        if line is None or _line_kind(line) != kind:
-            return None
-        self.store_hits[kind] += 1
-        return line
 
-    def verdict(self, key: str) -> bool | None:
-        if key not in self._verdicts:
-            line = self.from_store(key, "reference_verdicts")
-            if line is None:
-                return None
-            self._verdicts[key] = line["verdict"]
-        return self._verdicts[key]
-
-    def remember_verdict(self, key: str, verdict: bool) -> None:
-        self._verdicts[key] = verdict
-        self.new_results[key] = {"verdict": verdict}
-
-
-def _line_kind(line: Mapping[str, object]) -> str:
-    """The ``store_hits`` key of a stored line, told by its fields."""
-    if "answer" in line:
+def _line_kind(fields: Mapping[str, object]) -> str:
+    """The ``store_hits`` key of a ``tool_result`` line's fields (its key
+    left out): exactly a string ``answer``, a bool ``verdict``, or an int
+    ``exit_status`` and a string ``output``. ValueError for any other
+    shape."""
+    if "answer" in fields:
+        if set(fields) != {"answer"} or not isinstance(fields["answer"], str):
+            raise ValueError("tool_result answer is not exactly a string key and a string answer")
         return "answers"
-    return "reference_verdicts" if "verdict" in line else "detections"
+    if set(fields) == {"verdict"} and isinstance(fields["verdict"], bool):
+        return "reference_verdicts"
+    if (
+        set(fields) == {"exit_status", "output"}
+        and type(fields["exit_status"]) is int
+        and isinstance(fields["output"], str)
+    ):
+        return "detections"
+    raise ValueError("tool_result is neither a detection (exit_status, output) nor a verdict")
 
 
 @dataclass
@@ -433,9 +435,11 @@ def run_detection(
     target fails ordinary compilation (error output without any UB block).
     With a ``memo``, the tool runs at most once per argv, tool identity and
     tracked-source bytes, and not at all when the memo's store holds them.
-    The memo keys the argv, and the store keeps the output, with the target
-    root written as ``{root}``: another copy of the same bytes reuses the
-    run, read with its own root put back.
+    The memo keys the argv, and keeps the output, with the target root
+    written as ``{root}``; a reused run, made in this copy or another or
+    read from the store, is read as a fresh one is, with this copy's root
+    put back. An output that already holds the text ``{root}`` could not be
+    read back, so that run is not kept.
     """
     config = config or DetectorConfig()
     root = str(target.root_path)
@@ -444,19 +448,10 @@ def run_detection(
     if memo is not None:
         keyed = _render_command(config.command, target, _ROOT_TOKEN)
         key = _content_key(keyed, memo.tool(config.command), target)
-        known = memo.recall(key)
-        if known is None:
-            stored = memo.from_store(key, "detections")
-            if stored is not None:
-                output = stored["output"].replace(_ROOT_TOKEN, root)
-                known = ToolRun(root, _read_output(argv, root, stored["exit_status"], output, 0.0))
-                memo.remember(key, known)
+        known = memo.recall(key, "detections", key, None)
         if known is not None:
-            if known.root == root:
-                return known.result
-            made = known.result
-            output = made.raw_output.replace(known.root, root)
-            return _read_output(argv, root, made.tool_exit_status, output, made.wall_time)
+            output = known.fields["output"].replace(_ROOT_TOKEN, root)
+            return _read_output(argv, root, known.fields["exit_status"], output, known.wall_time)
     started = clock()
     try:
         proc = run_group(argv, config.timeout, cwd=target.root_path, text=True)
@@ -467,14 +462,9 @@ def run_detection(
     wall = clock() - started
     raw = (proc.stdout or "") + (proc.stderr or "")
     result = _read_output(argv, root, proc.returncode, raw, wall)
-    if memo is not None:
-        memo.remember(key, ToolRun(root, result))
-        # an output that already holds the text ``{root}`` could not be read back
-        if _ROOT_TOKEN not in raw:
-            memo.new_results[key] = {
-                "exit_status": proc.returncode,
-                "output": raw.replace(root, _ROOT_TOKEN),
-            }
+    if memo is not None and _ROOT_TOKEN not in raw:
+        fields = {"exit_status": proc.returncode, "output": raw.replace(root, _ROOT_TOKEN)}
+        memo.keep(key, MemoEntry(fields, wall, None))
     return result
 
 

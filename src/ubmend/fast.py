@@ -73,7 +73,7 @@ AGENT_FOR_STRATEGY = {
 STRATEGY_FOR_AGENT = {v: k for k, v in AGENT_FOR_STRATEGY.items()}
 FIX_AGENTS = frozenset(AGENT_FOR_STRATEGY.values())
 
-_DEFAULT_INSTRUCTION = {
+DEFAULT_INSTRUCTION = {
     FixStrategy.SAFE_ALTERNATIVE: "replace the unsafe operation with the catalogued safe API",
     FixStrategy.ASSERTION_GUARD: "insert guard assertions before each risky operation",
     FixStrategy.SEMANTIC_MODIFICATION: "rewrite the region to remove the undefined behavior",
@@ -272,7 +272,7 @@ def fallback_solutions(features: list[CodeFeature]) -> list[list[RepairStep]]:
                 RepairStep(
                     agent=AGENT_FOR_STRATEGY[strategy],
                     target_region=f.ref,
-                    instruction=_DEFAULT_INSTRUCTION[strategy],
+                    instruction=DEFAULT_INSTRUCTION[strategy],
                 )
                 for f in features
             ]

@@ -21,7 +21,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .detector import CaseMemo, UbKind
+from .detector import CaseMemo, MemoEntry, UbKind, _line_kind
 from .errors import StorageFailure
 from .fast import FIX_AGENTS, Provenance, RepairSolution
 from .kb import (
@@ -148,12 +148,13 @@ class ReferenceBundle:
                 ]
             )
             key = hashlib.sha256(payload.encode()).hexdigest()
-            known = memo.verdict(key)
+            known = memo.recall(key, "reference_verdicts", key, None)
             if known is not None:
-                return known
+                return known.fields["verdict"]
         verdict = self._compile_and_compare(final_source, entry_file, rustc)
         if memo is not None:
-            memo.remember_verdict(key, verdict)
+            # the check is not timed on the run's clock: a reused verdict costs nothing
+            memo.keep(key, MemoEntry({"verdict": verdict}, 0.0, None))
         return verdict
 
     def _compile_and_compare(self, final_source: dict[str, str], entry_file: str, rustc: str) -> bool:
@@ -263,20 +264,7 @@ def _log_line(data: dict) -> "ExperienceRecord | tuple[str, dict]":
     key = fields.pop("key", None)
     if not isinstance(key, str) or not key:
         raise ValueError("tool_result has no string key")
-    if "answer" in fields:
-        if set(fields) != {"answer"} or not isinstance(fields["answer"], str):
-            raise ValueError("tool_result answer is not exactly a string key and a string answer")
-        return key, fields
-    detection = (
-        set(fields) == {"exit_status", "output"}
-        and type(fields["exit_status"]) is int
-        and isinstance(fields["output"], str)
-    )
-    verdict = set(fields) == {"verdict"} and isinstance(fields["verdict"], bool)
-    if not (detection or verdict):
-        raise ValueError(
-            "tool_result is neither a detection (exit_status, output) nor a verdict"
-        )
+    _line_kind(fields)
     return key, fields
 
 

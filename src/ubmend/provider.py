@@ -16,17 +16,18 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable, Iterable
 
+from .classifier import FixStrategy
+from .detector import CaseMemo, MemoEntry
 from .errors import HttpFailure, ProviderFailure, ReplayMiss, TokenOverflow
 from .kb import _read_jsonl
 from .lexutil import estimate_tokens
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .detector import CaseMemo
-
 API_KEY_ENV = "RUSTBRAIN_API_KEY"
 API_BASE_ENV = "RUSTBRAIN_API_BASE"
+# the live backend refuses a prompt estimated above this many tokens
+MAX_PROMPT_TOKENS = 16000
 
 # Phrases the shipped prompt templates open with; the scripted mock keys its
 # behavior off them so it stays in sync with data/prompts/*.txt.
@@ -50,14 +51,11 @@ class ProviderConfig:
     mode: ProviderMode = ProviderMode.SCRIPTED_MOCK
     model_name: str = "gpt-4"
     temperature: float = 0.5
-    max_tokens: int = 16000
     transcript_path: Path | None = None
 
     def validate(self) -> None:
         if not 0.0 <= self.temperature <= 2.0:
             raise ProviderFailure(f"temperature {self.temperature} outside [0, 2]")
-        if self.max_tokens < 1:
-            raise ProviderFailure("max_tokens must be positive")
         if self.mode is ProviderMode.REPLAY:
             if not self.transcript_path or not Path(self.transcript_path).is_file():
                 raise ProviderFailure(
@@ -125,16 +123,6 @@ class Provider:
         return prompt.stable_hash(self.config.model_name, self.config.temperature)
 
 
-@dataclass(frozen=True)
-class Answer:
-    """A model answer as a case memo keeps it: the prompt it answers, the
-    text and the time the call took, in the run's clock units."""
-
-    prompt: PromptRecord
-    text: str
-    wall_time: float
-
-
 class MemoizedProvider:
     """A run's provider seen through its case memo.
 
@@ -148,7 +136,7 @@ class MemoizedProvider:
     units; a stored answer takes no time.
     """
 
-    def __init__(self, inner: Provider, memo: "CaseMemo", timer: Callable[[], float]) -> None:
+    def __init__(self, inner: Provider, memo: CaseMemo, timer: Callable[[], float]) -> None:
         self.inner = inner
         self.memo = memo
         self.timer = timer
@@ -165,17 +153,13 @@ class MemoizedProvider:
 
     def complete(self, prompt: PromptRecord) -> str:
         key = self.inner.hash_of(prompt)
-        answer = self.memo.recall(key)
+        answer = self.memo.recall(key, "answers", self.store_key(key), prompt)
         if answer is None:
-            stored = self.memo.from_store(self.store_key(key), "answers")
-            if stored is not None:
-                answer = Answer(prompt, stored["answer"], 0.0)
-            else:
-                started = self.timer()
-                text = self.inner.complete(prompt)
-                answer = Answer(prompt, text, self.timer() - started)
-            self.memo.remember(key, answer)
-        return answer.text
+            started = self.timer()
+            text = self.inner.complete(prompt)
+            answer = MemoEntry({"answer": text}, self.timer() - started, prompt)
+            self.memo.keep(key, answer)
+        return answer.fields["answer"]
 
     def keep(self, prompt: PromptRecord) -> None:
         """List the answer the case got for ``prompt`` in the memo's
@@ -266,17 +250,13 @@ class ScriptedMockProvider(Provider):
         features = re.findall(
             r"^FEATURE (\S+) :: strategies=(\S+) ::", text, flags=re.MULTILINE
         )
-        from .fast import DEFAULT_SOLUTION_COUNT  # fast imports this module
+        # fast imports this module
+        from .fast import AGENT_FOR_STRATEGY, DEFAULT_INSTRUCTION, DEFAULT_SOLUTION_COUNT
 
         m = re.search(r"solutions requested: (\d+)", text)
         k = int(m.group(1)) if m else DEFAULT_SOLUTION_COUNT
         m = re.search(r"numbered from (\d+)", text)
         first = int(m.group(1)) - 1 if m else 0
-        canned = {
-            "SafeAlternative": ("SafeReplace", "replace the unsafe operation with the catalogued safe API"),
-            "AssertionGuard": ("AddAssertion", "insert guard assertions before each risky operation"),
-            "SemanticModification": ("ModifySemantics", "rewrite the region to remove the undefined behavior"),
-        }
         out: list[str] = []
         for i in range(first, first + k):
             rot = i % 3
@@ -285,12 +265,12 @@ class ScriptedMockProvider(Provider):
             step_no = 1
             for ref, strategies in features:
                 order = strategies.split(",")
-                strategy = order[rot % len(order)]
-                agent, instruction = canned[strategy]
+                strategy = FixStrategy(order[rot % len(order)])
+                agent = AGENT_FOR_STRATEGY[strategy].value
                 if with_reason and step_no == 1:
                     out.append(f"STEP {step_no}: Reason {ref} :: consult prior fixes for similar regions")
                     step_no += 1
-                out.append(f"STEP {step_no}: {agent} {ref} :: {instruction}")
+                out.append(f"STEP {step_no}: {agent} {ref} :: {DEFAULT_INSTRUCTION[strategy]}")
                 step_no += 1
         return "\n".join(out)
 
@@ -361,10 +341,8 @@ class LiveHttpProvider(Provider):
     def _complete(self, prompt: PromptRecord) -> str:
         import requests
 
-        if estimate_tokens(prompt.text()) > self.config.max_tokens:
-            raise TokenOverflow(
-                f"prompt estimate exceeds max_tokens={self.config.max_tokens}"
-            )
+        if estimate_tokens(prompt.text()) > MAX_PROMPT_TOKENS:
+            raise TokenOverflow(f"prompt estimate exceeds {MAX_PROMPT_TOKENS} tokens")
         payload = {
             "model": self.config.model_name,
             "temperature": self.config.temperature,
@@ -414,13 +392,13 @@ class TranscriptEntry:
         }
 
 
-def transcript_entries(memo: "CaseMemo", config: ProviderConfig) -> list[TranscriptEntry]:
+def transcript_entries(memo: CaseMemo, config: ProviderConfig) -> list[TranscriptEntry]:
     """Every answer ``memo`` holds, fetched or read from the store, as a
     transcript entry of ``config``'s model, in the order the memo kept them.
     A transcript written from them replays the case on its own."""
     return [
-        TranscriptEntry(key, answer.prompt, answer.text, config.model_name, config.temperature)
-        for key, answer in memo.answers()
+        TranscriptEntry(key, entry.prompt, entry.fields["answer"], config.model_name, config.temperature)
+        for key, entry in memo.answers()
     ]
 
 

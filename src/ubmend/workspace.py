@@ -38,20 +38,19 @@ class WorkingCopy:
         path.write_text(text, encoding="utf-8")
 
     def files(self) -> dict[str, str]:
-        """Current content of every tracked source, keyed by relative path."""
-        out: dict[str, str] = {}
-        for path in sorted(self.root.rglob("*")):
-            if path.is_file():
-                rel = str(path.relative_to(self.root))
-                out[rel] = path.read_text(encoding="utf-8")
-        return out
+        """Current content of every tracked source (``tracked_files``), keyed
+        by relative path; build output the tool leaves is not a source."""
+        tracked = sorted(self.target.tracked_files())
+        return {rel: (self.root / rel).read_text(encoding="utf-8") for rel in tracked}
 
     def restore(self, files: dict[str, str]) -> None:
+        """Put back the tracked sources ``files`` holds and delete any other;
+        files that are not tracked sources are left as they are."""
         for rel, text in files.items():
             self.write(rel, text)
-        for path in list(self.root.rglob("*")):
-            if path.is_file() and str(path.relative_to(self.root)) not in files:
-                path.unlink()
+        for rel in self.target.tracked_files():
+            if rel not in files:
+                (self.root / rel).unlink()
 
     def cleanup(self) -> None:
         """Remove the temporary tree."""

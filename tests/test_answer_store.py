@@ -380,11 +380,12 @@ def test_a_stored_line_answers_only_lookups_of_its_own_kind():
         "reference_verdicts": {"verdict": True},
         "answers": {"answer": "x"},
     }
-    memo = CaseMemo(lines)
     for key, line in lines.items():
         for kind in kinds:
-            assert memo.from_store(key, kind) == (line if kind == key else None)
-    assert memo.store_hits == dict.fromkeys(kinds, 1)
+            memo = CaseMemo(lines)
+            entry = memo.recall(key, kind, key, None)
+            assert (entry and entry.fields) == (line if kind == key else None)
+            assert memo.store_hits == {k: int(k == kind == key) for k in kinds}
     # an answer lookup never takes a detection or verdict line for its text
     provider = ScriptedMockProvider(ProviderConfig(), rules=[("probe", "fresh")])
     probe = PromptRecord.user("probe")

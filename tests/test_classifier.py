@@ -89,6 +89,36 @@ def test_locate_multiple_in_file_order():
     assert regions[0].byte_span[1] <= regions[1].byte_span[0]
 
 
+def test_a_function_pointer_type_opens_no_item():
+    src = (
+        "fn answer() -> i32 { 42 }\n"
+        "fn main() {\n"
+        "    let table: [fn() -> i32; 1] = [answer];\n"
+        "    let via = unsafe { std::mem::transmute::<fn() -> i32, usize>(table[0]) };\n"
+        "}\n"
+    )
+    (region,) = locate_unsafe_regions(src, "main.rs")
+    assert region.enclosing_context == src[src.index("fn main"):].rstrip("\n")
+
+
+def test_an_impl_trait_argument_opens_no_item():
+    src = (
+        "fn show(x: impl std::fmt::Display) -> impl Copy {\n"
+        "    let p = &x as *const _;\n"
+        "    unsafe { let _ = &*p; }\n"
+        "    0\n"
+        "}\n"
+    )
+    (region,) = locate_unsafe_regions(src, "main.rs")
+    assert region.enclosing_context == src.rstrip("\n")
+
+
+def test_a_top_level_unsafe_fn_is_its_own_context():
+    src = "fn a() {}\nunsafe fn b(p: *const i32) -> i32 {\n    *p\n}\n"
+    (region,) = locate_unsafe_regions(src, "main.rs")
+    assert region.enclosing_context == region.snippet
+
+
 def test_locate_after_prefixed_raw_string_with_backslash():
     # br"\\" is a raw byte string: the backslash escapes nothing
     src = 'fn main() {\n    let v = unsafe { *q + br"\\".len() as u8 };\n}\n'

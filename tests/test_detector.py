@@ -11,8 +11,8 @@ import pytest
 from conftest import counting_detector_command, process_gone, spawn_log, stub_detector_config
 from ubmend.detector import (
     CaseMemo,
-    DetectionResult,
     DetectorConfig,
+    MemoEntry,
     TargetPackage,
     UbKind,
     classify_kind,
@@ -216,8 +216,20 @@ def test_memo_detects_the_same_bytes_once(tmp_path):
     (build / "generated.rs").write_text("// build artefact\n")
     second = run_detection(target, config=config, memo=memo)
     assert len(spawn_log(log)) == 1
-    assert second is first
+    assert second == first
     assert second.error_count == 1
+
+
+def test_memo_keeps_no_output_that_holds_the_root_token(tmp_path):
+    config, log = _counting(tmp_path)
+    # the stub echoes the source line, so the output holds ``{root}``
+    target = _memo_target(tmp_path, UB_SOURCE.replace("//~UB ", "//~UB {root} "))
+    memo = CaseMemo()
+    first = run_detection(target, config=config, memo=memo)
+    second = run_detection(target, config=config, memo=memo)
+    assert len(spawn_log(log)) == 2
+    assert "{root}" in first.raw_output and second.raw_output == first.raw_output
+    assert memo.new_results == {}
 
 
 def test_memo_detects_again_after_any_tracked_change(tmp_path):
@@ -255,15 +267,16 @@ def test_memo_reruns_timeouts_and_compile_errors(tmp_path):
 
 def test_memo_charges_a_run_once_for_detections_it_reuses():
     memo = CaseMemo()
-    paid = DetectionResult(reports=[], error_count=0, tool_exit_status=0, wall_time=2.5)
-    memo.remember("k", paid)
-    assert memo.recall("k") is paid
+    paid = MemoEntry({"exit_status": 0, "output": ""}, 2.5, None)
+    memo.keep("k", paid)
+    assert memo.new_results == {"k": paid.fields}
+    assert memo.recall("k", "detections", "k", None) == paid
     assert memo.charged_seconds == 0.0  # the run that made it pays nothing more
     memo.begin_run()
-    assert memo.recall("k") is paid
-    assert memo.recall("k") is paid
+    assert memo.recall("k", "detections", "k", None) == paid
+    assert memo.recall("k", "detections", "k", None) == paid
     assert memo.charged_seconds == 2.5
-    assert memo.recall("absent") is None
+    assert memo.recall("absent", "detections", "absent", None) is None
 
 
 def test_timeout_kills_the_whole_process_tree(tmp_path):

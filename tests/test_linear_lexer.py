@@ -24,7 +24,7 @@ _PREFIXED_RAW = re.compile(r'(?<!\w)[bc]r[#"]')
 
 MASK_TEXT = st.text(alphabet=list("/*\"'rbc#\\\n{}a_ "), max_size=60)
 RUST_TOKENS = [
-    "unsafe ", "unsafe", "fn ", "fn f() ", "impl ", "impl T for S ", "{", "}", ";",
+    "unsafe ", "unsafe", "fn ", "fn f() ", "fn() ", "impl ", "impl T for S ", ": ", "]", "{", "}", ";",
     "\n", " ", "x", "*p", "//", "/*", "*/", '"', "'", "'a", 'r#"', '"#', 'br"', "\\",
 ]
 RUST_TEXT = st.lists(st.sampled_from(RUST_TOKENS), max_size=40).map("".join)
@@ -148,6 +148,11 @@ def _rescanning_locate(source: str) -> list[tuple]:
             for kw_start in keyword_occurrences(masked, kw):
                 if kw_start >= start:
                     break
+                # ``fn`` with no name and ``impl`` where no item can start are types
+                if kw == "fn" and not re.match(r"fn\s+(r#)?[A-Za-z_]", masked[kw_start:]):
+                    continue
+                if kw == "impl" and not re.search(r"(\A|[;{}\]]|\bunsafe|\bdefault)\s*\Z", masked[:kw_start]):
+                    continue
                 item_brace = masked.find("{", kw_start)
                 item_close = None if item_brace == -1 else _forward_close(masked, item_brace)
                 if item_close is not None and end <= item_close + 1:
@@ -156,7 +161,7 @@ def _rescanning_locate(source: str) -> list[tuple]:
         if best:
             context = source[best[0]:best[1]]
         else:
-            line_start = source.rfind("\n", 0, max(0, start - 1)) + 1
+            line_start = source.rfind("\n", 0, start) + 1
             ctx_end = source.find("\n", min(len(source), end))
             context = source[line_start:len(source) if ctx_end == -1 else ctx_end]
         regions.append([(start, end), source[start:end], context, 0])

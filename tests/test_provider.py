@@ -8,7 +8,7 @@ import socket
 
 import pytest
 
-from ubmend.detector import CaseMemo, DetectionResult, ToolRun
+from ubmend.detector import CaseMemo, MemoEntry
 from ubmend.errors import ProviderFailure, ReplayMiss, StorageFailure
 from ubmend.fast import parse_plan
 from ubmend.provider import (
@@ -67,8 +67,6 @@ def test_provider_accounting_thread_safe_counters():
 def test_config_validation():
     with pytest.raises(ProviderFailure):
         ProviderConfig(temperature=3.0).validate()
-    with pytest.raises(ProviderFailure):
-        ProviderConfig(max_tokens=0).validate()
     with pytest.raises(ProviderFailure):
         ProviderConfig(mode=ProviderMode.REPLAY, transcript_path=None).validate()
 
@@ -139,7 +137,7 @@ def test_transcript_holds_stored_answers_and_no_detections():
     stored = PromptRecord.user("answered by the log")
     memo = CaseMemo({f"mock:{inner.hash_of(stored)}": {"answer": "from the log"}})
     asked = MemoizedProvider(inner, memo, timer=lambda: 0.0)
-    memo.remember("detection", ToolRun("/copy", DetectionResult([], 0, 0, 1.0)))
+    memo.keep("detection", MemoEntry({"exit_status": 0, "output": ""}, 1.0, None))
     assert asked.complete(stored) == "from the log"
     fetched = asked.complete(PromptRecord.user("fetched"))
     assert inner.calls == 1

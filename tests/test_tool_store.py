@@ -204,7 +204,7 @@ def test_a_stored_detection_is_read_like_a_fresh_one(tmp_path):
     assert memo.new_results == {}
     # the case's other run reuses it for nothing, and the store is asked once
     memo.begin_run()
-    assert run_detection(target, config=config, memo=memo) is stored
+    assert run_detection(target, config=config, memo=memo) == stored
     assert memo.charged_seconds == 0.0
     assert memo.store_hits["detections"] == 1
 

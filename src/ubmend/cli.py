@@ -456,19 +456,23 @@ def repair_one(
         ws.cleanup()
 
 
-def _diff_stats(before: dict[str, str], after: dict[str, str]) -> list[tuple[str, int, int]]:
-    out: list[tuple[str, int, int]] = []
+def _diff_stats(before: dict[str, str], after: dict[str, str]) -> list[tuple[str, int, int, str]]:
+    """Each changed file with its added and removed line counts and its
+    unified diff (``a/``- and ``b/``-prefixed paths, lines joined by
+    newlines)."""
+    out: list[tuple[str, int, int, str]] = []
     for rel in sorted(set(before) | set(after)):
         old, new = before.get(rel, ""), after.get(rel, "")
         if old == new:
             continue
-        added = removed = 0
-        for line in difflib.unified_diff(old.splitlines(), new.splitlines(), lineterm=""):
-            if line.startswith("+") and not line.startswith("+++"):
-                added += 1
-            elif line.startswith("-") and not line.startswith("---"):
-                removed += 1
-        out.append((rel, added, removed))
+        diff = list(
+            difflib.unified_diff(
+                old.splitlines(), new.splitlines(), f"a/{rel}", f"b/{rel}", lineterm=""
+            )
+        )
+        # past the two file header lines, a hunk line opens with "@", " ", "+" or "-"
+        body = [line[:1] for line in diff[2:]]
+        out.append((rel, body.count("+"), body.count("-"), "\n".join(diff) + "\n"))
     return out
 
 
@@ -552,7 +556,8 @@ def cmd_fix(args: argparse.Namespace) -> int:
             "trace": outcome.trace.to_dict(),
             "rollbacks": outcome.stats.rollback_count,
             "changed_files": [
-                {"file": rel, "added": a, "removed": r} for rel, a, r in changed
+                {"file": rel, "added": a, "removed": r, "patch": patch}
+                for rel, a, r, patch in changed
             ],
             "store_hits": memo.store_hits,
         }
@@ -568,7 +573,7 @@ def cmd_fix(args: argparse.Namespace) -> int:
         )
         if changed:
             print("changed files:")
-            for rel, a, r in changed:
+            for rel, a, r, _ in changed:
                 print(f"  {rel} (+{a} -{r})")
     return 0 if outcome.verdict in (Verdict.PASS, Verdict.SEMANTIC_PASS) else 1
 

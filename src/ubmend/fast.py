@@ -8,6 +8,12 @@ code, and asks for alternative plans in a line-oriented grammar::
     SOLUTION <i>:
     STEP <n>: <AGENT> <region-ref> :: <instruction>
 
+Each fix step of a page's first solution may be followed by one fenced
+``rust`` block: the step's region as the model would rewrite it
+(``CodeBlock``). Fast thinking thus writes the first solution's code in
+the plan call; slow thinking puts each block through its agent's gate and
+check, and asks the agent only where a block is missing, stale or refused.
+
 The first page is asked with nothing tried. A later page is asked only once
 the session has tried every solution before it, and its prompt lists each
 tried solution's steps with its verdict (the error count it ended at
@@ -23,9 +29,9 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .classifier import (
     CodeFeature,
@@ -81,6 +87,17 @@ DEFAULT_INSTRUCTION = {
 
 _STEP_RE = re.compile(r"^\s*STEP\s+\d+\s*:\s*([A-Za-z]+)\s+(\S+)\s*::\s*(.+?)\s*$")
 _SOLUTION_RE = re.compile(r"^\s*SOLUTION\s+\d+\s*:", re.IGNORECASE)
+_FENCE = "```"
+
+
+@dataclass(frozen=True)
+class CodeBlock:
+    """A fix step's region rewritten in the plan answer: ``after`` is the
+    region's new text, written for the region while it reads ``before``,
+    the code the plan prompt showed."""
+
+    before: str
+    after: str
 
 
 @dataclass
@@ -88,6 +105,9 @@ class RepairStep:
     agent: AgentKind
     target_region: str
     instruction: str
+    # never serialized, compared or part of a signature: stored records and
+    # ranking see the step alone
+    code: CodeBlock | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -142,12 +162,28 @@ def strategy_order(feature: CodeFeature) -> list[FixStrategy]:
     return map_strategies(feature)
 
 
-def _report_hits_region(report: UbReport, rel: str, source: str, region: UnsafeRegion) -> bool:
-    rf = report.file.replace("\\", "/")
-    rel_norm = rel.replace("\\", "/")
-    if not (rf == rel_norm or rf.endswith("/" + rel_norm) or rel_norm.endswith("/" + rf)):
-        if rf.rsplit("/", 1)[-1] != rel_norm.rsplit("/", 1)[-1]:
-            return False
+def _same_path(report_file: str, rel: str) -> bool:
+    """Whether a report's file names ``rel``: one path ends with the other."""
+    rf, rel = report_file.replace("\\", "/"), rel.replace("\\", "/")
+    return rf == rel or rf.endswith("/" + rel) or rel.endswith("/" + rf)
+
+
+def _basename(path: str) -> str:
+    return path.replace("\\", "/").rsplit("/", 1)[-1]
+
+
+def _report_hits_region(
+    report: UbReport, rel: str, source: str, region: UnsafeRegion, entry_files: Sequence[str]
+) -> bool:
+    """Whether ``report`` lands on a line of ``region``, in the entry file
+    ``rel``. A report names ``rel`` by its path, or by its basename alone
+    when it names no entry file by path: a report in one ``mod.rs`` never
+    lands in another."""
+    if not _same_path(report.file, rel) and (
+        _basename(report.file) != _basename(rel)
+        or any(_same_path(report.file, entry) for entry in entry_files)
+    ):
+        return False
     if report.line is None:
         return False
     first = line_of_offset(source, region.start)
@@ -171,7 +207,9 @@ def extract_features(target: TargetPackage, reports: list[UbReport]) -> list[Cod
         regions = locate_unsafe_regions(source, rel)
         for ordinal, region in enumerate(regions):
             hit_idx = [
-                i for i, r in enumerate(reports) if _report_hits_region(r, rel, source, region)
+                i
+                for i, r in enumerate(reports)
+                if _report_hits_region(r, rel, source, region, target.entry_files)
             ]
             if not hit_idx:
                 continue
@@ -201,10 +239,13 @@ def extract_features(target: TargetPackage, reports: list[UbReport]) -> list[Cod
 
 
 def _fallback_file(target: TargetPackage, reports: list[UbReport]) -> str:
-    names = {r.file.replace("\\", "/").rsplit("/", 1)[-1] for r in reports if r.file}
-    for rel in target.entry_files:
-        if rel.replace("\\", "/").rsplit("/", 1)[-1] in names:
-            return rel
+    """The first entry file a report names by path, else by basename, else
+    the first entry file."""
+    files = [r.file for r in reports if r.file]
+    for names in (_same_path, lambda file, rel: _basename(file) == _basename(rel)):
+        for rel in target.entry_files:
+            if any(names(file, rel) for file in files):
+                return rel
     return target.entry_files[0]
 
 
@@ -233,14 +274,36 @@ def _feature_lines(features: list[CodeFeature]) -> str:
     return "\n".join(lines)
 
 
-def parse_plan(text: str) -> list[list[RepairStep]]:
+def parse_plan(text: str, shown: Mapping[str, str] | None = None) -> list[list[RepairStep]]:
+    """The solutions of a plan answer, each a list of steps.
+
+    A fenced block is never read for plan lines. One that follows a fix
+    step of the first solution, with no plan line between, becomes that
+    step's ``code`` when ``shown`` maps the step's region ref to the code the
+    prompt showed for it; every other block is dropped.
+    """
+    shown = shown or {}
     solutions: list[list[RepairStep]] = []
     current: list[RepairStep] | None = None
+    block: list[str] | None = None  # the lines of the open fenced block
+    writable: RepairStep | None = None  # the step a block now may belong to
     for line in text.splitlines():
+        if block is not None:
+            if line.strip() != _FENCE:
+                block.append(line)
+                continue
+            if writable is not None:
+                writable.code = CodeBlock(shown[writable.target_region], "\n".join(block))
+            block = writable = None
+            continue
+        if line.lstrip().startswith(_FENCE):
+            block = []
+            continue
         if _SOLUTION_RE.match(line):
             if current:
                 solutions.append(current)
             current = []
+            writable = None
             continue
         m = _STEP_RE.match(line)
         if not m:
@@ -251,11 +314,14 @@ def parse_plan(text: str) -> list[list[RepairStep]]:
         except ValueError:
             matches = [a for a in AgentKind if a.value.lower() == agent_token.lower()]
             if not matches:
+                writable = None
                 continue
             agent = matches[0]
         if current is None:
             current = []
-        current.append(RepairStep(agent=agent, target_region=ref, instruction=instruction))
+        step = RepairStep(agent=agent, target_region=ref, instruction=instruction)
+        current.append(step)
+        writable = step if not solutions and agent in FIX_AGENTS and ref in shown else None
     if current:
         solutions.append(current)
     return [s for s in solutions if s]
@@ -341,11 +407,12 @@ def generate_solutions(
         features=_feature_lines(features),
         tried=_tried_lines(tried),
     )
-    plans = parse_plan(provider.complete(PromptRecord.user(prompt_text)))
+    shown = {f.ref: f.region.snippet for f in features}
+    plans = parse_plan(provider.complete(PromptRecord.user(prompt_text)), shown)
     if not plans:
         log.warning("degenerate plan output; retrying once")
-        retry = prompt_text + "\nReminder: answer only with SOLUTION and STEP lines."
-        plans = parse_plan(provider.complete(PromptRecord.user(retry)))
+        retry = prompt_text + "\nReminder: answer only in the grammar above."
+        plans = parse_plan(provider.complete(PromptRecord.user(retry)), shown)
         if not plans:
             log.warning("still degenerate; falling back to template plans")
             plans = fallback_solutions(features)

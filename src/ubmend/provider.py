@@ -151,15 +151,25 @@ class MemoizedProvider:
         gave never answers a live or replay run."""
         return f"{self.inner.config.mode.value}:{key}"
 
-    def complete(self, prompt: PromptRecord) -> str:
+    def recall(self, prompt: PromptRecord) -> str | None:
+        """The answer the memo or its store holds for ``prompt``, else None."""
         key = self.inner.hash_of(prompt)
-        answer = self.memo.recall(key, "answers", self.store_key(key), prompt)
+        entry = self.memo.recall(key, "answers", self.store_key(key), prompt)
+        return None if entry is None else entry.fields["answer"]
+
+    def complete(self, prompt: PromptRecord) -> str:
+        answer = self.recall(prompt)
         if answer is None:
             started = self.timer()
-            text = self.inner.complete(prompt)
-            answer = MemoEntry({"answer": text}, self.timer() - started, prompt)
-            self.memo.keep(key, answer)
-        return answer.fields["answer"]
+            answer = self.inner.complete(prompt)
+            entry = MemoEntry({"answer": answer}, self.timer() - started, prompt)
+            self.memo.keep(self.inner.hash_of(prompt), entry)
+        return answer
+
+    def stand_in(self, prompt: PromptRecord, answer: str) -> None:
+        """Keep ``answer``, written without asking ``prompt``, as the
+        prompt's answer: one that took no time and no tokens."""
+        self.memo.keep(self.inner.hash_of(prompt), MemoEntry({"answer": answer}, 0.0, prompt))
 
     def keep(self, prompt: PromptRecord) -> None:
         """List the answer the case got for ``prompt`` in the memo's
@@ -215,7 +225,8 @@ class ScriptedMockProvider(Provider):
     cover the shipped templates: plans in the STEP grammar, rotating through
     each region's strategies (a follow-up page goes on from the number its
     prompt starts at), and fix responses that echo the snippet with a
-    scripted edit applied.
+    scripted edit applied. A plan's first solution carries, after each fix
+    step, the code of the mock's own answer to that step's fix prompt.
     """
 
     def __init__(self, config: ProviderConfig, rules: Iterable[ScriptRule] = ()) -> None:
@@ -223,7 +234,9 @@ class ScriptedMockProvider(Provider):
         self.rules = list(rules)
 
     def _complete(self, prompt: PromptRecord) -> str:
-        text = prompt.text()
+        return self._answer(prompt.text())
+
+    def _answer(self, text: str) -> str:
         for needle, response in self.rules:
             if needle in text:
                 return response(text) if callable(response) else response
@@ -246,9 +259,12 @@ class ScriptedMockProvider(Provider):
         ``i % 3``-th strategy, and every second group of three (solutions
         4-6, 10-12, ...) opens with a Reason step. The prompt does not say
         whether knowledge is on; a run without a knowledge base passes over
-        the Reason step."""
+        the Reason step. Each fix step of the first solution is followed by
+        the code block of ``_step_code``, when it gives one."""
         features = re.findall(
-            r"^FEATURE (\S+) :: strategies=(\S+) ::", text, flags=re.MULTILINE
+            r"^FEATURE (\S+) :: strategies=(\S+) :: ub=(\S+) :: \S+\n```rust\n(.*?)\n```$",
+            text,
+            flags=re.MULTILINE | re.DOTALL,
         )
         # fast imports this module
         from .fast import AGENT_FOR_STRATEGY, DEFAULT_INSTRUCTION, DEFAULT_SOLUTION_COUNT
@@ -263,16 +279,39 @@ class ScriptedMockProvider(Provider):
             with_reason = (i // 3) % 2 == 1
             out.append(f"SOLUTION {i + 1}:")
             step_no = 1
-            for ref, strategies in features:
+            for ref, strategies, ub, snippet in features:
                 order = strategies.split(",")
                 strategy = FixStrategy(order[rot % len(order)])
-                agent = AGENT_FOR_STRATEGY[strategy].value
+                agent = AGENT_FOR_STRATEGY[strategy]
                 if with_reason and step_no == 1:
                     out.append(f"STEP {step_no}: Reason {ref} :: consult prior fixes for similar regions")
                     step_no += 1
-                out.append(f"STEP {step_no}: {agent} {ref} :: {DEFAULT_INSTRUCTION[strategy]}")
+                instruction = DEFAULT_INSTRUCTION[strategy]
+                out.append(f"STEP {step_no}: {agent.value} {ref} :: {instruction}")
                 step_no += 1
+                code = self._step_code(agent, ref, ub, snippet, instruction) if i == first else None
+                if code is not None:
+                    out.append(f"```rust\n{code}\n```")
         return "\n".join(out)
+
+    def _step_code(self, agent, ref: str, ub: str, snippet: str, instruction: str) -> str | None:
+        """The code of the mock's answer, rules included, to the fix prompt
+        of ``agent`` for the region ``ref`` that the plan prompt shows as
+        ``snippet`` with UB kinds ``ub``; None when that answer abstains or
+        holds no code. The plan prompt shows no context, so the region
+        stands in for it."""
+        # agents imports this module
+        from .agents import _ABSTENTION, build_prompt
+        from .classifier import UnsafeRegion
+        from .detector import UbKind
+
+        kinds = frozenset(UbKind(k) for k in ub.split(",") if k != "unknown")
+        region = UnsafeRegion(ref, (0, len(snippet)), snippet, snippet)
+        answer = self._answer(build_prompt(agent, region, kinds, instruction))
+        m = _FENCE_RE.search(answer)
+        if m is None or any(marker in answer for marker, _ in _ABSTENTION.values()):
+            return None
+        return m.group(1).rstrip("\n")
 
     def _fix(self, text: str) -> str:
         snippet = self._snippet(text)

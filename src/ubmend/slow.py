@@ -34,6 +34,7 @@ from .detector import (
     DetectionResult,
     DetectorConfig,
     TargetPackage,
+    UbKind,
     UbReport,
     run_detection,
 )
@@ -57,7 +58,7 @@ from .fast import (
     parse_region_ref,
 )
 from .kb import KnowledgeBase, feature_vector
-from .provider import MemoizedProvider, Provider
+from .provider import MemoizedProvider, PromptRecord, Provider
 from .rollback import RollbackStats, SnapshotStore
 from .workspace import WorkingCopy
 
@@ -219,6 +220,48 @@ def _knowledge_context(
     )
 
 
+class _PlanAnswer:
+    """``provider`` with the answer a plan wrote for one fix prompt: the
+    prompt is answered from the memo when it holds an answer, else with
+    ``answer``, noting the prompt in ``asked``."""
+
+    def __init__(self, provider: MemoizedProvider, answer: str) -> None:
+        self.provider = provider
+        self.answer = answer
+        self.asked: PromptRecord | None = None
+
+    def complete(self, prompt: PromptRecord) -> str:
+        known = self.provider.recall(prompt)
+        if known is not None:
+            return known
+        self.asked = prompt
+        return self.answer
+
+
+def _written_patch(
+    step: RepairStep,
+    region: UnsafeRegion,
+    kinds: frozenset[UbKind],
+    provider: MemoizedProvider,
+) -> PatchRecord | None:
+    """The patch of the code the plan wrote for ``step``, through the
+    agent's own gate and check, kept in the memo as the answer to the
+    agent's prompt; None when the check refused the code, so the agent is
+    to be asked. A gate that refuses before any answer, or a check that
+    refuses an answer the memo held, raises as for the agent's own answer."""
+    written = _PlanAnswer(provider, f"```rust\n{step.code.after}\n```")
+    try:
+        patch = AGENT_FUNCTIONS[step.agent](region, kinds, written, step.instruction, None)
+    except (NoSafeEquivalent, NoGuardExpressible, ProviderFailure) as exc:
+        if written.asked is None:
+            raise
+        log.info("%s refused the plan's code (%s); asking it", step.agent.value, exc)
+        return None
+    if written.asked is not None:
+        provider.stand_in(written.asked, written.answer)
+    return patch
+
+
 def propose_step(
     step: RepairStep,
     region: UnsafeRegion,
@@ -233,15 +276,26 @@ def propose_step(
     ``region`` and apply the patch to the working copy.
 
     The prompt lists the UB kinds of ``reports`` and the step's instruction,
-    and ``context``, a Reason step's knowledge, when there is any. The
-    thought holds the applied patch, or no patch and a note when the agent
-    abstained or the patch did not apply; its count stays ``prev_count``
-    until a detection verifies it.
+    and ``context``, a Reason step's knowledge, when there is any. Code the
+    plan wrote for the step answers the prompt in place of the model when
+    no knowledge came and the region still reads as the plan saw it
+    (``_written_patch``). The thought holds the applied patch, or no patch
+    and a note when the agent abstained or the patch did not apply; its
+    count stays ``prev_count`` until a detection verifies it.
     A replay miss propagates: it means the transcript is incomplete.
     """
     kinds = frozenset(r.kind for r in reports)
     try:
-        patch = AGENT_FUNCTIONS[step.agent](region, kinds, provider, step.instruction, context)
+        patch = None
+        if (
+            step.code is not None
+            and not context
+            and step.code.before == region.snippet
+            and isinstance(provider, MemoizedProvider)
+        ):
+            patch = _written_patch(step, region, kinds, provider)
+        if patch is None:
+            patch = AGENT_FUNCTIONS[step.agent](region, kinds, provider, step.instruction, context)
     except ReplayMiss:
         raise
     except (NoSafeEquivalent, NoGuardExpressible, AgentFailure, ProviderFailure) as exc:
@@ -300,7 +354,8 @@ def execute_step(
     except (ValueError, OSError, IndexError, LexFailure) as exc:
         log.info("step %d: region %s unresolvable (%s)", index, step.target_region, exc)
         return Thought(index, step, None, prev_count, note="region unresolvable"), None
-    hits = [r for r in reports if _report_hits_region(r, file, source, region)]
+    entries = workspace.target.entry_files
+    hits = [r for r in reports if _report_hits_region(r, file, source, region, entries)]
     thought = propose_step(step, region, hits or reports, workspace, provider, index, prev_count, context)
     if thought.patch is None:
         return thought, None
@@ -362,7 +417,10 @@ def _form_batch(
             region = regions[ordinal]
         except (ValueError, OSError, IndexError, LexFailure):
             break
-        hits = [r for r in reports if _report_hits_region(r, file, source, region)]
+        hits = [
+            r for r in reports
+            if _report_hits_region(r, file, source, region, workspace.target.entry_files)
+        ]
         if not hits or not all(_apart(region, m.region) for m in members):
             break
         members.append(_Member(step, region, hits))

@@ -529,14 +529,14 @@ def test_acceptance_06_experience_reranks_recorded_solution_first(tmp_path, mock
     assert all(s.provenance is Provenance.GENERATED for s in reranked)
 
     # a later repair of the target recalls it and tries it before planning:
-    # one fetched answer, the fix, where the first repair needed two, the
-    # plan and the fix
+    # one fetched answer, the fix, as the first repair needed one, the plan
+    # whose code answered its fix
     first_calls = mock_provider.calls
     settings.memo = CaseMemo()
     again, _, _ = repair_one(target, mock_provider, engine, settings)
     assert again.verdict is Verdict.PASS
     assert again.solution_id == "s00"
-    assert (first_calls, mock_provider.calls - first_calls) == (2, 1)
+    assert (first_calls, mock_provider.calls - first_calls) == (1, 1)
 
 
 # --- criterion 7: patches round-trip; guards only ever insert

@@ -6,8 +6,9 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, SpyProvider, copy_fixture, stub_detector_config
 
+from ubmend import cli
 from ubmend.agents import (
     PatchRecord,
     add_assertion,
@@ -19,15 +20,25 @@ from ubmend.agents import (
     safe_replace,
 )
 from ubmend.classifier import CodeFeature, locate_unsafe_regions
-from ubmend.detector import TargetPackage, UbKind
+from ubmend.detector import CaseMemo, TargetPackage, UbKind, UbReport, run_detection
 from ubmend.errors import (
     AgentFailure,
     NoGuardExpressible,
     NoSafeEquivalent,
     ProviderFailure,
 )
-from ubmend.fast import AgentKind
-from ubmend.provider import ProviderConfig, PromptRecord, ScriptedMockProvider
+from ubmend.fast import AgentKind, CodeBlock, RepairSolution, RepairStep, parse_plan
+from ubmend.feedback import EvalTriplet, FeedbackEngine
+from ubmend.kb import KnowledgeBase, KnowledgeEntry, feature_vector
+from ubmend.provider import (
+    MARKER_FIX,
+    MARKER_PLAN,
+    MemoizedProvider,
+    ProviderConfig,
+    PromptRecord,
+    ScriptedMockProvider,
+)
+from ubmend.slow import SessionConfig, Verdict, propose_step, run_session
 from ubmend.workspace import WorkingCopy
 
 SOURCE = (
@@ -311,3 +322,191 @@ def test_agents_raise_on_missing_fence():
     region, feature = _region_feature()
     with pytest.raises(ProviderFailure):
         modify_semantics(region, feature.ub_kinds, _scripted("no code block here"))
+
+
+# --- code a plan wrote for a fix step ---------------------------------------
+
+GUARDED = "debug_assert!(!v.is_empty());\nunsafe { *v.get_unchecked(0) }"
+
+
+def _written_step(agent: AgentKind, after: str, before: str = "unsafe { *v.get_unchecked(0) }") -> RepairStep:
+    return RepairStep(agent, "main.rs#0", "tighten the region", code=CodeBlock(before, after))
+
+
+def _propose_written(ws, step, spy, stored=None):
+    """The thought of ``step`` on the first region of ``ws``, asked through
+    a memo of its own, and that memo."""
+    region = locate_unsafe_regions(ws.read("main.rs"), "main.rs")[0]
+    memo = CaseMemo(stored)
+    provider = MemoizedProvider(spy, memo, lambda: 0.0)
+    report = UbReport(kind=UbKind.STACK_BORROW, file="main.rs", line=3, message="m", raw="")
+    return propose_step(step, region, [report], ws, provider, 0, 1), memo
+
+
+@pytest.mark.parametrize(
+    ("agent", "after"),
+    [
+        (AgentKind.SAFE_REPLACE, "v[0]"),
+        (AgentKind.ADD_ASSERTION, GUARDED),
+        (AgentKind.MODIFY_SEMANTICS, "v[0]"),
+    ],
+)
+def test_plan_code_that_passes_its_agents_check_answers_without_a_call(ws, agent, after):
+    spy = SpyProvider(ProviderConfig())
+    thought, memo = _propose_written(ws, _written_step(agent, after), spy)
+    assert thought.patch is not None and thought.patch.after_text == after
+    assert (spy.calls, spy.tokens_used) == (0, 0)
+    # kept as the answer to the agent's prompt, at no cost
+    ((key, entry),) = memo.answers()
+    assert key == spy.hash_of(thought.patch.prompt) and MARKER_FIX in entry.prompt.text()
+    assert (entry.fields, entry.wall_time) == ({"answer": f"```rust\n{after}\n```"}, 0.0)
+
+
+@pytest.mark.parametrize(
+    ("agent", "after"),
+    [
+        # rewrites the unsafe expression: not insert-only
+        (AgentKind.ADD_ASSERTION, "v[0]"),
+        # keeps the unsafe region as large as it was
+        (AgentKind.SAFE_REPLACE, "unsafe { *v.get_unchecked(0) + 0 }"),
+    ],
+)
+def test_plan_code_its_agent_refuses_falls_back_to_exactly_one_agent_call(ws, agent, after):
+    spy = SpyProvider(ProviderConfig())
+    thought, memo = _propose_written(ws, _written_step(agent, after), spy)
+    assert spy.calls == 1
+    answer = spy._complete(thought.patch.prompt)
+    assert thought.patch.after_text != after and thought.patch.after_text in answer
+    # the memo keeps the fetched answer, not the refused code
+    assert [e.fields["answer"] for _, e in memo.answers()] == [answer]
+
+
+def test_a_gate_that_refuses_before_any_answer_skips_the_step_without_a_call(tmp_path):
+    source = "fn main() {\n    let p = &1u8 as *const u8;\n    let x = unsafe { *p };\n}\n"
+    (tmp_path / "main.rs").write_text(source)
+    copy = WorkingCopy(TargetPackage.from_path(tmp_path / "main.rs"))
+    try:
+        spy = SpyProvider(ProviderConfig())
+        step = _written_step(AgentKind.SAFE_REPLACE, "p.read()", before="unsafe { *p }")
+        thought, _ = _propose_written(copy, step, spy)
+        assert thought.patch is None and thought.note.startswith("skipped: ")
+        assert spy.calls == 0
+    finally:
+        copy.cleanup()
+
+
+def test_an_answer_the_store_holds_wins_over_plan_code(ws):
+    spy = SpyProvider(ProviderConfig())
+    region = locate_unsafe_regions(ws.read("main.rs"), "main.rs")[0]
+    prompt = PromptRecord.user(
+        build_prompt(AgentKind.MODIFY_SEMANTICS, region, frozenset({UbKind.STACK_BORROW}), "tighten the region")
+    )
+    stored = {f"mock:{spy.hash_of(prompt)}": {"answer": "kept\n\n```rust\nv[0] + 0\n```"}}
+    thought, memo = _propose_written(ws, _written_step(AgentKind.MODIFY_SEMANTICS, "v[0]"), spy, stored)
+    assert thought.patch.after_text == "v[0] + 0"
+    assert (spy.calls, memo.store_hits["answers"]) == (0, 1)
+
+
+def _stack_borrow(tmp_path):
+    case = copy_fixture(CORPUS_DIR / "stack_borrow", tmp_path) / "main.rs"
+    source = case.read_text(encoding="utf-8")
+    return TargetPackage.from_path(case), source, locate_unsafe_regions(source, "main.rs")[0].snippet
+
+
+def _clean(snippet: str) -> str:
+    return "\n".join(line for line in snippet.splitlines() if "//~UB" not in line)
+
+
+def test_plan_code_for_a_region_an_earlier_step_patched_asks_the_agent(tmp_path):
+    target, _, snippet = _stack_borrow(tmp_path)
+    # the first step's code changes the region and keeps its UB; the second
+    # step's code was written for the region as the plan saw it
+    kept = snippet.replace("*first += 1;", "*first += 2;")
+    steps = [
+        RepairStep(AgentKind.MODIFY_SEMANTICS, "main.rs#0", "first", code=CodeBlock(snippet, kept)),
+        RepairStep(AgentKind.MODIFY_SEMANTICS, "main.rs#0", "second", code=CodeBlock(snippet, _clean(snippet))),
+    ]
+    spy = SpyProvider(ProviderConfig())
+    out = run_session(
+        target, [RepairSolution("s01", steps)], provider=spy, config=SessionConfig(detector=stub_detector_config())
+    )
+    assert out.verdict is Verdict.PASS and out.trace.counts == [1, 1, 0]
+    # one call: the second step's, on the region the first step left
+    (asked,) = spy.prompts
+    assert "Instruction: second" in asked and kept in asked
+    assert out.trace.thoughts[1].patch.before_text == kept
+
+
+@pytest.mark.parametrize("knowledge", [True, False])
+def test_plan_code_after_a_reason_step_that_found_knowledge_asks_the_agent_with_it(tmp_path, knowledge):
+    target, source, snippet = _stack_borrow(tmp_path)
+    config = SessionConfig(detector=stub_detector_config())
+    kb = KnowledgeBase()
+    if knowledge:
+        reports = run_detection(target, config=config.detector).reports
+        kb.insert(
+            KnowledgeEntry(
+                vector=feature_vector(source, reports, "main.rs"),
+                ub_kind=reports[0].kind,
+                solution={"steps": [{"agent": "ModifySemantics", "instruction": "drop the retag"}]},
+                triplet=EvalTriplet(True, True, 1.0, 10),
+            )
+        )
+    written = _clean(snippet).replace("value[0] + value[1]", "value[0] + value[1] + 0")
+    steps = [
+        RepairStep(AgentKind.REASON, "main.rs#0", "consult"),
+        RepairStep(AgentKind.MODIFY_SEMANTICS, "main.rs#0", "rewrite", code=CodeBlock(snippet, written)),
+    ]
+    spy = SpyProvider(ProviderConfig())
+    out = run_session(target, [RepairSolution("s01", steps)], provider=spy, config=config, kb=kb)
+    assert out.verdict is Verdict.PASS
+    if knowledge:
+        (asked,) = spy.prompts
+        assert "prior fix (similarity" in asked and "drop the retag" in asked
+        assert out.trace.thoughts[0].patch.after_text == _clean(snippet)
+    else:
+        assert spy.prompts == []
+        assert out.trace.thoughts[0].patch.after_text == written
+
+
+class _NoCodeForRegionOne(SpyProvider):
+    """The spy mock, answering every fix prompt of the region that holds
+    ``alloc101`` with no code; it keeps each plan answer too."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.plans: list[str] = []
+
+    def _fix(self, text: str) -> str:
+        return "no code" if "alloc101" in text else super()._fix(text)
+
+    def _plan(self, text: str) -> str:
+        self.plans.append(super()._plan(text))
+        return self.plans[-1]
+
+
+def test_plan_code_on_a_follow_up_page_for_a_region_patched_since_asks_the_agent(tmp_path):
+    from test_batch_verify import regions_source
+
+    path = tmp_path / "main.rs"
+    path.write_text(regions_source(2), encoding="utf-8")
+    region = locate_unsafe_regions(regions_source(2), "main.rs")[0]
+    # region 1 is never repaired, and s01 and s03 patch region 0, so the
+    # best snapshot holds region 0 patched when s04 is planned
+    settings = SessionConfig(detector=stub_detector_config(), solutions_k=4, kb_enabled=False, clock=cli.LogicalClock())
+    spy = _NoCodeForRegionOne(ProviderConfig())
+    outcome, _, _ = cli.repair_one(TargetPackage.from_path(path), spy, FeedbackEngine(), settings)
+    assert outcome.verdict is Verdict.FAILED and outcome.solution_id == "s04"
+    plans = [i for i, p in enumerate(spy.prompts) if MARKER_PLAN in p]
+    assert len(plans) == len(spy.plans) == 2
+    # the follow-up page wrote code for region 0 as the plan prompt showed it
+    (s04,) = parse_plan(spy.plans[1], {"main.rs#0": region.snippet})
+    reason, written, _ = s04
+    assert (reason.agent, written.target_region) == (AgentKind.REASON, "main.rs#0")
+    assert written.code is not None and written.code.before == region.snippet
+    # ... but region 0 no longer reads so: its agent is asked, on the region
+    # as the best snapshot left it
+    current = outcome.trace.thoughts[0].patch.before_text
+    assert current != region.snippet
+    (asked,) = [p for p in spy.prompts[plans[1] + 1:] if MARKER_FIX in p and "*ptr + 1" in p]
+    assert current in asked and f"Instruction: {written.instruction}" in asked

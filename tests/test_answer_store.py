@@ -165,7 +165,8 @@ def test_a_failed_run_keeps_no_answer(tmp_path, capsys, asked):
     rc, report = _fix(capsys, case, store, "--solutions", "1")
     assert rc == 1 and report["triplet"]["accuracy"] is False
     assert any(t["patch"] is not None for t in report["trace"]["thoughts"])
-    assert "fix" in _kinds(asked)
+    # the plan's code answered the fix
+    assert _kinds(asked) == ["plan"]
     assert _answers(store) == {}
 
 
@@ -184,7 +185,8 @@ def test_kept_answers_answer_nothing_under_another_model_temperature_or_mode(
     asked.clear()
     rc, changed = _fix(capsys, case, store, "--no-kb", "--transcript", str(transcript), *change)
     assert (rc, changed["store_hits"]["answers"]) == (0, 0)
-    assert _kinds(asked) == ["plan", "fix"]
+    # the fix is answered by the plan's code, not by the kept answer
+    assert _kinds(asked) == ["plan"]
     assert changed["trace"] == same["trace"]
 
 
@@ -226,8 +228,9 @@ def test_a_second_fix_on_the_generated_store_asks_only_what_no_verified_repair_a
             kinds[tid, run] = _kinds(asked)
     # the seed passes on its first thought: the repeat asks nothing
     assert (kinds["c02", 1], kinds["c02", 2]) == (["fix"], [])
-    # c12 is planned every time; only its fix answer is kept
-    assert kinds["c12", 1] == ["plan", "fix"]
+    # c12 is planned every time, and the plan's code answers its fix the
+    # first time; only that fix answer is kept
+    assert kinds["c12", 1] == ["plan"]
     assert kinds["c12", 2] == ["plan"]
 
 
@@ -300,8 +303,10 @@ def test_a_bench_on_the_log_an_earlier_bench_wrote_asks_none_of_its_verified_fix
     entries = [json.loads(line) for line in manifest.read_text(encoding="utf-8").splitlines()]
     ids = {Path(entry["path"]).parent.name: entry["id"] for entry in entries}
     run = threading.local()
+    # every prompt a case's model answered, or a plan's code answered for it
     calls: dict[str, list[str]] = {}
     real_repair_one, real_complete = cli.repair_one, Provider.complete
+    real_stand_in = MemoizedProvider.stand_in
 
     def labelled_repair_one(target, provider, engine, settings, reference=None):
         run.case = ids[target.root_path.name]
@@ -311,11 +316,16 @@ def test_a_bench_on_the_log_an_earlier_bench_wrote_asks_none_of_its_verified_fix
         calls.setdefault(run.case, []).append(prompt.text())
         return real_complete(self, prompt)
 
+    def spied_stand_in(self, prompt, answer):
+        calls.setdefault(run.case, []).append(prompt.text())
+        return real_stand_in(self, prompt, answer)
+
     def fix_prompts(cid: str) -> set[str]:
         return {p for p in calls.get(cid, []) if MARKER_FIX in p}
 
     monkeypatch.setattr(cli, "repair_one", labelled_repair_one)
     monkeypatch.setattr(Provider, "complete", spied_complete)
+    monkeypatch.setattr(MemoizedProvider, "stand_in", spied_stand_in)
     store = tmp_path / "experience.jsonl"
     asked = []
     for _ in range(3):

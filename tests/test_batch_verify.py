@@ -15,6 +15,7 @@ import sys
 
 from conftest import (
     CORPUS_DIR,
+    STUB_DETECTOR_ARG,
     SpyProvider,
     copy_fixture,
     counting_detector_command,
@@ -157,7 +158,57 @@ def test_a_batch_follows_its_regions_through_earlier_patches(tmp_path):
     assert len(spawn_log(log)) == 2
 
 
+def test_a_bench_of_the_three_region_target_replays_byte_for_byte(tmp_path, capsys):
+    # the plan's code answers every fix: the transcript holds those answers,
+    # and a replay reads them from the plan's recorded answer alike
+    (tmp_path / "main.rs").write_text(RENUMBERING_SOURCE, encoding="utf-8")
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(json.dumps({"id": "r3", "path": "main.rs", "ub_kind": "validity"}) + "\n")
+    transcript = tmp_path / "t.jsonl"
+    args = [
+        "bench", str(manifest), "--detector-cmd", STUB_DETECTOR_ARG, "--fixed-clock",
+        "--report", "json", "--transcript", str(transcript), "--jobs", "1",
+    ]
+    assert main(args) == 0
+    recorded = capsys.readouterr().out
+    entries = [json.loads(line) for line in transcript.read_text(encoding="utf-8").splitlines()]
+    assert [MARKER_PLAN in e["prompt"]["messages"][0]["content"] for e in entries] == [True] + [False] * 3
+    assert main(args + ["--provider", "replay"]) == 0
+    assert capsys.readouterr().out == recorded
+    assert json.loads(recorded)["cases"][0]["verdict"] == "pass"
+
+
+class _NoPlanCode(ScriptedMockProvider):
+    """The scripted mock writing no code into its plans: every fix step asks
+    its agent, as before plans carried code."""
+
+    def _step_code(self, *args) -> None:
+        return None
+
+
+def test_plan_code_makes_the_patches_asking_each_agent_makes(tmp_path, capsys, monkeypatch):
+    def patches(provider_class) -> tuple[dict[str, list], int]:
+        monkeypatch.setattr(cli, "create_provider", lambda config: provider_class(config))
+        out, tokens = {}, 0
+        for case in sorted(p for p in CORPUS_DIR.iterdir() if (p / "main.rs").is_file()):
+            args = ["fix", str(case / "main.rs"), "--detector-cmd", STUB_DETECTOR_ARG, "--fixed-clock", "--report", "json"]
+            main(args)
+            report = json.loads(capsys.readouterr().out)
+            tokens += report["triplet"]["overhead_tokens"]
+            out[case.name] = [report["verdict"], report["trace"]["counts"]] + [
+                [t["patch"][k] for k in ("before_span", "before_text", "after_text", "agent")]
+                for t in report["trace"]["thoughts"]
+                if t["patch"] is not None
+            ]
+        return out, tokens
+
+    (written, cheaper), (asked, dearer) = patches(ScriptedMockProvider), patches(_NoPlanCode)
+    assert len(written) == 12 and all(len(v) > 2 for v in written.values())
+    assert written == asked and cheaper < dearer
+
+
 def test_a_three_region_target_makes_one_plan_call_before_its_first_fix(tmp_path):
+    # the plan's code answers all three fixes: the plan is the only call
     path = tmp_path / "main.rs"
     path.write_text(RENUMBERING_SOURCE, encoding="utf-8")
     settings = SessionConfig(
@@ -168,11 +219,10 @@ def test_a_three_region_target_makes_one_plan_call_before_its_first_fix(tmp_path
     provider = SpyProvider(ProviderConfig(mode=ProviderMode.SCRIPTED_MOCK))
     outcome, _, _ = repair_one(TargetPackage.from_path(path), provider, FeedbackEngine(), settings)
     assert outcome.verdict is Verdict.PASS
-    first_fix = next(i for i, p in enumerate(provider.prompts) if MARKER_FIX in p)
-    assert first_fix == 1 and MARKER_PLAN in provider.prompts[0]
+    assert len(provider.prompts) == 1 and MARKER_PLAN in provider.prompts[0]
     regions = classifier.locate_unsafe_regions(RENUMBERING_SOURCE, "main.rs")
     assert [provider.prompts[0].count(r.snippet) for r in regions] == [1, 1, 1]
-    assert provider.calls == 4
+    assert provider.calls == 1
 
 
 # --- a batch that fails is replayed step by step --------------------------------

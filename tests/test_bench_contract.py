@@ -29,7 +29,7 @@ from ubmend.detector import TargetPackage, UbKind, run_detection
 from ubmend.feedback import EvalTriplet, ExperienceRecord, FeedbackEngine, ReferenceBundle
 from ubmend.kb import FeatureVector, KnowledgeEntry, extract_ast, feature_vector, prune, vectorize
 from ubmend.lexutil import estimate_tokens, mask_comments_and_strings
-from ubmend.provider import Provider, load_transcript
+from ubmend.provider import MARKER_FIX, MemoizedProvider, PromptRecord, Provider, ProviderConfig, ScriptedMockProvider
 from ubmend.rollback import SnapshotStore
 from ubmend.slow import SessionConfig, execute_step, run_session
 
@@ -226,14 +226,21 @@ def test_provider_complete_sees_each_fetched_answer_once(tmp_path, monkeypatch, 
     assert cli.main(args) == 0
     report = json.loads(capsys.readouterr().out)
     hashes = [h for h, _, _ in seen]
-    # the knowledge run's plan and fix; the no-knowledge run asks the same
-    # prompts and fetches neither
-    assert len(hashes) == len(set(hashes)) == 2
+    # the knowledge run's plan, whose code answers the fix; the no-knowledge
+    # run asks the same prompts and fetches neither
+    assert len(hashes) == len(set(hashes)) == 1
     assert all(added == cost for _, added, cost in seen)
     # the bench row's tokens are the knowledge run's: every fetched call
     assert report["cases"][0]["tokens"] == sum(cost for _, _, cost in seen)
     if record:
-        assert list(load_transcript(transcript)) == hashes
+        # the plan's answer, then the fix's: the code of the mock's own
+        # answer to the fix prompt, which the plan wrote
+        entries = [json.loads(line) for line in transcript.read_text(encoding="utf-8").splitlines()]
+        assert [e["hash"] for e in entries[:1]] == hashes and len(entries) == 2
+        fix = PromptRecord(entries[1]["prompt"]["messages"])
+        own = ScriptedMockProvider(ProviderConfig()).complete(fix)
+        assert MARKER_FIX in fix.text()
+        assert entries[1]["response"] == own[own.index("```"):]
 
 
 def test_a_store_answered_prompt_never_reaches_provider_complete(tmp_path, monkeypatch, capsys):
@@ -242,22 +249,28 @@ def test_a_store_answered_prompt_never_reaches_provider_complete(tmp_path, monke
     case = CORPUS_DIR / "stack_borrow" / "main.rs"
     store = tmp_path / "experience.jsonl"
     seen: list[str] = []
-    complete = Provider.complete
+    written: list[str] = []
+    complete, stand_in = Provider.complete, MemoizedProvider.stand_in
 
     def counted_complete(self, prompt):
         seen.append(self.hash_of(prompt))
         return complete(self, prompt)
 
+    def counted_stand_in(self, prompt, answer):
+        written.append(self.inner.hash_of(prompt))
+        return stand_in(self, prompt, answer)
+
     monkeypatch.setattr(Provider, "complete", counted_complete)
+    monkeypatch.setattr(MemoizedProvider, "stand_in", counted_stand_in)
     args = ["fix", str(case), "--experience", str(store), "--detector-cmd", STUB_DETECTOR_ARG,
             "--fixed-clock", "--report", "json"]
     assert cli.main(args) == 0
     first = json.loads(capsys.readouterr().out)
-    # the plan and the fix; the fix's answer is kept
-    assert len(seen) == 2
+    # the plan, whose code answers the fix; the fix's answer is kept
+    assert (len(seen), len(written)) == (1, 1)
     lines = [json.loads(line) for line in store.read_text(encoding="utf-8").splitlines()]
     answers = [line["tool_result"]["key"] for line in lines if "answer" in line.get("tool_result", {})]
-    assert answers == [f"mock:{seen[-1]}"]
+    assert answers == [f"mock:{written[-1]}"]
     seen.clear()
     assert cli.main(args) == 0
     second = json.loads(capsys.readouterr().out)

@@ -162,6 +162,25 @@ def test_fix_json_report_shape(tmp_path, capsys):
     assert payload["changed_files"]
 
 
+@pytest.mark.parametrize(
+    "kind", sorted(p.name for p in CORPUS_DIR.iterdir() if (p / "main.rs").is_file())
+)
+def test_fix_json_hands_over_each_changed_files_unified_diff(tmp_path, capsys, kind):
+    case = copy_fixture(CORPUS_DIR / kind, tmp_path)
+    original = (case / "main.rs").read_text(encoding="utf-8").splitlines()
+    main(_fix(case, "--no-kb", "--report", "json"))
+    (changed,) = json.loads(capsys.readouterr().out)["changed_files"]
+    lines = changed["patch"].splitlines()
+    assert lines[:2] == ["--- a/main.rs", "+++ b/main.rs"] and changed["patch"].endswith("\n")
+    body = lines[2:]
+    assert body[0].startswith("@@ ")
+    removed = [line[1:] for line in body if line.startswith("-")]
+    added = [line for line in body if line.startswith("+")]
+    assert (len(added), len(removed)) == (changed["added"], changed["removed"])
+    assert all(line in original for line in removed)
+    assert all(line[:1] in "@ +-" for line in body)
+
+
 @needs_rustc
 def test_fix_with_reference_upgrades_to_semantic_pass(tmp_path, capsys):
     case = copy_fixture(CORPUS_DIR / "stack_borrow", tmp_path)
@@ -645,8 +664,8 @@ def test_bench_asks_the_model_each_prompt_once_per_case(tmp_path, capsys, monkey
     assert main(_bench(manifest, "--report", "json")) == 0
     capsys.readouterr()
     for kind in SLICE:
-        # the knowledge run: the plan and one fix
-        plan, _ = calls[(kind, True)]
+        # the knowledge run: the plan, whose code answers the fix
+        (plan,) = calls[(kind, True)]
         assert MARKER_PLAN in plan
         # the no-knowledge run asks nothing: its plan and fix prompts are
         # the knowledge run's, answered from the case memo

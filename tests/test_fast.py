@@ -2,15 +2,26 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from ubmend.classifier import CodeFeature, FixStrategy, UnsafeOpKind, UnsafeRegion
+from ubmend.agents import build_prompt
+from ubmend.classifier import (
+    CodeFeature,
+    FixStrategy,
+    UnsafeOpKind,
+    UnsafeRegion,
+    locate_unsafe_regions,
+)
 from ubmend.detector import TargetPackage, UbKind, UbReport
 from ubmend.fast import (
     AgentKind,
+    CodeBlock,
     Provenance,
     RepairSolution,
     RepairStep,
+    _report_hits_region,
     extract_features,
     fallback_solutions,
     generate_solutions,
@@ -18,7 +29,9 @@ from ubmend.fast import (
     parse_plan,
     strategy_order,
 )
-from ubmend.provider import ProviderConfig, ScriptedMockProvider
+from ubmend.feedback import EvalTriplet, ExperienceRecord, FeedbackEngine, signature_of
+from ubmend.kb import KnowledgeBase, feature_vector
+from ubmend.provider import MARKER_FIX, PromptRecord, ProviderConfig, ScriptedMockProvider
 from ubmend.slow import ErrorTrace
 
 UNSAFE_MAIN = (
@@ -268,3 +281,131 @@ def test_generate_solutions_retry_then_fallback():
     assert provider.calls == 2
     assert len(sols) == 3
     assert sols[0].steps[0].agent == AgentKind.MODIFY_SEMANTICS
+
+
+# --- code the plan writes for the first solution ---
+
+SHOWN = {"main.rs#0": "unsafe { *p }"}
+
+
+def test_parse_plan_reads_no_plan_line_inside_a_fence():
+    text = (
+        "SOLUTION 1:\n"
+        "STEP 1: ModifySemantics main.rs#0 :: rewrite\n"
+        "```rust\n"
+        "SOLUTION 2:\n"
+        "STEP 1: SafeReplace main.rs#0 :: inside the fence\n"
+        "```\n"
+        "STEP 2: AddAssertion main.rs#0 :: guard\n"
+    )
+    (solution,) = parse_plan(text, SHOWN)
+    assert [s.agent for s in solution] == [AgentKind.MODIFY_SEMANTICS, AgentKind.ADD_ASSERTION]
+    assert solution[0].code == CodeBlock(
+        "unsafe { *p }", "SOLUTION 2:\nSTEP 1: SafeReplace main.rs#0 :: inside the fence"
+    )
+    assert solution[1].code is None
+    # without the code the prompt showed, the block is dropped, and still read as no plan
+    (plain,) = parse_plan(text)
+    assert [s.agent for s in plain] == [s.agent for s in solution]
+    assert all(s.code is None for s in plain)
+
+
+def test_parse_plan_drops_every_block_but_one_right_after_a_first_solution_fix_step():
+    text = (
+        "```rust\nbefore any step\n```\n"
+        "SOLUTION 1:\n"
+        "STEP 1: Reason main.rs#0 :: consult\n"
+        "```rust\nafter a reason step\n```\n"
+        "STEP 2: SafeReplace main.rs#0 :: swap\n"
+        "a stray line\n"
+        "```rust\nunsafe { p.read() }\n```\n"
+        "```rust\na second block\n```\n"
+        "STEP 3: Rollback main.rs#0 :: back\n"
+        "```rust\nafter a rollback step\n```\n"
+        "STEP 4: ModifySemantics main.rs#1 :: a region the prompt did not show\n"
+        "```rust\nunshown\n```\n"
+        "SOLUTION 2:\n"
+        "STEP 1: ModifySemantics main.rs#0 :: later solution\n"
+        "```rust\nlater\n```\n"
+    )
+    first, second = parse_plan(text, SHOWN)
+    assert [s.code for s in first] == [None, CodeBlock("unsafe { *p }", "unsafe { p.read() }"), None, None]
+    assert [s.code for s in second] == [None]
+
+
+def test_plan_code_is_no_part_of_a_steps_record_signature_or_rank(tmp_path):
+    text = "SOLUTION 1:\nSTEP 1: ModifySemantics main.rs#0 :: rewrite\n```rust\n{ p.read() }\n```\n"
+    coded = RepairSolution("s01", parse_plan(text, SHOWN)[0])
+    plain = RepairSolution("s01", parse_plan(text)[0])
+    assert coded.steps[0].code is not None and plain.steps[0].code is None
+    assert coded == plain and coded.to_dict() == plain.to_dict()
+    assert normalize_steps(coded.steps) == normalize_steps(plain.steps)
+    assert signature_of(coded) == signature_of(plain)
+    vector = feature_vector(UNSAFE_MAIN, [_report(3)], "main.rs")
+    logs = []
+    for name, solution in (("coded", coded), ("plain", plain)):
+        engine = FeedbackEngine(tmp_path / f"{name}.jsonl", kb=KnowledgeBase())
+        record = ExperienceRecord(
+            vector, UbKind.STACK_BORROW, solution.id, EvalTriplet(True, True, 1.0, 10), signature_of(solution)
+        )
+        engine.record_experience(record, solution=solution)
+        other = RepairSolution("s02", [RepairStep(AgentKind.SAFE_REPLACE, "main.rs#0", "swap")])
+        ranked = engine.rank_solutions([other, solution], vector)
+        entries = [json.dumps(e.solution, sort_keys=True) for e in engine.kb.entries]
+        logs.append(((tmp_path / f"{name}.jsonl").read_bytes(), entries, [s.id for s in ranked]))
+    assert logs[0] == logs[1]
+
+
+def _mock_code(step: RepairStep, feature: CodeFeature, mock: ScriptedMockProvider) -> str:
+    prompt = build_prompt(step.agent, feature.region, feature.ub_kinds, step.instruction)
+    answer = mock.complete(PromptRecord.user(prompt))
+    return answer[answer.index("```rust\n") + 8: answer.rindex("\n```")]
+
+
+def test_the_mock_writes_its_own_fix_answers_for_the_first_solution_only(tmp_path):
+    source = (
+        "fn a(v: &[u8]) -> u8 { unsafe { *v.get_unchecked(0) } }\n"
+        "fn b(p: *const u8) -> u8 { unsafe { *p } }\n"
+    )
+    feats = extract_features(_target(tmp_path, source), [_report(1), _report(2)])
+    first, *rest = generate_solutions(feats, k=3, provider=ScriptedMockProvider(ProviderConfig()))
+    assert [s.target_region for s in first.steps] == [f.ref for f in feats]
+    for step, feature in zip(first.steps, feats):
+        expected = _mock_code(step, feature, ScriptedMockProvider(ProviderConfig()))
+        assert step.code == CodeBlock(feature.region.snippet, expected)
+    assert rest and all(step.code is None for s in rest for step in s.steps)
+
+
+def test_a_rule_that_abstains_or_gives_no_code_leaves_the_step_without_a_block(tmp_path):
+    feats = extract_features(_target(tmp_path), [_report(3)])
+    for answer in ("NO SAFE EQUIVALENT", "NO GUARD EXPRESSIBLE", "no code here"):
+        mock = ScriptedMockProvider(ProviderConfig(), rules=[(MARKER_FIX, answer)])
+        first = generate_solutions(feats, k=1, provider=mock)[0]
+        assert first.steps[0].code is None
+    # a rule that keeps the region, UB and all, gives that same region back
+    snippet = feats[0].region.snippet
+    keep = ScriptedMockProvider(ProviderConfig(), rules=[(MARKER_FIX, f"kept\n\n```rust\n{snippet}\n```")])
+    first = generate_solutions(feats, k=1, provider=keep)[0]
+    assert first.steps[0].code == CodeBlock(snippet, snippet)
+
+
+# --- a report names its file ---
+
+
+def test_a_report_in_one_mod_rs_hits_no_region_of_another(tmp_path):
+    source = "pub fn f(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n"
+    for module in ("fs", "net"):
+        (tmp_path / "src" / module).mkdir(parents=True)
+        (tmp_path / "src" / module / "mod.rs").write_text(source)
+    target = TargetPackage.from_path(tmp_path)
+    assert target.entry_files == ["src/fs/mod.rs", "src/net/mod.rs"]
+    region = locate_unsafe_regions(source, "src/fs/mod.rs")[0]
+    report = _report(2, file="src/net/mod.rs")
+    assert not _report_hits_region(report, "src/fs/mod.rs", source, region, target.entry_files)
+    assert _report_hits_region(report, "src/net/mod.rs", source, region, target.entry_files)
+    assert [f.ref for f in extract_features(target, [report])] == ["src/net/mod.rs#0"]
+    # a report in no region falls back to its own file's first region
+    assert [f.ref for f in extract_features(target, [_report(1, file="src/net/mod.rs")])] == ["src/net/mod.rs#0"]
+    # a report naming no entry file by path still lands by its basename
+    elsewhere = _report(2, file="/build/checkout/fs/mod.rs")
+    assert _report_hits_region(elsewhere, "src/fs/mod.rs", source, region, target.entry_files)

@@ -307,14 +307,15 @@ def test_reading_the_solutions_after_a_seed_passed_plans_nothing(spy, monkeypatc
 
 def test_a_failing_seed_asks_its_fix_prompt_then_plans_as_before(spy):
     assert _asked(cli.repair_one, "stack_borrow", FAILING) is Verdict.PASS
-    assert _kinds(spy) == ["fix", "plan", "fix"]
+    # the seed's fix, then the plan, whose code answers s01's fix
+    assert _kinds(spy) == ["fix", "plan"]
     assert FAILING[1] in spy[0]
     lazy = list(spy)
     spy.clear()
     _asked(reference_repair_one, "stack_borrow", FAILING)
-    assert _kinds(spy) == ["plan", "fix", "fix"]
+    assert _kinds(spy) == ["plan", "fix"]
     # the plan prompts differ: the lazy one asks a page and lists the seed as tried
-    assert [lazy[0], lazy[2]] == [spy[1], spy[2]]
+    assert lazy[0] == spy[1] and lazy[1] != spy[0]
 
 
 def test_a_seed_that_could_be_outranked_is_planned_eagerly(spy):

@@ -274,19 +274,28 @@ def _feature_lines(features: list[CodeFeature]) -> str:
     return "\n".join(lines)
 
 
-def parse_plan(text: str, shown: Mapping[str, str] | None = None) -> list[list[RepairStep]]:
+def _opens_block(line: str, after_step: bool) -> bool:
+    """Whether ``line`` opens a fenced block: a ```rust fence, or any fence
+    right after a step line, where a block may belong to the step."""
+    fence = line.strip()
+    return fence.startswith(_FENCE) and (after_step or fence[len(_FENCE):].strip().lower() == "rust")
+
+
+def parse_plan(text: str, shown: Mapping[str, str]) -> list[list[RepairStep]]:
     """The solutions of a plan answer, each a list of steps.
 
-    A fenced block is never read for plan lines. One that follows a fix
-    step of the first solution, with no plan line between, becomes that
-    step's ``code`` when ``shown`` maps the step's region ref to the code the
-    prompt showed for it; every other block is dropped.
+    The lines of a fenced block (``_opens_block``) are never read for plan
+    lines; any other fence line is passed over, so an answer wrapped whole
+    in a fence still parses. A block that follows a fix step of the first
+    solution, with no plan line between, becomes that step's ``code`` when
+    ``shown`` maps the step's region ref to the code the prompt showed for
+    it; every other block is dropped.
     """
-    shown = shown or {}
     solutions: list[list[RepairStep]] = []
     current: list[RepairStep] | None = None
     block: list[str] | None = None  # the lines of the open fenced block
     writable: RepairStep | None = None  # the step a block now may belong to
+    after_step = False  # the last non-blank line was a step line
     for line in text.splitlines():
         if block is not None:
             if line.strip() != _FENCE:
@@ -295,10 +304,14 @@ def parse_plan(text: str, shown: Mapping[str, str] | None = None) -> list[list[R
             if writable is not None:
                 writable.code = CodeBlock(shown[writable.target_region], "\n".join(block))
             block = writable = None
+            after_step = False
             continue
-        if line.lstrip().startswith(_FENCE):
+        if not line.strip():
+            continue
+        if _opens_block(line, after_step):
             block = []
             continue
+        after_step = False
         if _SOLUTION_RE.match(line):
             if current:
                 solutions.append(current)
@@ -308,6 +321,7 @@ def parse_plan(text: str, shown: Mapping[str, str] | None = None) -> list[list[R
         m = _STEP_RE.match(line)
         if not m:
             continue
+        after_step = True
         agent_token, ref, instruction = m.group(1), m.group(2), m.group(3)
         try:
             agent = AgentKind(agent_token)

@@ -267,7 +267,7 @@ def propose_step(
     region: UnsafeRegion,
     reports: Sequence[UbReport],
     workspace: WorkingCopy,
-    provider: Provider,
+    provider: MemoizedProvider,
     index: int,
     prev_count: int,
     context: str | None = None,
@@ -291,7 +291,6 @@ def propose_step(
             step.code is not None
             and not context
             and step.code.before == region.snippet
-            and isinstance(provider, MemoizedProvider)
         ):
             patch = _written_patch(step, region, kinds, provider)
         if patch is None:
@@ -335,7 +334,7 @@ def execute_step(
     step: RepairStep,
     workspace: WorkingCopy,
     reports: Sequence[UbReport],
-    provider: Provider,
+    provider: MemoizedProvider,
     config: SessionConfig,
     index: int,
     prev_count: int,
@@ -430,7 +429,7 @@ def _form_batch(
 def _run_batch(
     members: Sequence[_Member],
     workspace: WorkingCopy,
-    provider: Provider,
+    provider: MemoizedProvider,
     config: SessionConfig,
     index: int,
     prev_count: int,

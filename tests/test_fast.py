@@ -72,7 +72,7 @@ def test_parse_plan_grammar():
         "SOLUTION 2:\n"
         "STEP 1: ModifySemantics main.rs#1 :: rewrite\n"
     )
-    plans = parse_plan(text)
+    plans = parse_plan(text, {})
     assert len(plans) == 2
     assert [s.agent for s in plans[0]] == [AgentKind.SAFE_REPLACE, AgentKind.ADD_ASSERTION]
     assert plans[1][0].target_region == "main.rs#1"
@@ -88,7 +88,7 @@ def test_parse_plan_tolerates_noise_and_case():
         "STEP x: Bogus main.rs#0 :: skipped, bad number\n"
         "STEP 2: NotAnAgent main.rs#0 :: skipped, unknown agent\n"
     )
-    plans = parse_plan(text)
+    plans = parse_plan(text, {})
     assert len(plans) == 1
     (step,) = plans[0]
     assert step.agent == AgentKind.MODIFY_SEMANTICS
@@ -96,13 +96,13 @@ def test_parse_plan_tolerates_noise_and_case():
 
 
 def test_parse_plan_steps_without_solution_header():
-    plans = parse_plan("STEP 1: Reason main.rs#0 :: consult past fixes\n")
+    plans = parse_plan("STEP 1: Reason main.rs#0 :: consult past fixes\n", {})
     assert len(plans) == 1
     assert plans[0][0].agent == AgentKind.REASON
 
 
 def test_parse_plan_empty():
-    assert parse_plan("nothing useful") == []
+    assert parse_plan("nothing useful", {}) == []
 
 
 def test_normalize_steps_collapses_formatting():
@@ -305,7 +305,7 @@ def test_parse_plan_reads_no_plan_line_inside_a_fence():
     )
     assert solution[1].code is None
     # without the code the prompt showed, the block is dropped, and still read as no plan
-    (plain,) = parse_plan(text)
+    (plain,) = parse_plan(text, {})
     assert [s.agent for s in plain] == [s.agent for s in solution]
     assert all(s.code is None for s in plain)
 
@@ -333,10 +333,29 @@ def test_parse_plan_drops_every_block_but_one_right_after_a_first_solution_fix_s
     assert [s.code for s in second] == [None]
 
 
+@pytest.mark.parametrize("wrapper", ["```", "```text"])
+def test_parse_plan_keeps_the_steps_of_an_answer_wrapped_in_a_fence(wrapper):
+    text = (
+        f"{wrapper}\n"
+        "SOLUTION 1:\n"
+        "STEP 1: ModifySemantics main.rs#0 :: rewrite\n"
+        "\n"
+        "```rust\n{ p.read() }\n```\n"
+        "STEP 2: AddAssertion main.rs#0 :: guard\n"
+        "SOLUTION 2:\n"
+        "STEP 1: SafeReplace main.rs#0 :: swap\n"
+        "```\n"
+    )
+    first, second = parse_plan(text, SHOWN)
+    assert [s.agent for s in first] == [AgentKind.MODIFY_SEMANTICS, AgentKind.ADD_ASSERTION]
+    assert [s.code for s in first] == [CodeBlock("unsafe { *p }", "{ p.read() }"), None]
+    assert [(s.agent, s.code) for s in second] == [(AgentKind.SAFE_REPLACE, None)]
+
+
 def test_plan_code_is_no_part_of_a_steps_record_signature_or_rank(tmp_path):
     text = "SOLUTION 1:\nSTEP 1: ModifySemantics main.rs#0 :: rewrite\n```rust\n{ p.read() }\n```\n"
     coded = RepairSolution("s01", parse_plan(text, SHOWN)[0])
-    plain = RepairSolution("s01", parse_plan(text)[0])
+    plain = RepairSolution("s01", parse_plan(text, {})[0])
     assert coded.steps[0].code is not None and plain.steps[0].code is None
     assert coded == plain and coded.to_dict() == plain.to_dict()
     assert normalize_steps(coded.steps) == normalize_steps(plain.steps)

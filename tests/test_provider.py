@@ -263,7 +263,7 @@ unsafe { *p = 1; }
 def test_mock_plan_parses_and_respects_count():
     provider = _mock()
     text = provider.complete(PromptRecord(messages=[{"role": "user", "content": PLAN_PROMPT}]))
-    plans = parse_plan(text)
+    plans = parse_plan(text, {})
     assert 1 <= len(plans) <= 3
     refs = {step.target_region for plan in plans for step in plan}
     assert refs == {"main.rs#0"}

@@ -266,6 +266,20 @@ def spy(monkeypatch) -> list[str]:
     return seen
 
 
+@pytest.fixture
+def stood(monkeypatch) -> list[str]:
+    """The text of every prompt a plan's code answered in place of the model."""
+    seen: list[str] = []
+    stand_in = MemoizedProvider.stand_in
+
+    def spied(self, prompt, answer):
+        seen.append(prompt.text())
+        return stand_in(self, prompt, answer)
+
+    monkeypatch.setattr(MemoizedProvider, "stand_in", spied)
+    return seen
+
+
 def _asked(repair, fixture: str, signature) -> Verdict:
     path = CORPUS_DIR / fixture / "main.rs"
     engine = FeedbackEngine()
@@ -305,17 +319,21 @@ def test_reading_the_solutions_after_a_seed_passed_plans_nothing(spy, monkeypatc
     assert _kinds(spy) == ["fix"]
 
 
-def test_a_failing_seed_asks_its_fix_prompt_then_plans_as_before(spy):
+def test_a_failing_seed_asks_its_fix_prompt_then_plans_as_before(spy, stood):
     assert _asked(cli.repair_one, "stack_borrow", FAILING) is Verdict.PASS
     # the seed's fix, then the plan, whose code answers s01's fix
     assert _kinds(spy) == ["fix", "plan"]
+    assert _kinds(stood) == ["fix"]
     assert FAILING[1] in spy[0]
-    lazy = list(spy)
+    lazy, lazy_stood = list(spy), list(stood)
     spy.clear()
+    stood.clear()
     _asked(reference_repair_one, "stack_borrow", FAILING)
     assert _kinds(spy) == ["plan", "fix"]
+    # the seed's fix prompt and s01's stood-in fix prompt are the same on both paths
+    assert lazy[0] == spy[1] and lazy_stood == stood
     # the plan prompts differ: the lazy one asks a page and lists the seed as tried
-    assert lazy[0] == spy[1] and lazy[1] != spy[0]
+    assert lazy[1] != spy[0]
 
 
 def test_a_seed_that_could_be_outranked_is_planned_eagerly(spy):

@@ -17,9 +17,8 @@ from .detector import UbKind
 from .errors import AgentFailure, NoGuardExpressible, NoSafeEquivalent, ProviderFailure
 from .fast import STRATEGY_FOR_AGENT, AgentKind
 from .prompts import fill, load_template
-from .provider import PromptRecord, Provider
+from .provider import FENCE_RE, PromptRecord, Provider
 
-_FENCE_RE = re.compile(r"```(?:rust)?\n(.*?)```", re.DOTALL)
 _GUARD_RE = re.compile(
     r"^\s*(assert|debug_assert|if\b|return\b|let\b.*=.*(len|align_offset|is_null))"
 )
@@ -143,7 +142,7 @@ def _propose(
         marker, abstain = _ABSTENTION[agent]
         if marker in response:
             raise abstain(f"{region.file}: provider abstained")
-    m = _FENCE_RE.search(response)
+    m = FENCE_RE.search(response)
     if not m:
         raise ProviderFailure("response contains no fenced code block")
     rationale = response[: m.start()].strip().splitlines()

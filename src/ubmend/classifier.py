@@ -37,13 +37,6 @@ class FixStrategy(str, Enum):
     SEMANTIC_MODIFICATION = "SemanticModification"
 
 
-DEFAULT_STRATEGY_ORDER = (
-    FixStrategy.SAFE_ALTERNATIVE,
-    FixStrategy.ASSERTION_GUARD,
-    FixStrategy.SEMANTIC_MODIFICATION,
-)
-
-
 @dataclass
 class UnsafeRegion:
     """One top-level unsafe span in a file.

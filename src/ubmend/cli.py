@@ -89,8 +89,8 @@ JOBS_CAP = 8
 class LogicalClock:
     """Deterministic monotonic stand-in: every call advances one second."""
 
-    def __init__(self, start: float = 0.0) -> None:
-        self._value = start
+    def __init__(self) -> None:
+        self._value = 0.0
         self._lock = threading.Lock()
 
     def __call__(self) -> float:
@@ -330,14 +330,15 @@ def repair_one(
 ) -> tuple[SessionOutcome, EvalTriplet, dict[str, str]]:
     """Full pipeline on one target: detect, plan, repair, evaluate, learn.
 
-    Returns the session outcome (triplet attached), the evaluation triplet,
-    and the original sources for diffing. With knowledge enabled, a past
-    repair at least ``BYPASS_SIMILARITY`` alike is seeded first. The plan
-    comes in pages (one model call each, whose prompt carries each region's
-    code), each ranked on its own. A page is asked for when the session
-    first draws past the solutions drawn so far, a seed that ranking
-    provably keeps first included, and a follow-up page's prompt carries
-    the verdicts of the solutions tried. A page's prompt is the same with
+    Returns the session outcome, the evaluation triplet and the original
+    sources for diffing. A target whose reports land in no unsafe region
+    has nothing to plan and fails without a model call. With knowledge
+    enabled, a past repair at least ``BYPASS_SIMILARITY`` alike is seeded
+    first. The plan comes in pages (one model call each, whose prompt
+    carries each region's code), each ranked on its own. A page is asked
+    for when the session first draws past the solutions drawn so far, a
+    seed that ranking provably keeps first included, and a follow-up
+    page's prompt carries the verdicts of the solutions tried. A page's prompt is the same with
     knowledge enabled or not: a bench case's two runs that reach a page with
     the same solutions tried share its answer.
     Reason steps consult the knowledge base only when knowledge is enabled
@@ -364,8 +365,8 @@ def repair_one(
         drawn: list[RepairSolution] = []
         ended: list[ErrorTrace] = []  # the trace of each drawn solution, once tried
         solutions: Iterable[RepairSolution] = []
-        if not baseline.clean:
-            features = extract_features(ws.target, list(baseline.reports))
+        features = [] if baseline.clean else extract_features(ws.target, list(baseline.reports))
+        if features:
             seeded: RepairSolution | None = None
             if settings.kb_enabled:
                 lead_file, _ = parse_region_ref(features[0].ref)
@@ -429,7 +430,6 @@ def repair_one(
         )
         if outcome.verdict is Verdict.PASS and triplet.acceptability is True:
             outcome.verdict = Verdict.SEMANTIC_PASS
-        outcome.triplet = triplet
         if triplet.accuracy:
             # the answers that made the repair answer their prompts next time
             for thought in outcome.trace.thoughts:

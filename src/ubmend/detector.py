@@ -424,6 +424,7 @@ def _content_key(argv: list[str], tool: str, target: TargetPackage) -> str:
 
 def run_detection(
     target: TargetPackage,
+    *,
     config: DetectorConfig | None = None,
     clock: Callable[[], float] = time.monotonic,
     memo: CaseMemo | None = None,
@@ -479,9 +480,7 @@ def _read_output(argv: list[str], root: str, status: int, raw: str, wall: float)
     reports = parse_diagnostics(raw)
     if status != 0 and not reports:
         shown = raw.replace(root, _ROOT_TOKEN).strip()[:500]
-        raise NonUbCompileError(
-            f"target fails compilation (tool exit {status})\n{shown}", raw_output=raw
-        )
+        raise NonUbCompileError(f"target fails compilation (tool exit {status})\n{shown}")
     if status == 0 and reports:
         log.warning("tool exited 0 but emitted %d UB blocks; trusting blocks", len(reports))
     return DetectionResult(

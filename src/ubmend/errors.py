@@ -21,10 +21,6 @@ class DetectionTimeout(UbmendError):
 class NonUbCompileError(UbmendError):
     """The target fails ordinary compilation; out of repair scope."""
 
-    def __init__(self, message: str, raw_output: str = "") -> None:
-        super().__init__(message)
-        self.raw_output = raw_output
-
 
 class LexFailure(UbmendError):
     """Source could not be lexed well enough to locate regions."""

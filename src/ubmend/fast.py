@@ -162,29 +162,31 @@ def strategy_order(feature: CodeFeature) -> list[FixStrategy]:
     return map_strategies(feature)
 
 
-def _same_path(report_file: str, rel: str) -> bool:
-    """Whether a report's file names ``rel``: one path ends with the other."""
-    rf, rel = report_file.replace("\\", "/"), rel.replace("\\", "/")
-    return rf == rel or rf.endswith("/" + rel) or rel.endswith("/" + rf)
-
-
-def _basename(path: str) -> str:
-    return path.replace("\\", "/").rsplit("/", 1)[-1]
+def _named_file(report_file: str, entry_files: Sequence[str]) -> str | None:
+    """The entry file a report's path names: the one whose path shares the
+    most trailing components with it. A tie, or no shared basename, names
+    no file, so a bare ``mod.rs`` names none of two ``mod.rs`` files."""
+    parts = report_file.replace("\\", "/").split("/")[::-1]
+    best, most = None, 0
+    for rel in entry_files:
+        shared = 0
+        for a, b in zip(parts, rel.replace("\\", "/").split("/")[::-1]):
+            if a != b:
+                break
+            shared += 1
+        if shared > most:
+            best, most = rel, shared
+        elif shared == most:
+            best = None
+    return best
 
 
 def _report_hits_region(
     report: UbReport, rel: str, source: str, region: UnsafeRegion, entry_files: Sequence[str]
 ) -> bool:
     """Whether ``report`` lands on a line of ``region``, in the entry file
-    ``rel``. A report names ``rel`` by its path, or by its basename alone
-    when it names no entry file by path: a report in one ``mod.rs`` never
-    lands in another."""
-    if not _same_path(report.file, rel) and (
-        _basename(report.file) != _basename(rel)
-        or any(_same_path(report.file, entry) for entry in entry_files)
-    ):
-        return False
-    if report.line is None:
+    ``rel``, which its path must name among ``entry_files``."""
+    if report.line is None or _named_file(report.file, entry_files) != rel:
         return False
     first = line_of_offset(source, region.start)
     last = line_of_offset(source, max(region.start, region.end - 1))
@@ -196,7 +198,9 @@ def extract_features(target: TargetPackage, reports: list[UbReport]) -> list[Cod
     model call.
 
     Reports that land in no region are logged as taxonomy escapes; if none
-    overlap at all, a whole-file fallback feature keeps the pipeline moving.
+    overlap at all, the first region of the first entry file a report names
+    (else of the first entry file) stands for them all. Without such a
+    region there is no feature: no step could patch the reports.
     """
     if not reports:
         return []
@@ -222,31 +226,16 @@ def extract_features(target: TargetPackage, reports: list[UbReport]) -> list[Cod
             log.warning("taxonomy escape: report %s maps to no unsafe region", report.to_dict())
     if not features:
         rel = _fallback_file(target, reports)
-        source = target.read(rel)
-        regions = locate_unsafe_regions(source, rel)
+        regions = locate_unsafe_regions(target.read(rel), rel)
         if regions:
-            region, ordinal = regions[0], 0
-        else:
-            region = UnsafeRegion(
-                file=rel,
-                byte_span=(0, len(source)),
-                snippet=source,
-                enclosing_context=source,
-            )
-            ordinal = 0
-        features.append(_build_feature(region, region_ref(rel, ordinal), list(reports)))
+            features.append(_build_feature(regions[0], region_ref(rel, 0), list(reports)))
     return features
 
 
 def _fallback_file(target: TargetPackage, reports: list[UbReport]) -> str:
-    """The first entry file a report names by path, else by basename, else
-    the first entry file."""
-    files = [r.file for r in reports if r.file]
-    for names in (_same_path, lambda file, rel: _basename(file) == _basename(rel)):
-        for rel in target.entry_files:
-            if any(names(file, rel) for file in files):
-                return rel
-    return target.entry_files[0]
+    """The first entry file a report names, else the first entry file."""
+    named = {_named_file(r.file, target.entry_files) for r in reports}
+    return next((rel for rel in target.entry_files if rel in named), target.entry_files[0])
 
 
 def _build_feature(region: UnsafeRegion, ref: str, hits: list[UbReport]) -> CodeFeature:
@@ -390,7 +379,8 @@ def _tried_lines(tried: Sequence[tuple[RepairSolution, "ErrorTrace"]]) -> str:
 def generate_solutions(
     features: list[CodeFeature],
     k: int = DEFAULT_SOLUTION_COUNT,
-    provider: Provider | None = None,
+    *,
+    provider: Provider,
     tried: Sequence[tuple[RepairSolution, "ErrorTrace"]] = (),
 ) -> list[RepairSolution]:
     """The next page of candidate solutions, in the provider's preference
@@ -409,7 +399,6 @@ def generate_solutions(
         raise ValueError("k must be >= 1")
     if not features:
         raise ValueError("generate_solutions needs at least one feature")
-    assert provider is not None, "provider required"
     done = max((int(solution.id[1:]) for solution, _ in tried), default=0)
     count = min(PLAN_PAGE, k - done)
     if count < 1:

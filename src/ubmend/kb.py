@@ -53,10 +53,6 @@ class Ast:
     nodes: list[AstNode]
     source: str
 
-    @property
-    def root(self) -> AstNode:
-        return self.nodes[0]
-
 
 def _phrase_before(masked: str, seg_start: int, brace: int) -> int:
     """Offset where the item phrase introducing ``{`` at ``brace`` starts."""

@@ -34,7 +34,7 @@ MAX_PROMPT_TOKENS = 16000
 MARKER_PLAN = "Propose repair plans"
 MARKER_FIX = "Return the full revised region in one fenced code block."
 
-_FENCE_RE = re.compile(r"```(?:rust)?\n(.*?)```", re.DOTALL)
+FENCE_RE = re.compile(r"```(?:rust)?\n(.*?)```", re.DOTALL)
 _UB_DIRECTIVE = "//~UB"
 GUARD_MARKER = "//~GUARD"
 _GUARD_LINE = f"debug_assert!(true); {GUARD_MARKER}"
@@ -248,7 +248,7 @@ class ScriptedMockProvider(Provider):
 
     @staticmethod
     def _snippet(text: str) -> str:
-        m = _FENCE_RE.search(text)
+        m = FENCE_RE.search(text)
         if not m:
             raise ProviderFailure("mock expected a fenced snippet in the prompt")
         return m.group(1)
@@ -308,7 +308,7 @@ class ScriptedMockProvider(Provider):
         kinds = frozenset(UbKind(k) for k in ub.split(",") if k != "unknown")
         region = UnsafeRegion(ref, (0, len(snippet)), snippet, snippet)
         answer = self._answer(build_prompt(agent, region, kinds, instruction))
-        m = _FENCE_RE.search(answer)
+        m = FENCE_RE.search(answer)
         if m is None or any(marker in answer for marker, _ in _ABSTENTION.values()):
             return None
         return m.group(1).rstrip("\n")

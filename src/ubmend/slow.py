@@ -135,7 +135,6 @@ class SessionOutcome:
     verdict: Verdict
     final_source: dict[str, str]
     trace: ErrorTrace
-    triplet: "object | None" = None
     stats: RollbackStats = field(default_factory=RollbackStats)
     solution_id: str | None = None
     final_errors: int = 0
@@ -148,7 +147,6 @@ class SessionOutcome:
             "verdict": self.verdict.value,
             "final_source": dict(sorted(self.final_source.items())),
             "trace": self.trace.to_dict(),
-            "triplet": self.triplet.to_dict() if self.triplet else None,
         }
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from ubmend.classifier import (
-    DEFAULT_STRATEGY_ORDER,
     CodeFeature,
     FixStrategy,
     UnsafeOpKind,
@@ -262,4 +261,8 @@ def test_map_strategies_unknown_kind_uses_default():
 
 
 def test_default_strategy_order_constant():
-    assert tuple(load_policy_table()["default"]) == DEFAULT_STRATEGY_ORDER
+    assert tuple(load_policy_table()["default"]) == (
+        FixStrategy.SAFE_ALTERNATIVE,
+        FixStrategy.ASSERTION_GUARD,
+        FixStrategy.SEMANTIC_MODIFICATION,
+    )

@@ -202,6 +202,32 @@ def test_fix_unfixable_case_exits_one(tmp_path, capsys):
     assert "-> 1" in out
 
 
+def test_fix_of_a_report_outside_every_unsafe_region_asks_no_model(tmp_path, capsys, monkeypatch):
+    # no unsafe region to patch: planning one would spend tokens on steps
+    # that can only come back "region unresolvable"
+    path = tmp_path / "main.rs"
+    path.write_text(
+        "fn main() {\n"
+        "    let v: Vec<i32> = Vec::new();\n"
+        "    let _x = v[0]; //~ABORT index out of bounds: the len is 0 but the index is 0\n"
+        "}\n",
+        encoding="utf-8",
+    )
+    asked: list[str] = []
+
+    def refuse(self, prompt):
+        asked.append(prompt.text())
+        raise AssertionError("no model call expected")
+
+    monkeypatch.setattr(Provider, "complete", refuse)
+    assert main(_fix(path, "--no-kb", "--report", "json")) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert asked == []
+    assert payload["verdict"] == "failed"
+    assert payload["trace"]["thoughts"] == []
+    assert payload["triplet"]["overhead_tokens"] == 0
+
+
 def test_fix_bad_temperature_is_usage_error(tmp_path, capsys):
     path = tmp_path / "main.rs"
     path.write_text(CLEAN_SOURCE, encoding="utf-8")

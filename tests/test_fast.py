@@ -149,12 +149,10 @@ def test_extract_features_empty_without_reports(tmp_path):
 
 
 def test_extract_features_whole_file_fallback(tmp_path):
+    # a file without an unsafe region has nothing a step could patch
     source = "fn main() {\n    let x = 1;\n}\n"
     target = _target(tmp_path, source)
-    feats = extract_features(target, [_report(2)])
-    assert len(feats) == 1
-    assert feats[0].region.snippet == source
-    assert feats[0].op_kinds == frozenset()
+    assert extract_features(target, [_report(2)]) == []
 
 
 def test_extract_features_unmatched_line_falls_back_to_first_region(tmp_path):
@@ -425,6 +423,11 @@ def test_a_report_in_one_mod_rs_hits_no_region_of_another(tmp_path):
     assert [f.ref for f in extract_features(target, [report])] == ["src/net/mod.rs#0"]
     # a report in no region falls back to its own file's first region
     assert [f.ref for f in extract_features(target, [_report(1, file="src/net/mod.rs")])] == ["src/net/mod.rs#0"]
-    # a report naming no entry file by path still lands by its basename
+    # a path names the entry file that shares the most trailing components
     elsewhere = _report(2, file="/build/checkout/fs/mod.rs")
     assert _report_hits_region(elsewhere, "src/fs/mod.rs", source, region, target.entry_files)
+    assert not _report_hits_region(elsewhere, "src/net/mod.rs", source, region, target.entry_files)
+    # a bare basename two entry files share names neither
+    bare = _report(2, file="mod.rs")
+    for rel in target.entry_files:
+        assert not _report_hits_region(bare, rel, source, region, target.entry_files)

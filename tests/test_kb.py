@@ -52,7 +52,7 @@ def _report(line: int, kind=UbKind.STACK_BORROW) -> UbReport:
 
 def test_local_parse_structure():
     ast = extract_ast(PROGRAM)
-    assert ast.root.kind == "file"
+    assert ast.nodes[0].kind == "file"
     kinds = [n.kind for n in ast.nodes]
     assert kinds.count("fn") == 2
     assert "unsafe_block" in kinds

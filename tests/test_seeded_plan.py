@@ -106,8 +106,8 @@ def reference_repair_one(target, provider, engine, settings, reference=None):
         kb = engine.kb if settings.kb_enabled else None
         vector = None
         solutions = []
-        if not baseline.clean:
-            features = extract_features(ws.target, list(baseline.reports))
+        features = [] if baseline.clean else extract_features(ws.target, list(baseline.reports))
+        if features:
             if settings.kb_enabled:
                 lead_file, _ = parse_region_ref(features[0].ref)
                 vector = feature_vector(ws.read(lead_file), baseline.reports, lead_file)
@@ -132,7 +132,6 @@ def reference_repair_one(target, provider, engine, settings, reference=None):
         )
         if outcome.verdict is Verdict.PASS and triplet.acceptability is True:
             outcome.verdict = Verdict.SEMANTIC_PASS
-        outcome.triplet = triplet
         if triplet.accuracy:
             for thought in outcome.trace.thoughts:
                 if thought.kept:

@@ -489,7 +489,7 @@ def test_outcome_serializes_to_stable_json(tmp_path):
     payload = out.to_dict()
     assert payload["schema_version"] == 1
     assert payload["verdict"] == "pass"
-    assert set(payload) == {"schema_version", "verdict", "final_source", "trace", "triplet"}
+    assert set(payload) == {"schema_version", "verdict", "final_source", "trace"}
     thought = payload["trace"]["thoughts"][0]
     assert set(thought) == {"index", "step", "patch", "resulting_errors", "note"}
     assert json.dumps(payload, sort_keys=True) == json.dumps(

@@ -1,8 +1,7 @@
 """Every name a module of the package imports is used in that module.
 
 No linter ships with the package's test tools, so this is the check: a
-deletion that leaves an import behind fails here. ``__init__.py`` is left
-out, since it imports names to re-export them.
+deletion that leaves an import behind fails here.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ubmend"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def _annotations(tree: ast.AST):

@@ -44,7 +44,7 @@ def test_a_rollback_puts_back_the_sources_and_keeps_build_output(tmp_path):
     ws = WorkingCopy(TargetPackage.from_path(_package(tmp_path)))
     try:
         store = SnapshotStore()
-        baseline = run_detection(ws.target, DetectorConfig(command=BUILDING_DETECTOR))
+        baseline = run_detection(ws.target, config=DetectorConfig(command=BUILDING_DETECTOR))
         snapshot = store.record(0, ws.files(), baseline.error_count)
         assert sorted(snapshot.files) == ["Cargo.toml", "src/main.rs"]
         ws.write("src/main.rs", "fn main() {}\n")

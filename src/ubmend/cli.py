@@ -29,6 +29,7 @@ from statistics import NormalDist
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .detector import (
+    AnswerPool,
     CaseMemo,
     DetectorConfig,
     TargetPackage,
@@ -342,7 +343,10 @@ def repair_one(
     knowledge enabled or not: a bench case's two runs that reach a page with
     the same solutions tried share its answer.
     Reason steps consult the knowledge base only when knowledge is enabled
-    and no past repair was seeded. When the run repairs the target, the
+    and no past repair was seeded. The run's tokens are those its own
+    model calls took plus those charged for answers another bench case
+    fetched (``CaseMemo.charged_tokens``), so they do not depend on which
+    case asked first. When the run repairs the target, the
     answers of the kept thoughts of the solution it ended on are listed in
     the memo's ``new_results``, for the caller to append to the experience
     log with the run's detections.
@@ -416,10 +420,11 @@ def repair_one(
             kb=kb,
             ended=ended,
         )
-        # detections and answers reused from the case's other run cost this
-        # run their recorded time, as if it had made them itself
+        # detections and answers reused from the case's other run, and
+        # answers another case fetched, cost this run what they cost there,
+        # as if it had made them itself
         elapsed = clock() - start + memo.charged_seconds
-        tokens = provider.tokens_used - tokens_before
+        tokens = provider.tokens_used - tokens_before + memo.charged_tokens
         triplet = engine.evaluate(
             outcome,
             reference,
@@ -593,30 +598,24 @@ def load_manifest(path: Path | str) -> list[ManifestCase]:
     base = path.parent
     cases: list[ManifestCase] = []
     seen: set[str] = set()
-    for ln, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
+    for ln, raw in enumerate(path.read_bytes().splitlines(), 1):
+        if not raw.strip():
             continue
         try:
-            entry = json.loads(line)
+            entry = json.loads(raw.decode("utf-8"))
             cid = str(entry["id"])
             case_path = base / entry["path"]
             kind = str(entry.get("ub_kind", UbKind.UNKNOWN.value))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            ref = entry.get("reference")
+            reference = base / ref if ref else None
+        except (ValueError, KeyError, TypeError) as exc:
             raise StorageFailure(f"{path}:{ln}: bad manifest line: {exc}") from exc
         if cid in seen:
             raise StorageFailure(f"{path}:{ln}: duplicate case id {cid!r}")
         seen.add(cid)
         if not case_path.exists():
             raise StorageFailure(f"{path}:{ln}: case path does not exist: {case_path}")
-        ref = entry.get("reference")
-        cases.append(
-            ManifestCase(
-                id=cid,
-                path=case_path,
-                ub_kind=kind,
-                reference=base / ref if ref else None,
-            )
-        )
+        cases.append(ManifestCase(id=cid, path=case_path, ub_kind=kind, reference=reference))
     if not cases:
         raise StorageFailure(f"empty manifest: {path}")
     return cases
@@ -646,6 +645,7 @@ def _bench_case(
     initial_exp: list[ExperienceRecord],
     stored: dict[str, dict],
     replies: dict[str, str] | None,
+    answers: AnswerPool,
 ) -> tuple[CaseResult, list, list[ExperienceRecord], dict[str, dict], list]:
     """One manifest case: a knowledge run plus a no-knowledge timing run.
 
@@ -656,10 +656,12 @@ def _bench_case(
     after its last finished run as transcript entries.
     ``stored`` seeds the case memo with the experience log's tool results;
     ``replies``, the transcript a replay bench loaded, answers the case's
-    own replay provider.
+    own replay provider. ``answers`` is the bench's answer pool: a prompt
+    another case already asked takes that case's answer, charged to this
+    case's row as if fetched, and does not reach the provider again.
     """
     clock = _make_clock(args.fixed_clock)
-    memo = CaseMemo(stored)
+    memo = CaseMemo(stored, answers)
     kb = KnowledgeBase(None)
     kb.entries = list(initial_kb)
     engine = FeedbackEngine(None, kb=kb)
@@ -759,6 +761,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     initial_kb = list(kb.entries) if kb else []
     initial_exp = list(engine.records)
     stored = dict(engine.tool_results)
+    answers = AnswerPool()
     jobs = args.jobs or min(JOBS_CAP, os.cpu_count() or 1)
     results: list[CaseResult] = []
     transcript: dict[str, TranscriptEntry] = {}
@@ -768,7 +771,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     def run_case(case: ManifestCase) -> tuple[tuple, list[logging.LogRecord], ToolMissing | None]:
         with logs.case() as held:
             try:
-                return _bench_case(case, args, initial_kb, initial_exp, stored, replies), held, None
+                return _bench_case(case, args, initial_kb, initial_exp, stored, replies, answers), held, None
             except ToolMissing as exc:  # a setup error, not a repair outcome
                 log.warning("case %s failed: %s", case.id, exc)
                 return (_failed_row(case, exc), [], [], {}, []), held, exc

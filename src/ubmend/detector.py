@@ -15,6 +15,7 @@ import os
 import re
 import shutil
 import subprocess
+import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -166,11 +167,52 @@ class DetectionResult:
 class MemoEntry:
     """A completed result as a case memo keeps it: the ``tool_result``
     fields it is stored as (or would be), the time it took in the run's
-    clock units, and, for a model answer only, the prompt it answers."""
+    clock units, and, for a model answer only, the prompt it answers and
+    the tokens its model call took (0 when it made none)."""
 
     fields: Mapping[str, object]
     wall_time: float
     prompt: "PromptRecord | None"
+    tokens: int = 0
+
+
+class AnswerPool:
+    """Fetched model answers by transcript hash, shared by the case memos
+    of one bench; a ``fix`` and a bare ``CaseMemo`` have a private pool.
+
+    Single-flight: the first caller to ``take`` a hash fetches its answer,
+    and one that takes the hash while that fetch runs waits for it and
+    gets its answer. Only completed answers are kept: a fetch that raises
+    releases its waiters, and each of them then takes the hash again as if
+    it were the first.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._answers: dict[str, MemoEntry] = {}
+        self._fetching: dict[str, threading.Event] = {}
+
+    def take(self, key: str, fetch: Callable[[], MemoEntry]) -> tuple[MemoEntry, bool]:
+        """The answer pooled under ``key``, fetched with ``fetch`` when no
+        caller has, and whether this call fetched it."""
+        while True:
+            with self._lock:
+                if key in self._answers:
+                    return self._answers[key], False
+                flight = self._fetching.get(key)
+                if flight is None:
+                    flight = self._fetching[key] = threading.Event()
+                    break
+            flight.wait()
+        try:
+            entry = fetch()
+            with self._lock:
+                self._answers[key] = entry
+            return entry, True
+        finally:
+            with self._lock:
+                del self._fetching[key]
+            flight.set()
 
 
 class CaseMemo:
@@ -178,7 +220,9 @@ class CaseMemo:
     by content, each kept as one ``MemoEntry``.
 
     A bench case's knowledge run and no-knowledge run share one memo, one
-    after the other; each ``fix`` invocation has its own. Detections are
+    after the other; each ``fix`` invocation has its own. The memos of one
+    bench share one ``pool`` of fetched answers, so each distinct prompt of
+    a bench reaches the model once. Detections are
     keyed by argv and output alike with the target root written as
     ``{root}`` (plus tool identity and tracked-source bytes), so any copy of
     the same bytes reads them with its own root put back. Answers are keyed
@@ -192,16 +236,23 @@ class CaseMemo:
     a run's account: the first time a run reuses a result another run paid
     for, it is charged that result's ``wall_time``, so the timings of the
     two runs stay comparable. A store hit counts in ``store_hits`` and costs
-    nothing. ``keep`` is the one way in: it lists each detection and verdict
-    in ``new_results``, for the caller to append to the log, at once; an
-    answer only through ``keep_answer``, which the caller calls for the
-    thoughts of a repair that passed, so a sampled model still explores
-    wherever no verified repair exists.
+    nothing. An answer neither holds comes from ``fetch_answer``; one
+    another case fetched is charged, in ``charged_seconds`` and
+    ``charged_tokens``, as if this run had fetched it, so a case's figures
+    do not depend on which case asked first. ``keep`` is the one way in: it
+    lists each detection and verdict in ``new_results``, for the caller to
+    append to the log, at once; an answer only through ``keep_answer``,
+    which the caller calls for the thoughts of a repair that passed, so a
+    sampled model still explores wherever no verified repair exists.
     """
 
-    def __init__(self, stored: Mapping[str, dict] | None = None) -> None:
+    def __init__(
+        self, stored: Mapping[str, dict] | None = None, pool: AnswerPool | None = None
+    ) -> None:
         self.charged_seconds = 0.0
+        self.charged_tokens = 0
         self.stored: Mapping[str, dict] = stored if stored is not None else {}
+        self.pool = pool if pool is not None else AnswerPool()
         self.store_hits = {"detections": 0, "reference_verdicts": 0, "answers": 0}
         self.new_results: dict[str, Mapping[str, object]] = {}
         self._entries: dict[str, MemoEntry] = {}
@@ -210,6 +261,7 @@ class CaseMemo:
 
     def begin_run(self) -> None:
         self.charged_seconds = 0.0
+        self.charged_tokens = 0
         self._paid = set()
 
     def recall(
@@ -230,6 +282,17 @@ class CaseMemo:
         self.store_hits[kind] += 1
         entry = self._entries[key] = MemoEntry(line, 0.0, prompt)
         self._paid.add(key)
+        return entry
+
+    def fetch_answer(self, key: str, fetch: Callable[[], MemoEntry]) -> MemoEntry:
+        """Keep the answer ``pool`` holds under transcript hash ``key``,
+        fetched with ``fetch`` when no case has; one another case fetched
+        is charged its wall time and tokens."""
+        entry, fetched = self.pool.take(key, fetch)
+        if not fetched:
+            self.charged_seconds += entry.wall_time
+            self.charged_tokens += entry.tokens
+        self.keep(key, entry)
         return entry
 
     def keep(self, key: str, entry: MemoEntry) -> None:

@@ -99,6 +99,11 @@ class PromptRecord:
         return cls(messages=[{"role": "user", "content": content}])
 
 
+def answer_tokens(prompt: PromptRecord, response: str) -> int:
+    """The tokens a model call costs: its prompt's and its response's."""
+    return estimate_tokens(prompt.text()) + estimate_tokens(response)
+
+
 class Provider:
     """Base backend: subclasses implement ``_complete``."""
 
@@ -113,7 +118,7 @@ class Provider:
         response = self._complete(prompt)
         with self._lock:
             self.calls += 1
-            self.tokens_used += estimate_tokens(prompt.text()) + estimate_tokens(response)
+            self.tokens_used += answer_tokens(prompt, response)
         return response
 
     def _complete(self, prompt: PromptRecord) -> str:
@@ -129,11 +134,14 @@ class MemoizedProvider:
     A prompt whose transcript hash the case has asked before is answered
     from the memo, and one whose verified answer the memo's store holds
     (``store_key``) from the store; neither reaches ``inner``. Any other
-    prompt goes to ``inner`` and its answer is kept. This is deliberately
+    prompt is answered from the memo's answer pool, which a bench shares
+    among its cases: the first case to ask it fetches the answer from
+    ``inner``, and every other case takes that answer and is charged its
+    tokens and wall time (``CaseMemo.fetch_answer``). This is deliberately
     not a ``Provider``: a fetched answer passes through ``Provider.complete``
-    once, in ``inner``, where calls and tokens are counted, and a reused or
-    stored answer not at all. ``timer`` times each fetch in the run's clock
-    units; a stored answer takes no time.
+    once, in ``inner``, where calls and tokens are counted, and a reused,
+    pooled or stored answer not at all. ``timer`` times each fetch in the
+    run's clock units; a stored answer takes no time.
     """
 
     def __init__(self, inner: Provider, memo: CaseMemo, timer: Callable[[], float]) -> None:
@@ -160,11 +168,15 @@ class MemoizedProvider:
     def complete(self, prompt: PromptRecord) -> str:
         answer = self.recall(prompt)
         if answer is None:
-            started = self.timer()
-            answer = self.inner.complete(prompt)
-            entry = MemoEntry({"answer": answer}, self.timer() - started, prompt)
-            self.memo.keep(self.inner.hash_of(prompt), entry)
+            key = self.inner.hash_of(prompt)
+            answer = self.memo.fetch_answer(key, lambda: self._fetch(prompt)).fields["answer"]
         return answer
+
+    def _fetch(self, prompt: PromptRecord) -> MemoEntry:
+        started = self.timer()
+        answer = self.inner.complete(prompt)
+        tokens = answer_tokens(prompt, answer)
+        return MemoEntry({"answer": answer}, self.timer() - started, prompt, tokens)
 
     def stand_in(self, prompt: PromptRecord, answer: str) -> None:
         """Keep ``answer``, written without asking ``prompt``, as the
@@ -365,7 +377,8 @@ class LiveHttpProvider(Provider):
     """OpenAI-compatible chat-completions backend.
 
     Base URL and key come from the environment; up to two retries on
-    transport errors or 5xx.
+    transport errors or 5xx. A 200 whose body is not JSON with a string
+    ``choices[0].message.content`` is an ``HttpFailure``, not retried.
     """
 
     RETRIES = 2
@@ -388,7 +401,7 @@ class LiveHttpProvider(Provider):
             "messages": prompt.normalized(),
         }
         url = self.api_base.rstrip("/") + "/chat/completions"
-        last: Exception | None = None
+        last: Exception | str | None = None
         for attempt in range(self.RETRIES + 1):
             try:
                 resp = requests.post(
@@ -397,20 +410,31 @@ class LiveHttpProvider(Provider):
                     headers={"Authorization": f"Bearer {self.api_key}"},
                     timeout=120,
                 )
-                if resp.status_code >= 500:
-                    raise HttpFailure(f"server error {resp.status_code}")
-                if resp.status_code != 200:
-                    raise HttpFailure(f"HTTP {resp.status_code}: {resp.text[:300]}")
-                return resp.json()["choices"][0]["message"]["content"]
-            except HttpFailure as exc:
-                last = exc
-                if "server error" not in str(exc):
-                    raise
             except requests.RequestException as exc:
                 last = exc
+            else:
+                if resp.status_code < 500:
+                    if resp.status_code != 200:
+                        raise HttpFailure(f"HTTP {resp.status_code}: {resp.text[:300]}")
+                    return _content(resp)
+                last = f"server error {resp.status_code}"
             if attempt < self.RETRIES:
                 time.sleep(0.5 * (attempt + 1))
         raise HttpFailure(f"live backend failed after retries: {last}")
+
+
+def _content(resp) -> str:
+    """The answer in a chat-completions response body; HttpFailure naming
+    the status and the body's head when it holds none."""
+    try:
+        content = resp.json()["choices"][0]["message"]["content"]
+    except (ValueError, LookupError, TypeError):
+        content = None
+    if not isinstance(content, str):
+        raise HttpFailure(
+            f"HTTP {resp.status_code} body has no string choices[0].message.content: {resp.text[:300]}"
+        )
+    return content
 
 
 @dataclass

@@ -417,6 +417,57 @@ def test_bench_jobs_flag_does_not_change_output(tmp_path, capsys):
     assert parallel == serial
 
 
+def _twin_manifest(path: Path, kinds: list[str], copies: tuple[str, ...] = ("a", "b")) -> Path:
+    """A manifest listing each corpus fixture of ``kinds`` once per copy
+    suffix, every copy by the fixture's own absolute paths."""
+    lines = []
+    for kind in kinds:
+        for copy in copies:
+            entry = {"id": f"{kind}-{copy}", "path": str(CORPUS_DIR / kind / "main.rs"), "ub_kind": kind}
+            if (CORPUS_DIR / "refs" / kind).is_dir():
+                entry["reference"] = str(CORPUS_DIR / "refs" / kind)
+            lines.append(json.dumps(entry))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_a_bench_asks_each_distinct_prompt_once_and_charges_every_case_for_it(tmp_path, capsys, monkeypatch):
+    # validity draws a second solution, so fix prompts are asked too; panic
+    # has no reference
+    kinds = ["stack_borrow", "validity", "panic"]
+    manifest = _twin_manifest(tmp_path / "twins.jsonl", kinds)
+    asked: list[str] = []
+    complete = Provider.complete
+
+    def counted(self, prompt):
+        asked.append(self.hash_of(prompt))
+        return complete(self, prompt)
+
+    monkeypatch.setattr(Provider, "complete", counted)
+
+    def bench(manifest: Path, name: str, *extra: str) -> list:
+        files = [tmp_path / f"{store}-{name}.jsonl" for store in ("kb", "experience", "transcript")]
+        stores = ["--kb", str(files[0]), "--experience", str(files[1]), "--transcript", str(files[2])]
+        assert main(_bench(manifest, "--report", "json", *stores, *extra)) == 0
+        return [capsys.readouterr().out, *(path.read_bytes() for path in files)]
+
+    runs = []
+    for jobs in ("1", "2"):
+        asked.clear()
+        runs.append(bench(manifest, f"jobs{jobs}", "--jobs", jobs))
+        # a twin's prompts are its partner's: each reaches the model once
+        assert asked and len(asked) == len(set(asked))
+    serial, parallel = runs
+    assert parallel == serial
+    rows = {row.pop("id"): row for row in json.loads(serial[0])["cases"]}
+    for kind in kinds:
+        assert rows[f"{kind}-a"] == rows[f"{kind}-b"]
+        solo = _twin_manifest(tmp_path / f"{kind}.jsonl", [kind], copies=("a",))
+        (alone,) = json.loads(bench(solo, kind)[0])["cases"]
+        assert alone.pop("id") == f"{kind}-a" and alone == rows[f"{kind}-a"]
+        assert alone["tokens"] > 0
+
+
 def test_an_over_budget_target_is_rejected_by_fix_and_fails_its_bench_row(tmp_path, capsys, caplog):
     case = tmp_path / "big" / "main.rs"
     case.parent.mkdir()
@@ -443,6 +494,49 @@ def test_bench_turns_a_provider_failure_into_a_failed_row(tmp_path, capsys, capl
     (row,) = json.loads(capsys.readouterr().out)["cases"]
     assert (row["verdict"], row["note"]) == ("failed", "ProviderFailure: backend unavailable")
     assert [r.getMessage() for r in caplog.records] == ["case b01 failed: backend unavailable"]
+
+
+class _Body:
+    """A chat-completions response with status 200 and body ``text``."""
+
+    status_code = 200
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+    def json(self):
+        return json.loads(self.text)
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["<html>quota exceeded</html>", '{"error": "quota"}', '{"choices": [{"message": {"content": null}}]}'],
+    ids=["not-json", "no-choices", "null-content"],
+)
+def test_a_live_answer_without_content_fails_once_with_a_usage_error(tmp_path, capsys, caplog, monkeypatch, body):
+    import requests
+
+    posts = []
+
+    def post(url, **kwargs):
+        posts.append(url)
+        return _Body(body)
+
+    monkeypatch.setattr(requests, "post", post)
+    monkeypatch.setenv("RUSTBRAIN_API_KEY", "test-key")
+    monkeypatch.setenv("RUSTBRAIN_API_BASE", "http://localhost:9")
+    case = copy_fixture(CORPUS_DIR / "stack_borrow", tmp_path)
+    assert main(_fix(case, "--provider", "live", "--no-kb")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: HTTP 200 body has no string choices[0].message.content: ")
+    assert body[:20] in err and "Traceback" not in err
+    assert len(posts) == 1  # not retried
+    manifest = _bench_dir(tmp_path, ["stack_borrow"])
+    assert main(_bench(manifest, "--report", "json", "--provider", "live", "--no-kb")) == 0
+    (row,) = json.loads(capsys.readouterr().out)["cases"]
+    assert row["verdict"] == "failed"
+    assert row["note"].startswith("HttpFailure: HTTP 200 body has no string choices[0].message.content: ")
+    assert "Traceback" not in caplog.text
 
 
 def test_bench_duplicate_case_id_is_usage_error(tmp_path, capsys):
@@ -477,6 +571,24 @@ def test_bench_malformed_manifest_line_is_usage_error(tmp_path, capsys):
     manifest.write_text("{not json\n", encoding="utf-8")
     assert main(_bench(manifest)) == 2
     assert "bad manifest line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, why",
+    [
+        (b'{"id": "c02", "path": "main.rs", "reference": 5}', b"unsupported operand"),
+        (b'{"id": "c02", "path": "main\xff.rs"}', b"can't decode byte 0xff"),
+    ],
+    ids=["reference-not-a-path", "not-utf8"],
+)
+def test_bench_manifest_line_that_cannot_name_its_files_is_usage_error(tmp_path, capsys, line, why):
+    (tmp_path / "main.rs").write_text(CLEAN_SOURCE, encoding="utf-8")
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_bytes(b'{"id": "c01", "path": "main.rs"}\n' + line + b"\n")
+    assert main(_bench(manifest)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}:2: bad manifest line: ")
+    assert why.decode() in err and "Traceback" not in err
 
 
 def test_bench_missing_manifest_file_is_usage_error(tmp_path, capsys):
@@ -725,6 +837,25 @@ def test_bench_replay_matches_a_live_run_whose_answers_vary(tmp_path, capsys, mo
         assert main(_bench(manifest, "--report", "json", "--transcript", str(transcript))) == 0
     live = capsys.readouterr().out
     assert "// answer 1" in transcript.read_text(encoding="utf-8")
+    replay = ["--provider", "replay", "--transcript", str(transcript)]
+    assert main(_bench(manifest, "--report", "json", *replay)) == 0
+    assert capsys.readouterr().out == live
+
+
+def test_bench_replay_matches_a_live_run_whose_cases_ask_one_prompt(tmp_path, capsys, monkeypatch):
+    # each answer is longer than the one before, so two cases given two
+    # answers to one prompt would count different tokens than the replay of
+    # the one answer the transcript keeps
+    def growing(snippet, n, default):
+        head, tail = default.split("```rust\n", 1)
+        return f"{head}```rust\n// answer {'!' * 8 * n}\n{tail}"
+
+    manifest = _twin_manifest(tmp_path / "twins.jsonl", ["stack_borrow", "validity"])
+    transcript = tmp_path / "t.jsonl"
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "create_provider", _varying_mock(growing))
+        assert main(_bench(manifest, "--report", "json", "--jobs", "2", "--transcript", str(transcript))) == 0
+    live = capsys.readouterr().out
     replay = ["--provider", "replay", "--transcript", str(transcript)]
     assert main(_bench(manifest, "--report", "json", *replay)) == 0
     assert capsys.readouterr().out == live

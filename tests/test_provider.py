@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import socket
+import sys
+import threading
+from types import SimpleNamespace
 
 import pytest
 
-from ubmend.detector import CaseMemo, MemoEntry
+from ubmend import detector
+from ubmend.detector import AnswerPool, CaseMemo, MemoEntry
 from ubmend.errors import ProviderFailure, ReplayMiss, StorageFailure
 from ubmend.fast import parse_plan
 from ubmend.provider import (
@@ -130,6 +135,151 @@ def test_memoized_provider_asks_each_prompt_once_per_case():
     assert inner.calls == 1
     assert memo.charged_seconds == 2.5  # the fetch's recorded time, once per run
     assert again.complete(PromptRecord.user("q")) == "answer 3"
+
+
+class _Watched(threading.Event):
+    """An event that sets ``waiting`` when a thread starts to wait on it."""
+
+    waiting: threading.Event
+
+    def wait(self, timeout=None):
+        self.waiting.set()
+        return super().wait(timeout)
+
+
+def _held_fetch(answer, started: threading.Event, release: threading.Event, fetched: list):
+    """A fetch that notes itself in ``fetched``, sets ``started``, then
+    holds until ``release`` is set; an exception ``answer`` is raised."""
+
+    def fetch():
+        fetched.append(answer)
+        started.set()
+        assert release.wait(10)
+        if isinstance(answer, Exception):
+            raise answer
+        return MemoEntry({"answer": answer}, 1.5, None, 7)
+
+    return fetch
+
+
+def _in_thread(work) -> tuple[threading.Thread, list]:
+    out: list = []
+    thread = threading.Thread(target=lambda: out.append(_outcome(work)))
+    thread.start()
+    return thread, out
+
+
+def _join(*threads: threading.Thread) -> None:
+    for thread in threads:
+        thread.join(10)
+        assert not thread.is_alive()
+
+
+def _outcome(work):
+    try:
+        return work()
+    except ProviderFailure as exc:
+        return exc
+
+
+@pytest.fixture
+def watched(monkeypatch):
+    """Set once a thread waits on an answer pool's in-flight fetch."""
+    waiting = threading.Event()
+    monkeypatch.setattr(_Watched, "waiting", waiting, raising=False)
+    monkeypatch.setattr(detector, "threading", SimpleNamespace(Lock=threading.Lock, Event=_Watched))
+    return waiting
+
+
+def test_two_threads_asking_one_hash_share_one_fetch(watched):
+    pool, started, release, fetched = AnswerPool(), threading.Event(), threading.Event(), []
+    first, got_first = _in_thread(lambda: pool.take("h", _held_fetch("a", started, release, fetched)))
+    assert started.wait(10)
+    second, got_second = _in_thread(lambda: pool.take("h", _held_fetch("b", started, release, fetched)))
+    assert watched.wait(10)  # the second thread waits for the first one's fetch
+    release.set()
+    _join(first, second)
+    (entry, by_first), (same, by_second) = got_first[0], got_second[0]
+    assert fetched == ["a"] and same is entry and (by_first, by_second) == (True, False)
+
+
+def test_a_fetch_that_raises_is_not_pooled_and_its_waiter_fetches_for_itself(watched):
+    pool, started, release, fetched = AnswerPool(), threading.Event(), threading.Event(), []
+    failing = _held_fetch(ProviderFailure("transport error"), started, release, fetched)
+    first, got_first = _in_thread(lambda: pool.take("h", failing))
+    assert started.wait(10)
+    second, got_second = _in_thread(lambda: pool.take("h", _held_fetch("b", threading.Event(), release, fetched)))
+    assert watched.wait(10)
+    release.set()
+    _join(first, second)
+    assert isinstance(got_first[0], ProviderFailure)
+    entry, by_second = got_second[0]
+    assert entry.fields == {"answer": "b"} and by_second
+    assert len(fetched) == 2
+    assert pool.take("h", lambda: pytest.fail("the answer is pooled")) == (entry, False)
+
+
+def test_different_hashes_never_wait_on_each_other():
+    pool, started, release, fetched = AnswerPool(), threading.Event(), threading.Event(), []
+    held, got_held = _in_thread(lambda: pool.take("a", _held_fetch("a", started, release, fetched)))
+    assert started.wait(10)
+    other, got_other = _in_thread(lambda: pool.take("b", lambda: MemoEntry({"answer": "b"}, 0.0, None)))
+    _join(other)  # returns while the fetch of "a" is still held
+    assert got_other[0][0].fields == {"answer": "b"}
+    assert not got_held
+    release.set()
+    _join(held)
+    assert got_held[0][0].fields == {"answer": "a"}
+
+
+def test_many_threads_asking_few_hashes_fetch_each_once():
+    pool, lock, fetched = AnswerPool(), threading.Lock(), []
+    keys = [f"h{i}" for i in range(8)]
+
+    def fetch(key):
+        def run():
+            with lock:
+                fetched.append(key)
+            return MemoEntry({"answer": key}, 0.0, None)
+
+        return run
+
+    def ask(offset, out):
+        for key in keys[offset:] + keys[:offset]:
+            out.append(pool.take(key, fetch(key))[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        outs = [[] for _ in range(min(64, 2 * (os.cpu_count() or 1) + 2))]  # more threads than cores
+        threads = [threading.Thread(target=ask, args=(i % len(keys), out)) for i, out in enumerate(outs)]
+        for thread in threads:
+            thread.start()
+        _join(*threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(fetched) == keys
+    first = {entry.fields["answer"]: entry for entry in outs[0]}
+    assert all(entry is first[entry.fields["answer"]] for out in outs for entry in out)
+    assert all(len(out) == len(keys) for out in outs)
+
+
+def test_a_pooled_answer_is_charged_to_the_case_that_takes_it():
+    inner, pool = _mock(), AnswerPool()
+    ticks = iter([0.0, 4.0])
+    first = MemoizedProvider(inner, CaseMemo(pool=pool), timer=lambda: next(ticks))
+    prompt = PromptRecord.user("asked by two cases")
+    answer = first.complete(prompt)
+    memo = CaseMemo(pool=pool)
+    memo.begin_run()
+    second = MemoizedProvider(inner, memo, timer=lambda: 0.0)
+    assert second.complete(PromptRecord.user("asked by two cases\n")) == answer  # same hash
+    assert inner.calls == 1
+    assert (memo.charged_tokens, memo.charged_seconds) == (inner.tokens_used, 4.0)
+    assert transcript_entries(memo, inner.config) == transcript_entries(first.memo, inner.config)
+    memo.begin_run()  # the case's own memo answers its next run, at no token cost
+    assert second.complete(prompt) == answer
+    assert (memo.charged_tokens, memo.charged_seconds) == (0, 4.0)
 
 
 def test_transcript_holds_stored_answers_and_no_detections():

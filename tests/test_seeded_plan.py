@@ -125,7 +125,7 @@ def reference_repair_one(target, provider, engine, settings, reference=None):
             baseline=baseline, kb=kb,
         )
         elapsed = clock() - start + memo.charged_seconds
-        tokens = provider.tokens_used - tokens_before
+        tokens = provider.tokens_used - tokens_before + memo.charged_tokens
         triplet = engine.evaluate(
             outcome, reference, entry_file=target.entry_files[0],
             overhead_seconds=elapsed, overhead_tokens=tokens, memo=memo,

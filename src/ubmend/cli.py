@@ -17,6 +17,7 @@ import contextlib
 import difflib
 import json
 import logging
+import math
 import os
 import shlex
 import sys
@@ -346,10 +347,13 @@ def repair_one(
     and no past repair was seeded. The run's tokens are those its own
     model calls took plus those charged for answers another bench case
     fetched (``CaseMemo.charged_tokens``), so they do not depend on which
-    case asked first. When the run repairs the target, the
-    answers of the kept thoughts of the solution it ended on are listed in
-    the memo's ``new_results``, for the caller to append to the experience
-    log with the run's detections.
+    case asked first. When the run repairs the target, the answers it
+    needs to take the same path again are listed in the memo's
+    ``new_results``, for the caller to append to the experience log with
+    the run's detections: those of every plan prompt asked for a solution
+    the session drew (a page, and its retry after a degenerate answer), and
+    those of the kept thoughts of the solution it ended on. A run that
+    fails lists none, nor does a seed that passes before any page is asked.
     """
     clock = settings.clock
     memo = settings.memo
@@ -436,7 +440,11 @@ def repair_one(
         if outcome.verdict is Verdict.PASS and triplet.acceptability is True:
             outcome.verdict = Verdict.SEMANTIC_PASS
         if triplet.accuracy:
-            # the answers that made the repair answer their prompts next time
+            # the answers that made the repair answer their prompts next
+            # time: each plan page drawn from, then each kept thought's
+            for solution in drawn:
+                for prompt in solution.prompts:
+                    provider.keep(prompt)
             for thought in outcome.trace.thoughts:
                 if thought.kept:
                     provider.keep(thought.patch.prompt)
@@ -808,8 +816,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _command_line(text: str) -> tuple[str, ...]:
-    """A command line split as a POSIX shell would; an unclosed quote is a
-    usage error. The tool runs inside the working copy, so a relative path
+    """A command line split as a POSIX shell would; an unclosed quote or an
+    empty command is a usage error. The tool runs inside the working copy, so a relative path
     to it is taken from the invoking directory; a bare name is looked up on
     PATH, and a ``{root}`` path is filled in by the detector.
 
@@ -821,7 +829,9 @@ def _command_line(text: str) -> tuple[str, ...]:
         command = tuple(shlex.split(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    tool = command[0] if command else ""
+    if not command:
+        raise argparse.ArgumentTypeError("empty command")
+    tool = command[0]
     if os.sep in tool and "{" not in tool and not os.path.isabs(tool):
         command = (os.path.abspath(tool),) + command[1:]
     return command
@@ -831,6 +841,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("must be a finite number > 0")
     return value
 
 
@@ -869,7 +886,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shared.add_argument("--report", choices=["json", "table"], default="table")
     shared.add_argument(
-        "--timeout", type=float, default=120.0, help="detection timeout in seconds"
+        "--timeout", type=_positive_seconds, default=120.0, help="detection timeout in seconds"
     )
     shared.add_argument(
         "--detector-cmd",

@@ -93,14 +93,23 @@ class TargetPackage:
         raise TargetRejected(f"no such file or directory: {path}")
 
     def validate(self) -> None:
+        """TargetRejected unless every entry file is a Rust source, every
+        tracked file (``tracked_files``) is UTF-8 text, and the entry files
+        together fit ``DEFAULT_TOKEN_BUDGET``."""
         if not self.entry_files:
             raise TargetRejected(f"{self.root_path}: no Rust sources found")
+        entries = set(self.entry_files)
         total = 0
-        for rel in self.entry_files:
+        for rel in self.tracked_files():
             full = self.root_path / rel
-            if not full.is_file() or full.suffix != ".rs":
+            if rel in entries and (not full.is_file() or full.suffix != ".rs"):
                 raise TargetRejected(f"entry file missing or not Rust: {full}")
-            total += estimate_tokens(full.read_text(encoding="utf-8"))
+            try:
+                text = full.read_text(encoding="utf-8")
+            except UnicodeDecodeError:
+                raise TargetRejected(f"{full}: not UTF-8 text") from None
+            if rel in entries:
+                total += estimate_tokens(text)
         if total > DEFAULT_TOKEN_BUDGET:
             raise TargetRejected(
                 f"estimated {total} tokens exceeds budget {DEFAULT_TOKEN_BUDGET}"
@@ -242,8 +251,9 @@ class CaseMemo:
     do not depend on which case asked first. ``keep`` is the one way in: it
     lists each detection and verdict in ``new_results``, for the caller to
     append to the log, at once; an answer only through ``keep_answer``,
-    which the caller calls for the thoughts of a repair that passed, so a
-    sampled model still explores wherever no verified repair exists.
+    which the caller calls for the plan pages and thoughts of a repair that
+    passed, so a sampled model still explores wherever no verified repair
+    exists.
     """
 
     def __init__(

@@ -122,6 +122,10 @@ class RepairSolution:
     id: str
     steps: list[RepairStep]
     provenance: Provenance = Provenance.GENERATED
+    # the plan prompts whose answers made it: its page's, then the retry
+    # after a degenerate answer; never serialized or compared, so that a
+    # verified repair's plan answers can be kept
+    prompts: tuple[PromptRecord, ...] = field(default=(), compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -392,8 +396,9 @@ def generate_solutions(
     solution is ``s00``), and ``k`` caps the highest id: at the cap, or when
     the answer holds nothing new, the page is empty. The prompt depends on
     nothing else, not on whether knowledge is enabled: runs on one target
-    with one history ask the same page. Requires at least one feature and
-    k >= 1.
+    with one history ask the same page. Each solution records the prompts
+    the page asked (``RepairSolution.prompts``). Requires at least one
+    feature and k >= 1.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -411,11 +416,13 @@ def generate_solutions(
         tried=_tried_lines(tried),
     )
     shown = {f.ref: f.region.snippet for f in features}
-    plans = parse_plan(provider.complete(PromptRecord.user(prompt_text)), shown)
+    prompts = [PromptRecord.user(prompt_text)]
+    plans = parse_plan(provider.complete(prompts[0]), shown)
     if not plans:
         log.warning("degenerate plan output; retrying once")
         retry = prompt_text + "\nReminder: answer only in the grammar above."
-        plans = parse_plan(provider.complete(PromptRecord.user(retry)), shown)
+        prompts.append(PromptRecord.user(retry))
+        plans = parse_plan(provider.complete(prompts[1]), shown)
         if not plans:
             log.warning("still degenerate; falling back to template plans")
             plans = fallback_solutions(features)
@@ -428,7 +435,11 @@ def generate_solutions(
         if key in seen:
             continue
         seen.add(key)
-        solutions.append(RepairSolution(id=f"s{done + len(solutions) + 1:02d}", steps=steps))
+        solutions.append(
+            RepairSolution(
+                id=f"s{done + len(solutions) + 1:02d}", steps=steps, prompts=tuple(prompts)
+            )
+        )
         if len(solutions) == count:
             break
     return solutions

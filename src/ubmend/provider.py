@@ -186,7 +186,8 @@ class MemoizedProvider:
     def keep(self, prompt: PromptRecord) -> None:
         """List the answer the case got for ``prompt`` in the memo's
         ``new_results``, under ``store_key``, for the caller to append to
-        the log."""
+        the log: a plan page or an agent answer that led to a verified
+        repair (``cli.repair_one``)."""
         key = self.inner.hash_of(prompt)
         self.memo.keep_answer(key, self.store_key(key))
 

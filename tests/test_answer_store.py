@@ -1,6 +1,7 @@
-"""Model answers kept in the experience log: the answers of the thoughts that
-made a verified repair answer the same prompts in a later run, under the same
-model, temperature and provider mode; nothing else is ever kept."""
+"""Model answers kept in the experience log: the answers of the plan pages and
+thoughts that made a verified repair answer the same prompts in a later run,
+under the same model, temperature and provider mode; nothing else is ever
+kept."""
 
 from __future__ import annotations
 
@@ -165,9 +166,64 @@ def test_a_failed_run_keeps_no_answer(tmp_path, capsys, asked):
     rc, report = _fix(capsys, case, store, "--solutions", "1")
     assert rc == 1 and report["triplet"]["accuracy"] is False
     assert any(t["patch"] is not None for t in report["trace"]["thoughts"])
-    # the plan's code answered the fix
+    # the plan's code answered the fix; neither the page nor that answer is kept
     assert _kinds(asked) == ["plan"]
     assert _answers(store) == {}
+
+
+def test_a_failed_run_keeps_none_of_its_pages(tmp_path, capsys, monkeypatch, asked, case):
+    # every fix abstains, so the session draws page after page and fails
+    monkeypatch.setattr(
+        cli, "create_provider", lambda config: ScriptedMockProvider(config, rules=[(MARKER_FIX, NO_CODE)])
+    )
+    store = tmp_path / "experience.jsonl"
+    rc, report = _fix(capsys, case, store, "--no-kb", "--solutions", "6")
+    assert (rc, report["verdict"]) == (1, "failed")
+    assert _kinds(asked).count("plan") == 2
+    assert _answers(store) == {}
+
+
+# a plan page of one solution, whose code fails to compile, then a page whose
+# solution the mock's fix prompt answer repairs
+FAILING_PAGE = (
+    "SOLUTION 1:\nSTEP 1: ModifySemantics main.rs#0 :: rewrite with a compile error\n"
+    "```rust\n{ //~COMPILE-ERROR cannot find value `x` in this scope\n}\n```"
+)
+REPAIRING_PAGE = "SOLUTION 2:\nSTEP 1: {} main.rs#0 :: {}".format(*REWRITE)
+
+
+def test_a_repair_on_the_second_page_keeps_both_pages_and_repeats_asking_nothing(
+    tmp_path, capsys, monkeypatch, asked, case
+):
+    # the second page lists s01 among the tried solutions
+    rules = [("TRIED s01", REPAIRING_PAGE), (MARKER_PLAN, FAILING_PAGE)]
+    monkeypatch.setattr(cli, "create_provider", lambda config: ScriptedMockProvider(config, rules=rules))
+    store = tmp_path / "experience.jsonl"
+    rc, report = _fix(capsys, case, store, "--no-kb")
+    assert (rc, report["verdict"]) == (0, "pass")
+    # s01's fix is answered by its page's code, s02's by the model
+    assert _kinds(asked) == ["plan", "plan", "fix"]
+    first, second, fix = (PromptRecord.user(text) for text in asked)
+    keys = [f"mock:{prompt.stable_hash('gpt-4', 0.5)}" for prompt in (first, second, fix)]
+    assert list(_answers(store)) == keys
+    assert _answers(store)[keys[0]] == FAILING_PAGE and _answers(store)[keys[1]] == REPAIRING_PAGE
+    asked.clear()
+    rc, again = _fix(capsys, case, store, "--no-kb")
+    assert (rc, again["trace"], asked) == (0, report["trace"], [])
+    assert (again["store_hits"]["answers"], again["triplet"]["overhead_tokens"]) == (3, 0)
+
+
+def test_a_degenerate_plan_and_its_retry_are_both_kept(tmp_path, capsys, monkeypatch, asked, case):
+    plan = "SOLUTION 1:\nSTEP 1: {} main.rs#0 :: {}".format(*REWRITE)
+    rules = [("Reminder: answer only in the grammar above.", plan), (MARKER_PLAN, "no plan here")]
+    monkeypatch.setattr(cli, "create_provider", lambda config: ScriptedMockProvider(config, rules=rules))
+    store = tmp_path / "experience.jsonl"
+    rc, report = _fix(capsys, case, store, "--no-kb")
+    assert rc == 0 and _kinds(asked) == ["plan", "plan", "fix"]
+    assert list(_answers(store).values())[:2] == ["no plan here", plan]
+    asked.clear()
+    rc, again = _fix(capsys, case, store, "--no-kb")
+    assert (rc, again["trace"], asked, again["store_hits"]["answers"]) == (0, report["trace"], [], 3)
 
 
 @pytest.mark.parametrize(
@@ -178,14 +234,15 @@ def test_kept_answers_answer_nothing_under_another_model_temperature_or_mode(
 ):
     store, transcript = tmp_path / "experience.jsonl", tmp_path / "t.jsonl"
     assert _fix(capsys, case, store, "--no-kb", "--transcript", str(transcript))[0] == 0
-    assert len(_answers(store)) == 1
+    # the plan page, and the fix its code answered
+    assert len(_answers(store)) == 2
     asked.clear()
     rc, same = _fix(capsys, case, store, "--no-kb")
-    assert (rc, same["store_hits"]["answers"], _kinds(asked)) == (0, 1, ["plan"])
+    assert (rc, same["store_hits"]["answers"], _kinds(asked)) == (0, 2, [])
     asked.clear()
     rc, changed = _fix(capsys, case, store, "--no-kb", "--transcript", str(transcript), *change)
     assert (rc, changed["store_hits"]["answers"]) == (0, 0)
-    # the fix is answered by the plan's code, not by the kept answer
+    # the kept page is not read: the plan is asked, and its code answers the fix
     assert _kinds(asked) == ["plan"]
     assert changed["trace"] == same["trace"]
 
@@ -228,31 +285,41 @@ def test_a_second_fix_on_the_generated_store_asks_only_what_no_verified_repair_a
             kinds[tid, run] = _kinds(asked)
     # the seed passes on its first thought: the repeat asks nothing
     assert (kinds["c02", 1], kinds["c02", 2]) == (["fix"], [])
-    # c12 is planned every time, and the plan's code answers its fix the
-    # first time; only that fix answer is kept
+    # c12's seed could be outranked, so it is planned, and the plan's code
+    # answers its fix; the repeat reads the page and the fix answer
     assert kinds["c12", 1] == ["plan"]
-    assert kinds["c12", 2] == ["plan"]
+    assert kinds["c12", 2] == []
 
 
 # --- transcripts ----------------------------------------------------------------
 
 
-def test_a_fix_transcript_recorded_on_a_warm_store_replays_on_its_own(tmp_path, capsys, case):
-    store, transcript = tmp_path / "experience.jsonl", tmp_path / "t.jsonl"
-    assert _fix(capsys, case, store)[0] == 0
-    fresh = tmp_path / "fresh.jsonl"
-    shutil.copyfile(store, fresh)
-    rc, recorded = _fix(capsys, case, store, "--transcript", str(transcript))
-    assert (rc, recorded["store_hits"]["answers"]) == (0, 1)
-    (key,) = _answers(store)
-    assert key.removeprefix("mock:") in load_transcript(transcript)
-    rc, replayed = _fix(capsys, case, fresh, "--provider", "replay", "--transcript", str(transcript))
-    assert (rc, replayed["store_hits"]["answers"]) == (0, 0)
-    # a replay run reads no answer a mock gave, so it pays for the prompt
-    for report in (recorded, replayed):
-        report["triplet"].pop("overhead_tokens")
-        report["store_hits"].pop("answers")
-    assert replayed == recorded
+def test_a_fix_transcript_recorded_on_a_warm_store_replays_on_its_own(tmp_path, capsys, asked):
+    # with knowledge the repeat is seeded, and its seed passes before any
+    # page is asked; without, it reads the plan page too
+    for settings, read in (((), {"fix"}), (("--no-kb",), {"plan", "fix"})):
+        run = tmp_path / "-".join(["run", *settings])
+        case = copy_fixture(CORPUS_DIR / "stack_borrow", run / "case") / "main.rs"
+        store, transcript = run / "experience.jsonl", run / "t.jsonl"
+        assert _fix(capsys, case, store, *settings)[0] == 0
+        # the plan page, and the fix its code answered
+        assert len(_answers(store)) == 2
+        fresh = run / "fresh.jsonl"
+        shutil.copyfile(store, fresh)
+        asked.clear()
+        rc, recorded = _fix(capsys, case, store, *settings, "--transcript", str(transcript))
+        assert (rc, recorded["store_hits"]["answers"], asked) == (0, len(read), [])
+        entries = [json.loads(line) for line in transcript.read_text(encoding="utf-8").splitlines()]
+        assert {_kinds([entry["prompt"]["messages"][0]["content"]])[0] for entry in entries} == read
+        assert {entry["hash"] for entry in entries} <= {key.removeprefix("mock:") for key in _answers(store)}
+        replay = ("--provider", "replay", "--transcript", str(transcript))
+        rc, replayed = _fix(capsys, case, fresh, *settings, *replay)
+        assert (rc, replayed["store_hits"]["answers"]) == (0, 0)
+        # a replay run reads no answer a mock gave, so it pays for the prompt
+        for report in (recorded, replayed):
+            report["triplet"].pop("overhead_tokens")
+            report["store_hits"].pop("answers")
+        assert replayed == recorded, settings
 
 
 def _manifest(tmp_path: Path, kinds: list[str]) -> Path:

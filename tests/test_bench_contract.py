@@ -266,14 +266,15 @@ def test_a_store_answered_prompt_never_reaches_provider_complete(tmp_path, monke
             "--fixed-clock", "--report", "json"]
     assert cli.main(args) == 0
     first = json.loads(capsys.readouterr().out)
-    # the plan, whose code answers the fix; the fix's answer is kept
+    # the plan, whose code answers the fix; the plan's and the fix's answers are kept
     assert (len(seen), len(written)) == (1, 1)
     lines = [json.loads(line) for line in store.read_text(encoding="utf-8").splitlines()]
     answers = [line["tool_result"]["key"] for line in lines if "answer" in line.get("tool_result", {})]
-    assert answers == [f"mock:{written[-1]}"]
+    assert answers == [f"mock:{seen[0]}", f"mock:{written[-1]}"]
     seen.clear()
     assert cli.main(args) == 0
     second = json.loads(capsys.readouterr().out)
+    # the repair, seeded and kept first, passes before any page is asked
     assert seen == []
     assert (second["triplet"]["overhead_tokens"], second["store_hits"]["answers"]) == (0, 1)
     assert second["trace"] == first["trace"]

@@ -306,6 +306,33 @@ def test_an_unclosed_quote_in_the_detector_command_is_a_usage_error(tmp_path, ca
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("given", ["", "   "])
+@pytest.mark.parametrize("command", ["fix", "bench"])
+def test_an_empty_detector_command_is_a_usage_error(tmp_path, capsys, command, given):
+    # it must not fall back to the default command
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(tmp_path / "target"), "--detector-cmd", given])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--detector-cmd" in captured.err and "empty command" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "-0.5", "nan", "inf", "-inf", "soon"])
+@pytest.mark.parametrize("command", ["fix", "bench"])
+def test_a_timeout_that_is_not_a_finite_positive_number_is_a_usage_error(tmp_path, capsys, command, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(tmp_path / "target"), f"--timeout={value}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --timeout" in captured.err and captured.out == ""
+
+
+def test_a_positive_timeout_is_taken_as_seconds():
+    args = cli.build_parser().parse_args(["fix", "main.rs", "--timeout", "2.5"])
+    assert cli._detector_config(args).timeout == 2.5
+
+
 @pytest.mark.parametrize("command", ["fix", "bench"])
 def test_a_bad_reference_bundle_file_is_reported_not_raised(tmp_path, capsys, command):
     manifest = _bench_dir(tmp_path, ["stack_borrow"], with_refs=True)
@@ -482,6 +509,27 @@ def test_an_over_budget_target_is_rejected_by_fix_and_fails_its_bench_row(tmp_pa
     assert row["verdict"] == "failed"
     assert row["note"].startswith("TargetRejected: estimated ")
     assert "case b01 failed: estimated " in caplog.text
+
+
+@pytest.mark.parametrize("name", ["main.rs", "util.rs", "Cargo.toml"])
+def test_a_tracked_file_that_is_not_utf8_is_rejected_by_fix_and_fails_its_bench_row(
+    tmp_path, capsys, caplog, name
+):
+    # the entry file, a sibling source or the manifest the working copy carries
+    case = tmp_path / "bad" / "main.rs"
+    case.parent.mkdir()
+    case.write_text(CLEAN_SOURCE, encoding="utf-8")
+    (case.parent / name).write_bytes(b"fn f() {}\n// \xff\n")
+    expected = f"{case.parent / name}: not UTF-8 text"
+    assert main(_fix(case)) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {expected}\n")
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(json.dumps({"id": "b01", "path": "bad/main.rs", "ub_kind": "alloc"}) + "\n")
+    assert main(_bench(manifest, "--report", "json")) == 0
+    (row,) = json.loads(capsys.readouterr().out)["cases"]
+    assert (row["verdict"], row["note"]) == ("failed", f"TargetRejected: {expected}")
+    assert f"case b01 failed: {expected}" in caplog.text and "raised" not in caplog.text
 
 
 def test_bench_turns_a_provider_failure_into_a_failed_row(tmp_path, capsys, caplog, monkeypatch):

@@ -6,12 +6,16 @@ session started, and ``reference_rank`` is ranking as it stood when each
 candidate scanned the whole experience log (signatures compared blind to
 case and whitespace runs). They stay here as the references that the lazy,
 paged plan and the one-pass scoring must match: the same verdicts, traces,
-final sources and store lines, with only the tokens spent allowed to differ.
+final sources and store lines, with only the tokens spent and the plan
+answers kept allowed to differ. A repair keeps the answers of the plan
+prompts asked for the solutions its session drew: the reference's one
+eager prompt, the lazy run's pages.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -133,6 +137,12 @@ def reference_repair_one(target, provider, engine, settings, reference=None):
         if outcome.verdict is Verdict.PASS and triplet.acceptability is True:
             outcome.verdict = Verdict.SEMANTIC_PASS
         if triplet.accuracy:
+            # the session draws the solutions in order, up to the one it ended on
+            ids = [solution.id for solution in solutions]
+            drawn = solutions[: ids.index(outcome.solution_id) + 1] if outcome.solution_id in ids else []
+            for solution in drawn:
+                for prompt in solution.prompts:
+                    provider.keep(prompt)
             for thought in outcome.trace.thoughts:
                 if thought.kept:
                     provider.keep(thought.patch.prompt)
@@ -205,8 +215,14 @@ def _strip(value):
     return value
 
 
+def _is_plan_answer(line: dict) -> bool:
+    return bool(re.match(r"SOLUTION \d+:", line.get("tool_result", {}).get("answer", "")))
+
+
 def _fix(tmp: Path, fixture: str, lines: list[str], repair, monkeypatch, capsys):
-    """One ``fix`` run in ``tmp``, which it leaves empty for the next run."""
+    """One ``fix`` run in ``tmp``, which it leaves empty for the next run.
+    The lines of its stores come back without the plan answers, which come
+    back on their own."""
     shutil.rmtree(tmp, ignore_errors=True)
     tmp.mkdir()
     case = shutil.copytree(CORPUS_DIR / fixture, tmp / fixture) / "main.rs"
@@ -225,7 +241,8 @@ def _fix(tmp: Path, fixture: str, lines: list[str], repair, monkeypatch, capsys)
         for path in (exp, kb) if path.exists()
         for line in path.read_text(encoding="utf-8").splitlines()
     ]
-    return status, report, out.err, store
+    plans = [line for line in store if _is_plan_answer(line)]
+    return status, report, out.err, [line for line in store if line not in plans], plans
 
 
 @pytest.mark.parametrize("kind", ["no_hit", "hit_passes", "hit_fails", "hit_outranked"])
@@ -235,13 +252,17 @@ def test_fix_matches_the_eager_reference_on_every_fixture(tmp_path, monkeypatch,
         lines = _store(kind, _vector(CORPUS_DIR / fixture / "main.rs"))
         runs = []
         for name, repair in (("reference", reference_repair_one), ("lazy", cli.repair_one)):
-            status, report, err, store = _fix(
+            status, report, err, store, plans = _fix(
                 tmp_path / "run", fixture, lines, repair, monkeypatch, capsys
             )
-            runs.append((status, _strip(report), err, store, report["triplet"]["overhead_tokens"]))
-        (ref_status, ref_report, ref_err, ref_store, ref_tokens), lazy = runs[0], runs[1]
+            runs.append((status, _strip(report), err, store, report["triplet"]["overhead_tokens"], plans))
+        (ref_status, ref_report, ref_err, ref_store, ref_tokens, ref_plans), lazy = runs[0], runs[1]
         assert lazy[:4] == (ref_status, ref_report, ref_err, ref_store), fixture
         spent[fixture] = (ref_tokens, lazy[4])
+        # a repair keeps its plan answers unless its seed passed before any
+        # plan was drawn from: the reference's one prompt, the lazy run's pages
+        planned = ref_status == 0 and kind != "hit_passes"
+        assert (len(ref_plans), bool(lazy[5])) == (int(planned), planned), fixture
     # with hit_passes every fixture passes on the seed's first thought,
     # asked for alone; otherwise the lazy run asks a page of 3 plans where
     # the reference asks for 10

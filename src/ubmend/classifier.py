@@ -3,8 +3,9 @@
 Region location is lexical plus bracket matching, not semantic analysis:
 good enough for code the compiler rejects, cheap enough to re-run after
 every patch. Operation classification covers the five reasons a region
-needs ``unsafe`` at all; strategy ordering is a shipped policy table
-(``data/strategy_policy.tsv``) keyed by UB kind.
+needs ``unsafe`` at all. Strategy ordering puts SafeAlternative where the
+safe-API catalogue's gate says, and the other two by a shipped policy
+table (``data/strategy_policy.tsv``) keyed by UB kind.
 """
 from __future__ import annotations
 
@@ -258,6 +259,16 @@ def has_safe_api_match(snippet: str) -> bool:
     return any(pattern.search(snippet) for pattern in SAFE_API_CATALOGUE)
 
 
+def gate_safe_alternative(order: list[FixStrategy], snippet: str) -> list[FixStrategy]:
+    """``order`` with SafeAlternative first when the catalogue knows a safe
+    counterpart for ``snippet``, else last: without one the safe_replace
+    agent refuses before asking the model, so a plan led by it cannot act."""
+    rest = [s for s in order if s is not FixStrategy.SAFE_ALTERNATIVE]
+    if has_safe_api_match(snippet):
+        return [FixStrategy.SAFE_ALTERNATIVE, *rest]
+    return [*rest, FixStrategy.SAFE_ALTERNATIVE]
+
+
 def load_policy_table(path: Path | None = None) -> dict[str, list[FixStrategy]]:
     """Parse the ``<ub_kind>\\t<strategy,strategy,strategy>`` policy table."""
     if path is None:
@@ -294,8 +305,9 @@ def map_strategies(
 ) -> list[FixStrategy]:
     """Ordered permutation of all three strategies for one feature.
 
-    A catalogued safe-API match promotes SafeAlternative to the front; with
-    several UB kinds the per-kind table rows are merged by rank sum.
+    The catalogue gate places SafeAlternative (``gate_safe_alternative``);
+    the policy rows order the other two, merged by rank sum when the
+    feature has several UB kinds.
     """
     policy = policy if policy is not None else _policy()
     kinds = sorted(k.value for k in feature.ub_kinds)
@@ -309,7 +321,4 @@ def map_strategies(
                 rank[strategy] += pos
         default_pos = {s: i for i, s in enumerate(policy["default"])}
         order = sorted(FixStrategy, key=lambda s: (rank[s], default_pos[s]))
-    if has_safe_api_match(feature.region.snippet):
-        order.remove(FixStrategy.SAFE_ALTERNATIVE)
-        order.insert(0, FixStrategy.SAFE_ALTERNATIVE)
-    return order
+    return gate_safe_alternative(order, feature.region.snippet)

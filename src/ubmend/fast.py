@@ -38,6 +38,7 @@ from .classifier import (
     FixStrategy,
     UnsafeRegion,
     classify_ops,
+    gate_safe_alternative,
     locate_unsafe_regions,
     map_strategies,
 )
@@ -156,13 +157,12 @@ def normalize_steps(steps: list[RepairStep]) -> tuple:
 
 
 def strategy_order(feature: CodeFeature) -> list[FixStrategy]:
-    """map_strategies, except unclassifiable regions go semantics-first."""
+    """map_strategies, except unclassifiable regions go semantics-first,
+    then SafeAlternative ahead of AssertionGuard only when the catalogue
+    gate passes."""
     if not feature.op_kinds:
-        return [
-            FixStrategy.SEMANTIC_MODIFICATION,
-            FixStrategy.SAFE_ALTERNATIVE,
-            FixStrategy.ASSERTION_GUARD,
-        ]
+        rest = [FixStrategy.SAFE_ALTERNATIVE, FixStrategy.ASSERTION_GUARD]
+        return [FixStrategy.SEMANTIC_MODIFICATION, *gate_safe_alternative(rest, feature.region.snippet)]
     return map_strategies(feature)
 
 
@@ -185,6 +185,11 @@ def _named_file(report_file: str, entry_files: Sequence[str]) -> str | None:
     return best
 
 
+def _region_lines(source: str, region: UnsafeRegion) -> tuple[int, int]:
+    """The first and last 1-based line of ``region`` in ``source``."""
+    return line_of_offset(source, region.start), line_of_offset(source, max(region.start, region.end - 1))
+
+
 def _report_hits_region(
     report: UbReport, rel: str, source: str, region: UnsafeRegion, entry_files: Sequence[str]
 ) -> bool:
@@ -192,8 +197,7 @@ def _report_hits_region(
     ``rel``, which its path must name among ``entry_files``."""
     if report.line is None or _named_file(report.file, entry_files) != rel:
         return False
-    first = line_of_offset(source, region.start)
-    last = line_of_offset(source, max(region.start, region.end - 1))
+    first, last = _region_lines(source, region)
     return first <= report.line <= last
 
 
@@ -204,21 +208,21 @@ def extract_features(target: TargetPackage, reports: list[UbReport]) -> list[Cod
     Reports that land in no region are logged as taxonomy escapes; if none
     overlap at all, the first region of the first entry file a report names
     (else of the first entry file) stands for them all. Without such a
-    region there is no feature: no step could patch the reports.
+    region there is no feature: no step could patch the reports. Each
+    report's file is named once, and each region's lines counted once.
     """
     if not reports:
         return []
+    named = [_named_file(r.file, target.entry_files) for r in reports]
     features: list[CodeFeature] = []
     claimed: set[int] = set()
     for rel in target.entry_files:
         source = target.read(rel)
         regions = locate_unsafe_regions(source, rel)
+        lined = [i for i, r in enumerate(reports) if r.line is not None and named[i] == rel]
         for ordinal, region in enumerate(regions):
-            hit_idx = [
-                i
-                for i, r in enumerate(reports)
-                if _report_hits_region(r, rel, source, region, target.entry_files)
-            ]
+            first, last = _region_lines(source, region)
+            hit_idx = [i for i in lined if first <= reports[i].line <= last]
             if not hit_idx:
                 continue
             claimed.update(hit_idx)
@@ -229,17 +233,11 @@ def extract_features(target: TargetPackage, reports: list[UbReport]) -> list[Cod
         if i not in claimed:
             log.warning("taxonomy escape: report %s maps to no unsafe region", report.to_dict())
     if not features:
-        rel = _fallback_file(target, reports)
+        rel = next((rel for rel in target.entry_files if rel in named), target.entry_files[0])
         regions = locate_unsafe_regions(target.read(rel), rel)
         if regions:
             features.append(_build_feature(regions[0], region_ref(rel, 0), list(reports)))
     return features
-
-
-def _fallback_file(target: TargetPackage, reports: list[UbReport]) -> str:
-    """The first entry file a report names, else the first entry file."""
-    named = {_named_file(r.file, target.entry_files) for r in reports}
-    return next((rel for rel in target.entry_files if rel in named), target.entry_files[0])
 
 
 def _build_feature(region: UnsafeRegion, ref: str, hits: list[UbReport]) -> CodeFeature:

@@ -471,14 +471,19 @@ def test_plan_code_after_a_reason_step_that_found_knowledge_asks_the_agent_with_
 
 class _NoCodeForRegionOne(SpyProvider):
     """The spy mock, answering every fix prompt of the region that holds
-    ``alloc101`` with no code; it keeps each plan answer too."""
+    ``alloc101`` with no code, and every SafeAlternative prompt with no safe
+    equivalent; it keeps each plan answer too."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.plans: list[str] = []
 
     def _fix(self, text: str) -> str:
-        return "no code" if "alloc101" in text else super()._fix(text)
+        if "alloc101" in text:
+            return "no code"
+        if "Strategy: SafeAlternative" in text:
+            return "NO SAFE EQUIVALENT"
+        return super()._fix(text)
 
     def _plan(self, text: str) -> str:
         self.plans.append(super()._plan(text))
@@ -491,8 +496,9 @@ def test_plan_code_on_a_follow_up_page_for_a_region_patched_since_asks_the_agent
     path = tmp_path / "main.rs"
     path.write_text(regions_source(2), encoding="utf-8")
     region = locate_unsafe_regions(regions_source(2), "main.rs")[0]
-    # region 1 is never repaired, and s01 and s03 patch region 0, so the
-    # best snapshot holds region 0 patched when s04 is planned
+    # region 1 is never repaired, s01 and s02 patch region 0, and s03's
+    # SafeReplace changes nothing, so the best snapshot holds region 0
+    # patched, and still first, when s04 is planned
     settings = SessionConfig(detector=stub_detector_config(), solutions_k=4, kb_enabled=False, clock=cli.LogicalClock())
     spy = _NoCodeForRegionOne(ProviderConfig())
     outcome, _, _ = cli.repair_one(TargetPackage.from_path(path), spy, FeedbackEngine(), settings)

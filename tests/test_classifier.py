@@ -241,9 +241,29 @@ def test_map_strategies_kind_specific():
     assert map_strategies(f2)[0] == FixStrategy.ASSERTION_GUARD
 
 
+def _row_features(snippet: str) -> list[tuple[list[FixStrategy], CodeFeature]]:
+    """Each policy row, without SafeAlternative, with a feature of
+    ``snippet`` whose UB kinds read that row."""
+    rows = []
+    for key, row in load_policy_table().items():
+        kinds = set() if key == "default" else {UbKind(key)}
+        rest = [s for s in row if s is not FixStrategy.SAFE_ALTERNATIVE]
+        rows.append((rest, _feature(snippet, ub_kinds=kinds)))
+    return rows
+
+
 def test_map_strategies_catalogue_promotion():
-    f = _feature("unsafe { v.get_unchecked(0) }", ub_kinds={UbKind.STACK_BORROW})
-    assert map_strategies(f)[0] == FixStrategy.SAFE_ALTERNATIVE
+    # on every row; the others follow in row order
+    for rest, f in _row_features("unsafe { v.get_unchecked(0) }"):
+        assert map_strategies(f) == [FixStrategy.SAFE_ALTERNATIVE, *rest]
+
+
+def test_map_strategies_puts_an_unmatched_safe_alternative_last():
+    # the rows that lead with SafeAlternative too: without a catalogue match
+    # the agent refuses before asking the model, so it is tried last
+    assert not has_safe_api_match("unsafe { *ptr }")
+    for rest, f in _row_features("unsafe { *ptr }"):
+        assert map_strategies(f) == [*rest, FixStrategy.SAFE_ALTERNATIVE]
 
 
 def test_map_strategies_merges_ranks():
@@ -253,11 +273,6 @@ def test_map_strategies_merges_ranks():
     )
     order = map_strategies(f)
     assert sorted(s.value for s in order) == sorted(s.value for s in FixStrategy)
-
-
-def test_map_strategies_unknown_kind_uses_default():
-    f = _feature("unsafe { *ptr }", ub_kinds={UbKind.UNKNOWN})
-    assert map_strategies(f) == list(load_policy_table()["default"])
 
 
 def test_default_strategy_order_constant():

@@ -32,6 +32,7 @@ from ubmend.errors import ProviderFailure
 from ubmend.fast import AgentKind, RepairSolution, RepairStep
 from ubmend.feedback import FeedbackEngine
 from ubmend.provider import (
+    MARKER_FIX,
     MARKER_PLAN,
     Provider,
     ProviderConfig,
@@ -459,18 +460,19 @@ def _twin_manifest(path: Path, kinds: list[str], copies: tuple[str, ...] = ("a",
 
 
 def test_a_bench_asks_each_distinct_prompt_once_and_charges_every_case_for_it(tmp_path, capsys, monkeypatch):
-    # validity draws a second solution, so fix prompts are asked too; panic
-    # has no reference
+    # no plan answer carries code, so fix prompts are asked too; panic has
+    # no reference
     kinds = ["stack_borrow", "validity", "panic"]
     manifest = _twin_manifest(tmp_path / "twins.jsonl", kinds)
-    asked: list[str] = []
+    asked: list[tuple[str, bool]] = []
     complete = Provider.complete
 
     def counted(self, prompt):
-        asked.append(self.hash_of(prompt))
+        asked.append((self.hash_of(prompt), MARKER_FIX in prompt.text()))
         return complete(self, prompt)
 
     monkeypatch.setattr(Provider, "complete", counted)
+    monkeypatch.setattr(ScriptedMockProvider, "_step_code", lambda self, *step: None)
 
     def bench(manifest: Path, name: str, *extra: str) -> list:
         files = [tmp_path / f"{store}-{name}.jsonl" for store in ("kb", "experience", "transcript")]
@@ -483,7 +485,7 @@ def test_a_bench_asks_each_distinct_prompt_once_and_charges_every_case_for_it(tm
         asked.clear()
         runs.append(bench(manifest, f"jobs{jobs}", "--jobs", jobs))
         # a twin's prompts are its partner's: each reaches the model once
-        assert asked and len(asked) == len(set(asked))
+        assert any(fix for _, fix in asked) and len(asked) == len(set(asked))
     serial, parallel = runs
     assert parallel == serial
     rows = {row.pop("id"): row for row in json.loads(serial[0])["cases"]}
@@ -856,6 +858,24 @@ def test_bench_asks_the_model_each_prompt_once_per_case(tmp_path, capsys, monkey
         # the no-knowledge run asks nothing: its plan and fix prompts are
         # the knowledge run's, answered from the case memo
         assert calls[(kind, False)] == []
+
+
+def test_a_corpus_bench_asks_the_model_only_its_plan_prompts(capsys, monkeypatch):
+    # each case's first solution leads with an agent that can act, and its
+    # plan code repairs the case: one plan prompt per case, and no fix prompt
+    asked: list[str] = []
+    complete = Provider.complete
+
+    def counted(self, prompt):
+        asked.append(prompt.text())
+        return complete(self, prompt)
+
+    monkeypatch.setattr(Provider, "complete", counted)
+    assert main(_bench(CORPUS_DIR / "manifest.jsonl", "--report", "json")) == 0
+    rows = json.loads(capsys.readouterr().out)["cases"]
+    assert len(rows) == len(asked) == 12
+    assert all(MARKER_PLAN in text for text in asked)
+    assert all(row["thoughts"] == 1 for row in rows)
 
 
 def _varying_mock(fix_answer):

@@ -115,8 +115,18 @@ def test_normalize_steps_collapses_formatting():
 
 
 def test_strategy_order_unclassifiable_goes_semantics_first():
-    order = strategy_order(_feature(ops=frozenset()))
-    assert order[0] == FixStrategy.SEMANTIC_MODIFICATION
+    # whatever the UB kind; SafeAlternative comes last unless the catalogue
+    # gate passes
+    region = UnsafeRegion(file="main.rs", byte_span=(0, 21), snippet="unsafe { v.as_ptr() }", enclosing_context="")
+    for kind in (UbKind.VALIDITY, UbKind.UNALIGNED_POINTER, UbKind.STACK_BORROW):
+        unmatched = _feature(ub_kinds={kind}, ops=frozenset())
+        assert strategy_order(unmatched) == [
+            FixStrategy.SEMANTIC_MODIFICATION, FixStrategy.ASSERTION_GUARD, FixStrategy.SAFE_ALTERNATIVE,
+        ]
+        matched = CodeFeature(region=region, op_kinds=frozenset(), ub_kinds=frozenset({kind}), ref="main.rs#0")
+        assert strategy_order(matched) == [
+            FixStrategy.SEMANTIC_MODIFICATION, FixStrategy.SAFE_ALTERNATIVE, FixStrategy.ASSERTION_GUARD,
+        ]
 
 
 def test_fallback_solutions_one_per_strategy():
@@ -404,6 +414,32 @@ def test_a_rule_that_abstains_or_gives_no_code_leaves_the_step_without_a_block(t
     keep = ScriptedMockProvider(ProviderConfig(), rules=[(MARKER_FIX, f"kept\n\n```rust\n{snippet}\n```")])
     first = generate_solutions(feats, k=1, provider=keep)[0]
     assert first.steps[0].code == CodeBlock(snippet, snippet)
+
+
+def test_extract_features_names_each_report_once_and_counts_each_region_once(tmp_path, monkeypatch):
+    import ubmend.fast as fast
+
+    source = "".join(f"fn f{i}(p: *const u8) -> u8 {{\n    unsafe {{ *p }}\n}}\n" for i in range(4))
+    (tmp_path / "main.rs").write_text(source)
+    target = TargetPackage.from_path(tmp_path)
+    reports = [_report(line) for line in (2, 5, 8, 13)]
+    calls = {"named": 0, "lines": 0}
+    named, line_of_offset = fast._named_file, fast.line_of_offset
+
+    def counted_named(*args):
+        calls["named"] += 1
+        return named(*args)
+
+    def counted_lines(*args):
+        calls["lines"] += 1
+        return line_of_offset(*args)
+
+    monkeypatch.setattr(fast, "_named_file", counted_named)
+    monkeypatch.setattr(fast, "line_of_offset", counted_lines)
+    features = extract_features(target, reports)
+    assert [f.ref for f in features] == ["main.rs#0", "main.rs#1", "main.rs#2"]
+    # one name per report, and a first and last line per region
+    assert calls == {"named": len(reports), "lines": 2 * 4}
 
 
 # --- a report names its file ---

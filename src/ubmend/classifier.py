@@ -306,8 +306,8 @@ def map_strategies(
     """Ordered permutation of all three strategies for one feature.
 
     The catalogue gate places SafeAlternative (``gate_safe_alternative``);
-    the policy rows order the other two, merged by rank sum when the
-    feature has several UB kinds.
+    the policy rows order the other two, merged for several UB kinds by the
+    sum of each strategy's positions, SafeAlternative's slot included.
     """
     policy = policy if policy is not None else _policy()
     kinds = sorted(k.value for k in feature.ub_kinds)

@@ -344,11 +344,11 @@ def repair_one(
     knowledge enabled or not: a bench case's two runs that reach a page with
     the same solutions tried share its answer.
     Reason steps consult the knowledge base only when knowledge is enabled
-    and no past repair was seeded. The run's tokens are those its own
-    model calls took plus those charged for answers another bench case
-    fetched (``CaseMemo.charged_tokens``), so they do not depend on which
-    case asked first. When the run repairs the target, the answers it
-    needs to take the same path again are listed in the memo's
+    and no past repair was seeded. The run's tokens are those its memo
+    booked (``CaseMemo.charged_tokens``) for every answer it took from the
+    answer pool, fetched by this run or another case, so they do not depend
+    on which case asked first. When the run repairs the target, the answers
+    it needs to take the same path again are listed in the memo's
     ``new_results``, for the caller to append to the experience log with
     the run's detections: those of every plan prompt asked for a solution
     the session drew (a page, and its retry after a degenerate answer), and
@@ -363,7 +363,6 @@ def repair_one(
     # advances no tick of the logical clock, so there it takes no time
     timer = (lambda: 0.0) if isinstance(clock, LogicalClock) else clock
     provider = MemoizedProvider(provider, memo, timer)
-    tokens_before = provider.tokens_used
     ws = WorkingCopy(target)
     try:
         originals = ws.files()
@@ -428,13 +427,12 @@ def repair_one(
         # answers another case fetched, cost this run what they cost there,
         # as if it had made them itself
         elapsed = clock() - start + memo.charged_seconds
-        tokens = provider.tokens_used - tokens_before + memo.charged_tokens
         triplet = engine.evaluate(
             outcome,
             reference,
             entry_file=target.entry_files[0],
             overhead_seconds=elapsed,
-            overhead_tokens=tokens,
+            overhead_tokens=memo.charged_tokens,
             memo=memo,
         )
         if outcome.verdict is Verdict.PASS and triplet.acceptability is True:

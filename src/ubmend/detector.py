@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import threading
@@ -186,13 +187,13 @@ class MemoEntry:
 
 
 class AnswerPool:
-    """Fetched model answers by transcript hash, shared by the case memos
-    of one bench; a ``fix`` and a bare ``CaseMemo`` have a private pool.
+    """Fetched model answers by key, shared by the case memos of one bench;
+    a ``fix`` and a bare ``CaseMemo`` have a private pool.
 
-    Single-flight: the first caller to ``take`` a hash fetches its answer,
-    and one that takes the hash while that fetch runs waits for it and
+    Single-flight: the first caller to ``take`` a key fetches its answer,
+    and one that takes the key while that fetch runs waits for it and
     gets its answer. Only completed answers are kept: a fetch that raises
-    releases its waiters, and each of them then takes the hash again as if
+    releases its waiters, and each of them then takes the key again as if
     it were the first.
     """
 
@@ -231,29 +232,30 @@ class CaseMemo:
     A bench case's knowledge run and no-knowledge run share one memo, one
     after the other; each ``fix`` invocation has its own. The memos of one
     bench share one ``pool`` of fetched answers, so each distinct prompt of
-    a bench reaches the model once. Detections are
-    keyed by argv and output alike with the target root written as
-    ``{root}`` (plus tool identity and tracked-source bytes), so any copy of
-    the same bytes reads them with its own root put back. Answers are keyed
-    by transcript hash and listed, with their prompts, in the order first
-    kept (``answers``): the case's transcript. Only completed results are
-    kept: timeouts, missing tools, compile errors and failed model calls run
-    again every time.
+    a bench reaches the model once. An entry has one key, that of the
+    experience-log line it is stored as: a detection's covers its argv and
+    output with the target root written as ``{root}`` (plus tool identity
+    and tracked-source bytes), so any copy of the same bytes reads it with
+    its own root put back; an answer's is ``<mode>:<hash>``
+    (``MemoizedProvider.key``). Answers are listed, with their prompts, in
+    the order first kept (``answers``): the case's transcript. Only
+    completed results are kept: timeouts, missing tools, compile errors and
+    failed model calls run again every time.
 
     ``recall`` is the one lookup: the memo, then ``stored``, the
     ``tool_result`` lines of the experience log by key. ``begin_run`` opens
     a run's account: the first time a run reuses a result another run paid
     for, it is charged that result's ``wall_time``, so the timings of the
     two runs stay comparable. A store hit counts in ``store_hits`` and costs
-    nothing. An answer neither holds comes from ``fetch_answer``; one
-    another case fetched is charged, in ``charged_seconds`` and
-    ``charged_tokens``, as if this run had fetched it, so a case's figures
-    do not depend on which case asked first. ``keep`` is the one way in: it
-    lists each detection and verdict in ``new_results``, for the caller to
-    append to the log, at once; an answer only through ``keep_answer``,
-    which the caller calls for the plan pages and thoughts of a repair that
-    passed, so a sampled model still explores wherever no verified repair
-    exists.
+    nothing. An answer neither holds comes from ``fetch_answer``, which
+    books its tokens in ``charged_tokens``, the run's one account of them;
+    one another case fetched is also charged its wall time, so a case's
+    figures do not depend on which case asked first. ``keep`` is the one
+    way in: it lists each detection and verdict in ``new_results``, for the
+    caller to append to the log, at once; an answer only through
+    ``keep_answer``, which the caller calls for the plan pages and thoughts
+    of a repair that passed, so a sampled model still explores wherever no
+    verified repair exists.
     """
 
     def __init__(
@@ -274,19 +276,17 @@ class CaseMemo:
         self.charged_tokens = 0
         self._paid = set()
 
-    def recall(
-        self, key: str, kind: str, store_key: str, prompt: "PromptRecord | None"
-    ) -> MemoEntry | None:
+    def recall(self, key: str, kind: str, prompt: "PromptRecord | None" = None) -> MemoEntry | None:
         """The entry kept under ``key``, else the stored line of ``kind`` (a
-        ``store_hits`` key) under ``store_key``, kept as an entry for
-        ``prompt`` that took no time; None when neither holds it."""
+        ``store_hits`` key) under ``key``, kept as an entry for ``prompt``
+        that took no time; None when neither holds it."""
         entry = self._entries.get(key)
         if entry is not None:
             if key not in self._paid:
                 self._paid.add(key)
                 self.charged_seconds += entry.wall_time
             return entry
-        line = self.stored.get(store_key)
+        line = self.stored.get(key)
         if line is None or _line_kind(line) != kind:
             return None
         self.store_hits[kind] += 1
@@ -295,13 +295,13 @@ class CaseMemo:
         return entry
 
     def fetch_answer(self, key: str, fetch: Callable[[], MemoEntry]) -> MemoEntry:
-        """Keep the answer ``pool`` holds under transcript hash ``key``,
-        fetched with ``fetch`` when no case has; one another case fetched
-        is charged its wall time and tokens."""
+        """Keep the answer ``pool`` holds under ``key``, fetched with
+        ``fetch`` when no case has, and book its tokens; one another case
+        fetched is also charged its wall time."""
         entry, fetched = self.pool.take(key, fetch)
         if not fetched:
             self.charged_seconds += entry.wall_time
-            self.charged_tokens += entry.tokens
+        self.charged_tokens += entry.tokens
         self.keep(key, entry)
         return entry
 
@@ -315,13 +315,12 @@ class CaseMemo:
 
     def answers(self) -> list[tuple[str, MemoEntry]]:
         """Every model answer kept, fetched or read from the store, with its
-        transcript hash, in the order first kept."""
+        key, in the order first kept."""
         return [(key, e) for key, e in self._entries.items() if e.prompt is not None]
 
-    def keep_answer(self, key: str, store_key: str) -> None:
-        """List the answer kept under transcript hash ``key`` in
-        ``new_results``, as the log line ``store_key``."""
-        self.new_results[store_key] = self._entries[key].fields
+    def keep_answer(self, key: str) -> None:
+        """List the answer kept under ``key`` in ``new_results``."""
+        self.new_results[key] = self._entries[key].fields
 
     def tool(self, command: Sequence[str]) -> str:
         """``tool_identity`` of a command, computed once per memo."""
@@ -507,25 +506,24 @@ def run_detection(
     Raises ToolMissing when the tool cannot be spawned, DetectionTimeout
     when the run exceeds ``config.timeout``, and NonUbCompileError when the
     target fails ordinary compilation (error output without any UB block).
-    With a ``memo``, the tool runs at most once per argv, tool identity and
-    tracked-source bytes, and not at all when the memo's store holds them.
-    The memo keys the argv, and keeps the output, with the target root
-    written as ``{root}``; a reused run, made in this copy or another or
-    read from the store, is read as a fresh one is, with this copy's root
-    put back. An output that already holds the text ``{root}`` could not be
-    read back, so that run is not kept.
+    Through ``memo`` (a fresh one when none is given), the tool runs at
+    most once per argv, tool identity and tracked-source bytes, and not at
+    all when the memo's store holds them. The memo keys the argv, and keeps
+    the output, with the target root written as ``{root}``; a reused run,
+    made in this copy or another or read from the store, is read as a fresh
+    one is, with this copy's root put back. An output that already holds
+    the text ``{root}`` could not be read back, so that run is not kept.
     """
     config = config or DetectorConfig()
+    memo = memo if memo is not None else CaseMemo()
     root = str(target.root_path)
     argv = _render_command(config.command, target, root)
-    key = ""
-    if memo is not None:
-        keyed = _render_command(config.command, target, _ROOT_TOKEN)
-        key = _content_key(keyed, memo.tool(config.command), target)
-        known = memo.recall(key, "detections", key, None)
-        if known is not None:
-            output = known.fields["output"].replace(_ROOT_TOKEN, root)
-            return _read_output(argv, root, known.fields["exit_status"], output, known.wall_time)
+    keyed = _render_command(config.command, target, _ROOT_TOKEN)
+    key = _content_key(keyed, memo.tool(config.command), target)
+    known = memo.recall(key, "detections")
+    if known is not None:
+        output = known.fields["output"].replace(_ROOT_TOKEN, root)
+        return _read_output(argv, root, known.fields["exit_status"], output, known.wall_time)
     started = clock()
     try:
         proc = run_group(argv, config.timeout, cwd=target.root_path, text=True)
@@ -536,7 +534,7 @@ def run_detection(
     wall = clock() - started
     raw = (proc.stdout or "") + (proc.stderr or "")
     result = _read_output(argv, root, proc.returncode, raw, wall)
-    if memo is not None and _ROOT_TOKEN not in raw:
+    if _ROOT_TOKEN not in raw:
         fields = {"exit_status": proc.returncode, "output": raw.replace(root, _ROOT_TOKEN)}
         memo.keep(key, MemoEntry(fields, wall, None))
     return result
@@ -545,15 +543,20 @@ def run_detection(
 def _read_output(argv: list[str], root: str, status: int, raw: str, wall: float) -> DetectionResult:
     """A finished tool run's result, from its exit status and output; a run
     read back from the store goes through here as a fresh one does. A
-    compile failure's message carries the head of the output, with the
-    working copy's ``root`` written as ``{root}`` so it reads the same in
-    every run."""
+    non-zero exit without a UB block blames the target when the output
+    holds a top-level ``error:`` line, else the command, which it shows;
+    the message carries the head of the output, with the working copy's
+    ``root`` written as ``{root}`` so it reads the same in every run."""
     if _MISSING_TOOL_RE.search(raw) and status != 0:
         raise ToolMissing(f"detection tool unavailable: {argv}\n{raw.strip()[:500]}")
     reports = parse_diagnostics(raw)
     if status != 0 and not reports:
         shown = raw.replace(root, _ROOT_TOKEN).strip()[:500]
-        raise NonUbCompileError(f"target fails compilation (tool exit {status})\n{shown}")
+        if any(_TOP_ERROR_RE.match(line) for line in raw.splitlines()):
+            raise NonUbCompileError(f"target fails compilation (tool exit {status})\n{shown}")
+        command = shlex.join(argv).replace(root, _ROOT_TOKEN)
+        why = f"detection command exited {status} with no UB report and no compiler error: {command}"
+        raise NonUbCompileError(f"{why}\n{shown}")
     if status == 0 and reports:
         log.warning("tool exited 0 but emitted %d UB blocks; trusting blocks", len(reports))
     return DetectionResult(

@@ -47,6 +47,14 @@ BYPASS_SIMILARITY = 0.95
 
 REFERENCE_RUN_TIMEOUT = 30.0
 
+# the JSON types of a stored triplet's fields
+_TRIPLET_TYPES = {
+    "accuracy": ((bool,), "a bool"),
+    "acceptability": ((bool, type(None)), "a bool or null"),
+    "overhead_seconds": ((int, float), "a number"),
+    "overhead_tokens": ((int,), "an integer"),
+}
+
 
 @dataclass
 class EvalTriplet:
@@ -73,12 +81,13 @@ class EvalTriplet:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EvalTriplet":
-        return cls(
-            accuracy=bool(data["accuracy"]),
-            acceptability=data["acceptability"],
-            overhead_seconds=float(data["overhead_seconds"]),
-            overhead_tokens=int(data["overhead_tokens"]),
-        )
+        """A stored triplet; ValueError unless each field has a type
+        ``to_dict`` writes (``_TRIPLET_TYPES``)."""
+        for name, (types, what) in _TRIPLET_TYPES.items():
+            if type(data[name]) not in types:
+                raise ValueError(f"{name} {data[name]!r} is not {what}")
+        seconds = float(data["overhead_seconds"])
+        return cls(data["accuracy"], data["acceptability"], seconds, data["overhead_tokens"])
 
 
 class ReferenceExecutionFailure(Exception):
@@ -130,31 +139,20 @@ class ReferenceBundle:
 
         Raises ReferenceExecutionFailure when the check cannot produce a
         verdict (compile failure, missing toolchain, run timeout); that is
-        never memoised. With a ``memo``, each bundle, entry file, resolved
-        ``rustc`` and source is compiled and judged at most once, and not at
-        all when the memo's store holds the verdict.
+        never memoised. Through ``memo`` (a fresh one by default), each
+        bundle, entry file, resolved ``rustc`` and source is compiled and
+        judged at most once, and not at all when its store holds the verdict.
         """
-        key = ""
-        if memo is not None:
-            payload = json.dumps(
-                [
-                    self.expected_stdout.hex(),
-                    self.expected_exit,
-                    self.tests_cmd,
-                    entry_file,
-                    rustc,
-                    memo.tool([rustc]),
-                    sorted(final_source.items()),
-                ]
-            )
-            key = hashlib.sha256(payload.encode()).hexdigest()
-            known = memo.recall(key, "reference_verdicts", key, None)
-            if known is not None:
-                return known.fields["verdict"]
+        memo = memo if memo is not None else CaseMemo()
+        payload = [self.expected_stdout.hex(), self.expected_exit, self.tests_cmd, entry_file, rustc]
+        payload += [memo.tool([rustc]), sorted(final_source.items())]
+        key = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+        known = memo.recall(key, "reference_verdicts")
+        if known is not None:
+            return known.fields["verdict"]
         verdict = self._compile_and_compare(final_source, entry_file, rustc)
-        if memo is not None:
-            # the check is not timed on the run's clock: a reused verdict costs nothing
-            memo.keep(key, MemoEntry({"verdict": verdict}, 0.0, None))
+        # the check is not timed on the run's clock: a reused verdict costs nothing
+        memo.keep(key, MemoEntry({"verdict": verdict}, 0.0, None))
         return verdict
 
     def _compile_and_compare(self, final_source: dict[str, str], entry_file: str, rustc: str) -> bool:

@@ -1,9 +1,10 @@
 """Language-model backends: replay, scripted mock, and live HTTP.
 
-Every call goes through a PromptRecord whose stable hash keys the case
-memo's answers, the transcript written from them (``transcript_entries``)
-and replay. Replay mode performs no network traffic at all, which is what
-makes end-to-end runs reproducible byte for byte.
+Every call goes through a PromptRecord whose stable hash, after the
+provider mode, keys the case memo's answers; the transcript written from
+them (``transcript_entries``) and replay use the bare hash. Replay mode
+performs no network traffic at all, which is what makes end-to-end runs
+reproducible byte for byte.
 """
 from __future__ import annotations
 
@@ -131,14 +132,15 @@ class Provider:
 class MemoizedProvider:
     """A run's provider seen through its case memo.
 
-    A prompt whose transcript hash the case has asked before is answered
-    from the memo, and one whose verified answer the memo's store holds
-    (``store_key``) from the store; neither reaches ``inner``. Any other
-    prompt is answered from the memo's answer pool, which a bench shares
-    among its cases: the first case to ask it fetches the answer from
-    ``inner``, and every other case takes that answer and is charged its
-    tokens and wall time (``CaseMemo.fetch_answer``). This is deliberately
-    not a ``Provider``: a fetched answer passes through ``Provider.complete``
+    An answer has one key (``key``) in the memo, its pool and the log. A
+    prompt the case has asked before is answered from the memo, and one
+    whose verified answer the memo's store holds from the store; neither
+    reaches ``inner``. Any other prompt is answered from the memo's answer
+    pool, which a bench shares among its cases: the first case to ask it
+    fetches the answer from ``inner``, and every other case takes that
+    answer; either way the memo books its tokens, and is the run's one
+    account of them (``CaseMemo.fetch_answer``). This is deliberately not a
+    ``Provider``: a fetched answer passes through ``Provider.complete``
     once, in ``inner``, where calls and tokens are counted, and a reused,
     pooled or stored answer not at all. ``timer`` times each fetch in the
     run's clock units; a stored answer takes no time.
@@ -149,28 +151,21 @@ class MemoizedProvider:
         self.memo = memo
         self.timer = timer
 
-    @property
-    def tokens_used(self) -> int:
-        return self.inner.tokens_used
-
-    def store_key(self, key: str) -> str:
-        """The experience-log key of the answer to the prompt with transcript
-        hash ``key``: the provider mode and the hash, so an answer a mock
-        gave never answers a live or replay run."""
-        return f"{self.inner.config.mode.value}:{key}"
+    def key(self, prompt: PromptRecord) -> str:
+        """The key of the answer to ``prompt``: the provider mode and the
+        transcript hash, so an answer a mock gave never answers a live or
+        replay run."""
+        return f"{self.inner.config.mode.value}:{self.inner.hash_of(prompt)}"
 
     def recall(self, prompt: PromptRecord) -> str | None:
         """The answer the memo or its store holds for ``prompt``, else None."""
-        key = self.inner.hash_of(prompt)
-        entry = self.memo.recall(key, "answers", self.store_key(key), prompt)
+        entry = self.memo.recall(self.key(prompt), "answers", prompt)
         return None if entry is None else entry.fields["answer"]
 
     def complete(self, prompt: PromptRecord) -> str:
-        answer = self.recall(prompt)
-        if answer is None:
-            key = self.inner.hash_of(prompt)
-            answer = self.memo.fetch_answer(key, lambda: self._fetch(prompt)).fields["answer"]
-        return answer
+        key = self.key(prompt)
+        entry = self.memo.recall(key, "answers", prompt)
+        return (entry or self.memo.fetch_answer(key, lambda: self._fetch(prompt))).fields["answer"]
 
     def _fetch(self, prompt: PromptRecord) -> MemoEntry:
         started = self.timer()
@@ -181,15 +176,13 @@ class MemoizedProvider:
     def stand_in(self, prompt: PromptRecord, answer: str) -> None:
         """Keep ``answer``, written without asking ``prompt``, as the
         prompt's answer: one that took no time and no tokens."""
-        self.memo.keep(self.inner.hash_of(prompt), MemoEntry({"answer": answer}, 0.0, prompt))
+        self.memo.keep(self.key(prompt), MemoEntry({"answer": answer}, 0.0, prompt))
 
     def keep(self, prompt: PromptRecord) -> None:
         """List the answer the case got for ``prompt`` in the memo's
-        ``new_results``, under ``store_key``, for the caller to append to
-        the log: a plan page or an agent answer that led to a verified
-        repair (``cli.repair_one``)."""
-        key = self.inner.hash_of(prompt)
-        self.memo.keep_answer(key, self.store_key(key))
+        ``new_results``, for the caller to append to the log: a plan page or
+        an agent answer that led to a verified repair (``cli.repair_one``)."""
+        self.memo.keep_answer(self.key(prompt))
 
 
 def _transcript_line(entry: dict) -> tuple[str, str]:
@@ -459,9 +452,12 @@ class TranscriptEntry:
 def transcript_entries(memo: CaseMemo, config: ProviderConfig) -> list[TranscriptEntry]:
     """Every answer ``memo`` holds, fetched or read from the store, as a
     transcript entry of ``config``'s model, in the order the memo kept them.
-    A transcript written from them replays the case on its own."""
+    A transcript written from them, keyed by the bare hash (the memo key
+    without its mode), replays the case on its own."""
     return [
-        TranscriptEntry(key, entry.prompt, entry.fields["answer"], config.model_name, config.temperature)
+        TranscriptEntry(
+            key.partition(":")[2], entry.prompt, entry.fields["answer"], config.model_name, config.temperature
+        )
         for key, entry in memo.answers()
     ]
 

@@ -358,7 +358,7 @@ def test_plan_code_that_passes_its_agents_check_answers_without_a_call(ws, agent
     assert (spy.calls, spy.tokens_used) == (0, 0)
     # kept as the answer to the agent's prompt, at no cost
     ((key, entry),) = memo.answers()
-    assert key == spy.hash_of(thought.patch.prompt) and MARKER_FIX in entry.prompt.text()
+    assert key == f"mock:{spy.hash_of(thought.patch.prompt)}" and MARKER_FIX in entry.prompt.text()
     assert (entry.fields, entry.wall_time) == ({"answer": f"```rust\n{after}\n```"}, 0.0)
 
 

@@ -460,7 +460,7 @@ def test_a_stored_line_answers_only_lookups_of_its_own_kind():
     for key, line in lines.items():
         for kind in kinds:
             memo = CaseMemo(lines)
-            entry = memo.recall(key, kind, key, None)
+            entry = memo.recall(key, kind)
             assert (entry and entry.fields) == (line if kind == key else None)
             assert memo.store_hits == {k: int(k == kind == key) for k in kinds}
     # an answer lookup never takes a detection or verdict line for its text

@@ -275,6 +275,18 @@ def test_map_strategies_merges_ranks():
     assert sorted(s.value for s in order) == sorted(s.value for s in FixStrategy)
 
 
+def test_a_rows_safe_alternative_slot_counts_in_the_merge():
+    # stack_borrow (SM, SA, AG) with validity (SA, AG, SM) sums SM 2 and
+    # AG 3; with SafeAlternative's slot dropped the two would tie at 1, and
+    # the default row's order would put AssertionGuard first
+    f = _feature("unsafe { *ptr }", ub_kinds={UbKind.STACK_BORROW, UbKind.VALIDITY})
+    assert map_strategies(f) == [
+        FixStrategy.SEMANTIC_MODIFICATION,
+        FixStrategy.ASSERTION_GUARD,
+        FixStrategy.SAFE_ALTERNATIVE,
+    ]
+
+
 def test_default_strategy_order_constant():
     assert tuple(load_policy_table()["default"]) == (
         FixStrategy.SAFE_ALTERNATIVE,

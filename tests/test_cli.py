@@ -268,13 +268,17 @@ def test_relative_detector_path_is_taken_from_the_invoking_directory(tmp_path, c
 
 def test_a_detector_that_fails_shows_its_output(tmp_path, capsys, monkeypatch):
     # only the program word is resolved, so the interpreter looks for its
-    # script inside the working copy; the error says so, not just the exit
+    # script inside the working copy; the error blames the command, shows
+    # it, and says why, not just the exit
     monkeypatch.chdir(TOOLS_DIR.parent)
     path = copy_fixture(CORPUS_DIR / "stack_borrow", tmp_path) / "main.rs"
     given = f"{shlex.quote(sys.executable)} tools/fake_miri.py {{file}}"
     assert main(["fix", str(path), "--fixed-clock", "--detector-cmd", given]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: target fails compilation (tool exit 2)\n")
+    command = given.format(file="main.rs")
+    assert err.startswith(
+        f"error: detection command exited 2 with no UB report and no compiler error: {command}\n"
+    )
     assert "{root}/tools/fake_miri.py" in err and "No such file" in err
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import shlex
 import sys
 import time
 from pathlib import Path
@@ -139,6 +140,22 @@ def test_run_detection_compile_error(tmp_path):
         _detect(tmp_path, "fn main() { //~COMPILE-ERROR cannot find value `x`\n}\n")
 
 
+def test_a_failure_without_a_compiler_error_blames_the_detection_command(tmp_path):
+    with pytest.raises(NonUbCompileError, match=r"^target fails compilation \(tool exit 1\)\nerror"):
+        _detect(tmp_path, "fn main() { //~COMPILE-ERROR cannot find value `x`\n}\n")
+    (tmp_path / "main.rs").write_text("fn main() {}\n")
+    target = TargetPackage.from_path(tmp_path / "main.rs")
+    script = "import sys; print('cannot open', sys.argv[1]); sys.exit(3)"
+    config = DetectorConfig(command=(sys.executable, "-c", script, "{root}/{file}"))
+    with pytest.raises(NonUbCompileError) as exc:
+        run_detection(target, config=config)
+    command = shlex.join([sys.executable, "-c", script]) + " {root}/main.rs"
+    assert str(exc.value) == (
+        f"detection command exited 3 with no UB report and no compiler error: {command}\n"
+        "cannot open {root}/main.rs"
+    )
+
+
 def test_compile_error_directive_suppresses_ub(tmp_path):
     source = (
         "fn main() {\n"
@@ -270,13 +287,13 @@ def test_memo_charges_a_run_once_for_detections_it_reuses():
     paid = MemoEntry({"exit_status": 0, "output": ""}, 2.5, None)
     memo.keep("k", paid)
     assert memo.new_results == {"k": paid.fields}
-    assert memo.recall("k", "detections", "k", None) == paid
+    assert memo.recall("k", "detections") == paid
     assert memo.charged_seconds == 0.0  # the run that made it pays nothing more
     memo.begin_run()
-    assert memo.recall("k", "detections", "k", None) == paid
-    assert memo.recall("k", "detections", "k", None) == paid
+    assert memo.recall("k", "detections") == paid
+    assert memo.recall("k", "detections") == paid
     assert memo.charged_seconds == 2.5
-    assert memo.recall("absent", "detections", "absent", None) is None
+    assert memo.recall("absent", "detections") is None
 
 
 def test_timeout_kills_the_whole_process_tree(tmp_path):

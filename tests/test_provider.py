@@ -126,7 +126,7 @@ def test_memoized_provider_asks_each_prompt_once_per_case():
         asked.complete(PromptRecord.user("p"))
     assert asked.complete(PromptRecord.user("p")) == "answer 2"
     assert asked.complete(PromptRecord.user("p\n")) == "answer 2"  # same hash
-    assert (inner.calls, asked.tokens_used) == (1, inner.tokens_used)
+    assert (inner.calls, memo.charged_tokens) == (1, inner.tokens_used)
     assert memo.charged_seconds == 0.0  # the run's own answer is free
     memo.begin_run()
     again = MemoizedProvider(inner, memo, timer=lambda: 0.0)

@@ -102,7 +102,6 @@ def reference_repair_one(target, provider, engine, settings, reference=None):
     start = clock()
     timer = (lambda: 0.0) if isinstance(clock, cli.LogicalClock) else clock
     provider = MemoizedProvider(provider, memo, timer)
-    tokens_before = provider.tokens_used
     ws = WorkingCopy(target)
     try:
         originals = ws.files()
@@ -129,7 +128,7 @@ def reference_repair_one(target, provider, engine, settings, reference=None):
             baseline=baseline, kb=kb,
         )
         elapsed = clock() - start + memo.charged_seconds
-        tokens = provider.tokens_used - tokens_before + memo.charged_tokens
+        tokens = memo.charged_tokens
         triplet = engine.evaluate(
             outcome, reference, entry_file=target.entry_files[0],
             overhead_seconds=elapsed, overhead_tokens=tokens, memo=memo,

@@ -203,3 +203,63 @@ def test_fix_and_bench_exit_two_on_a_corrupt_sparse_line(tmp_path, capsys, case)
     log = _store_with_corrupt_second_line(tmp_path, "experience", data)
     assert main(["bench", str(manifest), "--experience", str(log), *shared]) == 2
     assert capsys.readouterr().err == f"error: {log}:2: bad experience record: {message}\n"
+
+
+# Triplet values a store line may not hold: each would load as something
+# ``to_dict`` never writes, and ``"acceptability": "no"`` or
+# ``"accuracy": "false"`` would rank and seed as a verified repair.
+BAD_TRIPLETS = {
+    "string_accuracy": ({"accuracy": "false"}, "accuracy 'false' is not a bool"),
+    "integer_accuracy": ({"accuracy": 1}, "accuracy 1 is not a bool"),
+    "string_acceptability": ({"acceptability": "no"}, "acceptability 'no' is not a bool or null"),
+    "integer_acceptability": ({"acceptability": 0}, "acceptability 0 is not a bool or null"),
+    "string_seconds": ({"overhead_seconds": "1.5"}, "overhead_seconds '1.5' is not a number"),
+    "bool_seconds": ({"overhead_seconds": True}, "overhead_seconds True is not a number"),
+    "float_tokens": ({"overhead_tokens": 7.5}, "overhead_tokens 7.5 is not an integer"),
+    "bool_tokens": ({"overhead_tokens": False}, "overhead_tokens False is not an integer"),
+    "null_tokens": ({"overhead_tokens": None}, "overhead_tokens None is not an integer"),
+}
+
+
+def _store_with_bad_triplet_second_line(tmp_path: Path, store: str, fields: dict) -> Path:
+    record = _record([1.0, 0.0, 2.0, 0.0])
+    if store == "kb":
+        line = KnowledgeEntry(record.feature_vector, record.ub_kind, {"steps": []}, record.triplet).to_dict()
+    else:
+        line = record.to_dict()
+    path = tmp_path / f"{store}.jsonl"
+    bad = {**line, "triplet": {**line["triplet"], **fields}}
+    path.write_text(json.dumps(line) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+    return path
+
+
+def test_a_triplet_loads_exactly_as_written():
+    for triplet in (EvalTriplet(True, None, 2, 0), EvalTriplet(True, False, 0.25, 9), EvalTriplet(False, None, 1.0, 3)):
+        loaded = EvalTriplet.from_dict(json.loads(json.dumps(triplet.to_dict())))
+        assert loaded == triplet
+        assert type(loaded.overhead_seconds) is float
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TRIPLETS))
+def test_a_malformed_triplet_raises(case):
+    fields, message = BAD_TRIPLETS[case]
+    with pytest.raises(ValueError) as exc:
+        EvalTriplet.from_dict({**EvalTriplet(True, True, 1.5, 700).to_dict(), **fields})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TRIPLETS))
+def test_fix_and_bench_exit_two_on_a_malformed_triplet(tmp_path, capsys, case):
+    fields, message = BAD_TRIPLETS[case]
+    case_dir = copy_fixture(CORPUS_DIR / "stack_borrow", tmp_path)
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(json.dumps({"id": "c01", "path": "stack_borrow/main.rs", "ub_kind": "stack_borrow"}) + "\n")
+    shared = ["--detector-cmd", STUB_DETECTOR_ARG, "--fixed-clock"]
+    kb = _store_with_bad_triplet_second_line(tmp_path, "kb", fields)
+    log = _store_with_bad_triplet_second_line(tmp_path, "experience", fields)
+    for command in ("fix", "bench"):
+        target = str(case_dir / "main.rs") if command == "fix" else str(manifest)
+        assert main([command, target, "--kb", str(kb), *shared]) == 2
+        assert capsys.readouterr().err == f"error: {kb}:2: bad knowledge entry: {message}\n"
+        assert main([command, target, "--experience", str(log), *shared]) == 2
+        assert capsys.readouterr().err == f"error: {log}:2: bad experience record: {message}\n"

@@ -45,15 +45,13 @@ class UnsafeRegion:
     ``byte_span`` is a half-open (start, end) offset pair into the decoded
     file text, and ``context_span`` is the pair of ``enclosing_context``
     (None for a region not found by ``locate_unsafe_regions``). Nested
-    unsafe occurrences are folded into the outermost region and counted in
-    ``nested_unsafe``.
+    unsafe occurrences are folded into the outermost region.
     """
 
     file: str
     byte_span: tuple[int, int]
     snippet: str
     enclosing_context: str
-    nested_unsafe: int = 0
     context_span: tuple[int, int] | None = None
 
     @property
@@ -121,7 +119,6 @@ def locate_unsafe_regions(source: str, file: str | Path) -> list[UnsafeRegion]:
     regions: list[UnsafeRegion] = []
     for start in keyword_occurrences(masked, "unsafe"):
         if regions and start < regions[-1].end:
-            regions[-1].nested_unsafe += 1
             continue
         brace = masked.find("{", start)
         semi = masked.find(";", start)

@@ -24,7 +24,7 @@ import sys
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from statistics import NormalDist
 from typing import Callable, Iterable, Iterator, Sequence
@@ -134,22 +134,6 @@ class CaseResult:
     seconds_plain: float | None
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "kind": self.kind,
-            "verdict": self.verdict,
-            "acceptability": self.acceptability,
-            "baseline_errors": self.baseline_errors,
-            "final_errors": self.final_errors,
-            "thoughts": self.thoughts,
-            "rollbacks": self.rollbacks,
-            "tokens": self.tokens,
-            "seconds_kb": self.seconds_kb,
-            "seconds_plain": self.seconds_plain,
-            "note": self.note,
-        }
-
     @property
     def passed(self) -> bool:
         return self.verdict in (Verdict.PASS.value, Verdict.SEMANTIC_PASS.value)
@@ -167,17 +151,6 @@ class BenchReport:
     ci_95: dict[str, tuple[float, float]]
     per_kind: dict[str, dict]
     totals: dict[str, int]
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "cases": [c.to_dict() for c in self.cases],
-            "pass_rate": self.pass_rate,
-            "exec_rate": self.exec_rate,
-            "ci_95": {k: list(v) for k, v in self.ci_95.items()},
-            "per_kind": self.per_kind,
-            "totals": self.totals,
-        }
 
 
 def build_report(cases: list[CaseResult]) -> BenchReport:
@@ -239,7 +212,7 @@ def _align(rows: list[list[str]]) -> str:
 
 def render_report(report: BenchReport, fmt: str = "table") -> str:
     if fmt == "json":
-        return json.dumps(report.to_dict(), indent=2, sort_keys=True)
+        return json.dumps({"schema_version": 1, **asdict(report)}, indent=2, sort_keys=True)
     rows = [
         [
             "id",
@@ -563,7 +536,7 @@ def cmd_fix(args: argparse.Namespace) -> int:
             "verdict": outcome.verdict.value,
             "baseline_errors": outcome.baseline_errors,
             "final_errors": outcome.final_errors,
-            "triplet": triplet.to_dict(),
+            "triplet": asdict(triplet),
             "trace": outcome.trace.to_dict(),
             "rollbacks": outcome.stats.rollback_count,
             "changed_files": [

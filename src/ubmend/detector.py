@@ -163,10 +163,13 @@ class UbReport:
 @dataclass
 class DetectionResult:
     reports: list[UbReport]
-    error_count: int
     tool_exit_status: int
     wall_time: float
     raw_output: str = ""
+
+    @property
+    def error_count(self) -> int:
+        return len(self.reports)
 
     @property
     def clean(self) -> bool:
@@ -561,7 +564,6 @@ def _read_output(argv: list[str], root: str, status: int, raw: str, wall: float)
         log.warning("tool exited 0 but emitted %d UB blocks; trusting blocks", len(reports))
     return DetectionResult(
         reports=reports,
-        error_count=len(reports),
         tool_exit_status=status,
         wall_time=wall,
         raw_output=raw,

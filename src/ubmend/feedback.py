@@ -16,7 +16,7 @@ import logging
 import shlex
 import subprocess
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -54,6 +54,18 @@ _TRIPLET_TYPES = {
     "overhead_seconds": ((int, float), "a number"),
     "overhead_tokens": ((int,), "an integer"),
 }
+# the agents a stored solution signature may name
+_FIX_AGENT_NAMES = frozenset(agent.value for agent in FIX_AGENTS)
+
+
+def _signature_step(pair: object) -> tuple[str, str]:
+    """One stored signature step; ValueError unless it is a fix agent's
+    name and an instruction."""
+    if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)):
+        raise ValueError(f"signature step {pair!r} is not an agent and an instruction")
+    if pair[0] not in _FIX_AGENT_NAMES:
+        raise ValueError(f"signature step names {pair[0]!r}, not a fix agent")
+    return pair[0], pair[1]
 
 
 @dataclass
@@ -71,18 +83,10 @@ class EvalTriplet:
             # a failed repair cannot be acceptable, whatever the run said
             self.acceptability = False
 
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "acceptability": self.acceptability,
-            "overhead_seconds": self.overhead_seconds,
-            "overhead_tokens": self.overhead_tokens,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "EvalTriplet":
         """A stored triplet; ValueError unless each field has a type
-        ``to_dict`` writes (``_TRIPLET_TYPES``)."""
+        ``asdict`` writes (``_TRIPLET_TYPES``)."""
         for name, (types, what) in _TRIPLET_TYPES.items():
             if type(data[name]) not in types:
                 raise ValueError(f"{name} {data[name]!r} is not {what}")
@@ -233,7 +237,7 @@ class ExperienceRecord:
             "feature_vector": self.feature_vector.to_dict(),
             "ub_kind": self.ub_kind.value,
             "solution_id": self.solution_id,
-            "triplet": self.triplet.to_dict(),
+            "triplet": asdict(self.triplet),
             "solution_signature": [list(pair) for pair in self.solution_signature],
         }
 
@@ -244,9 +248,7 @@ class ExperienceRecord:
             ub_kind=UbKind(data["ub_kind"]),
             solution_id=str(data["solution_id"]),
             triplet=EvalTriplet.from_dict(data["triplet"]),
-            solution_signature=tuple(
-                (str(agent), str(instr)) for agent, instr in data["solution_signature"]
-            ),
+            solution_signature=tuple(map(_signature_step, data["solution_signature"])),
         )
 
 

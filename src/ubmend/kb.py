@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import compress
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
@@ -42,13 +42,13 @@ class AstNode:
     id: int
     kind: str
     span: tuple[int, int]
-    children: list[int] = field(default_factory=list)
     is_unsafe: bool = False
 
 
 @dataclass
 class Ast:
-    """A tree of AstNode in pre-order; nodes[0] is the file root."""
+    """A tree of AstNode in pre-order; nodes[0] is the file root, and a
+    node's span lies inside the span of each node that encloses it."""
 
     nodes: list[AstNode]
     source: str
@@ -94,7 +94,7 @@ def extract_ast(source: str, file: str = "<source>") -> Ast:
     pairs = brace_pairs(masked)
     nodes = [AstNode(id=0, kind="file", span=(0, len(source)))]
 
-    def scan(lo: int, hi: int, parent: int) -> None:
+    def scan(lo: int, hi: int) -> None:
         cursor = lo
         while cursor < hi:
             brace = masked.find("{", cursor, hi)
@@ -106,15 +106,13 @@ def extract_ast(source: str, file: str = "<source>") -> Ast:
             close = pairs[brace]
             start = _phrase_before(masked, cursor, brace)
             kind, is_unsafe = _classify_phrase(masked[start:brace])
-            node = AstNode(
-                id=len(nodes), kind=kind, span=(start, close + 1), is_unsafe=is_unsafe
+            nodes.append(
+                AstNode(id=len(nodes), kind=kind, span=(start, close + 1), is_unsafe=is_unsafe)
             )
-            nodes.append(node)
-            nodes[parent].children.append(node.id)
-            scan(brace + 1, close, node.id)
+            scan(brace + 1, close)
             cursor = close + 1
 
-    scan(0, len(source), 0)
+    scan(0, len(source))
     return Ast(nodes=nodes, source=source)
 
 
@@ -174,21 +172,14 @@ class FeatureVector:
     @property
     def values(self) -> list[float]:
         """The dense entries, zeros included."""
-        return self.to_list()
-
-    @property
-    def is_zero(self) -> bool:
-        return self.norm == 0.0
-
-    def to_list(self) -> list[float]:
         dense = [0.0] * self.dims
         for i, v in self.nonzero.items():
             dense[i] = v
         return dense
 
-    @classmethod
-    def from_list(cls, values: Sequence[float]) -> "FeatureVector":
-        return cls(values)
+    @property
+    def is_zero(self) -> bool:
+        return self.norm == 0.0
 
     def to_dict(self) -> dict:
         """The stored form: the nonzero ``[bucket, value]`` pairs, ascending."""
@@ -240,9 +231,9 @@ def cosine(a: FeatureVector, b: FeatureVector) -> float:
     return dot / (na * nb)
 
 
-def _bucket(feature: str, dims: int) -> int:
+def _bucket(feature: str) -> int:
     digest = hashlib.sha256(feature.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") % dims
+    return int.from_bytes(digest[:8], "big") % VECTOR_DIMS
 
 
 def hashed_features(pruned: list[AstNode], ub_kinds: Iterable[UbKind] = ()) -> list[str]:
@@ -265,14 +256,12 @@ def hashed_features(pruned: list[AstNode], ub_kinds: Iterable[UbKind] = ()) -> l
     return feats
 
 
-def vectorize(
-    pruned: list[AstNode], ub_kinds: Iterable[UbKind] = (), dims: int = VECTOR_DIMS
-) -> FeatureVector:
+def vectorize(pruned: list[AstNode], ub_kinds: Iterable[UbKind] = ()) -> FeatureVector:
     """Term-frequency feature hashing; empty input gives the zero vector
     (flagged by callers as non-searchable)."""
-    values = [0.0] * dims
+    values = [0.0] * VECTOR_DIMS
     for feat in hashed_features(pruned, ub_kinds):
-        values[_bucket(feat, dims)] += 1.0
+        values[_bucket(feat)] += 1.0
     return FeatureVector(values)
 
 
@@ -306,7 +295,7 @@ class KnowledgeEntry:
             "vector": self.vector.to_dict(),
             "ub_kind": self.ub_kind.value,
             "solution": self.solution,
-            "triplet": self.triplet.to_dict(),
+            "triplet": asdict(self.triplet),
         }
 
     @classmethod

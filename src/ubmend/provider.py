@@ -473,11 +473,9 @@ def write_transcript(path: Path | str, entries: Iterable[TranscriptEntry]) -> No
     tmp.replace(path)
 
 
-def create_provider(
-    config: ProviderConfig, rules: Iterable[ScriptRule] = ()
-) -> Provider:
+def create_provider(config: ProviderConfig) -> Provider:
     if config.mode is ProviderMode.REPLAY:
         return ReplayProvider(config)
     if config.mode is ProviderMode.SCRIPTED_MOCK:
-        return ScriptedMockProvider(config, rules=rules)
+        return ScriptedMockProvider(config)
     return LiveHttpProvider(config)

@@ -37,23 +37,6 @@ class RollbackStats:
     rollback_count: int = 0
     discarded_thoughts: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "rollback_count": self.rollback_count,
-            "discarded_thoughts": self.discarded_thoughts,
-        }
-
-
-def argmin_rollback_target(counts: Sequence[int]) -> int:
-    """Index of the minimum error count; ties go to the highest index."""
-    if not counts:
-        raise StorageFailure("no snapshots recorded")
-    best = 0
-    for i, value in enumerate(counts):
-        if value <= counts[best]:
-            best = i
-    return best
-
 
 class SnapshotStore:
     def __init__(self) -> None:
@@ -81,11 +64,10 @@ class SnapshotStore:
         return max(self.snapshots)
 
     def select_rollback_target(self) -> int:
-        """Argmin error count over recorded snapshots, newest tie wins."""
+        """Index of the snapshot with the fewest errors; the newest wins a tie."""
         if not self.snapshots:
             raise StorageFailure("no snapshots recorded")
-        ordered = [self.snapshots[i].error_count for i in sorted(self.snapshots)]
-        return sorted(self.snapshots)[argmin_rollback_target(ordered)]
+        return min(self.snapshots, key=lambda i: (self.snapshots[i].error_count, -i))
 
     def restore(self, index: int, workspace: "WorkingCopy") -> Snapshot:
         """Write snapshot ``index`` back into the working copy, byte-exact."""

@@ -174,20 +174,17 @@ def _detect(target: TargetPackage, config: SessionConfig) -> DetectionResult:
     return run_detection(target, config=config.detector, clock=config.clock, memo=config.memo)
 
 
-def should_rollback(
-    trace: ErrorTrace,
-    window: int = ROLLBACK_WINDOW,
-    factor: float = ROLLBACK_FACTOR,
-) -> bool:
-    """True when the trace looks like it is getting worse, not better."""
+def should_rollback(trace: ErrorTrace) -> bool:
+    """True when the trace looks like it is getting worse, not better: its
+    last ``ROLLBACK_WINDOW`` counts rise strictly, or its latest count is
+    more than ``ROLLBACK_FACTOR`` times its lowest."""
     counts = trace.counts
     if not counts:
         return False
-    if len(counts) >= window:
-        tail = counts[-window:]
-        if all(tail[i] < tail[i + 1] for i in range(window - 1)):
-            return True
-    return counts[-1] > factor * min(counts)
+    tail = counts[-ROLLBACK_WINDOW:]
+    if len(tail) == ROLLBACK_WINDOW and all(a < b for a, b in zip(tail, tail[1:])):
+        return True
+    return counts[-1] > ROLLBACK_FACTOR * min(counts)
 
 
 def _knowledge_context(
@@ -526,7 +523,6 @@ def run_session(
         passed = False
         budget_hit_last = False
         attempted_id: str | None = None
-        thought_count = 0
 
         for solution in solutions:
             attempted_id = solution.id
@@ -561,7 +557,6 @@ def run_session(
                             reason_context,
                         )
                         if verified is not None:
-                            thought_count += len(verified)
                             trace.thoughts.extend(verified)
                             trace.counts.extend(t.resulting_errors for t in verified)
                             current = store.record(
@@ -589,7 +584,6 @@ def run_session(
                     aborted = True
                     break
                 reason_context = None
-                thought_count += 1
                 trace.thoughts.append(thought)
                 trace.counts.append(thought.resulting_errors)
                 current = store.record(
@@ -639,7 +633,7 @@ def run_session(
             solution_id=attempted_id,
             final_errors=final_errors,
             baseline_errors=baseline.error_count,
-            thought_count=thought_count,
+            thought_count=store.latest_index(),
         )
     finally:
         if workspace is None:

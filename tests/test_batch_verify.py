@@ -10,8 +10,11 @@ a batch that fails costs at most one run more than going step by step.
 from __future__ import annotations
 
 import json
+import logging
 import shlex
 import sys
+
+import pytest
 
 from conftest import (
     CORPUS_DIR,
@@ -22,7 +25,7 @@ from conftest import (
     spawn_log,
 )
 from test_session_oracle import reference_run_session
-from ubmend import classifier, cli
+from ubmend import classifier, cli, slow
 from ubmend.cli import main, repair_one
 from ubmend.detector import DetectorConfig, TargetPackage
 from ubmend.fast import AgentKind, RepairSolution, RepairStep
@@ -156,6 +159,34 @@ def test_a_batch_follows_its_regions_through_earlier_patches(tmp_path):
     for i in range(3):
         assert f"v[{i}]" in final
     assert len(spawn_log(log)) == 2
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 14: a step outside a batch finds its region by ordinal "
+    "in the patched bytes, and a patch that drops `unsafe` shifts later ordinals",
+)
+def test_steps_outside_a_batch_follow_their_regions_through_earlier_patches(
+    tmp_path, monkeypatch, caplog
+):
+    monkeypatch.setattr(slow, "_form_batch", lambda *args: [])
+    path = tmp_path / "main.rs"
+    path.write_text(RENUMBERING_SOURCE, encoding="utf-8")
+    settings = SessionConfig(
+        detector=DetectorConfig(command=counting_detector_command(tmp_path / "spawns.jsonl"), timeout=30.0),
+        kb_enabled=False,
+        clock=cli.LogicalClock(),
+    )
+    provider = ScriptedMockProvider(ProviderConfig(mode=ProviderMode.SCRIPTED_MOCK))
+    with caplog.at_level(logging.INFO):
+        outcome, _, _ = repair_one(TargetPackage.from_path(path), provider, FeedbackEngine(), settings)
+    assert not [r for r in caplog.records if "unresolvable" in r.getMessage()]
+    assert outcome.verdict is Verdict.PASS
+    assert outcome.solution_id == "s01"
+    thoughts = outcome.trace.thoughts
+    assert [t.step.target_region for t in thoughts] == ["main.rs#0", "main.rs#1", "main.rs#2"]
+    # pick_i reads index i: each patch replaces the body of its own function
+    assert all(f"get_unchecked({i})" in t.patch.before_text for i, t in enumerate(thoughts))
 
 
 def test_a_bench_of_the_three_region_target_replays_byte_for_byte(tmp_path, capsys):

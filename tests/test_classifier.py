@@ -68,7 +68,6 @@ def test_locate_folds_nested_unsafe():
     src = "unsafe fn outer() {\n    unsafe { inner() }\n}\n"
     regions = locate_unsafe_regions(src, "main.rs")
     assert len(regions) == 1
-    assert regions[0].nested_unsafe == 1
 
 
 def test_locate_ignores_masked_occurrences():

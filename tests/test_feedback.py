@@ -5,6 +5,7 @@ from __future__ import annotations
 import shutil
 import tempfile
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -40,7 +41,7 @@ def _triplet(accuracy=True, acceptability=None, secs=1.0, toks=10):
 
 
 def _vec(*values) -> FeatureVector:
-    return FeatureVector.from_list(list(values))
+    return FeatureVector(list(values))
 
 
 def _solution(instruction="rewrite it", agent=AgentKind.MODIFY_SEMANTICS, sid="s01"):
@@ -71,14 +72,14 @@ def test_triplet_acceptability_forced_false_without_accuracy():
 def test_triplet_none_acceptability_survives():
     t = _triplet(accuracy=True, acceptability=None)
     assert t.acceptability is None
-    again = EvalTriplet.from_dict(t.to_dict())
+    again = EvalTriplet.from_dict(asdict(t))
     assert again == t
 
 
 def test_triplet_round_trip_all_states():
     for acc, acb in [(True, True), (True, False), (True, None), (False, None), (False, False)]:
         t = _triplet(accuracy=acc, acceptability=acb)
-        assert EvalTriplet.from_dict(t.to_dict()) == t
+        assert EvalTriplet.from_dict(asdict(t)) == t
 
 
 # --- signatures ---
@@ -148,7 +149,7 @@ def test_record_round_trip_via_log(tmp_path):
     assert len(reloaded.records) == 1
     got = reloaded.records[0]
     assert got.solution_signature == rec.solution_signature
-    assert got.feature_vector.to_list() == [1.0, 0.0]
+    assert got.feature_vector.values == [1.0, 0.0]
     assert got.ub_kind == UbKind.STACK_BORROW
 
 

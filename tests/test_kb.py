@@ -64,12 +64,11 @@ def test_local_parse_structure():
 
 
 def test_local_parse_nesting():
-    ast = extract_ast(PROGRAM)
-    by_id = {n.id: n for n in ast.nodes}
-    for node in ast.nodes:
-        for child_id in node.children:
-            child = by_id[child_id]
-            assert node.span[0] <= child.span[0] <= child.span[1] <= node.span[1]
+    spans = [n.span for n in extract_ast(PROGRAM).nodes]
+    for i, (lo, hi) in enumerate(spans):
+        # in pre-order a node lies inside each earlier node or after it
+        for before_lo, before_hi in spans[:i]:
+            assert before_lo <= lo <= hi <= before_hi or before_hi <= lo
 
 
 # --- pruning ---
@@ -152,21 +151,21 @@ def test_vectorize_zero_for_empty():
 
 
 def test_vector_round_trip():
-    v = FeatureVector.from_list([0.0, 1.5, 2.0])
-    assert FeatureVector.from_list(v.to_list()).to_list() == [0.0, 1.5, 2.0]
+    v = FeatureVector([0.0, 1.5, 2.0])
+    assert FeatureVector(v.values).values == [0.0, 1.5, 2.0]
     assert v.dims == 3
 
 
 def test_cosine_properties():
     rng = random.Random(3)
     for _ in range(50):
-        a = FeatureVector.from_list([rng.uniform(0, 5) for _ in range(8)])
-        b = FeatureVector.from_list([rng.uniform(0, 5) for _ in range(8)])
+        a = FeatureVector([rng.uniform(0, 5) for _ in range(8)])
+        b = FeatureVector([rng.uniform(0, 5) for _ in range(8)])
         s = cosine(a, b)
         assert -1.0 - 1e-12 <= s <= 1.0 + 1e-12
         assert abs(cosine(a, a) - 1.0) < 1e-12
         assert cosine(a, b) == cosine(b, a)
-    zero = FeatureVector.from_list([0.0] * 8)
+    zero = FeatureVector([0.0] * 8)
     assert cosine(zero, a) == 0.0
 
 
@@ -187,7 +186,7 @@ def test_solution_template_masks_regions():
 
 def _entry(vec, kind=UbKind.STACK_BORROW, name="", accuracy=True):
     return KnowledgeEntry(
-        vector=FeatureVector.from_list(vec),
+        vector=FeatureVector(vec),
         ub_kind=kind,
         solution={"name": name, "steps": []},
         triplet=EvalTriplet(accuracy=accuracy, acceptability=None, overhead_seconds=1.0, overhead_tokens=10),
@@ -205,7 +204,7 @@ def test_search_orders_by_similarity_then_recency():
     kb.insert(_entry([1.0, 0.0], name="first"))
     kb.insert(_entry([0.0, 1.0], name="other"))
     kb.insert(_entry([1.0, 0.0], name="newer"))  # same direction, newer
-    hits = kb.search(FeatureVector.from_list([1.0, 0.0]), k=3)
+    hits = kb.search(FeatureVector([1.0, 0.0]), k=3)
     sims = [round(s, 6) for s, _ in hits]
     assert sims == [1.0, 1.0, 0.0]
     assert [entry.solution["name"] for _, entry in hits] == ["newer", "first", "other"]
@@ -216,7 +215,7 @@ def test_search_ties_go_to_the_later_appended_entry(tmp_path):
     path = tmp_path / "kb.jsonl"
     for name in ("old", "new", "newer"):
         KnowledgeBase(path).insert(_entry([1.0, 0.0], name=name))
-    hits = KnowledgeBase(path).search(FeatureVector.from_list([1.0, 0.0]), k=3)
+    hits = KnowledgeBase(path).search(FeatureVector([1.0, 0.0]), k=3)
     assert [entry.solution["name"] for _, entry in hits] == ["newer", "new", "old"]
 
 
@@ -233,7 +232,7 @@ def test_a_line_with_a_created_stamp_loads_and_searches_by_position(tmp_path):
         encoding="utf-8",
     )
     kb = KnowledgeBase(path)
-    hits = kb.search(FeatureVector.from_list([1.0, 0.0]), k=3)
+    hits = kb.search(FeatureVector([1.0, 0.0]), k=3)
     assert [entry.solution["name"] for _, entry in hits] == ["newer", "new", "old"]
     assert [entry.to_dict() for entry in kb.entries] == [
         _entry([1.0, 0.0], name=name).to_dict() for name, _ in stamps
@@ -255,7 +254,7 @@ def test_a_line_whose_steps_hold_params_loads_and_searches_as_before(tmp_path):
     legacy, current = stores["legacy"], stores["current"]
     assert [e.solution["steps"][0] for e in legacy.entries] == [{**step, "params": {}}] * 3
     for values in vectors:
-        query = FeatureVector.from_list(values)
+        query = FeatureVector(values)
         ranked = [[(sim, e.solution["tag"]) for sim, e in kb.search(query, k=3)] for kb in (legacy, current)]
         assert ranked[0] == ranked[1]
 
@@ -264,14 +263,14 @@ def test_search_k_cap_and_zero_vector():
     kb = KnowledgeBase()
     for i in range(5):
         kb.insert(_entry([1.0, float(i)]))
-    assert len(kb.search(FeatureVector.from_list([1.0, 1.0]), k=2)) == 2
+    assert len(kb.search(FeatureVector([1.0, 1.0]), k=2)) == 2
     with pytest.raises(ValueError):
-        kb.search(FeatureVector.from_list([0.0, 0.0]))
+        kb.search(FeatureVector([0.0, 0.0]))
 
 
 def test_search_empty_store():
     kb = KnowledgeBase()
-    assert kb.search(FeatureVector.from_list([1.0])) == []
+    assert kb.search(FeatureVector([1.0])) == []
 
 
 def test_jsonl_persistence_round_trip(tmp_path):
@@ -283,9 +282,9 @@ def test_jsonl_persistence_round_trip(tmp_path):
     reloaded = KnowledgeBase(path)
     assert [entry.solution["name"] for entry in reloaded.entries] == ["alloc", "stack_borrow"]
     assert reloaded.entries[0].ub_kind == UbKind.ALLOC
-    assert reloaded.entries[0].vector.to_list() == [1.0, 2.0]
+    assert reloaded.entries[0].vector.values == [1.0, 2.0]
     assert reloaded.entries[0].triplet.accuracy is True
-    hits = reloaded.search(FeatureVector.from_list([1.0, 2.0]), k=1)
+    hits = reloaded.search(FeatureVector([1.0, 2.0]), k=1)
     assert hits[0][0] > 0.99
 
 

@@ -125,10 +125,9 @@ def _forward_close(masked: str, open_idx: int) -> int | None:
 def _rescanning_locate(source: str) -> list[tuple]:
     """Region location that rescans the file for every region's enclosing item."""
     masked = mask_comments_and_strings(source)
-    regions: list[list] = []
+    regions: list[tuple] = []
     for start in keyword_occurrences(masked, "unsafe"):
         if regions and start < regions[-1][0][1]:
-            regions[-1][3] += 1
             continue
         brace = masked.find("{", start)
         semi = masked.find(";", start)
@@ -164,8 +163,8 @@ def _rescanning_locate(source: str) -> list[tuple]:
             line_start = source.rfind("\n", 0, start) + 1
             ctx_end = source.find("\n", min(len(source), end))
             context = source[line_start:len(source) if ctx_end == -1 else ctx_end]
-        regions.append([(start, end), source[start:end], context, 0])
-    return [tuple(r) for r in regions]
+        regions.append(((start, end), source[start:end], context))
+    return regions
 
 
 def _outcome(locate, source: str):
@@ -177,7 +176,7 @@ def _outcome(locate, source: str):
 
 def _located(source: str) -> list[tuple]:
     return [
-        (r.byte_span, r.snippet, r.enclosing_context, r.nested_unsafe)
+        (r.byte_span, r.snippet, r.enclosing_context)
         for r in locate_unsafe_regions(source, "main.rs")
     ]
 

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from ubmend.errors import StorageFailure
-from ubmend.rollback import RollbackStats, SnapshotStore, argmin_rollback_target
+from ubmend.rollback import SnapshotStore
 
 
 class _NullWorkspace:
@@ -18,18 +18,25 @@ class _NullWorkspace:
         self.restored.append(dict(files))
 
 
+def _target(counts):
+    store = SnapshotStore()
+    for i, count in enumerate(counts):
+        store.record(i, {}, count)
+    return store.select_rollback_target()
+
+
 def test_argmin_basic_and_ties():
-    assert argmin_rollback_target([5]) == 0
-    assert argmin_rollback_target([3, 1, 2]) == 1
+    assert _target([5]) == 0
+    assert _target([3, 1, 2]) == 1
     # ties resolve to the highest index
-    assert argmin_rollback_target([2, 1, 1]) == 2
-    assert argmin_rollback_target([0, 0, 0]) == 2
-    assert argmin_rollback_target([1, 2, 1]) == 2
+    assert _target([2, 1, 1]) == 2
+    assert _target([0, 0, 0]) == 2
+    assert _target([1, 2, 1]) == 2
 
 
 def test_argmin_empty_rejected():
     with pytest.raises(StorageFailure):
-        argmin_rollback_target([])
+        _target([])
 
 
 def test_argmin_matches_exhaustive_scan():
@@ -38,7 +45,7 @@ def test_argmin_matches_exhaustive_scan():
         counts = [rng.randrange(0, 8) for _ in range(rng.randrange(1, 12))]
         lowest = min(counts)
         expected = max(i for i, c in enumerate(counts) if c == lowest)
-        assert argmin_rollback_target(counts) == expected
+        assert _target(counts) == expected
 
 
 def test_record_and_select():
@@ -107,8 +114,3 @@ def test_snapshots_are_isolated_copies():
     store.record(0, files, 1)
     files["main.rs"] = "mutated"
     assert store.snapshots[0].files == {"main.rs": "v1"}
-
-
-def test_stats_to_dict():
-    stats = RollbackStats(rollback_count=2, discarded_thoughts=4)
-    assert stats.to_dict() == {"rollback_count": 2, "discarded_thoughts": 4}

@@ -300,7 +300,7 @@ def test_run_session_matches_the_reference_loop(targets, kb, baseline, budget, p
     expected, expected_provider = _run(reference_run_session, targets[baseline], plan, budget, kb)
     actual, actual_provider = _run(run_session, targets[baseline], plan, budget, kb)
     assert actual.to_dict() == expected.to_dict()
-    assert actual.stats.to_dict() == expected.stats.to_dict()
+    assert actual.stats == expected.stats
     assert actual.solution_id == expected.solution_id
     assert actual.thought_count == expected.thought_count
     assert actual.final_errors == expected.final_errors
@@ -438,7 +438,7 @@ def test_batches_match_the_reference_loop(multi_targets, kb, name, budget, plan)
     expected, expected_provider = _run(reference_run_session, target, plan, budget, kb)
     actual, actual_provider = _run(run_session, target, plan, budget, kb)
     assert _as_stepwise(actual.to_dict(), expected.to_dict()) == expected.to_dict()
-    assert actual.stats.to_dict() == expected.stats.to_dict()
+    assert actual.stats == expected.stats
     assert actual.solution_id == expected.solution_id
     assert actual.thought_count == expected.thought_count
     assert actual.final_errors == expected.final_errors

@@ -105,12 +105,11 @@ def test_should_rollback_truth_table(counts, expected):
 
 
 def test_should_rollback_respects_window_and_factor():
-    assert should_rollback(_trace([5, 6, 7]), window=3) is True
-    # widening the window defers the monotone trigger; 7 <= 2 * 5 keeps
-    # the factor branch quiet as well
-    assert should_rollback(_trace([5, 6, 7]), window=4) is False
-    assert should_rollback(_trace([4, 9]), factor=2.0) is True
-    assert should_rollback(_trace([4, 9]), factor=3.0) is False
+    # three rising counts trip the window; 7 <= 2 * 5 keeps the factor quiet
+    assert should_rollback(_trace([5, 6, 7])) is True
+    assert should_rollback(_trace([6, 7])) is False
+    assert should_rollback(_trace([4, 9])) is True
+    assert should_rollback(_trace([4, 8])) is False
 
 
 def test_budget_must_be_positive(tmp_path):

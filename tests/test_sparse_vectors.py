@@ -59,7 +59,7 @@ def _numpy_cosine(va: np.ndarray, vb: np.ndarray) -> float:
 @given(_pairs(COUNT))
 def test_counts_equal_numpy_exactly(pair):
     xs, ys = pair
-    a, b = FeatureVector.from_list(xs), FeatureVector.from_list(ys)
+    a, b = FeatureVector(xs), FeatureVector(ys)
     assert a.values == [float(x) for x in xs]
     assert a.norm == _numpy_norm(xs)
     assert a.is_zero == (_numpy_norm(xs) == 0.0)
@@ -71,7 +71,7 @@ def test_counts_equal_numpy_exactly(pair):
 @given(_pairs(FLOAT))
 def test_floats_agree_with_numpy_and_are_symmetric(pair):
     xs, ys = pair
-    a, b = FeatureVector.from_list(xs), FeatureVector.from_list(ys)
+    a, b = FeatureVector(xs), FeatureVector(ys)
     assert abs(a.norm - _numpy_norm(xs)) <= 1e-12 * _numpy_norm(xs)
     assert a.is_zero == (_numpy_norm(xs) == 0.0)
     assert abs(cosine(a, b) - _numpy_cosine(_array(a), _array(b))) <= 1e-12

@@ -10,6 +10,7 @@ stops the load.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -52,7 +53,7 @@ def _assert_same(got: FeatureVector, want: FeatureVector) -> None:
 @settings(max_examples=300, deadline=None)
 @given(_dense(st.integers(1, 50)))
 def test_count_vectors_round_trip_exactly(values):
-    v = FeatureVector.from_list(values)
+    v = FeatureVector(values)
     _assert_same(_stored(v), v)
     assert [i for i, _ in v.to_dict()["nz"]] == sorted(v.nonzero)
 
@@ -60,14 +61,14 @@ def test_count_vectors_round_trip_exactly(values):
 @settings(max_examples=300, deadline=None)
 @given(_dense(st.floats(allow_nan=False, allow_infinity=False)))
 def test_float_vectors_round_trip_exactly(values):
-    v = FeatureVector.from_list(values)
+    v = FeatureVector(values)
     _assert_same(_stored(v), v)
 
 
 def test_a_dense_list_loads_as_the_vector_it_lists():
     values = [0.0, 2.0, 0.0, 0.5]
-    _assert_same(FeatureVector.from_dict(values), FeatureVector.from_list(values))
-    assert FeatureVector.from_list(values).to_dict() == {"dims": 4, "nz": [[1, 2.0], [3, 0.5]]}
+    _assert_same(FeatureVector.from_dict(values), FeatureVector(values))
+    assert FeatureVector(values).to_dict() == {"dims": 4, "nz": [[1, 2.0], [3, 0.5]]}
 
 
 def _record(values: list[float], sid: str = "s01") -> ExperienceRecord:
@@ -76,7 +77,7 @@ def _record(values: list[float], sid: str = "s01") -> ExperienceRecord:
     )
     triplet = EvalTriplet(True, True, 1.5, 700)
     return ExperienceRecord(
-        FeatureVector.from_list(values), UbKind.STACK_BORROW, sid, triplet, signature_of(solution)
+        FeatureVector(values), UbKind.STACK_BORROW, sid, triplet, signature_of(solution)
     )
 
 
@@ -85,7 +86,7 @@ def _densify(path: Path, field: str, into: Path) -> None:
     lines = []
     for line in path.read_text(encoding="utf-8").splitlines():
         data = json.loads(line)
-        data[field] = FeatureVector.from_dict(data[field]).to_list()
+        data[field] = FeatureVector.from_dict(data[field]).values
         lines.append(json.dumps(data, sort_keys=True) + "\n")
     into.write_text("".join(lines), encoding="utf-8")
 
@@ -124,7 +125,7 @@ def test_dense_lines_followed_by_a_sparse_append_load(tmp_path):
     old = [_record([1.0, 0.0, 2.0], "s01"), _record([0.0, 3.0, 0.0], "s02")]
     log.write_text(
         "".join(
-            json.dumps({**r.to_dict(), "feature_vector": r.feature_vector.to_list()}, sort_keys=True) + "\n"
+            json.dumps({**r.to_dict(), "feature_vector": r.feature_vector.values}, sort_keys=True) + "\n"
             for r in old
         ),
         encoding="utf-8",
@@ -137,11 +138,11 @@ def test_dense_lines_followed_by_a_sparse_append_load(tmp_path):
     assert FeedbackEngine(log).records == [*old, new]
     (entry,) = KnowledgeBase(kb_path).entries
     assert entry.vector == new.feature_vector
-    entry.vector = FeatureVector.from_list([2.0, 0.0, 0.0])
-    dense_line = {**entry.to_dict(), "vector": entry.vector.to_list()}
+    entry.vector = FeatureVector([2.0, 0.0, 0.0])
+    dense_line = {**entry.to_dict(), "vector": entry.vector.values}
     with kb_path.open("a", encoding="utf-8") as fh:
         fh.write(json.dumps(dense_line, sort_keys=True) + "\n")
-    assert [e.vector.to_list() for e in KnowledgeBase(kb_path).entries] == [
+    assert [e.vector.values for e in KnowledgeBase(kb_path).entries] == [
         [0.0, 1.0, 1.0],
         [2.0, 0.0, 0.0],
     ]
@@ -206,7 +207,7 @@ def test_fix_and_bench_exit_two_on_a_corrupt_sparse_line(tmp_path, capsys, case)
 
 
 # Triplet values a store line may not hold: each would load as something
-# ``to_dict`` never writes, and ``"acceptability": "no"`` or
+# ``asdict`` never writes, and ``"acceptability": "no"`` or
 # ``"accuracy": "false"`` would rank and seed as a verified repair.
 BAD_TRIPLETS = {
     "string_accuracy": ({"accuracy": "false"}, "accuracy 'false' is not a bool"),
@@ -235,7 +236,7 @@ def _store_with_bad_triplet_second_line(tmp_path: Path, store: str, fields: dict
 
 def test_a_triplet_loads_exactly_as_written():
     for triplet in (EvalTriplet(True, None, 2, 0), EvalTriplet(True, False, 0.25, 9), EvalTriplet(False, None, 1.0, 3)):
-        loaded = EvalTriplet.from_dict(json.loads(json.dumps(triplet.to_dict())))
+        loaded = EvalTriplet.from_dict(json.loads(json.dumps(asdict(triplet))))
         assert loaded == triplet
         assert type(loaded.overhead_seconds) is float
 
@@ -244,7 +245,7 @@ def test_a_triplet_loads_exactly_as_written():
 def test_a_malformed_triplet_raises(case):
     fields, message = BAD_TRIPLETS[case]
     with pytest.raises(ValueError) as exc:
-        EvalTriplet.from_dict({**EvalTriplet(True, True, 1.5, 700).to_dict(), **fields})
+        EvalTriplet.from_dict({**asdict(EvalTriplet(True, True, 1.5, 700)), **fields})
     assert str(exc.value) == message
 
 
@@ -263,3 +264,30 @@ def test_fix_and_bench_exit_two_on_a_malformed_triplet(tmp_path, capsys, case):
         assert capsys.readouterr().err == f"error: {kb}:2: bad knowledge entry: {message}\n"
         assert main([command, target, "--experience", str(log), *shared]) == 2
         assert capsys.readouterr().err == f"error: {log}:2: bad experience record: {message}\n"
+
+
+# Signature steps an experience line may not hold: a seeded solution is
+# built from them, so each must name a fix agent and give an instruction.
+BAD_SIGNATURES = {
+    "unknown_agent": (["Bogus", "x"], "signature step names 'Bogus', not a fix agent"),
+    "reason_agent": (["Reason", "x"], "signature step names 'Reason', not a fix agent"),
+    "three_strings": (["SafeReplace", "x", "y"], "signature step ['SafeReplace', 'x', 'y'] is not an agent and an instruction"),
+    "number_instruction": (["SafeReplace", 3], "signature step ['SafeReplace', 3] is not an agent and an instruction"),
+    "bare_string": ("SafeReplace", "signature step 'SafeReplace' is not an agent and an instruction"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SIGNATURES))
+def test_fix_exits_two_on_a_malformed_signature_step(tmp_path, capsys, case):
+    step, message = BAD_SIGNATURES[case]
+    line = _record([1.0, 0.0, 2.0, 0.0]).to_dict()
+    log = tmp_path / "experience.jsonl"
+    bad = {**line, "solution_signature": [step]}
+    log.write_text(json.dumps(line) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+    with pytest.raises(StorageFailure) as exc:
+        FeedbackEngine(log)
+    assert str(exc.value) == f"{log}:2: bad experience record: {message}"
+    case_dir = copy_fixture(CORPUS_DIR / "unaligned_pointer", tmp_path)
+    shared = ["--detector-cmd", STUB_DETECTOR_ARG, "--fixed-clock"]
+    assert main(["fix", str(case_dir / "main.rs"), "--experience", str(log), *shared]) == 2
+    assert capsys.readouterr().err == f"error: {log}:2: bad experience record: {message}\n"

@@ -3,12 +3,14 @@
 Each agent asks through ``_propose``: its prompt for the region and the
 region's UB kinds, its abstention marker, and the patch from the first
 fenced code block (the full revised region). An agent adds only its own
-gate and its own check. Patches record both sides of the edit so
-apply/revert round-trips are byte-exact.
+gate and its own check, which also decides whether the code a plan wrote
+(``written``) may stand in for the model's answer. Patches record both
+sides of the edit so apply/revert round-trips are byte-exact.
 """
 from __future__ import annotations
 
 import difflib
+import logging
 import re
 from dataclasses import dataclass, field
 
@@ -18,6 +20,8 @@ from .errors import AgentFailure, NoGuardExpressible, NoSafeEquivalent, Provider
 from .fast import STRATEGY_FOR_AGENT, AgentKind
 from .prompts import fill, load_template
 from .provider import FENCE_RE, PromptRecord, Provider
+
+log = logging.getLogger(__name__)
 
 _GUARD_RE = re.compile(
     r"^\s*(assert|debug_assert|if\b|return\b|let\b.*=.*(len|align_offset|is_null))"
@@ -126,37 +130,6 @@ def build_prompt(
     )
 
 
-def _propose(
-    agent: AgentKind,
-    region: UnsafeRegion,
-    ub_kinds: frozenset[UbKind],
-    provider: Provider,
-    instruction: str,
-    knowledge: str | None,
-) -> PatchRecord:
-    """Ask ``agent``'s prompt and patch ``region`` with the answer's first
-    fenced block, the line before it being the rationale."""
-    prompt = PromptRecord.user(build_prompt(agent, region, ub_kinds, instruction, knowledge))
-    response = provider.complete(prompt)
-    if agent in _ABSTENTION:
-        marker, abstain = _ABSTENTION[agent]
-        if marker in response:
-            raise abstain(f"{region.file}: provider abstained")
-    m = FENCE_RE.search(response)
-    if not m:
-        raise ProviderFailure("response contains no fenced code block")
-    rationale = response[: m.start()].strip().splitlines()
-    return PatchRecord(
-        file=region.file,
-        before_span=region.byte_span,
-        before_text=region.snippet,
-        after_text=m.group(1).rstrip("\n"),
-        agent=agent,
-        rationale=rationale[0] if rationale else "",
-        prompt=prompt,
-    )
-
-
 def insert_only_diff(before: str, after: str) -> list[str] | None:
     """Inserted lines if ``after`` is ``before`` plus insertions, else None."""
     matcher = difflib.SequenceMatcher(
@@ -172,12 +145,87 @@ def insert_only_diff(before: str, after: str) -> list[str] | None:
     return inserted
 
 
+def _check_reduces_unsafe(region: UnsafeRegion, after: str) -> None:
+    """safe_replace's check: the answer removes or shrinks the unsafe region."""
+    before_unsafe = region.snippet.count("unsafe")
+    if after.count("unsafe") >= before_unsafe and before_unsafe:
+        raise NoSafeEquivalent(f"{region.file}: answer does not reduce the unsafe region")
+
+
+def _check_guards_only(region: UnsafeRegion, after: str) -> None:
+    """add_assertion's check: the answer is the region plus inserted lines,
+    at least one a guard and the rest guards, blanks, comments or attributes."""
+    inserted = insert_only_diff(region.snippet, after)
+    if inserted is None:
+        raise NoGuardExpressible(f"{region.file}: answer rewrites the unsafe expression")
+    for line in inserted:
+        if not (_GUARD_RE.match(line) or _GUARD_FILLER_RE.match(line)):
+            raise NoGuardExpressible(f"{region.file}: inserted line is not a guard: {line!r}")
+    if not any(_GUARD_RE.match(line) for line in inserted):
+        raise NoGuardExpressible(f"{region.file}: answer inserts no guard")
+
+
+_CHECKS = {
+    AgentKind.SAFE_REPLACE: _check_reduces_unsafe,
+    AgentKind.ADD_ASSERTION: _check_guards_only,
+}
+
+
+def _propose(
+    agent: AgentKind,
+    region: UnsafeRegion,
+    ub_kinds: frozenset[UbKind],
+    provider: Provider,
+    instruction: str,
+    knowledge: str | None,
+    written: str | None,
+) -> PatchRecord:
+    """Patch ``region`` with the first fenced block of the answer to the
+    agent's prompt, the line before it being the rationale, once the agent's
+    check (``_CHECKS``) passes. With no answer in the memo, ``written`` that
+    passes is kept as the answer at no cost; refused, the model is asked."""
+    prompt = PromptRecord.user(build_prompt(agent, region, ub_kinds, instruction, knowledge))
+
+    def patch_of(answer: str) -> PatchRecord:
+        if agent in _ABSTENTION:
+            marker, abstain = _ABSTENTION[agent]
+            if marker in answer:
+                raise abstain(f"{region.file}: provider abstained")
+        m = FENCE_RE.search(answer)
+        if not m:
+            raise ProviderFailure("response contains no fenced code block")
+        after = m.group(1).rstrip("\n")
+        if agent in _CHECKS:
+            _CHECKS[agent](region, after)
+        rationale = answer[: m.start()].strip().splitlines()
+        return PatchRecord(
+            file=region.file,
+            before_span=region.byte_span,
+            before_text=region.snippet,
+            after_text=after,
+            agent=agent,
+            rationale=rationale[0] if rationale else "",
+            prompt=prompt,
+        )
+
+    if written is not None and provider.recall(prompt) is None:
+        try:
+            patch = patch_of(written)
+        except (NoSafeEquivalent, NoGuardExpressible, ProviderFailure) as exc:
+            log.info("%s refused the plan's code (%s); asking it", agent.value, exc)
+        else:
+            provider.stand_in(prompt, written)
+            return patch
+    return patch_of(provider.complete(prompt))
+
+
 def safe_replace(
     region: UnsafeRegion,
     ub_kinds: frozenset[UbKind],
     provider: Provider,
     instruction: str = "",
     knowledge: str | None = None,
+    written: str | None = None,
 ) -> PatchRecord:
     """Swap the unsafe operation for a catalogued safe equivalent.
 
@@ -187,11 +235,7 @@ def safe_replace(
     """
     if not has_safe_api_match(region.snippet):
         raise NoSafeEquivalent(f"{region.file}: no catalogued equivalent")
-    patch = _propose(AgentKind.SAFE_REPLACE, region, ub_kinds, provider, instruction, knowledge)
-    before_unsafe = region.snippet.count("unsafe")
-    if patch.after_text.count("unsafe") >= before_unsafe and before_unsafe:
-        raise NoSafeEquivalent(f"{region.file}: answer does not reduce the unsafe region")
-    return patch
+    return _propose(AgentKind.SAFE_REPLACE, region, ub_kinds, provider, instruction, knowledge, written)
 
 
 def add_assertion(
@@ -200,24 +244,12 @@ def add_assertion(
     provider: Provider,
     instruction: str = "",
     knowledge: str | None = None,
+    written: str | None = None,
 ) -> PatchRecord:
     """Prepend guard checks; the original unsafe expression must survive.
-
-    The answer is rejected (NoGuardExpressible) unless it is the original
-    region plus inserted lines, at least one of them a guard statement and
-    the rest guards, blanks, comments or attributes. That structural check
-    is what keeps this agent honest.
-    """
-    patch = _propose(AgentKind.ADD_ASSERTION, region, ub_kinds, provider, instruction, knowledge)
-    inserted = insert_only_diff(region.snippet, patch.after_text)
-    if inserted is None:
-        raise NoGuardExpressible(f"{region.file}: answer rewrites the unsafe expression")
-    for line in inserted:
-        if not (_GUARD_RE.match(line) or _GUARD_FILLER_RE.match(line)):
-            raise NoGuardExpressible(f"{region.file}: inserted line is not a guard: {line!r}")
-    if not any(_GUARD_RE.match(line) for line in inserted):
-        raise NoGuardExpressible(f"{region.file}: answer inserts no guard")
-    return patch
+    The structural check (``_check_guards_only``, NoGuardExpressible when it
+    fails) is what keeps this agent honest."""
+    return _propose(AgentKind.ADD_ASSERTION, region, ub_kinds, provider, instruction, knowledge, written)
 
 
 def modify_semantics(
@@ -226,9 +258,10 @@ def modify_semantics(
     provider: Provider,
     instruction: str = "",
     knowledge: str | None = None,
+    written: str | None = None,
 ) -> PatchRecord:
     """Free-form rewrite of the region; the least constrained agent."""
-    return _propose(AgentKind.MODIFY_SEMANTICS, region, ub_kinds, provider, instruction, knowledge)
+    return _propose(AgentKind.MODIFY_SEMANTICS, region, ub_kinds, provider, instruction, knowledge, written)
 
 
 AGENT_FUNCTIONS = {

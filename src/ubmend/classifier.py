@@ -5,10 +5,12 @@ good enough for code the compiler rejects, cheap enough to re-run after
 every patch. Operation classification covers the five reasons a region
 needs ``unsafe`` at all. Strategy ordering puts SafeAlternative where the
 safe-API catalogue's gate says, and the other two by a shipped policy
-table (``data/strategy_policy.tsv``) keyed by UB kind.
+table (``data/strategy_policy.tsv``) keyed by UB kind. The table is read
+once per process from that file; editing the file is how it is extended.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import re
 from bisect import bisect_left
@@ -266,12 +268,11 @@ def gate_safe_alternative(order: list[FixStrategy], snippet: str) -> list[FixStr
     return [*rest, FixStrategy.SAFE_ALTERNATIVE]
 
 
-def load_policy_table(path: Path | None = None) -> dict[str, list[FixStrategy]]:
-    """Parse the ``<ub_kind>\\t<strategy,strategy,strategy>`` policy table."""
-    if path is None:
-        text = (resources.files("ubmend") / "data/strategy_policy.tsv").read_text("utf-8")
-    else:
-        text = Path(path).read_text(encoding="utf-8")
+@functools.cache
+def load_policy_table() -> dict[str, list[FixStrategy]]:
+    """Parse the ``<ub_kind>\\t<strategy,strategy,strategy>`` policy table;
+    read once per process from the shipped ``data/strategy_policy.tsv``."""
+    text = (resources.files("ubmend") / "data/strategy_policy.tsv").read_text("utf-8")
     table: dict[str, list[FixStrategy]] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.rstrip()
@@ -287,26 +288,14 @@ def load_policy_table(path: Path | None = None) -> dict[str, list[FixStrategy]]:
     return table
 
 
-_POLICY: dict[str, list[FixStrategy]] | None = None
-
-
-def _policy() -> dict[str, list[FixStrategy]]:
-    global _POLICY
-    if _POLICY is None:
-        _POLICY = load_policy_table()
-    return _POLICY
-
-
-def map_strategies(
-    feature: CodeFeature, policy: dict[str, list[FixStrategy]] | None = None
-) -> list[FixStrategy]:
+def map_strategies(feature: CodeFeature) -> list[FixStrategy]:
     """Ordered permutation of all three strategies for one feature.
 
     The catalogue gate places SafeAlternative (``gate_safe_alternative``);
     the policy rows order the other two, merged for several UB kinds by the
     sum of each strategy's positions, SafeAlternative's slot included.
     """
-    policy = policy if policy is not None else _policy()
+    policy = load_policy_table()
     kinds = sorted(k.value for k in feature.ub_kinds)
     if not kinds:
         order = list(policy["default"])

@@ -511,23 +511,37 @@ def cmd_fix(args: argparse.Namespace) -> int:
         return 2
     memo = CaseMemo(engine.tool_results)
     settings = _session_config(args, clock, memo, kb_enabled=not args.no_kb)
+    failure: UbmendError | None = None
     try:
         outcome, triplet, originals = repair_one(
             target, provider, engine, settings, reference=reference
         )
+        if _records_transcript(args):
+            write_transcript(args.transcript, transcript_entries(memo, provider.config))
     except (
-        ToolMissing, NonUbCompileError, ReplayMiss, StorageFailure, ProviderFailure, LexFailure
+        ToolMissing, NonUbCompileError, ReplayMiss, StorageFailure, ProviderFailure, LexFailure,
+        DetectionTimeout,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DetectionTimeout as exc:
-        print(Verdict.FAILED.value)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        failure = exc
     finally:
-        engine.record_tool_results(memo.new_results)
-    if _records_transcript(args):
-        write_transcript(args.transcript, transcript_entries(memo, provider.config))
+        # the detections paid for are kept even when the repair failed; a
+        # store that cannot take them is reported unless an error came first
+        try:
+            engine.record_tool_results(memo.new_results)
+        except StorageFailure as exc:
+            failure = failure or exc
+    if isinstance(failure, DetectionTimeout):
+        if args.report == "json":
+            payload = {"error": str(failure), "schema_version": 1, "target": str(args.path),
+                       "verdict": Verdict.FAILED.value}
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            print(Verdict.FAILED.value)
+        print(f"error: {failure}", file=sys.stderr)
+        return 1
+    if failure is not None:
+        print(f"error: {failure}", file=sys.stderr)
+        return 2
     changed = _diff_stats(originals, outcome.final_source)
     if args.report == "json":
         payload = {
@@ -758,25 +772,29 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 log.exception("case %s raised", case.id)
                 return (_failed_row(case, exc), [], [], {}, []), held, None
 
-    # this module logs as ``__main__`` when run with ``python -m``
-    with logs.holding(logging.getLogger(__package__), log):
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            # ``map`` yields each case once it and every earlier case are done
-            for (row, new_kb, new_exp, new_results, recorded), held, no_tool in pool.map(run_case, cases):
-                for record in held:
-                    logging.getLogger().handle(record)
-                results.append(row)
-                if no_tool is not None:
-                    missing.append(no_tool)
-                for entry in new_kb:
-                    kb.insert(entry)
-                for record in new_exp:
-                    engine.record_experience(record, solution=None)
-                engine.record_tool_results(new_results)
-                for entry in recorded:
-                    transcript.setdefault(entry.hash, entry)
-    if _records_transcript(args):
-        write_transcript(args.transcript, transcript.values())
+    try:
+        # this module logs as ``__main__`` when run with ``python -m``
+        with logs.holding(logging.getLogger(__package__), log):
+            with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+                # ``map`` yields each case once it and every earlier case are done
+                for (row, new_kb, new_exp, new_results, recorded), held, no_tool in pool.map(run_case, cases):
+                    for record in held:
+                        logging.getLogger().handle(record)
+                    results.append(row)
+                    if no_tool is not None:
+                        missing.append(no_tool)
+                    for entry in new_kb:
+                        kb.insert(entry)
+                    for record in new_exp:
+                        engine.record_experience(record, solution=None)
+                    engine.record_tool_results(new_results)
+                    for entry in recorded:
+                        transcript.setdefault(entry.hash, entry)
+        if _records_transcript(args):
+            write_transcript(args.transcript, transcript.values())
+    except StorageFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = build_report(results)
     print(render_report(report, args.report))
     if missing:

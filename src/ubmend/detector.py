@@ -3,11 +3,12 @@
 The detection tool (Miri under cargo by default) is spawned as a subprocess
 in the target's working directory; stdout and stderr are captured together
 and split into diagnostic blocks. Kind classification is a fixed ordered
-regex table shipped as ``data/ub_patterns.tsv`` so it can be audited and
-extended without code changes.
+regex table shipped as ``data/ub_patterns.tsv``, read once per process, so
+it can be audited and extended by editing that file, without code changes.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -366,12 +367,11 @@ class DetectorConfig:
     timeout: float = DEFAULT_TIMEOUT
 
 
-def load_pattern_table(path: Path | None = None) -> list[tuple[UbKind, re.Pattern[str]]]:
-    """Parse the ordered ``<kind>\\t<regex>`` classification table."""
-    if path is None:
-        text = (resources.files("ubmend") / "data/ub_patterns.tsv").read_text("utf-8")
-    else:
-        text = Path(path).read_text(encoding="utf-8")
+@functools.cache
+def load_pattern_table() -> list[tuple[UbKind, re.Pattern[str]]]:
+    """Parse the ordered ``<kind>\\t<regex>`` classification table; read
+    once per process from the shipped ``data/ub_patterns.tsv``."""
+    text = (resources.files("ubmend") / "data/ub_patterns.tsv").read_text("utf-8")
     table: list[tuple[UbKind, re.Pattern[str]]] = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.rstrip()
@@ -385,29 +385,15 @@ def load_pattern_table(path: Path | None = None) -> list[tuple[UbKind, re.Patter
     return table
 
 
-_DEFAULT_TABLE: list[tuple[UbKind, re.Pattern[str]]] | None = None
-
-
-def _default_table() -> list[tuple[UbKind, re.Pattern[str]]]:
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = load_pattern_table()
-    return _DEFAULT_TABLE
-
-
-def classify_kind(
-    message: str, table: list[tuple[UbKind, re.Pattern[str]]] | None = None
-) -> UbKind:
+def classify_kind(message: str) -> UbKind:
     """First table row whose regex matches wins; no match means Unknown."""
-    for kind, pattern in table if table is not None else _default_table():
+    for kind, pattern in load_pattern_table():
         if pattern.search(message):
             return kind
     return UbKind.UNKNOWN
 
 
-def parse_diagnostics(
-    raw_output: str, table: list[tuple[UbKind, re.Pattern[str]]] | None = None
-) -> list[UbReport]:
+def parse_diagnostics(raw_output: str) -> list[UbReport]:
     """Split combined tool output into UB blocks, one report per block.
 
     A block starts at an ``error: Undefined Behavior:`` header (or the
@@ -440,7 +426,7 @@ def parse_diagnostics(
             if m:
                 file, lineno = m.group(1), int(m.group(2))
                 break
-        kind = classify_kind(message, table) if message else UbKind.UNKNOWN
+        kind = classify_kind(message) if message else UbKind.UNKNOWN
         reports.append(
             UbReport(kind=kind, file=file, line=lineno, message=message, raw="\n".join(block))
         )

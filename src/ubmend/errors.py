@@ -46,10 +46,6 @@ class TokenOverflow(ProviderFailure):
     """Prompt exceeds the configured token window; caller must shrink context."""
 
 
-class DegenerateOutput(ProviderFailure):
-    """Provider returned nothing that parses as a plan."""
-
-
 class NoSafeEquivalent(UbmendError):
     """Safe-replacement agent abstained."""
 

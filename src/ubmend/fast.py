@@ -43,7 +43,7 @@ from .classifier import (
     map_strategies,
 )
 from .detector import TargetPackage, UbReport
-from .errors import DegenerateOutput, Unclassifiable
+from .errors import Unclassifiable
 from .lexutil import line_of_offset
 from .prompts import fill, load_template
 from .provider import PromptRecord, Provider
@@ -424,8 +424,6 @@ def generate_solutions(
         if not plans:
             log.warning("still degenerate; falling back to template plans")
             plans = fallback_solutions(features)
-            if not plans:
-                raise DegenerateOutput("no plans parseable and no fallback available")
     seen = {normalize_steps(solution.steps) for solution, _ in tried}
     solutions: list[RepairSolution] = []
     for steps in plans:

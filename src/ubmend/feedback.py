@@ -302,7 +302,6 @@ class FeedbackEngine:
         entry_file: str,
         overhead_seconds: float,
         overhead_tokens: int,
-        rustc: str = "rustc",
         memo: CaseMemo | None = None,
     ) -> EvalTriplet:
         from .slow import Verdict
@@ -311,9 +310,7 @@ class FeedbackEngine:
         acceptability: bool | None = None
         if accuracy and reference is not None:
             try:
-                acceptability = reference.check(
-                    outcome.final_source, entry_file, rustc=rustc, memo=memo
-                )
+                acceptability = reference.check(outcome.final_source, entry_file, memo=memo)
             except ReferenceExecutionFailure as exc:
                 log.warning("acceptability unknown: %s", exc)
                 acceptability = None

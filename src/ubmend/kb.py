@@ -335,15 +335,19 @@ def _read_jsonl(path: Path | None, parse: Callable[[dict], _T], what: str) -> li
 
 
 def _append_jsonl(path: Path, record: dict) -> None:
-    """Append one line under an exclusive lock, flushed before the unlock."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a", encoding="utf-8") as fh:
-        fcntl.flock(fh, fcntl.LOCK_EX)
-        try:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-            fh.flush()
-        finally:
-            fcntl.flock(fh, fcntl.LOCK_UN)
+    """Append one line under an exclusive lock, flushed before the unlock;
+    a file that cannot be written raises StorageFailure naming it."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("a", encoding="utf-8") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            try:
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+                fh.flush()
+            finally:
+                fcntl.flock(fh, fcntl.LOCK_UN)
+    except OSError as exc:
+        raise StorageFailure(f"{path}: cannot append: {exc}") from exc
 
 
 class KnowledgeBase:

@@ -8,6 +8,7 @@ reproducible byte for byte.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -21,7 +22,7 @@ from typing import Callable, Iterable
 
 from .classifier import FixStrategy
 from .detector import CaseMemo, MemoEntry
-from .errors import HttpFailure, ProviderFailure, ReplayMiss, TokenOverflow
+from .errors import HttpFailure, ProviderFailure, ReplayMiss, StorageFailure, TokenOverflow
 from .kb import _read_jsonl
 from .lexutil import estimate_tokens
 
@@ -463,14 +464,21 @@ def transcript_entries(memo: CaseMemo, config: ProviderConfig) -> list[Transcrip
 
 
 def write_transcript(path: Path | str, entries: Iterable[TranscriptEntry]) -> None:
-    """Write entries as transcript JSONL, replacing ``path`` atomically."""
+    """Write entries as transcript JSONL, replacing ``path`` atomically; a
+    path that cannot be written raises StorageFailure naming it, and leaves
+    no temporary file behind."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with tmp.open("w", encoding="utf-8") as fh:
-        for entry in entries:
-            fh.write(json.dumps(entry.to_dict(), sort_keys=True) + "\n")
-    tmp.replace(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with tmp.open("w", encoding="utf-8") as fh:
+            for entry in entries:
+                fh.write(json.dumps(entry.to_dict(), sort_keys=True) + "\n")
+        tmp.replace(path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise StorageFailure(f"{path}: cannot write transcript: {exc}") from exc
 
 
 def create_provider(config: ProviderConfig) -> Provider:

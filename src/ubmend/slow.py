@@ -34,7 +34,6 @@ from .detector import (
     DetectionResult,
     DetectorConfig,
     TargetPackage,
-    UbKind,
     UbReport,
     run_detection,
 )
@@ -58,7 +57,7 @@ from .fast import (
     parse_region_ref,
 )
 from .kb import KnowledgeBase, feature_vector
-from .provider import MemoizedProvider, PromptRecord, Provider
+from .provider import MemoizedProvider, Provider
 from .rollback import RollbackStats, SnapshotStore
 from .workspace import WorkingCopy
 
@@ -215,48 +214,6 @@ def _knowledge_context(
     )
 
 
-class _PlanAnswer:
-    """``provider`` with the answer a plan wrote for one fix prompt: the
-    prompt is answered from the memo when it holds an answer, else with
-    ``answer``, noting the prompt in ``asked``."""
-
-    def __init__(self, provider: MemoizedProvider, answer: str) -> None:
-        self.provider = provider
-        self.answer = answer
-        self.asked: PromptRecord | None = None
-
-    def complete(self, prompt: PromptRecord) -> str:
-        known = self.provider.recall(prompt)
-        if known is not None:
-            return known
-        self.asked = prompt
-        return self.answer
-
-
-def _written_patch(
-    step: RepairStep,
-    region: UnsafeRegion,
-    kinds: frozenset[UbKind],
-    provider: MemoizedProvider,
-) -> PatchRecord | None:
-    """The patch of the code the plan wrote for ``step``, through the
-    agent's own gate and check, kept in the memo as the answer to the
-    agent's prompt; None when the check refused the code, so the agent is
-    to be asked. A gate that refuses before any answer, or a check that
-    refuses an answer the memo held, raises as for the agent's own answer."""
-    written = _PlanAnswer(provider, f"```rust\n{step.code.after}\n```")
-    try:
-        patch = AGENT_FUNCTIONS[step.agent](region, kinds, written, step.instruction, None)
-    except (NoSafeEquivalent, NoGuardExpressible, ProviderFailure) as exc:
-        if written.asked is None:
-            raise
-        log.info("%s refused the plan's code (%s); asking it", step.agent.value, exc)
-        return None
-    if written.asked is not None:
-        provider.stand_in(written.asked, written.answer)
-    return patch
-
-
 def propose_step(
     step: RepairStep,
     region: UnsafeRegion,
@@ -272,24 +229,19 @@ def propose_step(
 
     The prompt lists the UB kinds of ``reports`` and the step's instruction,
     and ``context``, a Reason step's knowledge, when there is any. Code the
-    plan wrote for the step answers the prompt in place of the model when
-    no knowledge came and the region still reads as the plan saw it
-    (``_written_patch``). The thought holds the applied patch, or no patch
-    and a note when the agent abstained or the patch did not apply; its
-    count stays ``prev_count`` until a detection verifies it.
+    plan wrote for the step goes to the agent as its ``written`` answer when
+    no knowledge came and the region still reads as the plan saw it. The
+    thought holds the applied patch, or no patch and a note when the agent
+    abstained or the patch did not apply; its count stays ``prev_count``
+    until a detection verifies it.
     A replay miss propagates: it means the transcript is incomplete.
     """
     kinds = frozenset(r.kind for r in reports)
+    written = None
+    if step.code is not None and not context and step.code.before == region.snippet:
+        written = f"```rust\n{step.code.after}\n```"
     try:
-        patch = None
-        if (
-            step.code is not None
-            and not context
-            and step.code.before == region.snippet
-        ):
-            patch = _written_patch(step, region, kinds, provider)
-        if patch is None:
-            patch = AGENT_FUNCTIONS[step.agent](region, kinds, provider, step.instruction, context)
+        patch = AGENT_FUNCTIONS[step.agent](region, kinds, provider, step.instruction, context, written)
     except ReplayMiss:
         raise
     except (NoSafeEquivalent, NoGuardExpressible, AgentFailure, ProviderFailure) as exc:
@@ -538,8 +490,6 @@ def run_session(
                     continue
                 if step.agent is AgentKind.ROLLBACK:
                     current = store.restore(store.select_rollback_target(), ws)
-                    continue
-                if step.agent not in FIX_AGENTS:
                     continue
                 if len(trace.thoughts) >= budget:
                     budget_hit_last = True

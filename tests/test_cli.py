@@ -23,9 +23,10 @@ from conftest import (
     copy_fixture,
     counting_detector_command,
     counting_rustc,
+    run_stub_in_process,
     spawn_log,
 )
-from ubmend import cli
+from ubmend import cli, detector
 from ubmend.cli import compute_ci, load_manifest, main, repair_one
 from ubmend.detector import DEFAULT_TOKEN_BUDGET, DetectorConfig, TargetPackage
 from ubmend.errors import ProviderFailure
@@ -685,6 +686,38 @@ def test_bench_corrupt_store_is_usage_error(tmp_path, capsys, flag, what):
     store = _corrupt_store(tmp_path)
     assert main(_bench(manifest, flag, str(store))) == 2
     assert capsys.readouterr().err.startswith(f"error: {store}:1: bad {what}")
+
+
+@pytest.mark.parametrize("command", ["fix", "bench"])
+@pytest.mark.parametrize("flag", ["--experience", "--kb", "--transcript"])
+def test_a_store_or_transcript_that_cannot_be_written_is_usage_error(tmp_path, capsys, command, flag):
+    # a path under a regular file: its directory cannot be made
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    unwritable = tmp_path / "afile" / "out.jsonl"
+    if command == "fix":
+        args = _fix(copy_fixture(CORPUS_DIR / "stack_borrow", tmp_path) / "main.rs", flag, str(unwritable))
+    else:
+        args = _bench(_bench_dir(tmp_path, ["stack_borrow"]), flag, str(unwritable))
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {unwritable}: cannot ")
+    assert captured.err.count("\n") == 1
+
+
+def test_fix_json_report_of_a_baseline_detection_timeout_is_json(make_target, capsys, monkeypatch):
+    monkeypatch.setattr(detector, "run_group", run_stub_in_process)
+    path = make_target("fn main() {\n    //~SLEEP 3\n}\n")
+    assert main(_fix(path, "--timeout", "1", "--report", "json")) == 1
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload == {
+        "error": payload["error"],
+        "schema_version": 1,
+        "target": str(path),
+        "verdict": "failed",
+    }
+    assert captured.err == f"error: {payload['error']}\n"
 
 
 def test_load_manifest_resolves_paths_relative_to_manifest(tmp_path):

@@ -196,14 +196,6 @@ def test_parse_diagnostics_block_boundaries(tmp_path):
     assert reports[1].kind == UbKind.DATA_RACE
 
 
-def test_custom_pattern_table(tmp_path):
-    table_file = tmp_path / "table.tsv"
-    table_file.write_text("alloc\tcustom marker\n")
-    table = load_pattern_table(table_file)
-    assert classify_kind("hit the custom marker here", table) == UbKind.ALLOC
-    assert classify_kind(KIND_MESSAGES[UbKind.PANIC], table) == UbKind.UNKNOWN
-
-
 # --- the per-case detection memo
 
 

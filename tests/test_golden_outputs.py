@@ -1,0 +1,68 @@
+"""Golden fixed-clock outputs of the corpus bench.
+
+Each test reruns a bench over the corpus with the stub detector (given by
+absolute path) and the fixed clock, in a fresh process, and compares what
+it wrote with the files under ``tests/fixtures/golden/`` byte for byte. A
+change meant to keep every output (a refactor, a deletion) is checked to
+keep them. A change that alters outputs on purpose regenerates the files
+and explains the diff in its description. To regenerate, from the
+repository root:
+
+    PYTHONPATH=src python tests/test_golden_outputs.py
+
+The reference checks compile with ``rustc``; without it on ``PATH`` the
+tests are skipped.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+import ubmend
+from conftest import CORPUS_DIR, FIXTURES_DIR, STUB_DETECTOR_ARG
+
+GOLDEN_DIR = FIXTURES_DIR / "golden"
+# file name stem -> bench arguments after the manifest; a run works in a
+# directory of its own, where it records its transcript
+RUNS = {
+    "bench_json": ["--report", "json", "--jobs", "2", "--transcript", "bench_json.transcript.jsonl"],
+    "bench_no_kb_table": ["--no-kb", "--report", "table", "--jobs", "2"],
+}
+
+
+def run_bench(stem: str, work: Path) -> dict[str, bytes]:
+    """The stdout and stderr of run ``stem`` and the files it wrote in
+    ``work``, by golden file name; the run must exit 0."""
+    env = dict(os.environ)
+    src = str(Path(ubmend.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "ubmend.cli", "bench", str(CORPUS_DIR / "manifest.jsonl"),
+            "--detector-cmd", STUB_DETECTOR_ARG, "--fixed-clock", *RUNS[stem]]
+    done = subprocess.run(argv, cwd=work, env=env, capture_output=True, timeout=300)
+    assert done.returncode == 0, done.stderr.decode(errors="replace")
+    outputs = {f"{stem}.out": done.stdout, f"{stem}.err": done.stderr}
+    return outputs | {path.name: path.read_bytes() for path in work.iterdir()}
+
+
+@pytest.mark.skipif(shutil.which("rustc") is None, reason="rustc not on PATH")
+@pytest.mark.parametrize("stem", sorted(RUNS))
+def test_bench_outputs_match_the_golden_files(stem, tmp_path):
+    outputs = run_bench(stem, tmp_path)
+    for name, data in outputs.items():
+        assert data == (GOLDEN_DIR / name).read_bytes(), f"{name} differs from its golden file"
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    for stem in RUNS:
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, data in run_bench(stem, Path(tmp)).items():
+                (GOLDEN_DIR / name).write_bytes(data)
+                print(f"wrote {GOLDEN_DIR / name}")

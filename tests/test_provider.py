@@ -46,6 +46,14 @@ def _write(memo: CaseMemo, inner: Provider, path) -> None:
     write_transcript(path, transcript_entries(memo, inner.config))
 
 
+def test_a_transcript_that_cannot_replace_its_path_leaves_no_temporary_file(tmp_path):
+    # a directory in the way: the temporary file is written, the rename fails
+    (tmp_path / "transcript.jsonl").mkdir()
+    with pytest.raises(StorageFailure, match="transcript.jsonl: cannot write transcript"):
+        write_transcript(tmp_path / "transcript.jsonl", [])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["transcript.jsonl"]
+
+
 def test_stable_hash_normalizes_whitespace():
     a = PromptRecord.user("line one\r\nline two   \n")
     b = PromptRecord.user("line one\nline two")

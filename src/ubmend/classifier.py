@@ -254,8 +254,10 @@ def classify_ops(region: UnsafeRegion) -> frozenset[UnsafeOpKind]:
 
 
 def has_safe_api_match(snippet: str) -> bool:
-    """True when the catalogue knows a safe counterpart for this region."""
-    return any(pattern.search(snippet) for pattern in SAFE_API_CATALOGUE)
+    """True when the catalogue knows a safe counterpart for this region's
+    code; comments and strings match nothing."""
+    code = mask_comments_and_strings(snippet)
+    return any(pattern.search(code) for pattern in SAFE_API_CATALOGUE)
 
 
 def gate_safe_alternative(order: list[FixStrategy], snippet: str) -> list[FixStrategy]:

@@ -351,7 +351,7 @@ def repair_one(
             if settings.kb_enabled:
                 lead_file, _ = parse_region_ref(features[0].ref)
                 vector = feature_vector(ws.read(lead_file), baseline.reports, lead_file)
-                hit = None if vector.is_zero else engine.best_hit(vector)
+                hit = engine.best_hit(vector)
                 if hit is not None:
                     seeded = _seeded_solution(hit[1], features[0].ref)
                     if seeded is not None:
@@ -368,6 +368,7 @@ def repair_one(
                 if seeded is not None and engine.keeps_first(seeded, vector):
                     drawn.append(seeded)
                     yield seeded
+                    page = []
                 while True:
                     page += generate_solutions(
                         features,
@@ -375,12 +376,11 @@ def repair_one(
                         provider=provider,
                         tried=list(zip(drawn, ended)),
                     )
-                    if vector is not None and not vector.is_zero:
+                    if vector is not None:
                         page = engine.rank_solutions(page, vector)
-                    fresh = [solution for solution in page if solution not in drawn]
-                    if not fresh:
+                    if not page:
                         return
-                    for solution in fresh:
+                    for solution in page:
                         drawn.append(solution)
                         yield solution
                     page = []
@@ -419,12 +419,7 @@ def repair_one(
             for thought in outcome.trace.thoughts:
                 if thought.kept:
                     provider.keep(thought.patch.prompt)
-        if (
-            settings.kb_enabled
-            and vector is not None
-            and not vector.is_zero
-            and outcome.solution_id is not None
-        ):
+        if vector is not None and not vector.is_zero and outcome.solution_id is not None:
             used = next((s for s in drawn if s.id == outcome.solution_id), None)
             if used is not None:
                 record = ExperienceRecord(

@@ -447,10 +447,13 @@ def run_session(
     plan its next solutions from the verdicts of the ones tried.
     Terminates on a clean detection (Pass), on exhausting the solutions
     (Failed), or on exhausting the per-solution budget (Budget Exhausted).
-    The final working copy always matches the snapshot with the fewest
-    errors, re-verified by one last detection run. Reason steps consult
-    ``kb``; without one they add nothing. Without a ``workspace`` the
-    session works in a copy of its own and removes it before returning.
+    The session ends on the snapshot with the fewest errors, which the
+    working copy matches; the verdict, ``final_errors`` and
+    ``final_source`` are that snapshot's. Its count is a detection of
+    exactly its bytes, so no detection runs after the last step, and a
+    clean baseline draws no solution. Reason steps consult ``kb``; without
+    one they add nothing. Without a ``workspace`` the session works in a
+    copy of its own and removes it before returning.
     """
     config = config or SessionConfig()
     if not isinstance(provider, MemoizedProvider):
@@ -465,18 +468,13 @@ def run_session(
         if baseline is None:
             baseline = _detect(ws.target, config)
         store = SnapshotStore()
-        if baseline.error_count == 0:
-            trace = ErrorTrace(counts=[0], thoughts=[], iteration_budget=budget)
-            return SessionOutcome(Verdict.PASS, ws.files(), trace, stats=store.stats)
-
         # the snapshot the working copy matches; its reports steer the next step
         current = store.record(0, ws.files(), baseline.error_count, baseline.reports)
         trace = ErrorTrace(counts=[current.error_count], thoughts=[], iteration_budget=budget)
-        passed = False
         budget_hit_last = False
         attempted_id: str | None = None
 
-        for solution in solutions:
+        for solution in solutions if current.error_count else ():
             attempted_id = solution.id
             trace = ErrorTrace(counts=[current.error_count], thoughts=[], iteration_budget=budget)
             reason_context: str | None = None
@@ -512,7 +510,6 @@ def run_session(
                             current = store.record(
                                 store.latest_index() + len(verified), ws.files(), 0
                             )
-                            passed = True
                             break
                         ws.restore(current.files)
                         replay_end = at + len(members)
@@ -543,11 +540,10 @@ def run_session(
                     detection.reports if detection is not None else current.reports,
                 )
                 if current.error_count == 0:
-                    passed = True
                     break
                 if should_rollback(trace):
                     current = store.restore(store.select_rollback_target(), ws)
-            if passed:
+            if current.error_count == 0:
                 break
             trace.reports = current.reports
             if ended is not None and not aborted:
@@ -558,18 +554,8 @@ def run_session(
             if aborted:
                 break
 
-        try:
-            # the memo answers this when these exact bytes were detected before
-            verify = _detect(ws.target, config)
-            final_clean = verify.clean
-            final_errors = verify.error_count
-        except (NonUbCompileError, DetectionTimeout) as exc:
-            log.warning("final re-verification failed: %s", exc)
-            final_clean = False
-            final_errors = current.error_count
-        if passed and not final_clean:
-            log.warning("pass re-verification disagreed; downgrading verdict")
-        if final_clean:
+        # every snapshot's count is a detection of exactly its bytes
+        if current.error_count == 0:
             verdict = Verdict.PASS
         elif budget_hit_last:
             verdict = Verdict.BUDGET_EXHAUSTED
@@ -577,11 +563,11 @@ def run_session(
             verdict = Verdict.FAILED
         return SessionOutcome(
             verdict,
-            ws.files(),
+            current.files,
             trace,
             stats=store.stats,
             solution_id=attempted_id,
-            final_errors=final_errors,
+            final_errors=current.error_count,
             baseline_errors=baseline.error_count,
             thought_count=store.latest_index(),
         )

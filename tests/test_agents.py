@@ -19,7 +19,13 @@ from ubmend.agents import (
     revert_patch,
     safe_replace,
 )
-from ubmend.classifier import CodeFeature, locate_unsafe_regions
+from ubmend.classifier import (
+    CodeFeature,
+    FixStrategy,
+    gate_safe_alternative,
+    has_safe_api_match,
+    locate_unsafe_regions,
+)
 from ubmend.detector import CaseMemo, TargetPackage, UbKind, UbReport, run_detection
 from ubmend.errors import (
     AgentFailure,
@@ -231,6 +237,25 @@ def test_safe_replace_gate_abstains_without_catalogue_match(mock_provider):
     with pytest.raises(NoSafeEquivalent):
         safe_replace(region, feature.ub_kinds, mock_provider)
     assert mock_provider.calls == 0
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "debug_assert!(true); //~GUARD no-op\n    *p + 51",
+        '*p + "get_unchecked(".len() as i32 /* v.get_unchecked(0) */',
+    ],
+)
+def test_safe_replace_gate_reads_code_not_comments_or_strings(mock_provider, body):
+    # a catalogue name inside a comment or a string is no safe counterpart
+    src = f"fn main() {{ let y = unsafe {{ {body} }};\n}}\n"
+    region, feature = _region_feature(src)
+    assert not has_safe_api_match(region.snippet)
+    with pytest.raises(NoSafeEquivalent, match="no catalogued equivalent"):
+        safe_replace(region, feature.ub_kinds, mock_provider)
+    assert mock_provider.calls == 0
+    order = [FixStrategy.SAFE_ALTERNATIVE, FixStrategy.ASSERTION_GUARD, FixStrategy.SEMANTIC_MODIFICATION]
+    assert gate_safe_alternative(order, region.snippet)[-1] is FixStrategy.SAFE_ALTERNATIVE
 
 
 def test_safe_replace_rejects_non_reducing_answer():

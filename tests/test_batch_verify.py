@@ -20,6 +20,7 @@ from conftest import (
     CORPUS_DIR,
     STUB_DETECTOR_ARG,
     SpyProvider,
+    TOOLS_DIR,
     copy_fixture,
     counting_detector_command,
     spawn_log,
@@ -84,7 +85,29 @@ def test_a_clean_batch_spawns_the_baseline_and_one_detection(tmp_path, capsys):
     assert payload["verdict"] == "pass"
     assert payload["trace"]["counts"] == [6, 0, 0, 0, 0, 0, 0]
     assert [t["note"] for t in payload["trace"]["thoughts"]] == ["verified in batch 0-5"] * 6
-    # the baseline and the batch; the final re-verification reuses the batch's run
+    # the baseline and the batch; the session ends on the batch's snapshot
+    assert len(spawn_log(log)) == 2
+
+
+def test_a_detection_the_memo_cannot_keep_is_not_run_again_after_the_last_step(tmp_path, capsys):
+    # output holding the text {root} is never memoised, so a detection after
+    # the last step would spawn the tool again for the bytes it last checked
+    wrapper = tmp_path / "root_note_miri.py"
+    wrapper.write_text(
+        "import runpy, sys\n"
+        "print('note: paths below are relative to {root}')\n"
+        f"sys.argv = [{str(TOOLS_DIR / 'counting_miri.py')!r}, *sys.argv[1:]]\n"
+        "runpy.run_path(sys.argv[0], run_name='__main__')\n",
+        encoding="utf-8",
+    )
+    case = copy_fixture(CORPUS_DIR / "alloc", tmp_path)
+    log = tmp_path / "spawns.jsonl"
+    command = (sys.executable, str(wrapper), *counting_detector_command(log)[2:])
+    args = fix_args(case, log)
+    args[args.index("--detector-cmd") + 1] = shlex.join(command)
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+    # the baseline and the repaired state
     assert len(spawn_log(log)) == 2
 
 

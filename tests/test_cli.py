@@ -836,8 +836,8 @@ def test_bench_detects_each_working_copy_state_once_per_case(tmp_path, capsys, m
     got = [(c["verdict"], c["acceptability"]) for c in payload["cases"]]
     assert got == SLICE_ANSWERS
     spawns = spawn_log(log)
-    # per case: the baseline and the repaired state; the final re-verify and
-    # the no-knowledge run's detections all reuse them
+    # per case: the baseline and the repaired state; the no-knowledge run's
+    # detections all reuse them
     assert len(spawns) == 2 * len(SLICE)
     for kind in SLICE:
         original = hashlib.sha256((CORPUS_DIR / kind / "main.rs").read_bytes()).hexdigest()

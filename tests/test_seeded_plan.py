@@ -338,8 +338,11 @@ def test_reading_the_solutions_after_a_seed_passed_plans_nothing(spy, monkeypatc
     assert _kinds(spy) == ["fix"]
 
 
-def test_a_failing_seed_asks_its_fix_prompt_then_plans_as_before(spy, stood):
+def test_a_failing_seed_asks_its_fix_prompt_then_plans_as_before(spy, stood, monkeypatch):
+    drawn = _drawing(monkeypatch)
     assert _asked(cli.repair_one, "stack_borrow", FAILING) is Verdict.PASS
+    # the seed, drawn before the page, is not drawn again from it
+    assert [s.id for s in drawn] == ["s00", "s01"]
     # the seed's fix, then the plan, whose code answers s01's fix
     assert _kinds(spy) == ["fix", "plan"]
     assert _kinds(stood) == ["fix"]

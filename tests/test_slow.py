@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import SpyProvider, stub_detector_config
-from ubmend import detector
+from ubmend import detector, slow
 from ubmend.cli import repair_one
 from ubmend.detector import TargetPackage, run_detection
 from ubmend.errors import ReplayMiss
@@ -516,9 +516,34 @@ def test_detection_timeout_mid_session_fails_closed(tmp_path, monkeypatch):
     # the aborted step never enters the trace, and its bytes leave the copy
     assert out.trace.counts == [1]
     assert out.final_source == {"main.rs": _source(1)}  # no //~SLEEP left
-    # the baseline and the timed-out patch; the final re-verification of the
-    # baseline bytes comes from the memo instead of a second timeout
+    # the baseline and the timed-out patch; the session ends on the baseline
+    # snapshot without detecting its bytes again
     assert len(spawns) == 2
+
+
+def test_session_ends_on_an_earlier_solutions_snapshot_without_detecting_again(tmp_path, monkeypatch):
+    detected = []  # the bytes of each detection the session asks for
+    real_detect = slow._detect
+
+    def recorded_detect(target, config):
+        detected.append((target.root_path / "main.rs").read_text(encoding="utf-8"))
+        return real_detect(target, config)
+
+    monkeypatch.setattr(slow, "_detect", recorded_detect)
+    target = _target(tmp_path, _source(2))
+    provider = _provider([("variant 1", _fix_response(1, 1)), ("variant 2", _fix_response(2, 2))])
+    solutions = [
+        RepairSolution(id="s01", steps=_steps("variant 1")),
+        RepairSolution(id="s02", steps=_steps("variant 2")),
+    ]
+    out = run_session(target, solutions, provider=provider, config=_session_config())
+    assert out.verdict is Verdict.FAILED
+    assert out.trace.counts == [1, 2]  # s02 started from s01's snapshot and made it worse
+    # the baseline and one detection per step; none after s02's step
+    assert len(detected) == 3
+    assert out.final_errors == 1
+    assert out.final_source == {"main.rs": detected[1]}  # the bytes s01's step left
+    assert UB_LINE.format(tag=70) in detected[1]
 
 
 def test_outcome_reports_session_baseline_and_every_thought(tmp_path):

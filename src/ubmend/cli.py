@@ -66,7 +66,7 @@ from .feedback import (
     ReferenceBundle,
     signature_of,
 )
-from .kb import FeatureVector, KnowledgeBase, feature_vector
+from .kb import VECTOR_DIMS, FeatureVector, KnowledgeBase, feature_vector
 from .provider import (
     MemoizedProvider,
     Provider,
@@ -312,10 +312,12 @@ def repair_one(
     first. The plan comes in pages (one model call each, whose prompt
     carries each region's code), each ranked on its own. A page is asked
     for when the session first draws past the solutions drawn so far, a
-    seed that ranking provably keeps first included, and a follow-up
-    page's prompt carries the verdicts of the solutions tried. A page's prompt is the same with
-    knowledge enabled or not: a bench case's two runs that reach a page with
-    the same solutions tried share its answer.
+    seed that ranking provably keeps first included. A page asked with
+    nothing tried asks for one solution; a follow-up page asks for
+    ``PLAN_PAGE`` and its prompt carries the verdicts of the solutions
+    tried. A page's prompt is the same with knowledge enabled or not: a
+    bench case's two runs that reach a page with the same solutions tried
+    share its answer.
     Reason steps consult the knowledge base only when knowledge is enabled
     and no past repair was seeded. The run's tokens are those its memo
     booked (``CaseMemo.charged_tokens``) for every answer it took from the
@@ -465,6 +467,22 @@ def _detector_config(args: argparse.Namespace) -> DetectorConfig:
     return DetectorConfig(timeout=args.timeout)
 
 
+def _open_stores(args: argparse.Namespace) -> FeedbackEngine:
+    """The feedback engine over the experience log, with the knowledge base
+    (none under ``--no-kb``). A stored vector that is not ``VECTOR_DIMS``
+    wide could be compared with no run's vector, so it raises
+    StorageFailure naming its file."""
+    kb = None if args.no_kb else KnowledgeBase(args.kb)
+    engine = FeedbackEngine(args.experience, kb=kb)
+    stored = [(engine.log_path, record.feature_vector) for record in engine.records]
+    if kb is not None:
+        stored += [(kb.path, entry.vector) for entry in kb.entries]
+    for path, vector in stored:
+        if vector.dims != VECTOR_DIMS:
+            raise StorageFailure(f"{path}: stored vector of {vector.dims} dims, not {VECTOR_DIMS}")
+    return engine
+
+
 def _session_config(
     args: argparse.Namespace, clock: Callable[[], float], memo: CaseMemo, kb_enabled: bool
 ) -> SessionConfig:
@@ -498,8 +516,7 @@ def cmd_fix(args: argparse.Namespace) -> int:
         target = TargetPackage.from_path(args.path)
         target.validate()
         provider = create_provider(_provider_config(args))
-        kb = None if args.no_kb else KnowledgeBase(args.kb)
-        engine = FeedbackEngine(args.experience, kb=kb)
+        engine = _open_stores(args)
         reference = ReferenceBundle.from_dir(args.reference) if args.reference else None
     except (TargetRejected, ProviderFailure, StorageFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -739,8 +756,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         config.validate()
         replay = config.mode is ProviderMode.REPLAY
         replies = load_transcript(config.transcript_path) if replay else None
-        kb = None if args.no_kb else KnowledgeBase(args.kb)
-        engine = FeedbackEngine(args.experience, kb=kb)
+        engine = _open_stores(args)
+        kb = engine.kb
     except (StorageFailure, ProviderFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -857,7 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=DEFAULT_SOLUTION_COUNT,
         metavar="K",
-        help=f"at most K candidate solutions, asked for in pages of {PLAN_PAGE}",
+        help=f"at most K candidate solutions: one first, then pages of {PLAN_PAGE}",
     )
     shared.add_argument("--kb", metavar="PATH", help="knowledge-base JSONL file")
     shared.add_argument(

@@ -2,8 +2,8 @@
 
 ``extract_features`` locates, classifies and maps the affected regions
 without a model call. ``generate_solutions`` then asks the model for plans
-in pages of ``PLAN_PAGE``: each prompt lists every region's features and
-code, and asks for alternative plans in a line-oriented grammar::
+a page at a time: each prompt lists every region's features and code, and
+asks for plans in a line-oriented grammar::
 
     SOLUTION <i>:
     STEP <n>: <AGENT> <region-ref> :: <instruction>
@@ -14,12 +14,14 @@ Each fix step of a page's first solution may be followed by one fenced
 the plan call; slow thinking puts each block through its agent's gate and
 check, and asks the agent only where a block is missing, stale or refused.
 
-The first page is asked with nothing tried. A later page is asked only once
-the session has tried every solution before it, and its prompt lists each
-tried solution's steps with its verdict (the error count it ended at
-against the baseline, the reports left and each step's note), so the model
-proposes solutions not yet tried. Ids and deduplication continue across
-pages, and ``k`` caps the solutions of all pages together.
+The first page is asked with nothing tried, and asks for one solution: no
+verdict exists yet that a second one could answer. A later page is asked
+only once the session has tried every solution before it, and asks for
+``PLAN_PAGE``; its prompt lists each tried solution's steps with its
+verdict (the error count it ended at against the baseline, the reports
+left and each step's note), so the model proposes solutions not yet
+tried. Ids and deduplication continue across pages, and ``k`` caps the
+solutions of all pages together.
 
 Parsing is deliberately lenient (junk lines are dropped, duplicate plans
 folded); a fully unparseable answer is retried once and then replaced by
@@ -54,7 +56,8 @@ if TYPE_CHECKING:  # pragma: no cover
 log = logging.getLogger(__name__)
 
 DEFAULT_SOLUTION_COUNT = 10
-# solutions asked for per plan prompt: one per fix strategy
+# solutions asked for per plan prompt once a solution has been tried: one
+# per fix strategy; the page asked with nothing tried asks for one
 PLAN_PAGE = 3
 
 
@@ -386,24 +389,26 @@ def generate_solutions(
     tried: Sequence[tuple[RepairSolution, "ErrorTrace"]] = (),
 ) -> list[RepairSolution]:
     """The next page of candidate solutions, in the provider's preference
-    order: at most ``PLAN_PAGE`` solutions that are neither repeats of each
-    other nor of a ``tried`` one.
+    order: solutions that are neither repeats of each other nor of a
+    ``tried`` one, one when nothing is tried and at most ``PLAN_PAGE``
+    otherwise.
 
     ``tried`` pairs each solution the session has tried with the trace it
-    ended on. The page's ids continue after the highest tried id (a seeded
-    solution is ``s00``), and ``k`` caps the highest id: at the cap, or when
-    the answer holds nothing new, the page is empty. The prompt depends on
-    nothing else, not on whether knowledge is enabled: runs on one target
-    with one history ask the same page. Each solution records the prompts
-    the page asked (``RepairSolution.prompts``). Requires at least one
-    feature and k >= 1.
+    ended on; a tried seed makes the next page a follow-up of
+    ``PLAN_PAGE`` that carries its verdict. The page's ids continue after
+    the highest tried id (a seeded solution is ``s00``), and ``k`` caps the
+    highest id: at the cap, or when the answer holds nothing new, the page
+    is empty. The prompt depends on nothing else, not on whether knowledge
+    is enabled: runs on one target with one history ask the same page. Each
+    solution records the prompts the page asked (``RepairSolution.prompts``).
+    Requires at least one feature and k >= 1.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not features:
         raise ValueError("generate_solutions needs at least one feature")
     done = max((int(solution.id[1:]) for solution, _ in tried), default=0)
-    count = min(PLAN_PAGE, k - done)
+    count = min(PLAN_PAGE if tried else 1, k - done)
     if count < 1:
         return []
     prompt_text = fill(

@@ -521,19 +521,19 @@ def test_plan_code_on_a_follow_up_page_for_a_region_patched_since_asks_the_agent
     path = tmp_path / "main.rs"
     path.write_text(regions_source(2), encoding="utf-8")
     region = locate_unsafe_regions(regions_source(2), "main.rs")[0]
-    # region 1 is never repaired, s01 and s02 patch region 0, and s03's
-    # SafeReplace changes nothing, so the best snapshot holds region 0
-    # patched, and still first, when s04 is planned
-    settings = SessionConfig(detector=stub_detector_config(), solutions_k=4, kb_enabled=False, clock=cli.LogicalClock())
+    # region 1 is never repaired and s01 patches region 0, so the best
+    # snapshot holds region 0 patched when s02, the follow-up page's first
+    # solution, is tried
+    settings = SessionConfig(detector=stub_detector_config(), solutions_k=2, kb_enabled=False, clock=cli.LogicalClock())
     spy = _NoCodeForRegionOne(ProviderConfig())
     outcome, _, _ = cli.repair_one(TargetPackage.from_path(path), spy, FeedbackEngine(), settings)
-    assert outcome.verdict is Verdict.FAILED and outcome.solution_id == "s04"
+    assert outcome.verdict is Verdict.FAILED and outcome.solution_id == "s02"
     plans = [i for i, p in enumerate(spy.prompts) if MARKER_PLAN in p]
     assert len(plans) == len(spy.plans) == 2
     # the follow-up page wrote code for region 0 as the plan prompt showed it
-    (s04,) = parse_plan(spy.plans[1], {"main.rs#0": region.snippet})
-    reason, written, _ = s04
-    assert (reason.agent, written.target_region) == (AgentKind.REASON, "main.rs#0")
+    (s02,) = parse_plan(spy.plans[1], {"main.rs#0": region.snippet})
+    written, _ = s02
+    assert (written.agent, written.target_region) == (AgentKind.ADD_ASSERTION, "main.rs#0")
     assert written.code is not None and written.code.before == region.snippet
     # ... but region 0 no longer reads so: its agent is asked, on the region
     # as the best snapshot left it

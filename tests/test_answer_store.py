@@ -179,7 +179,8 @@ def test_a_failed_run_keeps_none_of_its_pages(tmp_path, capsys, monkeypatch, ask
     store = tmp_path / "experience.jsonl"
     rc, report = _fix(capsys, case, store, "--no-kb", "--solutions", "6")
     assert (rc, report["verdict"]) == (1, "failed")
-    assert _kinds(asked).count("plan") == 2
+    # pages of one, three and two solutions
+    assert _kinds(asked).count("plan") == 3
     assert _answers(store) == {}
 
 

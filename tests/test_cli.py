@@ -688,6 +688,40 @@ def test_bench_corrupt_store_is_usage_error(tmp_path, capsys, flag, what):
     assert capsys.readouterr().err.startswith(f"error: {store}:1: bad {what}")
 
 
+def _narrow_store(tmp_path: Path, flag: str) -> Path:
+    """A store of one well-formed line whose vector is 8 dims wide."""
+    vector = {"dims": 8, "nz": [[1, 1.0]]}
+    triplet = {"accuracy": True, "acceptability": None, "overhead_seconds": 1.0, "overhead_tokens": 1}
+    steps = [{"agent": "SafeReplace", "target_region": "main.rs#0", "instruction": "fix"}]
+    if flag == "--kb":
+        line = {"vector": vector, "ub_kind": "unaligned_pointer", "solution": {"steps": steps}, "triplet": triplet}
+    else:
+        line = {
+            "feature_vector": vector,
+            "ub_kind": "unaligned_pointer",
+            "solution_id": "s01",
+            "triplet": triplet,
+            "solution_signature": [["SafeReplace", "main.rs#0"]],
+        }
+    store = tmp_path / "narrow.jsonl"
+    store.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    return store
+
+
+@pytest.mark.parametrize("command", ["fix", "bench"])
+@pytest.mark.parametrize("flag", ["--experience", "--kb"])
+def test_a_stored_vector_of_the_wrong_width_is_usage_error(tmp_path, capsys, command, flag):
+    store = _narrow_store(tmp_path, flag)
+    if command == "fix":
+        args = _fix(copy_fixture(CORPUS_DIR / "unaligned_pointer", tmp_path) / "main.rs", flag, str(store))
+    else:
+        args = _bench(_bench_dir(tmp_path, ["unaligned_pointer"]), flag, str(store))
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {store}: stored vector of 8 dims, not 256\n"
+
+
 @pytest.mark.parametrize("command", ["fix", "bench"])
 @pytest.mark.parametrize("flag", ["--experience", "--kb", "--transcript"])
 def test_a_store_or_transcript_that_cannot_be_written_is_usage_error(tmp_path, capsys, command, flag):

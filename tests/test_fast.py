@@ -186,6 +186,22 @@ def test_extract_features_two_regions(tmp_path):
 # --- generate_solutions ---
 
 
+def _tried(solutions):
+    return [(s, ErrorTrace(counts=[1, 1], thoughts=[], iteration_budget=5)) for s in solutions]
+
+
+# eight plans, each its own variant
+MANY = "".join(f"SOLUTION {i}:\nSTEP 1: ModifySemantics main.rs#0 :: variant {i}\n" for i in range(1, 9))
+
+
+def _spied(provider) -> list[str]:
+    """The text of every prompt ``provider`` is asked."""
+    prompts: list[str] = []
+    complete = provider.complete
+    provider.complete = lambda prompt: prompts.append(prompt.text()) or complete(prompt)
+    return prompts
+
+
 def test_generate_solutions_happy_path(mock_provider):
     feats = [_feature(ops=frozenset({UnsafeOpKind.RAW_POINTER_DEREF}))]
     sols = generate_solutions(feats, k=4, provider=mock_provider)
@@ -205,9 +221,7 @@ def test_plan_prompt_holds_each_region_snippet_once_in_feature_order(tmp_path):
     )
     feats = extract_features(_target(tmp_path, source), [_report(3), _report(2), _report(1)])
     provider = ScriptedMockProvider(ProviderConfig())
-    prompts: list[str] = []
-    complete = provider.complete
-    provider.complete = lambda prompt: prompts.append(prompt.text()) or complete(prompt)
+    prompts = _spied(provider)
     generate_solutions(feats, k=2, provider=provider)
     (prompt,) = prompts
     snippets = ["unsafe { one() }", "unsafe { two() }", 'unsafe { println!("{errors}") }']
@@ -236,17 +250,34 @@ def test_generate_solutions_dedups_identical_plans():
 
 
 def test_generate_solutions_caps_at_k():
-    many = "".join(
-        f"SOLUTION {i}:\nSTEP 1: ModifySemantics main.rs#0 :: variant {i}\n"
-        for i in range(1, 9)
-    )
-    provider = ScriptedMockProvider(ProviderConfig(), rules=[("", many)])
-    sols = generate_solutions([_feature()], k=3, provider=provider)
-    assert len(sols) == 3
+    provider = ScriptedMockProvider(ProviderConfig(), rules=[("", MANY)])
+    first = generate_solutions([_feature()], k=3, provider=provider)
+    second = generate_solutions([_feature()], k=3, provider=provider, tried=_tried(first))
+    assert [s.id for s in first + second] == ["s01", "s02", "s03"]
+    assert generate_solutions([_feature()], k=3, provider=provider, tried=_tried(first + second)) == []
+    assert provider.calls == 2
 
 
-def _tried(solutions):
-    return [(s, ErrorTrace(counts=[1, 1], thoughts=[], iteration_budget=5)) for s in solutions]
+def test_a_page_with_nothing_tried_asks_for_one_solution():
+    provider = ScriptedMockProvider(ProviderConfig(), rules=[("", MANY)])
+    prompts = _spied(provider)
+    sols = generate_solutions([_feature()], k=10, provider=provider)
+    assert [(s.id, s.steps[0].instruction) for s in sols] == [("s01", "variant 1")]
+    (prompt,) = prompts
+    assert "solutions requested: 1\n" in prompt and "numbered from 1." in prompt
+
+
+def test_a_follow_up_page_asks_for_a_full_page_after_the_first():
+    provider = ScriptedMockProvider(ProviderConfig(), rules=[("", MANY)])
+    prompts = _spied(provider)
+    first = generate_solutions([_feature()], k=10, provider=provider)
+    second = generate_solutions([_feature()], k=10, provider=provider, tried=_tried(first))
+    assert "solutions requested: 3\n" in prompts[1] and "numbered from 2." in prompts[1]
+    assert "TRIED s01: ended at 1 errors, baseline 1" in prompts[1]
+    # the answer repeats the first page's plan: the follow-up page skips it
+    assert [(s.id, s.steps[0].instruction) for s in second] == [
+        ("s02", "variant 2"), ("s03", "variant 3"), ("s04", "variant 4"),
+    ]
 
 
 def test_a_page_of_repeats_ends_the_drawing_after_one_call():
@@ -260,16 +291,19 @@ def test_a_page_of_repeats_ends_the_drawing_after_one_call():
 def test_a_degenerate_follow_up_page_does_not_re_add_the_template_plans():
     provider = ScriptedMockProvider(ProviderConfig(), rules=[("", "no steps here")])
     first = generate_solutions([_feature()], k=10, provider=provider)
-    assert len(first) == 3
-    assert generate_solutions([_feature()], k=10, provider=provider, tried=_tried(first)) == []
-    assert provider.calls == 4
+    assert [s.steps[0].agent for s in first] == [AgentKind.MODIFY_SEMANTICS]
+    # the follow-up page takes the template plans not yet tried, and the
+    # page after it none
+    second = generate_solutions([_feature()], k=10, provider=provider, tried=_tried(first))
+    assert [(s.id, s.steps[0].agent) for s in second] == [
+        ("s02", AgentKind.ADD_ASSERTION), ("s03", AgentKind.SAFE_REPLACE),
+    ]
+    assert generate_solutions([_feature()], k=10, provider=provider, tried=_tried(first + second)) == []
+    assert provider.calls == 6
 
 
 def test_ids_continue_across_pages_after_a_seed():
-    many = "".join(
-        f"SOLUTION {i}:\nSTEP 1: ModifySemantics main.rs#0 :: variant {i}\n" for i in range(1, 9)
-    )
-    provider = ScriptedMockProvider(ProviderConfig(), rules=[("", many)])
+    provider = ScriptedMockProvider(ProviderConfig(), rules=[("", MANY)])
     seed = RepairSolution(id="s00", steps=[RepairStep(AgentKind.ADD_ASSERTION, "main.rs#0", "seed")])
     first = generate_solutions([_feature()], k=5, provider=provider, tried=_tried([seed]))
     second = generate_solutions([_feature()], k=5, provider=provider, tried=_tried([seed, *first]))
@@ -285,10 +319,9 @@ def test_ids_continue_across_pages_after_a_seed():
 def test_generate_solutions_retry_then_fallback():
     provider = ScriptedMockProvider(ProviderConfig(), rules=[("", "no steps here")])
     sols = generate_solutions([_feature()], k=5, provider=provider)
-    # both attempts degenerate; template plans fill in
+    # both attempts degenerate; the first template plan fills the page of one
     assert provider.calls == 2
-    assert len(sols) == 3
-    assert sols[0].steps[0].agent == AgentKind.MODIFY_SEMANTICS
+    assert [s.steps[0].agent for s in sols] == [AgentKind.MODIFY_SEMANTICS]
 
 
 # --- code the plan writes for the first solution ---
@@ -395,7 +428,10 @@ def test_the_mock_writes_its_own_fix_answers_for_the_first_solution_only(tmp_pat
         "fn b(p: *const u8) -> u8 { unsafe { *p } }\n"
     )
     feats = extract_features(_target(tmp_path, source), [_report(1), _report(2)])
-    first, *rest = generate_solutions(feats, k=3, provider=ScriptedMockProvider(ProviderConfig()))
+    # a page after a tried seed holds three solutions
+    seed = RepairSolution(id="s00", steps=[RepairStep(AgentKind.ADD_ASSERTION, feats[0].ref, "seed")])
+    mock = ScriptedMockProvider(ProviderConfig())
+    first, *rest = generate_solutions(feats, k=3, provider=mock, tried=_tried([seed]))
     assert [s.target_region for s in first.steps] == [f.ref for f in feats]
     for step, feature in zip(first.steps, feats):
         expected = _mock_code(step, feature, ScriptedMockProvider(ProviderConfig()))

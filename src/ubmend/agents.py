@@ -211,7 +211,7 @@ def _propose(
     if written is not None and provider.recall(prompt) is None:
         try:
             patch = patch_of(written)
-        except (NoSafeEquivalent, NoGuardExpressible, ProviderFailure) as exc:
+        except (AgentFailure, ProviderFailure) as exc:
             log.info("%s refused the plan's code (%s); asking it", agent.value, exc)
         else:
             provider.stand_in(prompt, written)

@@ -35,6 +35,7 @@ from .detector import (
     DetectorConfig,
     TargetPackage,
     UbKind,
+    render_command,
     run_detection,
 )
 from .errors import (
@@ -66,7 +67,7 @@ from .feedback import (
     ReferenceBundle,
     signature_of,
 )
-from .kb import VECTOR_DIMS, FeatureVector, KnowledgeBase, feature_vector
+from .kb import FeatureVector, KnowledgeBase, feature_vector
 from .provider import (
     MemoizedProvider,
     Provider,
@@ -469,18 +470,10 @@ def _detector_config(args: argparse.Namespace) -> DetectorConfig:
 
 def _open_stores(args: argparse.Namespace) -> FeedbackEngine:
     """The feedback engine over the experience log, with the knowledge base
-    (none under ``--no-kb``). A stored vector that is not ``VECTOR_DIMS``
-    wide could be compared with no run's vector, so it raises
-    StorageFailure naming its file."""
+    (none under ``--no-kb``). Both load now, so a bad line, a vector of the
+    wrong width included, raises StorageFailure naming its file and line."""
     kb = None if args.no_kb else KnowledgeBase(args.kb)
-    engine = FeedbackEngine(args.experience, kb=kb)
-    stored = [(engine.log_path, record.feature_vector) for record in engine.records]
-    if kb is not None:
-        stored += [(kb.path, entry.vector) for entry in kb.entries]
-    for path, vector in stored:
-        if vector.dims != VECTOR_DIMS:
-            raise StorageFailure(f"{path}: stored vector of {vector.dims} dims, not {VECTOR_DIMS}")
-    return engine
+    return FeedbackEngine(args.experience, kb=kb)
 
 
 def _session_config(
@@ -817,10 +810,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _command_line(text: str) -> tuple[str, ...]:
-    """A command line split as a POSIX shell would; an unclosed quote or an
-    empty command is a usage error. The tool runs inside the working copy, so a relative path
-    to it is taken from the invoking directory; a bare name is looked up on
-    PATH, and a ``{root}`` path is filled in by the detector.
+    """A command line split as a POSIX shell would; an unclosed quote, an
+    empty command or a placeholder the detector cannot render (``{files}``,
+    ``{}``, a lone ``{``) is a usage error. The tool runs inside the working
+    copy, so a relative path to it is taken from the invoking directory; a
+    bare name is looked up on PATH, and a ``{root}`` path is filled in by
+    the detector.
 
     Only the program word is resolved. A script given to an interpreter
     (``python3 tests/tools/fake_miri.py {file}``) is looked up inside the
@@ -832,6 +827,10 @@ def _command_line(text: str) -> tuple[str, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from None
     if not command:
         raise argparse.ArgumentTypeError("empty command")
+    try:
+        render_command(command, "main.rs", "")
+    except (LookupError, ValueError, AttributeError, TypeError) as exc:
+        raise argparse.ArgumentTypeError(f"bad placeholder: {exc}") from None
     tool = command[0]
     if os.sep in tool and "{" not in tool and not os.path.isabs(tool):
         command = (os.path.abspath(tool),) + command[1:]

@@ -194,39 +194,27 @@ class AnswerPool:
     """Fetched model answers by key, shared by the case memos of one bench;
     a ``fix`` and a bare ``CaseMemo`` have a private pool.
 
-    Single-flight: the first caller to ``take`` a key fetches its answer,
-    and one that takes the key while that fetch runs waits for it and
-    gets its answer. Only completed answers are kept: a fetch that raises
-    releases its waiters, and each of them then takes the key again as if
-    it were the first.
+    Single-flight: each key has a lock, held by the caller that fetches
+    its answer, so a caller that takes the key meanwhile waits and gets
+    that answer; different keys never wait on each other. Only completed
+    answers are kept: a fetch that raises lets the next waiter fetch.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._answers: dict[str, MemoEntry] = {}
-        self._fetching: dict[str, threading.Event] = {}
+        self._key_locks: dict[str, threading.Lock] = {}
 
     def take(self, key: str, fetch: Callable[[], MemoEntry]) -> tuple[MemoEntry, bool]:
         """The answer pooled under ``key``, fetched with ``fetch`` when no
         caller has, and whether this call fetched it."""
-        while True:
-            with self._lock:
-                if key in self._answers:
-                    return self._answers[key], False
-                flight = self._fetching.get(key)
-                if flight is None:
-                    flight = self._fetching[key] = threading.Event()
-                    break
-            flight.wait()
-        try:
-            entry = fetch()
-            with self._lock:
-                self._answers[key] = entry
+        with self._lock:
+            key_lock = self._key_locks.setdefault(key, threading.Lock())
+        with key_lock:
+            if key in self._answers:
+                return self._answers[key], False
+            entry = self._answers[key] = fetch()
             return entry, True
-        finally:
-            with self._lock:
-                del self._fetching[key]
-            flight.set()
 
 
 class CaseMemo:
@@ -434,8 +422,8 @@ def parse_diagnostics(raw_output: str) -> list[UbReport]:
     return reports
 
 
-def _render_command(command: Sequence[str], target: TargetPackage, root: str) -> list[str]:
-    entry = target.entry_files[0] if target.entry_files else ""
+def render_command(command: Sequence[str], entry: str, root: str) -> list[str]:
+    """``command`` with ``{file}`` set to ``entry`` and ``{root}`` to ``root``."""
     return [tok.format(file=entry, root=root) for tok in command]
 
 
@@ -506,8 +494,9 @@ def run_detection(
     config = config or DetectorConfig()
     memo = memo if memo is not None else CaseMemo()
     root = str(target.root_path)
-    argv = _render_command(config.command, target, root)
-    keyed = _render_command(config.command, target, _ROOT_TOKEN)
+    entry = target.entry_files[0] if target.entry_files else ""
+    argv = render_command(config.command, entry, root)
+    keyed = render_command(config.command, entry, _ROOT_TOKEN)
     key = _content_key(keyed, memo.tool(config.command), target)
     known = memo.recall(key, "detections")
     if known is not None:

@@ -46,16 +46,16 @@ class TokenOverflow(ProviderFailure):
     """Prompt exceeds the configured token window; caller must shrink context."""
 
 
-class NoSafeEquivalent(UbmendError):
-    """Safe-replacement agent abstained."""
-
-
-class NoGuardExpressible(UbmendError):
-    """Assertion agent abstained."""
-
-
 class AgentFailure(UbmendError):
     """A repair step could not be executed; the step is skipped."""
+
+
+class NoSafeEquivalent(AgentFailure):
+    """Safe-replacement agent abstained; the step is skipped as declined."""
+
+
+class NoGuardExpressible(AgentFailure):
+    """Assertion agent abstained; the step is skipped as declined."""
 
 
 class StorageFailure(UbmendError):

@@ -189,15 +189,15 @@ class FeatureVector:
     def from_dict(cls, data: dict | list) -> "FeatureVector":
         """Read the stored form, or a legacy dense list of every entry.
 
-        Raises ValueError when ``dims`` is not an integer of at least 1, a
-        bucket is not an integer in ``[0, dims)`` or not above the one
-        before, or a value is zero.
+        Raises ValueError when the vector is not ``VECTOR_DIMS`` wide (no
+        run's vector could be compared with it), a bucket is not an integer
+        in ``[0, dims)`` or not above the one before, or a value is zero.
         """
+        dims = len(data) if isinstance(data, list) else data["dims"]
+        if type(dims) is not int or dims != VECTOR_DIMS:
+            raise ValueError(f"vector of {dims!r} dims, not {VECTOR_DIMS}")
         if isinstance(data, list):
             return cls(data)
-        dims = data["dims"]
-        if type(dims) is not int or dims < 1:
-            raise ValueError(f"vector of {dims!r} dims")
         nonzero: dict[int, float] = {}
         last = -1
         for bucket, value in data["nz"]:

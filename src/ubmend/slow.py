@@ -41,9 +41,7 @@ from .errors import (
     AgentFailure,
     DetectionTimeout,
     LexFailure,
-    NoGuardExpressible,
     NonUbCompileError,
-    NoSafeEquivalent,
     ProviderFailure,
     ReplayMiss,
 )
@@ -244,7 +242,7 @@ def propose_step(
         patch = AGENT_FUNCTIONS[step.agent](region, kinds, provider, step.instruction, context, written)
     except ReplayMiss:
         raise
-    except (NoSafeEquivalent, NoGuardExpressible, AgentFailure, ProviderFailure) as exc:
+    except (AgentFailure, ProviderFailure) as exc:
         log.info("step %d: %s abstained (%s)", index, step.agent.value, exc)
         return Thought(index, step, None, prev_count, note=f"skipped: {exc}")
     try:

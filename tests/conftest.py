@@ -21,6 +21,7 @@ import pytest
 
 from ubmend.detector import DetectorConfig
 from ubmend.fast import AgentKind, RepairSolution, RepairStep
+from ubmend.kb import VECTOR_DIMS
 from ubmend.provider import ProviderConfig, ProviderMode, PromptRecord, ScriptedMockProvider
 
 TESTS_DIR = Path(__file__).parent
@@ -82,6 +83,12 @@ class SpyProvider(ScriptedMockProvider):
     def _complete(self, prompt: PromptRecord) -> str:
         self.prompts.append(prompt.text())
         return super()._complete(prompt)
+
+
+def padded(values) -> list[float]:
+    """``values`` padded with zero buckets to the stored vector width; zero
+    buckets change no cosine, ranking or search order."""
+    return [*values, *[0.0] * (VECTOR_DIMS - len(values))]
 
 
 def signature_candidates(signatures: dict[str, str]) -> list[RepairSolution]:

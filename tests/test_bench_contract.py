@@ -27,7 +27,7 @@ from conftest import (
 from ubmend import agents, cli
 from ubmend.detector import TargetPackage, UbKind, run_detection
 from ubmend.feedback import EvalTriplet, ExperienceRecord, FeedbackEngine, ReferenceBundle
-from ubmend.kb import FeatureVector, KnowledgeEntry, extract_ast, feature_vector, prune, vectorize
+from ubmend.kb import VECTOR_DIMS, FeatureVector, KnowledgeEntry, extract_ast, feature_vector, prune, vectorize
 from ubmend.lexutil import estimate_tokens, mask_comments_and_strings
 from ubmend.provider import MARKER_FIX, MemoizedProvider, PromptRecord, Provider, ProviderConfig, ScriptedMockProvider
 from ubmend.rollback import SnapshotStore
@@ -166,7 +166,8 @@ def test_store_with_tool_results_loads_ranks_and_resets_like_before(
 def test_feature_vector_surface_gen_uses(dims):
     # perfbench/gen.py builds vectors from numpy arrays, reads ``values`` as a
     # dense sequence and writes the stores through ``to_dict``, which stores
-    # the nonzero buckets; stores it wrote earlier hold dense lists
+    # the nonzero buckets; stores it wrote earlier hold dense lists. The
+    # stores hold VECTOR_DIMS-bucket vectors only: a reader rejects others
     assert FeatureVector(np.zeros(dims)).is_zero
     values = np.zeros(dims)
     values[dims // 2] += 2
@@ -174,6 +175,10 @@ def test_feature_vector_surface_gen_uses(dims):
     v = FeatureVector(values)
     assert len(v.values) == v.dims == dims
     assert list(np.flatnonzero(v.values)) == list(np.flatnonzero(values))
+    if dims != VECTOR_DIMS:
+        with pytest.raises(ValueError, match=f"vector of {dims} dims, not {VECTOR_DIMS}"):
+            FeatureVector.from_dict(v.to_dict())
+        return
     triplet = EvalTriplet(True, None, 1.5, 700)
     entry = KnowledgeEntry(v, UbKind.STACK_BORROW, {"steps": []}, triplet)
     record = ExperienceRecord(v, UbKind.STACK_BORROW, "s01", triplet, ())

@@ -324,6 +324,24 @@ def test_an_empty_detector_command_is_a_usage_error(tmp_path, capsys, command, g
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("given", ["echo {files}", "echo {}", "echo {"])
+@pytest.mark.parametrize("command", ["fix", "bench"])
+def test_a_placeholder_the_detector_cannot_render_is_a_usage_error(tmp_path, capsys, monkeypatch, command, given):
+    # an unknown name, a bare index and an unbalanced brace
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    manifest = _bench_dir(tmp_path, ["stack_borrow"])
+    target = manifest if command == "bench" else manifest.parent / "stack_borrow" / "main.rs"
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(target), "--fixed-clock", "--detector-cmd", given])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--detector-cmd" in captured.err and "bad placeholder" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert [p.name for p in scratch.iterdir() if p.name.startswith("ubmend-")] == []
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "-0.5", "nan", "inf", "-inf", "soon"])
 @pytest.mark.parametrize("command", ["fix", "bench"])
 def test_a_timeout_that_is_not_a_finite_positive_number_is_a_usage_error(tmp_path, capsys, command, value):
@@ -719,7 +737,8 @@ def test_a_stored_vector_of_the_wrong_width_is_usage_error(tmp_path, capsys, com
     assert main(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {store}: stored vector of 8 dims, not 256\n"
+    what = "experience record" if flag == "--experience" else "knowledge entry"
+    assert captured.err == f"error: {store}:1: bad {what}: vector of 8 dims, not 256\n"
 
 
 @pytest.mark.parametrize("command", ["fix", "bench"])

@@ -9,7 +9,7 @@ from dataclasses import asdict
 
 import pytest
 
-from conftest import counting_rustc, process_gone
+from conftest import counting_rustc, padded, process_gone
 from ubmend import cli, feedback
 from ubmend.detector import CaseMemo, UbKind
 from ubmend.errors import StorageFailure
@@ -41,7 +41,7 @@ def _triplet(accuracy=True, acceptability=None, secs=1.0, toks=10):
 
 
 def _vec(*values) -> FeatureVector:
-    return FeatureVector(list(values))
+    return FeatureVector(padded(values))
 
 
 def _solution(instruction="rewrite it", agent=AgentKind.MODIFY_SEMANTICS, sid="s01"):
@@ -149,7 +149,7 @@ def test_record_round_trip_via_log(tmp_path):
     assert len(reloaded.records) == 1
     got = reloaded.records[0]
     assert got.solution_signature == rec.solution_signature
-    assert got.feature_vector.values == [1.0, 0.0]
+    assert got.feature_vector == _vec(1.0, 0.0)
     assert got.ub_kind == UbKind.STACK_BORROW
 
 

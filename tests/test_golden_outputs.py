@@ -1,12 +1,12 @@
-"""Golden fixed-clock outputs of the corpus bench.
+"""Golden fixed-clock outputs of benches over the corpus and two large targets.
 
-Each test reruns a bench over the corpus with the stub detector (given by
-absolute path) and the fixed clock, in a fresh process, and compares what
-it wrote with the files under ``tests/fixtures/golden/`` byte for byte. A
-change meant to keep every output (a refactor, a deletion) is checked to
-keep them. A change that alters outputs on purpose regenerates the files
-and explains the diff in its description. To regenerate, from the
-repository root:
+Each test reruns a bench over a fixture manifest with the stub detector
+(given by absolute path) and the fixed clock, in a fresh process, and
+compares what it wrote with the files under ``tests/fixtures/golden/`` byte
+for byte. A change meant to keep every output (a refactor, a deletion) is
+checked to keep them. A change that alters outputs on purpose regenerates
+the files and explains the diff in its description. To regenerate, from
+the repository root:
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 
@@ -29,11 +29,20 @@ import ubmend
 from conftest import CORPUS_DIR, FIXTURES_DIR, STUB_DETECTOR_ARG
 
 GOLDEN_DIR = FIXTURES_DIR / "golden"
-# file name stem -> bench arguments after the manifest; a run works in a
+# Seed-1 t00 (4 unsafe regions) and t01 (6) of perfbench's large-target
+# workload, copied so that a change to its generator changes no test. At
+# budget 5, t01 runs out of budget: follow-up plan pages, tried-solution
+# lines and the replay of a failed batch.
+LARGE_MANIFEST = FIXTURES_DIR / "large" / "manifest.jsonl"
+LARGE_RUN = ["--no-kb", "--jobs", "2", "--report", "json", "--max-iterations"]
+# file name stem -> manifest and bench arguments after it; a run works in a
 # directory of its own, where it records its transcript
 RUNS = {
-    "bench_json": ["--report", "json", "--jobs", "2", "--transcript", "bench_json.transcript.jsonl"],
-    "bench_no_kb_table": ["--no-kb", "--report", "table", "--jobs", "2"],
+    "bench_json": (CORPUS_DIR / "manifest.jsonl",
+                   ["--report", "json", "--jobs", "2", "--transcript", "bench_json.transcript.jsonl"]),
+    "bench_no_kb_table": (CORPUS_DIR / "manifest.jsonl", ["--no-kb", "--report", "table", "--jobs", "2"]),
+    "large_budget_20": (LARGE_MANIFEST, [*LARGE_RUN, "20"]),
+    "large_budget_5": (LARGE_MANIFEST, [*LARGE_RUN, "5"]),
 }
 
 
@@ -43,8 +52,9 @@ def run_bench(stem: str, work: Path) -> dict[str, bytes]:
     env = dict(os.environ)
     src = str(Path(ubmend.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    argv = [sys.executable, "-m", "ubmend.cli", "bench", str(CORPUS_DIR / "manifest.jsonl"),
-            "--detector-cmd", STUB_DETECTOR_ARG, "--fixed-clock", *RUNS[stem]]
+    manifest, args = RUNS[stem]
+    argv = [sys.executable, "-m", "ubmend.cli", "bench", str(manifest),
+            "--detector-cmd", STUB_DETECTOR_ARG, "--fixed-clock", *args]
     done = subprocess.run(argv, cwd=work, env=env, capture_output=True, timeout=300)
     assert done.returncode == 0, done.stderr.decode(errors="replace")
     outputs = {f"{stem}.out": done.stdout, f"{stem}.err": done.stderr}

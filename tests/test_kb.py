@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import padded
 from ubmend.detector import UbKind, UbReport
 from ubmend.errors import StorageFailure
 from ubmend.feedback import EvalTriplet
@@ -184,9 +185,13 @@ def test_solution_template_masks_regions():
 # --- knowledge store ---
 
 
+def _vec(values) -> FeatureVector:
+    return FeatureVector(padded(values))
+
+
 def _entry(vec, kind=UbKind.STACK_BORROW, name="", accuracy=True):
     return KnowledgeEntry(
-        vector=FeatureVector(vec),
+        vector=_vec(vec),
         ub_kind=kind,
         solution={"name": name, "steps": []},
         triplet=EvalTriplet(accuracy=accuracy, acceptability=None, overhead_seconds=1.0, overhead_tokens=10),
@@ -204,7 +209,7 @@ def test_search_orders_by_similarity_then_recency():
     kb.insert(_entry([1.0, 0.0], name="first"))
     kb.insert(_entry([0.0, 1.0], name="other"))
     kb.insert(_entry([1.0, 0.0], name="newer"))  # same direction, newer
-    hits = kb.search(FeatureVector([1.0, 0.0]), k=3)
+    hits = kb.search(_vec([1.0, 0.0]), k=3)
     sims = [round(s, 6) for s, _ in hits]
     assert sims == [1.0, 1.0, 0.0]
     assert [entry.solution["name"] for _, entry in hits] == ["newer", "first", "other"]
@@ -215,7 +220,7 @@ def test_search_ties_go_to_the_later_appended_entry(tmp_path):
     path = tmp_path / "kb.jsonl"
     for name in ("old", "new", "newer"):
         KnowledgeBase(path).insert(_entry([1.0, 0.0], name=name))
-    hits = KnowledgeBase(path).search(FeatureVector([1.0, 0.0]), k=3)
+    hits = KnowledgeBase(path).search(_vec([1.0, 0.0]), k=3)
     assert [entry.solution["name"] for _, entry in hits] == ["newer", "new", "old"]
 
 
@@ -232,7 +237,7 @@ def test_a_line_with_a_created_stamp_loads_and_searches_by_position(tmp_path):
         encoding="utf-8",
     )
     kb = KnowledgeBase(path)
-    hits = kb.search(FeatureVector([1.0, 0.0]), k=3)
+    hits = kb.search(_vec([1.0, 0.0]), k=3)
     assert [entry.solution["name"] for _, entry in hits] == ["newer", "new", "old"]
     assert [entry.to_dict() for entry in kb.entries] == [
         _entry([1.0, 0.0], name=name).to_dict() for name, _ in stamps
@@ -254,7 +259,7 @@ def test_a_line_whose_steps_hold_params_loads_and_searches_as_before(tmp_path):
     legacy, current = stores["legacy"], stores["current"]
     assert [e.solution["steps"][0] for e in legacy.entries] == [{**step, "params": {}}] * 3
     for values in vectors:
-        query = FeatureVector(values)
+        query = _vec(values)
         ranked = [[(sim, e.solution["tag"]) for sim, e in kb.search(query, k=3)] for kb in (legacy, current)]
         assert ranked[0] == ranked[1]
 
@@ -263,14 +268,14 @@ def test_search_k_cap_and_zero_vector():
     kb = KnowledgeBase()
     for i in range(5):
         kb.insert(_entry([1.0, float(i)]))
-    assert len(kb.search(FeatureVector([1.0, 1.0]), k=2)) == 2
+    assert len(kb.search(_vec([1.0, 1.0]), k=2)) == 2
     with pytest.raises(ValueError):
-        kb.search(FeatureVector([0.0, 0.0]))
+        kb.search(_vec([0.0, 0.0]))
 
 
 def test_search_empty_store():
     kb = KnowledgeBase()
-    assert kb.search(FeatureVector([1.0])) == []
+    assert kb.search(_vec([1.0])) == []
 
 
 def test_jsonl_persistence_round_trip(tmp_path):
@@ -282,9 +287,9 @@ def test_jsonl_persistence_round_trip(tmp_path):
     reloaded = KnowledgeBase(path)
     assert [entry.solution["name"] for entry in reloaded.entries] == ["alloc", "stack_borrow"]
     assert reloaded.entries[0].ub_kind == UbKind.ALLOC
-    assert reloaded.entries[0].vector.values == [1.0, 2.0]
+    assert reloaded.entries[0].vector == _vec([1.0, 2.0])
     assert reloaded.entries[0].triplet.accuracy is True
-    hits = reloaded.search(FeatureVector([1.0, 2.0]), k=1)
+    hits = reloaded.search(_vec([1.0, 2.0]), k=1)
     assert hits[0][0] > 0.99
 
 

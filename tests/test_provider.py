@@ -145,14 +145,22 @@ def test_memoized_provider_asks_each_prompt_once_per_case():
     assert again.complete(PromptRecord.user("q")) == "answer 3"
 
 
-class _Watched(threading.Event):
-    """An event that sets ``waiting`` when a thread starts to wait on it."""
+class _Watched:
+    """A lock that sets ``waiting`` when a thread has to wait to acquire it."""
 
     waiting: threading.Event
 
-    def wait(self, timeout=None):
-        self.waiting.set()
-        return super().wait(timeout)
+    def __init__(self):
+        self._lock = threading.Lock()
+
+    def __enter__(self):
+        if not self._lock.acquire(blocking=False):
+            self.waiting.set()
+            self._lock.acquire()
+        return self
+
+    def __exit__(self, *exc):
+        self._lock.release()
 
 
 def _held_fetch(answer, started: threading.Event, release: threading.Event, fetched: list):
@@ -192,10 +200,11 @@ def _outcome(work):
 
 @pytest.fixture
 def watched(monkeypatch):
-    """Set once a thread waits on an answer pool's in-flight fetch."""
+    """Set once a thread waits on an answer pool's lock: a key's, while
+    another caller fetches its answer."""
     waiting = threading.Event()
     monkeypatch.setattr(_Watched, "waiting", waiting, raising=False)
-    monkeypatch.setattr(detector, "threading", SimpleNamespace(Lock=threading.Lock, Event=_Watched))
+    monkeypatch.setattr(detector, "threading", SimpleNamespace(Lock=_Watched))
     return waiting
 
 
@@ -225,6 +234,24 @@ def test_a_fetch_that_raises_is_not_pooled_and_its_waiter_fetches_for_itself(wat
     assert entry.fields == {"answer": "b"} and by_second
     assert len(fetched) == 2
     assert pool.take("h", lambda: pytest.fail("the answer is pooled")) == (entry, False)
+
+
+def test_of_several_waiters_behind_a_fetch_that_raises_one_fetches_and_the_rest_take_its_answer(watched):
+    pool, started, release, fetched = AnswerPool(), threading.Event(), threading.Event(), []
+    failing = _held_fetch(ProviderFailure("transport error"), started, release, fetched)
+    first, got_first = _in_thread(lambda: pool.take("h", failing))
+    assert started.wait(10)
+    waiters = []
+    for answer in ("b", "c"):
+        waiters.append(_in_thread(lambda answer=answer: pool.take("h", _held_fetch(answer, threading.Event(), release, fetched))))
+        assert watched.wait(10)  # this waiter waits for the failing fetch
+        watched.clear()
+    release.set()
+    _join(first, *(thread for thread, _ in waiters))
+    assert isinstance(got_first[0], ProviderFailure)
+    (entry, by_b), (same, by_c) = (got[0] for _, got in waiters)
+    assert same is entry and sorted([by_b, by_c]) == [False, True]
+    assert len(fetched) == 2 and fetched[1] == entry.fields["answer"]
 
 
 def test_different_hashes_never_wait_on_each_other():

@@ -1,11 +1,11 @@
 """The on-disk form of feature vectors in the knowledge base and experience log.
 
-A stored vector is ``{"dims": N, "nz": [[bucket, value], ...]}`` with its
+A stored vector is ``{"dims": 256, "nz": [[bucket, value], ...]}`` with its
 nonzero buckets in ascending order. Lines written before that form hold a
-dense list of all N entries; they still load, alone or mixed with sparse
+dense list of all 256 entries; they still load, alone or mixed with sparse
 lines, and give the same records, ranking, seeding and search as their
-sparse rewrite. A sparse vector that cannot be what ``to_dict`` writes
-stops the load.
+sparse rewrite. A vector of another width, or a sparse vector that cannot
+be what ``to_dict`` writes, stops the load.
 """
 from __future__ import annotations
 
@@ -17,26 +17,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_DIR, STUB_DETECTOR_ARG, TOOLS_DIR, copy_fixture, signature_candidates
+from conftest import CORPUS_DIR, STUB_DETECTOR_ARG, TOOLS_DIR, copy_fixture, padded, signature_candidates
 from ubmend.cli import main
 from ubmend.detector import UbKind
 from ubmend.errors import StorageFailure
 from ubmend.fast import AgentKind, RepairSolution, RepairStep
 from ubmend.feedback import EvalTriplet, ExperienceRecord, FeedbackEngine, signature_of
-from ubmend.kb import FeatureVector, KnowledgeBase, KnowledgeEntry
+from ubmend.kb import VECTOR_DIMS, FeatureVector, KnowledgeBase, KnowledgeEntry
 
 VECTOR_FIELDS = {"kb": "vector", "experience": "feature_vector"}
 
 
 def _dense(element):
-    """A dense vector of 1-256 entries, up to 32 of them set from ``element``."""
-
-    def build(n: int):
-        return st.dictionaries(st.integers(0, n - 1), element, max_size=32).map(
-            lambda nonzero: [nonzero.get(i, 0.0) for i in range(n)]
-        )
-
-    return st.integers(1, 256).flatmap(build)
+    """A dense vector of ``VECTOR_DIMS`` entries, up to 32 of them set from
+    ``element``."""
+    return st.dictionaries(st.integers(0, VECTOR_DIMS - 1), element, max_size=32).map(
+        lambda nonzero: [nonzero.get(i, 0.0) for i in range(VECTOR_DIMS)]
+    )
 
 
 def _stored(vector: FeatureVector) -> FeatureVector:
@@ -66,9 +63,11 @@ def test_float_vectors_round_trip_exactly(values):
 
 
 def test_a_dense_list_loads_as_the_vector_it_lists():
-    values = [0.0, 2.0, 0.0, 0.5]
+    values = padded([0.0, 2.0, 0.0, 0.5])
     _assert_same(FeatureVector.from_dict(values), FeatureVector(values))
-    assert FeatureVector(values).to_dict() == {"dims": 4, "nz": [[1, 2.0], [3, 0.5]]}
+    assert FeatureVector(values).to_dict() == {"dims": 256, "nz": [[1, 2.0], [3, 0.5]]}
+    with pytest.raises(ValueError, match=r"^vector of 4 dims, not 256$"):
+        FeatureVector.from_dict([0.0, 2.0, 0.0, 0.5])
 
 
 def _record(values: list[float], sid: str = "s01") -> ExperienceRecord:
@@ -77,7 +76,7 @@ def _record(values: list[float], sid: str = "s01") -> ExperienceRecord:
     )
     triplet = EvalTriplet(True, True, 1.5, 700)
     return ExperienceRecord(
-        FeatureVector(values), UbKind.STACK_BORROW, sid, triplet, signature_of(solution)
+        FeatureVector(padded(values)), UbKind.STACK_BORROW, sid, triplet, signature_of(solution)
     )
 
 
@@ -134,29 +133,30 @@ def test_dense_lines_followed_by_a_sparse_append_load(tmp_path):
     new = _record([0.0, 1.0, 1.0], "s03")
     engine.record_experience(new, solution=RepairSolution(id="s03", steps=[]))
     vectors = [json.loads(line)["feature_vector"] for line in log.read_text().splitlines()]
-    assert vectors == [[1.0, 0.0, 2.0], [0.0, 3.0, 0.0], {"dims": 3, "nz": [[1, 1.0], [2, 1.0]]}]
+    assert vectors == [padded([1.0, 0.0, 2.0]), padded([0.0, 3.0, 0.0]), {"dims": 256, "nz": [[1, 1.0], [2, 1.0]]}]
     assert FeedbackEngine(log).records == [*old, new]
     (entry,) = KnowledgeBase(kb_path).entries
     assert entry.vector == new.feature_vector
-    entry.vector = FeatureVector([2.0, 0.0, 0.0])
+    entry.vector = FeatureVector(padded([2.0, 0.0, 0.0]))
     dense_line = {**entry.to_dict(), "vector": entry.vector.values}
     with kb_path.open("a", encoding="utf-8") as fh:
         fh.write(json.dumps(dense_line, sort_keys=True) + "\n")
     assert [e.vector.values for e in KnowledgeBase(kb_path).entries] == [
-        [0.0, 1.0, 1.0],
-        [2.0, 0.0, 0.0],
+        padded([0.0, 1.0, 1.0]),
+        padded([2.0, 0.0, 0.0]),
     ]
 
 
 CORRUPT = {
-    "bucket_above_range": ({"dims": 4, "nz": [[4, 1.0]]}, "bucket 4 is not an integer in [0, 4)"),
-    "negative_bucket": ({"dims": 4, "nz": [[-1, 1.0]]}, "bucket -1 is not an integer in [0, 4)"),
-    "fractional_bucket": ({"dims": 4, "nz": [[1.5, 1.0]]}, "bucket 1.5 is not an integer in [0, 4)"),
-    "repeated_bucket": ({"dims": 4, "nz": [[1, 1.0], [1, 2.0]]}, "bucket 1 repeated or out of order"),
-    "descending_buckets": ({"dims": 4, "nz": [[2, 1.0], [1, 2.0]]}, "bucket 1 repeated or out of order"),
-    "zero_value": ({"dims": 4, "nz": [[1, 0.0]]}, "bucket 1 stores a zero"),
-    "zero_dims": ({"dims": 0, "nz": []}, "vector of 0 dims"),
-    "negative_dims": ({"dims": -3, "nz": []}, "vector of -3 dims"),
+    "bucket_above_range": ({"dims": 256, "nz": [[256, 1.0]]}, "bucket 256 is not an integer in [0, 256)"),
+    "negative_bucket": ({"dims": 256, "nz": [[-1, 1.0]]}, "bucket -1 is not an integer in [0, 256)"),
+    "fractional_bucket": ({"dims": 256, "nz": [[1.5, 1.0]]}, "bucket 1.5 is not an integer in [0, 256)"),
+    "repeated_bucket": ({"dims": 256, "nz": [[1, 1.0], [1, 2.0]]}, "bucket 1 repeated or out of order"),
+    "descending_buckets": ({"dims": 256, "nz": [[2, 1.0], [1, 2.0]]}, "bucket 1 repeated or out of order"),
+    "zero_value": ({"dims": 256, "nz": [[1, 0.0]]}, "bucket 1 stores a zero"),
+    "zero_dims": ({"dims": 0, "nz": []}, "vector of 0 dims, not 256"),
+    "negative_dims": ({"dims": -3, "nz": []}, "vector of -3 dims, not 256"),
+    "narrow_dims": ({"dims": 8, "nz": [[1, 1.0]]}, "vector of 8 dims, not 256"),
 }
 
 

@@ -307,18 +307,25 @@ def repair_one(
     """Full pipeline on one target: detect, plan, repair, evaluate, learn.
 
     Returns the session outcome, the evaluation triplet and the original
-    sources for diffing. A target whose reports land in no unsafe region
-    has nothing to plan and fails without a model call. With knowledge
-    enabled, a past repair at least ``BYPASS_SIMILARITY`` alike is seeded
-    first. The plan comes in pages (one model call each, whose prompt
-    carries each region's code), each ranked on its own. A page is asked
-    for when the session first draws past the solutions drawn so far, a
-    seed that ranking provably keeps first included. A page asked with
-    nothing tried asks for one solution; a follow-up page asks for
-    ``PLAN_PAGE`` and its prompt carries the verdicts of the solutions
-    tried. A page's prompt is the same with knowledge enabled or not: a
-    bench case's two runs that reach a page with the same solutions tried
-    share its answer.
+    sources for diffing. A target with no unsafe region to stand for its
+    reports (``extract_features``) has nothing to plan and fails without a
+    model call. With knowledge enabled, a past repair at least
+    ``BYPASS_SIMILARITY`` alike is seeded first. The plan comes in pages
+    (one model call each, whose prompt carries each region's code), each
+    ranked on its own. A page is asked for when the session first draws
+    past the solutions drawn so far, a seed that ranking provably keeps
+    first included. A page asked with nothing tried asks for one solution;
+    a follow-up page asks for ``PLAN_PAGE`` and its prompt carries the
+    verdicts of the solutions tried. A follow-up page is planned from the
+    snapshot the next solution starts from, the session's best: it shows
+    the regions that snapshot still reports, with its code, and the
+    snapshot's detection is a memo hit. A best snapshot with no unsafe
+    region left has nothing to plan either, and the drawing ends. Refs are
+    ordinals in the text a page was planned on, so a ``TRIED`` solution's
+    refs name the same regions on a later page only while no patch has
+    dropped an ``unsafe`` keyword. A page's prompt is the same with
+    knowledge enabled or not: a bench case's two runs that reach a page
+    with the same solutions tried share its answer.
     Reason steps consult the knowledge base only when knowledge is enabled
     and no past repair was seeded. The run's tokens are those its memo
     booked (``CaseMemo.charged_tokens``) for every answer it took from the
@@ -366,15 +373,25 @@ def repair_one(
                 it. The seed joins the first page; one that ranking provably
                 keeps first is drawn before any page is asked for. A page is
                 asked for once the session has tried every solution drawn,
-                with their traces, and an empty page ends the drawing."""
+                with their traces, and planned from the snapshot the next
+                solution starts from; an empty page ends the drawing."""
                 page = [] if seeded is None else [seeded]
                 if seeded is not None and engine.keeps_first(seeded, vector):
                     drawn.append(seeded)
                     yield seeded
                     page = []
                 while True:
+                    planned = features
+                    if ended:
+                        # the working copy is the best snapshot, which the
+                        # next solution starts from; the memo holds its
+                        # detection
+                        best = run_detection(ws.target, config=settings.detector, clock=clock, memo=memo)
+                        planned = extract_features(ws.target, list(best.reports))
+                        if not planned:
+                            return
                     page += generate_solutions(
-                        features,
+                        planned,
                         k=settings.solutions_k,
                         provider=provider,
                         tried=list(zip(drawn, ended)),

@@ -15,13 +15,14 @@ the plan call; slow thinking puts each block through its agent's gate and
 check, and asks the agent only where a block is missing, stale or refused.
 
 The first page is asked with nothing tried, and asks for one solution: no
-verdict exists yet that a second one could answer. A later page is asked
-only once the session has tried every solution before it, and asks for
-``PLAN_PAGE``; its prompt lists each tried solution's steps with its
-verdict (the error count it ended at against the baseline, the reports
-left and each step's note), so the model proposes solutions not yet
-tried. Ids and deduplication continue across pages, and ``k`` caps the
-solutions of all pages together.
+verdict exists yet that a second one could answer, and its prompt has no
+section of tried solutions. A later page is asked only once the session
+has tried every solution before it, and asks for ``PLAN_PAGE``; its
+features are those of the snapshot the next solution starts from, and its
+prompt lists each tried solution's steps with its verdict (the error count
+it ended at against the baseline, the reports left and each step's note),
+so the model proposes solutions not yet tried. Ids and deduplication
+continue across pages, and ``k`` caps the solutions of all pages together.
 
 Parsing is deliberately lenient (junk lines are dropped, duplicate plans
 folded); a fully unparseable answer is retried once and then replaced by
@@ -355,13 +356,14 @@ def fallback_solutions(features: list[CodeFeature]) -> list[list[RepairStep]]:
 
 
 def _tried_lines(tried: Sequence[tuple[RepairSolution, "ErrorTrace"]]) -> str:
-    """Each tried solution with its verdict: the error count it ended at
-    against the session's baseline (the count the first one started from),
-    each step's note and error count, and the reports left."""
+    """The prompt's section of tried solutions, empty when there is none:
+    each with its verdict, the error count it ended at against the
+    session's baseline (the count the first one started from), each step's
+    note and error count, and the reports left."""
     if not tried:
-        return "none"
+        return ""
     baseline = tried[0][1].counts[0]
-    lines = []
+    lines = ["", "", "Solutions tried so far, each with its verdict:"]
     for solution, trace in tried:
         lines.append(
             f"TRIED {solution.id}: ended at {trace.counts[-1]} errors, baseline {baseline}"
@@ -388,18 +390,23 @@ def generate_solutions(
     provider: Provider,
     tried: Sequence[tuple[RepairSolution, "ErrorTrace"]] = (),
 ) -> list[RepairSolution]:
-    """The next page of candidate solutions, in the provider's preference
-    order: solutions that are neither repeats of each other nor of a
-    ``tried`` one, one when nothing is tried and at most ``PLAN_PAGE``
-    otherwise.
+    """The next page of candidate solutions for ``features``, in the
+    provider's preference order: solutions that are neither repeats of each
+    other nor of a ``tried`` one, one when nothing is tried and at most
+    ``PLAN_PAGE`` otherwise. A page of one asks for one solution; a page
+    asked with nothing tried sends no section of tried solutions.
 
     ``tried`` pairs each solution the session has tried with the trace it
     ended on; a tried seed makes the next page a follow-up of
-    ``PLAN_PAGE`` that carries its verdict. The page's ids continue after
-    the highest tried id (a seeded solution is ``s00``), and ``k`` caps the
-    highest id: at the cap, or when the answer holds nothing new, the page
-    is empty. The prompt depends on nothing else, not on whether knowledge
-    is enabled: runs on one target with one history ask the same page. Each
+    ``PLAN_PAGE`` that carries its verdict. A follow-up page's ``features``
+    are meant to be those of the snapshot the next solution starts from.
+    Tried refs are compared with the page's as they are, so they name the
+    same regions only while no patch has dropped an ``unsafe`` keyword
+    since they were planned. The page's ids continue after the highest
+    tried id (a seeded solution is ``s00``), and ``k`` caps the highest id:
+    at the cap, or when the answer holds nothing new, the page is empty.
+    The prompt depends on nothing else, not on whether knowledge is
+    enabled: runs on one target with one history ask the same page. Each
     solution records the prompts the page asked (``RepairSolution.prompts``).
     Requires at least one feature and k >= 1.
     """
@@ -411,8 +418,14 @@ def generate_solutions(
     count = min(PLAN_PAGE if tried else 1, k - done)
     if count < 1:
         return []
+    request = "one solution" if count == 1 else f"up to {count} solutions"
+    if tried:
+        request += " not yet tried"
+    if count > 1:
+        request += ", most promising first"
     prompt_text = fill(
         load_template("plan_generation.txt"),
+        request=request,
         count=str(count),
         first=str(done + 1),
         features=_feature_lines(features),

@@ -496,23 +496,10 @@ def test_plan_code_after_a_reason_step_that_found_knowledge_asks_the_agent_with_
 
 class _NoCodeForRegionOne(SpyProvider):
     """The spy mock, answering every fix prompt of the region that holds
-    ``alloc101`` with no code, and every SafeAlternative prompt with no safe
-    equivalent; it keeps each plan answer too."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.plans: list[str] = []
+    ``alloc101`` with no code."""
 
     def _fix(self, text: str) -> str:
-        if "alloc101" in text:
-            return "no code"
-        if "Strategy: SafeAlternative" in text:
-            return "NO SAFE EQUIVALENT"
-        return super()._fix(text)
-
-    def _plan(self, text: str) -> str:
-        self.plans.append(super()._plan(text))
-        return self.plans[-1]
+        return "no code" if "alloc101" in text else super()._fix(text)
 
 
 def test_plan_code_on_a_follow_up_page_for_a_region_patched_since_asks_the_agent(tmp_path):
@@ -520,24 +507,35 @@ def test_plan_code_on_a_follow_up_page_for_a_region_patched_since_asks_the_agent
 
     path = tmp_path / "main.rs"
     path.write_text(regions_source(2), encoding="utf-8")
-    region = locate_unsafe_regions(regions_source(2), "main.rs")[0]
-    # region 1 is never repaired and s01 patches region 0, so the best
-    # snapshot holds region 0 patched when s02, the follow-up page's first
-    # solution, is tried
-    settings = SessionConfig(detector=stub_detector_config(), solutions_k=2, kb_enabled=False, clock=cli.LogicalClock())
+    region = locate_unsafe_regions(regions_source(2), "main.rs")[1]
     spy = _NoCodeForRegionOne(ProviderConfig())
+    guarded = region.snippet.replace("unsafe {", "unsafe {\n        debug_assert!(!ptr.is_null());", 1)
+    stale = "\n".join(line for line in region.snippet.splitlines() if "//~UB" not in line)
+    # s01 repairs region 0 only, so the follow-up page shows region 1 alone;
+    # its first solution, s02, guards region 1, then rewrites it with code
+    # written for the region as the page showed it, which the guard has
+    # patched since
+    spy.rules = [(
+        "TRIED s01",
+        "SOLUTION 2:\n"
+        "STEP 1: AddAssertion main.rs#1 :: guard the read\n"
+        f"```rust\n{guarded}\n```\n"
+        "STEP 2: ModifySemantics main.rs#1 :: drop the marked line\n"
+        f"```rust\n{stale}\n```\n",
+    )]
+    settings = SessionConfig(detector=stub_detector_config(), solutions_k=2, kb_enabled=False, clock=cli.LogicalClock())
     outcome, _, _ = cli.repair_one(TargetPackage.from_path(path), spy, FeedbackEngine(), settings)
-    assert outcome.verdict is Verdict.FAILED and outcome.solution_id == "s02"
     plans = [i for i, p in enumerate(spy.prompts) if MARKER_PLAN in p]
-    assert len(plans) == len(spy.plans) == 2
-    # the follow-up page wrote code for region 0 as the plan prompt showed it
-    (s02,) = parse_plan(spy.plans[1], {"main.rs#0": region.snippet})
-    written, _ = s02
-    assert (written.agent, written.target_region) == (AgentKind.ADD_ASSERTION, "main.rs#0")
-    assert written.code is not None and written.code.before == region.snippet
-    # ... but region 0 no longer reads so: its agent is asked, on the region
-    # as the best snapshot left it
-    current = outcome.trace.thoughts[0].patch.before_text
-    assert current != region.snippet
-    (asked,) = [p for p in spy.prompts[plans[1] + 1:] if MARKER_FIX in p and "*ptr + 1" in p]
-    assert current in asked and f"Instruction: {written.instruction}" in asked
+    assert len(plans) == 2
+    follow_up = spy.prompts[plans[1]]
+    assert "FEATURE main.rs#1 " in follow_up and "FEATURE main.rs#0 " not in follow_up
+    ((guard, rewrite),) = parse_plan(spy.rules[0][1], {"main.rs#1": region.snippet})
+    assert guard.code.before == rewrite.code.before == region.snippet
+    # the guard's block is taken as written; the rewrite's is stale, so its
+    # agent is asked, on the region as the guard left it, and abstains
+    (asked,) = [p for p in spy.prompts[plans[1] + 1:] if MARKER_FIX in p]
+    assert guarded in asked and "Instruction: drop the marked line" in asked
+    guarded_thought, rewrite_thought = outcome.trace.thoughts
+    assert guarded_thought.patch.after_text == guarded and rewrite_thought.patch is None
+    # applied, the stale block would have repaired the target
+    assert outcome.verdict is Verdict.FAILED and outcome.solution_id == "s02"

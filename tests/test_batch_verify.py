@@ -327,3 +327,28 @@ def test_a_batch_that_fails_to_compile_costs_one_extra_run(tmp_path):
     plan = ["let _ = 0;", "//~COMPILE-ERROR cannot find value `w`", "let _ = 2;"]
     stepwise, batched = _compare(tmp_path, plan)
     assert (stepwise, batched) == (4, 5)
+
+
+def test_a_follow_up_page_re_plans_without_a_spawn(tmp_path):
+    from test_seeded_plan import _Stuck
+
+    # s01 repairs regions 0 and 1 and never region 2, whose fix prompts get
+    # no code; the follow-up page is planned on the best snapshot, whose
+    # detection the memo holds
+    path = tmp_path / "main.rs"
+    path.write_text(regions_source(3), encoding="utf-8")
+    log = tmp_path / "spawns.jsonl"
+    settings = SessionConfig(
+        detector=DetectorConfig(command=counting_detector_command(log), timeout=30.0),
+        solutions_k=4,
+        kb_enabled=False,
+    )
+    provider = _Stuck(ProviderConfig(), "alignment 8 is required")
+    outcome, _, _ = repair_one(TargetPackage.from_path(path), provider, FeedbackEngine(), settings)
+    # s04 is the follow-up page's last solution
+    assert outcome.verdict is Verdict.FAILED and outcome.solution_id == "s04"
+    spawns = [entry["files"] for entry in spawn_log(log)]
+    # the baseline, s01's batch and its replay's first step, whose second
+    # step reaches the batch's bytes: no bytes are detected twice
+    assert len(spawns) == 3
+    assert len({json.dumps(files, sort_keys=True) for files in spawns}) == 3

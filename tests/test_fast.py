@@ -265,6 +265,9 @@ def test_a_page_with_nothing_tried_asks_for_one_solution():
     assert [(s.id, s.steps[0].instruction) for s in sols] == [("s01", "variant 1")]
     (prompt,) = prompts
     assert "solutions requested: 1\n" in prompt and "numbered from 1." in prompt
+    assert "Produce one solution, numbered from 1." in " ".join(prompt.split())
+    # nothing was tried: the prompt ends on the regions, with no tried section
+    assert prompt.endswith("```\n") and "tried" not in prompt.lower()
 
 
 def test_a_follow_up_page_asks_for_a_full_page_after_the_first():
@@ -273,11 +276,26 @@ def test_a_follow_up_page_asks_for_a_full_page_after_the_first():
     first = generate_solutions([_feature()], k=10, provider=provider)
     second = generate_solutions([_feature()], k=10, provider=provider, tried=_tried(first))
     assert "solutions requested: 3\n" in prompts[1] and "numbered from 2." in prompts[1]
-    assert "TRIED s01: ended at 1 errors, baseline 1" in prompts[1]
+    assert (
+        "Produce up to 3 solutions not yet tried, most promising first, numbered from 2."
+        in " ".join(prompts[1].split())
+    )
+    assert "Solutions tried so far, each with its verdict:\nTRIED s01: ended at 1 errors, baseline 1" in prompts[1]
     # the answer repeats the first page's plan: the follow-up page skips it
     assert [(s.id, s.steps[0].instruction) for s in second] == [
         ("s02", "variant 2"), ("s03", "variant 3"), ("s04", "variant 4"),
     ]
+
+
+def test_a_follow_up_page_of_one_under_the_cap_asks_for_one_solution_not_yet_tried():
+    provider = ScriptedMockProvider(ProviderConfig(), rules=[("", MANY)])
+    prompts = _spied(provider)
+    first = generate_solutions([_feature()], k=2, provider=provider)
+    second = generate_solutions([_feature()], k=2, provider=provider, tried=_tried(first))
+    assert [s.id for s in second] == ["s02"]
+    assert "solutions requested: 1\n" in prompts[1]
+    assert "Produce one solution not yet tried, numbered from 2." in " ".join(prompts[1].split())
+    assert "TRIED s01" in prompts[1]
 
 
 def test_a_page_of_repeats_ends_the_drawing_after_one_call():

@@ -31,8 +31,9 @@ from conftest import CORPUS_DIR, FIXTURES_DIR, STUB_DETECTOR_ARG
 GOLDEN_DIR = FIXTURES_DIR / "golden"
 # Seed-1 t00 (4 unsafe regions) and t01 (6) of perfbench's large-target
 # workload, copied so that a change to its generator changes no test. At
-# budget 5, t01 runs out of budget: follow-up plan pages, tried-solution
-# lines and the replay of a failed batch.
+# budget 5, t01's first solution replays a failed batch and runs out of
+# budget; a follow-up plan page, with its tried-solution lines, plans the
+# one region still reported.
 LARGE_MANIFEST = FIXTURES_DIR / "large" / "manifest.jsonl"
 LARGE_RUN = ["--no-kb", "--jobs", "2", "--report", "json", "--max-iterations"]
 # file name stem -> manifest and bench arguments after it; a run works in a

@@ -92,10 +92,11 @@ def eager_solutions(features, k, provider):
     pages; the mock's answers always parse, so there is no retry."""
     prompt = PromptRecord.user(fill(
         load_template("plan_generation.txt"),
+        request=f"up to {k} solutions, most promising first",
         count=str(k),
         first="1",
         features=fast._feature_lines(features),
-        tried="none",
+        tried="",
     ))
     shown = {f.ref: f.region.snippet for f in features}
     unique: dict[tuple, list[RepairStep]] = {}
@@ -438,7 +439,7 @@ def test_a_follow_up_page_carries_the_verdicts_and_continues_the_rotation(spy, m
     )
     assert outcome.verdict is Verdict.FAILED
     first, second, third, fourth = _plans(spy)
-    assert "numbered from 1." in first and "verdict:\nnone" in first
+    assert "numbered from 1." in first and "Solutions tried so far" not in first
     assert "solutions requested: 1" in first
     assert "numbered from 2." in second and "solutions requested: 3" in second
     assert "TRIED s01: ended at 1 errors, baseline 1" in second
@@ -525,6 +526,106 @@ def test_a_seed_kept_first_that_fails_gets_a_follow_up_page(spy):
     (page,) = _plans(spy)
     assert "solutions requested: 3" in page and "numbered from 1." in page
     assert "TRIED s00: ended at 1 errors, baseline 1" in page
+
+
+class _Stuck(ScriptedMockProvider):
+    """The mock, except every fix prompt whose region holds ``needle`` gets
+    ``answer(region)``, by default an answer without code."""
+
+    def __init__(self, config, needle, answer=lambda region: NO_CODE) -> None:
+        super().__init__(config)
+        self.needle, self.answer = needle, answer
+
+    def _fix(self, text: str) -> str:
+        region = self._snippet(text)
+        return self.answer(region) if self.needle in region else super()._fix(text)
+
+
+def _paging(monkeypatch) -> list[tuple[str, int]]:
+    """Per plan page ``cli.repair_one`` asks: the FEATURE lines that the
+    bytes of its working copy give when the page is asked, and how many
+    reports those bytes hold, from a detection of their own."""
+    copies: list[WorkingCopy] = []
+
+    class Noted(WorkingCopy):
+        def __init__(self, target) -> None:
+            super().__init__(target)
+            copies.append(self)
+
+    pages = []
+    generate = cli.generate_solutions
+
+    def noting(*args, **kwargs):
+        (ws,) = copies
+        reports = list(run_detection(ws.target, config=stub_detector_config()).reports)
+        pages.append((fast._feature_lines(extract_features(ws.target, reports)), len(reports)))
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "WorkingCopy", Noted)
+    monkeypatch.setattr(cli, "generate_solutions", noting)
+    return pages
+
+
+def _regions_target(tmp_path, source: str) -> TargetPackage:
+    (tmp_path / "main.rs").write_text(source, encoding="utf-8")
+    return TargetPackage.from_path(tmp_path / "main.rs")
+
+
+def test_a_follow_up_page_shows_only_what_the_best_snapshot_still_reports(spy, monkeypatch, tmp_path):
+    from test_batch_verify import regions_source
+
+    # s01 repairs regions 0 and 1 and never region 2: every later page is
+    # planned on the snapshot with the first two repaired
+    pages = _paging(monkeypatch)
+    ended = []
+    session = cli.run_session
+
+    def keeping(target, solutions, **kwargs):
+        ended.append(kwargs["ended"])
+        return session(target, solutions, **kwargs)
+
+    monkeypatch.setattr(cli, "run_session", keeping)
+    settings = SessionConfig(detector=stub_detector_config(), memo=CaseMemo(), kb_enabled=False)
+    outcome, _, _ = cli.repair_one(
+        _regions_target(tmp_path, regions_source(3)), _Stuck(ProviderConfig(), "alignment 8 is required"),
+        FeedbackEngine(), settings,
+    )
+    assert outcome.verdict is Verdict.FAILED
+    prompts = _plans(spy)
+    assert len(prompts) == len(pages) >= 3
+    (traces,) = ended
+    for n, (prompt, (lines, reported)) in enumerate(zip(prompts, pages)):
+        shown = prompt.split("and code:\n", 1)[1].split("\n\nSolutions tried so far", 1)[0]
+        assert shown.rstrip("\n") == lines
+        if n:
+            # the best snapshot: no solution tried so far ended lower
+            assert reported == 1 == min(min(trace.counts) for trace in traces[:n])
+            assert shown.count("FEATURE ") == 1 and shown.startswith("FEATURE main.rs#2 ")
+    assert pages[0][1] == 3 and pages[0][0].count("FEATURE ") == 3
+
+
+def test_a_follow_up_page_on_a_snapshot_whose_reports_left_every_unsafe_region(spy, monkeypatch, tmp_path):
+    from test_batch_verify import regions_source
+
+    # every rewrite drops the region's unsafe keyword and keeps its UB line:
+    # s01 leaves the report of region_0 outside every unsafe block, and the
+    # block of ``clean`` stands for it, as it would at the baseline; once
+    # that block has lost its keyword too, no unsafe region is left and the
+    # drawing ends without asking a page
+    clean = "fn clean(seed: i64) -> i64 {\n    let ptr = &seed as *const i64;\n    unsafe { *ptr }\n}\n\n"
+    pages = _paging(monkeypatch)
+    provider = _Stuck(ProviderConfig(), "unsafe", lambda region: f"```rust\n{region.replace('unsafe ', '', 1)}\n```")
+    settings = SessionConfig(detector=stub_detector_config(), memo=CaseMemo(), kb_enabled=False)
+    outcome, _, _ = cli.repair_one(
+        _regions_target(tmp_path, clean + regions_source(1)), provider, FeedbackEngine(), settings
+    )
+    assert outcome.verdict is Verdict.FAILED and outcome.final_errors == 1
+    assert "unsafe" not in outcome.final_source["main.rs"]
+    first, second = _plans(spy)
+    assert [reported for _, reported in pages] == [1, 1]
+    assert "FEATURE main.rs#1 " in first and "FEATURE main.rs#0 " not in first
+    assert second.count("\nFEATURE ") == 1 and "\nFEATURE main.rs#0 " in second
+    assert "```rust\nunsafe { *ptr }\n```" in second and "TRIED s01" in second
 
 
 # --- one-pass scoring against the per-candidate scan --------------------------

@@ -9,6 +9,11 @@ window (the hallucination pattern) or when the latest count blows past the
 global minimum by a fixed factor. A rollback restores state but never
 aborts the solution; the trace keeps growing.
 
+A fix step's ``file#k`` ref names the k-th unsafe region of the bytes its
+solution starts from. ``_RegionMap`` resolves the refs once and follows
+each region through the kept patches by byte offset, for batched and lone
+steps alike, so a patch that drops an ``unsafe`` keyword renumbers nothing.
+
 Consecutive fix steps on regions apart from each other form a batch
 (``_form_batch``): every step proposes its patch, then one detection
 checks them all. A clean batch is a pass. Any other outcome puts the copy
@@ -23,7 +28,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Generator, Iterable, Sequence
 
@@ -56,7 +61,7 @@ from .fast import (
 )
 from .kb import KnowledgeBase, feature_vector
 from .provider import MemoizedProvider, Provider
-from .rollback import RollbackStats, SnapshotStore
+from .rollback import RollbackStats, Snapshot, SnapshotStore
 from .workspace import WorkingCopy
 
 log = logging.getLogger(__name__)
@@ -275,9 +280,74 @@ def detect_patches(
     return detection
 
 
+class _RegionMap:
+    """Where the fix steps of one solution find their regions.
+
+    Each ``file#k`` ref resolves once, on the bytes the solution starts
+    from: one ``locate_unsafe_regions`` per file the fix steps name. A ref
+    that does not parse, names no file of the copy, does not lex or has no
+    region k is unresolvable. Every kept patch records its file, its
+    region's end in the starting bytes and its length change, and an
+    offset ``p`` of the starting bytes sits at ``p`` plus the changes
+    recorded at or before ``p`` in its file. Restoring a snapshot drops the
+    changes made after it: each snapshot a solution can restore, the one it
+    started from or one recorded during it, is marked with its count of
+    changes.
+    """
+
+    def __init__(self, steps: Iterable[RepairStep], start: Snapshot, workspace: WorkingCopy) -> None:
+        self.workspace = workspace
+        self.resolved: dict[str, UnsafeRegion | None] = {}
+        lexed: dict[str, list[UnsafeRegion]] = {}
+        for ref in dict.fromkeys(s.target_region for s in steps if s.agent in FIX_AGENTS):
+            try:
+                file, ordinal = parse_region_ref(ref)
+                if file not in lexed:
+                    lexed[file] = locate_unsafe_regions(workspace.read(file), file)
+                self.resolved[ref] = lexed[file][ordinal]
+            except (ValueError, OSError, IndexError, LexFailure) as exc:
+                log.info("region %s unresolvable (%s)", ref, exc)
+                self.resolved[ref] = None
+        self.changes: list[tuple[str, int, int]] = []  # (file, starting end, length change)
+        self.marks = {start.index: 0}
+
+    def locate(
+        self, ref: str, reports: Sequence[UbReport] = ()
+    ) -> tuple[UnsafeRegion, list[UbReport]] | None:
+        """``ref``'s region where the kept patches moved it, sliced from the
+        current bytes, and those of ``reports`` on its lines; None when the
+        ref is unresolvable."""
+        start = self.resolved.get(ref)
+        if start is None:
+            return None
+        moves = [(end, d) for f, end, d in self.changes if f == start.file]
+
+        def moved(span: tuple[int, int]) -> tuple[int, int]:
+            return tuple(p + sum(d for end, d in moves if end <= p) for p in span)
+
+        source = self.workspace.read(start.file)
+        span, ctx = moved(start.byte_span), moved(start.context_span)
+        region = UnsafeRegion(start.file, span, source[slice(*span)], source[slice(*ctx)], ctx)
+        entries = self.workspace.target.entry_files
+        return region, [r for r in reports if _report_hits_region(r, region.file, source, region, entries)]
+
+    def keep(self, thought: Thought) -> None:
+        """Record the thought's patch, when it is kept."""
+        if thought.kept:
+            region, patch = self.resolved[thought.step.target_region], thought.patch
+            self.changes.append((region.file, region.end, len(patch.after_text) - len(patch.before_text)))
+
+    def mark(self, snapshot: Snapshot) -> None:
+        self.marks[snapshot.index] = len(self.changes)
+
+    def restore(self, snapshot: Snapshot) -> None:
+        """Drop the changes made after ``snapshot``, which the copy is back at."""
+        del self.changes[self.marks[snapshot.index]:]
+
+
 def execute_step(
     step: RepairStep,
-    workspace: WorkingCopy,
+    regions: _RegionMap,
     reports: Sequence[UbReport],
     provider: MemoizedProvider,
     config: SessionConfig,
@@ -285,35 +355,28 @@ def execute_step(
     prev_count: int,
     context: str | None = None,
 ) -> tuple[Thought, DetectionResult | None]:
-    """Run one fix step: locate its region, propose a patch, re-detect.
+    """Run one fix step on its own: take its region from ``regions``,
+    propose a patch, re-detect, and record the patch in ``regions`` when
+    it is kept.
 
     Failures never propagate (except a replay miss, which means the
-    transcript is incomplete): the step is skipped and the thought records
-    the unchanged count. A patch that breaks compilation is reverted.
+    transcript is incomplete, and a timeout): the step is skipped and the
+    thought records the unchanged count. A step whose ref is unresolvable
+    gets the note ``region unresolvable``. A patch that breaks compilation
+    is reverted.
     """
-    try:
-        file, ordinal = parse_region_ref(step.target_region)
-        source = workspace.read(file)
-        region = locate_unsafe_regions(source, file)[ordinal]
-    except (ValueError, OSError, IndexError, LexFailure) as exc:
-        log.info("step %d: region %s unresolvable (%s)", index, step.target_region, exc)
+    located = regions.locate(step.target_region, reports)
+    if located is None:
+        log.info("step %d: region %s unresolvable", index, step.target_region)
         return Thought(index, step, None, prev_count, note="region unresolvable"), None
-    entries = workspace.target.entry_files
-    hits = [r for r in reports if _report_hits_region(r, file, source, region, entries)]
-    thought = propose_step(step, region, hits or reports, workspace, provider, index, prev_count, context)
+    region, hits = located
+    ws = regions.workspace
+    thought = propose_step(step, region, hits or reports, ws, provider, index, prev_count, context)
     if thought.patch is None:
         return thought, None
-    return thought, detect_patches([thought], workspace, config)
-
-
-@dataclass
-class _Member:
-    """A step of a batch, with its region and the reports in that region,
-    both as they stand on the pre-batch bytes."""
-
-    step: RepairStep
-    region: UnsafeRegion
-    hits: list[UbReport]
+    detection = detect_patches([thought], ws, config)
+    regions.keep(thought)
+    return thought, detection
 
 
 def _apart(a: UnsafeRegion, b: UnsafeRegion) -> bool:
@@ -329,51 +392,38 @@ def _apart(a: UnsafeRegion, b: UnsafeRegion) -> bool:
 
 
 def _form_batch(
-    steps: Sequence[RepairStep], workspace: WorkingCopy, reports: Sequence[UbReport], room: int
-) -> list[_Member]:
-    """The batch that starts with ``steps[0]``, or [] when it would hold one step.
+    steps: Sequence[RepairStep], regions: _RegionMap, reports: Sequence[UbReport], room: int
+) -> list[tuple[RepairStep, list[UbReport]]]:
+    """The batch that starts with ``steps[0]``, as its steps and the reports
+    in each step's region, or [] when it would hold one step.
 
     A batch is the longest run of consecutive fix steps, at most ``room``
-    long, whose regions resolve on the current bytes, lie apart (see
-    ``_apart``) and each hold a report. A report stays where it is through
-    the other members' patches, so the step-by-step path could not pass
-    before reaching the last step, and each prompt lists the UB kinds a
-    re-detection would give. So a batch forms only when a detection reports
-    UB in more than one region. Each file is lexed once, and not at all
-    unless the run names two regions.
+    long, whose regions resolve (see ``_RegionMap``), lie apart on the
+    current bytes (see ``_apart``) and each hold a report. A report stays
+    where it is through the other members' patches, so the step-by-step
+    path could not pass before reaching the last step, and each prompt
+    lists the UB kinds a re-detection would give. So a batch forms only
+    when a detection reports UB in more than one region.
     """
-    run: list[RepairStep] = []
+    members: list[tuple[RepairStep, list[UbReport]]] = []
+    placed: list[UnsafeRegion] = []
     for step in steps:
-        if step.agent not in FIX_AGENTS or len(run) == room:
+        if step.agent not in FIX_AGENTS or len(members) == room:
             break
-        run.append(step)
-    if len({step.target_region for step in run}) < 2:
-        return []
-    located: dict[str, tuple[str, list[UnsafeRegion]]] = {}
-    members: list[_Member] = []
-    for step in run:
-        try:
-            file, ordinal = parse_region_ref(step.target_region)
-            if file not in located:
-                source = workspace.read(file)
-                located[file] = (source, locate_unsafe_regions(source, file))
-            source, regions = located[file]
-            region = regions[ordinal]
-        except (ValueError, OSError, IndexError, LexFailure):
+        located = regions.locate(step.target_region, reports)
+        if located is None:
             break
-        hits = [
-            r for r in reports
-            if _report_hits_region(r, file, source, region, workspace.target.entry_files)
-        ]
-        if not hits or not all(_apart(region, m.region) for m in members):
+        region, hits = located
+        if not hits or not all(_apart(region, other) for other in placed):
             break
-        members.append(_Member(step, region, hits))
+        members.append((step, hits))
+        placed.append(region)
     return members if len(members) > 1 else []
 
 
 def _run_batch(
-    members: Sequence[_Member],
-    workspace: WorkingCopy,
+    members: Sequence[tuple[RepairStep, list[UbReport]]],
+    regions: _RegionMap,
     provider: MemoizedProvider,
     config: SessionConfig,
     index: int,
@@ -382,31 +432,23 @@ def _run_batch(
 ) -> list[Thought] | None:
     """Propose every member's patch in turn, then detect once.
 
-    Each region is followed through the earlier members' patches by byte
-    offset, never re-located, so an edit that drops an ``unsafe`` keyword
-    renumbers nothing. The thoughts come back only when the detection is
-    clean. Otherwise (UB left, a compile failure, a timeout, or no patch at
-    all) the result is None and the copy may hold any of the patches.
+    Each member takes its region from ``regions``, which records every
+    patch as it is applied, so later members find their regions moved
+    through the earlier ones. The thoughts come back only when the
+    detection is clean. Otherwise (UB left, a compile failure, a timeout,
+    or no patch at all) the result is None, and the copy and ``regions``
+    may hold any of the patches until the caller restores them.
     """
+    workspace = regions.workspace
     thoughts: list[Thought] = []
-    moves: list[tuple[str, int, int]] = []  # (file, pre-batch end, length change) per patch
-    for k, member in enumerate(members):
-        region = member.region
-        shift = sum(d for f, end, d in moves if f == region.file and end <= region.start)
-        moved = replace(
-            region,
-            byte_span=(region.start + shift, region.end + shift),
-            context_span=(region.context_span[0] + shift, region.context_span[1] + shift),
-        )
+    for k, (step, hits) in enumerate(members):
+        region, _ = regions.locate(step.target_region)
         thought = propose_step(
-            member.step, moved, member.hits, workspace, provider, index + k, prev_count,
-            context if k == 0 else None,
+            step, region, hits, workspace, provider, index + k, prev_count, context if k == 0 else None
         )
-        if thought.patch is not None:
-            delta = len(thought.patch.after_text) - len(thought.patch.before_text)
-            moves.append((region.file, region.end, delta))
+        regions.keep(thought)
         thoughts.append(thought)
-    if not moves:
+    if all(t.patch is None for t in thoughts):
         return None
     last = index + len(thoughts) - 1
     try:
@@ -479,6 +521,7 @@ def run_session(
             budget_hit_last = False
             aborted = False
             steps = list(solution.steps)
+            regions = _RegionMap(steps, current, ws)
             replay_end = 0  # steps before it replay a failed batch, one by one
             for at, step in enumerate(steps):
                 if step.agent is AgentKind.REASON:
@@ -486,16 +529,17 @@ def run_session(
                     continue
                 if step.agent is AgentKind.ROLLBACK:
                     current = store.restore(store.select_rollback_target(), ws)
+                    regions.restore(current)
                     continue
                 if len(trace.thoughts) >= budget:
                     budget_hit_last = True
                     break
                 if at >= replay_end:
-                    members = _form_batch(steps[at:], ws, current.reports, budget - len(trace.thoughts))
+                    members = _form_batch(steps[at:], regions, current.reports, budget - len(trace.thoughts))
                     if members:
                         verified = _run_batch(
                             members,
-                            ws,
+                            regions,
                             provider,
                             config,
                             len(trace.thoughts),
@@ -510,11 +554,12 @@ def run_session(
                             )
                             break
                         ws.restore(current.files)
+                        regions.restore(current)
                         replay_end = at + len(members)
                 try:
                     thought, detection = execute_step(
                         step,
-                        ws,
+                        regions,
                         current.reports,
                         provider,
                         config,
@@ -537,10 +582,12 @@ def run_session(
                     thought.resulting_errors,
                     detection.reports if detection is not None else current.reports,
                 )
+                regions.mark(current)
                 if current.error_count == 0:
                     break
                 if should_rollback(trace):
                     current = store.restore(store.select_rollback_target(), ws)
+                    regions.restore(current)
             if current.error_count == 0:
                 break
             trace.reports = current.reports

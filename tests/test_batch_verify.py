@@ -24,6 +24,7 @@ from conftest import (
     copy_fixture,
     counting_detector_command,
     spawn_log,
+    stub_detector_config,
 )
 from test_session_oracle import reference_run_session
 from ubmend import classifier, cli, slow
@@ -184,11 +185,6 @@ def test_a_batch_follows_its_regions_through_earlier_patches(tmp_path):
     assert len(spawn_log(log)) == 2
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 14: a step outside a batch finds its region by ordinal "
-    "in the patched bytes, and a patch that drops `unsafe` shifts later ordinals",
-)
 def test_steps_outside_a_batch_follow_their_regions_through_earlier_patches(
     tmp_path, monkeypatch, caplog
 ):
@@ -210,6 +206,73 @@ def test_steps_outside_a_batch_follow_their_regions_through_earlier_patches(
     assert [t.step.target_region for t in thoughts] == ["main.rs#0", "main.rs#1", "main.rs#2"]
     # pick_i reads index i: each patch replaces the body of its own function
     assert all(f"get_unchecked({i})" in t.patch.before_text for i, t in enumerate(thoughts))
+
+
+# the message of RENUMBERING_SOURCE's first block
+_PICK_UB = "//~UB constructing invalid value at .<enum-tag>: encountered 0x02, but expected a valid enum tag"
+
+
+def _pick_session(tmp_path, steps, rules):
+    """The outcome of one solution of ``steps`` on RENUMBERING_SOURCE, with
+    fix prompts holding a rule's instruction answered by its rewrite."""
+    path = tmp_path / "main.rs"
+    path.write_text(RENUMBERING_SOURCE, encoding="utf-8")
+    answers = [(instruction, f"rewrite\n\n```rust\n{code}\n```") for instruction, code in rules]
+    provider = SpyProvider(ProviderConfig(mode=ProviderMode.SCRIPTED_MOCK), rules=answers)
+    config = SessionConfig(detector=stub_detector_config(), kb_enabled=False)
+    return run_session(
+        TargetPackage.from_path(path), [RepairSolution("s01", steps)], provider=provider, config=config
+    )
+
+
+def test_a_failed_batch_replays_each_step_on_its_own_region(tmp_path, caplog):
+    # the rewrite of pick_1 keeps its UB, so the batch is not clean; in the
+    # replay, pick_0's safe rewrite drops its ``unsafe`` before pick_1 and
+    # pick_2 take their turns
+    steps = [
+        RepairStep(AgentKind.SAFE_REPLACE, "main.rs#0", "<swap 0>"),
+        RepairStep(AgentKind.MODIFY_SEMANTICS, "main.rs#1", "<keep the UB>"),
+        RepairStep(AgentKind.SAFE_REPLACE, "main.rs#2", "<swap 2>"),
+    ]
+    kept = f"unsafe {{\n        {_PICK_UB}\n        *v.get_unchecked(1) + 0\n    }}"
+    with caplog.at_level(logging.INFO):
+        outcome = _pick_session(tmp_path, steps, [("<keep the UB>", kept)])
+    messages = [r.getMessage() for r in caplog.records]
+    assert any("not clean; replaying step by step" in m for m in messages)
+    assert not [m for m in messages if "unresolvable" in m]
+    assert outcome.verdict is Verdict.FAILED
+    thoughts = outcome.trace.thoughts
+    assert [t.note for t in thoughts] == ["", "", ""]
+    assert outcome.trace.counts == [3, 2, 2, 1]
+    # pick_i reads index i: each patch replaces the block of its own function
+    assert all(f"get_unchecked({i})" in t.patch.before_text for i, t in enumerate(thoughts))
+    final = outcome.final_source["main.rs"]
+    assert final.count("unsafe") == 1 and "v[0]" in final and "v[2]" in final
+
+
+@pytest.mark.parametrize(
+    ("ub_lines", "rollback_step"),
+    [(2, True), (5, False)],
+    ids=["rollback-step", "rollback-trigger"],
+)
+def test_a_step_after_a_restore_finds_its_region_in_the_restored_bytes(tmp_path, ub_lines, rollback_step):
+    # pick_0's rewrite drops its ``unsafe`` and raises the count; going back
+    # to the baseline, by a Rollback step or by the trigger (above twice the
+    # lowest count), drops that patch, and pick_1's step finds its block
+    # where the baseline has it
+    worse = "{\n" + "".join(f"        {_PICK_UB}\n" for _ in range(ub_lines)) + "        v[0]\n    }"
+    fixed = "unsafe {\n        *v.get_unchecked(1)\n    }"
+    steps = [RepairStep(AgentKind.MODIFY_SEMANTICS, "main.rs#0", "<worse>")]
+    if rollback_step:
+        steps.append(RepairStep(AgentKind.ROLLBACK, "main.rs#0", "restore"))
+    steps.append(RepairStep(AgentKind.MODIFY_SEMANTICS, "main.rs#1", "<fix 1>"))
+    outcome = _pick_session(tmp_path, steps, [("<worse>", worse), ("<fix 1>", fixed)])
+    assert outcome.stats.rollback_count == 1
+    assert outcome.trace.counts == [3, 2 + ub_lines, 2]
+    region = classifier.locate_unsafe_regions(RENUMBERING_SOURCE, "main.rs")[1]
+    patch = outcome.trace.thoughts[1].patch
+    assert (tuple(patch.before_span), patch.before_text) == (region.byte_span, region.snippet)
+    assert outcome.final_source["main.rs"] == RENUMBERING_SOURCE.replace(region.snippet, fixed)
 
 
 def test_a_bench_of_the_three_region_target_replays_byte_for_byte(tmp_path, capsys):

@@ -6,6 +6,12 @@ here as the reference that ``run_session`` must match on every plan: the
 same outcome, statistics, prompts and final bytes. Its one change since is
 that a detection timeout puts the copy back to the last recorded state
 before the solution loop ends, as ``run_session`` does.
+Its fix steps run through ``reference_step``, the step as it stood too:
+a ``file#k`` ref names the k-th unsafe region of the file's current bytes.
+``run_session`` resolves each ref once, on the bytes a solution starts
+from, and follows the region through the kept patches by byte offset.
+Every rewrite the plans below draw keeps its ``unsafe {``, so the two
+rules find the same region on every plan.
 No benchmark workload rolls back, so these plans are where rollbacks,
 aborts, abstentions and Reason steps meet.
 
@@ -25,9 +31,10 @@ from hypothesis import strategies as st
 
 from conftest import SpyProvider, run_stub_in_process, stub_detector_config
 from ubmend import detector
+from ubmend.classifier import locate_unsafe_regions
 from ubmend.detector import TargetPackage, UbReport, run_detection
-from ubmend.errors import DetectionTimeout, NonUbCompileError
-from ubmend.fast import FIX_AGENTS, AgentKind, RepairSolution, RepairStep
+from ubmend.errors import DetectionTimeout, LexFailure, NonUbCompileError
+from ubmend.fast import FIX_AGENTS, AgentKind, RepairSolution, RepairStep, _report_hits_region, parse_region_ref
 from ubmend.feedback import EvalTriplet
 from ubmend.kb import KnowledgeBase, KnowledgeEntry, feature_vector
 from ubmend.provider import ProviderConfig, ProviderMode
@@ -36,16 +43,35 @@ from ubmend.slow import (
     ErrorTrace,
     SessionConfig,
     SessionOutcome,
+    Thought,
     Verdict,
     _detect,
     _knowledge_context,
-    execute_step,
+    detect_patches,
+    propose_step,
     run_session,
     should_rollback,
 )
 from ubmend.workspace import WorkingCopy
 
 UB_LINE = "//~UB Undefined Behavior: trying to retag from <{tag}> for Unique permission"
+
+
+def reference_step(step, workspace, reports, provider, config, index, prev_count, context=None):
+    """One fix step as the loop took it: the ``file#k`` ref names the k-th
+    unsafe region of the file's current bytes, lexed again for every step."""
+    try:
+        file, ordinal = parse_region_ref(step.target_region)
+        source = workspace.read(file)
+        region = locate_unsafe_regions(source, file)[ordinal]
+    except (ValueError, OSError, IndexError, LexFailure):
+        return Thought(index, step, None, prev_count, note="region unresolvable"), None
+    entries = workspace.target.entry_files
+    hits = [r for r in reports if _report_hits_region(r, file, source, region, entries)]
+    thought = propose_step(step, region, hits or reports, workspace, provider, index, prev_count, context)
+    if thought.patch is None:
+        return thought, None
+    return thought, detect_patches([thought], workspace, config)
 
 
 def reference_run_session(target, solutions, *, provider, config, kb=None) -> SessionOutcome:
@@ -92,7 +118,7 @@ def reference_run_session(target, solutions, *, provider, config, kb=None) -> Se
                     budget_hit_last = True
                     break
                 try:
-                    thought, detection = execute_step(
+                    thought, detection = reference_step(
                         step,
                         ws,
                         current_reports,

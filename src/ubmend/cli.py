@@ -59,6 +59,7 @@ from .fast import (
     extract_features,
     generate_solutions,
     parse_region_ref,
+    stand_in_features,
 )
 from .feedback import (
     EvalTriplet,
@@ -307,25 +308,27 @@ def repair_one(
     """Full pipeline on one target: detect, plan, repair, evaluate, learn.
 
     Returns the session outcome, the evaluation triplet and the original
-    sources for diffing. A target with no unsafe region to stand for its
-    reports (``extract_features``) has nothing to plan and fails without a
-    model call. With knowledge enabled, a past repair at least
-    ``BYPASS_SIMILARITY`` alike is seeded first. The plan comes in pages
-    (one model call each, whose prompt carries each region's code), each
-    ranked on its own. A page is asked for when the session first draws
+    sources for diffing. The run makes its working copy, memoised provider
+    and baseline detection, hands them to the session and removes the copy;
+    its memo comes in ``settings``. A target with no unsafe region to stand
+    for its baseline reports (``stand_in_features``) has nothing to plan and
+    fails without a model call. With knowledge enabled, a past repair at
+    least ``BYPASS_SIMILARITY`` alike is seeded first. The plan comes in
+    pages (one model call each, whose prompt carries each region's code),
+    each ranked on its own. A page is asked for when the session first draws
     past the solutions drawn so far, a seed that ranking provably keeps
-    first included. A page asked with nothing tried asks for one solution;
-    a follow-up page asks for ``PLAN_PAGE`` and its prompt carries the
+    first included. A page asked with nothing tried asks for one solution; a
+    follow-up page asks for ``PLAN_PAGE`` and its prompt carries the
     verdicts of the solutions tried. A follow-up page is planned from the
-    snapshot the next solution starts from, the session's best: it shows
-    the regions that snapshot still reports, with its code, and the
-    snapshot's detection is a memo hit. A best snapshot with no unsafe
-    region left has nothing to plan either, and the drawing ends. Refs are
-    ordinals in the text a page was planned on, so a ``TRIED`` solution's
-    refs name the same regions on a later page only while no patch has
-    dropped an ``unsafe`` keyword. A page's prompt is the same with
-    knowledge enabled or not: a bench case's two runs that reach a page
-    with the same solutions tried share its answer.
+    snapshot the next solution starts from, the session's best, handed over
+    as the last trace's ``next_start``: it shows the regions that snapshot
+    still reports, with its code, and no detection runs. When none of its
+    reports lands in an unsafe region, the drawing ends. Refs are ordinals
+    in the text a page was planned on, so a ``TRIED`` solution's refs name
+    the same regions on a later page only while no patch has dropped an
+    ``unsafe`` keyword. A page's prompt is the same with knowledge enabled
+    or not: a bench case's two runs that reach a page with the same
+    solutions tried share its answer.
     Reason steps consult the knowledge base only when knowledge is enabled
     and no past repair was seeded. The run's tokens are those its memo
     booked (``CaseMemo.charged_tokens``) for every answer it took from the
@@ -355,7 +358,9 @@ def repair_one(
         drawn: list[RepairSolution] = []
         ended: list[ErrorTrace] = []  # the trace of each drawn solution, once tried
         solutions: Iterable[RepairSolution] = []
-        features = [] if baseline.clean else extract_features(ws.target, list(baseline.reports))
+        reports = list(baseline.reports)
+        # a region stands for reports that land in none at the baseline only
+        features = reports and (extract_features(ws.target, reports) or stand_in_features(ws.target, reports))
         if features:
             seeded: RepairSolution | None = None
             if settings.kb_enabled:
@@ -383,11 +388,8 @@ def repair_one(
                 while True:
                     planned = features
                     if ended:
-                        # the working copy is the best snapshot, which the
-                        # next solution starts from; the memo holds its
-                        # detection
-                        best = run_detection(ws.target, config=settings.detector, clock=clock, memo=memo)
-                        planned = extract_features(ws.target, list(best.reports))
+                        # the working copy is the snapshot the next solution starts from
+                        planned = extract_features(ws.target, list(ended[-1].next_start.reports))
                         if not planned:
                             return
                     page += generate_solutions(
@@ -407,11 +409,10 @@ def repair_one(
 
             solutions = draw()
         outcome = run_session(
-            ws.target,
+            ws,
             solutions,
             provider=provider,
             config=settings,
-            workspace=ws,
             baseline=baseline,
             kb=kb,
             ended=ended,

@@ -476,23 +476,22 @@ def run_detection(
     *,
     config: DetectorConfig | None = None,
     clock: Callable[[], float] = time.monotonic,
-    memo: CaseMemo | None = None,
+    memo: CaseMemo,
 ) -> DetectionResult:
     """Spawn the detection tool on ``target`` and parse its diagnostics.
 
     Raises ToolMissing when the tool cannot be spawned, DetectionTimeout
     when the run exceeds ``config.timeout``, and NonUbCompileError when the
     target fails ordinary compilation (error output without any UB block).
-    Through ``memo`` (a fresh one when none is given), the tool runs at
-    most once per argv, tool identity and tracked-source bytes, and not at
-    all when the memo's store holds them. The memo keys the argv, and keeps
+    Through ``memo``, which ``cli`` makes for the run, the tool runs at most
+    once per argv, tool identity and tracked-source bytes, and not at all
+    when the memo's store holds them. The memo keys the argv, and keeps
     the output, with the target root written as ``{root}``; a reused run,
     made in this copy or another or read from the store, is read as a fresh
     one is, with this copy's root put back. An output that already holds
     the text ``{root}`` could not be read back, so that run is not kept.
     """
     config = config or DetectorConfig()
-    memo = memo if memo is not None else CaseMemo()
     root = str(target.root_path)
     entry = target.entry_files[0] if target.entry_files else ""
     argv = render_command(config.command, entry, root)

@@ -207,12 +207,9 @@ def _report_hits_region(
 
 def extract_features(target: TargetPackage, reports: list[UbReport]) -> list[CodeFeature]:
     """One CodeFeature per unsafe region that overlaps a UB report, with no
-    model call.
+    model call; none when no report lands in a region.
 
-    Reports that land in no region are logged as taxonomy escapes; if none
-    overlap at all, the first region of the first entry file a report names
-    (else of the first entry file) stands for them all. Without such a
-    region there is no feature: no step could patch the reports. Each
+    Reports that land in no region are logged as taxonomy escapes. Each
     report's file is named once, and each region's lines counted once.
     """
     if not reports:
@@ -236,12 +233,18 @@ def extract_features(target: TargetPackage, reports: list[UbReport]) -> list[Cod
     for i, report in enumerate(reports):
         if i not in claimed:
             log.warning("taxonomy escape: report %s maps to no unsafe region", report.to_dict())
-    if not features:
-        rel = next((rel for rel in target.entry_files if rel in named), target.entry_files[0])
-        regions = locate_unsafe_regions(target.read(rel), rel)
-        if regions:
-            features.append(_build_feature(regions[0], region_ref(rel, 0), list(reports)))
     return features
+
+
+def stand_in_features(target: TargetPackage, reports: list[UbReport]) -> list[CodeFeature]:
+    """The feature of the region that stands for reports landing in no
+    unsafe region: the first region of the first entry file a report names,
+    else of the first entry file. None without such a region: no step could
+    patch the reports."""
+    named = {_named_file(r.file, target.entry_files) for r in reports}
+    rel = next((rel for rel in target.entry_files if rel in named), target.entry_files[0])
+    regions = locate_unsafe_regions(target.read(rel), rel)
+    return [_build_feature(regions[0], region_ref(rel, 0), list(reports))] if regions else []
 
 
 def _build_feature(region: UnsafeRegion, ref: str, hits: list[UbReport]) -> CodeFeature:

@@ -137,17 +137,17 @@ class ReferenceBundle:
         final_source: dict[str, str],
         entry_file: str,
         rustc: str = "rustc",
-        memo: CaseMemo | None = None,
+        *,
+        memo: CaseMemo,
     ) -> bool:
         """Compile and run the repaired program, compare behaviour byte-exact.
 
         Raises ReferenceExecutionFailure when the check cannot produce a
         verdict (compile failure, missing toolchain, run timeout); that is
-        never memoised. Through ``memo`` (a fresh one by default), each
+        never memoised. Through ``memo``, which ``cli`` makes for the run, each
         bundle, entry file, resolved ``rustc`` and source is compiled and
         judged at most once, and not at all when its store holds the verdict.
         """
-        memo = memo if memo is not None else CaseMemo()
         payload = [self.expected_stdout.hex(), self.expected_exit, self.tests_cmd, entry_file, rustc]
         payload += [memo.tool([rustc]), sorted(final_source.items())]
         key = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
@@ -302,7 +302,7 @@ class FeedbackEngine:
         entry_file: str,
         overhead_seconds: float,
         overhead_tokens: int,
-        memo: CaseMemo | None = None,
+        memo: CaseMemo,
     ) -> EvalTriplet:
         from .slow import Verdict
 

@@ -21,7 +21,8 @@ back to the bytes before the batch and replays its steps one by one
 through ``execute_step``. The session asks through the case memo
 (``SessionConfig.memo``), so the replay's prompts are answered with the
 batch's answers, and its detection is reused when the replay reaches the
-batch's bytes.
+batch's bytes. ``cli`` makes the run's copy, memo, memoised provider and
+baseline detection; nothing here does.
 """
 from __future__ import annotations
 
@@ -60,7 +61,7 @@ from .fast import (
     parse_region_ref,
 )
 from .kb import KnowledgeBase, feature_vector
-from .provider import MemoizedProvider, Provider
+from .provider import MemoizedProvider
 from .rollback import RollbackStats, Snapshot, SnapshotStore
 from .workspace import WorkingCopy
 
@@ -113,13 +114,15 @@ class ErrorTrace:
     0, and each one that made a patch carries the note ``verified in batch
     <first>-<last>`` (thought indices). ``reports`` are the reports left
     when a solution ended without a pass, before the session went back to
-    its best snapshot; they are not part of the serialized trace.
+    its best snapshot, and ``next_start`` is that best snapshot, which the
+    next solution starts from; neither is part of the serialized trace.
     """
 
     counts: list[int]
     thoughts: list[Thought]
     iteration_budget: int
     reports: tuple[UbReport, ...] = ()
+    next_start: Snapshot | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -159,17 +162,17 @@ class SessionConfig:
     ``cli.repair_one`` reads ``solutions_k``, the cap on planned solutions,
     and ``kb_enabled``, which decides seeding, ranking and whether Reason
     steps search the knowledge base, but not the plan prompt; the session
-    itself reads the rest. ``memo`` holds the detections, model answers and
-    reference verdicts already paid for; runs that share it (a bench case's
-    two runs) reuse each other's work.
+    itself reads the rest. ``memo``, made by ``cli`` for the run, holds the
+    detections, model answers and reference verdicts already paid for; runs
+    that share it (a bench case's two runs) reuse each other's work.
     """
 
+    memo: CaseMemo
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     solutions_k: int = DEFAULT_SOLUTION_COUNT
     budget: int = DEFAULT_BUDGET
     kb_enabled: bool = True
     clock: Callable[[], float] = time.monotonic
-    memo: CaseMemo = field(default_factory=CaseMemo)
 
 
 def _detect(target: TargetPackage, config: SessionConfig) -> DetectionResult:
@@ -466,25 +469,27 @@ def _run_batch(
 
 
 def run_session(
-    target: TargetPackage,
+    workspace: WorkingCopy,
     solutions: Iterable[RepairSolution],
     *,
-    provider: Provider,
-    config: SessionConfig | None = None,
-    workspace: WorkingCopy | None = None,
-    baseline: DetectionResult | None = None,
+    provider: MemoizedProvider,
+    config: SessionConfig,
+    baseline: DetectionResult,
     kb: KnowledgeBase | None = None,
     ended: list[ErrorTrace] | None = None,
 ) -> SessionOutcome:
-    """Drive the repair loop to a verdict.
+    """Drive the repair loop in ``workspace`` to a verdict. ``cli.repair_one``
+    makes the copy, its ``baseline`` detection and the memoised ``provider``.
 
     ``solutions`` may be any iterable, a lazy one too: the next solution is
     drawn only after the previous one ended without a pass, and none is
     drawn after a pass or an aborted solution. A generator is closed when
     the session ends, so nothing draws from it afterwards. Each solution
     that ends without a pass or an abort has its trace appended to
-    ``ended``, when given, before the next one is drawn: a lazy source can
-    plan its next solutions from the verdicts of the ones tried.
+    ``ended``, when given, before the next one is drawn, with the snapshot
+    the next solution starts from as its ``next_start``: a lazy source can
+    plan its next solutions from the verdicts of the ones tried and the
+    reports of that snapshot.
     Terminates on a clean detection (Pass), on exhausting the solutions
     (Failed), or on exhausting the per-solution budget (Budget Exhausted).
     The session ends on the snapshot with the fewest errors, which the
@@ -492,24 +497,15 @@ def run_session(
     ``final_source`` are that snapshot's. Its count is a detection of
     exactly its bytes, so no detection runs after the last step, and a
     clean baseline draws no solution. Reason steps consult ``kb``; without
-    one they add nothing. Without a ``workspace`` the session works in a
-    copy of its own and removes it before returning.
+    one they add nothing.
     """
-    config = config or SessionConfig()
-    if not isinstance(provider, MemoizedProvider):
-        # a fetch takes no time on the memo's account: a logical clock
-        # ticks as it would without the memo
-        provider = MemoizedProvider(provider, config.memo, lambda: 0.0)
     budget = config.budget
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    ws = workspace or WorkingCopy(target)
     try:
-        if baseline is None:
-            baseline = _detect(ws.target, config)
         store = SnapshotStore()
         # the snapshot the working copy matches; its reports steer the next step
-        current = store.record(0, ws.files(), baseline.error_count, baseline.reports)
+        current = store.record(0, workspace.files(), baseline.error_count, baseline.reports)
         trace = ErrorTrace(counts=[current.error_count], thoughts=[], iteration_budget=budget)
         budget_hit_last = False
         attempted_id: str | None = None
@@ -521,14 +517,14 @@ def run_session(
             budget_hit_last = False
             aborted = False
             steps = list(solution.steps)
-            regions = _RegionMap(steps, current, ws)
+            regions = _RegionMap(steps, current, workspace)
             replay_end = 0  # steps before it replay a failed batch, one by one
             for at, step in enumerate(steps):
                 if step.agent is AgentKind.REASON:
-                    reason_context = _knowledge_context(step, ws, current.reports, kb)
+                    reason_context = _knowledge_context(step, workspace, current.reports, kb)
                     continue
                 if step.agent is AgentKind.ROLLBACK:
-                    current = store.restore(store.select_rollback_target(), ws)
+                    current = store.restore(store.select_rollback_target(), workspace)
                     regions.restore(current)
                     continue
                 if len(trace.thoughts) >= budget:
@@ -550,10 +546,10 @@ def run_session(
                             trace.thoughts.extend(verified)
                             trace.counts.extend(t.resulting_errors for t in verified)
                             current = store.record(
-                                store.latest_index() + len(verified), ws.files(), 0
+                                store.latest_index() + len(verified), workspace.files(), 0
                             )
                             break
-                        ws.restore(current.files)
+                        workspace.restore(current.files)
                         regions.restore(current)
                         replay_end = at + len(members)
                 try:
@@ -570,7 +566,7 @@ def run_session(
                 except DetectionTimeout as exc:
                     log.warning("detection timed out mid-session: %s", exc)
                     # the patch was never verified: back to the bytes of ``current``
-                    ws.restore(current.files)
+                    workspace.restore(current.files)
                     aborted = True
                     break
                 reason_context = None
@@ -578,7 +574,7 @@ def run_session(
                 trace.counts.append(thought.resulting_errors)
                 current = store.record(
                     store.latest_index() + 1,
-                    ws.files(),
+                    workspace.files(),
                     thought.resulting_errors,
                     detection.reports if detection is not None else current.reports,
                 )
@@ -586,18 +582,19 @@ def run_session(
                 if current.error_count == 0:
                     break
                 if should_rollback(trace):
-                    current = store.restore(store.select_rollback_target(), ws)
+                    current = store.restore(store.select_rollback_target(), workspace)
                     regions.restore(current)
             if current.error_count == 0:
                 break
             trace.reports = current.reports
-            if ended is not None and not aborted:
-                ended.append(trace)
             best = store.select_rollback_target()
             if current.index != best:
-                current = store.restore(best, ws)
+                current = store.restore(best, workspace)
             if aborted:
                 break
+            trace.next_start = current
+            if ended is not None:
+                ended.append(trace)
 
         # every snapshot's count is a detection of exactly its bytes
         if current.error_count == 0:
@@ -617,7 +614,5 @@ def run_session(
             thought_count=store.latest_index(),
         )
     finally:
-        if workspace is None:
-            ws.cleanup()
         if isinstance(solutions, Generator):
             solutions.close()

@@ -19,10 +19,12 @@ from typing import Callable
 
 import pytest
 
+from ubmend import slow
 from ubmend.detector import DetectorConfig
 from ubmend.fast import AgentKind, RepairSolution, RepairStep
 from ubmend.kb import VECTOR_DIMS
-from ubmend.provider import ProviderConfig, ProviderMode, PromptRecord, ScriptedMockProvider
+from ubmend.provider import MemoizedProvider, ProviderConfig, ProviderMode, PromptRecord, ScriptedMockProvider
+from ubmend.workspace import WorkingCopy
 
 TESTS_DIR = Path(__file__).parent
 TOOLS_DIR = TESTS_DIR / "tools"
@@ -71,6 +73,21 @@ def run_stub_in_process(argv, timeout, cwd, **_):
     finally:
         os.chdir(previous)
     return subprocess.CompletedProcess(argv, code, "", err.getvalue())
+
+
+def run_session_on_copy(target, solutions, *, provider, config, kb=None):
+    """``run_session`` on ``target`` with the state ``cli.repair_one`` hands
+    it, made here: a working copy of its own, removed afterwards;
+    ``provider`` memoised through ``config.memo``, on a clock by which a
+    model call takes no time; and a baseline detected through
+    ``config.memo``, by the same ``slow._detect`` that detects each step."""
+    workspace = WorkingCopy(target)
+    try:
+        memoised = MemoizedProvider(provider, config.memo, lambda: 0.0)
+        baseline = slow._detect(workspace.target, config)
+        return slow.run_session(workspace, solutions, provider=memoised, config=config, baseline=baseline, kb=kb)
+    finally:
+        workspace.cleanup()
 
 
 class SpyProvider(ScriptedMockProvider):

@@ -17,7 +17,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CORPUS_DIR, SEQUENCES_DIR, STUB_DETECTOR_ARG, copy_fixture, stub_detector_config
+from conftest import (
+    CORPUS_DIR,
+    SEQUENCES_DIR,
+    STUB_DETECTOR_ARG,
+    copy_fixture,
+    run_session_on_copy,
+    stub_detector_config,
+)
 from ubmend.agents import AGENT_FUNCTIONS, apply_patch, revert_patch
 from ubmend.classifier import CodeFeature, classify_ops, locate_unsafe_regions
 from ubmend.cli import (
@@ -50,7 +57,7 @@ from ubmend.provider import (
     write_transcript,
 )
 from ubmend.rollback import SnapshotStore
-from ubmend.slow import ErrorTrace, SessionConfig, Verdict, run_session, should_rollback
+from ubmend.slow import ErrorTrace, SessionConfig, Verdict, should_rollback
 from ubmend.workspace import WorkingCopy
 
 
@@ -310,7 +317,7 @@ def _sequence_solution() -> RepairSolution:
 def _run_sequence(fixture: Path, provider, memo: CaseMemo):
     target = TargetPackage.from_path(fixture)
     config = SessionConfig(detector=stub_detector_config(), kb_enabled=False, memo=memo)
-    return run_session(target, [_sequence_solution()], provider=provider, config=config)
+    return run_session_on_copy(target, [_sequence_solution()], provider=provider, config=config)
 
 
 def test_acceptance_03_session_traces_convergent_and_divergent(tmp_path):
@@ -471,6 +478,7 @@ def test_acceptance_06_experience_reranks_recorded_solution_first(tmp_path, mock
     target.validate()
     engine = FeedbackEngine(None, kb=KnowledgeBase(None))
     settings = SessionConfig(
+        memo=CaseMemo(),
         detector=stub_detector_config(),
         solutions_k=4,
         budget=5,

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import CORPUS_DIR, SpyProvider, copy_fixture, stub_detector_config
+from conftest import CORPUS_DIR, SpyProvider, copy_fixture, run_session_on_copy, stub_detector_config
 
 from ubmend import cli
 from ubmend.agents import (
@@ -44,7 +44,7 @@ from ubmend.provider import (
     PromptRecord,
     ScriptedMockProvider,
 )
-from ubmend.slow import SessionConfig, Verdict, propose_step, run_session
+from ubmend.slow import SessionConfig, Verdict, propose_step
 from ubmend.workspace import WorkingCopy
 
 SOURCE = (
@@ -452,8 +452,8 @@ def test_plan_code_for_a_region_an_earlier_step_patched_asks_the_agent(tmp_path)
         RepairStep(AgentKind.MODIFY_SEMANTICS, "main.rs#0", "second", code=CodeBlock(snippet, _clean(snippet))),
     ]
     spy = SpyProvider(ProviderConfig())
-    out = run_session(
-        target, [RepairSolution("s01", steps)], provider=spy, config=SessionConfig(detector=stub_detector_config())
+    out = run_session_on_copy(
+        target, [RepairSolution("s01", steps)], provider=spy, config=SessionConfig(memo=CaseMemo(), detector=stub_detector_config())
     )
     assert out.verdict is Verdict.PASS and out.trace.counts == [1, 1, 0]
     # one call: the second step's, on the region the first step left
@@ -465,10 +465,10 @@ def test_plan_code_for_a_region_an_earlier_step_patched_asks_the_agent(tmp_path)
 @pytest.mark.parametrize("knowledge", [True, False])
 def test_plan_code_after_a_reason_step_that_found_knowledge_asks_the_agent_with_it(tmp_path, knowledge):
     target, source, snippet = _stack_borrow(tmp_path)
-    config = SessionConfig(detector=stub_detector_config())
+    config = SessionConfig(memo=CaseMemo(), detector=stub_detector_config())
     kb = KnowledgeBase()
     if knowledge:
-        reports = run_detection(target, config=config.detector).reports
+        reports = run_detection(target, config=config.detector, memo=CaseMemo()).reports
         kb.insert(
             KnowledgeEntry(
                 vector=feature_vector(source, reports, "main.rs"),
@@ -483,7 +483,7 @@ def test_plan_code_after_a_reason_step_that_found_knowledge_asks_the_agent_with_
         RepairStep(AgentKind.MODIFY_SEMANTICS, "main.rs#0", "rewrite", code=CodeBlock(snippet, written)),
     ]
     spy = SpyProvider(ProviderConfig())
-    out = run_session(target, [RepairSolution("s01", steps)], provider=spy, config=config, kb=kb)
+    out = run_session_on_copy(target, [RepairSolution("s01", steps)], provider=spy, config=config, kb=kb)
     assert out.verdict is Verdict.PASS
     if knowledge:
         (asked,) = spy.prompts
@@ -523,7 +523,7 @@ def test_plan_code_on_a_follow_up_page_for_a_region_patched_since_asks_the_agent
         "STEP 2: ModifySemantics main.rs#1 :: drop the marked line\n"
         f"```rust\n{stale}\n```\n",
     )]
-    settings = SessionConfig(detector=stub_detector_config(), solutions_k=2, kb_enabled=False, clock=cli.LogicalClock())
+    settings = SessionConfig(memo=CaseMemo(), detector=stub_detector_config(), solutions_k=2, kb_enabled=False, clock=cli.LogicalClock())
     outcome, _, _ = cli.repair_one(TargetPackage.from_path(path), spy, FeedbackEngine(), settings)
     plans = [i for i, p in enumerate(spy.prompts) if MARKER_PLAN in p]
     assert len(plans) == 2

@@ -81,7 +81,7 @@ def _answers(store: Path) -> dict[str, str]:
 
 def _seed(store: Path, case: Path, *steps: tuple[str, str]) -> None:
     """Start ``store`` with a past repair of ``case`` that seeds ``steps``."""
-    reports = run_detection(TargetPackage.from_path(case), config=stub_detector_config()).reports
+    reports = run_detection(TargetPackage.from_path(case), config=stub_detector_config(), memo=CaseMemo()).reports
     vector = feature_vector(case.read_text(encoding="utf-8"), reports, file=case.name)
     triplet = EvalTriplet(True, True, 3.0, 500)
     record = ExperienceRecord(vector, UbKind.UNKNOWN, "s01", triplet, steps)

@@ -18,22 +18,24 @@ import pytest
 
 from conftest import (
     CORPUS_DIR,
+    FIXTURES_DIR,
     STUB_DETECTOR_ARG,
     SpyProvider,
     TOOLS_DIR,
     copy_fixture,
     counting_detector_command,
+    run_session_on_copy,
     spawn_log,
     stub_detector_config,
 )
 from test_session_oracle import reference_run_session
 from ubmend import classifier, cli, slow
 from ubmend.cli import main, repair_one
-from ubmend.detector import DetectorConfig, TargetPackage
+from ubmend.detector import CaseMemo, DetectorConfig, TargetPackage
 from ubmend.fast import AgentKind, RepairSolution, RepairStep
 from ubmend.feedback import FeedbackEngine
 from ubmend.provider import MARKER_FIX, MARKER_PLAN, ProviderConfig, ProviderMode, ScriptedMockProvider
-from ubmend.slow import SessionConfig, Verdict, run_session
+from ubmend.slow import SessionConfig, Verdict
 
 # UB messages whose kinds lead with a strategy the scripted mock always applies
 MESSAGES = (
@@ -112,6 +114,32 @@ def test_a_detection_the_memo_cannot_keep_is_not_run_again_after_the_last_step(t
     assert len(spawn_log(log)) == 2
 
 
+def test_a_follow_up_page_detects_no_snapshot_the_memo_cannot_keep(tmp_path, capsys):
+    # t01 at the default budget asks follow-up pages; behind a tool whose
+    # output holds the text {root}, a detection made to plan one would
+    # spawn again for the best snapshot's bytes
+    wrapper = tmp_path / "root_note_miri.py"
+    wrapper.write_text(
+        "import runpy, sys\n"
+        "print('note: paths below are relative to {root}')\n"
+        f"sys.argv = [{str(TOOLS_DIR / 'counting_miri.py')!r}, *sys.argv[1:]]\n"
+        "runpy.run_path(sys.argv[0], run_name='__main__')\n",
+        encoding="utf-8",
+    )
+    case = copy_fixture(FIXTURES_DIR / "large" / "t01", tmp_path)
+    plain_log, noted_log = tmp_path / "plain.jsonl", tmp_path / "noted.jsonl"
+    main(fix_args(case, plain_log))
+    capsys.readouterr()
+    args = fix_args(case, noted_log)
+    args[args.index("--detector-cmd") + 1] = shlex.join(
+        (sys.executable, str(wrapper), *counting_detector_command(noted_log)[2:])
+    )
+    main(args)
+    assert len(spawn_log(plain_log)) == 7
+    # one more: the failed batch's replay reaches the batch's bytes again
+    assert len(spawn_log(noted_log)) == 8
+
+
 def test_a_single_region_fixture_spawns_as_before(tmp_path, capsys):
     case = copy_fixture(CORPUS_DIR / "alloc", tmp_path)
     log = tmp_path / "spawns.jsonl"
@@ -166,6 +194,7 @@ def test_a_batch_follows_its_regions_through_earlier_patches(tmp_path):
     path.write_text(RENUMBERING_SOURCE, encoding="utf-8")
     log = tmp_path / "spawns.jsonl"
     settings = SessionConfig(
+        memo=CaseMemo(),
         detector=DetectorConfig(command=counting_detector_command(log), timeout=30.0),
         kb_enabled=False,
         clock=cli.LogicalClock(),
@@ -192,6 +221,7 @@ def test_steps_outside_a_batch_follow_their_regions_through_earlier_patches(
     path = tmp_path / "main.rs"
     path.write_text(RENUMBERING_SOURCE, encoding="utf-8")
     settings = SessionConfig(
+        memo=CaseMemo(),
         detector=DetectorConfig(command=counting_detector_command(tmp_path / "spawns.jsonl"), timeout=30.0),
         kb_enabled=False,
         clock=cli.LogicalClock(),
@@ -219,8 +249,8 @@ def _pick_session(tmp_path, steps, rules):
     path.write_text(RENUMBERING_SOURCE, encoding="utf-8")
     answers = [(instruction, f"rewrite\n\n```rust\n{code}\n```") for instruction, code in rules]
     provider = SpyProvider(ProviderConfig(mode=ProviderMode.SCRIPTED_MOCK), rules=answers)
-    config = SessionConfig(detector=stub_detector_config(), kb_enabled=False)
-    return run_session(
+    config = SessionConfig(memo=CaseMemo(), detector=stub_detector_config(), kb_enabled=False)
+    return run_session_on_copy(
         TargetPackage.from_path(path), [RepairSolution("s01", steps)], provider=provider, config=config
     )
 
@@ -329,6 +359,7 @@ def test_a_three_region_target_makes_one_plan_call_before_its_first_fix(tmp_path
     path = tmp_path / "main.rs"
     path.write_text(RENUMBERING_SOURCE, encoding="utf-8")
     settings = SessionConfig(
+        memo=CaseMemo(),
         detector=DetectorConfig(command=counting_detector_command(tmp_path / "spawns.jsonl"), timeout=30.0),
         kb_enabled=False,
         clock=cli.LogicalClock(),
@@ -360,6 +391,7 @@ def _spawns(session, path, plan, tmp_path, name) -> tuple[object, list[str], int
         rules.append((instruction, _fenced(line)))
     provider = SpyProvider(ProviderConfig(mode=ProviderMode.SCRIPTED_MOCK), rules=rules)
     config = SessionConfig(
+        memo=CaseMemo(),
         detector=DetectorConfig(command=counting_detector_command(log), timeout=30.0), budget=5
     )
     outcome = session(
@@ -372,7 +404,7 @@ def _compare(tmp_path, plan) -> tuple[int, int]:
     path = tmp_path / "main.rs"
     path.write_text(regions_source(len(plan)), encoding="utf-8")
     expected, asked, stepwise = _spawns(reference_run_session, path, plan, tmp_path, "stepwise")
-    actual, batch_asked, batched = _spawns(run_session, path, plan, tmp_path, "batched")
+    actual, batch_asked, batched = _spawns(run_session_on_copy, path, plan, tmp_path, "batched")
     assert actual.to_dict() == expected.to_dict()
     # the replay reuses the batch's answers: each prompt reaches the model once
     assert batch_asked == asked
@@ -402,6 +434,7 @@ def test_a_follow_up_page_re_plans_without_a_spawn(tmp_path):
     path.write_text(regions_source(3), encoding="utf-8")
     log = tmp_path / "spawns.jsonl"
     settings = SessionConfig(
+        memo=CaseMemo(),
         detector=DetectorConfig(command=counting_detector_command(log), timeout=30.0),
         solutions_k=4,
         kb_enabled=False,

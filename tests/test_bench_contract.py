@@ -25,7 +25,7 @@ from conftest import (
     stub_detector_config,
 )
 from ubmend import agents, cli
-from ubmend.detector import TargetPackage, UbKind, run_detection
+from ubmend.detector import CaseMemo, TargetPackage, UbKind, run_detection
 from ubmend.feedback import EvalTriplet, ExperienceRecord, FeedbackEngine, ReferenceBundle
 from ubmend.kb import VECTOR_DIMS, FeatureVector, KnowledgeEntry, extract_ast, feature_vector, prune, vectorize
 from ubmend.lexutil import estimate_tokens, mask_comments_and_strings
@@ -43,13 +43,13 @@ def _params(fn) -> list[str]:
 def test_repair_one_signature_and_settings():
     assert _params(cli.repair_one) == ["target", "provider", "engine", "settings", "reference"]
     assert "kb_enabled" in {f.name for f in SessionConfig.__dataclass_fields__.values()}
-    assert SessionConfig(kb_enabled=False).kb_enabled is False
+    assert SessionConfig(memo=CaseMemo(), kb_enabled=False).kb_enabled is False
 
 
 @pytest.mark.parametrize(
     ("fn", "leading", "named"),
     [
-        (run_session, ["target", "solutions"], []),
+        (run_session, ["workspace", "solutions"], []),
         (execute_step, [], ["prev_count"]),
         (run_detection, ["target"], ["config"]),
         (ReferenceBundle.check, ["self", "final_source", "entry_file"], []),
@@ -196,7 +196,7 @@ def test_the_vector_chain_gen_calls_is_the_stored_vector():
     # of kb functions, and the store it writes must match what repair_one
     # searches with
     path = CORPUS_DIR / "stack_borrow" / "main.rs"
-    reports = run_detection(TargetPackage.from_path(path), config=stub_detector_config()).reports
+    reports = run_detection(TargetPackage.from_path(path), config=stub_detector_config(), memo=CaseMemo()).reports
     kinds = sorted({r.kind for r in reports}, key=lambda k: k.value)
     text = path.read_text(encoding="utf-8")
     vector = vectorize(prune(extract_ast(text), reports), ub_kinds=kinds)

@@ -28,7 +28,7 @@ from conftest import (
 )
 from ubmend import cli, detector
 from ubmend.cli import compute_ci, load_manifest, main, repair_one
-from ubmend.detector import DEFAULT_TOKEN_BUDGET, DetectorConfig, TargetPackage
+from ubmend.detector import DEFAULT_TOKEN_BUDGET, CaseMemo, DetectorConfig, TargetPackage
 from ubmend.errors import ProviderFailure
 from ubmend.fast import AgentKind, RepairSolution, RepairStep
 from ubmend.feedback import FeedbackEngine
@@ -904,6 +904,7 @@ def test_fix_verdict_rests_on_a_clean_detection_of_the_final_bytes(tmp_path):
     case = copy_fixture(CORPUS_DIR / "stack_borrow", tmp_path)
     log = tmp_path / "spawns.jsonl"
     settings = SessionConfig(
+        memo=CaseMemo(),
         detector=DetectorConfig(command=counting_detector_command(log), timeout=30.0),
         solutions_k=10,
         budget=5,

@@ -85,7 +85,7 @@ def _detect(tmp_path, source, **cfg_kw):
     f = tmp_path / "main.rs"
     f.write_text(source)
     target = TargetPackage.from_path(f)
-    return run_detection(target, config=stub_detector_config(**cfg_kw))
+    return run_detection(target, config=stub_detector_config(**cfg_kw), memo=CaseMemo())
 
 
 def test_run_detection_clean(tmp_path):
@@ -125,7 +125,7 @@ def test_run_detection_tool_missing(tmp_path):
     f.write_text("fn main() {}\n")
     cfg = DetectorConfig(command=("/no/such/tool", "{file}"), timeout=5)
     with pytest.raises(ToolMissing):
-        run_detection(TargetPackage.from_path(f), config=cfg)
+        run_detection(TargetPackage.from_path(f), config=cfg, memo=CaseMemo())
 
 
 def test_run_detection_timeout(tmp_path):
@@ -148,7 +148,7 @@ def test_a_failure_without_a_compiler_error_blames_the_detection_command(tmp_pat
     script = "import sys; print('cannot open', sys.argv[1]); sys.exit(3)"
     config = DetectorConfig(command=(sys.executable, "-c", script, "{root}/{file}"))
     with pytest.raises(NonUbCompileError) as exc:
-        run_detection(target, config=config)
+        run_detection(target, config=config, memo=CaseMemo())
     command = shlex.join([sys.executable, "-c", script]) + " {root}/main.rs"
     assert str(exc.value) == (
         f"detection command exited 3 with no UB report and no compiler error: {command}\n"
@@ -295,5 +295,5 @@ def test_timeout_kills_the_whole_process_tree(tmp_path):
         command=("sh", "-c", "sleep 30 & echo $! > grandchild.pid; wait"), timeout=1.0
     )
     with pytest.raises(DetectionTimeout):
-        run_detection(TargetPackage.from_path(f), config=forking)
+        run_detection(TargetPackage.from_path(f), config=forking, memo=CaseMemo())
     assert process_gone(int((tmp_path / "grandchild.pid").read_text()))

@@ -312,36 +312,36 @@ def test_from_dir_names_an_unreadable_file(tmp_path, name, content):
 @needs_rustc
 def test_check_accepts_matching_program(tmp_path):
     bundle = _bundle(tmp_path)
-    assert bundle.check({"main.rs": GOOD_PROGRAM}, "main.rs") is True
+    assert bundle.check({"main.rs": GOOD_PROGRAM}, "main.rs", memo=CaseMemo()) is True
 
 
 @needs_rustc
 def test_check_rejects_wrong_stdout(tmp_path):
     bundle = _bundle(tmp_path, stdout="total=99\n")
-    assert bundle.check({"main.rs": GOOD_PROGRAM}, "main.rs") is False
+    assert bundle.check({"main.rs": GOOD_PROGRAM}, "main.rs", memo=CaseMemo()) is False
 
 
 @needs_rustc
 def test_check_compares_exit_codes(tmp_path):
     exits_2 = "use std::process::exit;\nfn main() {\n    exit(2);\n}\n"
-    assert _bundle(tmp_path, stdout="", exit_code=2, name="a").check({"main.rs": exits_2}, "main.rs")
-    assert not _bundle(tmp_path, stdout="", name="b").check({"main.rs": exits_2}, "main.rs")
+    assert _bundle(tmp_path, stdout="", exit_code=2, name="a").check({"main.rs": exits_2}, "main.rs", memo=CaseMemo())
+    assert not _bundle(tmp_path, stdout="", name="b").check({"main.rs": exits_2}, "main.rs", memo=CaseMemo())
 
 
 @needs_rustc
 def test_check_raises_on_compile_failure(tmp_path):
     bundle = _bundle(tmp_path)
     with pytest.raises(ReferenceExecutionFailure):
-        bundle.check({"main.rs": "fn main() { undefined_symbol(); }\n"}, "main.rs")
+        bundle.check({"main.rs": "fn main() { undefined_symbol(); }\n"}, "main.rs", memo=CaseMemo())
 
 
 @needs_rustc
 def test_check_runs_optional_tests_cmd(tmp_path):
     ok = _bundle(tmp_path, tests_cmd="{prog} > /dev/null")
-    assert ok.check({"main.rs": GOOD_PROGRAM}, "main.rs") is True
+    assert ok.check({"main.rs": GOOD_PROGRAM}, "main.rs", memo=CaseMemo()) is True
     (tmp_path / "ref" / "tests.cmd").write_text("false")
     failing = ReferenceBundle.from_dir(tmp_path / "ref")
-    assert failing.check({"main.rs": GOOD_PROGRAM}, "main.rs") is False
+    assert failing.check({"main.rs": GOOD_PROGRAM}, "main.rs", memo=CaseMemo()) is False
 
 
 @needs_rustc
@@ -351,14 +351,14 @@ def test_check_quotes_prog_in_tests_cmd(tmp_path, monkeypatch):
     spaced.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(spaced))
     bundle = ReferenceBundle(b"total=31\n", 0, "{prog} > /dev/null")
-    assert bundle.check({"main.rs": GOOD_PROGRAM}, "main.rs") is True
+    assert bundle.check({"main.rs": GOOD_PROGRAM}, "main.rs", memo=CaseMemo()) is True
 
 
 @needs_rustc
 def test_check_missing_entry_file(tmp_path):
     bundle = _bundle(tmp_path)
     with pytest.raises(ReferenceExecutionFailure):
-        bundle.check({"lib.rs": GOOD_PROGRAM}, "main.rs")
+        bundle.check({"lib.rs": GOOD_PROGRAM}, "main.rs", memo=CaseMemo())
 
 
 @needs_rustc
@@ -389,6 +389,6 @@ def test_check_timeout_kills_the_whole_process_tree(tmp_path, monkeypatch):
     bundle = _bundle(tmp_path, tests_cmd=f"sleep 60 & echo $! > {pid_file}; wait")
     started = time.monotonic()
     with pytest.raises(ReferenceExecutionFailure, match="timed out"):
-        bundle.check({"main.rs": GOOD_PROGRAM}, "main.rs")
+        bundle.check({"main.rs": GOOD_PROGRAM}, "main.rs", memo=CaseMemo())
     assert time.monotonic() - started < 30
     assert process_gone(int(pid_file.read_text()))

@@ -137,8 +137,7 @@ def reference_repair_one(target, provider, engine, settings, reference=None):
                         kb = None
                 solutions = reference_rank(engine, solutions, vector)
         outcome = run_session(
-            ws.target, solutions, provider=provider, config=settings, workspace=ws,
-            baseline=baseline, kb=kb,
+            ws, solutions, provider=provider, config=settings, baseline=baseline, kb=kb,
         )
         elapsed = clock() - start + memo.charged_seconds
         tokens = memo.charged_tokens
@@ -187,7 +186,7 @@ def _in_process_detector(monkeypatch):
 def _vector(path: Path) -> FeatureVector:
     """The vector ``repair_one`` computes for a single-file target."""
     target = TargetPackage.from_path(path)
-    reports = run_detection(target, config=stub_detector_config()).reports
+    reports = run_detection(target, config=stub_detector_config(), memo=CaseMemo()).reports
     return feature_vector(path.read_text(encoding="utf-8"), reports, file=path.name)
 
 
@@ -452,7 +451,7 @@ def test_a_follow_up_page_carries_the_verdicts_and_continues_the_rotation(spy, m
     # third page's last solution repeats the first, and the fourth page
     # repeats the first three, which ends the drawing
     target = TargetPackage.from_path(path)
-    features = extract_features(target, run_detection(target, config=stub_detector_config()).reports)
+    features = extract_features(target, run_detection(target, config=stub_detector_config(), memo=CaseMemo()).reports)
     eager = eager_solutions(features, 10, _abstaining(ProviderConfig()))
     assert [(s.id, s.steps) for s in drawn] == [(s.id, s.steps) for s in eager]
     assert [s.steps[0].agent for s in drawn[3:]] == [AgentKind.REASON] * 3
@@ -557,7 +556,7 @@ def _paging(monkeypatch) -> list[tuple[str, int]]:
 
     def noting(*args, **kwargs):
         (ws,) = copies
-        reports = list(run_detection(ws.target, config=stub_detector_config()).reports)
+        reports = list(run_detection(ws.target, config=stub_detector_config(), memo=CaseMemo()).reports)
         pages.append((fast._feature_lines(extract_features(ws.target, reports)), len(reports)))
         return generate(*args, **kwargs)
 
@@ -608,10 +607,9 @@ def test_a_follow_up_page_on_a_snapshot_whose_reports_left_every_unsafe_region(s
     from test_batch_verify import regions_source
 
     # every rewrite drops the region's unsafe keyword and keeps its UB line:
-    # s01 leaves the report of region_0 outside every unsafe block, and the
-    # block of ``clean`` stands for it, as it would at the baseline; once
-    # that block has lost its keyword too, no unsafe region is left and the
-    # drawing ends without asking a page
+    # s01 leaves the report of region_0 outside every unsafe block. The
+    # block of ``clean`` holds no report and stands for none past the
+    # baseline, so the drawing ends without asking a second page
     clean = "fn clean(seed: i64) -> i64 {\n    let ptr = &seed as *const i64;\n    unsafe { *ptr }\n}\n\n"
     pages = _paging(monkeypatch)
     provider = _Stuck(ProviderConfig(), "unsafe", lambda region: f"```rust\n{region.replace('unsafe ', '', 1)}\n```")
@@ -620,12 +618,10 @@ def test_a_follow_up_page_on_a_snapshot_whose_reports_left_every_unsafe_region(s
         _regions_target(tmp_path, clean + regions_source(1)), provider, FeedbackEngine(), settings
     )
     assert outcome.verdict is Verdict.FAILED and outcome.final_errors == 1
-    assert "unsafe" not in outcome.final_source["main.rs"]
-    first, second = _plans(spy)
-    assert [reported for _, reported in pages] == [1, 1]
+    assert "unsafe { *ptr }" in outcome.final_source["main.rs"]
+    (first,) = _plans(spy)
+    assert [reported for _, reported in pages] == [1]
     assert "FEATURE main.rs#1 " in first and "FEATURE main.rs#0 " not in first
-    assert second.count("\nFEATURE ") == 1 and "\nFEATURE main.rs#0 " in second
-    assert "```rust\nunsafe { *ptr }\n```" in second and "TRIED s01" in second
 
 
 # --- one-pass scoring against the per-candidate scan --------------------------

@@ -29,10 +29,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import SpyProvider, run_stub_in_process, stub_detector_config
+from conftest import SpyProvider, run_session_on_copy, run_stub_in_process, stub_detector_config
 from ubmend import detector
 from ubmend.classifier import locate_unsafe_regions
-from ubmend.detector import TargetPackage, UbReport, run_detection
+from ubmend.detector import CaseMemo, TargetPackage, UbReport, run_detection
 from ubmend.errors import DetectionTimeout, LexFailure, NonUbCompileError
 from ubmend.fast import FIX_AGENTS, AgentKind, RepairSolution, RepairStep, _report_hits_region, parse_region_ref
 from ubmend.feedback import EvalTriplet
@@ -49,7 +49,6 @@ from ubmend.slow import (
     _knowledge_context,
     detect_patches,
     propose_step,
-    run_session,
     should_rollback,
 )
 from ubmend.workspace import WorkingCopy
@@ -287,7 +286,7 @@ def kb(targets) -> KnowledgeBase:
     """One prior fix the Reason steps find for every target."""
     target = targets[2]
     source = (target.root_path / "main.rs").read_text(encoding="utf-8")
-    reports = run_detection(target, config=stub_detector_config()).reports
+    reports = run_detection(target, config=stub_detector_config(), memo=CaseMemo()).reports
     base = KnowledgeBase()
     base.insert(
         KnowledgeEntry(
@@ -303,7 +302,7 @@ def kb(targets) -> KnowledgeBase:
 def _run(session, target, plan, budget, kb):
     solutions, rules = _solutions(plan)
     provider = SpyProvider(ProviderConfig(mode=ProviderMode.SCRIPTED_MOCK), rules=rules)
-    config = SessionConfig(detector=stub_detector_config(), budget=budget)
+    config = SessionConfig(memo=CaseMemo(), detector=stub_detector_config(), budget=budget)
     outcome = session(target, solutions, provider=provider, config=config, kb=kb)
     return outcome, provider
 
@@ -324,7 +323,7 @@ def _run(session, target, plan, budget, kb):
 @example(baseline=2, budget=1, plan=[[("fix", 3), ("fix", 0)], [("lost", 0), ("fix", 1)]])
 def test_run_session_matches_the_reference_loop(targets, kb, baseline, budget, plan):
     expected, expected_provider = _run(reference_run_session, targets[baseline], plan, budget, kb)
-    actual, actual_provider = _run(run_session, targets[baseline], plan, budget, kb)
+    actual, actual_provider = _run(run_session_on_copy, targets[baseline], plan, budget, kb)
     assert actual.to_dict() == expected.to_dict()
     assert actual.stats == expected.stats
     assert actual.solution_id == expected.solution_id
@@ -462,7 +461,7 @@ def _as_stepwise(actual: dict, expected: dict) -> dict:
 def test_batches_match_the_reference_loop(multi_targets, kb, name, budget, plan):
     target = multi_targets[name]
     expected, expected_provider = _run(reference_run_session, target, plan, budget, kb)
-    actual, actual_provider = _run(run_session, target, plan, budget, kb)
+    actual, actual_provider = _run(run_session_on_copy, target, plan, budget, kb)
     assert _as_stepwise(actual.to_dict(), expected.to_dict()) == expected.to_dict()
     assert actual.stats == expected.stats
     assert actual.solution_id == expected.solution_id
@@ -487,7 +486,7 @@ def test_regions_that_share_a_function_are_verified_one_by_one(tmp_path, kb):
     target = TargetPackage.from_path(path)
     plan = [[("fix", 0, 0), ("fix", 0, 1)]]
     expected, expected_provider = _run(reference_run_session, target, plan, 5, kb)
-    actual, actual_provider = _run(run_session, target, plan, 5, kb)
+    actual, actual_provider = _run(run_session_on_copy, target, plan, 5, kb)
     assert actual.to_dict() == expected.to_dict()
     assert actual_provider.prompts == expected_provider.prompts
     assert expected.trace.counts == [2, 1, 0]

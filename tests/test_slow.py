@@ -4,16 +4,14 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 
 import pytest
 
-from conftest import SpyProvider, stub_detector_config
+from conftest import SpyProvider, run_session_on_copy, stub_detector_config
 from ubmend import detector, slow
 from ubmend.cli import repair_one
-from ubmend.detector import TargetPackage, run_detection
-from ubmend.errors import ReplayMiss
+from ubmend.detector import CaseMemo, TargetPackage, run_detection
 from ubmend.fast import AgentKind, RepairSolution, RepairStep, parse_region_ref
 from ubmend.feedback import EvalTriplet, FeedbackEngine
 from ubmend.kb import KnowledgeBase, KnowledgeEntry, extract_ast, prune, vectorize
@@ -22,7 +20,6 @@ from ubmend.slow import (
     ErrorTrace,
     SessionConfig,
     Verdict,
-    run_session,
     should_rollback,
 )
 from ubmend.workspace import WorkingCopy
@@ -76,7 +73,7 @@ def _steps(*instructions: str, agent: AgentKind = AgentKind.MODIFY_SEMANTICS) ->
 
 
 def _session_config(budget: int = 5) -> SessionConfig:
-    return SessionConfig(detector=stub_detector_config(), budget=budget, kb_enabled=False)
+    return SessionConfig(memo=CaseMemo(), detector=stub_detector_config(), budget=budget, kb_enabled=False)
 
 
 def _target(tmp_path: Path, source: str) -> TargetPackage:
@@ -115,7 +112,7 @@ def test_should_rollback_respects_window_and_factor():
 def test_budget_must_be_positive(tmp_path):
     target = _target(tmp_path, _source(0))
     with pytest.raises(ValueError):
-        run_session(
+        run_session_on_copy(
             target,
             [],
             provider=_provider([]),
@@ -125,7 +122,7 @@ def test_budget_must_be_positive(tmp_path):
 
 def test_ub_free_target_passes_without_thoughts(tmp_path):
     target = _target(tmp_path, _source(0))
-    out = run_session(target, [], provider=_provider([]), config=_session_config())
+    out = run_session_on_copy(target, [], provider=_provider([]), config=_session_config())
     assert out.verdict is Verdict.PASS
     assert out.trace.counts == [0]
     assert out.trace.thoughts == []
@@ -138,7 +135,7 @@ def test_single_fix_step_reaches_pass(tmp_path):
     target = _target(tmp_path, _source(1))
     provider = _provider([("variant 1", _fix_response(0, 1))])
     solution = RepairSolution(id="s01", steps=_steps("variant 1"))
-    out = run_session(target, [solution], provider=provider, config=_session_config())
+    out = run_session_on_copy(target, [solution], provider=provider, config=_session_config())
     assert out.verdict is Verdict.PASS
     assert out.trace.counts == [1, 0]
     assert len(out.trace.thoughts) == 1
@@ -157,7 +154,7 @@ def test_abstaining_step_is_skipped_with_count_unchanged(tmp_path):
         RepairStep(agent=AgentKind.SAFE_REPLACE, target_region="main.rs#0", instruction="swap"),
         RepairStep(agent=AgentKind.MODIFY_SEMANTICS, target_region="main.rs#0", instruction="variant 2"),
     ]
-    out = run_session(
+    out = run_session_on_copy(
         target,
         [RepairSolution(id="s01", steps=steps)],
         provider=provider,
@@ -178,7 +175,7 @@ def test_unresolvable_region_is_skipped(tmp_path):
         RepairStep(agent=AgentKind.MODIFY_SEMANTICS, target_region="main.rs#5", instruction="x"),
         RepairStep(agent=AgentKind.MODIFY_SEMANTICS, target_region="main.rs#0", instruction="variant 3"),
     ]
-    out = run_session(
+    out = run_session_on_copy(
         target,
         [RepairSolution(id="s01", steps=steps)],
         provider=provider,
@@ -193,7 +190,7 @@ def test_a_negative_region_ordinal_is_unresolvable(tmp_path):
     target = _target(tmp_path, _source(1))
     provider = _provider([("variant 3", _fix_response(0, 3))])
     steps = [RepairStep(agent=AgentKind.MODIFY_SEMANTICS, target_region="main.rs#-1", instruction="variant 3")]
-    out = run_session(
+    out = run_session_on_copy(
         target,
         [RepairSolution(id="s01", steps=steps)],
         provider=provider,
@@ -212,7 +209,7 @@ def test_a_region_ref_outside_the_working_copy_is_unresolvable(tmp_path):
     outside.write_text(_source(1), encoding="utf-8")
     provider = _provider([("variant 3", _fix_response(0, 3))])
     steps = [RepairStep(agent=AgentKind.MODIFY_SEMANTICS, target_region=f"{outside}#0", instruction="variant 3")]
-    out = run_session(
+    out = run_session_on_copy(
         target,
         [RepairSolution(id="s01", steps=steps)],
         provider=provider,
@@ -230,7 +227,7 @@ def test_a_step_on_a_file_that_does_not_lex_is_unresolvable(tmp_path):
         RepairStep(agent=AgentKind.MODIFY_SEMANTICS, target_region="util.rs#0", instruction="x"),
         RepairStep(agent=AgentKind.MODIFY_SEMANTICS, target_region="main.rs#0", instruction="variant 3"),
     ]
-    out = run_session(
+    out = run_session_on_copy(
         target,
         [RepairSolution(id="s01", steps=steps)],
         provider=provider,
@@ -263,7 +260,7 @@ def test_compile_breaking_patch_is_reverted(tmp_path):
     broken = "unsafe {\n        //~COMPILE-ERROR\n        let probe = 9i32;\n    }"
     provider = _provider([("variant 1", f"oops\n\n```rust\n{broken}\n```")])
     solution = RepairSolution(id="s01", steps=_steps("variant 1"))
-    out = run_session(target, [solution], provider=provider, config=_session_config())
+    out = run_session_on_copy(target, [solution], provider=provider, config=_session_config())
     assert out.verdict is Verdict.FAILED
     thought = out.trace.thoughts[0]
     assert thought.note == "patch reverted: compile failure"
@@ -284,7 +281,7 @@ def test_budget_exhausted_when_steps_remain(tmp_path):
         ]
     )
     solution = RepairSolution(id="s01", steps=_steps("variant 1", "variant 2", "variant 3"))
-    out = run_session(
+    out = run_session_on_copy(
         target,
         [solution],
         provider=provider,
@@ -302,7 +299,7 @@ def test_failed_run_restores_baseline_and_counts_discards(tmp_path):
     target = _target(tmp_path, source)
     provider = _provider([("variant 1", _fix_response(4, 1))])
     solution = RepairSolution(id="s01", steps=_steps("variant 1"))
-    out = run_session(target, [solution], provider=provider, config=_session_config())
+    out = run_session_on_copy(target, [solution], provider=provider, config=_session_config())
     assert out.verdict is Verdict.FAILED
     assert out.trace.counts == [1, 4]
     assert out.final_source["main.rs"] == source
@@ -326,7 +323,7 @@ def test_explicit_rollback_step_restores_best_snapshot(tmp_path):
         RepairStep(agent=AgentKind.ROLLBACK, target_region="main.rs#0", instruction="restore"),
         RepairStep(agent=AgentKind.MODIFY_SEMANTICS, target_region="main.rs#0", instruction="variant 2"),
     ]
-    out = run_session(
+    out = run_session_on_copy(
         target,
         [RepairSolution(id="s01", steps=steps)],
         provider=provider,
@@ -348,7 +345,7 @@ def test_auto_rollback_fires_on_factor_blowup(tmp_path):
         ]
     )
     solution = RepairSolution(id="s01", steps=_steps("variant 1", "variant 2"))
-    out = run_session(target, [solution], provider=provider, config=_session_config())
+    out = run_session_on_copy(target, [solution], provider=provider, config=_session_config())
     assert out.verdict is Verdict.PASS
     assert out.trace.counts == [1, 3, 0]
     assert out.stats.rollback_count == 1
@@ -374,7 +371,7 @@ def test_second_solution_starts_from_best_state(tmp_path):
         RepairSolution(id="s01", steps=_steps("variant 1")),
         RepairSolution(id="s02", steps=_steps("variant 2")),
     ]
-    out = run_session(target, solutions, provider=provider, config=_session_config())
+    out = run_session_on_copy(target, solutions, provider=provider, config=_session_config())
     assert out.verdict is Verdict.PASS
     assert out.solution_id == "s02"
     assert seen == ["first", "second"]
@@ -392,7 +389,7 @@ def _consult_then_fix(tmp_path: Path, reason_ref: str) -> tuple[SpyProvider, Ver
         ProviderConfig(mode=ProviderMode.SCRIPTED_MOCK),
         rules=[("variant 1", _fix_response(0, 1))],
     )
-    baseline = run_detection(_target(tmp_path / "probe", source), config=det)
+    baseline = run_detection(_target(tmp_path / "probe", source), config=det, memo=CaseMemo())
     vector = vectorize(
         prune(extract_ast(source), baseline.reports),
         ub_kinds=(r.kind for r in baseline.reports),
@@ -406,12 +403,12 @@ def _consult_then_fix(tmp_path: Path, reason_ref: str) -> tuple[SpyProvider, Ver
             triplet=EvalTriplet(True, True, 1.0, 10),
         )
     )
-    config = SessionConfig(detector=det)
+    config = SessionConfig(memo=CaseMemo(), detector=det)
     steps = [
         RepairStep(agent=AgentKind.REASON, target_region=reason_ref, instruction="consult"),
         RepairStep(agent=AgentKind.MODIFY_SEMANTICS, target_region="main.rs#0", instruction="variant 1"),
     ]
-    out = run_session(
+    out = run_session_on_copy(
         target,
         [RepairSolution(id="s01", steps=steps)],
         provider=provider,
@@ -448,7 +445,7 @@ def test_reason_step_is_inert_when_kb_disabled(tmp_path):
         RepairStep(agent=AgentKind.REASON, target_region="main.rs#0", instruction="consult"),
         RepairStep(agent=AgentKind.MODIFY_SEMANTICS, target_region="main.rs#0", instruction="variant 1"),
     ]
-    out = run_session(
+    out = run_session_on_copy(
         target,
         [RepairSolution(id="s01", steps=steps)],
         provider=provider,
@@ -468,7 +465,7 @@ def test_the_knowledge_heading_appears_only_when_a_reason_step_found_knowledge(t
         ProviderConfig(mode=ProviderMode.SCRIPTED_MOCK),
         rules=[("variant 1", _fix_response(0, 1))],
     )
-    run_session(
+    run_session_on_copy(
         target,
         [RepairSolution(id="s01", steps=_steps("variant 1"))],
         provider=provider,
@@ -484,7 +481,7 @@ def test_outcome_serializes_to_stable_json(tmp_path):
     target = _target(tmp_path, _source(1))
     provider = _provider([("variant 1", _fix_response(0, 1))])
     solution = RepairSolution(id="s01", steps=_steps("variant 1"))
-    out = run_session(target, [solution], provider=provider, config=_session_config())
+    out = run_session_on_copy(target, [solution], provider=provider, config=_session_config())
     payload = out.to_dict()
     assert payload["schema_version"] == 1
     assert payload["verdict"] == "pass"
@@ -508,9 +505,9 @@ def test_detection_timeout_mid_session_fails_closed(tmp_path, monkeypatch):
     target = _target(tmp_path, _source(1))
     sleeper = "unsafe {\n        //~SLEEP 5\n        let probe = 4i32;\n    }"
     provider = _provider([("variant 1", f"stall\n\n```rust\n{sleeper}\n```")])
-    config = SessionConfig(detector=stub_detector_config(timeout=0.5), kb_enabled=False)
+    config = SessionConfig(memo=CaseMemo(), detector=stub_detector_config(timeout=0.5), kb_enabled=False)
     solution = RepairSolution(id="s01", steps=_steps("variant 1"))
-    out = run_session(target, [solution], provider=provider, config=config)
+    out = run_session_on_copy(target, [solution], provider=provider, config=config)
     assert out.verdict is Verdict.FAILED
     assert out.final_errors == 1
     # the aborted step never enters the trace, and its bytes leave the copy
@@ -536,7 +533,7 @@ def test_session_ends_on_an_earlier_solutions_snapshot_without_detecting_again(t
         RepairSolution(id="s01", steps=_steps("variant 1")),
         RepairSolution(id="s02", steps=_steps("variant 2")),
     ]
-    out = run_session(target, solutions, provider=provider, config=_session_config())
+    out = run_session_on_copy(target, solutions, provider=provider, config=_session_config())
     assert out.verdict is Verdict.FAILED
     assert out.trace.counts == [1, 2]  # s02 started from s01's snapshot and made it worse
     # the baseline and one detection per step; none after s02's step
@@ -553,26 +550,12 @@ def test_outcome_reports_session_baseline_and_every_thought(tmp_path):
         RepairSolution(id="s01", steps=_steps("variant 1")),
         RepairSolution(id="s02", steps=_steps("variant 2")),
     ]
-    out = run_session(target, solutions, provider=provider, config=_session_config())
+    out = run_session_on_copy(target, solutions, provider=provider, config=_session_config())
     assert out.verdict is Verdict.PASS
     assert out.trace.counts == [1, 0]  # the last solution's own trace
     assert out.baseline_errors == 2
     assert out.thought_count == 2
     assert out.final_errors == 0
-
-
-def _miss(_prompt: str) -> str:
-    raise ReplayMiss("no transcript entry")
-
-
-def test_session_without_workspace_removes_its_copy(tmp_path):
-    target = _target(tmp_path, _source(1))
-    run_session(target, [], provider=_provider([]), config=_session_config())
-    assert os.listdir(tempfile.gettempdir()) == []
-    solution = RepairSolution(id="s01", steps=_steps("variant 1"))
-    with pytest.raises(ReplayMiss):
-        run_session(target, [solution], provider=_provider([("variant 1", _miss)]), config=_session_config())
-    assert os.listdir(tempfile.gettempdir()) == []
 
 
 def test_reason_step_finds_the_stored_entry_for_the_same_program(tmp_path):
@@ -584,7 +567,7 @@ def test_reason_step_finds_the_stored_entry_for_the_same_program(tmp_path):
         _target(tmp_path / "first", source),
         _provider([]),
         engine,
-        SessionConfig(detector=stub_detector_config()),
+        SessionConfig(memo=CaseMemo(), detector=stub_detector_config()),
     )
     assert stored.verdict is Verdict.PASS
     assert len(engine.kb.entries) == 1
@@ -596,11 +579,11 @@ def test_reason_step_finds_the_stored_entry_for_the_same_program(tmp_path):
         RepairStep(agent=AgentKind.REASON, target_region="main.rs#0", instruction="consult"),
         RepairStep(agent=AgentKind.MODIFY_SEMANTICS, target_region="main.rs#0", instruction="variant 1"),
     ]
-    run_session(
+    run_session_on_copy(
         _target(tmp_path / "second", source),
         [RepairSolution(id="s01", steps=steps)],
         provider=provider,
-        config=SessionConfig(detector=stub_detector_config()),
+        config=SessionConfig(memo=CaseMemo(), detector=stub_detector_config()),
         kb=engine.kb,
     )
     enriched = [p for p in provider.prompts if "prior fix (similarity" in p]

@@ -330,7 +330,7 @@ def test_a_reused_root_detection_reads_like_a_fresh_one_on_this_copy(tmp_path):
     stored = run_detection(copies[2], config=config, memo=CaseMemo(memo.new_results))
     assert len(spawn_log(spawns)) == 1
     for target, result in zip(copies, (made, reused, stored)):
-        fresh = run_detection(target, config=config)
+        fresh = run_detection(target, config=config, memo=CaseMemo())
         assert result.reports == fresh.reports
         assert result.raw_output == fresh.raw_output
         assert result.reports[0].file == f"{target.root_path}/main.rs"

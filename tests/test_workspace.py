@@ -11,7 +11,7 @@ from pathlib import Path
 
 from conftest import CORPUS_DIR, TOOLS_DIR
 from ubmend import cli
-from ubmend.detector import DetectorConfig, TargetPackage, run_detection
+from ubmend.detector import CaseMemo, DetectorConfig, TargetPackage, run_detection
 from ubmend.rollback import SnapshotStore
 from ubmend.workspace import WorkingCopy
 
@@ -44,7 +44,7 @@ def test_a_rollback_puts_back_the_sources_and_keeps_build_output(tmp_path):
     ws = WorkingCopy(TargetPackage.from_path(_package(tmp_path)))
     try:
         store = SnapshotStore()
-        baseline = run_detection(ws.target, config=DetectorConfig(command=BUILDING_DETECTOR))
+        baseline = run_detection(ws.target, config=DetectorConfig(command=BUILDING_DETECTOR), memo=CaseMemo())
         snapshot = store.record(0, ws.files(), baseline.error_count)
         assert sorted(snapshot.files) == ["Cargo.toml", "src/main.rs"]
         ws.write("src/main.rs", "fn main() {}\n")

@@ -1,9 +1,10 @@
-"""Golden fixed-clock outputs of benches over the corpus and two large targets.
+"""Golden fixed-clock outputs of benches over the corpus and two large
+targets, and of ``fix`` on each corpus fixture.
 
-Each test reruns a bench over a fixture manifest with the stub detector
-(given by absolute path) and the fixed clock, in a fresh process, and
-compares what it wrote with the files under ``tests/fixtures/golden/`` byte
-for byte. A change meant to keep every output (a refactor, a deletion) is
+Each test reruns a bench over a fixture manifest, or a ``fix`` of one
+corpus fixture, with the stub detector (given by absolute path) and the
+fixed clock, in a fresh process, and compares what it wrote with the files
+under ``tests/fixtures/golden/`` byte for byte. A change meant to keep every output (a refactor, a deletion) is
 checked to keep them. A change that alters outputs on purpose regenerates
 the files and explains the diff in its description. To regenerate, from
 the repository root:
@@ -16,6 +17,7 @@ tests are skipped.
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import subprocess
@@ -36,15 +38,23 @@ GOLDEN_DIR = FIXTURES_DIR / "golden"
 # one region still reported.
 LARGE_MANIFEST = FIXTURES_DIR / "large" / "manifest.jsonl"
 LARGE_RUN = ["--no-kb", "--jobs", "2", "--report", "json", "--max-iterations"]
-# file name stem -> manifest and bench arguments after it; a run works in a
-# directory of its own, where it records its transcript
+CORPUS_MANIFEST = CORPUS_DIR / "manifest.jsonl"
+# file name stem -> the directory the run works in (None: a directory of its
+# own, where a bench records its transcript) and its command line
 RUNS = {
-    "bench_json": (CORPUS_DIR / "manifest.jsonl",
-                   ["--report", "json", "--jobs", "2", "--transcript", "bench_json.transcript.jsonl"]),
-    "bench_no_kb_table": (CORPUS_DIR / "manifest.jsonl", ["--no-kb", "--report", "table", "--jobs", "2"]),
-    "large_budget_20": (LARGE_MANIFEST, [*LARGE_RUN, "20"]),
-    "large_budget_5": (LARGE_MANIFEST, [*LARGE_RUN, "5"]),
+    "bench_json": (None, ["bench", str(CORPUS_MANIFEST),
+                          "--report", "json", "--jobs", "2", "--transcript", "bench_json.transcript.jsonl"]),
+    "bench_no_kb_table": (None, ["bench", str(CORPUS_MANIFEST), "--no-kb", "--report", "table", "--jobs", "2"]),
+    "large_budget_20": (None, ["bench", str(LARGE_MANIFEST), *LARGE_RUN, "20"]),
+    "large_budget_5": (None, ["bench", str(LARGE_MANIFEST), *LARGE_RUN, "5"]),
 }
+# each corpus fixture repaired by `fix`, with its reference bundle when it
+# has one, from the corpus directory, so the report names the target by its
+# path relative to it
+for _line in CORPUS_MANIFEST.read_text(encoding="utf-8").splitlines():
+    _case = json.loads(_line)
+    _reference = ["--reference", _case["reference"]] if "reference" in _case else []
+    RUNS[f"fix_{_case['id']}"] = (CORPUS_DIR, ["fix", _case["path"], "--no-kb", "--report", "json", *_reference])
 
 
 def run_bench(stem: str, work: Path) -> dict[str, bytes]:
@@ -53,10 +63,9 @@ def run_bench(stem: str, work: Path) -> dict[str, bytes]:
     env = dict(os.environ)
     src = str(Path(ubmend.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    manifest, args = RUNS[stem]
-    argv = [sys.executable, "-m", "ubmend.cli", "bench", str(manifest),
-            "--detector-cmd", STUB_DETECTOR_ARG, "--fixed-clock", *args]
-    done = subprocess.run(argv, cwd=work, env=env, capture_output=True, timeout=300)
+    cwd, args = RUNS[stem]
+    argv = [sys.executable, "-m", "ubmend.cli", *args, "--detector-cmd", STUB_DETECTOR_ARG, "--fixed-clock"]
+    done = subprocess.run(argv, cwd=cwd or work, env=env, capture_output=True, timeout=300)
     assert done.returncode == 0, done.stderr.decode(errors="replace")
     outputs = {f"{stem}.out": done.stdout, f"{stem}.err": done.stderr}
     return outputs | {path.name: path.read_bytes() for path in work.iterdir()}

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .classifier import UnsafeRegion, has_safe_api_match
 from .detector import UbKind
 from .errors import AgentFailure, NoGuardExpressible, NoSafeEquivalent, ProviderFailure
-from .fast import STRATEGY_FOR_AGENT, AgentKind
+from .fast import AgentKind
 from .prompts import fill, load_template
 from .provider import FENCE_RE, PromptRecord, Provider
 
@@ -122,7 +122,6 @@ def build_prompt(
         ctx += f"\n\nKnowledge from previous repairs:\n{knowledge}"
     return fill(
         load_template(_TEMPLATE_FOR_AGENT[agent]),
-        strategy=STRATEGY_FOR_AGENT[agent].value,
         instruction=instruction or "(none)",
         errors=errors or "(unclassified)",
         snippet=region.snippet,

@@ -474,7 +474,7 @@ def _content_key(argv: list[str], tool: str, target: TargetPackage) -> str:
 def run_detection(
     target: TargetPackage,
     *,
-    config: DetectorConfig | None = None,
+    config: DetectorConfig,
     clock: Callable[[], float] = time.monotonic,
     memo: CaseMemo,
 ) -> DetectionResult:
@@ -491,7 +491,6 @@ def run_detection(
     one is, with this copy's root put back. An output that already holds
     the text ``{root}`` could not be read back, so that run is not kept.
     """
-    config = config or DetectorConfig()
     root = str(target.root_path)
     entry = target.entry_files[0] if target.entry_files else ""
     argv = render_command(config.command, entry, root)

@@ -2,10 +2,10 @@
 
 ``extract_features`` locates, classifies and maps the affected regions
 without a model call. ``generate_solutions`` then asks the model for plans
-a page at a time: each prompt lists every region's features and code, and
-asks for plans in a line-oriented grammar::
+a page at a time: each prompt lists every region with the fix agents to
+try on it, in order, its UB kinds and its code, and asks for plans in a
+line-oriented grammar of steps::
 
-    SOLUTION <i>:
     STEP <n>: <AGENT> <region-ref> :: <instruction>
 
 Each fix step of a page's first solution may be followed by one fenced
@@ -15,14 +15,17 @@ the plan call; slow thinking puts each block through its agent's gate and
 check, and asks the agent only where a block is missing, stale or refused.
 
 The first page is asked with nothing tried, and asks for one solution: no
-verdict exists yet that a second one could answer, and its prompt has no
-section of tried solutions. A later page is asked only once the session
-has tried every solution before it, and asks for ``PLAN_PAGE``; its
-features are those of the snapshot the next solution starts from, and its
-prompt lists each tried solution's steps with its verdict (the error count
-it ended at against the baseline, the reports left and each step's note),
-so the model proposes solutions not yet tried. Ids and deduplication
-continue across pages, and ``k`` caps the solutions of all pages together.
+verdict exists yet that a second one could answer. Its prompt
+(``plan_first_page.txt``) is in a one-solution grammar, the step lines
+alone, and has no section of tried solutions. A later page is asked only
+once the session has tried every solution before it, and asks for
+``PLAN_PAGE`` (``plan_generation.txt``): each solution opens with a
+``SOLUTION <i>:`` line, numbered on from the tried ones; its features are
+those of the snapshot the next solution starts from, and its prompt lists
+each tried solution's steps with its verdict (the error count it ended at
+against the baseline, the reports left and each step's note), so the
+model proposes solutions not yet tried. Ids and deduplication continue
+across pages, and ``k`` caps the solutions of all pages together.
 
 Parsing is deliberately lenient (junk lines are dropped, duplicate plans
 folded); a fully unparseable answer is retried once and then replaced by
@@ -81,13 +84,12 @@ AGENT_FOR_STRATEGY = {
     FixStrategy.ASSERTION_GUARD: AgentKind.ADD_ASSERTION,
     FixStrategy.SEMANTIC_MODIFICATION: AgentKind.MODIFY_SEMANTICS,
 }
-STRATEGY_FOR_AGENT = {v: k for k, v in AGENT_FOR_STRATEGY.items()}
 FIX_AGENTS = frozenset(AGENT_FOR_STRATEGY.values())
 
 DEFAULT_INSTRUCTION = {
-    FixStrategy.SAFE_ALTERNATIVE: "replace the unsafe operation with the catalogued safe API",
-    FixStrategy.ASSERTION_GUARD: "insert guard assertions before each risky operation",
-    FixStrategy.SEMANTIC_MODIFICATION: "rewrite the region to remove the undefined behavior",
+    AgentKind.SAFE_REPLACE: "replace the unsafe operation with the catalogued safe API",
+    AgentKind.ADD_ASSERTION: "insert guard assertions before each risky operation",
+    AgentKind.MODIFY_SEMANTICS: "rewrite the region to remove the undefined behavior",
 }
 
 _STEP_RE = re.compile(r"^\s*STEP\s+\d+\s*:\s*([A-Za-z]+)\s+(\S+)\s*::\s*(.+?)\s*$")
@@ -262,12 +264,14 @@ def _build_feature(region: UnsafeRegion, ref: str, hits: list[UbReport]) -> Code
 
 
 def _feature_lines(features: list[CodeFeature]) -> str:
+    """Each region's ``FEATURE`` line, naming its strategies by the fix
+    agents the plan grammar names, then its code."""
     lines = []
     for f in features:
-        order = ",".join(s.value for s in strategy_order(f))
+        agents = ",".join(AGENT_FOR_STRATEGY[s].value for s in strategy_order(f))
         ub = ",".join(sorted(k.value for k in f.ub_kinds)) or "unknown"
         ops = ",".join(sorted(k.value for k in f.op_kinds)) or "unclassified"
-        lines.append(f"FEATURE {f.ref} :: strategies={order} :: ub={ub} :: ops={ops}")
+        lines.append(f"FEATURE {f.ref} :: agents={agents} :: ub={ub} :: ops={ops}")
         lines.append(f"```rust\n{f.region.snippet}\n```")
     return "\n".join(lines)
 
@@ -343,28 +347,19 @@ def fallback_solutions(features: list[CodeFeature]) -> list[list[RepairStep]]:
     """One template plan per strategy in the leading feature's order."""
     if not features:
         return []
-    plans = []
-    for strategy in strategy_order(features[0]):
-        plans.append(
-            [
-                RepairStep(
-                    agent=AGENT_FOR_STRATEGY[strategy],
-                    target_region=f.ref,
-                    instruction=DEFAULT_INSTRUCTION[strategy],
-                )
-                for f in features
-            ]
-        )
-    return plans
+    agents = [AGENT_FOR_STRATEGY[strategy] for strategy in strategy_order(features[0])]
+    return [
+        [RepairStep(agent=agent, target_region=f.ref, instruction=DEFAULT_INSTRUCTION[agent])
+         for f in features]
+        for agent in agents
+    ]
 
 
 def _tried_lines(tried: Sequence[tuple[RepairSolution, "ErrorTrace"]]) -> str:
-    """The prompt's section of tried solutions, empty when there is none:
-    each with its verdict, the error count it ended at against the
-    session's baseline (the count the first one started from), each step's
-    note and error count, and the reports left."""
-    if not tried:
-        return ""
+    """The prompt's section of tried solutions: each with its verdict, the
+    error count it ended at against the session's baseline (the count the
+    first one started from), each step's note and error count, and the
+    reports left."""
     baseline = tried[0][1].counts[0]
     lines = ["", "", "Solutions tried so far, each with its verdict:"]
     for solution, trace in tried:
@@ -396,8 +391,10 @@ def generate_solutions(
     """The next page of candidate solutions for ``features``, in the
     provider's preference order: solutions that are neither repeats of each
     other nor of a ``tried`` one, one when nothing is tried and at most
-    ``PLAN_PAGE`` otherwise. A page of one asks for one solution; a page
-    asked with nothing tried sends no section of tried solutions.
+    ``PLAN_PAGE`` otherwise. A page asked with nothing tried is in the
+    one-solution grammar and sends no section of tried solutions; a
+    follow-up page numbers its solutions on from the tried ones, and one of
+    a single solution asks for one solution.
 
     ``tried`` pairs each solution the session has tried with the trace it
     ended on; a tried seed makes the next page a follow-up of
@@ -421,19 +418,20 @@ def generate_solutions(
     count = min(PLAN_PAGE if tried else 1, k - done)
     if count < 1:
         return []
-    request = "one solution" if count == 1 else f"up to {count} solutions"
-    if tried:
-        request += " not yet tried"
-    if count > 1:
-        request += ", most promising first"
-    prompt_text = fill(
-        load_template("plan_generation.txt"),
-        request=request,
-        count=str(count),
-        first=str(done + 1),
-        features=_feature_lines(features),
-        tried=_tried_lines(tried),
-    )
+    if not tried:
+        prompt_text = fill(load_template("plan_first_page.txt"), features=_feature_lines(features))
+    else:
+        prompt_text = fill(
+            load_template("plan_generation.txt"),
+            request=(
+                "one solution not yet tried"
+                if count == 1
+                else f"up to {count} solutions not yet tried, most promising first"
+            ),
+            first=str(done + 1),
+            features=_feature_lines(features),
+            tried=_tried_lines(tried),
+        )
     shown = {f.ref: f.region.snippet for f in features}
     prompts = [PromptRecord.user(prompt_text)]
     plans = parse_plan(provider.complete(prompts[0]), shown)

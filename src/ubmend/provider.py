@@ -20,7 +20,6 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .classifier import FixStrategy
 from .detector import CaseMemo, MemoEntry
 from .errors import HttpFailure, ProviderFailure, ReplayMiss, StorageFailure, TokenOverflow
 from .kb import _read_jsonl
@@ -31,7 +30,7 @@ API_BASE_ENV = "RUSTBRAIN_API_BASE"
 # the live backend refuses a prompt estimated above this many tokens
 MAX_PROMPT_TOKENS = 16000
 
-# Phrases the shipped prompt templates open with; the scripted mock keys its
+# Phrases the shipped prompt templates hold; the scripted mock keys its
 # behavior off them so it stays in sync with data/prompts/*.txt.
 MARKER_PLAN = "Propose repair plans"
 MARKER_FIX = "Return the full revised region in one fenced code block."
@@ -230,7 +229,7 @@ class ScriptedMockProvider(Provider):
 
     Custom ``rules`` (substring -> response) win over the defaults, which
     cover the shipped templates: plans in the STEP grammar, rotating through
-    each region's strategies (a follow-up page goes on from the number its
+    each region's agents (a follow-up page goes on from the number its
     prompt starts at), and fix responses that echo the snippet with a
     scripted edit applied. A plan's first solution carries, after each fix
     step, the code of the mock's own answer to that step's fix prompt.
@@ -261,39 +260,44 @@ class ScriptedMockProvider(Provider):
         return m.group(1)
 
     def _plan(self, text: str) -> str:
-        """The solutions numbered from the prompt's first, as many as it
-        requests, of one rotation: the i-th (from 0) takes each region's
-        ``i % 3``-th strategy, and every second group of three (solutions
-        4-6, 10-12, ...) opens with a Reason step. The prompt does not say
-        whether knowledge is on; a run without a knowledge base passes over
-        the Reason step. Each fix step of the first solution is followed by
-        the code block of ``_step_code``, when it gives one."""
+        """The solutions numbered from the prompt's first, as many as its
+        request sentence asks for, of one rotation: the i-th (from 0) takes
+        each region's ``i % 3``-th agent, and every second group of three
+        (solutions 4-6, 10-12, ...) opens with a Reason step. A prompt that
+        numbers no solutions is in the one-solution grammar: no ``SOLUTION``
+        line, counted from the first. The prompt does not say whether
+        knowledge is on; a run without a knowledge base passes over the
+        Reason step. Each fix step of the first solution is followed by the
+        code block of ``_step_code``, when it gives one. ProviderFailure when
+        the request names no count."""
         features = re.findall(
-            r"^FEATURE (\S+) :: strategies=(\S+) :: ub=(\S+) :: \S+\n```rust\n(.*?)\n```$",
+            r"^FEATURE (\S+) :: agents=(\S+) :: ub=(\S+) :: \S+\n```rust\n(.*?)\n```$",
             text,
             flags=re.MULTILINE | re.DOTALL,
         )
         # fast imports this module
-        from .fast import AGENT_FOR_STRATEGY, DEFAULT_INSTRUCTION, DEFAULT_SOLUTION_COUNT
+        from .fast import DEFAULT_INSTRUCTION, AgentKind
 
-        m = re.search(r"solutions requested: (\d+)", text)
-        k = int(m.group(1)) if m else DEFAULT_SOLUTION_COUNT
-        m = re.search(r"numbered from (\d+)", text)
-        first = int(m.group(1)) - 1 if m else 0
+        m = re.search(r"Produce\s+(?:one solution|up to (\d+) solutions)", text)
+        if m is None:
+            raise ProviderFailure("mock plan prompt requests no count of solutions")
+        k = int(m.group(1) or 1)
+        numbered = re.search(r"numbered\s+from\s+(\d+)", text)
+        first = int(numbered.group(1)) - 1 if numbered else 0
         out: list[str] = []
         for i in range(first, first + k):
             rot = i % 3
             with_reason = (i // 3) % 2 == 1
-            out.append(f"SOLUTION {i + 1}:")
+            if numbered:
+                out.append(f"SOLUTION {i + 1}:")
             step_no = 1
-            for ref, strategies, ub, snippet in features:
-                order = strategies.split(",")
-                strategy = FixStrategy(order[rot % len(order)])
-                agent = AGENT_FOR_STRATEGY[strategy]
+            for ref, agents, ub, snippet in features:
+                order = agents.split(",")
+                agent = AgentKind(order[rot % len(order)])
                 if with_reason and step_no == 1:
                     out.append(f"STEP {step_no}: Reason {ref} :: consult prior fixes for similar regions")
                     step_no += 1
-                instruction = DEFAULT_INSTRUCTION[strategy]
+                instruction = DEFAULT_INSTRUCTION[agent]
                 out.append(f"STEP {step_no}: {agent.value} {ref} :: {instruction}")
                 step_no += 1
                 code = self._step_code(agent, ref, ub, snippet, instruction) if i == first else None
@@ -321,12 +325,21 @@ class ScriptedMockProvider(Provider):
         return m.group(1).rstrip("\n")
 
     def _fix(self, text: str) -> str:
+        """The agent's answer, told apart by the abstention marker its
+        template holds: SafeReplace and AddAssertion have one each,
+        ModifySemantics none."""
+        # agents imports this module
+        from .agents import _ABSTENTION
+        from .fast import AgentKind
+
+        no_safe, _ = _ABSTENTION[AgentKind.SAFE_REPLACE]
+        no_guard, _ = _ABSTENTION[AgentKind.ADD_ASSERTION]
         snippet = self._snippet(text)
-        if "Strategy: SafeAlternative" in text:
+        if no_safe in text:
             edited = self._safe_edit(snippet)
             if edited is None:
-                return "NO SAFE EQUIVALENT"
-        elif "Strategy: AssertionGuard" in text:
+                return no_safe
+        elif no_guard in text:
             edited = self._guard_edit(snippet)
         else:
             edited = "\n".join(

@@ -165,10 +165,12 @@ class SessionConfig:
     itself reads the rest. ``memo``, made by ``cli`` for the run, holds the
     detections, model answers and reference verdicts already paid for; runs
     that share it (a bench case's two runs) reuse each other's work.
+    ``detector``, the detection tool's settings, ``cli`` passes from its
+    options.
     """
 
     memo: CaseMemo
-    detector: DetectorConfig = field(default_factory=DetectorConfig)
+    detector: DetectorConfig
     solutions_k: int = DEFAULT_SOLUTION_COUNT
     budget: int = DEFAULT_BUDGET
     kb_enabled: bool = True

@@ -25,7 +25,7 @@ from conftest import (
     stub_detector_config,
 )
 from ubmend import agents, cli
-from ubmend.detector import CaseMemo, TargetPackage, UbKind, run_detection
+from ubmend.detector import CaseMemo, DetectorConfig, TargetPackage, UbKind, run_detection
 from ubmend.feedback import EvalTriplet, ExperienceRecord, FeedbackEngine, ReferenceBundle
 from ubmend.kb import VECTOR_DIMS, FeatureVector, KnowledgeEntry, extract_ast, feature_vector, prune, vectorize
 from ubmend.lexutil import estimate_tokens, mask_comments_and_strings
@@ -43,7 +43,7 @@ def _params(fn) -> list[str]:
 def test_repair_one_signature_and_settings():
     assert _params(cli.repair_one) == ["target", "provider", "engine", "settings", "reference"]
     assert "kb_enabled" in {f.name for f in SessionConfig.__dataclass_fields__.values()}
-    assert SessionConfig(memo=CaseMemo(), kb_enabled=False).kb_enabled is False
+    assert SessionConfig(memo=CaseMemo(), detector=DetectorConfig(), kb_enabled=False).kb_enabled is False
 
 
 @pytest.mark.parametrize(

@@ -227,7 +227,7 @@ def test_plan_prompt_holds_each_region_snippet_once_in_feature_order(tmp_path):
     (prompt,) = prompts
     snippets = ["unsafe { one() }", "unsafe { two() }", 'unsafe { println!("{errors}") }']
     assert [prompt.count(s) for s in snippets] == [1, 1, 1]
-    regions = prompt.split("and code:\n", 1)[1].split("\n\nSolutions tried", 1)[0].splitlines()
+    regions = prompt.split("Regions under repair:\n", 1)[1].split("\n\nSolutions tried", 1)[0].splitlines()
     assert [line.split(" ::")[0] for line in regions[::4]] == [
         "FEATURE main.rs#0", "FEATURE main.rs#1", "FEATURE main.rs#2",
     ]
@@ -265,8 +265,10 @@ def test_a_page_with_nothing_tried_asks_for_one_solution():
     sols = generate_solutions([_feature()], k=10, provider=provider)
     assert [(s.id, s.steps[0].instruction) for s in sols] == [("s01", "variant 1")]
     (prompt,) = prompts
-    assert "solutions requested: 1\n" in prompt and "numbered from 1." in prompt
-    assert "Produce one solution, numbered from 1." in " ".join(prompt.split())
+    # the one-solution grammar: step lines alone, neither numbered nor counted twice
+    assert "Produce one solution in exactly this grammar" in " ".join(prompt.split())
+    assert "SOLUTION <i>" not in prompt and "numbered from" not in prompt
+    assert "solutions requested" not in prompt and "first solution only" not in prompt
     # nothing was tried: the prompt ends on the regions, with no tried section
     assert prompt.endswith("```\n") and "tried" not in prompt.lower()
 
@@ -276,7 +278,7 @@ def test_a_follow_up_page_asks_for_a_full_page_after_the_first():
     prompts = _spied(provider)
     first = generate_solutions([_feature()], k=10, provider=provider)
     second = generate_solutions([_feature()], k=10, provider=provider, tried=_tried(first))
-    assert "solutions requested: 3\n" in prompts[1] and "numbered from 2." in prompts[1]
+    assert "SOLUTION <i>:" in prompts[1] and "solutions requested" not in prompts[1]
     assert (
         "Produce up to 3 solutions not yet tried, most promising first, numbered from 2."
         in " ".join(prompts[1].split())
@@ -294,7 +296,7 @@ def test_a_follow_up_page_of_one_under_the_cap_asks_for_one_solution_not_yet_tri
     first = generate_solutions([_feature()], k=2, provider=provider)
     second = generate_solutions([_feature()], k=2, provider=provider, tried=_tried(first))
     assert [s.id for s in second] == ["s02"]
-    assert "solutions requested: 1\n" in prompts[1]
+    assert "SOLUTION <i>:" in prompts[1] and "solutions requested" not in prompts[1]
     assert "Produce one solution not yet tried, numbered from 2." in " ".join(prompts[1].split())
     assert "TRIED s01" in prompts[1]
 

@@ -4,10 +4,10 @@ targets, and of ``fix`` on each corpus fixture.
 Each test reruns a bench over a fixture manifest, or a ``fix`` of one
 corpus fixture, with the stub detector (given by absolute path) and the
 fixed clock, in a fresh process, and compares what it wrote with the files
-under ``tests/fixtures/golden/`` byte for byte. A change meant to keep every output (a refactor, a deletion) is
-checked to keep them. A change that alters outputs on purpose regenerates
-the files and explains the diff in its description. To regenerate, from
-the repository root:
+under ``tests/fixtures/golden/`` byte for byte. A change meant to keep
+every output (a refactor, a deletion) is checked to keep them. A change
+that alters outputs on purpose regenerates the files and explains the
+diff in its description. To regenerate, from the repository root:
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 
@@ -48,13 +48,20 @@ RUNS = {
     "large_budget_20": (None, ["bench", str(LARGE_MANIFEST), *LARGE_RUN, "20"]),
     "large_budget_5": (None, ["bench", str(LARGE_MANIFEST), *LARGE_RUN, "5"]),
 }
-# each corpus fixture repaired by `fix`, with its reference bundle when it
-# has one, from the corpus directory, so the report names the target by its
-# path relative to it
-for _line in CORPUS_MANIFEST.read_text(encoding="utf-8").splitlines():
-    _case = json.loads(_line)
-    _reference = ["--reference", _case["reference"]] if "reference" in _case else []
-    RUNS[f"fix_{_case['id']}"] = (CORPUS_DIR, ["fix", _case["path"], "--no-kb", "--report", "json", *_reference])
+
+
+def _fix_run(case: dict) -> tuple[Path, list[str]]:
+    """``fix`` of one corpus fixture, with its reference bundle when it has
+    one, run from the corpus directory so that the report names the target
+    by its path relative to it."""
+    reference = ["--reference", case["reference"]] if "reference" in case else []
+    return CORPUS_DIR, ["fix", case["path"], "--no-kb", "--report", "json", *reference]
+
+
+RUNS |= {
+    f"fix_{case['id']}": _fix_run(case)
+    for case in map(json.loads, CORPUS_MANIFEST.read_text(encoding="utf-8").splitlines())
+}
 
 
 def run_bench(stem: str, work: Path) -> dict[str, bytes]:

@@ -428,17 +428,15 @@ def test_live_provider_requires_key(monkeypatch):
 
 # --- scripted mock behavior ---
 
-PLAN_PROMPT = """Propose repair plans for the undefined behavior described below. Produce up
-to 3 alternative solutions, most promising first. Use exactly this
+PLAN_PROMPT = """Propose repair plans for the undefined behavior described below. Produce
+up to 3 solutions, most promising first, numbered from 1. Use exactly this
 grammar, one step per line, and nothing else:
 
 SOLUTION <i>:
 STEP <n>: <AGENT> <region-ref> :: <instruction>
 
-solutions requested: 3
-
-Regions under repair, each with its strategy order, UB kinds and code:
-FEATURE main.rs#0 :: strategies=SemanticModification,SafeAlternative,AssertionGuard :: ub=stack_borrow :: ops=raw_pointer_deref
+Regions under repair:
+FEATURE main.rs#0 :: agents=ModifySemantics,SafeReplace,AddAssertion :: ub=stack_borrow :: ops=raw_pointer_deref
 ```rust
 unsafe { *p = 1; }
 ```
@@ -452,6 +450,20 @@ def test_mock_plan_parses_and_respects_count():
     assert 1 <= len(plans) <= 3
     refs = {step.target_region for plan in plans for step in plan}
     assert refs == {"main.rs#0"}
+
+
+def test_mock_plan_in_the_one_solution_grammar_writes_steps_alone():
+    prompt = PLAN_PROMPT.replace("up to 3 solutions, most promising first, numbered from 1.", "one solution.")
+    text = _mock().complete(PromptRecord.user(prompt.replace("SOLUTION <i>:\n", "")))
+    assert not re.search(r"^SOLUTION", text, flags=re.MULTILINE)
+    assert text.startswith("STEP 1: ModifySemantics main.rs#0 :: ")
+    assert [len(plan) for plan in parse_plan(text, {})] == [1]
+
+
+def test_a_mock_plan_prompt_whose_request_names_no_count_is_a_provider_failure():
+    prompt = PLAN_PROMPT.replace("up to 3 solutions", "alternative solutions")
+    with pytest.raises(ProviderFailure, match="requests no count"):
+        _mock().complete(PromptRecord.user(prompt))
 
 
 def test_mock_plan_deterministic():

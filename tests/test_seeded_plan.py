@@ -93,7 +93,6 @@ def eager_solutions(features, k, provider):
     prompt = PromptRecord.user(fill(
         load_template("plan_generation.txt"),
         request=f"up to {k} solutions, most promising first",
-        count=str(k),
         first="1",
         features=fast._feature_lines(features),
         tried="",
@@ -227,7 +226,7 @@ def _strip(value):
 
 
 def _is_plan_answer(line: dict) -> bool:
-    return bool(re.match(r"SOLUTION \d+:", line.get("tool_result", {}).get("answer", "")))
+    return bool(re.match(r"(SOLUTION|STEP) \d+:", line.get("tool_result", {}).get("answer", "")))
 
 
 def _fix(tmp: Path, fixture: str, lines: list[str], repair, monkeypatch, capsys):
@@ -429,6 +428,12 @@ def _plans(prompts: list[str]) -> list[str]:
     return [p for p in prompts if MARKER_PLAN in p]
 
 
+def _requested(page: str) -> int:
+    """How many solutions a plan page's request sentence asks for."""
+    m = re.search(r"Produce\s+(?:one solution|up to (\d+) solutions)", page)
+    return int(m.group(1) or 1)
+
+
 def test_a_follow_up_page_carries_the_verdicts_and_continues_the_rotation(spy, monkeypatch):
     drawn = _drawing(monkeypatch)
     path = CORPUS_DIR / "stack_borrow" / "main.rs"
@@ -438,9 +443,9 @@ def test_a_follow_up_page_carries_the_verdicts_and_continues_the_rotation(spy, m
     )
     assert outcome.verdict is Verdict.FAILED
     first, second, third, fourth = _plans(spy)
-    assert "numbered from 1." in first and "Solutions tried so far" not in first
-    assert "solutions requested: 1" in first
-    assert "numbered from 2." in second and "solutions requested: 3" in second
+    assert "numbered from" not in first and "Solutions tried so far" not in first
+    assert "Produce one solution in" in " ".join(first.split())
+    assert "numbered from 2." in second and "up to 3 solutions not yet tried" in " ".join(second.split())
     assert "TRIED s01: ended at 1 errors, baseline 1" in second
     # the step abstained, at the fix prompt
     assert second.count("=> skipped: ") == second.count("; errors 1") == 1
@@ -513,7 +518,7 @@ def test_solutions_cap_the_pages_asked(spy):
         cli.repair_one(
             TargetPackage.from_path(path), _abstaining(ProviderConfig()), FeedbackEngine(), settings
         )
-        asked.append([int(p.split("solutions requested: ")[1].split("\n")[0]) for p in _plans(spy)])
+        asked.append([_requested(p) for p in _plans(spy)])
     # one solution asks exactly one page; three ask the first, then two more
     assert asked == [[1], [1, 2]]
 
@@ -523,7 +528,7 @@ def test_a_seed_kept_first_that_fails_gets_a_follow_up_page(spy):
     # carries its verdict and asks for a full page, not for one solution
     assert _asked(cli.repair_one, "stack_borrow", FAILING) is Verdict.PASS
     (page,) = _plans(spy)
-    assert "solutions requested: 3" in page and "numbered from 1." in page
+    assert _requested(page) == 3 and "numbered from 1." in page
     assert "TRIED s00: ended at 1 errors, baseline 1" in page
 
 
@@ -594,7 +599,7 @@ def test_a_follow_up_page_shows_only_what_the_best_snapshot_still_reports(spy, m
     assert len(prompts) == len(pages) >= 3
     (traces,) = ended
     for n, (prompt, (lines, reported)) in enumerate(zip(prompts, pages)):
-        shown = prompt.split("and code:\n", 1)[1].split("\n\nSolutions tried so far", 1)[0]
+        shown = prompt.split("Regions under repair:\n", 1)[1].split("\n\nSolutions tried so far", 1)[0]
         assert shown.rstrip("\n") == lines
         if n:
             # the best snapshot: no solution tried so far ended lower

@@ -1,10 +1,10 @@
-"""Golden fixed-clock outputs of benches over the corpus and two large
+"""Golden fixed-clock outputs of benches over the corpus and the large
 targets, and of ``fix`` on each corpus fixture.
 
-Each test reruns a bench over a fixture manifest, or a ``fix`` of one
-corpus fixture, with the stub detector (given by absolute path) and the
-fixed clock, in a fresh process, and compares what it wrote with the files
-under ``tests/fixtures/golden/`` byte for byte. A change meant to keep
+Each test reruns a bench over a fixture manifest or a generated one, or a
+``fix`` of one corpus fixture, with the stub detector (given by absolute
+path) and the fixed clock, in a fresh process, and compares what it wrote
+with the files under ``tests/fixtures/golden/`` byte for byte. A change meant to keep
 every output (a refactor, a deletion) is checked to keep them. A change
 that alters outputs on purpose regenerates the files and explains the
 diff in its description. To regenerate, from the repository root:
@@ -17,6 +17,8 @@ tests are skipped.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import json
 import os
 import shutil
@@ -28,7 +30,7 @@ from pathlib import Path
 import pytest
 
 import ubmend
-from conftest import CORPUS_DIR, FIXTURES_DIR, STUB_DETECTOR_ARG
+from conftest import CORPUS_DIR, FIXTURES_DIR, PERFBENCH_DIR, STUB_DETECTOR_ARG
 
 GOLDEN_DIR = FIXTURES_DIR / "golden"
 # Seed-1 t00 (4 unsafe regions) and t01 (6) of perfbench's large-target
@@ -63,10 +65,35 @@ RUNS |= {
     for case in map(json.loads, CORPUS_MANIFEST.read_text(encoding="utf-8").splitlines())
 }
 
+# All 7 large targets of seeds 1-3, as perfbench's large-target workload
+# (budget 20) and CI's default-budget gate (budget 5) run them: built at
+# test time by ``perfbench/gen.py`` under the run's directory, so these
+# goldens follow the generator; run stem -> (seed, budget)
+GENERATED = {f"large_seed{seed}_budget_{budget}": (seed, budget) for seed in (1, 2, 3) for budget in (20, 5)}
+RUNS |= {
+    stem: (None, ["bench", "targets/manifest.jsonl", *LARGE_RUN, str(budget)])
+    for stem, (_, budget) in GENERATED.items()
+}
+
+
+@functools.cache
+def _perfbench_gen():
+    """``perfbench/gen.py`` loaded as a module, as the benchmark harness loads it."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH_DIR / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # its dataclasses look it up
+    spec.loader.exec_module(gen)
+    return gen
+
 
 def run_bench(stem: str, work: Path) -> dict[str, bytes]:
     """The stdout and stderr of run ``stem`` and the files it wrote in
-    ``work``, by golden file name; the run must exit 0."""
+    ``work``, by golden file name; the run must exit 0. A generated
+    manifest's targets are written under ``work/targets``, which holds no
+    output."""
+    if stem in GENERATED:
+        gen, root = _perfbench_gen(), work / "targets"
+        gen.write_manifest(root / "manifest.jsonl", gen.large_cases(GENERATED[stem][0], root))
     env = dict(os.environ)
     src = str(Path(ubmend.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -75,7 +102,7 @@ def run_bench(stem: str, work: Path) -> dict[str, bytes]:
     done = subprocess.run(argv, cwd=cwd or work, env=env, capture_output=True, timeout=300)
     assert done.returncode == 0, done.stderr.decode(errors="replace")
     outputs = {f"{stem}.out": done.stdout, f"{stem}.err": done.stderr}
-    return outputs | {path.name: path.read_bytes() for path in work.iterdir()}
+    return outputs | {path.name: path.read_bytes() for path in work.iterdir() if path.is_file()}
 
 
 @pytest.mark.skipif(shutil.which("rustc") is None, reason="rustc not on PATH")

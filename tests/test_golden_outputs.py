@@ -37,7 +37,8 @@ GOLDEN_DIR = FIXTURES_DIR / "golden"
 # workload, copied so that a change to its generator changes no test. At
 # budget 5, t01's first solution replays a failed batch and runs out of
 # budget; a follow-up plan page, with its tried-solution lines, plans the
-# one region still reported.
+# one region still reported. Its transcript is the one golden that holds a
+# follow-up page's text, not only its tokens.
 LARGE_MANIFEST = FIXTURES_DIR / "large" / "manifest.jsonl"
 LARGE_RUN = ["--no-kb", "--jobs", "2", "--report", "json", "--max-iterations"]
 CORPUS_MANIFEST = CORPUS_DIR / "manifest.jsonl"
@@ -48,7 +49,8 @@ RUNS = {
                           "--report", "json", "--jobs", "2", "--transcript", "bench_json.transcript.jsonl"]),
     "bench_no_kb_table": (None, ["bench", str(CORPUS_MANIFEST), "--no-kb", "--report", "table", "--jobs", "2"]),
     "large_budget_20": (None, ["bench", str(LARGE_MANIFEST), *LARGE_RUN, "20"]),
-    "large_budget_5": (None, ["bench", str(LARGE_MANIFEST), *LARGE_RUN, "5"]),
+    "large_budget_5": (None, ["bench", str(LARGE_MANIFEST), *LARGE_RUN, "5",
+                              "--transcript", "large_budget_5.transcript.jsonl"]),
 }
 
 

@@ -14,10 +14,9 @@ import logging
 import re
 from dataclasses import dataclass, field
 
-from .classifier import UnsafeRegion, has_safe_api_match
+from .classifier import AgentKind, UnsafeRegion, has_safe_api_match
 from .detector import UbKind
 from .errors import AgentFailure, NoGuardExpressible, NoSafeEquivalent, ProviderFailure
-from .fast import AgentKind
 from .prompts import fill, load_template
 from .provider import FENCE_RE, PromptRecord, Provider
 

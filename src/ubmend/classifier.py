@@ -1,12 +1,13 @@
-"""Locates unsafe regions and maps them to fix strategies.
+"""Locates unsafe regions and orders the fix agents to try on each.
 
 Region location is lexical plus bracket matching, not semantic analysis:
 good enough for code the compiler rejects, cheap enough to re-run after
 every patch. Operation classification covers the five reasons a region
-needs ``unsafe`` at all. Strategy ordering puts SafeAlternative where the
-safe-API catalogue's gate says, and the other two by a shipped policy
-table (``data/strategy_policy.tsv``) keyed by UB kind. The table is read
-once per process from that file; editing the file is how it is extended.
+needs ``unsafe`` at all. ``agent_order`` puts SafeReplace where the
+safe-API catalogue's gate says, and the other two fix agents by a shipped
+policy table (``data/strategy_policy.tsv``) keyed by UB kind. The table is
+read once per process from that file; editing the file is how it is
+extended.
 """
 from __future__ import annotations
 
@@ -34,10 +35,16 @@ class UnsafeOpKind(str, Enum):
     UNION_FIELD_ACCESS = "union_field_access"
 
 
-class FixStrategy(str, Enum):
-    SAFE_ALTERNATIVE = "SafeAlternative"
-    ASSERTION_GUARD = "AssertionGuard"
-    SEMANTIC_MODIFICATION = "SemanticModification"
+class AgentKind(str, Enum):
+    SAFE_REPLACE = "SafeReplace"
+    ADD_ASSERTION = "AddAssertion"
+    MODIFY_SEMANTICS = "ModifySemantics"
+    REASON = "Reason"
+    ROLLBACK = "Rollback"
+
+
+# the agents that patch a region, which a policy row orders
+FIX_AGENTS = frozenset({AgentKind.SAFE_REPLACE, AgentKind.ADD_ASSERTION, AgentKind.MODIFY_SEMANTICS})
 
 
 @dataclass
@@ -211,7 +218,7 @@ def classify_ops(region: UnsafeRegion) -> frozenset[UnsafeOpKind]:
     """The unsafe-operation kinds a region exhibits, lexically determined.
 
     Raises Unclassifiable when no pattern matches; callers treat that as a
-    semantic-modification-first region rather than a crash.
+    ModifySemantics-first region rather than a crash.
     """
     masked = mask_comments_and_strings(region.snippet)
     context = region.enclosing_context
@@ -260,53 +267,57 @@ def has_safe_api_match(snippet: str) -> bool:
     return any(pattern.search(code) for pattern in SAFE_API_CATALOGUE)
 
 
-def gate_safe_alternative(order: list[FixStrategy], snippet: str) -> list[FixStrategy]:
-    """``order`` with SafeAlternative first when the catalogue knows a safe
+def gate_safe_replace(order: list[AgentKind], snippet: str) -> list[AgentKind]:
+    """``order`` with SafeReplace first when the catalogue knows a safe
     counterpart for ``snippet``, else last: without one the safe_replace
     agent refuses before asking the model, so a plan led by it cannot act."""
-    rest = [s for s in order if s is not FixStrategy.SAFE_ALTERNATIVE]
+    rest = [a for a in order if a is not AgentKind.SAFE_REPLACE]
     if has_safe_api_match(snippet):
-        return [FixStrategy.SAFE_ALTERNATIVE, *rest]
-    return [*rest, FixStrategy.SAFE_ALTERNATIVE]
+        return [AgentKind.SAFE_REPLACE, *rest]
+    return [*rest, AgentKind.SAFE_REPLACE]
 
 
 @functools.cache
-def load_policy_table() -> dict[str, list[FixStrategy]]:
-    """Parse the ``<ub_kind>\\t<strategy,strategy,strategy>`` policy table;
-    read once per process from the shipped ``data/strategy_policy.tsv``."""
+def load_policy_table() -> dict[str, list[AgentKind]]:
+    """Parse the ``<ub_kind>\\t<agent,agent,agent>`` policy table; read once
+    per process from the shipped ``data/strategy_policy.tsv``. A row that is
+    not a permutation of the fix agents is a ValueError naming its line."""
     text = (resources.files("ubmend") / "data/strategy_policy.tsv").read_text("utf-8")
-    table: dict[str, list[FixStrategy]] = {}
+    fix_agents = sorted(a.value for a in FIX_AGENTS)
+    table: dict[str, list[AgentKind]] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.rstrip()
         if not line or line.startswith("#"):
             continue
         key, _, order = line.partition("\t")
-        strategies = [FixStrategy(tok.strip()) for tok in order.split(",")]
-        if sorted(s.value for s in strategies) != sorted(s.value for s in FixStrategy):
-            raise ValueError(f"policy row {lineno} must permute all three strategies")
-        table[key.strip()] = strategies
+        names = [tok.strip() for tok in order.split(",")]
+        if sorted(names) != fix_agents:
+            raise ValueError(f"policy row {lineno} must permute the fix agents, not {order!r}")
+        table[key.strip()] = [AgentKind(name) for name in names]
     if "default" not in table:
         raise ValueError("policy table needs a 'default' row")
     return table
 
 
-def map_strategies(feature: CodeFeature) -> list[FixStrategy]:
-    """Ordered permutation of all three strategies for one feature.
+def agent_order(feature: CodeFeature) -> list[AgentKind]:
+    """The three fix agents in the order to try them on one feature's region.
 
-    The catalogue gate places SafeAlternative (``gate_safe_alternative``);
-    the policy rows order the other two, merged for several UB kinds by the
-    sum of each strategy's positions, SafeAlternative's slot included.
+    A region no operation pattern classifies goes ModifySemantics first,
+    then SafeReplace ahead of AddAssertion only on a catalogue match.
+    Otherwise the catalogue gate places SafeReplace (``gate_safe_replace``)
+    and the policy rows order the other two: the rows of the region's UB
+    kinds merge by the sum of each agent's positions, SafeReplace's slot
+    included, and the ``default`` row, which alone orders a region of no UB
+    kind, breaks ties.
     """
+    snippet = feature.region.snippet
+    if not feature.op_kinds:
+        return [AgentKind.MODIFY_SEMANTICS, *gate_safe_replace([AgentKind.ADD_ASSERTION], snippet)]
     policy = load_policy_table()
-    kinds = sorted(k.value for k in feature.ub_kinds)
-    if not kinds:
-        order = list(policy["default"])
-    else:
-        rank: dict[FixStrategy, int] = {s: 0 for s in FixStrategy}
-        for kind in kinds:
-            row = policy.get(kind, policy["default"])
-            for pos, strategy in enumerate(row):
-                rank[strategy] += pos
-        default_pos = {s: i for i, s in enumerate(policy["default"])}
-        order = sorted(FixStrategy, key=lambda s: (rank[s], default_pos[s]))
-    return gate_safe_alternative(order, feature.region.snippet)
+    rank = dict.fromkeys(FIX_AGENTS, 0)
+    for kind in feature.ub_kinds:
+        for pos, agent in enumerate(policy.get(kind.value, policy["default"])):
+            rank[agent] += pos
+    default_pos = {agent: pos for pos, agent in enumerate(policy["default"])}
+    order = sorted(FIX_AGENTS, key=lambda agent: (rank[agent], default_pos[agent]))
+    return gate_safe_replace(order, snippet)

@@ -502,7 +502,8 @@ def run_detection(
         return _read_output(argv, root, known.fields["exit_status"], output, known.wall_time)
     started = clock()
     try:
-        proc = run_group(argv, config.timeout, cwd=target.root_path, text=True)
+        # Miri passes the program's stdout through, which may be any bytes
+        proc = run_group(argv, config.timeout, cwd=target.root_path, encoding="utf-8", errors="replace")
     except FileNotFoundError as exc:
         raise ToolMissing(f"detection tool not found: {argv[0]}") from exc
     except subprocess.TimeoutExpired as exc:

@@ -3,8 +3,8 @@
 ``extract_features`` locates, classifies and maps the affected regions
 without a model call. ``generate_solutions`` then asks the model for plans
 a page at a time: each prompt lists every region with the fix agents to
-try on it, in order, its UB kinds and its code, and asks for plans in a
-line-oriented grammar of steps::
+try on it, in the order ``classifier.agent_order`` gives, its UB kinds
+and its code, and asks for plans in a line-oriented grammar of steps::
 
     STEP <n>: <AGENT> <region-ref> :: <instruction>
 
@@ -29,7 +29,7 @@ across pages, and ``k`` caps the solutions of all pages together.
 
 Parsing is deliberately lenient (junk lines are dropped, duplicate plans
 folded); a fully unparseable answer is retried once and then replaced by
-template plans, one per leading strategy.
+template plans, one per fix agent in the leading region's order.
 """
 from __future__ import annotations
 
@@ -40,13 +40,13 @@ from enum import Enum
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .classifier import (
+    FIX_AGENTS,
+    AgentKind,
     CodeFeature,
-    FixStrategy,
     UnsafeRegion,
+    agent_order,
     classify_ops,
-    gate_safe_alternative,
     locate_unsafe_regions,
-    map_strategies,
 )
 from .detector import TargetPackage, UbReport
 from .errors import Unclassifiable
@@ -61,16 +61,8 @@ log = logging.getLogger(__name__)
 
 DEFAULT_SOLUTION_COUNT = 10
 # solutions asked for per plan prompt once a solution has been tried: one
-# per fix strategy; the page asked with nothing tried asks for one
+# per fix agent; the page asked with nothing tried asks for one
 PLAN_PAGE = 3
-
-
-class AgentKind(str, Enum):
-    SAFE_REPLACE = "SafeReplace"
-    ADD_ASSERTION = "AddAssertion"
-    MODIFY_SEMANTICS = "ModifySemantics"
-    REASON = "Reason"
-    ROLLBACK = "Rollback"
 
 
 class Provenance(str, Enum):
@@ -78,13 +70,6 @@ class Provenance(str, Enum):
     FEEDBACK_RANKED = "feedback_ranked"
     KNOWLEDGE_SEEDED = "knowledge_seeded"
 
-
-AGENT_FOR_STRATEGY = {
-    FixStrategy.SAFE_ALTERNATIVE: AgentKind.SAFE_REPLACE,
-    FixStrategy.ASSERTION_GUARD: AgentKind.ADD_ASSERTION,
-    FixStrategy.SEMANTIC_MODIFICATION: AgentKind.MODIFY_SEMANTICS,
-}
-FIX_AGENTS = frozenset(AGENT_FOR_STRATEGY.values())
 
 DEFAULT_INSTRUCTION = {
     AgentKind.SAFE_REPLACE: "replace the unsafe operation with the catalogued safe API",
@@ -160,16 +145,6 @@ def normalize_steps(steps: list[RepairStep]) -> tuple:
         (s.agent.value, s.target_region, " ".join(s.instruction.split()).lower())
         for s in steps
     )
-
-
-def strategy_order(feature: CodeFeature) -> list[FixStrategy]:
-    """map_strategies, except unclassifiable regions go semantics-first,
-    then SafeAlternative ahead of AssertionGuard only when the catalogue
-    gate passes."""
-    if not feature.op_kinds:
-        rest = [FixStrategy.SAFE_ALTERNATIVE, FixStrategy.ASSERTION_GUARD]
-        return [FixStrategy.SEMANTIC_MODIFICATION, *gate_safe_alternative(rest, feature.region.snippet)]
-    return map_strategies(feature)
 
 
 def _named_file(report_file: str, entry_files: Sequence[str]) -> str | None:
@@ -264,11 +239,11 @@ def _build_feature(region: UnsafeRegion, ref: str, hits: list[UbReport]) -> Code
 
 
 def _feature_lines(features: list[CodeFeature]) -> str:
-    """Each region's ``FEATURE`` line, naming its strategies by the fix
-    agents the plan grammar names, then its code."""
+    """Each region's ``FEATURE`` line, with the fix agents to try on it in
+    order, then its code."""
     lines = []
     for f in features:
-        agents = ",".join(AGENT_FOR_STRATEGY[s].value for s in strategy_order(f))
+        agents = ",".join(agent.value for agent in agent_order(f))
         ub = ",".join(sorted(k.value for k in f.ub_kinds)) or "unknown"
         ops = ",".join(sorted(k.value for k in f.op_kinds)) or "unclassified"
         lines.append(f"FEATURE {f.ref} :: agents={agents} :: ub={ub} :: ops={ops}")
@@ -344,14 +319,13 @@ def parse_plan(text: str, shown: Mapping[str, str]) -> list[list[RepairStep]]:
 
 
 def fallback_solutions(features: list[CodeFeature]) -> list[list[RepairStep]]:
-    """One template plan per strategy in the leading feature's order."""
+    """One template plan per fix agent, in the leading feature's order."""
     if not features:
         return []
-    agents = [AGENT_FOR_STRATEGY[strategy] for strategy in strategy_order(features[0])]
     return [
         [RepairStep(agent=agent, target_region=f.ref, instruction=DEFAULT_INSTRUCTION[agent])
          for f in features]
-        for agent in agents
+        for agent in agent_order(features[0])
     ]
 
 

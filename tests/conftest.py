@@ -136,14 +136,20 @@ def private_tmpdir(tmp_path_factory, monkeypatch):
         pytest.fail(f"temp trees left behind: {leaked}")
 
 
-@pytest.fixture
-def perfbench_gen(monkeypatch):
+def load_perfbench_gen():
     """``perfbench/gen.py`` loaded as a module, as the benchmark harness loads it."""
     spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH_DIR / "gen.py")
     gen = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look it up
+    sys.modules[spec.name] = gen  # its dataclasses look it up
     spec.loader.exec_module(gen)
     return gen
+
+
+@pytest.fixture
+def perfbench_gen(monkeypatch):
+    """``load_perfbench_gen()``, with ``sys.modules`` as it was restored after the test."""
+    monkeypatch.setitem(sys.modules, "perfbench_gen", None)
+    return load_perfbench_gen()
 
 
 @pytest.fixture

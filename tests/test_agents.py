@@ -21,8 +21,7 @@ from ubmend.agents import (
 )
 from ubmend.classifier import (
     CodeFeature,
-    FixStrategy,
-    gate_safe_alternative,
+    gate_safe_replace,
     has_safe_api_match,
     locate_unsafe_regions,
 )
@@ -254,8 +253,8 @@ def test_safe_replace_gate_reads_code_not_comments_or_strings(mock_provider, bod
     with pytest.raises(NoSafeEquivalent, match="no catalogued equivalent"):
         safe_replace(region, feature.ub_kinds, mock_provider)
     assert mock_provider.calls == 0
-    order = [FixStrategy.SAFE_ALTERNATIVE, FixStrategy.ASSERTION_GUARD, FixStrategy.SEMANTIC_MODIFICATION]
-    assert gate_safe_alternative(order, region.snippet)[-1] is FixStrategy.SAFE_ALTERNATIVE
+    order = [AgentKind.SAFE_REPLACE, AgentKind.ADD_ASSERTION, AgentKind.MODIFY_SEMANTICS]
+    assert gate_safe_replace(order, region.snippet)[-1] is AgentKind.SAFE_REPLACE
 
 
 def test_safe_replace_rejects_non_reducing_answer():

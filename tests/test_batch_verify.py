@@ -37,7 +37,7 @@ from ubmend.feedback import FeedbackEngine
 from ubmend.provider import MARKER_FIX, MARKER_PLAN, ProviderConfig, ProviderMode, ScriptedMockProvider
 from ubmend.slow import SessionConfig, Verdict
 
-# UB messages whose kinds lead with a strategy the scripted mock always applies
+# UB messages whose kinds lead with a fix agent the scripted mock always applies
 MESSAGES = (
     "trying to retag from <{n}> for Unique permission at alloc{n}[0x0]",
     "memory access failed: alloc{n} has been freed, so this pointer is dangling",

@@ -1,19 +1,21 @@
-"""Unsafe-region location, operation classification, and strategy mapping."""
+"""Unsafe-region location, operation classification, and fix-agent order."""
 
 from __future__ import annotations
 
 import pytest
 
+from ubmend import classifier
 from ubmend.classifier import (
+    FIX_AGENTS,
+    AgentKind,
     CodeFeature,
-    FixStrategy,
     UnsafeOpKind,
     UnsafeRegion,
+    agent_order,
     classify_ops,
     has_safe_api_match,
     load_policy_table,
     locate_unsafe_regions,
-    map_strategies,
 )
 from ubmend.detector import UbKind
 from ubmend.errors import LexFailure, Unclassifiable
@@ -217,7 +219,7 @@ def test_classify_multiple_ops():
     assert UnsafeOpKind.RAW_POINTER_DEREF in ops
 
 
-# --- catalogue and strategies ---
+# --- catalogue and agent order ---
 
 
 def test_catalogue_matches():
@@ -230,65 +232,81 @@ def test_policy_table_rows_are_permutations():
     table = load_policy_table()
     assert "default" in table
     for order in table.values():
-        assert sorted(s.value for s in order) == sorted(s.value for s in FixStrategy)
+        assert sorted(order) == sorted(FIX_AGENTS)
 
 
-def test_map_strategies_kind_specific():
+def test_a_policy_row_that_is_no_permutation_of_the_fix_agents_is_rejected_with_its_line(tmp_path, monkeypatch):
+    # a row in the names the table no longer takes, or naming an agent that
+    # patches nothing, fails the load with the line it stands on
+    table = tmp_path / "data" / "strategy_policy.tsv"
+    table.parent.mkdir()
+    monkeypatch.setattr(classifier.resources, "files", lambda package: tmp_path)
+    try:
+        for row in ("SafeAlternative,AddAssertion,ModifySemantics", "Reason,AddAssertion,ModifySemantics"):
+            table.write_text(f"# header\ndefault\tSafeReplace,AddAssertion,ModifySemantics\nvalidity\t{row}\n")
+            load_policy_table.cache_clear()
+            with pytest.raises(ValueError, match=rf"policy row 3 must permute the fix agents, not '{row}'"):
+                load_policy_table()
+    finally:
+        load_policy_table.cache_clear()
+
+
+def test_agent_order_kind_specific():
     f = _feature("unsafe { *ptr }", ub_kinds={UbKind.STACK_BORROW})
-    assert map_strategies(f)[0] == FixStrategy.SEMANTIC_MODIFICATION
+    assert agent_order(f)[0] == AgentKind.MODIFY_SEMANTICS
     f2 = _feature("unsafe { *ptr }", ub_kinds={UbKind.UNALIGNED_POINTER})
-    assert map_strategies(f2)[0] == FixStrategy.ASSERTION_GUARD
+    assert agent_order(f2)[0] == AgentKind.ADD_ASSERTION
 
 
-def _row_features(snippet: str) -> list[tuple[list[FixStrategy], CodeFeature]]:
-    """Each policy row, without SafeAlternative, with a feature of
-    ``snippet`` whose UB kinds read that row."""
+def _row_features(snippet: str) -> list[tuple[list[AgentKind], CodeFeature]]:
+    """Each policy row, without SafeReplace, with a feature of ``snippet``
+    whose UB kinds read that row."""
     rows = []
     for key, row in load_policy_table().items():
         kinds = set() if key == "default" else {UbKind(key)}
-        rest = [s for s in row if s is not FixStrategy.SAFE_ALTERNATIVE]
+        rest = [a for a in row if a is not AgentKind.SAFE_REPLACE]
         rows.append((rest, _feature(snippet, ub_kinds=kinds)))
     return rows
 
 
-def test_map_strategies_catalogue_promotion():
+def test_agent_order_catalogue_promotion():
     # on every row; the others follow in row order
     for rest, f in _row_features("unsafe { v.get_unchecked(0) }"):
-        assert map_strategies(f) == [FixStrategy.SAFE_ALTERNATIVE, *rest]
+        assert agent_order(f) == [AgentKind.SAFE_REPLACE, *rest]
 
 
-def test_map_strategies_puts_an_unmatched_safe_alternative_last():
-    # the rows that lead with SafeAlternative too: without a catalogue match
+def test_agent_order_puts_an_unmatched_safe_replace_last():
+    # the rows that lead with SafeReplace too: without a catalogue match
     # the agent refuses before asking the model, so it is tried last
     assert not has_safe_api_match("unsafe { *ptr }")
     for rest, f in _row_features("unsafe { *ptr }"):
-        assert map_strategies(f) == [*rest, FixStrategy.SAFE_ALTERNATIVE]
+        assert agent_order(f) == [*rest, AgentKind.SAFE_REPLACE]
 
 
-def test_map_strategies_merges_ranks():
+def test_agent_order_merges_ranks():
     # two kinds with conflicting leads resolve by rank sum, default order on ties
     f = _feature(
         "unsafe { *ptr }", ub_kinds={UbKind.STACK_BORROW, UbKind.VALIDITY}
     )
-    order = map_strategies(f)
-    assert sorted(s.value for s in order) == sorted(s.value for s in FixStrategy)
+    order = agent_order(f)
+    assert sorted(order) == sorted(FIX_AGENTS)
 
 
 def test_a_rows_safe_alternative_slot_counts_in_the_merge():
-    # stack_borrow (SM, SA, AG) with validity (SA, AG, SM) sums SM 2 and
-    # AG 3; with SafeAlternative's slot dropped the two would tie at 1, and
-    # the default row's order would put AssertionGuard first
+    # stack_borrow (MS, SR, AA) with validity (SR, AA, MS) sums MS 2 and
+    # AA 3; with SafeReplace's slot dropped the two would tie at 1, and the
+    # default row's order would put AddAssertion first
     f = _feature("unsafe { *ptr }", ub_kinds={UbKind.STACK_BORROW, UbKind.VALIDITY})
-    assert map_strategies(f) == [
-        FixStrategy.SEMANTIC_MODIFICATION,
-        FixStrategy.ASSERTION_GUARD,
-        FixStrategy.SAFE_ALTERNATIVE,
+    assert agent_order(f) == [
+        AgentKind.MODIFY_SEMANTICS,
+        AgentKind.ADD_ASSERTION,
+        AgentKind.SAFE_REPLACE,
     ]
 
 
-def test_default_strategy_order_constant():
+def test_default_agent_order_constant():
     assert tuple(load_policy_table()["default"]) == (
-        FixStrategy.SAFE_ALTERNATIVE,
-        FixStrategy.ASSERTION_GUARD,
-        FixStrategy.SEMANTIC_MODIFICATION,
+        AgentKind.SAFE_REPLACE,
+        AgentKind.ADD_ASSERTION,
+        AgentKind.MODIFY_SEMANTICS,
     )

@@ -9,9 +9,9 @@ import pytest
 from ubmend.agents import build_prompt
 from ubmend.classifier import (
     CodeFeature,
-    FixStrategy,
     UnsafeOpKind,
     UnsafeRegion,
+    agent_order,
     locate_unsafe_regions,
 )
 from ubmend.detector import TargetPackage, UbKind, UbReport
@@ -28,7 +28,6 @@ from ubmend.fast import (
     normalize_steps,
     parse_plan,
     stand_in_features,
-    strategy_order,
 )
 from ubmend.feedback import EvalTriplet, ExperienceRecord, FeedbackEngine, signature_of
 from ubmend.kb import KnowledgeBase, feature_vector
@@ -112,21 +111,21 @@ def test_normalize_steps_collapses_formatting():
     assert normalize_steps(a) == normalize_steps(b)
 
 
-# --- strategy order and fallbacks ---
+# --- agent order and fallbacks ---
 
 
-def test_strategy_order_unclassifiable_goes_semantics_first():
-    # whatever the UB kind; SafeAlternative comes last unless the catalogue
+def test_agent_order_unclassifiable_goes_semantics_first():
+    # whatever the UB kind; SafeReplace comes last unless the catalogue
     # gate passes
     region = UnsafeRegion(file="main.rs", byte_span=(0, 21), snippet="unsafe { v.as_ptr() }", enclosing_context="")
     for kind in (UbKind.VALIDITY, UbKind.UNALIGNED_POINTER, UbKind.STACK_BORROW):
         unmatched = _feature(ub_kinds={kind}, ops=frozenset())
-        assert strategy_order(unmatched) == [
-            FixStrategy.SEMANTIC_MODIFICATION, FixStrategy.ASSERTION_GUARD, FixStrategy.SAFE_ALTERNATIVE,
+        assert agent_order(unmatched) == [
+            AgentKind.MODIFY_SEMANTICS, AgentKind.ADD_ASSERTION, AgentKind.SAFE_REPLACE,
         ]
         matched = CodeFeature(region=region, op_kinds=frozenset(), ub_kinds=frozenset({kind}), ref="main.rs#0")
-        assert strategy_order(matched) == [
-            FixStrategy.SEMANTIC_MODIFICATION, FixStrategy.SAFE_ALTERNATIVE, FixStrategy.ASSERTION_GUARD,
+        assert agent_order(matched) == [
+            AgentKind.MODIFY_SEMANTICS, AgentKind.SAFE_REPLACE, AgentKind.ADD_ASSERTION,
         ]
 
 

@@ -4,10 +4,11 @@ targets, and of ``fix`` on each corpus fixture.
 Each test reruns a bench over a fixture manifest or a generated one, or a
 ``fix`` of one corpus fixture, with the stub detector (given by absolute
 path) and the fixed clock, in a fresh process, and compares what it wrote
-with the files under ``tests/fixtures/golden/`` byte for byte. A change meant to keep
-every output (a refactor, a deletion) is checked to keep them. A change
-that alters outputs on purpose regenerates the files and explains the
-diff in its description. To regenerate, from the repository root:
+with the files under ``tests/fixtures/golden/`` byte for byte. A change
+meant to keep every output (a refactor, a deletion) is checked to keep
+them. A change that alters outputs on purpose regenerates the files and
+explains the diff in its description. To regenerate, from the repository
+root:
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 
@@ -17,8 +18,6 @@ tests are skipped.
 
 from __future__ import annotations
 
-import functools
-import importlib.util
 import json
 import os
 import shutil
@@ -30,7 +29,7 @@ from pathlib import Path
 import pytest
 
 import ubmend
-from conftest import CORPUS_DIR, FIXTURES_DIR, PERFBENCH_DIR, STUB_DETECTOR_ARG
+from conftest import CORPUS_DIR, FIXTURES_DIR, STUB_DETECTOR_ARG, load_perfbench_gen
 
 GOLDEN_DIR = FIXTURES_DIR / "golden"
 # Seed-1 t00 (4 unsafe regions) and t01 (6) of perfbench's large-target
@@ -78,23 +77,13 @@ RUNS |= {
 }
 
 
-@functools.cache
-def _perfbench_gen():
-    """``perfbench/gen.py`` loaded as a module, as the benchmark harness loads it."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH_DIR / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = gen  # its dataclasses look it up
-    spec.loader.exec_module(gen)
-    return gen
-
-
 def run_bench(stem: str, work: Path) -> dict[str, bytes]:
     """The stdout and stderr of run ``stem`` and the files it wrote in
     ``work``, by golden file name; the run must exit 0. A generated
     manifest's targets are written under ``work/targets``, which holds no
     output."""
     if stem in GENERATED:
-        gen, root = _perfbench_gen(), work / "targets"
+        gen, root = load_perfbench_gen(), work / "targets"
         gen.write_manifest(root / "manifest.jsonl", gen.large_cases(GENERATED[stem][0], root))
     env = dict(os.environ)
     src = str(Path(ubmend.__file__).resolve().parents[1])

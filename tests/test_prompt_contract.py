@@ -2,10 +2,10 @@
 
 The prompts are those of a bench over the corpus fixtures, read back from
 its transcript, and those of a repair whose every fix step abstains, so
-that it asks follow-up plan pages. Fix strategies are the classifier's
-vocabulary: a prompt names a region's strategies by the fix agents its
-grammar lists. A page asked with nothing tried is in the one-solution
-grammar, and a follow-up page numbers its solutions on from the tried ones.
+that it asks follow-up plan pages. A prompt names the fix agents to try
+on a region by the names its grammar lists. A page asked with nothing
+tried is in the one-solution grammar, and a follow-up page numbers its
+solutions on from the tried ones.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import pytest
 
 from conftest import CORPUS_DIR, STUB_DETECTOR_ARG, stub_detector_config
 from ubmend import cli
-from ubmend.classifier import FixStrategy
 from ubmend.detector import CaseMemo, TargetPackage
 from ubmend.feedback import FeedbackEngine
 from ubmend.provider import MARKER_FIX, MARKER_PLAN, Provider, ProviderConfig, ScriptedMockProvider
@@ -64,10 +63,7 @@ def _plan_pages(prompts: list[str]) -> list[str]:
 
 
 def _check_names(prompts: list[str]) -> None:
-    """No prompt names a fix strategy, and every ``FEATURE`` line's agents
-    are fix agents its plan grammar lists."""
-    strategies = [s.value for s in FixStrategy]
-    assert [(p[:60], s) for p in prompts for s in strategies if s in p] == []
+    """Every ``FEATURE`` line's agents are fix agents its plan grammar lists."""
     for page in _plan_pages(prompts):
         listed = re.search(r"<AGENT> is one of (.*?) \(the fix steps\)", _flat(page))
         assert listed is not None

@@ -348,3 +348,36 @@ def test_a_bench_case_reuses_root_detections_in_its_no_knowledge_run(tmp_path, c
     assert report["cases"][0]["verdict"] == "pass"
     # the knowledge run's baseline and repaired state; the no-knowledge run reuses both
     assert len(spawn_log(spawns)) == 2
+
+
+def test_detector_output_that_is_not_utf8_is_read_with_replacement(tmp_path, capsys):
+    # Miri passes the program's stdout through, and a program may write any
+    # bytes: they read as U+FFFD, the run as the stub alone reads it, and
+    # the stored output replays to the same reports
+    wrapper = tmp_path / "noisy_miri.py"
+    wrapper.write_text(
+        "import os, sys\n"
+        "sys.stdout.buffer.write(b'\\xff\\xfe\\n')\n"
+        "sys.stdout.flush()\n"
+        f"stub = {str(TOOLS_DIR / 'fake_miri.py')!r}\n"
+        "os.execv(sys.executable, [sys.executable, stub, *sys.argv[1:]])\n"
+    )
+    store = tmp_path / "experience.jsonl"
+
+    def fix(command: tuple[str, ...], case: str, *store_args: str) -> dict:
+        path = copy_fixture(CORPUS_DIR / "stack_borrow", tmp_path / case) / "main.rs"
+        argv = ["fix", str(path), "--no-kb", *store_args, "--detector-cmd", shlex.join(command),
+                "--fixed-clock", "--report", "json"]
+        assert cli.main(argv) == 0
+        return json.loads(capsys.readouterr().out)
+
+    plain = fix((sys.executable, str(TOOLS_DIR / "fake_miri.py"), "{file}"), "plain")
+    noisy_command = (sys.executable, str(wrapper), "{file}")
+    noisy = fix(noisy_command, "noisy", "--experience", str(store))
+    assert noisy["verdict"] == plain["verdict"] == "pass"
+    assert (noisy["trace"], noisy["changed_files"]) == (plain["trace"], plain["changed_files"])
+    outputs = [line["output"] for line in _tool_lines(store) if "output" in line]
+    assert len(outputs) == 2 and all(output.startswith("\ufffd\ufffd\n") for output in outputs)
+    replayed = fix(noisy_command, "replayed", "--experience", str(store))
+    assert replayed["store_hits"]["detections"] == 2
+    assert (replayed["verdict"], replayed["trace"]) == (noisy["verdict"], noisy["trace"])

@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from statistics import NormalDist
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .detector import (
     AnswerPool,
@@ -81,6 +81,7 @@ from .provider import (
     transcript_entries,
     write_transcript,
 )
+from .rollback import Snapshot
 from .slow import DEFAULT_BUDGET, ErrorTrace, SessionConfig, SessionOutcome, Verdict, run_session
 from .workspace import WorkingCopy
 
@@ -315,13 +316,13 @@ def repair_one(
     fails without a model call. With knowledge enabled, a past repair at
     least ``BYPASS_SIMILARITY`` alike is seeded first. The plan comes in
     pages (one model call each, whose prompt carries each region's code),
-    each ranked on its own. A page is asked for when the session first draws
-    past the solutions drawn so far, a seed that ranking provably keeps
-    first included. A page asked with nothing tried asks for one solution; a
-    follow-up page asks for ``PLAN_PAGE`` and its prompt carries the
-    verdicts of the solutions tried. A follow-up page is planned from the
-    snapshot the next solution starts from, the session's best, handed over
-    as the last trace's ``next_start``: it shows the regions that snapshot
+    each ranked on its own. The session asks ``plan`` for a page whenever
+    it has tried every solution drawn so far; a seed that ranking provably
+    keeps first is a page of its own. A page asked with nothing tried asks
+    for one solution; a follow-up page asks for ``PLAN_PAGE`` and its prompt
+    carries the verdicts of the solutions tried. A follow-up page is planned
+    from the snapshot the next solution starts from, the session's best,
+    which the session hands ``plan``: it shows the regions that snapshot
     still reports, with its code, and no detection runs. When none of its
     reports lands in an unsafe region, the drawing ends. Refs are ordinals
     in the text a page was planned on, so a ``TRIED`` solution's refs name
@@ -344,7 +345,7 @@ def repair_one(
     clock = settings.clock
     memo = settings.memo
     memo.begin_run()
-    start = clock()
+    started = clock()
     # answers the case already received come from the memo; a model call
     # advances no tick of the logical clock, so there it takes no time
     timer = (lambda: 0.0) if isinstance(clock, LogicalClock) else clock
@@ -355,72 +356,40 @@ def repair_one(
         baseline = run_detection(ws.target, config=settings.detector, clock=clock, memo=memo)
         kb = engine.kb if settings.kb_enabled else None
         vector: FeatureVector | None = None
-        drawn: list[RepairSolution] = []
-        ended: list[ErrorTrace] = []  # the trace of each drawn solution, once tried
-        solutions: Iterable[RepairSolution] = []
+        seeded: RepairSolution | None = None
         reports = list(baseline.reports)
         # a region stands for reports that land in none at the baseline only
         features = reports and (extract_features(ws.target, reports) or stand_in_features(ws.target, reports))
-        if features:
-            seeded: RepairSolution | None = None
-            if settings.kb_enabled:
-                lead_file, _ = parse_region_ref(features[0].ref)
-                vector = feature_vector(ws.read(lead_file), baseline.reports, lead_file)
-                hit = engine.best_hit(vector)
-                if hit is not None:
-                    seeded = _seeded_solution(hit[1], features[0].ref)
-                    if seeded is not None:
-                        kb = None
+        if features and settings.kb_enabled:
+            lead_file, _ = parse_region_ref(features[0].ref)
+            vector = feature_vector(ws.read(lead_file), baseline.reports, lead_file)
+            hit = engine.best_hit(vector)
+            if hit is not None:
+                seeded = _seeded_solution(hit[1], features[0].ref)
+                if seeded is not None:
+                    kb = None
 
-            def draw() -> Iterator[RepairSolution]:
-                """The plan, a page at a time, each page ranked on its own
-                and each solution noted in ``drawn`` as the session draws
-                it. The seed joins the first page; one that ranking provably
-                keeps first is drawn before any page is asked for. A page is
-                asked for once the session has tried every solution drawn,
-                with their traces, and planned from the snapshot the next
-                solution starts from; an empty page ends the drawing."""
-                page = [] if seeded is None else [seeded]
+        def plan(tried: list[tuple[RepairSolution, ErrorTrace]], start: Snapshot) -> list[RepairSolution]:
+            """The next page of the plan, ranked on its own. The seed alone
+            is the first page when ranking provably keeps it first, else it
+            joins the first page; a later page is planned from the snapshot
+            the next solution starts from."""
+            if not tried:
                 if seeded is not None and engine.keeps_first(seeded, vector):
-                    drawn.append(seeded)
-                    yield seeded
-                    page = []
-                while True:
-                    planned = features
-                    if ended:
-                        # the working copy is the snapshot the next solution starts from
-                        planned = extract_features(ws.target, list(ended[-1].next_start.reports))
-                        if not planned:
-                            return
-                    page += generate_solutions(
-                        planned,
-                        k=settings.solutions_k,
-                        provider=provider,
-                        tried=list(zip(drawn, ended)),
-                    )
-                    if vector is not None:
-                        page = engine.rank_solutions(page, vector)
-                    if not page:
-                        return
-                    for solution in page:
-                        drawn.append(solution)
-                        yield solution
-                    page = []
+                    return [seeded]
+                page, planned = ([] if seeded is None else [seeded]), features
+            else:
+                page, planned = [], extract_features(ws.target, list(start.reports))
+            if not planned:
+                return []
+            page += generate_solutions(planned, k=settings.solutions_k, provider=provider, tried=tried)
+            return engine.rank_solutions(page, vector) if vector is not None else page
 
-            solutions = draw()
-        outcome = run_session(
-            ws,
-            solutions,
-            provider=provider,
-            config=settings,
-            baseline=baseline,
-            kb=kb,
-            ended=ended,
-        )
+        outcome = run_session(ws, plan=plan, provider=provider, config=settings, baseline=baseline, kb=kb)
         # detections and answers reused from the case's other run, and
         # answers another case fetched, cost this run what they cost there,
         # as if it had made them itself
-        elapsed = clock() - start + memo.charged_seconds
+        elapsed = clock() - started + memo.charged_seconds
         triplet = engine.evaluate(
             outcome,
             reference,
@@ -434,23 +403,22 @@ def repair_one(
         if triplet.accuracy:
             # the answers that made the repair answer their prompts next
             # time: each plan page drawn from, then each kept thought's
-            for solution in drawn:
+            for solution, _ in outcome.tried:
                 for prompt in solution.prompts:
                     provider.keep(prompt)
             for thought in outcome.trace.thoughts:
                 if thought.kept:
                     provider.keep(thought.patch.prompt)
-        if vector is not None and not vector.is_zero and outcome.solution_id is not None:
-            used = next((s for s in drawn if s.id == outcome.solution_id), None)
-            if used is not None:
-                record = ExperienceRecord(
-                    feature_vector=vector,
-                    ub_kind=_lead_kind(baseline.reports),
-                    solution_id=used.id,
-                    triplet=triplet,
-                    solution_signature=signature_of(used),
-                )
-                engine.record_experience(record, solution=used if triplet.accuracy else None)
+        if vector is not None and not vector.is_zero and outcome.tried:
+            used, _ = outcome.tried[-1]
+            record = ExperienceRecord(
+                feature_vector=vector,
+                ub_kind=_lead_kind(baseline.reports),
+                solution_id=used.id,
+                triplet=triplet,
+                solution_signature=signature_of(used),
+            )
+            engine.record_experience(record, solution=used if triplet.accuracy else None)
         return outcome, triplet, originals
     finally:
         ws.cleanup()

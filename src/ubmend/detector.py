@@ -144,13 +144,12 @@ def _rust_sources(root: Path) -> Iterator[str]:
 
 @dataclass
 class UbReport:
-    """One UB diagnostic: classified kind, location, and the raw block."""
+    """One UB diagnostic: classified kind, location and message."""
 
     kind: UbKind
     file: str
     line: int | None
     message: str
-    raw: str
 
     def to_dict(self) -> dict:
         return {
@@ -164,9 +163,6 @@ class UbReport:
 @dataclass
 class DetectionResult:
     reports: list[UbReport]
-    tool_exit_status: int
-    wall_time: float
-    raw_output: str = ""
 
     @property
     def error_count(self) -> int:
@@ -402,22 +398,18 @@ def parse_diagnostics(raw_output: str) -> list[UbReport]:
         if header is None:
             i += 1
             continue
-        block = [line]
         j = i + 1
         while j < len(lines) and not _TOP_ERROR_RE.match(lines[j]):
-            block.append(lines[j])
             j += 1
         message = line[len(header):].strip()
         file, lineno = "", None
-        for body_line in block:
+        for body_line in lines[i:j]:
             m = _LOCATION_RE.match(body_line)
             if m:
                 file, lineno = m.group(1), int(m.group(2))
                 break
         kind = classify_kind(message) if message else UbKind.UNKNOWN
-        reports.append(
-            UbReport(kind=kind, file=file, line=lineno, message=message, raw="\n".join(block))
-        )
+        reports.append(UbReport(kind=kind, file=file, line=lineno, message=message))
         i = j
     return reports
 
@@ -499,7 +491,7 @@ def run_detection(
     known = memo.recall(key, "detections")
     if known is not None:
         output = known.fields["output"].replace(_ROOT_TOKEN, root)
-        return _read_output(argv, root, known.fields["exit_status"], output, known.wall_time)
+        return _read_output(argv, root, known.fields["exit_status"], output)
     started = clock()
     try:
         # Miri passes the program's stdout through, which may be any bytes
@@ -510,14 +502,14 @@ def run_detection(
         raise DetectionTimeout(f"detection exceeded {config.timeout}s: {argv}") from exc
     wall = clock() - started
     raw = (proc.stdout or "") + (proc.stderr or "")
-    result = _read_output(argv, root, proc.returncode, raw, wall)
+    result = _read_output(argv, root, proc.returncode, raw)
     if _ROOT_TOKEN not in raw:
         fields = {"exit_status": proc.returncode, "output": raw.replace(root, _ROOT_TOKEN)}
         memo.keep(key, MemoEntry(fields, wall, None))
     return result
 
 
-def _read_output(argv: list[str], root: str, status: int, raw: str, wall: float) -> DetectionResult:
+def _read_output(argv: list[str], root: str, status: int, raw: str) -> DetectionResult:
     """A finished tool run's result, from its exit status and output; a run
     read back from the store goes through here as a fresh one does. A
     non-zero exit without a UB block blames the target when the output
@@ -536,9 +528,4 @@ def _read_output(argv: list[str], root: str, status: int, raw: str, wall: float)
         raise NonUbCompileError(f"{why}\n{shown}")
     if status == 0 and reports:
         log.warning("tool exited 0 but emitted %d UB blocks; trusting blocks", len(reports))
-    return DetectionResult(
-        reports=reports,
-        tool_exit_status=status,
-        wall_time=wall,
-        raw_output=raw,
-    )
+    return DetectionResult(reports)

@@ -15,17 +15,18 @@ the plan call; slow thinking puts each block through its agent's gate and
 check, and asks the agent only where a block is missing, stale or refused.
 
 The first page is asked with nothing tried, and asks for one solution: no
-verdict exists yet that a second one could answer. Its prompt
+verdict exists yet that a second one could answer. A page of one solution
 (``plan_first_page.txt``) is in a one-solution grammar, the step lines
-alone, and has no section of tried solutions. A later page is asked only
-once the session has tried every solution before it, and asks for
-``PLAN_PAGE`` (``plan_generation.txt``): each solution opens with a
-``SOLUTION <i>:`` line, numbered on from the tried ones; its features are
-those of the snapshot the next solution starts from, and its prompt lists
-each tried solution's steps with its verdict (the error count it ended at
-against the baseline, the reports left and each step's note), so the
-model proposes solutions not yet tried. Ids and deduplication continue
-across pages, and ``k`` caps the solutions of all pages together.
+alone. A later page is asked only once the session has tried every
+solution before it, and asks for ``PLAN_PAGE`` (``plan_generation.txt``),
+or for one when ``k`` leaves room for one only: each solution of a page of
+more opens with a ``SOLUTION <i>:`` line, numbered on from the tried
+ones. A later page's features are those of the snapshot the next solution
+starts from, and its prompt lists each tried solution's steps with its
+verdict (the error count it ended at against the baseline, the reports
+left and each step's note), so the model proposes solutions not yet
+tried. Ids and deduplication continue across pages, and ``k`` caps the
+solutions of all pages together.
 
 Parsing is deliberately lenient (junk lines are dropped, duplicate plans
 folded); a fully unparseable answer is retried once and then replaced by
@@ -333,7 +334,9 @@ def _tried_lines(tried: Sequence[tuple[RepairSolution, "ErrorTrace"]]) -> str:
     """The prompt's section of tried solutions: each with its verdict, the
     error count it ended at against the session's baseline (the count the
     first one started from), each step's note and error count, and the
-    reports left."""
+    reports left; empty when nothing was tried."""
+    if not tried:
+        return ""
     baseline = tried[0][1].counts[0]
     lines = ["", "", "Solutions tried so far, each with its verdict:"]
     for solution, trace in tried:
@@ -365,10 +368,9 @@ def generate_solutions(
     """The next page of candidate solutions for ``features``, in the
     provider's preference order: solutions that are neither repeats of each
     other nor of a ``tried`` one, one when nothing is tried and at most
-    ``PLAN_PAGE`` otherwise. A page asked with nothing tried is in the
-    one-solution grammar and sends no section of tried solutions; a
-    follow-up page numbers its solutions on from the tried ones, and one of
-    a single solution asks for one solution.
+    ``PLAN_PAGE`` otherwise. A page of one solution is in the one-solution
+    grammar, and sends no section of tried solutions when nothing is
+    tried; a page of more numbers its solutions on from the tried ones.
 
     ``tried`` pairs each solution the session has tried with the trace it
     ended on; a tried seed makes the next page a follow-up of
@@ -392,20 +394,13 @@ def generate_solutions(
     count = min(PLAN_PAGE if tried else 1, k - done)
     if count < 1:
         return []
-    if not tried:
-        prompt_text = fill(load_template("plan_first_page.txt"), features=_feature_lines(features))
+    if count == 1:
+        template, numbering = "plan_first_page.txt", {}
     else:
-        prompt_text = fill(
-            load_template("plan_generation.txt"),
-            request=(
-                "one solution not yet tried"
-                if count == 1
-                else f"up to {count} solutions not yet tried, most promising first"
-            ),
-            first=str(done + 1),
-            features=_feature_lines(features),
-            tried=_tried_lines(tried),
-        )
+        template, numbering = "plan_generation.txt", {"count": str(count), "first": str(done + 1)}
+    prompt_text = fill(
+        load_template(template), features=_feature_lines(features), tried=_tried_lines(tried), **numbering
+    )
     shown = {f.ref: f.region.snippet for f in features}
     prompts = [PromptRecord.user(prompt_text)]
     plans = parse_plan(provider.complete(prompts[0]), shown)

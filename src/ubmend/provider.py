@@ -229,8 +229,8 @@ class ScriptedMockProvider(Provider):
 
     Custom ``rules`` (substring -> response) win over the defaults, which
     cover the shipped templates: plans in the STEP grammar, rotating through
-    each region's agents (a follow-up page goes on from the number its
-    prompt starts at), and fix responses that echo the snippet with a
+    each region's agents (a follow-up page goes on after the highest
+    solution id its prompt lists as tried), and fix responses that echo the snippet with a
     scripted edit applied. A plan's first solution carries, after each fix
     step, the code of the mock's own answer to that step's fix prompt.
     """
@@ -260,16 +260,16 @@ class ScriptedMockProvider(Provider):
         return m.group(1)
 
     def _plan(self, text: str) -> str:
-        """The solutions numbered from the prompt's first, as many as its
-        request sentence asks for, of one rotation: the i-th (from 0) takes
-        each region's ``i % 3``-th agent, and every second group of three
-        (solutions 4-6, 10-12, ...) opens with a Reason step. A prompt that
-        numbers no solutions is in the one-solution grammar: no ``SOLUTION``
-        line, counted from the first. The prompt does not say whether
-        knowledge is on; a run without a knowledge base passes over the
-        Reason step. Each fix step of the first solution is followed by the
-        code block of ``_step_code``, when it gives one. ProviderFailure when
-        the request names no count."""
+        """The solutions after the highest ``TRIED s<NN>`` id of the prompt,
+        as many as its request sentence asks for, of one rotation: the i-th
+        (from 0) takes each region's ``i % 3``-th agent, and every second
+        group of three (solutions 4-6, 10-12, ...) opens with a Reason step.
+        ``SOLUTION <i>:`` lines open the solutions only when the prompt's
+        grammar has them. The prompt does not say whether knowledge is on;
+        a run without a knowledge base passes over the Reason step. Each
+        fix step of the first solution is followed by the code block of
+        ``_step_code``, when it gives one. ProviderFailure when the request
+        names no count."""
         features = re.findall(
             r"^FEATURE (\S+) :: agents=(\S+) :: ub=(\S+) :: \S+\n```rust\n(.*?)\n```$",
             text,
@@ -282,8 +282,8 @@ class ScriptedMockProvider(Provider):
         if m is None:
             raise ProviderFailure("mock plan prompt requests no count of solutions")
         k = int(m.group(1) or 1)
-        numbered = re.search(r"numbered\s+from\s+(\d+)", text)
-        first = int(numbered.group(1)) - 1 if numbered else 0
+        first = max(map(int, re.findall(r"^TRIED s(\d+):", text, flags=re.MULTILINE)), default=0)
+        numbered = "SOLUTION <i>:" in text
         out: list[str] = []
         for i in range(first, first + k):
             rot = i % 3

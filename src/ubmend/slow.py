@@ -31,7 +31,7 @@ import logging
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Generator, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .agents import AGENT_FUNCTIONS, PatchRecord, apply_patch, revert_patch
 from .classifier import UnsafeRegion, locate_unsafe_regions
@@ -114,15 +114,13 @@ class ErrorTrace:
     0, and each one that made a patch carries the note ``verified in batch
     <first>-<last>`` (thought indices). ``reports`` are the reports left
     when a solution ended without a pass, before the session went back to
-    its best snapshot, and ``next_start`` is that best snapshot, which the
-    next solution starts from; neither is part of the serialized trace.
+    its best snapshot; they are not part of the serialized trace.
     """
 
     counts: list[int]
     thoughts: list[Thought]
     iteration_budget: int
     reports: tuple[UbReport, ...] = ()
-    next_start: Snapshot | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -134,8 +132,9 @@ class ErrorTrace:
 
 @dataclass
 class SessionOutcome:
-    """``trace`` belongs to the last solution tried; ``baseline_errors`` and
-    ``thought_count`` cover the whole session."""
+    """``tried`` pairs each solution the session drew with the trace it
+    ended on; ``trace`` and ``solution_id`` are the last one's, and
+    ``baseline_errors`` and ``thought_count`` cover the whole session."""
 
     verdict: Verdict
     final_source: dict[str, str]
@@ -145,6 +144,7 @@ class SessionOutcome:
     final_errors: int = 0
     baseline_errors: int = 0
     thought_count: int = 0
+    tried: list[tuple[RepairSolution, ErrorTrace]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -209,7 +209,11 @@ def _knowledge_context(
         # a ref that names no file of the copy searches with the entry file
         file = workspace.target.entry_files[0]
         source = workspace.read(file)
-    vector = feature_vector(source, reports, file)
+    try:
+        vector = feature_vector(source, reports, file)
+    except LexFailure as exc:
+        log.info("Reason %s adds nothing (%s)", step.target_region, exc)
+        return None
     if vector.is_zero:
         return None
     hits = kb.search(vector, k=3)
@@ -472,149 +476,143 @@ def _run_batch(
 
 def run_session(
     workspace: WorkingCopy,
-    solutions: Iterable[RepairSolution],
     *,
+    plan: Callable[[list[tuple[RepairSolution, ErrorTrace]], Snapshot], Sequence[RepairSolution]],
     provider: MemoizedProvider,
     config: SessionConfig,
     baseline: DetectionResult,
     kb: KnowledgeBase | None = None,
-    ended: list[ErrorTrace] | None = None,
 ) -> SessionOutcome:
     """Drive the repair loop in ``workspace`` to a verdict. ``cli.repair_one``
     makes the copy, its ``baseline`` detection and the memoised ``provider``.
 
-    ``solutions`` may be any iterable, a lazy one too: the next solution is
-    drawn only after the previous one ended without a pass, and none is
-    drawn after a pass or an aborted solution. A generator is closed when
-    the session ends, so nothing draws from it afterwards. Each solution
-    that ends without a pass or an abort has its trace appended to
-    ``ended``, when given, before the next one is drawn, with the snapshot
-    the next solution starts from as its ``next_start``: a lazy source can
-    plan its next solutions from the verdicts of the ones tried and the
-    reports of that snapshot.
+    ``plan(tried, start)`` gives the next page of solutions whenever the
+    session has tried every solution drawn so far: ``tried`` pairs each
+    solution drawn with the trace it ended on, and ``start`` is the snapshot
+    the next solution starts from, which the working copy matches. An empty
+    page ends the drawing; none is asked for after a pass or an aborted
+    solution. ``SessionOutcome.tried`` holds every solution drawn.
     Terminates on a clean detection (Pass), on exhausting the solutions
     (Failed), or on exhausting the per-solution budget (Budget Exhausted).
     The session ends on the snapshot with the fewest errors, which the
     working copy matches; the verdict, ``final_errors`` and
     ``final_source`` are that snapshot's. Its count is a detection of
     exactly its bytes, so no detection runs after the last step, and a
-    clean baseline draws no solution. Reason steps consult ``kb``; without
+    clean baseline asks for no plan. Reason steps consult ``kb``; without
     one they add nothing.
     """
     budget = config.budget
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    try:
-        store = SnapshotStore()
-        # the snapshot the working copy matches; its reports steer the next step
-        current = store.record(0, workspace.files(), baseline.error_count, baseline.reports)
-        trace = ErrorTrace(counts=[current.error_count], thoughts=[], iteration_budget=budget)
-        budget_hit_last = False
-        attempted_id: str | None = None
+    store = SnapshotStore()
+    # the snapshot the working copy matches; its reports steer the next step
+    current = store.record(0, workspace.files(), baseline.error_count, baseline.reports)
+    trace = ErrorTrace(counts=[current.error_count], thoughts=[], iteration_budget=budget)
+    tried: list[tuple[RepairSolution, ErrorTrace]] = []
+    page: list[RepairSolution] = []
+    budget_hit_last = False
 
-        for solution in solutions if current.error_count else ():
-            attempted_id = solution.id
-            trace = ErrorTrace(counts=[current.error_count], thoughts=[], iteration_budget=budget)
-            reason_context: str | None = None
-            budget_hit_last = False
-            aborted = False
-            steps = list(solution.steps)
-            regions = _RegionMap(steps, current, workspace)
-            replay_end = 0  # steps before it replay a failed batch, one by one
-            for at, step in enumerate(steps):
-                if step.agent is AgentKind.REASON:
-                    reason_context = _knowledge_context(step, workspace, current.reports, kb)
-                    continue
-                if step.agent is AgentKind.ROLLBACK:
-                    current = store.restore(store.select_rollback_target(), workspace)
-                    regions.restore(current)
-                    continue
-                if len(trace.thoughts) >= budget:
-                    budget_hit_last = True
-                    break
-                if at >= replay_end:
-                    members = _form_batch(steps[at:], regions, current.reports, budget - len(trace.thoughts))
-                    if members:
-                        verified = _run_batch(
-                            members,
-                            regions,
-                            provider,
-                            config,
-                            len(trace.thoughts),
-                            current.error_count,
-                            reason_context,
-                        )
-                        if verified is not None:
-                            trace.thoughts.extend(verified)
-                            trace.counts.extend(t.resulting_errors for t in verified)
-                            current = store.record(
-                                store.latest_index() + len(verified), workspace.files(), 0
-                            )
-                            break
-                        workspace.restore(current.files)
-                        regions.restore(current)
-                        replay_end = at + len(members)
-                try:
-                    thought, detection = execute_step(
-                        step,
+    while current.error_count:
+        if not page:
+            page = list(plan(list(tried), current))
+            if not page:
+                break
+        solution = page.pop(0)
+        trace = ErrorTrace(counts=[current.error_count], thoughts=[], iteration_budget=budget)
+        tried.append((solution, trace))
+        reason_context: str | None = None
+        budget_hit_last = False
+        aborted = False
+        steps = list(solution.steps)
+        regions = _RegionMap(steps, current, workspace)
+        replay_end = 0  # steps before it replay a failed batch, one by one
+        for at, step in enumerate(steps):
+            if step.agent is AgentKind.REASON:
+                reason_context = _knowledge_context(step, workspace, current.reports, kb)
+                continue
+            if step.agent is AgentKind.ROLLBACK:
+                current = store.restore(store.select_rollback_target(), workspace)
+                regions.restore(current)
+                continue
+            if len(trace.thoughts) >= budget:
+                budget_hit_last = True
+                break
+            if at >= replay_end:
+                members = _form_batch(steps[at:], regions, current.reports, budget - len(trace.thoughts))
+                if members:
+                    verified = _run_batch(
+                        members,
                         regions,
-                        current.reports,
                         provider,
                         config,
-                        index=len(trace.thoughts),
-                        prev_count=current.error_count,
-                        context=reason_context,
+                        len(trace.thoughts),
+                        current.error_count,
+                        reason_context,
                     )
-                except DetectionTimeout as exc:
-                    log.warning("detection timed out mid-session: %s", exc)
-                    # the patch was never verified: back to the bytes of ``current``
+                    if verified is not None:
+                        trace.thoughts.extend(verified)
+                        trace.counts.extend(t.resulting_errors for t in verified)
+                        current = store.record(store.latest_index() + len(verified), workspace.files(), 0)
+                        break
                     workspace.restore(current.files)
-                    aborted = True
-                    break
-                reason_context = None
-                trace.thoughts.append(thought)
-                trace.counts.append(thought.resulting_errors)
-                current = store.record(
-                    store.latest_index() + 1,
-                    workspace.files(),
-                    thought.resulting_errors,
-                    detection.reports if detection is not None else current.reports,
-                )
-                regions.mark(current)
-                if current.error_count == 0:
-                    break
-                if should_rollback(trace):
-                    current = store.restore(store.select_rollback_target(), workspace)
                     regions.restore(current)
+                    replay_end = at + len(members)
+            try:
+                thought, detection = execute_step(
+                    step,
+                    regions,
+                    current.reports,
+                    provider,
+                    config,
+                    index=len(trace.thoughts),
+                    prev_count=current.error_count,
+                    context=reason_context,
+                )
+            except DetectionTimeout as exc:
+                log.warning("detection timed out mid-session: %s", exc)
+                # the patch was never verified: back to the bytes of ``current``
+                workspace.restore(current.files)
+                aborted = True
+                break
+            reason_context = None
+            trace.thoughts.append(thought)
+            trace.counts.append(thought.resulting_errors)
+            current = store.record(
+                store.latest_index() + 1,
+                workspace.files(),
+                thought.resulting_errors,
+                detection.reports if detection is not None else current.reports,
+            )
+            regions.mark(current)
             if current.error_count == 0:
                 break
-            trace.reports = current.reports
-            best = store.select_rollback_target()
-            if current.index != best:
-                current = store.restore(best, workspace)
-            if aborted:
-                break
-            trace.next_start = current
-            if ended is not None:
-                ended.append(trace)
-
-        # every snapshot's count is a detection of exactly its bytes
+            if should_rollback(trace):
+                current = store.restore(store.select_rollback_target(), workspace)
+                regions.restore(current)
         if current.error_count == 0:
-            verdict = Verdict.PASS
-        elif budget_hit_last:
-            verdict = Verdict.BUDGET_EXHAUSTED
-        else:
-            verdict = Verdict.FAILED
-        return SessionOutcome(
-            verdict,
-            current.files,
-            trace,
-            stats=store.stats,
-            solution_id=attempted_id,
-            final_errors=current.error_count,
-            baseline_errors=baseline.error_count,
-            thought_count=store.latest_index(),
-        )
-    finally:
-        if isinstance(solutions, Generator):
-            solutions.close()
+            break
+        trace.reports = current.reports
+        best = store.select_rollback_target()
+        if current.index != best:
+            current = store.restore(best, workspace)
+        if aborted:
+            break
+
+    # every snapshot's count is a detection of exactly its bytes
+    if current.error_count == 0:
+        verdict = Verdict.PASS
+    elif budget_hit_last:
+        verdict = Verdict.BUDGET_EXHAUSTED
+    else:
+        verdict = Verdict.FAILED
+    return SessionOutcome(
+        verdict,
+        current.files,
+        trace,
+        stats=store.stats,
+        solution_id=tried[-1][0].id if tried else None,
+        final_errors=current.error_count,
+        baseline_errors=baseline.error_count,
+        thought_count=store.latest_index(),
+        tried=tried,
+    )

@@ -75,17 +75,25 @@ def run_stub_in_process(argv, timeout, cwd, **_):
     return subprocess.CompletedProcess(argv, code, "", err.getvalue())
 
 
+def one_page(solutions):
+    """A planner whose first page is ``solutions`` and whose next page is empty."""
+    return lambda tried, start: [] if tried else list(solutions)
+
+
 def run_session_on_copy(target, solutions, *, provider, config, kb=None):
     """``run_session`` on ``target`` with the state ``cli.repair_one`` hands
     it, made here: a working copy of its own, removed afterwards;
     ``provider`` memoised through ``config.memo``, on a clock by which a
     model call takes no time; and a baseline detected through
-    ``config.memo``, by the same ``slow._detect`` that detects each step."""
+    ``config.memo``, by the same ``slow._detect`` that detects each step.
+    ``solutions`` are the plan's one page."""
     workspace = WorkingCopy(target)
     try:
         memoised = MemoizedProvider(provider, config.memo, lambda: 0.0)
         baseline = slow._detect(workspace.target, config)
-        return slow.run_session(workspace, solutions, provider=memoised, config=config, baseline=baseline, kb=kb)
+        return slow.run_session(
+            workspace, plan=one_page(solutions), provider=memoised, config=config, baseline=baseline, kb=kb
+        )
     finally:
         workspace.cleanup()
 
@@ -136,25 +144,20 @@ def private_tmpdir(tmp_path_factory, monkeypatch):
         pytest.fail(f"temp trees left behind: {leaked}")
 
 
-def load_perfbench_gen():
-    """``perfbench/gen.py`` loaded as a module, as the benchmark harness loads it."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH_DIR / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = gen  # its dataclasses look it up
-    spec.loader.exec_module(gen)
-    return gen
+def load_perfbench(name: str = "gen"):
+    """``perfbench/<name>.py`` loaded as a module, as the benchmark harness loads it."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
 def perfbench_gen(monkeypatch):
-    """``load_perfbench_gen()``, with ``sys.modules`` as it was restored after the test."""
+    """``load_perfbench()``, with ``sys.modules`` as it was restored after the test."""
     monkeypatch.setitem(sys.modules, "perfbench_gen", None)
-    return load_perfbench_gen()
-
-
-@pytest.fixture
-def detector_config() -> DetectorConfig:
-    return stub_detector_config()
+    return load_perfbench()
 
 
 @pytest.fixture

@@ -205,7 +205,6 @@ def test_acceptance_01_pruning_matches_brute_force_enumeration():
                 file="main.rs",
                 line=rng.randint(1, total_lines),
                 message="synthetic report",
-                raw="synthetic report",
             )
             for _ in range(n_errors)
         ]
@@ -216,7 +215,6 @@ def test_acceptance_01_pruning_matches_brute_force_enumeration():
                     file="main.rs",
                     line=None,
                     message="synthetic, no location",
-                    raw="synthetic, no location",
                 )
             )
         ast = extract_ast(source)

@@ -363,7 +363,7 @@ def _propose_written(ws, step, spy, stored=None):
     region = locate_unsafe_regions(ws.read("main.rs"), "main.rs")[0]
     memo = CaseMemo(stored)
     provider = MemoizedProvider(spy, memo, lambda: 0.0)
-    report = UbReport(kind=UbKind.STACK_BORROW, file="main.rs", line=3, message="m", raw="")
+    report = UbReport(kind=UbKind.STACK_BORROW, file="main.rs", line=3, message="m")
     return propose_step(step, region, [report], ws, provider, 0, 1), memo
 
 

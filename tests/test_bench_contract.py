@@ -49,7 +49,7 @@ def test_repair_one_signature_and_settings():
 @pytest.mark.parametrize(
     ("fn", "leading", "named"),
     [
-        (run_session, ["workspace", "solutions"], []),
+        (run_session, ["workspace"], []),
         (execute_step, [], ["prev_count"]),
         (run_detection, ["target"], ["config"]),
         (ReferenceBundle.check, ["self", "final_source", "entry_file"], []),
@@ -62,6 +62,14 @@ def test_traced_parameters(fn, leading, named):
     params = _params(fn)
     assert params[: len(leading)] == leading
     assert set(named) <= set(params)
+
+
+def test_run_session_takes_its_planner_by_keyword_only():
+    # perfbench/tracer.py calls ``list()`` on what ``run_session`` got at
+    # position 1 or as ``solutions``, which a planner there would fail
+    params = inspect.signature(run_session).parameters.values()
+    assert [p.name for p in params if p.kind is not inspect.Parameter.KEYWORD_ONLY] == ["workspace"]
+    assert inspect.signature(run_session).parameters["plan"].kind is inspect.Parameter.KEYWORD_ONLY
 
 
 def test_run_detection_callers_pass_config_by_keyword():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import logging
 import os
 import shlex
 import shutil
@@ -1086,3 +1087,19 @@ def test_bench_stderr_comes_in_case_id_order_whatever_finishes_first(tmp_path):
     lines = run.stderr.splitlines()
     assert len(lines) == 3 and "case c01 failed: detection exceeded 2.0s" in lines[0]
     assert all("unclassifiable" in line for line in lines[1:])
+
+
+def test_a_reason_step_on_a_file_that_does_not_lex_adds_nothing(tmp_path, monkeypatch, capsys, caplog):
+    # the step's ref names a tracked file with an unclosed unsafe block: the
+    # step finds no knowledge, and the fix step after it repairs the entry file
+    caplog.set_level(logging.INFO, logger="ubmend.slow")
+    case = copy_fixture(CORPUS_DIR / "stack_borrow", tmp_path)
+    (case / "broken.rs").write_text("fn f() { unsafe { let x = 1;\n}\n", encoding="utf-8")
+    plan = (
+        "STEP 1: Reason broken.rs#0 :: consult prior fixes\n"
+        "STEP 2: ModifySemantics main.rs#0 :: rewrite the region to remove the undefined behavior\n"
+    )
+    monkeypatch.setattr(cli, "create_provider", lambda config: ScriptedMockProvider(config, rules=[(MARKER_PLAN, plan)]))
+    assert main(_fix(case / "main.rs", "--kb", str(tmp_path / "kb.jsonl"), "--report", "json")) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+    assert "Reason broken.rs#0 adds nothing (broken.rs:1: unbalanced braces" in caplog.text

@@ -81,19 +81,20 @@ def test_target_package_rejects_bad_paths(tmp_path):
         TargetPackage.from_path(empty).validate()
 
 
-def _detect(tmp_path, source, **cfg_kw):
+def _detect(tmp_path, source, memo=None, **cfg_kw):
     f = tmp_path / "main.rs"
     f.write_text(source)
     target = TargetPackage.from_path(f)
-    return run_detection(target, config=stub_detector_config(**cfg_kw), memo=CaseMemo())
+    return run_detection(target, config=stub_detector_config(**cfg_kw), memo=memo or CaseMemo())
 
 
 def test_run_detection_clean(tmp_path):
-    result = _detect(tmp_path, 'fn main() { println!("ok"); }\n')
+    memo = CaseMemo()
+    result = _detect(tmp_path, 'fn main() { println!("ok"); }\n', memo)
     assert result.clean
     assert result.error_count == 0
-    assert result.tool_exit_status == 0
-    assert result.wall_time >= 0
+    ((_, line),) = memo.new_results.items()
+    assert line["exit_status"] == 0
 
 
 def test_run_detection_counts_and_locates(tmp_path):
@@ -182,16 +183,18 @@ def test_parse_diagnostics_ignores_non_ub_noise():
 
 
 def test_parse_diagnostics_block_boundaries(tmp_path):
-    # two blocks back to back parse into two reports with raw bodies intact
+    # two blocks back to back parse into two reports
     source = (
         "fn main() {\n"
         "    let a = 0; //~UB " + KIND_MESSAGES[UbKind.PANIC] + "\n"
         "    let b = 1; //~UB " + KIND_MESSAGES[UbKind.DATA_RACE] + "\n}\n"
     )
-    result = _detect(tmp_path, source)
-    reports = parse_diagnostics(result.raw_output)
+    memo = CaseMemo()
+    _detect(tmp_path, source, memo)
+    ((_, line),) = memo.new_results.items()
+    assert "BACKTRACE" in line["output"]
+    reports = parse_diagnostics(line["output"])
     assert len(reports) == 2
-    assert "BACKTRACE" in reports[0].raw
     assert reports[0].to_dict()["kind"] == "panic"
     assert reports[1].kind == UbKind.DATA_RACE
 
@@ -237,7 +240,7 @@ def test_memo_keeps_no_output_that_holds_the_root_token(tmp_path):
     first = run_detection(target, config=config, memo=memo)
     second = run_detection(target, config=config, memo=memo)
     assert len(spawn_log(log)) == 2
-    assert "{root}" in first.raw_output and second.raw_output == first.raw_output
+    assert "{root}" in first.reports[0].message and second == first
     assert memo.new_results == {}
 
 

@@ -49,7 +49,7 @@ def _target(tmp_path, source=UNSAFE_MAIN, name="main.rs"):
 
 
 def _report(line, kind=UbKind.STACK_BORROW, file="main.rs"):
-    return UbReport(kind=kind, file=file, line=line, message="m", raw="")
+    return UbReport(kind=kind, file=file, line=line, message="m")
 
 
 def _feature(ub_kinds=frozenset({UbKind.STACK_BORROW}), ops=frozenset(), ref="main.rs#0"):
@@ -295,9 +295,11 @@ def test_a_follow_up_page_of_one_under_the_cap_asks_for_one_solution_not_yet_tri
     first = generate_solutions([_feature()], k=2, provider=provider)
     second = generate_solutions([_feature()], k=2, provider=provider, tried=_tried(first))
     assert [s.id for s in second] == ["s02"]
-    assert "SOLUTION <i>:" in prompts[1] and "solutions requested" not in prompts[1]
-    assert "Produce one solution not yet tried, numbered from 2." in " ".join(prompts[1].split())
-    assert "TRIED s01" in prompts[1]
+    # the one-solution grammar of the first page, with the tried section
+    assert "Produce one solution in exactly this grammar" in " ".join(prompts[1].split())
+    assert "SOLUTION <i>" not in prompts[1] and "numbered from" not in prompts[1]
+    assert "first solution only" not in prompts[1]
+    assert "Solutions tried so far, each with its verdict:\nTRIED s01: ended at 1 errors" in prompts[1]
 
 
 def test_a_page_of_repeats_ends_the_drawing_after_one_call():

@@ -29,7 +29,7 @@ from pathlib import Path
 import pytest
 
 import ubmend
-from conftest import CORPUS_DIR, FIXTURES_DIR, STUB_DETECTOR_ARG, load_perfbench_gen
+from conftest import CORPUS_DIR, FIXTURES_DIR, STUB_DETECTOR_ARG, load_perfbench
 
 GOLDEN_DIR = FIXTURES_DIR / "golden"
 # Seed-1 t00 (4 unsafe regions) and t01 (6) of perfbench's large-target
@@ -83,7 +83,7 @@ def run_bench(stem: str, work: Path) -> dict[str, bytes]:
     manifest's targets are written under ``work/targets``, which holds no
     output."""
     if stem in GENERATED:
-        gen, root = load_perfbench_gen(), work / "targets"
+        gen, root = load_perfbench(), work / "targets"
         gen.write_manifest(root / "manifest.jsonl", gen.large_cases(GENERATED[stem][0], root))
     env = dict(os.environ)
     src = str(Path(ubmend.__file__).resolve().parents[1])

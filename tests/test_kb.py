@@ -45,7 +45,7 @@ fn main() {
 
 
 def _report(line: int, kind=UbKind.STACK_BORROW) -> UbReport:
-    return UbReport(kind=kind, file="main.rs", line=line, message="m", raw="")
+    return UbReport(kind=kind, file="main.rs", line=line, message="m")
 
 
 # --- parsing ---

@@ -3,8 +3,8 @@
 The prompts are those of a bench over the corpus fixtures, read back from
 its transcript, and those of a repair whose every fix step abstains, so
 that it asks follow-up plan pages. A prompt names the fix agents to try
-on a region by the names its grammar lists. A page asked with nothing
-tried is in the one-solution grammar, and a follow-up page numbers its
+on a region by the names its grammar lists. A page of one solution is in
+the one-solution grammar, and a follow-up page of more numbers its
 solutions on from the tried ones.
 """
 
@@ -41,14 +41,15 @@ def bench_prompts(tmp_path_factory) -> list[str]:
 @pytest.fixture
 def follow_up_prompts(monkeypatch) -> list[str]:
     """Every prompt of a repair of ``stack_borrow`` whose fix steps all
-    abstain: a first page, then follow-up pages until the plans repeat."""
+    abstain, capped at five solutions: a first page, a follow-up page of
+    three, then one of one."""
     seen: list[str] = []
     complete = Provider.complete
     monkeypatch.setattr(
         Provider, "complete", lambda self, prompt: seen.append(prompt.text()) or complete(self, prompt)
     )
     provider = ScriptedMockProvider(ProviderConfig(), rules=[(MARKER_FIX, "no fenced block in this answer")])
-    settings = SessionConfig(memo=CaseMemo(), detector=stub_detector_config())
+    settings = SessionConfig(memo=CaseMemo(), detector=stub_detector_config(), solutions_k=5)
     target = TargetPackage.from_path(CORPUS_DIR / "stack_borrow" / "main.rs")
     cli.repair_one(target, provider, FeedbackEngine(), settings)
     return seen
@@ -93,11 +94,15 @@ def test_the_corpus_prompts_name_agents_and_ask_first_pages_in_the_one_solution_
 
 def test_a_follow_up_page_is_numbered_on_from_the_tried_solutions(follow_up_prompts):
     first, *follow_ups = _plan_pages(follow_up_prompts)
-    assert follow_ups
+    assert [len(re.findall(r"^TRIED ", page, flags=re.MULTILINE)) for page in follow_ups] == [1, 4]
     _check_names(follow_up_prompts)
     _check_first_page(first)
     for page in follow_ups:
         tried = [int(n) for n in re.findall(r"^TRIED s(\d+):", page, flags=re.MULTILINE)]
         assert tried and "solutions requested" not in page
-        assert f"numbered from {max(tried) + 1}." in _flat(page)
-        assert "SOLUTION <i>:" in page
+        if "Produce one solution" in _flat(page):
+            # a page of one is in the one-solution grammar, numbered nowhere
+            assert not re.search(r"SOLUTION <i>|SOLUTION \d", page) and "numbered from" not in page
+        else:
+            assert f"numbered from {max(tried) + 1}." in _flat(page)
+            assert "SOLUTION <i>:" in page

@@ -23,7 +23,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_DIR, STUB_DETECTOR_ARG, run_stub_in_process, stub_detector_config
+from conftest import (
+    CORPUS_DIR,
+    STUB_DETECTOR_ARG,
+    load_perfbench,
+    one_page,
+    run_stub_in_process,
+    stub_detector_config,
+)
 from ubmend import cli, detector, fast
 from ubmend.detector import CaseMemo, TargetPackage, UbKind, run_detection
 from ubmend.fast import (
@@ -51,7 +58,7 @@ from ubmend.provider import (
     ProviderConfig,
     ScriptedMockProvider,
 )
-from ubmend.slow import SessionConfig, Verdict, run_session
+from ubmend.slow import ErrorTrace, SessionConfig, Verdict, run_session
 from ubmend.workspace import WorkingCopy
 
 REWRITE = ("ModifySemantics", "rewrite the region to remove the undefined behavior")
@@ -92,7 +99,7 @@ def eager_solutions(features, k, provider):
     pages; the mock's answers always parse, so there is no retry."""
     prompt = PromptRecord.user(fill(
         load_template("plan_generation.txt"),
-        request=f"up to {k} solutions, most promising first",
+        count=str(k),
         first="1",
         features=fast._feature_lines(features),
         tried="",
@@ -136,7 +143,7 @@ def reference_repair_one(target, provider, engine, settings, reference=None):
                         kb = None
                 solutions = reference_rank(engine, solutions, vector)
         outcome = run_session(
-            ws, solutions, provider=provider, config=settings, baseline=baseline, kb=kb,
+            ws, plan=one_page(solutions), provider=provider, config=settings, baseline=baseline, kb=kb,
         )
         elapsed = clock() - start + memo.charged_seconds
         tokens = memo.charged_tokens
@@ -147,26 +154,22 @@ def reference_repair_one(target, provider, engine, settings, reference=None):
         if outcome.verdict is Verdict.PASS and triplet.acceptability is True:
             outcome.verdict = Verdict.SEMANTIC_PASS
         if triplet.accuracy:
-            # the session draws the solutions in order, up to the one it ended on
-            ids = [solution.id for solution in solutions]
-            drawn = solutions[: ids.index(outcome.solution_id) + 1] if outcome.solution_id in ids else []
-            for solution in drawn:
+            for solution, _ in outcome.tried:
                 for prompt in solution.prompts:
                     provider.keep(prompt)
             for thought in outcome.trace.thoughts:
                 if thought.kept:
                     provider.keep(thought.patch.prompt)
-        if settings.kb_enabled and vector is not None and not vector.is_zero and outcome.solution_id is not None:
-            used = next((s for s in solutions if s.id == outcome.solution_id), None)
-            if used is not None:
-                record = ExperienceRecord(
-                    feature_vector=vector,
-                    ub_kind=cli._lead_kind(baseline.reports),
-                    solution_id=used.id,
-                    triplet=triplet,
-                    solution_signature=signature_of(used),
-                )
-                engine.record_experience(record, solution=used if triplet.accuracy else None)
+        if settings.kb_enabled and vector is not None and not vector.is_zero and outcome.tried:
+            used, _ = outcome.tried[-1]
+            record = ExperienceRecord(
+                feature_vector=vector,
+                ub_kind=cli._lead_kind(baseline.reports),
+                solution_id=used.id,
+                triplet=triplet,
+                solution_signature=signature_of(used),
+            )
+            engine.record_experience(record, solution=used if triplet.accuracy else None)
         return outcome, triplet, originals
     finally:
         ws.cleanup()
@@ -348,25 +351,29 @@ def test_a_passing_seed_asks_only_its_fix_prompt(spy):
 
 
 def test_reading_the_solutions_after_a_seed_passed_plans_nothing(spy, monkeypatch):
-    # a caller that reads what the session was given once it returned, as
-    # the benchmark's span recorder does, must not make the plan
+    # the benchmark's span recorder reads the session's arguments and result
+    # once it returned: that must neither fail nor make the plan
+    post_session = load_perfbench("tracer")._post_session
+    calls = []
     session = cli.run_session
 
-    def reading(target, solutions, **kwargs):
-        outcome = session(target, solutions, **kwargs)
-        list(solutions)
+    def reading(*args, **kwargs):
+        outcome = session(*args, **kwargs)
+        calls.append((args, kwargs, outcome))
         return outcome
 
     monkeypatch.setattr(cli, "run_session", reading)
     assert _asked(cli.repair_one, "stack_borrow", REWRITE) is Verdict.PASS
+    ((args, kwargs, outcome),) = calls
+    post_session({}, args, kwargs, outcome)
     assert _kinds(spy) == ["fix"]
 
 
 def test_a_failing_seed_asks_its_fix_prompt_then_plans_as_before(spy, stood, monkeypatch):
-    drawn = _drawing(monkeypatch)
+    tried = _drawing(monkeypatch)
     assert _asked(cli.repair_one, "stack_borrow", FAILING) is Verdict.PASS
     # the seed, drawn before the page, is not drawn again from it
-    assert [s.id for s in drawn] == ["s00", "s01"]
+    assert [s.id for s, _ in tried] == ["s00", "s01"]
     # the seed's fix, then the plan, whose code answers s01's fix
     assert _kinds(spy) == ["fix", "plan"]
     assert _kinds(stood) == ["fix"]
@@ -407,21 +414,19 @@ def _abstaining(config: ProviderConfig) -> ScriptedMockProvider:
     return ScriptedMockProvider(config, rules=[(MARKER_FIX, NO_CODE)])
 
 
-def _drawing(monkeypatch) -> list[RepairSolution]:
-    """The solutions ``cli.repair_one``'s session draws, in draw order."""
-    drawn: list[RepairSolution] = []
+def _drawing(monkeypatch) -> list[tuple[RepairSolution, ErrorTrace]]:
+    """The solutions ``cli.repair_one``'s session drew, in draw order, each
+    with the trace it ended on: its outcome's ``tried``."""
+    tried: list[tuple[RepairSolution, ErrorTrace]] = []
     session = cli.run_session
 
-    def recording(target, solutions, **kwargs):
-        def noted():
-            for solution in solutions:
-                drawn.append(solution)
-                yield solution
-
-        return session(target, noted(), **kwargs)
+    def recording(*args, **kwargs):
+        outcome = session(*args, **kwargs)
+        tried.extend(outcome.tried)
+        return outcome
 
     monkeypatch.setattr(cli, "run_session", recording)
-    return drawn
+    return tried
 
 
 def _plans(prompts: list[str]) -> list[str]:
@@ -435,7 +440,7 @@ def _requested(page: str) -> int:
 
 
 def test_a_follow_up_page_carries_the_verdicts_and_continues_the_rotation(spy, monkeypatch):
-    drawn = _drawing(monkeypatch)
+    tried = _drawing(monkeypatch)
     path = CORPUS_DIR / "stack_borrow" / "main.rs"
     settings = SessionConfig(detector=stub_detector_config(), memo=CaseMemo())
     outcome, _, _ = cli.repair_one(
@@ -458,8 +463,8 @@ def test_a_follow_up_page_carries_the_verdicts_and_continues_the_rotation(spy, m
     target = TargetPackage.from_path(path)
     features = extract_features(target, run_detection(target, config=stub_detector_config(), memo=CaseMemo()).reports)
     eager = eager_solutions(features, 10, _abstaining(ProviderConfig()))
-    assert [(s.id, s.steps) for s in drawn] == [(s.id, s.steps) for s in eager]
-    assert [s.steps[0].agent for s in drawn[3:]] == [AgentKind.REASON] * 3
+    assert [(s.id, s.steps) for s, _ in tried] == [(s.id, s.steps) for s in eager]
+    assert [s.steps[0].agent for s, _ in tried[3:]] == [AgentKind.REASON] * 3
 
 
 def test_a_plan_page_is_the_same_prompt_with_knowledge_on_and_off(spy):
@@ -483,25 +488,16 @@ def test_a_no_knowledge_run_passes_over_the_reason_steps_of_its_plan(spy, monkey
     # the mock's solutions 4-6 open with a Reason step whatever the run's
     # knowledge setting; without a knowledge base it makes no thought, and
     # the fix prompts after it are those of solutions 1-3, answered by the memo
-    drawn = _drawing(monkeypatch)
-    ended = []
-    session = cli.run_session
-
-    def keeping(target, solutions, **kwargs):
-        ended.append(kwargs["ended"])
-        return session(target, solutions, **kwargs)
-
-    monkeypatch.setattr(cli, "run_session", keeping)
+    tried = _drawing(monkeypatch)
     path = CORPUS_DIR / "stack_borrow" / "main.rs"
     settings = SessionConfig(detector=stub_detector_config(), memo=CaseMemo(), kb_enabled=False)
     outcome, _, _ = cli.repair_one(
         TargetPackage.from_path(path), _abstaining(ProviderConfig()), FeedbackEngine(), settings
     )
     assert outcome.verdict is Verdict.FAILED
-    assert [s.steps[0].agent for s in drawn[3:6]] == [AgentKind.REASON] * 3
-    (traces,) = ended
-    assert len(traces) == len(drawn) >= 6
-    for solution, trace in zip(drawn[3:6], traces[3:6]):
+    assert len(tried) >= 6
+    assert [s.steps[0].agent for s, _ in tried[3:6]] == [AgentKind.REASON] * 3
+    for solution, trace in tried[3:6]:
         assert [t.step for t in trace.thoughts] == solution.steps[1:]
     fixes = [p for p in spy if MARKER_FIX in p]
     assert len(fixes) == len(set(fixes))
@@ -581,14 +577,7 @@ def test_a_follow_up_page_shows_only_what_the_best_snapshot_still_reports(spy, m
     # s01 repairs regions 0 and 1 and never region 2: every later page is
     # planned on the snapshot with the first two repaired
     pages = _paging(monkeypatch)
-    ended = []
-    session = cli.run_session
-
-    def keeping(target, solutions, **kwargs):
-        ended.append(kwargs["ended"])
-        return session(target, solutions, **kwargs)
-
-    monkeypatch.setattr(cli, "run_session", keeping)
+    tried = _drawing(monkeypatch)
     settings = SessionConfig(detector=stub_detector_config(), memo=CaseMemo(), kb_enabled=False)
     outcome, _, _ = cli.repair_one(
         _regions_target(tmp_path, regions_source(3)), _Stuck(ProviderConfig(), "alignment 8 is required"),
@@ -597,7 +586,7 @@ def test_a_follow_up_page_shows_only_what_the_best_snapshot_still_reports(spy, m
     assert outcome.verdict is Verdict.FAILED
     prompts = _plans(spy)
     assert len(prompts) == len(pages) >= 3
-    (traces,) = ended
+    traces = [trace for _, trace in tried]
     for n, (prompt, (lines, reported)) in enumerate(zip(prompts, pages)):
         shown = prompt.split("Regions under repair:\n", 1)[1].split("\n\nSolutions tried so far", 1)[0]
         assert shown.rstrip("\n") == lines

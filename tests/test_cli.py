@@ -19,6 +19,7 @@ import pytest
 
 from conftest import (
     CORPUS_DIR,
+    FIXTURES_DIR,
     STUB_DETECTOR_ARG,
     TOOLS_DIR,
     copy_fixture,
@@ -611,6 +612,37 @@ def test_a_live_answer_without_content_fails_once_with_a_usage_error(tmp_path, c
     assert row["verdict"] == "failed"
     assert row["note"].startswith("HttpFailure: HTTP 200 body has no string choices[0].message.content: ")
     assert "Traceback" not in caplog.text
+
+
+def test_the_live_backend_posts_the_normalised_prompt_as_one_user_message(tmp_path, capsys, monkeypatch):
+    # acceptance 08, the live smoke test, is skipped offline: this pins the
+    # request body, headers and URL instead. The first page's prompt is one
+    # the golden bench transcript records, normalised as every transcript is.
+    import requests
+
+    posts = []
+
+    def post(url, **kwargs):
+        posts.append((url, kwargs))
+        return _Body('{"choices": []}')
+
+    monkeypatch.setattr(requests, "post", post)
+    monkeypatch.setenv("RUSTBRAIN_API_KEY", "test-key")
+    monkeypatch.setenv("RUSTBRAIN_API_BASE", "http://localhost:9/v1/")
+    case = copy_fixture(CORPUS_DIR / "stack_borrow", tmp_path)
+    assert main(_fix(case, "--provider", "live", "--no-kb", "--temperature", "0.25")) == 2
+    capsys.readouterr()
+    ((url, kwargs),) = posts
+    assert url == "http://localhost:9/v1/chat/completions"
+    assert kwargs["headers"] == {"Authorization": "Bearer test-key"}
+    body = kwargs["json"]
+    assert sorted(body) == ["messages", "model", "temperature"]
+    assert (body["model"], body["temperature"]) == ("gpt-4", 0.25)
+    golden = FIXTURES_DIR / "golden" / "bench_json.transcript.jsonl"
+    recorded = [json.loads(line)["prompt"]["messages"] for line in golden.read_text(encoding="utf-8").splitlines()]
+    ((message,),) = [messages for messages in recorded if messages == body["messages"]]
+    assert message["role"] == "user" and MARKER_PLAN in message["content"]
+    assert message["content"] == message["content"].rstrip() and "\r" not in message["content"]
 
 
 def test_bench_duplicate_case_id_is_usage_error(tmp_path, capsys):

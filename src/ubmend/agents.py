@@ -18,7 +18,7 @@ from .classifier import AgentKind, UnsafeRegion, has_safe_api_match
 from .detector import UbKind
 from .errors import AgentFailure, NoGuardExpressible, NoSafeEquivalent, ProviderFailure
 from .prompts import fill, load_template
-from .provider import FENCE_RE, PromptRecord, Provider
+from .provider import FENCE_RE, Provider
 
 log = logging.getLogger(__name__)
 
@@ -55,7 +55,7 @@ class PatchRecord:
     after_text: str
     agent: AgentKind
     rationale: str = ""
-    prompt: PromptRecord | None = field(default=None, repr=False, compare=False)
+    prompt: str | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -182,7 +182,7 @@ def _propose(
     agent's prompt, the line before it being the rationale, once the agent's
     check (``_CHECKS``) passes. With no answer in the memo, ``written`` that
     passes is kept as the answer at no cost; refused, the model is asked."""
-    prompt = PromptRecord.user(build_prompt(agent, region, ub_kinds, instruction, knowledge))
+    prompt = build_prompt(agent, region, ub_kinds, instruction, knowledge)
 
     def patch_of(answer: str) -> PatchRecord:
         if agent in _ABSTENTION:

@@ -75,7 +75,6 @@ from .provider import (
     ProviderConfig,
     ProviderMode,
     ReplayProvider,
-    TranscriptEntry,
     create_provider,
     load_transcript,
     transcript_entries,
@@ -357,12 +356,11 @@ def repair_one(
         kb = engine.kb if settings.kb_enabled else None
         vector: FeatureVector | None = None
         seeded: RepairSolution | None = None
-        reports = list(baseline.reports)
         # a region stands for reports that land in none at the baseline only
-        features = reports and (extract_features(ws.target, reports) or stand_in_features(ws.target, reports))
+        features = baseline and (extract_features(ws.target, baseline) or stand_in_features(ws.target, baseline))
         if features and settings.kb_enabled:
             lead_file, _ = parse_region_ref(features[0].ref)
-            vector = feature_vector(ws.read(lead_file), baseline.reports, lead_file)
+            vector = feature_vector(ws.read(lead_file), baseline, lead_file)
             hit = engine.best_hit(vector)
             if hit is not None:
                 seeded = _seeded_solution(hit[1], features[0].ref)
@@ -413,7 +411,7 @@ def repair_one(
             used, _ = outcome.tried[-1]
             record = ExperienceRecord(
                 feature_vector=vector,
-                ub_kind=_lead_kind(baseline.reports),
+                ub_kind=_lead_kind(baseline),
                 solution_id=used.id,
                 triplet=triplet,
                 solution_signature=signature_of(used),
@@ -748,7 +746,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     answers = AnswerPool()
     jobs = args.jobs or min(JOBS_CAP, os.cpu_count() or 1)
     results: list[CaseResult] = []
-    transcript: dict[str, TranscriptEntry] = {}
+    transcript: dict[str, dict] = {}
     missing: list[ToolMissing] = []
     logs = _CaseLogs()
 
@@ -780,7 +778,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                         engine.record_experience(record, solution=None)
                     engine.record_tool_results(new_results)
                     for entry in recorded:
-                        transcript.setdefault(entry.hash, entry)
+                        transcript.setdefault(entry["hash"], entry)
         if _records_transcript(args):
             write_transcript(args.transcript, transcript.values())
     except StorageFailure as exc:

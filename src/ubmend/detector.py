@@ -2,9 +2,11 @@
 
 The detection tool (Miri under cargo by default) is spawned as a subprocess
 in the target's working directory; stdout and stderr are captured together
-and split into diagnostic blocks. Kind classification is a fixed ordered
-regex table shipped as ``data/ub_patterns.tsv``, read once per process, so
-it can be audited and extended by editing that file, without code changes.
+and split into diagnostic blocks. A detection is its list of UB reports,
+one per block, empty when the target is clean. Kind classification is a
+fixed ordered regex table shipped as ``data/ub_patterns.tsv``, read once
+per process, so it can be audited and extended by editing that file,
+without code changes.
 """
 from __future__ import annotations
 
@@ -23,14 +25,11 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import DetectionTimeout, NonUbCompileError, TargetRejected, ToolMissing
 from .lexutil import estimate_tokens
 from .process import run_group
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .provider import PromptRecord
 
 log = logging.getLogger(__name__)
 
@@ -160,29 +159,16 @@ class UbReport:
         }
 
 
-@dataclass
-class DetectionResult:
-    reports: list[UbReport]
-
-    @property
-    def error_count(self) -> int:
-        return len(self.reports)
-
-    @property
-    def clean(self) -> bool:
-        return self.error_count == 0
-
-
 @dataclass(frozen=True)
 class MemoEntry:
     """A completed result as a case memo keeps it: the ``tool_result``
     fields it is stored as (or would be), the time it took in the run's
-    clock units, and, for a model answer only, the prompt it answers and
-    the tokens its model call took (0 when it made none)."""
+    clock units, and, for a model answer only, the prompt text it answers
+    and the tokens its model call took (0 when it made none)."""
 
     fields: Mapping[str, object]
     wall_time: float
-    prompt: "PromptRecord | None"
+    prompt: str | None
     tokens: int = 0
 
 
@@ -264,10 +250,13 @@ class CaseMemo:
         self.charged_tokens = 0
         self._paid = set()
 
-    def recall(self, key: str, kind: str, prompt: "PromptRecord | None" = None) -> MemoEntry | None:
-        """The entry kept under ``key``, else the stored line of ``kind`` (a
-        ``store_hits`` key) under ``key``, kept as an entry for ``prompt``
-        that took no time; None when neither holds it."""
+    def recall(self, key: str, prompt: str | None = None) -> MemoEntry | None:
+        """The entry kept under ``key``, else the stored line under ``key``,
+        kept as an entry for ``prompt`` that took no time and counted in
+        ``store_hits`` under its kind (``_line_kind``); None when neither
+        holds it. A lookup with a prompt takes only an answer line and one
+        without only a detection or verdict line; those two are told apart
+        by their keys, sha256 digests of different payloads."""
         entry = self._entries.get(key)
         if entry is not None:
             if key not in self._paid:
@@ -275,9 +264,9 @@ class CaseMemo:
                 self.charged_seconds += entry.wall_time
             return entry
         line = self.stored.get(key)
-        if line is None or _line_kind(line) != kind:
+        if line is None or ("answer" in line) != (prompt is not None):
             return None
-        self.store_hits[kind] += 1
+        self.store_hits[_line_kind(line)] += 1
         entry = self._entries[key] = MemoEntry(line, 0.0, prompt)
         self._paid.add(key)
         return entry
@@ -469,8 +458,8 @@ def run_detection(
     config: DetectorConfig,
     clock: Callable[[], float] = time.monotonic,
     memo: CaseMemo,
-) -> DetectionResult:
-    """Spawn the detection tool on ``target`` and parse its diagnostics.
+) -> list[UbReport]:
+    """Spawn the detection tool on ``target`` and return its UB reports.
 
     Raises ToolMissing when the tool cannot be spawned, DetectionTimeout
     when the run exceeds ``config.timeout``, and NonUbCompileError when the
@@ -488,7 +477,7 @@ def run_detection(
     argv = render_command(config.command, entry, root)
     keyed = render_command(config.command, entry, _ROOT_TOKEN)
     key = _content_key(keyed, memo.tool(config.command), target)
-    known = memo.recall(key, "detections")
+    known = memo.recall(key)
     if known is not None:
         output = known.fields["output"].replace(_ROOT_TOKEN, root)
         return _read_output(argv, root, known.fields["exit_status"], output)
@@ -502,24 +491,27 @@ def run_detection(
         raise DetectionTimeout(f"detection exceeded {config.timeout}s: {argv}") from exc
     wall = clock() - started
     raw = (proc.stdout or "") + (proc.stderr or "")
-    result = _read_output(argv, root, proc.returncode, raw)
+    reports = _read_output(argv, root, proc.returncode, raw)
     if _ROOT_TOKEN not in raw:
         fields = {"exit_status": proc.returncode, "output": raw.replace(root, _ROOT_TOKEN)}
         memo.keep(key, MemoEntry(fields, wall, None))
-    return result
+    return reports
 
 
-def _read_output(argv: list[str], root: str, status: int, raw: str) -> DetectionResult:
-    """A finished tool run's result, from its exit status and output; a run
-    read back from the store goes through here as a fresh one does. A
-    non-zero exit without a UB block blames the target when the output
-    holds a top-level ``error:`` line, else the command, which it shows;
-    the message carries the head of the output, with the working copy's
-    ``root`` written as ``{root}`` so it reads the same in every run."""
-    if _MISSING_TOOL_RE.search(raw) and status != 0:
-        raise ToolMissing(f"detection tool unavailable: {argv}\n{raw.strip()[:500]}")
+def _read_output(argv: list[str], root: str, status: int, raw: str) -> list[UbReport]:
+    """A finished tool run's UB reports, from its exit status and output; a
+    run read back from the store goes through here as a fresh one does. A
+    non-zero exit without a UB block blames the tool when the output says
+    it is missing; the program's own output, which Miri passes through, may
+    say so too, so an output with a UB block never does. Else it blames the
+    target when the output holds a top-level ``error:`` line, else the
+    command, which it shows; the message carries the head of the output,
+    with the working copy's ``root`` written as ``{root}`` so it reads the
+    same in every run."""
     reports = parse_diagnostics(raw)
     if status != 0 and not reports:
+        if _MISSING_TOOL_RE.search(raw):
+            raise ToolMissing(f"detection tool unavailable: {argv}\n{raw.strip()[:500]}")
         shown = raw.replace(root, _ROOT_TOKEN).strip()[:500]
         if any(_TOP_ERROR_RE.match(line) for line in raw.splitlines()):
             raise NonUbCompileError(f"target fails compilation (tool exit {status})\n{shown}")
@@ -528,4 +520,4 @@ def _read_output(argv: list[str], root: str, status: int, raw: str) -> Detection
         raise NonUbCompileError(f"{why}\n{shown}")
     if status == 0 and reports:
         log.warning("tool exited 0 but emitted %d UB blocks; trusting blocks", len(reports))
-    return DetectionResult(reports)
+    return reports

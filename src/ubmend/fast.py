@@ -53,7 +53,7 @@ from .detector import TargetPackage, UbReport
 from .errors import Unclassifiable
 from .lexutil import line_of_offset
 from .prompts import fill, load_template
-from .provider import PromptRecord, Provider
+from .provider import Provider
 
 if TYPE_CHECKING:  # pragma: no cover
     from .slow import ErrorTrace
@@ -118,7 +118,7 @@ class RepairSolution:
     # the plan prompts whose answers made it: its page's, then the retry
     # after a degenerate answer; never serialized or compared, so that a
     # verified repair's plan answers can be kept
-    prompts: tuple[PromptRecord, ...] = field(default=(), compare=False, repr=False)
+    prompts: tuple[str, ...] = field(default=(), compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -398,16 +398,15 @@ def generate_solutions(
         template, numbering = "plan_first_page.txt", {}
     else:
         template, numbering = "plan_generation.txt", {"count": str(count), "first": str(done + 1)}
-    prompt_text = fill(
+    prompt = fill(
         load_template(template), features=_feature_lines(features), tried=_tried_lines(tried), **numbering
     )
     shown = {f.ref: f.region.snippet for f in features}
-    prompts = [PromptRecord.user(prompt_text)]
-    plans = parse_plan(provider.complete(prompts[0]), shown)
+    prompts = [prompt]
+    plans = parse_plan(provider.complete(prompt), shown)
     if not plans:
         log.warning("degenerate plan output; retrying once")
-        retry = prompt_text + "\nReminder: answer only in the grammar above."
-        prompts.append(PromptRecord.user(retry))
+        prompts.append(prompt + "\nReminder: answer only in the grammar above.")
         plans = parse_plan(provider.complete(prompts[1]), shown)
         if not plans:
             log.warning("still degenerate; falling back to template plans")

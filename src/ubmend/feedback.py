@@ -132,14 +132,7 @@ class ReferenceBundle:
         tests_cmd = _bundle_text(root / "tests.cmd")
         return cls(expected_stdout=stdout_file.read_bytes(), expected_exit=expected_exit, tests_cmd=tests_cmd)
 
-    def check(
-        self,
-        final_source: dict[str, str],
-        entry_file: str,
-        rustc: str = "rustc",
-        *,
-        memo: CaseMemo,
-    ) -> bool:
+    def check(self, final_source: dict[str, str], entry_file: str, *, memo: CaseMemo) -> bool:
         """Compile and run the repaired program, compare behaviour byte-exact.
 
         Raises ReferenceExecutionFailure when the check cannot produce a
@@ -148,18 +141,18 @@ class ReferenceBundle:
         bundle, entry file, resolved ``rustc`` and source is compiled and
         judged at most once, and not at all when its store holds the verdict.
         """
-        payload = [self.expected_stdout.hex(), self.expected_exit, self.tests_cmd, entry_file, rustc]
-        payload += [memo.tool([rustc]), sorted(final_source.items())]
+        payload = [self.expected_stdout.hex(), self.expected_exit, self.tests_cmd, entry_file, "rustc"]
+        payload += [memo.tool(["rustc"]), sorted(final_source.items())]
         key = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
-        known = memo.recall(key, "reference_verdicts")
+        known = memo.recall(key)
         if known is not None:
             return known.fields["verdict"]
-        verdict = self._compile_and_compare(final_source, entry_file, rustc)
+        verdict = self._compile_and_compare(final_source, entry_file)
         # the check is not timed on the run's clock: a reused verdict costs nothing
         memo.keep(key, MemoEntry({"verdict": verdict}, 0.0, None))
         return verdict
 
-    def _compile_and_compare(self, final_source: dict[str, str], entry_file: str, rustc: str) -> bool:
+    def _compile_and_compare(self, final_source: dict[str, str], entry_file: str) -> bool:
         with tempfile.TemporaryDirectory(prefix="ubmend-ref-") as tmp:
             root = Path(tmp)
             for rel, text in final_source.items():
@@ -169,7 +162,7 @@ class ReferenceBundle:
             binary = root / "candidate"
             try:
                 compiled = run_group(
-                    [rustc, "--edition=2021", entry_file, "-o", str(binary)],
+                    ["rustc", "--edition=2021", entry_file, "-o", str(binary)],
                     REFERENCE_RUN_TIMEOUT,
                     cwd=root,
                 )

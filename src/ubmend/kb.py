@@ -191,12 +191,16 @@ class FeatureVector:
 
         Raises ValueError when the vector is not ``VECTOR_DIMS`` wide (no
         run's vector could be compared with it), a bucket is not an integer
-        in ``[0, dims)`` or not above the one before, or a value is zero.
+        in ``[0, dims)`` or not above the one before, or a value is not a
+        finite number (a NaN would rank every candidate at random), or is
+        zero in the stored form.
         """
         dims = len(data) if isinstance(data, list) else data["dims"]
         if type(dims) is not int or dims != VECTOR_DIMS:
             raise ValueError(f"vector of {dims!r} dims, not {VECTOR_DIMS}")
         if isinstance(data, list):
+            for bucket, value in enumerate(data):
+                _check_finite(bucket, value)
             return cls(data)
         nonzero: dict[int, float] = {}
         last = -1
@@ -205,6 +209,7 @@ class FeatureVector:
                 if type(bucket) is int and 0 <= bucket < dims:
                     raise ValueError(f"bucket {bucket} repeated or out of order")
                 raise ValueError(f"bucket {bucket!r} is not an integer in [0, {dims})")
+            _check_finite(bucket, value)
             if not value:
                 raise ValueError(f"bucket {bucket} stores a zero")
             nonzero[bucket] = float(value)
@@ -213,6 +218,13 @@ class FeatureVector:
         vector.dims, vector.nonzero = dims, nonzero
         vector.norm = math.sqrt(sum(v * v for v in nonzero.values()))
         return vector
+
+
+def _check_finite(bucket: int, value: object) -> None:
+    """ValueError naming ``bucket`` unless ``value`` is a finite int or float
+    (a JSON ``true`` is a bool, and ``NaN`` and ``Infinity`` load as floats)."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"bucket {bucket} stores {value!r}, not a finite number")
 
 
 def cosine(a: FeatureVector, b: FeatureVector) -> float:

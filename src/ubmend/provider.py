@@ -1,10 +1,11 @@
 """Language-model backends: replay, scripted mock, and live HTTP.
 
-Every call goes through a PromptRecord whose stable hash, after the
-provider mode, keys the case memo's answers; the transcript written from
-them (``transcript_entries``) and replay use the bare hash. Replay mode
-performs no network traffic at all, which is what makes end-to-end runs
-reproducible byte for byte.
+A prompt is its text, asked as one user message. The live request, the
+transcript line and the hash take it normalised (``prompt_messages``). Its
+hash (``prompt_hash``), after the provider mode, keys the case memo's
+answers; the transcript written from them (``transcript_entries``) and
+replay use the bare hash. Replay mode performs no network traffic at all,
+which is what makes end-to-end runs reproducible byte for byte.
 """
 from __future__ import annotations
 
@@ -64,45 +65,31 @@ class ProviderConfig:
                 )
 
 
-@dataclass
-class PromptRecord:
-    """Role-tagged message list, hashed after whitespace normalization."""
-
-    messages: list[dict[str, str]]
-
-    def normalized(self) -> list[dict[str, str]]:
-        return [
-            {
-                "role": m["role"],
-                "content": m["content"].replace("\r\n", "\n").rstrip(),
-            }
-            for m in self.messages
-        ]
-
-    def stable_hash(self, model_name: str, temperature: float) -> str:
-        payload = json.dumps(
-            {
-                "model": model_name,
-                "temperature": temperature,
-                "messages": [[m["role"], m["content"]] for m in self.normalized()],
-            },
-            sort_keys=True,
-            ensure_ascii=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-    def text(self) -> str:
-        return "\n".join(m["content"] for m in self.messages)
-
-    @classmethod
-    def user(cls, content: str) -> "PromptRecord":
-        return cls(messages=[{"role": "user", "content": content}])
+def prompt_messages(prompt: str) -> list[dict[str, str]]:
+    """The chat messages ``prompt`` is sent, recorded and hashed as: one
+    user message, with CRLF as LF and trailing whitespace stripped."""
+    return [{"role": "user", "content": prompt.replace("\r\n", "\n").rstrip()}]
 
 
-def answer_tokens(prompt: PromptRecord, response: str) -> int:
+def prompt_hash(prompt: str, model_name: str, temperature: float) -> str:
+    """The transcript hash of ``prompt`` answered by ``model_name`` at
+    ``temperature``: sha256 of the three, its messages normalised."""
+    payload = json.dumps(
+        {
+            "model": model_name,
+            "temperature": temperature,
+            "messages": [[m["role"], m["content"]] for m in prompt_messages(prompt)],
+        },
+        sort_keys=True,
+        ensure_ascii=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def answer_tokens(prompt: str, response: str) -> int:
     """The tokens a model call costs: its prompt's and its response's."""
-    return estimate_tokens(prompt.text()) + estimate_tokens(response)
+    return estimate_tokens(prompt) + estimate_tokens(response)
 
 
 class Provider:
@@ -115,18 +102,18 @@ class Provider:
         self.calls = 0
         self.tokens_used = 0
 
-    def complete(self, prompt: PromptRecord) -> str:
+    def complete(self, prompt: str) -> str:
         response = self._complete(prompt)
         with self._lock:
             self.calls += 1
             self.tokens_used += answer_tokens(prompt, response)
         return response
 
-    def _complete(self, prompt: PromptRecord) -> str:
+    def _complete(self, prompt: str) -> str:
         raise NotImplementedError
 
-    def hash_of(self, prompt: PromptRecord) -> str:
-        return prompt.stable_hash(self.config.model_name, self.config.temperature)
+    def hash_of(self, prompt: str) -> str:
+        return prompt_hash(prompt, self.config.model_name, self.config.temperature)
 
 
 class MemoizedProvider:
@@ -151,34 +138,34 @@ class MemoizedProvider:
         self.memo = memo
         self.timer = timer
 
-    def key(self, prompt: PromptRecord) -> str:
+    def key(self, prompt: str) -> str:
         """The key of the answer to ``prompt``: the provider mode and the
         transcript hash, so an answer a mock gave never answers a live or
         replay run."""
         return f"{self.inner.config.mode.value}:{self.inner.hash_of(prompt)}"
 
-    def recall(self, prompt: PromptRecord) -> str | None:
+    def recall(self, prompt: str) -> str | None:
         """The answer the memo or its store holds for ``prompt``, else None."""
-        entry = self.memo.recall(self.key(prompt), "answers", prompt)
+        entry = self.memo.recall(self.key(prompt), prompt)
         return None if entry is None else entry.fields["answer"]
 
-    def complete(self, prompt: PromptRecord) -> str:
+    def complete(self, prompt: str) -> str:
         key = self.key(prompt)
-        entry = self.memo.recall(key, "answers", prompt)
+        entry = self.memo.recall(key, prompt)
         return (entry or self.memo.fetch_answer(key, lambda: self._fetch(prompt))).fields["answer"]
 
-    def _fetch(self, prompt: PromptRecord) -> MemoEntry:
+    def _fetch(self, prompt: str) -> MemoEntry:
         started = self.timer()
         answer = self.inner.complete(prompt)
         tokens = answer_tokens(prompt, answer)
         return MemoEntry({"answer": answer}, self.timer() - started, prompt, tokens)
 
-    def stand_in(self, prompt: PromptRecord, answer: str) -> None:
+    def stand_in(self, prompt: str, answer: str) -> None:
         """Keep ``answer``, written without asking ``prompt``, as the
         prompt's answer: one that took no time and no tokens."""
         self.memo.keep(self.key(prompt), MemoEntry({"answer": answer}, 0.0, prompt))
 
-    def keep(self, prompt: PromptRecord) -> None:
+    def keep(self, prompt: str) -> None:
         """List the answer the case got for ``prompt`` in the memo's
         ``new_results``, for the caller to append to the log: a plan page or
         an agent answer that led to a verified repair (``cli.repair_one``)."""
@@ -212,12 +199,12 @@ class ReplayProvider(Provider):
         super().__init__(config)
         self._table = load_transcript(config.transcript_path) if table is None else table
 
-    def _complete(self, prompt: PromptRecord) -> str:
+    def _complete(self, prompt: str) -> str:
         key = self.hash_of(prompt)
         try:
             return self._table[key]
         except KeyError:
-            head = prompt.text().splitlines()[0] if prompt.text() else ""
+            head = prompt.splitlines()[0] if prompt else ""
             raise ReplayMiss(f"no transcript entry for {key[:12]}… ({head[:80]})") from None
 
 
@@ -239,8 +226,8 @@ class ScriptedMockProvider(Provider):
         super().__init__(config)
         self.rules = list(rules)
 
-    def _complete(self, prompt: PromptRecord) -> str:
-        return self._answer(prompt.text())
+    def _complete(self, prompt: str) -> str:
+        return self._answer(prompt)
 
     def _answer(self, text: str) -> str:
         for needle, response in self.rules:
@@ -398,15 +385,15 @@ class LiveHttpProvider(Provider):
         if not self.api_key:
             raise ProviderFailure(f"{API_KEY_ENV} is not set")
 
-    def _complete(self, prompt: PromptRecord) -> str:
+    def _complete(self, prompt: str) -> str:
         import requests
 
-        if estimate_tokens(prompt.text()) > MAX_PROMPT_TOKENS:
+        if estimate_tokens(prompt) > MAX_PROMPT_TOKENS:
             raise TokenOverflow(f"prompt estimate exceeds {MAX_PROMPT_TOKENS} tokens")
         payload = {
             "model": self.config.model_name,
             "temperature": self.config.temperature,
-            "messages": prompt.normalized(),
+            "messages": prompt_messages(prompt),
         }
         url = self.api_base.rstrip("/") + "/chat/completions"
         last: Exception | str | None = None
@@ -445,39 +432,26 @@ def _content(resp) -> str:
     return content
 
 
-@dataclass
-class TranscriptEntry:
-    hash: str
-    prompt: PromptRecord
-    response: str
-    model: str
-    temperature: float
-
-    def to_dict(self) -> dict:
-        return {
-            "hash": self.hash,
-            "prompt": {"messages": self.prompt.normalized()},
-            "response": self.response,
-            "model": self.model,
-            "temperature": self.temperature,
-        }
-
-
-def transcript_entries(memo: CaseMemo, config: ProviderConfig) -> list[TranscriptEntry]:
+def transcript_entries(memo: CaseMemo, config: ProviderConfig) -> list[dict]:
     """Every answer ``memo`` holds, fetched or read from the store, as a
-    transcript entry of ``config``'s model, in the order the memo kept them.
-    A transcript written from them, keyed by the bare hash (the memo key
-    without its mode), replays the case on its own."""
+    transcript line of ``config``'s model, in the order the memo kept them:
+    its bare ``hash`` (the memo key without its mode), its prompt's
+    normalised ``messages``, its ``response``, ``model`` and ``temperature``.
+    A transcript written from them replays the case on its own."""
     return [
-        TranscriptEntry(
-            key.partition(":")[2], entry.prompt, entry.fields["answer"], config.model_name, config.temperature
-        )
+        {
+            "hash": key.partition(":")[2],
+            "prompt": {"messages": prompt_messages(entry.prompt)},
+            "response": entry.fields["answer"],
+            "model": config.model_name,
+            "temperature": config.temperature,
+        }
         for key, entry in memo.answers()
     ]
 
 
-def write_transcript(path: Path | str, entries: Iterable[TranscriptEntry]) -> None:
-    """Write entries as transcript JSONL, replacing ``path`` atomically; a
+def write_transcript(path: Path | str, entries: Iterable[dict]) -> None:
+    """Write transcript lines as JSONL, replacing ``path`` atomically; a
     path that cannot be written raises StorageFailure naming it, and leaves
     no temporary file behind."""
     path = Path(path)
@@ -486,7 +460,7 @@ def write_transcript(path: Path | str, entries: Iterable[TranscriptEntry]) -> No
         path.parent.mkdir(parents=True, exist_ok=True)
         with tmp.open("w", encoding="utf-8") as fh:
             for entry in entries:
-                fh.write(json.dumps(entry.to_dict(), sort_keys=True) + "\n")
+                fh.write(json.dumps(entry, sort_keys=True) + "\n")
         tmp.replace(path)
     except OSError as exc:
         with contextlib.suppress(OSError):

@@ -1,13 +1,14 @@
 """Slow thinking: iterate candidate solutions step by step with rollback.
 
 A session walks solutions in rank order. Each fix step patches the working
-copy (``propose_step``) and a detection verifies the patch
-(``detect_patches``), appending to the error trace; Reason steps consult
-the knowledge base and Rollback steps (explicit or triggered) restore the
-best snapshot so far. The trace trigger fires on a strictly increasing
-window (the hallucination pattern) or when the latest count blows past the
-global minimum by a fixed factor. A rollback restores state but never
-aborts the solution; the trace keeps growing.
+copy (``propose_step``) and a detection, the list of UB reports the tool
+gives, verifies the patch (``detect_patches``), appending its length to
+the error trace; Reason steps consult the knowledge base and Rollback
+steps (explicit or triggered) restore the best snapshot so far. The trace
+trigger fires on a strictly increasing window (the hallucination pattern)
+or when the latest count blows past the global minimum by a fixed factor.
+A rollback restores state but never aborts the solution; the trace keeps
+growing.
 
 A fix step's ``file#k`` ref names the k-th unsafe region of the bytes its
 solution starts from. ``_RegionMap`` resolves the refs once and follows
@@ -37,7 +38,6 @@ from .agents import AGENT_FUNCTIONS, PatchRecord, apply_patch, revert_patch
 from .classifier import UnsafeRegion, locate_unsafe_regions
 from .detector import (
     CaseMemo,
-    DetectionResult,
     DetectorConfig,
     TargetPackage,
     UbReport,
@@ -177,7 +177,7 @@ class SessionConfig:
     clock: Callable[[], float] = time.monotonic
 
 
-def _detect(target: TargetPackage, config: SessionConfig) -> DetectionResult:
+def _detect(target: TargetPackage, config: SessionConfig) -> list[UbReport]:
     return run_detection(target, config=config.detector, clock=config.clock, memo=config.memo)
 
 
@@ -268,9 +268,10 @@ def propose_step(
 
 def detect_patches(
     thoughts: Sequence[Thought], workspace: WorkingCopy, config: SessionConfig
-) -> DetectionResult | None:
+) -> list[UbReport] | None:
     """The detect half of fix steps: one detection checks the patches that
-    ``thoughts`` applied, and every thought takes its error count.
+    ``thoughts`` applied, every thought takes its error count, and its UB
+    reports come back.
 
     When the patched copy fails to compile, the patches are reverted, newest
     first, and None comes back. A timeout propagates with the patches in
@@ -285,7 +286,7 @@ def detect_patches(
                 thought.note = _REVERTED
         return None
     for thought in thoughts:
-        thought.resulting_errors = detection.error_count
+        thought.resulting_errors = len(detection)
     return detection
 
 
@@ -363,10 +364,11 @@ def execute_step(
     index: int,
     prev_count: int,
     context: str | None = None,
-) -> tuple[Thought, DetectionResult | None]:
+) -> tuple[Thought, list[UbReport] | None]:
     """Run one fix step on its own: take its region from ``regions``,
     propose a patch, re-detect, and record the patch in ``regions`` when
-    it is kept.
+    it is kept. The detection's reports come back with the thought, None
+    when none ran or the patch was reverted.
 
     Failures never propagate (except a replay miss, which means the
     transcript is incomplete, and a timeout): the step is skipped and the
@@ -465,7 +467,7 @@ def _run_batch(
     except DetectionTimeout as exc:
         log.info("batch %d-%d timed out (%s); replaying step by step", index, last, exc)
         return None
-    if detection is None or not detection.clean:
+    if detection is None or detection:
         log.info("batch %d-%d not clean; replaying step by step", index, last)
         return None
     for thought in thoughts:
@@ -480,11 +482,12 @@ def run_session(
     plan: Callable[[list[tuple[RepairSolution, ErrorTrace]], Snapshot], Sequence[RepairSolution]],
     provider: MemoizedProvider,
     config: SessionConfig,
-    baseline: DetectionResult,
+    baseline: list[UbReport],
     kb: KnowledgeBase | None = None,
 ) -> SessionOutcome:
     """Drive the repair loop in ``workspace`` to a verdict. ``cli.repair_one``
-    makes the copy, its ``baseline`` detection and the memoised ``provider``.
+    makes the copy, its ``baseline`` detection's reports and the memoised
+    ``provider``.
 
     ``plan(tried, start)`` gives the next page of solutions whenever the
     session has tried every solution drawn so far: ``tried`` pairs each
@@ -506,7 +509,7 @@ def run_session(
         raise ValueError("budget must be >= 1")
     store = SnapshotStore()
     # the snapshot the working copy matches; its reports steer the next step
-    current = store.record(0, workspace.files(), baseline.error_count, baseline.reports)
+    current = store.record(0, workspace.files(), len(baseline), baseline)
     trace = ErrorTrace(counts=[current.error_count], thoughts=[], iteration_budget=budget)
     tried: list[tuple[RepairSolution, ErrorTrace]] = []
     page: list[RepairSolution] = []
@@ -581,7 +584,7 @@ def run_session(
                 store.latest_index() + 1,
                 workspace.files(),
                 thought.resulting_errors,
-                detection.reports if detection is not None else current.reports,
+                detection if detection is not None else current.reports,
             )
             regions.mark(current)
             if current.error_count == 0:
@@ -612,7 +615,7 @@ def run_session(
         stats=store.stats,
         solution_id=tried[-1][0].id if tried else None,
         final_errors=current.error_count,
-        baseline_errors=baseline.error_count,
+        baseline_errors=len(baseline),
         thought_count=store.latest_index(),
         tried=tried,
     )

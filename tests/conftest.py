@@ -23,7 +23,7 @@ from ubmend import slow
 from ubmend.detector import DetectorConfig
 from ubmend.fast import AgentKind, RepairSolution, RepairStep
 from ubmend.kb import VECTOR_DIMS
-from ubmend.provider import MemoizedProvider, ProviderConfig, ProviderMode, PromptRecord, ScriptedMockProvider
+from ubmend.provider import MemoizedProvider, ProviderConfig, ProviderMode, ScriptedMockProvider
 from ubmend.workspace import WorkingCopy
 
 TESTS_DIR = Path(__file__).parent
@@ -105,8 +105,8 @@ class SpyProvider(ScriptedMockProvider):
         super().__init__(*args, **kwargs)
         self.prompts: list[str] = []
 
-    def _complete(self, prompt: PromptRecord) -> str:
-        self.prompts.append(prompt.text())
+    def _complete(self, prompt: str) -> str:
+        self.prompts.append(prompt)
         return super()._complete(prompt)
 
 

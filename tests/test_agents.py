@@ -40,7 +40,6 @@ from ubmend.provider import (
     MARKER_PLAN,
     MemoizedProvider,
     ProviderConfig,
-    PromptRecord,
     ScriptedMockProvider,
 )
 from ubmend.slow import SessionConfig, Verdict, propose_step
@@ -382,7 +381,7 @@ def test_plan_code_that_passes_its_agents_check_answers_without_a_call(ws, agent
     assert (spy.calls, spy.tokens_used) == (0, 0)
     # kept as the answer to the agent's prompt, at no cost
     ((key, entry),) = memo.answers()
-    assert key == f"mock:{spy.hash_of(thought.patch.prompt)}" and MARKER_FIX in entry.prompt.text()
+    assert key == f"mock:{spy.hash_of(thought.patch.prompt)}" and MARKER_FIX in entry.prompt
     assert (entry.fields, entry.wall_time) == ({"answer": f"```rust\n{after}\n```"}, 0.0)
 
 
@@ -422,9 +421,7 @@ def test_a_gate_that_refuses_before_any_answer_skips_the_step_without_a_call(tmp
 def test_an_answer_the_store_holds_wins_over_plan_code(ws):
     spy = SpyProvider(ProviderConfig())
     region = locate_unsafe_regions(ws.read("main.rs"), "main.rs")[0]
-    prompt = PromptRecord.user(
-        build_prompt(AgentKind.MODIFY_SEMANTICS, region, frozenset({UbKind.STACK_BORROW}), "tighten the region")
-    )
+    prompt = build_prompt(AgentKind.MODIFY_SEMANTICS, region, frozenset({UbKind.STACK_BORROW}), "tighten the region")
     stored = {f"mock:{spy.hash_of(prompt)}": {"answer": "kept\n\n```rust\nv[0] + 0\n```"}}
     thought, memo = _propose_written(ws, _written_step(AgentKind.MODIFY_SEMANTICS, "v[0]"), spy, stored)
     assert thought.patch.after_text == "v[0] + 0"
@@ -467,7 +464,7 @@ def test_plan_code_after_a_reason_step_that_found_knowledge_asks_the_agent_with_
     config = SessionConfig(memo=CaseMemo(), detector=stub_detector_config())
     kb = KnowledgeBase()
     if knowledge:
-        reports = run_detection(target, config=config.detector, memo=CaseMemo()).reports
+        reports = run_detection(target, config=config.detector, memo=CaseMemo())
         kb.insert(
             KnowledgeEntry(
                 vector=feature_vector(source, reports, "main.rs"),

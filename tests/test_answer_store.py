@@ -29,12 +29,12 @@ from ubmend.provider import (
     MARKER_FIX,
     MARKER_PLAN,
     MemoizedProvider,
-    PromptRecord,
     Provider,
     ProviderConfig,
     ProviderMode,
     ScriptedMockProvider,
     load_transcript,
+    prompt_hash,
 )
 
 needs_rustc = pytest.mark.skipif(shutil.which("rustc") is None, reason="rustc not installed")
@@ -59,7 +59,7 @@ def asked(monkeypatch) -> list[str]:
     complete = Provider.complete
 
     def spied(self, prompt):
-        seen.append(prompt.text())
+        seen.append(prompt)
         return complete(self, prompt)
 
     monkeypatch.setattr(Provider, "complete", spied)
@@ -81,7 +81,7 @@ def _answers(store: Path) -> dict[str, str]:
 
 def _seed(store: Path, case: Path, *steps: tuple[str, str]) -> None:
     """Start ``store`` with a past repair of ``case`` that seeds ``steps``."""
-    reports = run_detection(TargetPackage.from_path(case), config=stub_detector_config(), memo=CaseMemo()).reports
+    reports = run_detection(TargetPackage.from_path(case), config=stub_detector_config(), memo=CaseMemo())
     vector = feature_vector(case.read_text(encoding="utf-8"), reports, file=case.name)
     triplet = EvalTriplet(True, True, 3.0, 500)
     record = ExperienceRecord(vector, UbKind.UNKNOWN, "s01", triplet, steps)
@@ -130,9 +130,9 @@ def test_only_the_kept_step_of_a_passing_solution_keeps_its_answer(
     dropped, kept = report["trace"]["thoughts"]
     assert dropped["note"] == note and kept["patch"] is not None
     assert _kinds(asked) == ["fix", "fix"] and SCRIPTED in asked[0]
-    prompt = PromptRecord.user(asked[1])
+    prompt = asked[1]
     answer = ScriptedMockProvider(ProviderConfig())._complete(prompt)
-    assert _answers(store) == {f"mock:{prompt.stable_hash('gpt-4', 0.5)}": answer}
+    assert _answers(store) == {f"mock:{prompt_hash(prompt, 'gpt-4', 0.5)}": answer}
     # a repeat asks the dropped step again, and the kept one not at all
     asked.clear()
     rc, again = _fix(capsys, case, store)
@@ -204,8 +204,7 @@ def test_a_repair_on_the_second_page_keeps_both_pages_and_repeats_asking_nothing
     assert (rc, report["verdict"]) == (0, "pass")
     # s01's fix is answered by its page's code, s02's by the model
     assert _kinds(asked) == ["plan", "plan", "fix"]
-    first, second, fix = (PromptRecord.user(text) for text in asked)
-    keys = [f"mock:{prompt.stable_hash('gpt-4', 0.5)}" for prompt in (first, second, fix)]
+    keys = [f"mock:{prompt_hash(prompt, 'gpt-4', 0.5)}" for prompt in asked]
     assert list(_answers(store)) == keys
     assert _answers(store)[keys[0]] == FAILING_PAGE and _answers(store)[keys[1]] == REPAIRING_PAGE
     asked.clear()
@@ -249,7 +248,7 @@ def test_kept_answers_answer_nothing_under_another_model_temperature_or_mode(
 
 
 def test_a_mock_answer_in_the_store_never_answers_a_live_provider():
-    prompt = PromptRecord.user(f"{MARKER_FIX}\n```rust\nunsafe {{ f() }}\n```")
+    prompt = f"{MARKER_FIX}\n```rust\nunsafe {{ f() }}\n```"
     mock = ScriptedMockProvider(ProviderConfig())
     # the scripted mock under a live config: same transcript hash, no network
     live = ScriptedMockProvider(ProviderConfig(mode=ProviderMode.LIVE_HTTP))
@@ -381,11 +380,11 @@ def test_a_bench_on_the_log_an_earlier_bench_wrote_asks_none_of_its_verified_fix
         return real_repair_one(target, provider, engine, settings, reference)
 
     def spied_complete(self, prompt):
-        calls.setdefault(run.case, []).append(prompt.text())
+        calls.setdefault(run.case, []).append(prompt)
         return real_complete(self, prompt)
 
     def spied_stand_in(self, prompt, answer):
-        calls.setdefault(run.case, []).append(prompt.text())
+        calls.setdefault(run.case, []).append(prompt)
         return real_stand_in(self, prompt, answer)
 
     def fix_prompts(cid: str) -> set[str]:
@@ -459,14 +458,15 @@ def test_a_stored_line_answers_only_lookups_of_its_own_kind():
         "answers": {"answer": "x"},
     }
     for key, line in lines.items():
-        for kind in kinds:
+        for prompt in (None, "p"):
             memo = CaseMemo(lines)
-            entry = memo.recall(key, kind)
-            assert (entry and entry.fields) == (line if kind == key else None)
-            assert memo.store_hits == {k: int(k == kind == key) for k in kinds}
+            entry = memo.recall(key, prompt)
+            hit = (key == "answers") == (prompt is not None)
+            assert (entry and entry.fields) == (line if hit else None)
+            assert memo.store_hits == {k: int(hit and k == key) for k in kinds}
     # an answer lookup never takes a detection or verdict line for its text
     provider = ScriptedMockProvider(ProviderConfig(), rules=[("probe", "fresh")])
-    probe = PromptRecord.user("probe")
+    probe = "probe"
     for kind in ("detections", "reference_verdicts"):
         memo = CaseMemo({f"mock:{provider.hash_of(probe)}": lines[kind]})
         assert MemoizedProvider(provider, memo, lambda: 0.0).complete(probe) == "fresh"

@@ -29,7 +29,7 @@ from ubmend.detector import CaseMemo, DetectorConfig, TargetPackage, UbKind, run
 from ubmend.feedback import EvalTriplet, ExperienceRecord, FeedbackEngine, ReferenceBundle
 from ubmend.kb import VECTOR_DIMS, FeatureVector, KnowledgeEntry, extract_ast, feature_vector, prune, vectorize
 from ubmend.lexutil import estimate_tokens, mask_comments_and_strings
-from ubmend.provider import MARKER_FIX, MemoizedProvider, PromptRecord, Provider, ProviderConfig, ScriptedMockProvider
+from ubmend.provider import MARKER_FIX, MemoizedProvider, Provider, ProviderConfig, ScriptedMockProvider
 from ubmend.rollback import SnapshotStore
 from ubmend.slow import SessionConfig, execute_step, run_session
 
@@ -204,7 +204,7 @@ def test_the_vector_chain_gen_calls_is_the_stored_vector():
     # of kb functions, and the store it writes must match what repair_one
     # searches with
     path = CORPUS_DIR / "stack_borrow" / "main.rs"
-    reports = run_detection(TargetPackage.from_path(path), config=stub_detector_config(), memo=CaseMemo()).reports
+    reports = run_detection(TargetPackage.from_path(path), config=stub_detector_config(), memo=CaseMemo())
     kinds = sorted({r.kind for r in reports}, key=lambda k: k.value)
     text = path.read_text(encoding="utf-8")
     vector = vectorize(prune(extract_ast(text), reports), ub_kinds=kinds)
@@ -228,7 +228,7 @@ def test_provider_complete_sees_each_fetched_answer_once(tmp_path, monkeypatch, 
     def counted_complete(self, prompt):
         before = self.tokens_used
         response = complete(self, prompt)
-        cost = estimate_tokens(prompt.text()) + estimate_tokens(response)
+        cost = estimate_tokens(prompt) + estimate_tokens(response)
         seen.append((self.hash_of(prompt), self.tokens_used - before, cost))
         return response
 
@@ -250,9 +250,9 @@ def test_provider_complete_sees_each_fetched_answer_once(tmp_path, monkeypatch, 
         # answer to the fix prompt, which the plan wrote
         entries = [json.loads(line) for line in transcript.read_text(encoding="utf-8").splitlines()]
         assert [e["hash"] for e in entries[:1]] == hashes and len(entries) == 2
-        fix = PromptRecord(entries[1]["prompt"]["messages"])
-        own = ScriptedMockProvider(ProviderConfig()).complete(fix)
-        assert MARKER_FIX in fix.text()
+        (message,) = entries[1]["prompt"]["messages"]
+        own = ScriptedMockProvider(ProviderConfig()).complete(message["content"])
+        assert MARKER_FIX in message["content"]
         assert entries[1]["response"] == own[own.index("```"):]
 
 

@@ -220,7 +220,7 @@ def test_fix_of_a_report_outside_every_unsafe_region_asks_no_model(tmp_path, cap
     asked: list[str] = []
 
     def refuse(self, prompt):
-        asked.append(prompt.text())
+        asked.append(prompt)
         raise AssertionError("no model call expected")
 
     monkeypatch.setattr(Provider, "complete", refuse)
@@ -493,7 +493,7 @@ def test_a_bench_asks_each_distinct_prompt_once_and_charges_every_case_for_it(tm
     complete = Provider.complete
 
     def counted(self, prompt):
-        asked.append((self.hash_of(prompt), MARKER_FIX in prompt.text()))
+        asked.append((self.hash_of(prompt), MARKER_FIX in prompt))
         return complete(self, prompt)
 
     monkeypatch.setattr(Provider, "complete", counted)
@@ -640,7 +640,8 @@ def test_the_live_backend_posts_the_normalised_prompt_as_one_user_message(tmp_pa
     assert (body["model"], body["temperature"]) == ("gpt-4", 0.25)
     golden = FIXTURES_DIR / "golden" / "bench_json.transcript.jsonl"
     recorded = [json.loads(line)["prompt"]["messages"] for line in golden.read_text(encoding="utf-8").splitlines()]
-    ((message,),) = [messages for messages in recorded if messages == body["messages"]]
+    assert body["messages"] in recorded
+    (message,) = body["messages"]
     assert message["role"] == "user" and MARKER_PLAN in message["content"]
     assert message["content"] == message["content"].rstrip() and "\r" not in message["content"]
 
@@ -968,7 +969,7 @@ def test_bench_asks_the_model_each_prompt_once_per_case(tmp_path, capsys, monkey
         return real_repair_one(target, provider, engine, settings, reference)
 
     def spied_complete(self, prompt):
-        calls[run.key].append(prompt.text())
+        calls[run.key].append(prompt)
         return real_complete(self, prompt)
 
     monkeypatch.setattr(cli, "repair_one", labelled_repair_one)
@@ -991,7 +992,7 @@ def test_a_corpus_bench_asks_the_model_only_its_plan_prompts(capsys, monkeypatch
     complete = Provider.complete
 
     def counted(self, prompt):
-        asked.append(prompt.text())
+        asked.append(prompt)
         return complete(self, prompt)
 
     monkeypatch.setattr(Provider, "complete", counted)

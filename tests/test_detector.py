@@ -90,9 +90,7 @@ def _detect(tmp_path, source, memo=None, **cfg_kw):
 
 def test_run_detection_clean(tmp_path):
     memo = CaseMemo()
-    result = _detect(tmp_path, 'fn main() { println!("ok"); }\n', memo)
-    assert result.clean
-    assert result.error_count == 0
+    assert _detect(tmp_path, 'fn main() { println!("ok"); }\n', memo) == []
     ((_, line),) = memo.new_results.items()
     assert line["exit_status"] == 0
 
@@ -106,19 +104,16 @@ def test_run_detection_counts_and_locates(tmp_path):
         + KIND_MESSAGES[UbKind.ALLOC]
         + "\n}\n"
     )
-    result = _detect(tmp_path, source)
-    assert not result.clean
-    assert result.error_count == 2
-    assert [r.kind for r in result.reports] == [UbKind.STACK_BORROW, UbKind.ALLOC]
-    assert [r.line for r in result.reports] == [2, 3]
-    assert all(r.file == "main.rs" for r in result.reports)
+    reports = _detect(tmp_path, source)
+    assert [r.kind for r in reports] == [UbKind.STACK_BORROW, UbKind.ALLOC]
+    assert [r.line for r in reports] == [2, 3]
+    assert all(r.file == "main.rs" for r in reports)
 
 
 def test_run_detection_abnormal_termination(tmp_path):
     source = "fn main() {\n    //~ABORT the program aborted execution\n}\n"
-    result = _detect(tmp_path, source)
-    assert result.error_count == 1
-    assert result.reports[0].message.startswith("the program aborted")
+    (report,) = _detect(tmp_path, source)
+    assert report.message.startswith("the program aborted")
 
 
 def test_run_detection_tool_missing(tmp_path):
@@ -173,8 +168,7 @@ def test_guard_directive_suppresses_adjacent_ub(tmp_path):
         "    debug_assert!(true); //~GUARD\n"
         "    let x = 1; //~UB " + KIND_MESSAGES[UbKind.VALIDITY] + "\n}\n"
     )
-    result = _detect(tmp_path, source)
-    assert result.clean
+    assert _detect(tmp_path, source) == []
 
 
 def test_parse_diagnostics_ignores_non_ub_noise():
@@ -229,7 +223,7 @@ def test_memo_detects_the_same_bytes_once(tmp_path):
     second = run_detection(target, config=config, memo=memo)
     assert len(spawn_log(log)) == 1
     assert second == first
-    assert second.error_count == 1
+    assert len(second) == 1
 
 
 def test_memo_keeps_no_output_that_holds_the_root_token(tmp_path):
@@ -240,7 +234,7 @@ def test_memo_keeps_no_output_that_holds_the_root_token(tmp_path):
     first = run_detection(target, config=config, memo=memo)
     second = run_detection(target, config=config, memo=memo)
     assert len(spawn_log(log)) == 2
-    assert "{root}" in first.reports[0].message and second == first
+    assert "{root}" in first[0].message and second == first
     assert memo.new_results == {}
 
 
@@ -282,13 +276,13 @@ def test_memo_charges_a_run_once_for_detections_it_reuses():
     paid = MemoEntry({"exit_status": 0, "output": ""}, 2.5, None)
     memo.keep("k", paid)
     assert memo.new_results == {"k": paid.fields}
-    assert memo.recall("k", "detections") == paid
+    assert memo.recall("k") == paid
     assert memo.charged_seconds == 0.0  # the run that made it pays nothing more
     memo.begin_run()
-    assert memo.recall("k", "detections") == paid
-    assert memo.recall("k", "detections") == paid
+    assert memo.recall("k") == paid
+    assert memo.recall("k") == paid
     assert memo.charged_seconds == 2.5
-    assert memo.recall("absent", "detections") is None
+    assert memo.recall("absent") is None
 
 
 def test_timeout_kills_the_whole_process_tree(tmp_path):

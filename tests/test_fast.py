@@ -31,7 +31,7 @@ from ubmend.fast import (
 )
 from ubmend.feedback import EvalTriplet, ExperienceRecord, FeedbackEngine, signature_of
 from ubmend.kb import KnowledgeBase, feature_vector
-from ubmend.provider import MARKER_FIX, PromptRecord, ProviderConfig, ScriptedMockProvider
+from ubmend.provider import MARKER_FIX, ProviderConfig, ScriptedMockProvider
 from ubmend.slow import ErrorTrace
 
 UNSAFE_MAIN = (
@@ -198,7 +198,7 @@ def _spied(provider) -> list[str]:
     """The text of every prompt ``provider`` is asked."""
     prompts: list[str] = []
     complete = provider.complete
-    provider.complete = lambda prompt: prompts.append(prompt.text()) or complete(prompt)
+    provider.complete = lambda prompt: prompts.append(prompt) or complete(prompt)
     return prompts
 
 
@@ -440,7 +440,7 @@ def test_plan_code_is_no_part_of_a_steps_record_signature_or_rank(tmp_path):
 
 def _mock_code(step: RepairStep, feature: CodeFeature, mock: ScriptedMockProvider) -> str:
     prompt = build_prompt(step.agent, feature.region, feature.ub_kinds, step.instruction)
-    answer = mock.complete(PromptRecord.user(prompt))
+    answer = mock.complete(prompt)
     return answer[answer.index("```rust\n") + 8: answer.rindex("\n```")]
 
 

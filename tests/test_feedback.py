@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import shutil
 import tempfile
 import time
@@ -362,23 +363,23 @@ def test_check_missing_entry_file(tmp_path):
 
 
 @needs_rustc
-def test_check_memo_compiles_each_source_once(tmp_path):
+def test_check_memo_compiles_each_source_once(tmp_path, monkeypatch):
     shim, compiles = counting_rustc(tmp_path / "shims")
-    rustc = str(shim)
+    monkeypatch.setenv("PATH", f"{shim.parent}:{os.environ['PATH']}")
     memo = CaseMemo()
     bundle = _bundle(tmp_path)
     for _ in range(2):
-        assert bundle.check({"main.rs": GOOD_PROGRAM}, "main.rs", rustc=rustc, memo=memo) is True
+        assert bundle.check({"main.rs": GOOD_PROGRAM}, "main.rs", memo=memo) is True
     assert compiles() == 1
     wrong = _bundle(tmp_path, stdout="total=99\n", name="other")
-    assert wrong.check({"main.rs": GOOD_PROGRAM}, "main.rs", rustc=rustc, memo=memo) is False
+    assert wrong.check({"main.rs": GOOD_PROGRAM}, "main.rs", memo=memo) is False
     changed = {"main.rs": GOOD_PROGRAM.replace("31", "32")}
-    assert bundle.check(changed, "main.rs", rustc=rustc, memo=memo) is False
+    assert bundle.check(changed, "main.rs", memo=memo) is False
     assert compiles() == 3
     broken = {"main.rs": "fn main() { undefined_symbol(); }\n"}
     for _ in range(2):
         with pytest.raises(ReferenceExecutionFailure):
-            bundle.check(broken, "main.rs", rustc=rustc, memo=memo)
+            bundle.check(broken, "main.rs", memo=memo)
     assert compiles() == 5
 
 

@@ -46,7 +46,7 @@ def follow_up_prompts(monkeypatch) -> list[str]:
     seen: list[str] = []
     complete = Provider.complete
     monkeypatch.setattr(
-        Provider, "complete", lambda self, prompt: seen.append(prompt.text()) or complete(self, prompt)
+        Provider, "complete", lambda self, prompt: seen.append(prompt) or complete(self, prompt)
     )
     provider = ScriptedMockProvider(ProviderConfig(), rules=[(MARKER_FIX, "no fenced block in this answer")])
     settings = SessionConfig(memo=CaseMemo(), detector=stub_detector_config(), solutions_k=5)

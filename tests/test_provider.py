@@ -18,7 +18,6 @@ from ubmend.errors import ProviderFailure, ReplayMiss, StorageFailure
 from ubmend.fast import parse_plan
 from ubmend.provider import (
     MemoizedProvider,
-    PromptRecord,
     Provider,
     ProviderConfig,
     ProviderMode,
@@ -26,6 +25,8 @@ from ubmend.provider import (
     ScriptedMockProvider,
     create_provider,
     load_transcript,
+    prompt_hash,
+    prompt_messages,
     transcript_entries,
     write_transcript,
 )
@@ -55,23 +56,26 @@ def test_a_transcript_that_cannot_replace_its_path_leaves_no_temporary_file(tmp_
 
 
 def test_stable_hash_normalizes_whitespace():
-    a = PromptRecord.user("line one\r\nline two   \n")
-    b = PromptRecord.user("line one\nline two")
-    assert a.stable_hash("m", 0.5) == b.stable_hash("m", 0.5)
+    a = "line one\r\nline two   \n"
+    b = "line one\nline two"
+    assert prompt_messages(a) == prompt_messages(b) == [{"role": "user", "content": b}]
+    # the bytes every stored answer key and transcript hash holds
+    digest = "7a7a9e47a668d4dafef00a63220e0d4246e0a8ad3dbe112ac3632be3bf1979f3"
+    assert prompt_hash(a, "m", 0.5) == prompt_hash(b, "m", 0.5) == digest
 
 
 def test_stable_hash_sensitive_to_inputs():
-    p = PromptRecord.user("same body")
-    base = p.stable_hash("m", 0.5)
-    assert p.stable_hash("other-model", 0.5) != base
-    assert p.stable_hash("m", 0.7) != base
-    assert PromptRecord.user("different body").stable_hash("m", 0.5) != base
+    p = "same body"
+    base = prompt_hash(p, "m", 0.5)
+    assert prompt_hash(p, "other-model", 0.5) != base
+    assert prompt_hash(p, "m", 0.7) != base
+    assert prompt_hash("different body", "m", 0.5) != base
 
 
 def test_provider_accounting_thread_safe_counters():
     provider = _mock()
     before = provider.tokens_used
-    out = provider.complete(PromptRecord.user("anything"))
+    out = provider.complete("anything")
     assert out
     assert provider.calls == 1
     assert provider.tokens_used > before
@@ -87,7 +91,7 @@ def test_config_validation():
 def test_record_write_replay_round_trip(tmp_path):
     inner = _mock()
     recorder, memo = _recording(inner)
-    prompts = [PromptRecord.user(f"prompt {i}") for i in range(3)]
+    prompts = [f"prompt {i}" for i in range(3)]
     answers = [recorder.complete(p) for p in prompts]
     # repeats do not add entries
     recorder.complete(prompts[0])
@@ -107,11 +111,11 @@ def test_replay_miss_is_specific(tmp_path):
     out = tmp_path / "t.jsonl"
     inner = _mock()
     rec, memo = _recording(inner)
-    rec.complete(PromptRecord.user("known"))
+    rec.complete("known")
     _write(memo, inner, out)
     replay = ReplayProvider(ProviderConfig(mode=ProviderMode.REPLAY, transcript_path=out))
     with pytest.raises(ReplayMiss):
-        replay.complete(PromptRecord.user("never recorded"))
+        replay.complete("never recorded")
 
 
 def test_memoized_provider_asks_each_prompt_once_per_case():
@@ -131,18 +135,18 @@ def test_memoized_provider_asks_each_prompt_once_per_case():
     inner, memo, ticks = Flaky(), CaseMemo(), iter([0.0, 10.0, 12.5])
     asked = MemoizedProvider(inner, memo, timer=lambda: next(ticks))
     with pytest.raises(ProviderFailure):  # a failed call is not kept
-        asked.complete(PromptRecord.user("p"))
-    assert asked.complete(PromptRecord.user("p")) == "answer 2"
-    assert asked.complete(PromptRecord.user("p\n")) == "answer 2"  # same hash
+        asked.complete("p")
+    assert asked.complete("p") == "answer 2"
+    assert asked.complete("p\n") == "answer 2"  # same hash
     assert (inner.calls, memo.charged_tokens) == (1, inner.tokens_used)
     assert memo.charged_seconds == 0.0  # the run's own answer is free
     memo.begin_run()
     again = MemoizedProvider(inner, memo, timer=lambda: 0.0)
-    assert again.complete(PromptRecord.user("p")) == "answer 2"
-    assert again.complete(PromptRecord.user("p")) == "answer 2"
+    assert again.complete("p") == "answer 2"
+    assert again.complete("p") == "answer 2"
     assert inner.calls == 1
     assert memo.charged_seconds == 2.5  # the fetch's recorded time, once per run
-    assert again.complete(PromptRecord.user("q")) == "answer 3"
+    assert again.complete("q") == "answer 3"
 
 
 class _Watched:
@@ -303,12 +307,12 @@ def test_a_pooled_answer_is_charged_to_the_case_that_takes_it():
     inner, pool = _mock(), AnswerPool()
     ticks = iter([0.0, 4.0])
     first = MemoizedProvider(inner, CaseMemo(pool=pool), timer=lambda: next(ticks))
-    prompt = PromptRecord.user("asked by two cases")
+    prompt = "asked by two cases"
     answer = first.complete(prompt)
     memo = CaseMemo(pool=pool)
     memo.begin_run()
     second = MemoizedProvider(inner, memo, timer=lambda: 0.0)
-    assert second.complete(PromptRecord.user("asked by two cases\n")) == answer  # same hash
+    assert second.complete("asked by two cases\n") == answer  # same hash
     assert inner.calls == 1
     assert (memo.charged_tokens, memo.charged_seconds) == (inner.tokens_used, 4.0)
     assert transcript_entries(memo, inner.config) == transcript_entries(first.memo, inner.config)
@@ -319,20 +323,20 @@ def test_a_pooled_answer_is_charged_to_the_case_that_takes_it():
 
 def test_transcript_holds_stored_answers_and_no_detections():
     inner = _mock()
-    stored = PromptRecord.user("answered by the log")
+    stored = "answered by the log"
     memo = CaseMemo({f"mock:{inner.hash_of(stored)}": {"answer": "from the log"}})
     asked = MemoizedProvider(inner, memo, timer=lambda: 0.0)
     memo.keep("detection", MemoEntry({"exit_status": 0, "output": ""}, 1.0, None))
     assert asked.complete(stored) == "from the log"
-    fetched = asked.complete(PromptRecord.user("fetched"))
+    fetched = asked.complete("fetched")
     assert inner.calls == 1
     entries = transcript_entries(memo, inner.config)
-    assert [(e.hash, e.response) for e in entries] == [
+    assert [(e["hash"], e["response"]) for e in entries] == [
         (inner.hash_of(stored), "from the log"),
-        (inner.hash_of(PromptRecord.user("fetched")), fetched),
+        (inner.hash_of("fetched"), fetched),
     ]
-    assert entries[0].prompt is stored
-    assert (entries[0].model, entries[0].temperature) == ("gpt-4", 0.5)
+    assert entries[0]["prompt"] == {"messages": prompt_messages(stored)}
+    assert (entries[0]["model"], entries[0]["temperature"]) == ("gpt-4", 0.5)
 
 
 def test_load_transcript_rejects_bad_lines(tmp_path):
@@ -370,7 +374,7 @@ def test_replay_provider_answers_from_a_table_it_is_given(tmp_path):
     # a replay bench loads the transcript once and hands every case's
     # provider the table; the file is then not read again
     inner = _mock()
-    known = PromptRecord.user("known")
+    known = "known"
     path = tmp_path / "t.jsonl"
     path.write_text("")
     config = ProviderConfig(mode=ProviderMode.REPLAY, transcript_path=path)
@@ -378,21 +382,21 @@ def test_replay_provider_answers_from_a_table_it_is_given(tmp_path):
     assert replay.complete(known) == "from the table"
     assert replay.calls == 1
     with pytest.raises(ReplayMiss):
-        replay.complete(PromptRecord.user("never recorded"))
+        replay.complete("never recorded")
 
 
 def test_transcript_write_is_sorted_and_stable(tmp_path):
     inner = _mock()
     rec, memo = _recording(inner)
     for body in ("zz", "aa", "mm"):
-        rec.complete(PromptRecord.user(body))
+        rec.complete(body)
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     _write(memo, inner, p1)
     _write(memo, inner, p2)
     assert p1.read_bytes() == p2.read_bytes()
     hashes = [json.loads(l)["hash"] for l in p1.read_text().splitlines()]
     # in the order the memo first kept the answers
-    assert hashes == [inner.hash_of(PromptRecord.user(body)) for body in ("zz", "aa", "mm")]
+    assert hashes == [inner.hash_of(body) for body in ("zz", "aa", "mm")]
 
 
 def test_offline_providers_never_open_sockets(monkeypatch, tmp_path):
@@ -402,14 +406,14 @@ def test_offline_providers_never_open_sockets(monkeypatch, tmp_path):
     monkeypatch.setattr(socket, "socket", boom)
     monkeypatch.setattr(socket, "create_connection", boom)
     provider = _mock()
-    assert provider.complete(PromptRecord.user("offline"))
+    assert provider.complete("offline")
     inner = _mock()
     rec, memo = _recording(inner)
-    rec.complete(PromptRecord.user("offline"))
+    rec.complete("offline")
     out = tmp_path / "t.jsonl"
     _write(memo, inner, out)
     replay = ReplayProvider(ProviderConfig(mode=ProviderMode.REPLAY, transcript_path=out))
-    assert replay.complete(PromptRecord.user("offline"))
+    assert replay.complete("offline")
 
 
 def test_create_provider_dispatch(tmp_path):
@@ -445,7 +449,7 @@ unsafe { *p = 1; }
 
 def test_mock_plan_parses_and_respects_count():
     provider = _mock()
-    text = provider.complete(PromptRecord(messages=[{"role": "user", "content": PLAN_PROMPT}]))
+    text = provider.complete(PLAN_PROMPT)
     plans = parse_plan(text, {})
     assert 1 <= len(plans) <= 3
     refs = {step.target_region for plan in plans for step in plan}
@@ -454,7 +458,7 @@ def test_mock_plan_parses_and_respects_count():
 
 def test_mock_plan_in_the_one_solution_grammar_writes_steps_alone():
     prompt = PLAN_PROMPT.replace("up to 3 solutions, most promising first, numbered from 1.", "one solution.")
-    text = _mock().complete(PromptRecord.user(prompt.replace("SOLUTION <i>:\n", "")))
+    text = _mock().complete(prompt.replace("SOLUTION <i>:\n", ""))
     assert not re.search(r"^SOLUTION", text, flags=re.MULTILINE)
     assert text.startswith("STEP 1: ModifySemantics main.rs#0 :: ")
     assert [len(plan) for plan in parse_plan(text, {})] == [1]
@@ -463,11 +467,11 @@ def test_mock_plan_in_the_one_solution_grammar_writes_steps_alone():
 def test_a_mock_plan_prompt_whose_request_names_no_count_is_a_provider_failure():
     prompt = PLAN_PROMPT.replace("up to 3 solutions", "alternative solutions")
     with pytest.raises(ProviderFailure, match="requests no count"):
-        _mock().complete(PromptRecord.user(prompt))
+        _mock().complete(prompt)
 
 
 def test_mock_plan_deterministic():
-    p = PromptRecord.user(PLAN_PROMPT)
+    p = PLAN_PROMPT
     assert _mock().complete(p) == _mock().complete(p)
 
 
@@ -475,12 +479,12 @@ def test_mock_custom_rules_win():
     provider = ScriptedMockProvider(
         ProviderConfig(), rules=[("magic token", "scripted reply")]
     )
-    assert provider.complete(PromptRecord.user("has magic token inside")) == "scripted reply"
-    assert provider.complete(PromptRecord.user("no match")) == "OK"
+    assert provider.complete("has magic token inside") == "scripted reply"
+    assert provider.complete("no match") == "OK"
 
 
 def test_mock_callable_rule_sees_prompt():
     provider = ScriptedMockProvider(
         ProviderConfig(), rules=[("echo:", lambda text: text.split("echo:")[1])]
     )
-    assert provider.complete(PromptRecord.user("echo:payload")) == "payload"
+    assert provider.complete("echo:payload") == "payload"

@@ -53,7 +53,6 @@ from ubmend.provider import (
     MARKER_FIX,
     MARKER_PLAN,
     MemoizedProvider,
-    PromptRecord,
     Provider,
     ProviderConfig,
     ScriptedMockProvider,
@@ -97,13 +96,13 @@ def reference_rank(engine: FeedbackEngine, candidates, feature_vector):
 def eager_solutions(features, k, provider):
     """All ``k`` plans asked for in one prompt, as before plans came in
     pages; the mock's answers always parse, so there is no retry."""
-    prompt = PromptRecord.user(fill(
+    prompt = fill(
         load_template("plan_generation.txt"),
         count=str(k),
         first="1",
         features=fast._feature_lines(features),
         tried="",
-    ))
+    )
     shown = {f.ref: f.region.snippet for f in features}
     unique: dict[tuple, list[RepairStep]] = {}
     for steps in fast.parse_plan(provider.complete(prompt), shown):
@@ -128,11 +127,11 @@ def reference_repair_one(target, provider, engine, settings, reference=None):
         kb = engine.kb if settings.kb_enabled else None
         vector = None
         solutions = []
-        features = [] if baseline.clean else extract_features(ws.target, list(baseline.reports))
+        features = extract_features(ws.target, baseline) if baseline else []
         if features:
             if settings.kb_enabled:
                 lead_file, _ = parse_region_ref(features[0].ref)
-                vector = feature_vector(ws.read(lead_file), baseline.reports, lead_file)
+                vector = feature_vector(ws.read(lead_file), baseline, lead_file)
             solutions = eager_solutions(features, k=settings.solutions_k, provider=provider)
             if settings.kb_enabled and vector is not None and not vector.is_zero:
                 hit = engine.best_hit(vector)
@@ -164,7 +163,7 @@ def reference_repair_one(target, provider, engine, settings, reference=None):
             used, _ = outcome.tried[-1]
             record = ExperienceRecord(
                 feature_vector=vector,
-                ub_kind=cli._lead_kind(baseline.reports),
+                ub_kind=cli._lead_kind(baseline),
                 solution_id=used.id,
                 triplet=triplet,
                 solution_signature=signature_of(used),
@@ -188,7 +187,7 @@ def _in_process_detector(monkeypatch):
 def _vector(path: Path) -> FeatureVector:
     """The vector ``repair_one`` computes for a single-file target."""
     target = TargetPackage.from_path(path)
-    reports = run_detection(target, config=stub_detector_config(), memo=CaseMemo()).reports
+    reports = run_detection(target, config=stub_detector_config(), memo=CaseMemo())
     return feature_vector(path.read_text(encoding="utf-8"), reports, file=path.name)
 
 
@@ -305,7 +304,7 @@ def spy(monkeypatch) -> list[str]:
     complete = Provider.complete
 
     def spied(self, prompt):
-        seen.append(prompt.text())
+        seen.append(prompt)
         return complete(self, prompt)
 
     monkeypatch.setattr(Provider, "complete", spied)
@@ -319,7 +318,7 @@ def stood(monkeypatch) -> list[str]:
     stand_in = MemoizedProvider.stand_in
 
     def spied(self, prompt, answer):
-        seen.append(prompt.text())
+        seen.append(prompt)
         return stand_in(self, prompt, answer)
 
     monkeypatch.setattr(MemoizedProvider, "stand_in", spied)
@@ -461,7 +460,7 @@ def test_a_follow_up_page_carries_the_verdicts_and_continues_the_rotation(spy, m
     # third page's last solution repeats the first, and the fourth page
     # repeats the first three, which ends the drawing
     target = TargetPackage.from_path(path)
-    features = extract_features(target, run_detection(target, config=stub_detector_config(), memo=CaseMemo()).reports)
+    features = extract_features(target, run_detection(target, config=stub_detector_config(), memo=CaseMemo()))
     eager = eager_solutions(features, 10, _abstaining(ProviderConfig()))
     assert [(s.id, s.steps) for s, _ in tried] == [(s.id, s.steps) for s in eager]
     assert [s.steps[0].agent for s, _ in tried[3:]] == [AgentKind.REASON] * 3
@@ -557,7 +556,7 @@ def _paging(monkeypatch) -> list[tuple[str, int]]:
 
     def noting(*args, **kwargs):
         (ws,) = copies
-        reports = list(run_detection(ws.target, config=stub_detector_config(), memo=CaseMemo()).reports)
+        reports = list(run_detection(ws.target, config=stub_detector_config(), memo=CaseMemo()))
         pages.append((fast._feature_lines(extract_features(ws.target, reports)), len(reports)))
         return generate(*args, **kwargs)
 

@@ -79,14 +79,14 @@ def reference_run_session(target, solutions, *, provider, config, kb=None) -> Se
     try:
         baseline = _detect(ws.target, config)
         store = SnapshotStore()
-        store.record(0, ws.files(), baseline.error_count)
-        reports_at: dict[int, list[UbReport]] = {0: list(baseline.reports)}
-        if baseline.error_count == 0:
+        store.record(0, ws.files(), len(baseline))
+        reports_at: dict[int, list[UbReport]] = {0: list(baseline)}
+        if not baseline:
             trace = ErrorTrace(counts=[0], thoughts=[], iteration_budget=budget)
             return SessionOutcome(Verdict.PASS, ws.files(), trace, stats=store.stats)
 
-        current_count = baseline.error_count
-        current_reports = list(baseline.reports)
+        current_count = len(baseline)
+        current_reports = list(baseline)
         ws_at: int | None = 0
         trace = ErrorTrace(counts=[current_count], thoughts=[], iteration_budget=budget)
         passed = False
@@ -138,8 +138,8 @@ def reference_run_session(target, solutions, *, provider, config, kb=None) -> Se
                 snap_index = store.latest_index() + 1
                 store.record(snap_index, ws.files(), thought.resulting_errors)
                 if detection is not None:
-                    reports_at[snap_index] = list(detection.reports)
-                    current_reports = list(detection.reports)
+                    reports_at[snap_index] = list(detection)
+                    current_reports = list(detection)
                 else:
                     reports_at[snap_index] = list(current_reports)
                 current_count = thought.resulting_errors
@@ -169,8 +169,8 @@ def reference_run_session(target, solutions, *, provider, config, kb=None) -> Se
                 ws_at = best
         try:
             verify = _detect(ws.target, config)
-            final_clean = verify.clean
-            final_errors = verify.error_count
+            final_clean = not verify
+            final_errors = len(verify)
         except (NonUbCompileError, DetectionTimeout):
             final_clean = False
             final_errors = current_count
@@ -187,7 +187,7 @@ def reference_run_session(target, solutions, *, provider, config, kb=None) -> Se
             stats=store.stats,
             solution_id=attempted_id,
             final_errors=final_errors,
-            baseline_errors=baseline.error_count,
+            baseline_errors=len(baseline),
             thought_count=thought_count,
         )
     finally:
@@ -286,7 +286,7 @@ def kb(targets) -> KnowledgeBase:
     """One prior fix the Reason steps find for every target."""
     target = targets[2]
     source = (target.root_path / "main.rs").read_text(encoding="utf-8")
-    reports = run_detection(target, config=stub_detector_config(), memo=CaseMemo()).reports
+    reports = run_detection(target, config=stub_detector_config(), memo=CaseMemo())
     base = KnowledgeBase()
     base.insert(
         KnowledgeEntry(

@@ -391,14 +391,14 @@ def _consult_then_fix(tmp_path: Path, reason_ref: str) -> tuple[SpyProvider, Ver
     )
     baseline = run_detection(_target(tmp_path / "probe", source), config=det, memo=CaseMemo())
     vector = vectorize(
-        prune(extract_ast(source), baseline.reports),
-        ub_kinds=(r.kind for r in baseline.reports),
+        prune(extract_ast(source), baseline),
+        ub_kinds=(r.kind for r in baseline),
     )
     kb = KnowledgeBase()
     kb.insert(
         KnowledgeEntry(
             vector=vector,
-            ub_kind=baseline.reports[0].kind,
+            ub_kind=baseline[0].kind,
             solution={"steps": [{"agent": "ModifySemantics", "instruction": "drop the retag"}]},
             triplet=EvalTriplet(True, True, 1.0, 10),
         )

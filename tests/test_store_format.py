@@ -154,6 +154,10 @@ CORRUPT = {
     "repeated_bucket": ({"dims": 256, "nz": [[1, 1.0], [1, 2.0]]}, "bucket 1 repeated or out of order"),
     "descending_buckets": ({"dims": 256, "nz": [[2, 1.0], [1, 2.0]]}, "bucket 1 repeated or out of order"),
     "zero_value": ({"dims": 256, "nz": [[1, 0.0]]}, "bucket 1 stores a zero"),
+    "nan_value": ({"dims": 256, "nz": [[1, float("nan")]]}, "bucket 1 stores nan, not a finite number"),
+    "infinite_value": ({"dims": 256, "nz": [[1, float("inf")]]}, "bucket 1 stores inf, not a finite number"),
+    "bool_value": ({"dims": 256, "nz": [[1, True]]}, "bucket 1 stores True, not a finite number"),
+    "dense_nan_value": (padded([1.0, 0.0, float("nan")]), "bucket 2 stores nan, not a finite number"),
     "zero_dims": ({"dims": 0, "nz": []}, "vector of 0 dims, not 256"),
     "negative_dims": ({"dims": -3, "nz": []}, "vector of -3 dims, not 256"),
     "narrow_dims": ({"dims": 8, "nz": [[1, 1.0]]}, "vector of 8 dims, not 256"),

@@ -197,8 +197,8 @@ def test_a_stored_detection_is_read_like_a_fresh_one(tmp_path):
     assert len(spawn_log(spawns)) == 1
     # a stored detection costs the run nothing
     assert memo.charged_seconds == 0.0
-    assert (stored.reports, stored.error_count) == (fresh.reports, fresh.error_count)
-    assert stored.reports[0].kind is UbKind.DANGLING_POINTER
+    assert stored == fresh
+    assert stored[0].kind is UbKind.DANGLING_POINTER
     assert memo.store_hits == {"detections": 1, "reference_verdicts": 0, "answers": 0}
     assert memo.new_results == {}
     # the case's other run reuses it for nothing, and the store is asked once
@@ -330,8 +330,8 @@ def test_a_reused_root_detection_reads_like_a_fresh_one_on_this_copy(tmp_path):
     assert len(spawn_log(spawns)) == 1
     for target, result in zip(copies, (made, reused, stored)):
         fresh = run_detection(target, config=config, memo=CaseMemo())
-        assert result.reports == fresh.reports
-        assert result.reports[0].file == f"{target.root_path}/main.rs"
+        assert result == fresh
+        assert result[0].file == f"{target.root_path}/main.rs"
 
 
 def test_a_bench_case_reuses_root_detections_in_its_no_knowledge_run(tmp_path, capsys):
@@ -379,3 +379,25 @@ def test_detector_output_that_is_not_utf8_is_read_with_replacement(tmp_path, cap
     replayed = fix(noisy_command, "replayed", "--experience", str(store))
     assert replayed["store_hits"]["detections"] == 2
     assert (replayed["verdict"], replayed["trace"]) == (noisy["verdict"], noisy["trace"])
+
+
+def test_program_output_that_names_a_missing_tool_does_not_hide_a_ub_report(tmp_path, capsys):
+    # Miri passes the program's stdout through: a program that prints what
+    # reads as a missing tool still has its UB block read, and is repaired
+    wrapper = tmp_path / "hinting_miri.py"
+    wrapper.write_text(
+        "import os, sys\n"
+        "print('hint: the frobnicator is not installed', flush=True)\n"
+        f"stub = {str(TOOLS_DIR / 'fake_miri.py')!r}\n"
+        "os.execv(sys.executable, [sys.executable, stub, *sys.argv[1:]])\n"
+    )
+    reports = []
+    for name, tool in (("plain", TOOLS_DIR / "fake_miri.py"), ("hinting", wrapper)):
+        path = copy_fixture(CORPUS_DIR / "stack_borrow", tmp_path / name) / "main.rs"
+        command = shlex.join((sys.executable, str(tool), "{file}"))
+        argv = ["fix", str(path), "--no-kb", "--detector-cmd", command, "--fixed-clock", "--report", "json"]
+        assert cli.main(argv) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    plain, hinting = reports
+    assert hinting["verdict"] == plain["verdict"] == "pass"
+    assert (hinting["trace"], hinting["changed_files"]) == (plain["trace"], plain["changed_files"])

@@ -20,9 +20,8 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "ubmend").glob("*.py"))
 CALLERS = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
 # test seams the acceptance tests pin: acceptance 05 passes compute_ci a
-# confidence, and acceptance 03 scripts the mock's answers with rules; and
-# tests count the compiles of a reference check through a rustc shim
-EXCEPTIONS = {"compute_ci(confidence)", "ScriptedMockProvider(rules)", "check(rustc)"}
+# confidence, and acceptance 03 scripts the mock's answers with rules
+EXCEPTIONS = {"compute_ci(confidence)", "ScriptedMockProvider(rules)"}
 
 
 @dataclass

@@ -45,7 +45,7 @@ def test_a_rollback_puts_back_the_sources_and_keeps_build_output(tmp_path):
     try:
         store = SnapshotStore()
         baseline = run_detection(ws.target, config=DetectorConfig(command=BUILDING_DETECTOR), memo=CaseMemo())
-        snapshot = store.record(0, ws.files(), baseline.error_count)
+        snapshot = store.record(0, ws.files(), len(baseline))
         assert sorted(snapshot.files) == ["Cargo.toml", "src/main.rs"]
         ws.write("src/main.rs", "fn main() {}\n")
         ws.write("src/extra.rs", "pub fn extra() {}\n")

@@ -30,6 +30,7 @@ from statistics import NormalDist
 from typing import Callable, Iterator, Sequence
 
 from .detector import (
+    DEFAULT_COMMAND,
     AnswerPool,
     CaseMemo,
     DetectorConfig,
@@ -40,10 +41,7 @@ from .detector import (
 )
 from .errors import (
     DetectionTimeout,
-    LexFailure,
-    NonUbCompileError,
     ProviderFailure,
-    ReplayMiss,
     StorageFailure,
     TargetRejected,
     ToolMissing,
@@ -123,17 +121,19 @@ def compute_ci(
 
 @dataclass
 class CaseResult:
+    """One bench row; the defaults are those of a case that failed early."""
+
     id: str
     kind: str
-    verdict: str
-    acceptability: bool | None
-    baseline_errors: int
-    final_errors: int
-    thoughts: int
-    rollbacks: int
-    tokens: int
-    seconds_kb: float | None
-    seconds_plain: float | None
+    verdict: str = Verdict.FAILED.value
+    acceptability: bool | None = False
+    baseline_errors: int = 0
+    final_errors: int = 0
+    thoughts: int = 0
+    rollbacks: int = 0
+    tokens: int = 0
+    seconds_kb: float | None = None
+    seconds_plain: float | None = None
     note: str = ""
 
     @property
@@ -446,12 +446,6 @@ def _make_clock(fixed: bool) -> Callable[[], float]:
     return LogicalClock() if fixed else time.monotonic
 
 
-def _detector_config(args: argparse.Namespace) -> DetectorConfig:
-    if args.detector_cmd:
-        return DetectorConfig(command=args.detector_cmd, timeout=args.timeout)
-    return DetectorConfig(timeout=args.timeout)
-
-
 def _open_stores(args: argparse.Namespace) -> FeedbackEngine:
     """The feedback engine over the experience log, with the knowledge base
     (none under ``--no-kb``). Both load now, so a bad line, a vector of the
@@ -464,7 +458,7 @@ def _session_config(
     args: argparse.Namespace, clock: Callable[[], float], memo: CaseMemo, kb_enabled: bool
 ) -> SessionConfig:
     return SessionConfig(
-        detector=_detector_config(args),
+        detector=DetectorConfig(command=args.detector_cmd, timeout=args.timeout),
         solutions_k=args.solutions,
         budget=args.max_iterations,
         kb_enabled=kb_enabled,
@@ -507,10 +501,7 @@ def cmd_fix(args: argparse.Namespace) -> int:
         )
         if _records_transcript(args):
             write_transcript(args.transcript, transcript_entries(memo, provider.config))
-    except (
-        ToolMissing, NonUbCompileError, ReplayMiss, StorageFailure, ProviderFailure, LexFailure,
-        DetectionTimeout,
-    ) as exc:
+    except UbmendError as exc:
         failure = exc
     finally:
         # the detections paid for are kept even when the repair failed; a
@@ -604,20 +595,7 @@ def load_manifest(path: Path | str) -> list[ManifestCase]:
 
 
 def _failed_row(case: ManifestCase, exc: Exception) -> CaseResult:
-    return CaseResult(
-        id=case.id,
-        kind=case.ub_kind,
-        verdict=Verdict.FAILED.value,
-        acceptability=False,
-        baseline_errors=0,
-        final_errors=0,
-        thoughts=0,
-        rollbacks=0,
-        tokens=0,
-        seconds_kb=None,
-        seconds_plain=None,
-        note=f"{type(exc).__name__}: {exc}",
-    )
+    return CaseResult(case.id, case.ub_kind, note=f"{type(exc).__name__}: {exc}")
 
 
 def _bench_case(
@@ -875,6 +853,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--detector-cmd",
         type=_command_line,
+        default=DEFAULT_COMMAND,
         metavar="CMD",
         help="detection command line; {file} and {root} placeholders allowed",
     )

@@ -95,8 +95,8 @@ class TargetPackage:
 
     def validate(self) -> None:
         """TargetRejected unless every entry file is a Rust source, every
-        tracked file (``tracked_files``) is UTF-8 text, and the entry files
-        together fit ``DEFAULT_TOKEN_BUDGET``."""
+        tracked file (``tracked_files``) is readable UTF-8 text, and the
+        entry files together fit ``DEFAULT_TOKEN_BUDGET``."""
         if not self.entry_files:
             raise TargetRejected(f"{self.root_path}: no Rust sources found")
         entries = set(self.entry_files)
@@ -109,6 +109,8 @@ class TargetPackage:
                 text = full.read_text(encoding="utf-8")
             except UnicodeDecodeError:
                 raise TargetRejected(f"{full}: not UTF-8 text") from None
+            except OSError as exc:
+                raise TargetRejected(f"{full}: unreadable: {exc.strerror or exc}") from None
             if rel in entries:
                 total += estimate_tokens(text)
         if total > DEFAULT_TOKEN_BUDGET:

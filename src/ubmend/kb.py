@@ -1,6 +1,9 @@
 """Knowledge base: AST extraction, unsafe-focused pruning, feature hashing,
 and similarity search over previously successful repairs.
 
+The parse links each node to its parent and keeps the masked source,
+which pruning reads; hashing walks up the links.
+
 The store is a line-delimited JSON file guarded by an advisory lock, so
 concurrent benchmark runs on one host do not interleave writes; the
 experience log shares its reader and its locked append. Vectors are
@@ -17,7 +20,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from itertools import compress
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
@@ -43,15 +46,18 @@ class AstNode:
     kind: str
     span: tuple[int, int]
     is_unsafe: bool = False
+    parent: "AstNode | None" = field(default=None, repr=False, compare=False)
 
 
 @dataclass
 class Ast:
     """A tree of AstNode in pre-order; nodes[0] is the file root, and a
-    node's span lies inside the span of each node that encloses it."""
+    node's span lies inside its parent's (a top-level item's may equal the
+    root's). ``masked`` is ``source`` with comments and literals masked."""
 
     nodes: list[AstNode]
     source: str
+    masked: str
 
 
 def _phrase_before(masked: str, seg_start: int, brace: int) -> int:
@@ -89,12 +95,13 @@ def _classify_phrase(phrase: str) -> tuple[str, bool]:
 
 def extract_ast(source: str, file: str = "<source>") -> Ast:
     """Parse ``source`` into the simplified AST: one node per braced item,
-    block or loop. ``file`` names the source in a LexFailure."""
+    block or loop, under the one it is nested in. ``file`` names the source
+    in a LexFailure."""
     masked = mask_comments_and_strings(source)
     pairs = brace_pairs(masked)
     nodes = [AstNode(id=0, kind="file", span=(0, len(source)))]
 
-    def scan(lo: int, hi: int) -> None:
+    def scan(lo: int, hi: int, parent: AstNode) -> None:
         cursor = lo
         while cursor < hi:
             brace = masked.find("{", cursor, hi)
@@ -106,14 +113,13 @@ def extract_ast(source: str, file: str = "<source>") -> Ast:
             close = pairs[brace]
             start = _phrase_before(masked, cursor, brace)
             kind, is_unsafe = _classify_phrase(masked[start:brace])
-            nodes.append(
-                AstNode(id=len(nodes), kind=kind, span=(start, close + 1), is_unsafe=is_unsafe)
-            )
-            scan(brace + 1, close)
+            node = AstNode(len(nodes), kind, (start, close + 1), is_unsafe, parent)
+            nodes.append(node)
+            scan(brace + 1, close, node)
             cursor = close + 1
 
-    scan(0, len(source))
-    return Ast(nodes=nodes, source=source)
+    scan(0, len(source), nodes[0])
+    return Ast(nodes=nodes, source=source, masked=masked)
 
 
 def prune(ast: Ast, miri_errors: Iterable[UbReport] = ()) -> list[AstNode]:
@@ -126,7 +132,7 @@ def prune(ast: Ast, miri_errors: Iterable[UbReport] = ()) -> list[AstNode]:
     overlaps an error line.
     """
     errors = list(miri_errors)
-    masked = mask_comments_and_strings(ast.source)
+    masked = ast.masked
     kw_re = re.compile(r"\bunsafe\b")
 
     def contains_kw(node: AstNode) -> bool:
@@ -249,20 +255,19 @@ def _bucket(feature: str) -> int:
 
 
 def hashed_features(pruned: list[AstNode], ub_kinds: Iterable[UbKind] = ()) -> list[str]:
-    """The raw feature strings vectorize() hashes, exposed for tests."""
+    """The raw feature strings vectorize() hashes, exposed for tests: each
+    node's ``<parent kind>><kind>`` (``^<kind>`` without one), then
+    ``ub:<kind>`` per UB kind. The parent is the nearest kept ancestor, but
+    a kept item that spans the whole file gives way to the kept root."""
+    kept = {n.id for n in pruned}
     feats: list[str] = []
     for n in pruned:
-        parent: AstNode | None = None
-        for m in pruned:
-            if m.id == n.id:
-                continue
-            if m.span[0] <= n.span[0] and n.span[1] <= m.span[1]:
-                if m.span == n.span and m.id > n.id:
-                    continue
-                if parent is None or (m.span[1] - m.span[0]) < (
-                    parent.span[1] - parent.span[0]
-                ):
-                    parent = m
+        parent = n.parent
+        while parent is not None and parent.id not in kept:
+            parent = parent.parent
+        above = parent.parent if parent is not None else None
+        if above is not None and above.id in kept and above.span == parent.span:
+            parent = above
         feats.append(f"{parent.kind}>{n.kind}" if parent else f"^{n.kind}")
     feats.extend(f"ub:{k.value}" for k in ub_kinds)
     return feats

@@ -3,7 +3,8 @@
 The detection tool and the reference checks spawn tools that may fork
 (``cargo miri run`` runs the interpreter as a grandchild). Each runs in a
 session of its own, and when its timeout expires the whole process group
-is killed, not only the direct child.
+is killed, not only the direct child. A child's stdin is at end of file,
+so one that reads its input does not wait on this process's stdin.
 """
 from __future__ import annotations
 
@@ -16,13 +17,15 @@ from typing import Sequence
 def run_group(
     argv: Sequence[str] | str, timeout: float, **popen_kwargs
 ) -> subprocess.CompletedProcess:
-    """Like ``subprocess.run(argv, capture_output=True, timeout=timeout)``.
+    """Like ``subprocess.run(argv, stdin=DEVNULL, capture_output=True,
+    timeout=timeout)``.
 
     On timeout (or any interruption) the child's process group is killed
     and reaped before the exception propagates.
     """
     with subprocess.Popen(
         argv,
+        stdin=subprocess.DEVNULL,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         start_new_session=True,

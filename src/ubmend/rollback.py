@@ -2,9 +2,10 @@
 
 Snapshots hold full file contents (targets are token-bounded, so cheap and
 simple beats deltas) together with the detector reports for those contents,
-and are kept in memory for the length of a session. Snapshot index i is
-position i in the session's error-count sequence: 0 is the pre-repair
-baseline, i >= 1 is the state after fix thought i.
+and are kept in memory for the length of a session. A snapshot's error
+count is the number of its reports. Snapshot index i is position i in the
+session's error-count sequence: 0 is the pre-repair baseline, i >= 1 is the
+state after fix thought i.
 """
 from __future__ import annotations
 
@@ -20,10 +21,16 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass
 class Snapshot:
+    """The files of one state of the working copy and the detector reports
+    for exactly those bytes."""
+
     index: int
     files: dict[str, str]
-    error_count: int
-    reports: tuple["UbReport", ...] = ()
+    reports: tuple["UbReport", ...]
+
+    @property
+    def error_count(self) -> int:
+        return len(self.reports)
 
 
 @dataclass
@@ -43,18 +50,12 @@ class SnapshotStore:
         self.snapshots: dict[int, Snapshot] = {}
         self.stats = RollbackStats()
 
-    def record(
-        self,
-        index: int,
-        files: dict[str, str],
-        error_count: int,
-        reports: Sequence["UbReport"] = (),
-    ) -> Snapshot:
+    def record(self, index: int, files: dict[str, str], reports: Sequence["UbReport"]) -> Snapshot:
+        """Keep a copy of ``files`` and their detector ``reports`` as snapshot
+        ``index``; StorageFailure when that index is already taken."""
         if index in self.snapshots:
             raise StorageFailure(f"snapshot index {index} already recorded")
-        if error_count < 0:
-            raise StorageFailure("error_count must be non-negative")
-        snap = Snapshot(index=index, files=dict(files), error_count=error_count, reports=tuple(reports))
+        snap = Snapshot(index=index, files=dict(files), reports=tuple(reports))
         self.snapshots[index] = snap
         return snap
 

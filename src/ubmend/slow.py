@@ -2,8 +2,8 @@
 
 A session walks solutions in rank order. Each fix step patches the working
 copy (``propose_step``) and a detection, the list of UB reports the tool
-gives, verifies the patch (``detect_patches``), appending its length to
-the error trace; Reason steps consult the knowledge base and Rollback
+gives, verifies the patch (``detect_patches``), whose count is the length
+of that list; Reason steps consult the knowledge base and Rollback
 steps (explicit or triggered) restore the best snapshot so far. The trace
 trigger fires on a strictly increasing window (the hallucination pattern)
 or when the latest count blows past the global minimum by a fixed factor.
@@ -108,23 +108,27 @@ class Thought:
 
 @dataclass
 class ErrorTrace:
-    """counts[0] is the pre-repair baseline; counts[i] follows thought i-1.
-
-    Thoughts verified together in a clean batch all take the batch's count,
-    0, and each one that made a patch carries the note ``verified in batch
-    <first>-<last>`` (thought indices). ``reports`` are the reports left
-    when a solution ended without a pass, before the session went back to
-    its best snapshot; they are not part of the serialized trace.
+    """One solution's thoughts; ``counts`` is ``start``, the error count it
+    began at, then each thought's count. Thoughts verified together in a
+    clean batch all take the batch's count, 0, and each one that made a
+    patch carries the note ``verified in batch <first>-<last>`` (thought
+    indices). ``reports`` are the reports left when a solution ended without
+    a pass, before the session went back to its best snapshot; they are not
+    part of the serialized trace.
     """
 
-    counts: list[int]
+    start: int
     thoughts: list[Thought]
     iteration_budget: int
     reports: tuple[UbReport, ...] = ()
 
+    @property
+    def counts(self) -> list[int]:
+        return [self.start] + [t.resulting_errors for t in self.thoughts]
+
     def to_dict(self) -> dict:
         return {
-            "counts": list(self.counts),
+            "counts": self.counts,
             "thoughts": [t.to_dict() for t in self.thoughts],
             "iteration_budget": self.iteration_budget,
         }
@@ -181,11 +185,10 @@ def _detect(target: TargetPackage, config: SessionConfig) -> list[UbReport]:
     return run_detection(target, config=config.detector, clock=config.clock, memo=config.memo)
 
 
-def should_rollback(trace: ErrorTrace) -> bool:
-    """True when the trace looks like it is getting worse, not better: its
-    last ``ROLLBACK_WINDOW`` counts rise strictly, or its latest count is
-    more than ``ROLLBACK_FACTOR`` times its lowest."""
-    counts = trace.counts
+def should_rollback(counts: Sequence[int]) -> bool:
+    """True when a trace's ``counts`` look like they are getting worse, not
+    better: the last ``ROLLBACK_WINDOW`` rise strictly, or the latest is
+    more than ``ROLLBACK_FACTOR`` times the lowest."""
     if not counts:
         return False
     tail = counts[-ROLLBACK_WINDOW:]
@@ -509,8 +512,8 @@ def run_session(
         raise ValueError("budget must be >= 1")
     store = SnapshotStore()
     # the snapshot the working copy matches; its reports steer the next step
-    current = store.record(0, workspace.files(), len(baseline), baseline)
-    trace = ErrorTrace(counts=[current.error_count], thoughts=[], iteration_budget=budget)
+    current = store.record(0, workspace.files(), baseline)
+    trace = ErrorTrace(current.error_count, [], budget)
     tried: list[tuple[RepairSolution, ErrorTrace]] = []
     page: list[RepairSolution] = []
     budget_hit_last = False
@@ -521,7 +524,7 @@ def run_session(
             if not page:
                 break
         solution = page.pop(0)
-        trace = ErrorTrace(counts=[current.error_count], thoughts=[], iteration_budget=budget)
+        trace = ErrorTrace(current.error_count, [], budget)
         tried.append((solution, trace))
         reason_context: str | None = None
         budget_hit_last = False
@@ -554,8 +557,7 @@ def run_session(
                     )
                     if verified is not None:
                         trace.thoughts.extend(verified)
-                        trace.counts.extend(t.resulting_errors for t in verified)
-                        current = store.record(store.latest_index() + len(verified), workspace.files(), 0)
+                        current = store.record(store.latest_index() + len(verified), workspace.files(), ())
                         break
                     workspace.restore(current.files)
                     regions.restore(current)
@@ -579,17 +581,15 @@ def run_session(
                 break
             reason_context = None
             trace.thoughts.append(thought)
-            trace.counts.append(thought.resulting_errors)
             current = store.record(
                 store.latest_index() + 1,
                 workspace.files(),
-                thought.resulting_errors,
                 detection if detection is not None else current.reports,
             )
             regions.mark(current)
             if current.error_count == 0:
                 break
-            if should_rollback(trace):
+            if should_rollback(trace.counts):
                 current = store.restore(store.select_rollback_target(), workspace)
                 regions.restore(current)
         if current.error_count == 0:

@@ -20,7 +20,7 @@ from typing import Callable
 import pytest
 
 from ubmend import slow
-from ubmend.detector import DetectorConfig
+from ubmend.detector import DetectorConfig, UbKind, UbReport
 from ubmend.fast import AgentKind, RepairSolution, RepairStep
 from ubmend.kb import VECTOR_DIMS
 from ubmend.provider import MemoizedProvider, ProviderConfig, ProviderMode, ScriptedMockProvider
@@ -39,6 +39,11 @@ STUB_DETECTOR_ARG = shlex.join(STUB_DETECTOR)
 
 def stub_detector_config(timeout: float = 30.0) -> DetectorConfig:
     return DetectorConfig(command=STUB_DETECTOR, timeout=timeout)
+
+
+def reports_of(count: int) -> tuple[UbReport, ...]:
+    """``count`` reports, for a snapshot whose error count is ``count``."""
+    return (UbReport(UbKind.UNKNOWN, "main.rs", None, "synthetic"),) * count
 
 
 def counting_detector_command(log: Path) -> tuple[str, ...]:

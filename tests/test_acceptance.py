@@ -22,6 +22,7 @@ from conftest import (
     SEQUENCES_DIR,
     STUB_DETECTOR_ARG,
     copy_fixture,
+    reports_of,
     run_session_on_copy,
     stub_detector_config,
 )
@@ -57,7 +58,7 @@ from ubmend.provider import (
     write_transcript,
 )
 from ubmend.rollback import SnapshotStore
-from ubmend.slow import ErrorTrace, SessionConfig, Verdict, should_rollback
+from ubmend.slow import SessionConfig, Verdict, should_rollback
 from ubmend.workspace import WorkingCopy
 
 
@@ -255,14 +256,14 @@ def test_acceptance_02_rollback_selection_and_discard_accounting():
     for counts in traces:
         adaptive = SnapshotStore()
         always_baseline = SnapshotStore()
-        trace = ErrorTrace(counts=[counts[0]], thoughts=[], iteration_budget=10)
+        trace = [counts[0]]
         for store in (adaptive, always_baseline):
-            store.record(0, files, counts[0])
+            store.record(0, files, reports_of(counts[0]))
         for value in counts[1:]:
             for store in (adaptive, always_baseline):
-                store.record(store.latest_index() + 1, files, value)
-            trace.counts.append(value)
-            assert adaptive.select_rollback_target() == _scan_argmin(trace.counts)
+                store.record(store.latest_index() + 1, files, reports_of(value))
+            trace.append(value)
+            assert adaptive.select_rollback_target() == _scan_argmin(trace)
             if should_rollback(trace):
                 adaptive.restore(adaptive.select_rollback_target(), ws)
                 always_baseline.restore(0, ws)

@@ -28,7 +28,7 @@ from conftest import (
     run_stub_in_process,
     spawn_log,
 )
-from ubmend import cli, detector
+from ubmend import cli, detector, feedback
 from ubmend.cli import compute_ci, load_manifest, main, repair_one
 from ubmend.detector import DEFAULT_TOKEN_BUDGET, CaseMemo, DetectorConfig, TargetPackage
 from ubmend.errors import ProviderFailure
@@ -196,6 +196,59 @@ def test_fix_with_reference_upgrades_to_semantic_pass(tmp_path, capsys):
     assert payload["triplet"]["acceptability"] is True
 
 
+@needs_rustc
+def test_a_repaired_program_reading_stdin_to_eof_gets_eof_at_once(tmp_path):
+    # ubmend's stdin is a pipe whose write end stays open: a child that took
+    # it over would wait there until the reference run's timeout
+    case = copy_fixture(CORPUS_DIR / "stack_borrow", tmp_path)
+    source = (case / "main.rs").read_text(encoding="utf-8")
+    reads_stdin = (
+        "fn main() {\n"
+        "    let mut input = String::new();\n"
+        "    std::io::Read::read_to_string(&mut std::io::stdin(), &mut input).unwrap();\n"
+    )
+    (case / "main.rs").write_text(source.replace("fn main() {\n", reads_stdin, 1), encoding="utf-8")
+    ref = copy_fixture(CORPUS_DIR / "refs" / "stack_borrow", tmp_path / "refs")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "ubmend.cli", *_fix(case / "main.rs", "--no-kb", "--report", "json", "--reference", str(ref))]
+    out, err = tmp_path / "out.json", tmp_path / "err.txt"
+    with out.open("wb") as stdout, err.open("wb") as stderr:
+        proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=stdout, stderr=stderr, env=env, cwd=tmp_path)
+        try:
+            code = proc.wait(timeout=feedback.REFERENCE_RUN_TIMEOUT / 3)
+        finally:
+            # EOF lets a child still waiting end, and ubmend clean up after it
+            proc.stdin.close()
+            try:
+                proc.wait(timeout=2 * feedback.REFERENCE_RUN_TIMEOUT)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+    assert code == 0, err.read_text(errors="replace")
+    assert json.loads(out.read_text(encoding="utf-8"))["verdict"] == "semantic_pass"
+
+
+def test_fix_of_a_target_with_an_unreadable_tracked_file_is_a_usage_error(tmp_path, capsys):
+    case = copy_fixture(CORPUS_DIR / "stack_borrow", tmp_path)
+    (case / "extra.rs").symlink_to(case / "missing.rs")
+    assert main(_fix(case / "main.rs", "--no-kb")) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "extra.rs" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_bench_rejects_a_case_with_an_unreadable_tracked_file(tmp_path, capsys):
+    manifest = _bench_dir(tmp_path, ["stack_borrow"])
+    extra = manifest.parent / "stack_borrow" / "extra.rs"
+    extra.symlink_to(extra.parent / "missing.rs")
+    assert main(_bench(manifest, "--no-kb", "--report", "json")) == 0
+    captured = capsys.readouterr()
+    (row,) = json.loads(captured.out)["cases"]
+    assert row["verdict"] == "failed"
+    assert row["note"].startswith("TargetRejected:") and "extra.rs" in row["note"]
+    assert "Traceback" not in captured.err
+
+
 def test_fix_unfixable_case_exits_one(tmp_path, capsys):
     path = tmp_path / "main.rs"
     path.write_text(UB_INSIDE_AND_OUT, encoding="utf-8")
@@ -285,6 +338,16 @@ def test_a_detector_that_fails_shows_its_output(tmp_path, capsys, monkeypatch):
     assert "{root}/tools/fake_miri.py" in err and "No such file" in err
 
 
+def _detector(args) -> DetectorConfig:
+    """The detector settings a run with ``args`` uses."""
+    return cli._session_config(args, cli.LogicalClock(), CaseMemo(), kb_enabled=False).detector
+
+
+def test_the_default_detector_command_is_the_detector_configs():
+    args = cli.build_parser().parse_args(["fix", "main.rs"])
+    assert _detector(args) == DetectorConfig(timeout=120.0)
+
+
 @pytest.mark.parametrize(
     ("given", "tool"),
     [
@@ -297,7 +360,7 @@ def test_a_detector_that_fails_shows_its_output(tmp_path, capsys, monkeypatch):
 def test_detector_config_resolves_only_relative_tool_paths(monkeypatch, given, tool):
     monkeypatch.chdir(TOOLS_DIR.parent)
     args = cli.build_parser().parse_args(["fix", "main.rs", "--detector-cmd", given])
-    command = cli._detector_config(args).command
+    command = _detector(args).command
     assert command[0] == tool
     assert command[1:] == tuple(shlex.split(given))[1:]
 
@@ -356,7 +419,7 @@ def test_a_timeout_that_is_not_a_finite_positive_number_is_a_usage_error(tmp_pat
 
 def test_a_positive_timeout_is_taken_as_seconds():
     args = cli.build_parser().parse_args(["fix", "main.rs", "--timeout", "2.5"])
-    assert cli._detector_config(args).timeout == 2.5
+    assert _detector(args).timeout == 2.5
 
 
 @pytest.mark.parametrize("command", ["fix", "bench"])

@@ -187,7 +187,7 @@ def test_extract_features_two_regions(tmp_path):
 
 
 def _tried(solutions):
-    return [(s, ErrorTrace(counts=[1, 1], thoughts=[], iteration_budget=5)) for s in solutions]
+    return [(s, ErrorTrace(1, [], 5)) for s in solutions]
 
 
 # eight plans, each its own variant

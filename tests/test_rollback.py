@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from conftest import reports_of
 from ubmend.errors import StorageFailure
 from ubmend.rollback import SnapshotStore
 
@@ -21,7 +22,7 @@ class _NullWorkspace:
 def _target(counts):
     store = SnapshotStore()
     for i, count in enumerate(counts):
-        store.record(i, {}, count)
+        store.record(i, {}, reports_of(count))
     return store.select_rollback_target()
 
 
@@ -50,29 +51,27 @@ def test_argmin_matches_exhaustive_scan():
 
 def test_record_and_select():
     store = SnapshotStore()
-    store.record(0, {"main.rs": "a"}, 3)
-    store.record(1, {"main.rs": "b"}, 1)
-    store.record(2, {"main.rs": "c"}, 5)
+    store.record(0, {"main.rs": "a"}, reports_of(3))
+    store.record(1, {"main.rs": "b"}, reports_of(1))
+    store.record(2, {"main.rs": "c"}, reports_of(5))
     assert store.latest_index() == 2
     assert store.select_rollback_target() == 1
 
 
 def test_select_with_sparse_indices():
     store = SnapshotStore()
-    store.record(0, {}, 4)
-    store.record(3, {}, 2)
-    store.record(7, {}, 2)
+    store.record(0, {}, reports_of(4))
+    store.record(3, {}, reports_of(2))
+    store.record(7, {}, reports_of(2))
     # counts tie; the newer snapshot index wins
     assert store.select_rollback_target() == 7
 
 
-def test_record_rejects_duplicates_and_negatives():
+def test_record_rejects_duplicates():
     store = SnapshotStore()
-    store.record(0, {}, 0)
+    store.record(0, {}, reports_of(0))
     with pytest.raises(StorageFailure):
-        store.record(0, {}, 1)
-    with pytest.raises(StorageFailure):
-        store.record(1, {}, -1)
+        store.record(0, {}, reports_of(1))
 
 
 def test_latest_and_select_need_snapshots():
@@ -86,16 +85,16 @@ def test_latest_and_select_need_snapshots():
 def test_restore_writes_files_and_counts_discards():
     store = SnapshotStore()
     ws = _NullWorkspace()
-    store.record(0, {"main.rs": "base"}, 3)
-    store.record(1, {"main.rs": "one"}, 1)
-    store.record(2, {"main.rs": "two"}, 5)
+    store.record(0, {"main.rs": "base"}, reports_of(3))
+    store.record(1, {"main.rs": "one"}, reports_of(1))
+    store.record(2, {"main.rs": "two"}, reports_of(5))
     snap = store.restore(1, ws)
     assert snap.files == {"main.rs": "one"}
     assert ws.restored == [{"main.rs": "one"}]
     assert store.stats.rollback_count == 1
     assert store.stats.discarded_thoughts == 2 - 1
 
-    store.record(3, {"main.rs": "three"}, 4)
+    store.record(3, {"main.rs": "three"}, reports_of(4))
     store.restore(0, ws)
     assert store.stats.rollback_count == 2
     assert store.stats.discarded_thoughts == 1 + 3
@@ -103,7 +102,7 @@ def test_restore_writes_files_and_counts_discards():
 
 def test_restore_unknown_index():
     store = SnapshotStore()
-    store.record(0, {}, 0)
+    store.record(0, {}, reports_of(0))
     with pytest.raises(StorageFailure):
         store.restore(5, _NullWorkspace())
 
@@ -111,6 +110,6 @@ def test_restore_unknown_index():
 def test_snapshots_are_isolated_copies():
     store = SnapshotStore()
     files = {"main.rs": "v1"}
-    store.record(0, files, 1)
+    store.record(0, files, reports_of(1))
     files["main.rs"] = "mutated"
     assert store.snapshots[0].files == {"main.rs": "v1"}

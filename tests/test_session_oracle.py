@@ -79,16 +79,16 @@ def reference_run_session(target, solutions, *, provider, config, kb=None) -> Se
     try:
         baseline = _detect(ws.target, config)
         store = SnapshotStore()
-        store.record(0, ws.files(), len(baseline))
+        store.record(0, ws.files(), baseline)
         reports_at: dict[int, list[UbReport]] = {0: list(baseline)}
         if not baseline:
-            trace = ErrorTrace(counts=[0], thoughts=[], iteration_budget=budget)
+            trace = ErrorTrace(0, [], budget)
             return SessionOutcome(Verdict.PASS, ws.files(), trace, stats=store.stats)
 
         current_count = len(baseline)
         current_reports = list(baseline)
         ws_at: int | None = 0
-        trace = ErrorTrace(counts=[current_count], thoughts=[], iteration_budget=budget)
+        trace = ErrorTrace(current_count, [], budget)
         passed = False
         budget_hit_last = False
         attempted_id: str | None = None
@@ -96,7 +96,7 @@ def reference_run_session(target, solutions, *, provider, config, kb=None) -> Se
 
         for solution in solutions:
             attempted_id = solution.id
-            trace = ErrorTrace(counts=[current_count], thoughts=[], iteration_budget=budget)
+            trace = ErrorTrace(current_count, [], budget)
             reason_context: str | None = None
             budget_hit_last = False
             aborted = False
@@ -134,9 +134,8 @@ def reference_run_session(target, solutions, *, provider, config, kb=None) -> Se
                 reason_context = None
                 thought_count += 1
                 trace.thoughts.append(thought)
-                trace.counts.append(thought.resulting_errors)
                 snap_index = store.latest_index() + 1
-                store.record(snap_index, ws.files(), thought.resulting_errors)
+                store.record(snap_index, ws.files(), detection if detection is not None else current_reports)
                 if detection is not None:
                     reports_at[snap_index] = list(detection)
                     current_reports = list(detection)
@@ -147,7 +146,7 @@ def reference_run_session(target, solutions, *, provider, config, kb=None) -> Se
                 if current_count == 0:
                     passed = True
                     break
-                if should_rollback(trace):
+                if should_rollback(trace.counts):
                     target_idx = store.select_rollback_target()
                     snap = store.restore(target_idx, ws)
                     current_count = snap.error_count

@@ -17,7 +17,6 @@ from ubmend.feedback import EvalTriplet, FeedbackEngine
 from ubmend.kb import KnowledgeBase, KnowledgeEntry, extract_ast, prune, vectorize
 from ubmend.provider import ProviderConfig, ProviderMode, ScriptedMockProvider
 from ubmend.slow import (
-    ErrorTrace,
     SessionConfig,
     Verdict,
     should_rollback,
@@ -25,10 +24,6 @@ from ubmend.slow import (
 from ubmend.workspace import WorkingCopy
 
 UB_LINE = "//~UB Undefined Behavior: trying to retag from <{tag}> for Unique permission"
-
-
-def _trace(counts: list[int]) -> ErrorTrace:
-    return ErrorTrace(counts=counts, thoughts=[], iteration_budget=5)
 
 
 def _source(directives: int) -> str:
@@ -98,15 +93,15 @@ def _target(tmp_path: Path, source: str) -> TargetPackage:
     ],
 )
 def test_should_rollback_truth_table(counts, expected):
-    assert should_rollback(_trace(counts)) is expected
+    assert should_rollback(counts) is expected
 
 
 def test_should_rollback_respects_window_and_factor():
     # three rising counts trip the window; 7 <= 2 * 5 keeps the factor quiet
-    assert should_rollback(_trace([5, 6, 7])) is True
-    assert should_rollback(_trace([6, 7])) is False
-    assert should_rollback(_trace([4, 9])) is True
-    assert should_rollback(_trace([4, 8])) is False
+    assert should_rollback([5, 6, 7]) is True
+    assert should_rollback([6, 7]) is False
+    assert should_rollback([4, 9]) is True
+    assert should_rollback([4, 8]) is False
 
 
 def test_budget_must_be_positive(tmp_path):

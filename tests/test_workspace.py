@@ -45,11 +45,11 @@ def test_a_rollback_puts_back_the_sources_and_keeps_build_output(tmp_path):
     try:
         store = SnapshotStore()
         baseline = run_detection(ws.target, config=DetectorConfig(command=BUILDING_DETECTOR), memo=CaseMemo())
-        snapshot = store.record(0, ws.files(), len(baseline))
+        snapshot = store.record(0, ws.files(), baseline)
         assert sorted(snapshot.files) == ["Cargo.toml", "src/main.rs"]
         ws.write("src/main.rs", "fn main() {}\n")
         ws.write("src/extra.rs", "pub fn extra() {}\n")
-        store.record(1, ws.files(), 0)
+        store.record(1, ws.files(), ())
         store.restore(0, ws)
         assert ws.files() == snapshot.files
         assert not (ws.root / "src" / "extra.rs").exists()

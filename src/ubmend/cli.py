@@ -31,6 +31,7 @@ from typing import Callable, Iterator, Sequence
 
 from .detector import (
     DEFAULT_COMMAND,
+    DEFAULT_TIMEOUT,
     AnswerPool,
     CaseMemo,
     DetectorConfig,
@@ -155,25 +156,24 @@ class BenchReport:
     totals: dict[str, int]
 
 
+def _summary(group: list[CaseResult]) -> dict:
+    """A group of rows' cases, passes and acceptances, and the mean of its
+    no-kb and kb times over the rows that have one (None when none has)."""
+    plain = [c.seconds_plain for c in group if c.seconds_plain is not None]
+    kb = [c.seconds_kb for c in group if c.seconds_kb is not None]
+    return {
+        "cases": len(group),
+        "passed": sum(c.passed for c in group),
+        "accepted": sum(c.accepted for c in group),
+        "avg_seconds_no_kb": sum(plain) / len(plain) if plain else None,
+        "avg_seconds_kb": sum(kb) / len(kb) if kb else None,
+    }
+
+
 def build_report(cases: list[CaseResult]) -> BenchReport:
     cases = sorted(cases, key=lambda c: c.id)
-    n = len(cases)
-    passed = sum(1 for c in cases if c.passed)
-    accepted = sum(1 for c in cases if c.accepted)
-    per_kind: dict[str, dict] = {}
-    for kind in sorted({c.kind for c in cases}):
-        group = [c for c in cases if c.kind == kind]
-        kb_times = [c.seconds_kb for c in group if c.seconds_kb is not None]
-        plain_times = [c.seconds_plain for c in group if c.seconds_plain is not None]
-        per_kind[kind] = {
-            "cases": len(group),
-            "passed": sum(1 for c in group if c.passed),
-            "accepted": sum(1 for c in group if c.accepted),
-            "avg_seconds_no_kb": (
-                sum(plain_times) / len(plain_times) if plain_times else None
-            ),
-            "avg_seconds_kb": sum(kb_times) / len(kb_times) if kb_times else None,
-        }
+    total = _summary(cases)
+    n, passed, accepted = total["cases"], total["passed"], total["accepted"]
     return BenchReport(
         cases=cases,
         pass_rate=passed / n if n else 0.0,
@@ -182,13 +182,11 @@ def build_report(cases: list[CaseResult]) -> BenchReport:
             "pass_rate": compute_ci(passed, n) if n else (0.0, 1.0),
             "exec_rate": compute_ci(accepted, n) if n else (0.0, 1.0),
         },
-        per_kind=per_kind,
-        totals={
-            "cases": n,
-            "passed": passed,
-            "accepted": accepted,
-            "tokens": sum(c.tokens for c in cases),
+        per_kind={
+            kind: _summary([c for c in cases if c.kind == kind])
+            for kind in sorted({c.kind for c in cases})
         },
+        totals={"cases": n, "passed": passed, "accepted": accepted, "tokens": sum(c.tokens for c in cases)},
     )
 
 
@@ -242,10 +240,13 @@ def render_report(report: BenchReport, fmt: str = "table") -> str:
         )
     lines = [_align(rows)]
     kind_rows = [["kind", "cases", "passed", "accepted", "time_no_kb/s", "time_kb/s"]]
-    for kind, row in report.per_kind.items():
+    groups = list(report.per_kind.items())
+    if report.cases:
+        groups.append(("Average", _summary(report.cases)))
+    for name, row in groups:
         kind_rows.append(
             [
-                kind,
+                name,
                 str(row["cases"]),
                 str(row["passed"]),
                 str(row["accepted"]),
@@ -253,33 +254,16 @@ def render_report(report: BenchReport, fmt: str = "table") -> str:
                 _fmt_seconds(row["avg_seconds_kb"]),
             ]
         )
-    if report.cases:
-        plain = [c.seconds_plain for c in report.cases if c.seconds_plain is not None]
-        kb = [c.seconds_kb for c in report.cases if c.seconds_kb is not None]
-        kind_rows.append(
-            [
-                "Average",
-                str(report.totals["cases"]),
-                str(report.totals["passed"]),
-                str(report.totals["accepted"]),
-                _fmt_seconds(sum(plain) / len(plain) if plain else None),
-                _fmt_seconds(sum(kb) / len(kb) if kb else None),
-            ]
-        )
     lines.append("")
     lines.append(_align(kind_rows))
     lines.append("")
     if report.totals["cases"]:
-        lo, hi = report.ci_95["pass_rate"]
-        lines.append(
-            f"pass_rate: {report.totals['passed']}/{report.totals['cases']}"
-            f" = {report.pass_rate:.3f}  CI95 [{lo:.3f}, {hi:.3f}]"
-        )
-        lo, hi = report.ci_95["exec_rate"]
-        lines.append(
-            f"exec_rate: {report.totals['accepted']}/{report.totals['cases']}"
-            f" = {report.exec_rate:.3f}  CI95 [{lo:.3f}, {hi:.3f}]"
-        )
+        for rate, count in (("pass_rate", "passed"), ("exec_rate", "accepted")):
+            lo, hi = report.ci_95[rate]
+            lines.append(
+                f"{rate}: {report.totals[count]}/{report.totals['cases']}"
+                f" = {getattr(report, rate):.3f}  CI95 [{lo:.3f}, {hi:.3f}]"
+            )
     return "\n".join(lines)
 
 
@@ -818,11 +802,11 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--provider",
         choices=[m.value for m in ProviderMode],
-        default=ProviderMode.SCRIPTED_MOCK.value,
-        help="model backend (default: mock)",
+        default=ProviderConfig.mode.value,
+        help="model backend (default: %(default)s)",
     )
-    shared.add_argument("--model", default="gpt-4", help="model name for live/replay hashing")
-    shared.add_argument("--temperature", type=float, default=0.5)
+    shared.add_argument("--model", default=ProviderConfig.model_name, help="model name for live/replay hashing")
+    shared.add_argument("--temperature", type=float, default=ProviderConfig.temperature)
     shared.add_argument(
         "--max-iterations",
         type=_positive_int,
@@ -848,7 +832,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shared.add_argument("--report", choices=["json", "table"], default="table")
     shared.add_argument(
-        "--timeout", type=_positive_seconds, default=120.0, help="detection timeout in seconds"
+        "--timeout", type=_positive_seconds, default=DEFAULT_TIMEOUT, help="detection timeout in seconds"
     )
     shared.add_argument(
         "--detector-cmd",

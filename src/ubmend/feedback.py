@@ -376,26 +376,20 @@ class FeedbackEngine:
         candidates: Sequence[RepairSolution],
         feature_vector: FeatureVector,
     ) -> list[RepairSolution]:
-        """Stable re-rank by experience score, highest first."""
-        if not self.records or feature_vector.is_zero:
-            return list(candidates)
+        """One stable sort by the score of each candidate's folded signature
+        (0.0 if unseen), highest first; a nonzero score marks it ``FEEDBACK_RANKED``."""
         scores = self.signature_scores(feature_vector)
-        scored: list[tuple[float, RepairSolution]] = []
-        for candidate in candidates:
-            best = scores.get(folded(signature_of(candidate)))
-            if best is not None and best != 0.0:
+        scored = [(scores.get(folded(signature_of(c)), 0.0), c) for c in candidates]
+        for score, candidate in scored:
+            if score != 0.0:
                 candidate.provenance = Provenance.FEEDBACK_RANKED
-            scored.append((best if best is not None else 0.0, candidate))
-        scored.sort(key=lambda pair: -pair[0])
-        return [candidate for _, candidate in scored]
+        return [candidate for _, candidate in sorted(scored, key=lambda pair: -pair[0])]
 
     def keeps_first(self, solution: RepairSolution, feature_vector: FeatureVector) -> bool:
         """Whether ``rank_solutions`` keeps ``solution`` first when it leads
         any list of candidates: its score is at least every signature's
-        score and the 0.0 of an unseen one, and a tie keeps it first
-        because the sort is stable."""
-        if not self.records or feature_vector.is_zero:
-            return True
+        score and the 0.0 of an unseen one (with no records or a zero
+        vector all are zero), and a tie keeps it first: the sort is stable."""
         scores = self.signature_scores(feature_vector)
         own = scores.get(folded(signature_of(solution)), 0.0)
         return own >= 0.0 and all(own >= score for score in scores.values())

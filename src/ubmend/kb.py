@@ -257,17 +257,13 @@ def _bucket(feature: str) -> int:
 def hashed_features(pruned: list[AstNode], ub_kinds: Iterable[UbKind] = ()) -> list[str]:
     """The raw feature strings vectorize() hashes, exposed for tests: each
     node's ``<parent kind>><kind>`` (``^<kind>`` without one), then
-    ``ub:<kind>`` per UB kind. The parent is the nearest kept ancestor, but
-    a kept item that spans the whole file gives way to the kept root."""
+    ``ub:<kind>`` per UB kind. The parent is the nearest kept ancestor."""
     kept = {n.id for n in pruned}
     feats: list[str] = []
     for n in pruned:
         parent = n.parent
         while parent is not None and parent.id not in kept:
             parent = parent.parent
-        above = parent.parent if parent is not None else None
-        if above is not None and above.id in kept and above.span == parent.span:
-            parent = above
         feats.append(f"{parent.kind}>{n.kind}" if parent else f"^{n.kind}")
     feats.extend(f"ub:{k.value}" for k in ub_kinds)
     return feats

@@ -345,7 +345,14 @@ def _detector(args) -> DetectorConfig:
 
 def test_the_default_detector_command_is_the_detector_configs():
     args = cli.build_parser().parse_args(["fix", "main.rs"])
-    assert _detector(args) == DetectorConfig(timeout=120.0)
+    assert _detector(args) == DetectorConfig()
+
+
+@pytest.mark.parametrize("argv", [["fix", "main.rs"], ["bench", "manifest.jsonl"]])
+def test_the_default_provider_settings_are_the_provider_configs(argv):
+    # --provider, --model and --temperature default to ProviderConfig's fields
+    args = cli.build_parser().parse_args(argv)
+    assert cli._provider_config(args) == ProviderConfig()
 
 
 @pytest.mark.parametrize(

@@ -2,11 +2,12 @@
 is kept here as the reference.
 
 The reference gives a node the smallest node of the pruned list whose span
-holds its own, the earlier in pre-order on a tie, and never makes the later
-of two nodes with one span the earlier's parent. Both must give the same
-features and vectors on every fixture, on the large benchmark targets and
-on generated nests of items, a file with no trailing newline among them,
-where a top-level item spans as much as the root.
+holds its own, the later (deeper) in pre-order on a tie, and never makes the
+later of two nodes with one span the earlier's parent. Both must give the
+same features and vectors on every fixture, on the large benchmark targets
+and on generated nests of items, a file with no trailing newline among them,
+where a top-level item spans as much as the root. A trailing newline changes
+no vector.
 """
 
 from __future__ import annotations
@@ -21,7 +22,17 @@ from hypothesis import strategies as st
 from conftest import FIXTURES_DIR
 from ubmend.detector import UbKind, UbReport
 from ubmend.errors import LexFailure
-from ubmend.kb import VECTOR_DIMS, AstNode, FeatureVector, _bucket, extract_ast, hashed_features, prune, vectorize
+from ubmend.kb import (
+    VECTOR_DIMS,
+    AstNode,
+    FeatureVector,
+    _bucket,
+    extract_ast,
+    feature_vector,
+    hashed_features,
+    prune,
+    vectorize,
+)
 
 UB_MARK = re.compile(r"//~UB")
 
@@ -36,7 +47,7 @@ def containment_features(pruned: list[AstNode], ub_kinds=()) -> list[str]:
             if m.span[0] <= n.span[0] and n.span[1] <= m.span[1]:
                 if m.span == n.span and m.id > n.id:
                     continue
-                if parent is None or (m.span[1] - m.span[0]) < (parent.span[1] - parent.span[0]):
+                if parent is None or (m.span[1] - m.span[0]) <= (parent.span[1] - parent.span[0]):
                     parent = m
         feats.append(f"{parent.kind}>{n.kind}" if parent else f"^{n.kind}")
     feats.extend(f"ub:{k.value}" for k in ub_kinds)
@@ -87,12 +98,12 @@ def test_parent_walk_matches_containment_on_the_large_targets(seed, tmp_path, pe
         assert_same_as_containment(source, _marked_reports(source))
 
 
-def test_a_whole_file_item_gives_way_to_the_root():
+def test_a_whole_file_item_is_the_parent_of_its_nodes():
     # no trailing newline: ``fn main`` spans the whole file, as the root does
     source = "fn main() { unsafe { f() } }"
     ast = extract_ast(source)
     assert ast.nodes[1].span == ast.nodes[0].span
-    assert hashed_features(ast.nodes) == ["^file", "file>fn", "file>unsafe_block"]
+    assert hashed_features(ast.nodes) == ["^file", "file>fn", "fn>unsafe_block"]
     assert_same_as_containment(source, [])
 
 
@@ -140,3 +151,11 @@ def _files(draw) -> tuple[str, list[UbReport]]:
 def test_parent_walk_matches_containment_on_generated_nests(case):
     source, reports = case
     assert_same_as_containment(source, reports)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_files())
+@example(("fn main() { unsafe { f() } }", []))
+def test_a_trailing_newline_changes_no_vector(case):
+    source, reports = case
+    assert feature_vector(source, reports) == feature_vector(source + "\n", reports)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import shlex
 import subprocess
 import tempfile
 from dataclasses import asdict, dataclass
@@ -98,24 +97,14 @@ class ReferenceExecutionFailure(Exception):
     """The acceptability check itself failed; the verdict is unknown."""
 
 
-def _bundle_text(path: Path) -> str | None:
-    """A reference bundle's optional text file, stripped; None when absent."""
-    if not path.is_file():
-        return None
-    try:
-        return path.read_text(encoding="utf-8").strip()
-    except UnicodeDecodeError as exc:
-        raise StorageFailure(f"{path}: not UTF-8 text: {exc}") from exc
-
-
 @dataclass
 class ReferenceBundle:
-    """Ground truth for acceptability: the bytes the program must print,
-    the exit status it must report, and an optional extra test command."""
+    """Ground truth for acceptability: the bytes the program must print
+    and the exit status it must report. A bundle that holds a ``tests.cmd``
+    is refused: its tests are not run, and it must not be judged without them."""
 
     expected_stdout: bytes
     expected_exit: int = 0
-    tests_cmd: str | None = None
 
     @classmethod
     def from_dir(cls, path: Path | str) -> "ReferenceBundle":
@@ -123,14 +112,14 @@ class ReferenceBundle:
         stdout_file = root / "expected_stdout.txt"
         if not stdout_file.is_file():
             raise StorageFailure(f"reference bundle missing expected_stdout.txt: {root}")
+        if (root / "tests.cmd").exists():
+            raise StorageFailure(f"{root / 'tests.cmd'}: test commands are not run; judge by stdout and exit status")
         exit_file = root / "expected_exit.txt"
-        exit_text = _bundle_text(exit_file)
         try:
-            expected_exit = 0 if exit_text is None else int(exit_text)
-        except ValueError:
-            raise StorageFailure(f"{exit_file}: not an integer exit status: {exit_text!r}") from None
-        tests_cmd = _bundle_text(root / "tests.cmd")
-        return cls(expected_stdout=stdout_file.read_bytes(), expected_exit=expected_exit, tests_cmd=tests_cmd)
+            expected_exit = int(exit_file.read_text(encoding="utf-8")) if exit_file.is_file() else 0
+        except ValueError as exc:  # UnicodeDecodeError is one
+            raise StorageFailure(f"{exit_file}: not an integer exit status: {exc}") from None
+        return cls(expected_stdout=stdout_file.read_bytes(), expected_exit=expected_exit)
 
     def check(self, final_source: dict[str, str], entry_file: str, *, memo: CaseMemo) -> bool:
         """Compile and run the repaired program, compare behaviour byte-exact.
@@ -141,7 +130,8 @@ class ReferenceBundle:
         bundle, entry file, resolved ``rustc`` and source is compiled and
         judged at most once, and not at all when its store holds the verdict.
         """
-        payload = [self.expected_stdout.hex(), self.expected_exit, self.tests_cmd, entry_file, "rustc"]
+        # None stands where a test command was, so stored verdicts keep their keys
+        payload = [self.expected_stdout.hex(), self.expected_exit, None, entry_file, "rustc"]
         payload += [memo.tool(["rustc"]), sorted(final_source.items())]
         key = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
         known = memo.recall(key)
@@ -176,20 +166,7 @@ class ReferenceBundle:
                 run = run_group([str(binary)], REFERENCE_RUN_TIMEOUT, cwd=root)
             except subprocess.TimeoutExpired as exc:
                 raise ReferenceExecutionFailure("repaired program timed out") from exc
-            if run.returncode != self.expected_exit or run.stdout != self.expected_stdout:
-                return False
-            if self.tests_cmd:
-                try:
-                    tests = run_group(
-                        self.tests_cmd.replace("{prog}", shlex.quote(str(binary))),
-                        REFERENCE_RUN_TIMEOUT,
-                        shell=True,
-                        cwd=root,
-                    )
-                except subprocess.TimeoutExpired as exc:
-                    raise ReferenceExecutionFailure("reference tests timed out") from exc
-                return tests.returncode == 0
-            return True
+            return run.returncode == self.expected_exit and run.stdout == self.expected_stdout
 
 
 def signature_of(solution: RepairSolution) -> tuple[tuple[str, str], ...]:

@@ -14,9 +14,7 @@ import subprocess
 from typing import Sequence
 
 
-def run_group(
-    argv: Sequence[str] | str, timeout: float, **popen_kwargs
-) -> subprocess.CompletedProcess:
+def run_group(argv: Sequence[str], timeout: float, **popen_kwargs) -> subprocess.CompletedProcess:
     """Like ``subprocess.run(argv, stdin=DEVNULL, capture_output=True,
     timeout=timeout)``.
 

@@ -449,6 +449,22 @@ def test_a_bad_reference_bundle_file_is_reported_not_raised(tmp_path, capsys, co
         assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("command", ["fix", "bench"])
+def test_a_reference_bundle_with_tests_cmd_is_refused(tmp_path, capsys, command):
+    manifest = _bench_dir(tmp_path, ["stack_borrow"], with_refs=True)
+    ref = manifest.parent / "refs" / "stack_borrow"
+    (ref / "tests.cmd").write_text("{prog} > /dev/null\n", encoding="utf-8")
+    if command == "fix":
+        case = manifest.parent / "stack_borrow" / "main.rs"
+        assert main(_fix(case, "--reference", str(ref))) == 2
+        assert capsys.readouterr().err.startswith(f"error: {ref / 'tests.cmd'}: ")
+    else:
+        assert main(_bench(manifest, "--report", "json")) == 0
+        row = json.loads(capsys.readouterr().out)["cases"][0]
+        assert row["verdict"] == "failed"
+        assert row["note"].startswith(f"StorageFailure: {ref / 'tests.cmd'}: ")
+
+
 def test_bench_without_detector_reports_then_exits_two(tmp_path, capsys):
     manifest = _bench_dir(tmp_path, ["stack_borrow", "unaligned_pointer"])
     args = ["bench", str(manifest), "--report", "json", "--fixed-clock"]

@@ -14,8 +14,11 @@ counting log's lines, and tokens are the report's
   a strict xfail until a cut solution is continued instead (ROADMAP item
   22). R = 8 at B = 5 takes 2 plan calls today.
 
-A bound on runs under a detector that reports one UB per run waits for that
-stub mode (ROADMAP item 7).
+- One UB per run (the stub's ``--first-ub``, as Miri stops at its first
+  UB): a pass with at most R + 2 spawns. Targets with 5 or more regions
+  fail today, each repaired region costing solution ids until
+  ``--solutions`` runs out, so this is a strict xfail until the session
+  grows its solution for a region a detection newly shows (ROADMAP item 7).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import counting_detector_command, load_perfbench, spawn_log
@@ -45,19 +48,24 @@ def token_bound(regions: int) -> int:
     return 105 * regions + 150
 
 
-def repair_costs(seed: int, regions: int, size: int, budget: int) -> tuple[bool, int, int, int]:
-    """(passed, plan calls, spawns, tokens) of repairing one generated target."""
+def repair_costs(
+    seed: int, regions: int, size: int, budget: int, *, first_ub: bool = False
+) -> tuple[bool, int, int, int]:
+    """(passed, plan calls, spawns, tokens) of repairing one generated target,
+    under a stub that reports only its first UB when ``first_ub``."""
     source, _ = gen.large_target(random.Random(seed), regions, size)
     with tempfile.TemporaryDirectory(prefix="ubmend-cost-") as tmp:
         root = Path(tmp)
         (root / "main.rs").write_text(source, encoding="utf-8")
         log, transcript = root / "spawns.jsonl", root / "transcript.jsonl"
+        *stub, file_arg = counting_detector_command(log)
+        command = [*stub, *(["--first-ub"] if first_ub else []), file_arg]
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             main([
                 "fix", str(root / "main.rs"), "--no-kb", "--fixed-clock", "--report", "json",
                 "--transcript", str(transcript), "--max-iterations", str(budget),
-                "--detector-cmd", shlex.join(counting_detector_command(log)),
+                "--detector-cmd", shlex.join(command),
             ])
         report = json.loads(out.getvalue())
         entries = [json.loads(line) for line in transcript.read_text(encoding="utf-8").splitlines()]
@@ -96,3 +104,17 @@ def test_any_budget_plans_once_and_spawns_at_most_one_more_than_the_regions(targ
     assert (passed, plans) == (True, 1)
     assert spawns <= regions + 1
     assert tokens <= token_bound(regions)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 7: one UB per run, each repaired region costs solution ids until --solutions runs out",
+)
+@settings(max_examples=4, deadline=None, derandomize=True, phases=[Phase.explicit, Phase.generate])
+@given(targets(budget_at_least_regions=True))
+@example((1, 8, 1000, 20))
+def test_one_ub_per_run_passes_with_at_most_two_more_spawns_than_the_regions(target):
+    seed, regions, size, budget = target
+    passed, _, spawns, _ = repair_costs(seed, regions, size, budget, first_ub=True)
+    assert passed
+    assert spawns <= regions + 2

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import counting_detector_command, process_gone, spawn_log, stub_detector_config
+from conftest import STUB_DETECTOR, counting_detector_command, process_gone, spawn_log, stub_detector_config
 from ubmend.detector import (
     CaseMemo,
     DetectorConfig,
@@ -110,6 +110,21 @@ def test_run_detection_counts_and_locates(tmp_path):
     assert all(r.file == "main.rs" for r in reports)
 
 
+def test_the_first_ub_stub_reports_only_the_first_block_in_file_order(tmp_path):
+    source = (
+        "fn main() {\n"
+        "    let x = 1; //~UB " + KIND_MESSAGES[UbKind.STACK_BORROW] + "\n"
+        "    //~ABORT the program aborted execution\n"
+        "    let y = 2; //~UB " + KIND_MESSAGES[UbKind.ALLOC] + "\n}\n"
+    )
+    f = tmp_path / "main.rs"
+    f.write_text(source)
+    config = DetectorConfig(command=(*STUB_DETECTOR[:-1], "--first-ub", "{file}"))
+    (report,) = run_detection(TargetPackage.from_path(f), config=config, memo=CaseMemo())
+    assert (report.kind, report.line) == (UbKind.STACK_BORROW, 2)
+    assert len(_detect(tmp_path, source)) == 3
+
+
 def test_run_detection_abnormal_termination(tmp_path):
     source = "fn main() {\n    //~ABORT the program aborted execution\n}\n"
     (report,) = _detect(tmp_path, source)
@@ -150,6 +165,18 @@ def test_a_failure_without_a_compiler_error_blames_the_detection_command(tmp_pat
         f"detection command exited 3 with no UB report and no compiler error: {command}\n"
         "cannot open {root}/main.rs"
     )
+
+
+@pytest.mark.xfail(
+    raises=NonUbCompileError,
+    strict=True,
+    reason="ROADMAP item 26: a clean run's non-zero exit is the program's, which Miri passes through",
+)
+def test_a_clean_run_that_exits_with_the_programs_status_reports_no_ub(tmp_path):
+    # as `cargo miri run` on a clean program that prints total=31 and exits 3
+    (tmp_path / "main.rs").write_text("fn main() {}\n")
+    config = DetectorConfig(command=("sh", "-c", "echo total=31; exit 3"))
+    assert run_detection(TargetPackage.from_path(tmp_path / "main.rs"), config=config, memo=CaseMemo()) == []
 
 
 def test_compile_error_directive_suppresses_ub(tmp_path):

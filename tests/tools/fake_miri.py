@@ -13,6 +13,10 @@ the detector parses. Directives:
 
 Paths are printed exactly as given (the harness passes them relative to the
 working copy root), keeping output independent of temp directory names.
+
+With ``--first-ub`` only the first UB or abnormal-termination block, in file
+order, is printed, as Miri stops at its first UB; compile errors are still
+all reported.
 """
 import sys
 import time
@@ -73,6 +77,7 @@ def compile_block(rel, lineno, col, msg, source_line):
 
 def main(argv):
     paths = [a for a in argv[1:] if not a.startswith("-")]
+    first_ub = "--first-ub" in argv[1:]
     blocks = []
     compile_errors = []
     for rel in paths:
@@ -104,6 +109,8 @@ def main(argv):
         plural = "s" if n != 1 else ""
         print(f"error: aborting due to {n} previous error{plural}", file=sys.stderr)
         return 1
+    if first_ub:
+        blocks = blocks[:1]
     for block in blocks:
         print(block, file=sys.stderr)
     if blocks:

@@ -73,8 +73,9 @@ class UbKind(str, Enum):
 class TargetPackage:
     """A Rust target under repair: a root directory plus its entry sources.
 
-    ``entry_files`` are paths relative to ``root_path``. Validation rejects
-    targets whose estimated token count exceeds ``DEFAULT_TOKEN_BUDGET`` so
+    ``entry_files`` are paths relative to ``root_path``; ``tracked_files``
+    lists its sources once, when it is opened. Validation rejects targets
+    whose estimated token count exceeds ``DEFAULT_TOKEN_BUDGET`` so
     oversized inputs fail up front rather than mid-session.
     """
 
@@ -90,7 +91,10 @@ class TargetPackage:
         if path.is_file():
             return cls(path.parent, [path.name])
         if path.is_dir():
-            return cls(path, sorted(_rust_sources(path)))
+            # one walk: a directory's entry files are the Rust sources it lists
+            target = cls(path, [])
+            target.entry_files = [rel for rel in target.tracked_files if rel.endswith(".rs")]
+            return target
         raise TargetRejected(f"no such file or directory: {path}")
 
     def validate(self) -> None:
@@ -101,7 +105,7 @@ class TargetPackage:
             raise TargetRejected(f"{self.root_path}: no Rust sources found")
         entries = set(self.entry_files)
         total = 0
-        for rel in self.tracked_files():
+        for rel in self.tracked_files:
             full = self.root_path / rel
             if rel in entries and (not full.is_file() or full.suffix != ".rs"):
                 raise TargetRejected(f"entry file missing or not Rust: {full}")
@@ -121,16 +125,15 @@ class TargetPackage:
     def read(self, rel: str) -> str:
         return (self.root_path / rel).read_text(encoding="utf-8")
 
+    @functools.cached_property
     def tracked_files(self) -> list[str]:
-        """Sources a working copy carries: the entry files, the Cargo
+        """Sources a working copy carries, sorted: the entry files, the Cargo
         manifest and lock file, and every other ``.rs`` file outside
-        ``target/`` directories."""
-        tracked = list(self.entry_files)
-        for name in _TRACKED_EXTRA:
-            if (self.root_path / name).is_file():
-                tracked.append(name)
-        known = set(tracked)
-        return tracked + [rel for rel in _rust_sources(self.root_path) if rel not in known]
+        ``target/`` directories. Listed once, on first use (``from_path`` or
+        ``validate``, as the target is opened): a file written into the tree
+        later, such as the ``Cargo.lock`` cargo adds, is never a source."""
+        extras = [name for name in _TRACKED_EXTRA if (self.root_path / name).is_file()]
+        return sorted({*self.entry_files, *extras, *_rust_sources(self.root_path)})
 
 
 def _rust_sources(root: Path) -> Iterator[str]:
@@ -443,9 +446,9 @@ def tool_identity(command: Sequence[str]) -> str:
 
 def _content_key(argv: list[str], tool: str, target: TargetPackage) -> str:
     """sha256 over the argv, the tool identity and the (path, bytes) pairs of
-    the tracked sources."""
+    the sources the target was opened with (``tracked_files``)."""
     digest = hashlib.sha256(json.dumps([argv, tool]).encode())
-    for rel in sorted(target.tracked_files()):
+    for rel in target.tracked_files:
         path = target.root_path / rel
         if path.is_file():
             data = path.read_bytes()

@@ -10,15 +10,16 @@ from .detector import TargetPackage
 
 class WorkingCopy:
     """A private copy of a target's sources in a fresh temporary tree,
-    which ``cleanup`` removes."""
+    which ``cleanup`` removes; its sources are the target's, never listed again."""
 
     def __init__(self, target: TargetPackage) -> None:
         self.root = Path(tempfile.mkdtemp(prefix="ubmend-"))
-        for rel in target.tracked_files():
+        for rel in target.tracked_files:
             dest = self.root / rel
             dest.parent.mkdir(parents=True, exist_ok=True)
             shutil.copyfile(target.root_path / rel, dest)
         self.target = TargetPackage(self.root, list(target.entry_files))
+        self.target.tracked_files = target.tracked_files
 
     def _path(self, rel: str) -> Path:
         """``rel`` under the copy's root; FileNotFoundError when it resolves
@@ -38,19 +39,14 @@ class WorkingCopy:
         path.write_text(text, encoding="utf-8")
 
     def files(self) -> dict[str, str]:
-        """Current content of every tracked source (``tracked_files``), keyed
-        by relative path; build output the tool leaves is not a source."""
-        tracked = sorted(self.target.tracked_files())
-        return {rel: (self.root / rel).read_text(encoding="utf-8") for rel in tracked}
+        """Current content of every source (``tracked_files``), keyed by
+        relative path; a file written into the copy later is not one."""
+        return {rel: (self.root / rel).read_text(encoding="utf-8") for rel in self.target.tracked_files}
 
     def restore(self, files: dict[str, str]) -> None:
-        """Put back the tracked sources ``files`` holds and delete any other;
-        files that are not tracked sources are left as they are."""
+        """Put back the sources ``files`` holds; any other file is left as it is."""
         for rel, text in files.items():
             self.write(rel, text)
-        for rel in self.target.tracked_files():
-            if rel not in files:
-                (self.root / rel).unlink()
 
     def cleanup(self) -> None:
         """Remove the temporary tree."""

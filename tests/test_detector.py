@@ -267,19 +267,27 @@ def test_memo_keeps_no_output_that_holds_the_root_token(tmp_path):
 
 def test_memo_detects_again_after_any_tracked_change(tmp_path):
     config, log = _counting(tmp_path)
+    util = tmp_path / "pkg" / "util.rs"  # non-entry source, there when the target is opened
+    util.parent.mkdir()
+    util.write_text("pub fn helper() {}\n")
     target = _memo_target(tmp_path, UB_SOURCE)
+    target.validate()
     memo = CaseMemo()
     run_detection(target, config=config, memo=memo)
     entry = target.root_path / "main.rs"
     entry.write_text(UB_SOURCE.replace("x = 1", "x = 2"))  # one byte
     run_detection(target, config=config, memo=memo)
-    (target.root_path / "util.rs").write_text("pub fn helper() {}\n")  # non-entry source
+    util.write_text("pub fn helper() { let _ = 1; }\n")
     run_detection(target, config=config, memo=memo)
     assert len(spawn_log(log)) == 3
     entry.write_text(UB_SOURCE)
-    (target.root_path / "util.rs").unlink()
+    util.write_text("pub fn helper() {}\n")
     run_detection(target, config=config, memo=memo)
     assert len(spawn_log(log)) == 3  # back to the first state
+    # written after the target was opened: not a source, so no key changes
+    (target.root_path / "late.rs").write_text("pub fn late() {}\n")
+    run_detection(target, config=config, memo=memo)
+    assert len(spawn_log(log)) == 3
 
 
 def test_memo_reruns_timeouts_and_compile_errors(tmp_path):
